@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify verify-race ci specs lint bench bench-smoke bench-scale bench-parallel bench-gossip figures clean
+.PHONY: all build vet test race verify verify-race ci specs lint bench bench-smoke bench-scale bench-parallel bench-gossip bench-pairs figures clean
 
 all: verify
 
@@ -105,6 +105,17 @@ bench-parallel:
 # validators for smoke runs; the committed report uses the default.
 bench-gossip:
 	$(GO) run ./cmd/stabl bench -gossip-out BENCH_gossip.json $(SCALE_FLAGS)
+
+# bench-pairs measures a change the way a performance claim must be shown:
+# `make bench-pairs BASE=<ref> WORKLOAD=<name> [PAIRS=10] [SEED=42]` runs
+# benchmark/run.sh on BASE (exported into a temporary directory) and on the
+# working tree alternately, flipping which side goes first every pair, and
+# prints per end-to-end metric both medians, both inter-quartile ranges and
+# the pairs the change won (see scripts/bench_pairs.sh).
+PAIRS ?= 10
+bench-pairs:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs BASE=<ref> WORKLOAD=<name> [PAIRS=10]"; exit 2; }
+	bash scripts/bench_pairs.sh "$(BASE)" "$(WORKLOAD)" "$(PAIRS)"
 
 # figures regenerates every SVG artifact of the paper into ./out.
 figures:

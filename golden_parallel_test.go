@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"stabl/internal/core"
 )
 
 // resultFingerprint digests every *measured* output of a run — latencies in
@@ -130,5 +132,45 @@ func TestGoldenParallelCommittee(t *testing.T) {
 				workers, seq.UniqueCommits, seq.Events, seq.MaxHeight,
 				par.UniqueCommits, par.Events, par.MaxHeight)
 		}
+	}
+}
+
+// TestParallelRunUntilInSlices pins Experiment.RunUntil's re-entrancy under
+// the parallel kernel: advancing a SimWorkers=2 run in 1 s slices must equal
+// advancing it in one call, and both must equal the sequential kernel.
+// (runParallel used to close its worker channels on return, so the second
+// slice panicked.)
+func TestParallelRunUntilInSlices(t *testing.T) {
+	cfg := Config{
+		System:   NewRedbelly(),
+		Seed:     42,
+		Duration: 30 * time.Second,
+		Fault:    FaultPlan{Kind: FaultCrash, InjectAt: 10 * time.Second, RecoverAt: 20 * time.Second},
+	}
+	run := func(workers int, slice time.Duration) string {
+		t.Helper()
+		c := cfg
+		c.System = NewRedbelly()
+		c.SimWorkers = workers
+		e, err := core.Build(c)
+		if err != nil {
+			t.Fatalf("P=%d: %v", workers, err)
+		}
+		e.Start()
+		for e.Now() < cfg.Duration {
+			e.RunUntil(min(e.Now()+slice, cfg.Duration))
+		}
+		r := e.Collect()
+		if r.SimWorkers != workers {
+			t.Fatalf("P=%d: run reported SimWorkers=%d", workers, r.SimWorkers)
+		}
+		return resultFingerprint(r)
+	}
+	want := run(0, cfg.Duration)
+	if got := run(2, cfg.Duration); got != want {
+		t.Errorf("P=2 in one call diverged from sequential")
+	}
+	if got := run(2, time.Second); got != want {
+		t.Errorf("P=2 in 1 s slices diverged from sequential")
 	}
 }

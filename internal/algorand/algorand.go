@@ -249,6 +249,12 @@ type (
 	}
 )
 
+// voteKey names one tally of a round: the votes of a stage for a proposer.
+type voteKey struct {
+	stage    int
+	proposer simnet.NodeID
+}
+
 // Committee steps of one BA* round (committee mode). The proposer step
 // shares the vote stages' numbering space: stageSoft/stageCert map onto
 // their step values directly.
@@ -275,7 +281,7 @@ type validator struct {
 	filterTO   time.Duration
 	roundTimer sim.Timer
 	proposals  map[int]map[simnet.NodeID]*proposalMsg
-	votes      map[int]map[string]map[simnet.NodeID]bool // round -> stage/proposer -> voters
+	votes      map[int]map[voteKey]map[simnet.NodeID]bool // round -> stage/proposer -> voters
 	nexts      map[int]map[simnet.NodeID]bool
 	certSent   map[int]bool
 	committed  map[int]bool
@@ -296,7 +302,7 @@ func (v *validator) Start(ctx *simnet.Context) {
 	v.round = 0
 	v.filterTO = v.cfg.DefaultFilterTimeout
 	v.proposals = make(map[int]map[simnet.NodeID]*proposalMsg)
-	v.votes = make(map[int]map[string]map[simnet.NodeID]bool)
+	v.votes = make(map[int]map[voteKey]map[simnet.NodeID]bool)
 	v.nexts = make(map[int]map[simnet.NodeID]bool)
 	v.certSent = make(map[int]bool)
 	v.committed = make(map[int]bool)
@@ -607,10 +613,10 @@ func (v *validator) onVote(msg voteMsg) {
 	}
 	stages, ok := v.votes[msg.Round]
 	if !ok {
-		stages = make(map[string]map[simnet.NodeID]bool)
+		stages = make(map[voteKey]map[simnet.NodeID]bool)
 		v.votes[msg.Round] = stages
 	}
-	key := fmt.Sprintf("%d/%d", msg.Stage, int(msg.Proposer))
+	key := voteKey{stage: msg.Stage, proposer: msg.Proposer}
 	voters, ok := stages[key]
 	if !ok {
 		voters = make(map[simnet.NodeID]bool)

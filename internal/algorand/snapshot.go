@@ -20,7 +20,7 @@ type validatorState struct {
 	filterTO  time.Duration
 	timer     sim.Timer
 	proposals map[int]map[simnet.NodeID]*proposalMsg
-	votes     map[int]map[string]map[simnet.NodeID]bool
+	votes     map[int]map[voteKey]map[simnet.NodeID]bool
 	nexts     map[int]map[simnet.NodeID]bool
 	certSent  map[int]bool
 	committed map[int]bool
@@ -44,7 +44,7 @@ func (v *validator) Snapshot() snapshot.State {
 		filterTO:  v.filterTO,
 		timer:     v.roundTimer,
 		proposals: make(map[int]map[simnet.NodeID]*proposalMsg, len(v.proposals)),
-		votes:     make(map[int]map[string]map[simnet.NodeID]bool, len(v.votes)),
+		votes:     make(map[int]map[voteKey]map[simnet.NodeID]bool, len(v.votes)),
 		nexts:     make(map[int]map[simnet.NodeID]bool, len(v.nexts)),
 		certSent:  make(map[int]bool, len(v.certSent)),
 		committed: make(map[int]bool, len(v.committed)),
@@ -63,7 +63,7 @@ func (v *validator) Snapshot() snapshot.State {
 		st.proposals[r] = m
 	}
 	for r, stages := range v.votes {
-		sm := make(map[string]map[simnet.NodeID]bool, len(stages))
+		sm := make(map[voteKey]map[simnet.NodeID]bool, len(stages))
 		for key, voters := range stages {
 			sm[key] = copyVoters(voters)
 		}
@@ -108,9 +108,9 @@ func (v *validator) Restore(state snapshot.State) {
 		}
 		v.proposals[r] = m
 	}
-	v.votes = make(map[int]map[string]map[simnet.NodeID]bool, len(st.votes))
+	v.votes = make(map[int]map[voteKey]map[simnet.NodeID]bool, len(st.votes))
 	for r, stages := range st.votes {
-		sm := make(map[string]map[simnet.NodeID]bool, len(stages))
+		sm := make(map[voteKey]map[simnet.NodeID]bool, len(stages))
 		for key, voters := range stages {
 			sm[key] = copyVoters(voters)
 		}

@@ -92,7 +92,10 @@ type parRun struct {
 	hooks     []func()
 	stats     ParallelStats
 
-	cmds    []chan heapEntry // per worker: next window bound
+	// cmds (per worker: next window bound) and results live for one
+	// RunUntil call: runParallel makes them with its workers and closes
+	// cmds on return.
+	cmds    []chan heapEntry
 	results chan parResult
 	active  []int // scratch: busy workers of the current window
 }
@@ -139,12 +142,7 @@ func (s *Scheduler) EnableParallel(laneQueue []int32, workers int, lookahead tim
 	p := &parRun{
 		workers:   workers,
 		lookahead: lookahead,
-		cmds:      make([]chan heapEntry, workers),
-		results:   make(chan parResult, workers),
 		active:    make([]int, 0, workers),
-	}
-	for i := range p.cmds {
-		p.cmds[i] = make(chan heapEntry, 1)
 	}
 	s.par = p
 }
@@ -211,7 +209,10 @@ func horizonBound(deadline time.Duration) heapEntry {
 // and torn down on return, so idle schedulers hold no goroutines.
 func (s *Scheduler) runParallel(deadline time.Duration) {
 	p := s.par
+	p.cmds = make([]chan heapEntry, p.workers)
+	p.results = make(chan parResult, p.workers)
 	for w := 1; w <= p.workers; w++ {
+		p.cmds[w-1] = make(chan heapEntry, 1)
 		go worker(s, s.qs[w], w, p.cmds[w-1], p.results)
 	}
 	defer func() {

@@ -9,9 +9,10 @@
 // constant-time checks: endpoints live in a dense slice keyed by NodeID,
 // partitions maintain a blocked-pair count map updated on Partition/Heal
 // (Blocked is O(1) per message instead of scanning every rule), netem-style
-// extra delays use a dense slice with a non-zero counter, and delivery
-// events are pooled value-typed closures rather than a fresh closure per
-// message.
+// extra delays use a dense slice with a non-zero counter, delivery events
+// are pooled value-typed closures rather than a fresh closure per message,
+// and a broadcast is one pooled, sorted flight — one queued event at a time
+// however many destinations it has (see flight).
 //
 // The network is also where the parallel kernel's ownership discipline
 // lives (see sim's parallel mode): every delay/loss/jitter draw comes from
@@ -22,8 +23,10 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -193,11 +196,13 @@ type Network struct {
 	// state schedules no new closure, and so concurrent partitions never
 	// share a free list. Sequential mode uses pools[0] only.
 	pools []dpool
+	// flights[qi] pools broadcast flights the same way (see flight).
+	flights []fpool
 	// outbox[qi] buffers cross-partition sends made by queue qi inside a
 	// lookahead window; a barrier hook injects them (keys were already
 	// assigned at send time, so injection order is irrelevant).
 	//stabl:nodet snapshot-fields -- parallel-mode only; drained at every barrier and cleared by DisableParallel before any fork
-	outbox [][]outMsg
+	outbox []outbox
 	// virt lazily holds degradation streams for virtual sender ids (see
 	// Context.SendAs): a flow node submitting on behalf of the classic
 	// client it aggregates draws latency/loss/jitter from the member's own
@@ -221,6 +226,23 @@ type virtStreams struct {
 type dpool struct {
 	free *delivery
 	all  []*delivery
+}
+
+// fpool is one queue's flight pool — free list and creation-order registry,
+// like dpool — plus the staging row of the broadcast currently being built
+// by an event of this queue: stage[q] is the sub-flight collecting the
+// destinations queue q owns. Every entry is nil between broadcasts.
+type fpool struct {
+	free  *flight
+	all   []*flight
+	stage []*flight
+}
+
+// outbox is one queue's buffer of cross-partition sends: unicast messages
+// and whole sub-flights of broadcasts.
+type outbox struct {
+	msgs    []outMsg
+	flights []*flight
 }
 
 // outMsg is one buffered cross-partition send. The ordering key (at, sender
@@ -271,6 +293,7 @@ func New(sched *sim.Scheduler, cfg Config) *Network {
 		blockedPairs: make(map[pairKey]int),
 		statsh:       make([]Stats, 1),
 		pools:        make([]dpool, 1),
+		flights:      []fpool{{stage: make([]*flight, 1)}},
 	}
 }
 
@@ -341,8 +364,12 @@ func (n *Network) EnableParallel(queueOf []int32, workers int) {
 	for i := 0; i < workers; i++ {
 		n.statsh = append(n.statsh, Stats{})
 		n.pools = append(n.pools, dpool{})
+		n.flights = append(n.flights, fpool{})
 	}
-	n.outbox = make([][]outMsg, workers+1)
+	for i := range n.flights {
+		n.flights[i].stage = make([]*flight, workers+1)
+	}
+	n.outbox = make([]outbox, workers+1)
 	n.sched.OnBarrier(n.flushOutboxes)
 }
 
@@ -354,7 +381,7 @@ func (n *Network) DisableParallel() {
 		return
 	}
 	for _, box := range n.outbox {
-		if len(box) != 0 {
+		if len(box.msgs) != 0 || len(box.flights) != 0 {
 			panic("simnet: DisableParallel with buffered cross-partition sends")
 		}
 	}
@@ -362,15 +389,23 @@ func (n *Network) DisableParallel() {
 		n.statsh[0].add(n.statsh[i])
 	}
 	n.statsh = n.statsh[:1]
-	// Deliveries allocated by partition pools stay owned by them; merging
-	// free lists would break the per-pool registries. Pre-start (the only
-	// place the fallback runs) no partition pool has allocated anything.
+	// Deliveries and flights allocated by partition pools stay owned by
+	// them; merging free lists would break the per-pool registries.
+	// Pre-start (the only place the fallback runs) no partition pool has
+	// allocated anything.
 	for _, p := range n.pools[1:] {
 		if len(p.all) != 0 {
 			panic("simnet: DisableParallel after partition deliveries were pooled")
 		}
 	}
+	for _, p := range n.flights[1:] {
+		if len(p.all) != 0 {
+			panic("simnet: DisableParallel after partition flights were pooled")
+		}
+	}
 	n.pools = n.pools[:1]
+	n.flights = n.flights[:1]
+	n.flights[0].stage = n.flights[0].stage[:1]
 	n.outbox = nil
 	for _, ep := range n.nodes {
 		if ep != nil {
@@ -680,18 +715,26 @@ func (d *delivery) fire() {
 	p := &n.pools[qi]
 	d.next = p.free
 	p.free = d
-	sh := &n.statsh[qi]
-	if !dst.up || dst.incarnation != inc {
-		if !control {
-			sh.DroppedInFlight++
-		}
+	if !control {
+		n.arrive(dst, from, payload, inc, qi)
 		return
 	}
-	if control {
-		// Control traffic always executes on the root queue (see
-		// sendControl), so the root clock is the execution clock.
-		n.conns.observeTraffic(from, dst.id, n.sched.Now())
-		n.conns.handleControl(from, dst.id, payload)
+	if !dst.up || dst.incarnation != inc {
+		return
+	}
+	// Control traffic always executes on the root queue (see sendControl),
+	// so the root clock is the execution clock.
+	n.conns.observeTraffic(from, dst.id, n.sched.Now())
+	n.conns.handleControl(from, dst.id, payload)
+}
+
+// arrive hands one application message to its destination on queue qi,
+// unless the destination crashed or restarted since the send (inc is the
+// incarnation recorded then).
+func (n *Network) arrive(dst *endpoint, from NodeID, payload any, inc uint64, qi int32) {
+	sh := &n.statsh[qi]
+	if !dst.up || dst.incarnation != inc {
+		sh.DroppedInFlight++
 		return
 	}
 	sh.Delivered++
@@ -699,6 +742,89 @@ func (d *delivery) fire() {
 		n.conns.observeTraffic(from, dst.id, n.sched.LaneNow(int32(dst.id)))
 	}
 	dst.handler.Deliver(from, payload)
+}
+
+// flight is a pooled in-flight broadcast: every destination that survived
+// the send-time checks, sorted by its sender-assigned event key, behind one
+// queued event. A delivery's key is (at, sender lane, seq) and a flight's
+// destinations share the lane, so (at, seq) order is key order. The flight
+// is queued under its first destination's key; firing re-arms it under the
+// next destination's key before delivering, so every delivery executes at
+// exactly the position its own queued event would have had while the queue
+// holds one entry per broadcast instead of one per destination.
+type flight struct {
+	n       *Network
+	from    NodeID
+	payload any
+	base    uint64       // lane sequence number of seqOff 0
+	dests   []flightDest // sorted by (at, seqOff); pointer-free
+	cur     int          // next destination to deliver
+	qi      int32        // owning pool == executing queue
+	run     func()
+	next    *flight // pool free list
+}
+
+// flightDest is one destination of a flight: arrival instant, offset of its
+// lane sequence number from the flight's base, and the destination's
+// incarnation at send time (a restart in between drops the message).
+type flightDest struct {
+	at     time.Duration
+	inc    uint64
+	dst    int32
+	seqOff uint32
+}
+
+// compare orders destinations of one flight by event key: (at, seq).
+func (a flightDest) compare(b flightDest) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seqOff, b.seqOff)
+}
+
+func (n *Network) newFlight(qi int32) *flight {
+	p := &n.flights[qi]
+	f := p.free
+	if f == nil {
+		f = &flight{n: n, qi: qi}
+		f.run = f.fire
+		p.all = append(p.all, f)
+	} else {
+		p.free = f.next
+		f.next = nil
+	}
+	return f
+}
+
+func (n *Network) freeFlight(f *flight) {
+	f.payload = nil
+	f.dests = f.dests[:0]
+	f.cur = 0
+	p := &n.flights[f.qi]
+	f.next = p.free
+	p.free = f
+}
+
+// arm queues the flight under the key of its next destination.
+func (f *flight) arm() {
+	d := &f.dests[f.cur]
+	f.n.sched.ScheduleKeyed(d.dst, int32(f.from), f.base+uint64(d.seqOff), d.at, f.run)
+}
+
+// fire delivers to the next destination. The flight re-arms (or returns to
+// the pool) before the handler runs: the re-arm takes the event slot this
+// firing just released, and reentrant broadcasts from inside Deliver may
+// reuse a finished flight.
+func (f *flight) fire() {
+	n, from, payload, qi := f.n, f.from, f.payload, f.qi
+	d := f.dests[f.cur]
+	f.cur++
+	if f.cur < len(f.dests) {
+		f.arm()
+	} else {
+		n.freeFlight(f)
+	}
+	n.arrive(n.nodes[d.dst], from, payload, d.inc, qi)
 }
 
 // virtual returns the degradation streams of a virtual sender id, creating
@@ -731,22 +857,22 @@ func (n *Network) virtual(id NodeID) *virtStreams {
 	return vs
 }
 
-// send is the single application message path; all drops are accounted in
-// stats. The delay is drawn from the sender's streams (or, for SendAs, the
-// virtual sender's) and the ordering key from the physical sender's lane
-// counter at send time, so the resulting delivery is identical no matter
-// which kernel — or which partition interleaving — executes it.
-// Cross-partition sends inside a window go to the outbox.
-func (n *Network) send(from, to NodeID, payload any, vs *virtStreams) {
-	src := n.mustNode(from)
-	dst := n.mustNode(to)
+// route is the send-time half of every application message: it accounts the
+// send, applies the drop rules (sender down, partition, connection state,
+// destination down, injected loss) and, for a message that survives, draws
+// its delay from the given sender-owned streams and its ordering key from
+// the physical sender's lane counter. Everything about the resulting
+// delivery is fixed here, so it is identical no matter which kernel — or
+// which partition interleaving — executes it.
+func (n *Network) route(src *endpoint, to NodeID, lat, loss, jit *rand.Rand) (dst *endpoint, at time.Duration, seq uint64, ok bool) {
+	dst = n.mustNode(to)
 	sh := &n.statsh[src.qi]
 	sh.Sent++
 	if !src.up {
 		sh.DroppedSenderDown++
 		return
 	}
-	if n.Blocked(from, to) {
+	if n.Blocked(src.id, to) {
 		sh.DroppedPartition++
 		return
 	}
@@ -758,54 +884,115 @@ func (n *Network) send(from, to NodeID, payload any, vs *virtStreams) {
 		sh.DroppedNodeDown++
 		return
 	}
-	lat, loss, jit := src.lat, src.loss, src.jit
-	if vs != nil {
-		lat, loss, jit = vs.lat, vs.loss, vs.jit
-	}
 	if n.lossyIfaces > 0 && n.lost(src, to, loss) {
 		sh.DroppedLoss++
 		return
 	}
-	at := n.sched.ContextNow(int32(from)) + n.delay(src, to, lat, jit)
-	seq := n.sched.TakeLaneSeq(int32(from))
+	at = n.sched.ContextNow(int32(src.id)) + n.delay(src, to, lat, jit)
+	seq = n.sched.TakeLaneSeq(int32(src.id))
+	return dst, at, seq, true
+}
+
+// send is the unicast path: one pooled delivery event per message. The
+// streams are the sender's own or, for SendAs, the virtual sender's.
+// Cross-partition sends inside a window go to the outbox.
+func (n *Network) send(src *endpoint, to NodeID, payload any, lat, loss, jit *rand.Rand) {
+	dst, at, seq, ok := n.route(src, to, lat, loss, jit)
+	if !ok {
+		return
+	}
 	if dst.qi != src.qi && n.sched.InWindow() {
-		n.outbox[src.qi] = append(n.outbox[src.qi], outMsg{
-			at: at, seq: seq, from: from, dst: dst, payload: payload, inc: dst.incarnation,
+		box := &n.outbox[src.qi]
+		box.msgs = append(box.msgs, outMsg{
+			at: at, seq: seq, from: src.id, dst: dst, payload: payload, inc: dst.incarnation,
 		})
 		return
 	}
+	n.deliverAt(dst, src.id, payload, dst.incarnation, seq, at)
+}
+
+// deliverAt queues one unicast delivery under its sender-assigned key.
+func (n *Network) deliverAt(dst *endpoint, from NodeID, payload any, inc, seq uint64, at time.Duration) {
 	d := n.newDelivery(dst.qi)
 	d.dst = dst
 	d.from = from
 	d.payload = payload
-	d.inc = dst.incarnation
+	d.inc = inc
 	d.control = false
-	n.sched.ScheduleKeyed(int32(to), int32(from), seq, at, d.run)
+	n.sched.ScheduleKeyed(int32(dst.id), int32(from), seq, at, d.run)
+}
+
+// broadcast is the multicast path: the same per-destination checks and
+// draws as a loop of sends, in peer order, but the survivors are collected
+// into one flight per destination queue (exactly one in sequential mode)
+// instead of one queued event each. A sub-flight bound for another
+// partition inside a window is built in the sender's own pool and parked in
+// the outbox; the barrier re-homes it.
+func (n *Network) broadcast(src *endpoint, peers []NodeID, payload any) {
+	stage := n.flights[src.qi].stage
+	inWindow := n.sched.InWindow()
+	for _, to := range peers {
+		if to == src.id {
+			continue
+		}
+		dst, at, seq, ok := n.route(src, to, src.lat, src.loss, src.jit)
+		if !ok {
+			continue
+		}
+		f := stage[dst.qi]
+		if f == nil {
+			home := dst.qi
+			if inWindow {
+				home = src.qi
+			}
+			f = n.newFlight(home)
+			f.from, f.payload, f.base = src.id, payload, seq
+			stage[dst.qi] = f
+		}
+		f.dests = append(f.dests, flightDest{
+			at: at, inc: dst.incarnation, dst: int32(to), seqOff: uint32(seq - f.base),
+		})
+	}
+	for qi, f := range stage {
+		if f == nil {
+			continue
+		}
+		stage[qi] = nil
+		slices.SortFunc(f.dests, flightDest.compare)
+		if f.qi != int32(qi) {
+			box := &n.outbox[src.qi]
+			box.flights = append(box.flights, f)
+			continue
+		}
+		f.arm()
+	}
 }
 
 // flushOutboxes injects every buffered cross-partition send into its
 // receiver's queue. Runs as a barrier hook with all partitions quiesced;
 // because keys were assigned at send time, the per-queue append order the
-// boxes happen to hold carries no meaning.
+// boxes happen to hold carries no meaning. A buffered sub-flight hands its
+// destination array to a flight of the receiving queue's pool and returns
+// to its sender's.
 func (n *Network) flushOutboxes() {
 	for qi := range n.outbox {
-		box := n.outbox[qi]
-		if len(box) == 0 {
-			continue
-		}
-		for i := range box {
-			m := &box[i]
-			d := n.newDelivery(m.dst.qi)
-			d.dst = m.dst
-			d.from = m.from
-			d.payload = m.payload
-			d.inc = m.inc
-			d.control = false
-			n.sched.ScheduleKeyed(int32(m.dst.id), int32(m.from), m.seq, m.at, d.run)
+		box := &n.outbox[qi]
+		for i := range box.msgs {
+			m := &box.msgs[i]
+			n.deliverAt(m.dst, m.from, m.payload, m.inc, m.seq, m.at)
 			m.dst = nil
 			m.payload = nil
 		}
-		n.outbox[qi] = box[:0]
+		box.msgs = box.msgs[:0]
+		for i, f := range box.flights {
+			g := n.newFlight(n.nodes[f.dests[0].dst].qi)
+			g.from, g.payload, g.base = f.from, f.payload, f.base
+			g.dests, f.dests = f.dests, g.dests
+			g.arm()
+			n.freeFlight(f)
+			box.flights[i] = nil
+		}
+		box.flights = box.flights[:0]
 	}
 }
 
@@ -879,7 +1066,7 @@ func (c *Context) Send(to NodeID, payload any) {
 	if !c.ep.up {
 		return
 	}
-	c.net.send(c.ep.id, to, payload, nil)
+	c.net.send(c.ep, to, payload, c.ep.lat, c.ep.loss, c.ep.jit)
 }
 
 // SendAs transmits payload to the named peer on behalf of a virtual sender
@@ -893,17 +1080,18 @@ func (c *Context) SendAs(virtual, to NodeID, payload any) {
 	if !c.ep.up {
 		return
 	}
-	c.net.send(c.ep.id, to, payload, c.net.virtual(virtual))
+	vs := c.net.virtual(virtual)
+	c.net.send(c.ep, to, payload, vs.lat, vs.loss, vs.jit)
 }
 
 // Broadcast sends payload to every id in peers except the sender itself.
+// The messages are those a loop of Send over peers would produce — same
+// drops, same delays, same delivery order — carried by one flight.
 func (c *Context) Broadcast(peers []NodeID, payload any) {
-	for _, id := range peers {
-		if id == c.ep.id {
-			continue
-		}
-		c.Send(id, payload)
+	if !c.ep.up {
+		return
 	}
+	c.net.broadcast(c.ep, peers, payload)
 }
 
 // After schedules fn on the node's behalf, on the node's own lane. The

@@ -28,6 +28,17 @@ type deliveryState struct {
 	next    *delivery
 }
 
+// flightState rewinds one pooled flight. Only the destinations still to be
+// delivered are kept (a free flight has none); next points into the
+// identity-preserved flight registry.
+type flightState struct {
+	from    NodeID
+	payload any
+	base    uint64
+	rest    []flightDest
+	next    *flight
+}
+
 // pairConnState is one managed connection pair's state; the pairState object
 // is identity-preserved (retry/ack closures capture it).
 type pairConnState struct {
@@ -54,6 +65,8 @@ type netState struct {
 	jitterIfaces int
 	deliveries   []deliveryState
 	freeHead     *delivery
+	flights      []flightState
+	freeFlight   *flight
 	// virtIDs records which virtual sender streams existed at the
 	// checkpoint (sorted). Streams created after it are truncated out of
 	// the scheduler's registry by its Restore, so the network must drop its
@@ -67,11 +80,12 @@ type netState struct {
 
 // Snapshot captures the network: endpoint liveness and incarnations,
 // partition rules and blocked-pair counts, per-interface degradation tables,
-// every pooled delivery (in-flight or free) and the connection layer's pair
-// states. The node table, contexts, handlers and registries are
-// identity-preserved; the scheduler owns the RNG streams (simnet's per-node
-// latency, loss and jitter streams register there). Checkpoints capture the
-// sequential layout only; the forking API falls back before snapshotting.
+// every pooled delivery and broadcast flight (in-flight or free) and the
+// connection layer's pair states. The node table, contexts, handlers and
+// registries are identity-preserved; the scheduler owns the RNG streams
+// (simnet's per-node latency, loss and jitter streams register there).
+// Checkpoints capture the sequential layout only; the forking API falls back
+// before snapshotting.
 func (n *Network) Snapshot() snapshot.State {
 	if len(n.pools) > 1 {
 		panic("simnet: Snapshot requires the sequential network (see DisableParallel)")
@@ -90,6 +104,8 @@ func (n *Network) Snapshot() snapshot.State {
 		jitterIfaces: n.jitterIfaces,
 		deliveries:   make([]deliveryState, len(n.pools[0].all)),
 		freeHead:     n.pools[0].free,
+		flights:      make([]flightState, len(n.flights[0].all)),
+		freeFlight:   n.flights[0].free,
 	}
 	for id, r := range n.rules {
 		st.rules[id] = r // rule pair lists are immutable after Partition
@@ -106,6 +122,12 @@ func (n *Network) Snapshot() snapshot.State {
 		st.deliveries[i] = deliveryState{
 			dst: d.dst, from: d.from, payload: d.payload,
 			inc: d.inc, control: d.control, next: d.next,
+		}
+	}
+	for i, f := range n.flights[0].all {
+		st.flights[i] = flightState{
+			from: f.from, payload: f.payload, base: f.base,
+			rest: append([]flightDest(nil), f.dests[f.cur:]...), next: f.next,
 		}
 	}
 	for id := range n.virt {
@@ -130,9 +152,9 @@ func (n *Network) Snapshot() snapshot.State {
 }
 
 // Restore rewinds the network to a state captured by Snapshot. Deliveries
-// allocated since the checkpoint drop out of the registry: only closures
-// restored with the scheduler heap can reference them, and those predate the
-// checkpoint too.
+// and flights allocated since the checkpoint drop out of their registries:
+// only closures restored with the scheduler heap can reference them, and
+// those predate the checkpoint too.
 func (n *Network) Restore(state snapshot.State) {
 	st, ok := state.(*netState)
 	if !ok {
@@ -182,6 +204,21 @@ func (n *Network) Restore(state snapshot.State) {
 		d.next = ds.next
 	}
 	p.free = st.freeHead
+	fp := &n.flights[0]
+	if len(st.flights) > len(fp.all) {
+		panic("simnet: Network.Restore state from a different network history")
+	}
+	fp.all = fp.all[:len(st.flights)]
+	for i, f := range fp.all {
+		fs := st.flights[i]
+		f.from = fs.from
+		f.payload = fs.payload
+		f.base = fs.base
+		f.dests = append(f.dests[:0], fs.rest...)
+		f.cur = 0
+		f.next = fs.next
+	}
+	fp.free = st.freeFlight
 	if len(n.virt) > len(st.virtIDs) {
 		// Virtual streams created since the checkpoint: the scheduler's
 		// Restore already truncated their sources out of its registry, so
