@@ -74,11 +74,11 @@ bench:
 
 # bench-smoke is the fast race-enabled benchmark gate: one short iteration
 # of every figure benchmark (120 virtual seconds via -short) and of each
-# kernel microbenchmark. It proves the benchmark paths are race-free and
-# still wired up without measuring anything.
+# kernel and chain-table microbenchmark. It proves the benchmark paths are
+# race-free and still wired up without measuring anything.
 bench-smoke:
 	$(GO) test -race -short -run='^$$' -bench=. -benchtime=1x -timeout 20m \
-		. ./internal/sim ./internal/simnet
+		. ./internal/sim ./internal/simnet ./internal/chain
 
 # bench-scale regenerates the committed scale-suite report: committee-mode
 # Algorand at 512, 2048 and 10240 validators driven by flow-aggregated

@@ -281,11 +281,11 @@ type validator struct {
 	filterTO   time.Duration
 	roundTimer sim.Timer
 	proposals  map[int]map[simnet.NodeID]*proposalMsg
-	votes      map[int]map[voteKey]map[simnet.NodeID]bool // round -> stage/proposer -> voters
-	nexts      map[int]map[simnet.NodeID]bool
+	votes      map[int]map[voteKey]*nodeSet // round -> stage/proposer -> voters
+	nexts      map[int]*nodeSet
 	certSent   map[int]bool
 	committed  map[int]bool
-	evidence   map[int]map[simnet.NodeID]bool // round -> senders, for jumps
+	evidence   map[int]*nodeSet // round -> senders, for jumps
 	puller     *sim.Ticker
 	resets     uint64
 	lastReset  time.Duration
@@ -302,11 +302,11 @@ func (v *validator) Start(ctx *simnet.Context) {
 	v.round = 0
 	v.filterTO = v.cfg.DefaultFilterTimeout
 	v.proposals = make(map[int]map[simnet.NodeID]*proposalMsg)
-	v.votes = make(map[int]map[voteKey]map[simnet.NodeID]bool)
-	v.nexts = make(map[int]map[simnet.NodeID]bool)
+	v.votes = make(map[int]map[voteKey]*nodeSet)
+	v.nexts = make(map[int]*nodeSet)
 	v.certSent = make(map[int]bool)
 	v.committed = make(map[int]bool)
-	v.evidence = make(map[int]map[simnet.NodeID]bool)
+	v.evidence = make(map[int]*nodeSet)
 	v.everReset = false
 	v.lastReset = 0
 	v.base.OnLocalSubmit = v.pushGossip
@@ -526,11 +526,11 @@ func (v *validator) noteEvidence(round int, from simnet.NodeID) {
 	}
 	ev, ok := v.evidence[round]
 	if !ok {
-		ev = make(map[simnet.NodeID]bool)
+		ev = newNodeSet(v.n)
 		v.evidence[round] = ev
 	}
-	ev[from] = true
-	if len(ev) >= v.evidenceThreshold(round) {
+	ev.add(from)
+	if ev.len() >= v.evidenceThreshold(round) {
 		v.advance(round, false)
 	}
 }
@@ -548,7 +548,7 @@ func (v *validator) enterRound(round int) {
 	v.roundTimer = v.ctx.After(v.filterTO, func() { v.onFilterStep(round) })
 	// Replay quorums that assembled before we entered this round (e.g.
 	// right after a jump).
-	if voters := v.nexts[round]; len(voters) >= v.stepQuorum(round, stepNext) {
+	if v.nexts[round].len() >= v.stepQuorum(round, stepNext) {
 		v.advance(round+1, true)
 	}
 }
@@ -613,26 +613,26 @@ func (v *validator) onVote(msg voteMsg) {
 	}
 	stages, ok := v.votes[msg.Round]
 	if !ok {
-		stages = make(map[voteKey]map[simnet.NodeID]bool)
+		stages = make(map[voteKey]*nodeSet)
 		v.votes[msg.Round] = stages
 	}
 	key := voteKey{stage: msg.Stage, proposer: msg.Proposer}
 	voters, ok := stages[key]
 	if !ok {
-		voters = make(map[simnet.NodeID]bool)
+		voters = newNodeSet(v.n)
 		stages[key] = voters
 	}
-	voters[msg.Voter] = true
+	voters.add(msg.Voter)
 	if msg.Round != v.round {
 		return
 	}
-	if msg.Stage == stageSoft && len(voters) >= v.stepQuorum(msg.Round, stageSoft) && !v.certSent[msg.Round] {
+	if msg.Stage == stageSoft && voters.len() >= v.stepQuorum(msg.Round, stageSoft) && !v.certSent[msg.Round] {
 		v.certSent[msg.Round] = true
 		if v.seated(msg.Round, stageCert) {
 			v.castVote(msg.Round, stageCert, msg.Proposer)
 		}
 	}
-	if msg.Stage == stageCert && len(voters) >= v.stepQuorum(msg.Round, stageCert) {
+	if msg.Stage == stageCert && voters.len() >= v.stepQuorum(msg.Round, stageCert) {
 		v.commitRound(msg.Round, msg.Proposer)
 	}
 }
@@ -746,11 +746,11 @@ func (v *validator) onNext(msg nextMsg) {
 	}
 	voters, ok := v.nexts[msg.Round]
 	if !ok {
-		voters = make(map[simnet.NodeID]bool)
+		voters = newNodeSet(v.n)
 		v.nexts[msg.Round] = voters
 	}
-	voters[msg.Voter] = true
-	if msg.Round == v.round && len(voters) >= v.stepQuorum(msg.Round, stepNext) {
+	voters.add(msg.Voter)
+	if msg.Round == v.round && voters.len() >= v.stepQuorum(msg.Round, stepNext) {
 		v.advance(msg.Round+1, true)
 	}
 }

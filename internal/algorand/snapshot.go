@@ -20,11 +20,11 @@ type validatorState struct {
 	filterTO  time.Duration
 	timer     sim.Timer
 	proposals map[int]map[simnet.NodeID]*proposalMsg
-	votes     map[int]map[voteKey]map[simnet.NodeID]bool
-	nexts     map[int]map[simnet.NodeID]bool
+	votes     map[int]map[voteKey]*nodeSet
+	nexts     map[int]*nodeSet
 	certSent  map[int]bool
 	committed map[int]bool
-	evidence  map[int]map[simnet.NodeID]bool
+	evidence  map[int]*nodeSet
 	puller    *sim.Ticker
 	resets    uint64
 	lastReset time.Duration
@@ -44,11 +44,11 @@ func (v *validator) Snapshot() snapshot.State {
 		filterTO:  v.filterTO,
 		timer:     v.roundTimer,
 		proposals: make(map[int]map[simnet.NodeID]*proposalMsg, len(v.proposals)),
-		votes:     make(map[int]map[voteKey]map[simnet.NodeID]bool, len(v.votes)),
-		nexts:     make(map[int]map[simnet.NodeID]bool, len(v.nexts)),
+		votes:     make(map[int]map[voteKey]*nodeSet, len(v.votes)),
+		nexts:     make(map[int]*nodeSet, len(v.nexts)),
 		certSent:  make(map[int]bool, len(v.certSent)),
 		committed: make(map[int]bool, len(v.committed)),
-		evidence:  make(map[int]map[simnet.NodeID]bool, len(v.evidence)),
+		evidence:  make(map[int]*nodeSet, len(v.evidence)),
 		puller:    v.puller,
 		resets:    v.resets,
 		lastReset: v.lastReset,
@@ -63,14 +63,14 @@ func (v *validator) Snapshot() snapshot.State {
 		st.proposals[r] = m
 	}
 	for r, stages := range v.votes {
-		sm := make(map[voteKey]map[simnet.NodeID]bool, len(stages))
+		sm := make(map[voteKey]*nodeSet, len(stages))
 		for key, voters := range stages {
-			sm[key] = copyVoters(voters)
+			sm[key] = voters.clone()
 		}
 		st.votes[r] = sm
 	}
 	for r, voters := range v.nexts {
-		st.nexts[r] = copyVoters(voters)
+		st.nexts[r] = voters.clone()
 	}
 	for r, sent := range v.certSent {
 		st.certSent[r] = sent
@@ -79,7 +79,7 @@ func (v *validator) Snapshot() snapshot.State {
 		st.committed[r] = done
 	}
 	for r, senders := range v.evidence {
-		st.evidence[r] = copyVoters(senders)
+		st.evidence[r] = senders.clone()
 	}
 	return st
 }
@@ -108,17 +108,17 @@ func (v *validator) Restore(state snapshot.State) {
 		}
 		v.proposals[r] = m
 	}
-	v.votes = make(map[int]map[voteKey]map[simnet.NodeID]bool, len(st.votes))
+	v.votes = make(map[int]map[voteKey]*nodeSet, len(st.votes))
 	for r, stages := range st.votes {
-		sm := make(map[voteKey]map[simnet.NodeID]bool, len(stages))
+		sm := make(map[voteKey]*nodeSet, len(stages))
 		for key, voters := range stages {
-			sm[key] = copyVoters(voters)
+			sm[key] = voters.clone()
 		}
 		v.votes[r] = sm
 	}
-	v.nexts = make(map[int]map[simnet.NodeID]bool, len(st.nexts))
+	v.nexts = make(map[int]*nodeSet, len(st.nexts))
 	for r, voters := range st.nexts {
-		v.nexts[r] = copyVoters(voters)
+		v.nexts[r] = voters.clone()
 	}
 	v.certSent = make(map[int]bool, len(st.certSent))
 	for r, sent := range st.certSent {
@@ -128,16 +128,8 @@ func (v *validator) Restore(state snapshot.State) {
 	for r, done := range st.committed {
 		v.committed[r] = done
 	}
-	v.evidence = make(map[int]map[simnet.NodeID]bool, len(st.evidence))
+	v.evidence = make(map[int]*nodeSet, len(st.evidence))
 	for r, senders := range st.evidence {
-		v.evidence[r] = copyVoters(senders)
+		v.evidence[r] = senders.clone()
 	}
-}
-
-func copyVoters(m map[simnet.NodeID]bool) map[simnet.NodeID]bool {
-	out := make(map[simnet.NodeID]bool, len(m))
-	for id := range m {
-		out[id] = true
-	}
-	return out
 }

@@ -401,7 +401,7 @@ func (v *validator) gossipTo(tx chain.Tx, hop int) {
 // onRegossip re-announces a random sample of old pool entries; under a large
 // backlog this is a major inbound load on every peer.
 func (v *validator) onRegossip() {
-	pool := v.base.Pool.Peek(0)
+	pool := v.base.Pool.Pending()
 	if len(pool) == 0 {
 		return
 	}
@@ -455,7 +455,7 @@ func (v *validator) onSlot() {
 // transaction enters only if every lower nonce of its account is committed,
 // in the pipeline, or included earlier in this block.
 func (v *validator) nonceOrderedTxs(max int) []chain.Tx {
-	pool := v.base.Pool.Peek(0)
+	pool := v.base.Pool.Pending()
 	byAcct := make(map[chain.Address][]chain.Tx)
 	for _, tx := range pool {
 		byAcct[tx.From] = append(byAcct[tx.From], tx)

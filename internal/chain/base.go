@@ -2,6 +2,7 @@ package chain
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"stabl/internal/metrics"
@@ -80,10 +81,11 @@ type BaseNode struct {
 	// it survives restarts — only its volatile caches clear in Reset.
 	relay *overlay.Router
 
-	// Volatile state, reset on every (re)start.
+	// Volatile state, reset on every (re)start. So are the in-pipeline
+	// marks of decided-but-unexecuted transactions, which live in the
+	// ledger's table.
 	subscribers   map[TxID][]simnet.NodeID
 	pending       map[int]Block
-	inPipeline    map[TxID]int // tx -> pending block height
 	applying      bool
 	applyingAt    int // height of the block being executed (-1 when idle)
 	applyingBlock Block
@@ -106,10 +108,9 @@ func NewBaseNode(id simnet.NodeID, peers []simnet.NodeID, monitor *Monitor, cfg 
 		cfg:     cfg.withDefaults(),
 	}
 	n.Ledger.VerifyParents = true
-	n.Pool = NewMempool(func(id TxID) bool {
-		_, ok := n.Ledger.Committed(id)
-		return ok
-	})
+	// The pool marks the ledger's own table, so its one probe per Add
+	// rejects pending and committed transactions alike.
+	n.Pool = &Mempool{txs: n.Ledger.txs}
 	return n
 }
 
@@ -192,7 +193,7 @@ func (n *BaseNode) Reset(ctx *simnet.Context) {
 	n.Pool.Clear()
 	n.subscribers = make(map[TxID][]simnet.NodeID)
 	n.pending = make(map[int]Block)
-	n.inPipeline = make(map[TxID]int)
+	n.Ledger.txs.sweep(txPipeline)
 	n.applying = false
 	n.applyingAt = -1
 	n.syncActive = false
@@ -262,7 +263,7 @@ func (n *BaseNode) SubmitBlock(b Block) {
 	}
 	n.pending[b.Height] = b
 	for _, tx := range b.Txs {
-		n.inPipeline[tx.ID] = b.Height
+		*n.Ledger.txs.slot(tx.ID) |= txPipeline
 	}
 	n.pump()
 }
@@ -271,8 +272,7 @@ func (n *BaseNode) SubmitBlock(b Block) {
 // Proposers consult it to avoid re-proposing transactions that are already
 // on their way to the ledger.
 func (n *BaseNode) InPipeline(id TxID) bool {
-	_, ok := n.inPipeline[id]
-	return ok
+	return n.Ledger.txs.state(id)&txPipeline != 0
 }
 
 // TipHash returns the content address of the highest decided block —
@@ -332,7 +332,7 @@ func (n *BaseNode) AddExecCost(cost float64) {
 // nor already in the decided pipeline, in FIFO order.
 func (n *BaseNode) ProposalTxs(max int) []Tx {
 	out := make([]Tx, 0, max)
-	for _, tx := range n.Pool.Peek(0) {
+	for _, tx := range n.Pool.Pending() {
 		if n.InPipeline(tx.ID) {
 			continue
 		}
@@ -394,7 +394,8 @@ func (n *BaseNode) apply(b Block) {
 	if err != nil {
 		// A duplicate height or a block that fails hash-chain
 		// verification: drop it. Catch-up refetches the canonical
-		// block from peers.
+		// block from peers. (The block's in-pipeline marks stay set —
+		// see ROADMAP item 4 and TestBaseNodeRejectedBlockKeepsPipelineMarks.)
 		n.applyErrors++
 		return
 	}
@@ -402,16 +403,14 @@ func (n *BaseNode) apply(b Block) {
 	if n.Monitor != nil {
 		n.Monitor.RecordBlock(n.ID, b, now)
 	}
-	drop := make(map[TxID]bool, len(b.Txs))
 	for _, tx := range b.Txs {
-		drop[tx.ID] = true
-		delete(n.inPipeline, tx.ID)
+		n.Ledger.txs.clear(tx.ID, txPipeline)
 		for _, client := range n.subscribers[tx.ID] {
 			n.ctx.Send(client, TxCommitted{ID: tx.ID, Height: b.Height})
 		}
 		delete(n.subscribers, tx.ID)
 	}
-	n.Pool.Drop(drop)
+	n.Pool.Drop(b.Txs)
 	if n.OnCommit != nil {
 		n.OnCommit(b, executed)
 	}
@@ -500,14 +499,19 @@ func (n *BaseNode) randomPeer() simnet.NodeID {
 		}
 		return ns[n.rng.Intn(len(ns))]
 	}
-	others := make([]simnet.NodeID, 0, len(n.Peers))
-	for _, p := range n.Peers {
-		if p != n.ID {
-			others = append(others, p)
-		}
+	// Index into "Peers without self" without building it: draw among the
+	// others, then step over self's position.
+	self := slices.Index(n.Peers, n.ID)
+	others := len(n.Peers)
+	if self >= 0 {
+		others--
 	}
-	if len(others) == 0 {
+	if others == 0 {
 		return n.ID
 	}
-	return others[n.rng.Intn(len(others))]
+	i := n.rng.Intn(others)
+	if self >= 0 && i >= self {
+		i++
+	}
+	return n.Peers[i]
 }

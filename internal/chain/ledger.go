@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -15,45 +14,75 @@ import (
 //
 // The ledger is the node's persistent state: it survives crash/restart.
 type Ledger struct {
-	blocks    []Block
-	hashes    []Hash
-	committed map[TxID]int // tx -> block height
-	balances  map[Address]uint64
-	nonces    map[Address]uint64 // next expected nonce per account
-	applied   uint64
-	skipped   uint64
+	blocks []Block
+	hashes []Hash
+	// txs records every committed transaction's height — the dedup set.
+	// The node's mempool and execution pipeline keep their volatile
+	// per-transaction bits in the same table (see txTable).
+	txs *txTable
+	// accounts is indexed by Address (dense by contract, see Address).
+	accounts []account
+	applied  uint64
+	skipped  uint64
 	// VerifyParents enables hash-chain verification on Append (the
 	// harness enables it everywhere; tests may relax it).
 	VerifyParents bool
 }
 
+// account is one entry of the ledger's account table. live marks the
+// addresses that ever held funds or took part in an executed transfer —
+// exactly the accounts StateHash covers; an address the slice merely grew
+// past is not one.
+type account struct {
+	balance uint64
+	nonce   uint64 // next expected nonce
+	live    bool
+}
+
 // NewLedger creates an empty ledger.
 func NewLedger() *Ledger {
-	return &Ledger{
-		committed: make(map[TxID]int),
-		balances:  make(map[Address]uint64),
-		nonces:    make(map[Address]uint64),
+	return &Ledger{txs: new(txTable)}
+}
+
+// account returns addr's entry, growing the table (amortised) to reach it.
+func (l *Ledger) account(addr Address) *account {
+	if int(addr) >= len(l.accounts) {
+		l.accounts = append(l.accounts, make([]account, int(addr)+1-len(l.accounts))...)
 	}
+	return &l.accounts[addr]
 }
 
 // Mint credits an account out of thin air; used to fund workload accounts at
 // genesis.
-func (l *Ledger) Mint(addr Address, amount uint64) { l.balances[addr] += amount }
+func (l *Ledger) Mint(addr Address, amount uint64) {
+	a := l.account(addr)
+	a.balance += amount
+	a.live = true
+}
 
 // Height returns the number of committed blocks.
 func (l *Ledger) Height() int { return len(l.blocks) }
 
 // Committed reports whether tx has been committed, and at which height.
 func (l *Ledger) Committed(id TxID) (int, bool) {
-	h, ok := l.committed[id]
-	return h, ok
+	return committedHeight(l.txs.state(id))
 }
 
 // Balance returns the current balance of an account.
-func (l *Ledger) Balance(addr Address) uint64 { return l.balances[addr] }
+func (l *Ledger) Balance(addr Address) uint64 {
+	if int(addr) >= len(l.accounts) {
+		return 0
+	}
+	return l.accounts[addr].balance
+}
 
 // NextNonce returns the next expected nonce for an account.
-func (l *Ledger) NextNonce(addr Address) uint64 { return l.nonces[addr] }
+func (l *Ledger) NextNonce(addr Address) uint64 {
+	if int(addr) >= len(l.accounts) {
+		return 0
+	}
+	return l.accounts[addr].nonce
+}
 
 // AppliedTxs returns how many transactions executed successfully.
 func (l *Ledger) AppliedTxs() uint64 { return l.applied }
@@ -91,8 +120,12 @@ func (l *Ledger) BlocksFrom(from, max int) []Block {
 // It returns the transactions that executed (i.e. were not duplicates).
 // Appending a block whose height is not the current chain height, or (with
 // VerifyParents) whose parent link does not match the chain tip, is a
-// protocol error.
+// protocol error; so is growing the chain past the height the transaction
+// table can record.
 func (l *Ledger) Append(b Block) ([]Tx, error) {
+	if b.Height > maxTxHeight {
+		return nil, fmt.Errorf("ledger: height %d is past the %d blocks a ledger can record", b.Height, maxTxHeight+1)
+	}
 	if b.Height != len(l.blocks) {
 		return nil, fmt.Errorf("ledger: append height %d, want %d", b.Height, len(l.blocks))
 	}
@@ -101,20 +134,25 @@ func (l *Ledger) Append(b Block) ([]Tx, error) {
 			b.Height, b.Parent, l.TipHash())
 	}
 	executed := make([]Tx, 0, len(b.Txs))
+	height := uint32(b.Height+1) << txHeightShift
 	for _, tx := range b.Txs {
-		if _, dup := l.committed[tx.ID]; dup {
+		s := l.txs.slot(tx.ID)
+		if *s>>txHeightShift != 0 {
 			l.skipped++
 			continue
 		}
-		l.committed[tx.ID] = b.Height
-		if l.balances[tx.From] < tx.Amount {
+		*s |= height
+		if l.Balance(tx.From) < tx.Amount {
 			l.skipped++
 			continue
 		}
-		l.balances[tx.From] -= tx.Amount
-		l.balances[tx.To] += tx.Amount
-		if tx.Nonce >= l.nonces[tx.From] {
-			l.nonces[tx.From] = tx.Nonce + 1
+		l.account(max(tx.From, tx.To)) // size once: from and to stay valid together
+		from, to := &l.accounts[tx.From], &l.accounts[tx.To]
+		from.balance -= tx.Amount
+		to.balance += tx.Amount
+		from.live, to.live = true, true
+		if tx.Nonce >= from.nonce {
+			from.nonce = tx.Nonce + 1
 		}
 		l.applied++
 		executed = append(executed, tx)
@@ -156,23 +194,21 @@ func (l *Ledger) VerifyChain() error {
 	return nil
 }
 
-// StateHash computes the accounts hash: a digest over every account's
+// StateHash computes the accounts hash: a digest over every live account's
 // balance and nonce in address order. Solana's Epoch Accounts Hash is this
 // computation at an epoch-defined snapshot point.
 func (l *Ledger) StateHash() Hash {
-	addrs := make([]Address, 0, len(l.balances))
-	for a := range l.balances {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	h := sha256.New()
 	var buf [8]byte
-	for _, a := range addrs {
-		binary.LittleEndian.PutUint64(buf[:], uint64(a))
+	for addr, a := range l.accounts {
+		if !a.live {
+			continue
+		}
+		binary.LittleEndian.PutUint64(buf[:], uint64(addr))
 		_, _ = h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], l.balances[a])
+		binary.LittleEndian.PutUint64(buf[:], a.balance)
 		_, _ = h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], l.nonces[a])
+		binary.LittleEndian.PutUint64(buf[:], a.nonce)
 		_, _ = h.Write(buf[:])
 	}
 	var out Hash

@@ -64,7 +64,7 @@ func TestMempoolDrop(t *testing.T) {
 	for i := uint32(0); i < 4; i++ {
 		m.Add(mkTx(0, i, 1, 2, 1))
 	}
-	m.Drop(map[TxID]bool{MakeTxID(0, 1): true, MakeTxID(0, 3): true})
+	m.Drop([]Tx{mkTx(0, 1, 1, 2, 1), mkTx(0, 3, 1, 2, 1)})
 	got := m.Pop(0)
 	if len(got) != 2 || got[0].ID.Seq() != 0 || got[1].ID.Seq() != 2 {
 		t.Fatalf("after Drop: %v", got)

@@ -17,84 +17,57 @@ import (
 // snapshot states via SnapshotBase/RestoreBase.
 
 // ledgerState is a Ledger checkpoint.
+//
+// A node's whole per-transaction state — committed heights, in-pool and
+// in-pipeline marks — is the ledger's table, so the ledger checkpoint carries
+// all three and the pool's is just its queue.
 type ledgerState struct {
-	blocks    []Block
-	hashes    []Hash
-	committed map[TxID]int
-	balances  map[Address]uint64
-	nonces    map[Address]uint64
-	applied   uint64
-	skipped   uint64
+	blocks   []Block
+	hashes   []Hash
+	txs      txTable
+	accounts []account
+	applied  uint64
+	skipped  uint64
 }
 
 func (l *Ledger) snapshotState() ledgerState {
-	st := ledgerState{
-		blocks:    append([]Block(nil), l.blocks...),
-		hashes:    append([]Hash(nil), l.hashes...),
-		committed: make(map[TxID]int, len(l.committed)),
-		balances:  make(map[Address]uint64, len(l.balances)),
-		nonces:    make(map[Address]uint64, len(l.nonces)),
-		applied:   l.applied,
-		skipped:   l.skipped,
+	return ledgerState{
+		blocks:   append([]Block(nil), l.blocks...),
+		hashes:   append([]Hash(nil), l.hashes...),
+		txs:      l.txs.clone(),
+		accounts: append([]account(nil), l.accounts...),
+		applied:  l.applied,
+		skipped:  l.skipped,
 	}
-	for k, v := range l.committed {
-		st.committed[k] = v
-	}
-	for k, v := range l.balances {
-		st.balances[k] = v
-	}
-	for k, v := range l.nonces {
-		st.nonces[k] = v
-	}
-	return st
 }
 
 func (l *Ledger) restoreState(st ledgerState) {
 	l.blocks = append(l.blocks[:0], st.blocks...)
 	l.hashes = append(l.hashes[:0], st.hashes...)
-	clear(l.committed)
-	for k, v := range st.committed {
-		l.committed[k] = v
-	}
-	clear(l.balances)
-	for k, v := range st.balances {
-		l.balances[k] = v
-	}
-	clear(l.nonces)
-	for k, v := range st.nonces {
-		l.nonces[k] = v
-	}
+	l.txs.restore(st.txs)
+	l.accounts = append(l.accounts[:0], st.accounts...)
 	l.applied = st.applied
 	l.skipped = st.skipped
 }
 
-// poolState is a Mempool checkpoint.
+// poolState is the checkpoint of a node's Mempool: the queue and counters.
+// The in-pool marks travel with the shared table in ledgerState.
 type poolState struct {
 	queue    []Tx
-	inPool   map[TxID]bool
 	added    uint64
 	rejected uint64
 }
 
 func (m *Mempool) snapshotState() poolState {
-	st := poolState{
+	return poolState{
 		queue:    append([]Tx(nil), m.queue...),
-		inPool:   make(map[TxID]bool, len(m.inPool)),
 		added:    m.added,
 		rejected: m.rejected,
 	}
-	for k := range m.inPool {
-		st.inPool[k] = true
-	}
-	return st
 }
 
 func (m *Mempool) restoreState(st poolState) {
 	m.queue = append(m.queue[:0], st.queue...)
-	m.inPool = make(map[TxID]bool, len(st.inPool))
-	for k := range st.inPool {
-		m.inPool[k] = true
-	}
 	m.added = st.added
 	m.rejected = st.rejected
 }
@@ -165,7 +138,6 @@ type BaseState struct {
 	extraExec     float64
 	subscribers   map[TxID][]simnet.NodeID
 	pending       map[int]Block
-	inPipeline    map[TxID]int
 	applying      bool
 	applyingAt    int
 	applyingBlock Block
@@ -188,7 +160,6 @@ func (n *BaseNode) SnapshotBase() BaseState {
 		extraExec:     n.extraExec,
 		subscribers:   make(map[TxID][]simnet.NodeID, len(n.subscribers)),
 		pending:       make(map[int]Block, len(n.pending)),
-		inPipeline:    make(map[TxID]int, len(n.inPipeline)),
 		applying:      n.applying,
 		applyingAt:    n.applyingAt,
 		applyingBlock: n.applyingBlock,
@@ -208,9 +179,6 @@ func (n *BaseNode) SnapshotBase() BaseState {
 	}
 	for k, v := range n.pending {
 		st.pending[k] = v
-	}
-	for k, v := range n.inPipeline {
-		st.inPipeline[k] = v
 	}
 	return st
 }
@@ -236,10 +204,6 @@ func (n *BaseNode) RestoreBase(st BaseState) {
 	n.pending = make(map[int]Block, len(st.pending))
 	for k, v := range st.pending {
 		n.pending[k] = v
-	}
-	n.inPipeline = make(map[TxID]int, len(st.inPipeline))
-	for k, v := range st.inPipeline {
-		n.inPipeline[k] = v
 	}
 	n.applying = st.applying
 	n.applyingAt = st.applyingAt

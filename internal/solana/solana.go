@@ -447,7 +447,7 @@ func (v *validator) upcomingLeaders() []simnet.NodeID {
 // leaders.
 func (v *validator) forward() {
 	batch := make([]chain.Tx, 0, v.cfg.ForwardBatch)
-	for _, tx := range v.base.Pool.Peek(0) {
+	for _, tx := range v.base.Pool.Pending() {
 		if v.base.InPipeline(tx.ID) {
 			continue
 		}
