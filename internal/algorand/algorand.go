@@ -275,7 +275,13 @@ type validator struct {
 	// of a run share the schedule; extraction is pure, so every node sees
 	// identical committees without exchanging membership.
 	comm *committee.Schedule
+	state
+}
 
+// state is what a validator mutates after construction, and its checkpoint.
+// Queued round closures capture only round numbers and the validator
+// pointer, and proposal messages are immutable once buffered.
+type state struct {
 	ctx        *simnet.Context
 	round      int
 	filterTO   time.Duration

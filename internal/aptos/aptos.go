@@ -176,7 +176,13 @@ type validator struct {
 	n      int
 	t      int
 	quorum int
+	state
+}
 
+// state is what a validator mutates after construction, and its checkpoint.
+// Queued pacemaker closures capture only round numbers and the validator
+// pointer, and proposed transaction slices are immutable once stored.
+type state struct {
 	ctx        *simnet.Context
 	round      int
 	consFails  int

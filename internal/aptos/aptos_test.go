@@ -109,11 +109,13 @@ func TestTransientBacklogNotCleared(t *testing.T) {
 func TestLeaderExclusionAfterFailures(t *testing.T) {
 	peers := []simnet.NodeID{0, 1, 2, 3}
 	v := &validator{
-		cfg:        DefaultConfig(),
-		base:       chain.NewBaseNode(0, peers, nil, chain.BaseConfig{}),
-		n:          4,
-		failCount:  map[simnet.NodeID]int{2: 3},
-		excludedAt: map[simnet.NodeID]int{2: 10},
+		cfg:  DefaultConfig(),
+		base: chain.NewBaseNode(0, peers, nil, chain.BaseConfig{}),
+		n:    4,
+		state: state{
+			failCount:  map[simnet.NodeID]int{2: 3},
+			excludedAt: map[simnet.NodeID]int{2: 10},
+		},
 	}
 	if !v.excluded(2, 12) {
 		t.Fatal("leader with FailThreshold failures not excluded")

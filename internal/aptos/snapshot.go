@@ -1,113 +1,43 @@
 package aptos
 
 import (
+	"maps"
+
 	"stabl/internal/chain"
-	"stabl/internal/sim"
-	"stabl/internal/simnet"
 	"stabl/internal/snapshot"
 )
 
-// validatorState is an Aptos validator checkpoint. Queued pacemaker closures
-// capture only round numbers and the validator pointer, so plain deep copies
-// of the vote books suffice; proposed transaction slices are immutable once
-// stored and are shared.
-type validatorState struct {
-	base       chain.BaseState
-	ctx        *simnet.Context
-	round      int
-	consFails  int
-	roundTimer sim.Timer
-	votes      map[int]map[simnet.NodeID]bool
-	timeouts   map[int]map[simnet.NodeID]bool
-	proposed   map[int][]chain.Tx
-	committed  map[int]bool
-	failCount  map[simnet.NodeID]int
-	excludedAt map[simnet.NodeID]int
-	viewJumps  uint64
+var _ snapshot.Forkable = (*validator)(nil)
+
+// checkpoint pairs the BaseNode core's checkpoint with the validator's own.
+type checkpoint struct {
+	base chain.BaseState
+	state
 }
 
-var _ snapshot.Forkable = (*validator)(nil)
+func (s *state) clone() state {
+	c := *s
+	c.votes = snapshot.CloneNested(s.votes)
+	c.timeouts = snapshot.CloneNested(s.timeouts)
+	c.proposed = maps.Clone(s.proposed)
+	c.committed = maps.Clone(s.committed)
+	c.failCount = maps.Clone(s.failCount)
+	c.excludedAt = maps.Clone(s.excludedAt)
+	return c
+}
 
 // Snapshot captures the validator: its BaseNode core, pacemaker position and
 // timeout growth, the vote and timeout books, and leader reputation.
 func (v *validator) Snapshot() snapshot.State {
-	st := &validatorState{
-		base:       v.base.SnapshotBase(),
-		ctx:        v.ctx,
-		round:      v.round,
-		consFails:  v.consFails,
-		roundTimer: v.roundTimer,
-		votes:      make(map[int]map[simnet.NodeID]bool, len(v.votes)),
-		timeouts:   make(map[int]map[simnet.NodeID]bool, len(v.timeouts)),
-		proposed:   make(map[int][]chain.Tx, len(v.proposed)),
-		committed:  make(map[int]bool, len(v.committed)),
-		failCount:  make(map[simnet.NodeID]int, len(v.failCount)),
-		excludedAt: make(map[simnet.NodeID]int, len(v.excludedAt)),
-		viewJumps:  v.viewJumps,
-	}
-	for r, voters := range v.votes {
-		st.votes[r] = copyVoters(voters)
-	}
-	for r, voters := range v.timeouts {
-		st.timeouts[r] = copyVoters(voters)
-	}
-	for r, txs := range v.proposed {
-		st.proposed[r] = txs
-	}
-	for r, done := range v.committed {
-		st.committed[r] = done
-	}
-	for id, c := range v.failCount {
-		st.failCount[id] = c
-	}
-	for id, r := range v.excludedAt {
-		st.excludedAt[id] = r
-	}
-	return st
+	return &checkpoint{base: v.base.SnapshotBase(), state: v.state.clone()}
 }
 
 // Restore rewinds the validator to a state captured by Snapshot.
-func (v *validator) Restore(state snapshot.State) {
-	st, ok := state.(*validatorState)
+func (v *validator) Restore(st snapshot.State) {
+	cp, ok := st.(*checkpoint)
 	if !ok {
 		panic("aptos: validator.Restore on foreign state")
 	}
-	v.base.RestoreBase(st.base)
-	v.ctx = st.ctx
-	v.round = st.round
-	v.consFails = st.consFails
-	v.roundTimer = st.roundTimer
-	v.viewJumps = st.viewJumps
-	v.votes = make(map[int]map[simnet.NodeID]bool, len(st.votes))
-	for r, voters := range st.votes {
-		v.votes[r] = copyVoters(voters)
-	}
-	v.timeouts = make(map[int]map[simnet.NodeID]bool, len(st.timeouts))
-	for r, voters := range st.timeouts {
-		v.timeouts[r] = copyVoters(voters)
-	}
-	v.proposed = make(map[int][]chain.Tx, len(st.proposed))
-	for r, txs := range st.proposed {
-		v.proposed[r] = txs
-	}
-	v.committed = make(map[int]bool, len(st.committed))
-	for r, done := range st.committed {
-		v.committed[r] = done
-	}
-	v.failCount = make(map[simnet.NodeID]int, len(st.failCount))
-	for id, c := range st.failCount {
-		v.failCount[id] = c
-	}
-	v.excludedAt = make(map[simnet.NodeID]int, len(st.excludedAt))
-	for id, r := range st.excludedAt {
-		v.excludedAt[id] = r
-	}
-}
-
-func copyVoters(m map[simnet.NodeID]bool) map[simnet.NodeID]bool {
-	out := make(map[simnet.NodeID]bool, len(m))
-	for id := range m {
-		out[id] = true
-	}
-	return out
+	v.base.RestoreBase(cp.base)
+	v.state = cp.state.clone()
 }

@@ -216,7 +216,15 @@ type validator struct {
 	n      int
 	t      int
 	quorum int
+	state
+}
 
+// state is what a validator mutates after construction, and its checkpoint.
+// The throttler bucket and the Snowball instance are identity-preserved (the
+// query-timeout closure compares its captured pointer against v.inst), so a
+// checkpoint carries their contents beside the pointers (see snapshot.go).
+// Proposal messages are immutable once buffered.
+type state struct {
 	ctx       *simnet.Context
 	slotTick  *sim.Ticker
 	queryTick *sim.Ticker

@@ -1,143 +1,63 @@
 package avalanche
 
 import (
+	"maps"
+	"slices"
+
 	"stabl/internal/chain"
-	"stabl/internal/sim"
 	"stabl/internal/simnet"
 	"stabl/internal/snapshot"
 )
 
-// instCheck captures the Snowball instance. The instance object is
-// identity-preserved — the query-timeout closure compares its captured
-// pointer against v.inst — so Restore writes through it. Proposal messages
-// are immutable once buffered and are shared by pointer.
-type instCheck struct {
-	inst       *instance
-	height     int
-	pref       *proposalMsg
-	confidence int
-	roundSeq   uint64
-	roundOpen  bool
-	positives  int
-	flips      map[int]int
-	responses  int
-	accepted   bool
-}
-
-type validatorState struct {
-	base      chain.BaseState
-	ctx       *simnet.Context
-	slotTick  *sim.Ticker
-	queryTick *sim.Ticker
-	gossTick  *sim.Ticker
-	regosTick *sim.Ticker
-	cpu       *simnet.TokenBucket
-	cpuState  simnet.BucketState
-	buffered  int
-	dropped   uint64
-	inst      *instCheck
-	proposals map[int]*proposalMsg
-	announceQ []announcement
-	rng       interface {
-		Intn(int) int
-		Shuffle(int, func(int, int))
-	}
-	resets uint64
-}
-
 var _ snapshot.Forkable = (*validator)(nil)
+
+// checkpoint pairs the BaseNode core's checkpoint with the validator's own
+// and the contents behind its two identity-preserved pointers.
+type checkpoint struct {
+	base chain.BaseState
+	state
+	cpu  simnet.TokenBucket // *state.cpu, when set
+	inst instance           // *state.inst, when set
+}
+
+func (s *state) clone() state {
+	c := *s
+	c.proposals = maps.Clone(s.proposals)
+	c.announceQ = slices.Clone(s.announceQ)
+	return c
+}
+
+func (i *instance) clone() instance {
+	c := *i
+	c.flips = maps.Clone(i.flips)
+	return c
+}
 
 // Snapshot captures the validator: its BaseNode core, the throttler state,
 // the Snowball instance, buffered proposals and the announce queue.
 func (v *validator) Snapshot() snapshot.State {
-	st := &validatorState{
-		base:      v.base.SnapshotBase(),
-		ctx:       v.ctx,
-		slotTick:  v.slotTick,
-		queryTick: v.queryTick,
-		gossTick:  v.gossTick,
-		regosTick: v.regosTick,
-		cpu:       v.cpu,
-		buffered:  v.buffered,
-		dropped:   v.dropped,
-		proposals: make(map[int]*proposalMsg, len(v.proposals)),
-		announceQ: append([]announcement(nil), v.announceQ...),
-		rng:       v.rng,
-		resets:    v.resets,
-	}
+	cp := &checkpoint{base: v.base.SnapshotBase(), state: v.state.clone()}
 	if v.cpu != nil {
-		st.cpuState = v.cpu.SnapshotState()
+		cp.cpu = *v.cpu
 	}
 	if v.inst != nil {
-		ic := &instCheck{
-			inst:       v.inst,
-			height:     v.inst.height,
-			pref:       v.inst.pref,
-			confidence: v.inst.confidence,
-			roundSeq:   v.inst.roundSeq,
-			roundOpen:  v.inst.roundOpen,
-			positives:  v.inst.positives,
-			responses:  v.inst.responses,
-			accepted:   v.inst.accepted,
-		}
-		if v.inst.flips != nil {
-			ic.flips = make(map[int]int, len(v.inst.flips))
-			for slot, c := range v.inst.flips {
-				ic.flips[slot] = c
-			}
-		}
-		st.inst = ic
+		cp.inst = v.inst.clone()
 	}
-	for h, p := range v.proposals {
-		st.proposals[h] = p
-	}
-	return st
+	return cp
 }
 
 // Restore rewinds the validator to a state captured by Snapshot.
-func (v *validator) Restore(state snapshot.State) {
-	st, ok := state.(*validatorState)
+func (v *validator) Restore(st snapshot.State) {
+	cp, ok := st.(*checkpoint)
 	if !ok {
 		panic("avalanche: validator.Restore on foreign state")
 	}
-	v.base.RestoreBase(st.base)
-	v.ctx = st.ctx
-	v.slotTick = st.slotTick
-	v.queryTick = st.queryTick
-	v.gossTick = st.gossTick
-	v.regosTick = st.regosTick
-	v.cpu = st.cpu
+	v.base.RestoreBase(cp.base)
+	v.state = cp.state.clone()
 	if v.cpu != nil {
-		v.cpu.RestoreState(st.cpuState)
+		*v.cpu = cp.cpu
 	}
-	v.buffered = st.buffered
-	v.dropped = st.dropped
-	if ic := st.inst; ic != nil {
-		inst := ic.inst
-		inst.height = ic.height
-		inst.pref = ic.pref
-		inst.confidence = ic.confidence
-		inst.roundSeq = ic.roundSeq
-		inst.roundOpen = ic.roundOpen
-		inst.positives = ic.positives
-		inst.responses = ic.responses
-		inst.accepted = ic.accepted
-		inst.flips = nil
-		if ic.flips != nil {
-			inst.flips = make(map[int]int, len(ic.flips))
-			for slot, c := range ic.flips {
-				inst.flips[slot] = c
-			}
-		}
-		v.inst = inst
-	} else {
-		v.inst = nil
+	if v.inst != nil {
+		*v.inst = cp.inst.clone()
 	}
-	v.proposals = make(map[int]*proposalMsg, len(st.proposals))
-	for h, p := range st.proposals {
-		v.proposals[h] = p
-	}
-	v.announceQ = append(v.announceQ[:0], st.announceQ...)
-	v.rng = st.rng
-	v.resets = st.resets
 }

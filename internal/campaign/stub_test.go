@@ -36,9 +36,16 @@ func (s *stubSystem) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *
 
 type stubValidator struct {
 	base        *chain.BaseNode
-	ctx         *simnet.Context
 	panicOnStop bool
-	ticker      interface{ Stop() }
+	stubState
+}
+
+// stubState is what the stub mutates after construction. All consensus state
+// lives in the BaseNode; the ticker and context are identity-preserved
+// pointers, so the struct copy is the whole clone.
+type stubState struct {
+	ctx    *simnet.Context
+	ticker interface{ Stop() }
 }
 
 type stubForward struct{ Tx chain.Tx }
@@ -90,29 +97,26 @@ func (v *stubValidator) Deliver(from simnet.NodeID, payload any) {
 	}
 }
 
-// stubState makes the stub Forkable so adaptive-mode tests exercise real
-// checkpoint serving. All mutable consensus state lives in the BaseNode;
-// the ticker and context follow the restore-through-pointers rule.
-type stubState struct {
-	base   chain.BaseState
-	ctx    *simnet.Context
-	ticker interface{ Stop() }
+// stubCheck makes the stub Forkable so adaptive-mode tests exercise real
+// checkpoint serving.
+type stubCheck struct {
+	base chain.BaseState
+	stubState
 }
 
 var _ snapshot.Forkable = (*stubValidator)(nil)
 
 func (v *stubValidator) Snapshot() snapshot.State {
-	return &stubState{base: v.base.SnapshotBase(), ctx: v.ctx, ticker: v.ticker}
+	return &stubCheck{base: v.base.SnapshotBase(), stubState: v.stubState}
 }
 
 func (v *stubValidator) Restore(state snapshot.State) {
-	st, ok := state.(*stubState)
+	st, ok := state.(*stubCheck)
 	if !ok {
 		panic("campaign: stubValidator.Restore on foreign state")
 	}
 	v.base.RestoreBase(st.base)
-	v.ctx = st.ctx
-	v.ticker = st.ticker
+	v.stubState = st.stubState
 }
 
 // resolveStubs maps "Stub" to the healthy stub chain and "Panicky" to the

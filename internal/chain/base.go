@@ -70,16 +70,26 @@ type BaseNode struct {
 	// into the pool; chains use it to trigger gossip or forwarding.
 	OnLocalSubmit func(tx Tx)
 
-	cfg       BaseConfig
-	ctx       *simnet.Context
-	exec      *simnet.TokenBucket
-	rng       *rand.Rand
-	extraExec float64
+	cfg BaseConfig
 	// relay, when set, routes every validator broadcast over a structured
 	// gossip overlay instead of the full mesh; nil preserves the legacy
 	// byte-identical behaviour. Set once at deployment time (SetRelay),
 	// it survives restarts — only its volatile caches clear in Reset.
 	relay *overlay.Router
+	nodeState
+}
+
+// nodeState is what a BaseNode itself mutates after construction (the ledger
+// and pool carry their own states), and its checkpoint. Reset replaces the
+// exec bucket and sync RNG on every restart, so the state records which
+// objects were current; no queued closure captures either directly
+// (everything reaches them through the stable *BaseNode). The RNG stream
+// position lives in the scheduler's registry.
+type nodeState struct {
+	ctx       *simnet.Context
+	exec      *simnet.TokenBucket
+	rng       *rand.Rand
+	extraExec float64
 
 	// Volatile state, reset on every (re)start. So are the in-pipeline
 	// marks of decided-but-unexecuted transactions, which live in the
@@ -110,7 +120,7 @@ func NewBaseNode(id simnet.NodeID, peers []simnet.NodeID, monitor *Monitor, cfg 
 	n.Ledger.VerifyParents = true
 	// The pool marks the ledger's own table, so its one probe per Add
 	// rejects pending and committed transactions alike.
-	n.Pool = &Mempool{txs: n.Ledger.txs}
+	n.Pool = &Mempool{txs: &n.Ledger.txs}
 	return n
 }
 

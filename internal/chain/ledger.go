@@ -14,19 +14,28 @@ import (
 //
 // The ledger is the node's persistent state: it survives crash/restart.
 type Ledger struct {
+	ledgerState
+	// VerifyParents enables hash-chain verification on Append (the
+	// harness enables it everywhere; tests may relax it).
+	VerifyParents bool
+}
+
+// ledgerState is what a Ledger mutates after construction, and its
+// checkpoint. A node's whole per-transaction state — committed heights,
+// in-pool and in-pipeline marks — is the ledger's table, so the ledger
+// checkpoint carries all three and the pool's is just its queue.
+type ledgerState struct {
 	blocks []Block
 	hashes []Hash
 	// txs records every committed transaction's height — the dedup set.
 	// The node's mempool and execution pipeline keep their volatile
-	// per-transaction bits in the same table (see txTable).
-	txs *txTable
+	// per-transaction bits in the same table (see txTable) and reach it
+	// through a pointer to this field.
+	txs txTable
 	// accounts is indexed by Address (dense by contract, see Address).
 	accounts []account
 	applied  uint64
 	skipped  uint64
-	// VerifyParents enables hash-chain verification on Append (the
-	// harness enables it everywhere; tests may relax it).
-	VerifyParents bool
 }
 
 // account is one entry of the ledger's account table. live marks the
@@ -41,7 +50,7 @@ type account struct {
 
 // NewLedger creates an empty ledger.
 func NewLedger() *Ledger {
-	return &Ledger{txs: new(txTable)}
+	return &Ledger{}
 }
 
 // account returns addr's entry, growing the table (amortised) to reach it.

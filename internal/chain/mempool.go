@@ -5,14 +5,21 @@ package chain
 // Mempool contents are volatile: they are lost on crash, which is why
 // transient failures create client-visible backlogs.
 type Mempool struct {
-	queue []Tx
 	// txs holds the in-pool bit of every queued transaction. A node's
 	// pool shares its ledger's table, so the same probe also answers
 	// "already committed"; a standalone pool has a table of its own.
 	txs       *txTable
 	committed func(TxID) bool
-	added     uint64
-	rejected  uint64
+	poolState
+}
+
+// poolState is what a node's Mempool mutates after construction, and its
+// checkpoint: the queue and counters. The in-pool marks travel with the
+// shared table in ledgerState.
+type poolState struct {
+	queue    []Tx
+	added    uint64
+	rejected uint64
 }
 
 // NewMempool creates a pool. committed may be nil, in which case only

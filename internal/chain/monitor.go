@@ -2,6 +2,7 @@ package chain
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -23,6 +24,15 @@ type CommitEvent struct {
 // series of Figures 4-6 and the liveness signal behind the infinite
 // sensitivity score.
 type Monitor struct {
+	monitorState
+	rec *metrics.Recorder //stabl:nodet snapshot-fields -- identity-preserved attachment; the Recorder checkpoints through its own Forkable state
+	// par is non-nil in parallel mode only (see EnableParallel).
+	par *monitorPar
+}
+
+// monitorState is what a Monitor accumulates, and its checkpoint: the dedup
+// set, the commit log and the chain-integrity trail.
+type monitorState struct {
 	seen       map[TxID]bool
 	commits    []CommitEvent
 	maxHeight  int
@@ -30,17 +40,18 @@ type Monitor struct {
 	haveBlock  bool
 	lastHash   Hash
 	integrity  []string
-	rec        *metrics.Recorder //stabl:nodet snapshot-fields -- identity-preserved attachment; the Recorder checkpoints through its own Forkable state
-	// Parallel-mode buffering (nil sched = sequential, the default). The
-	// monitor is cross-cutting state every validator writes, so in parallel
-	// mode reports made inside a lookahead window are buffered per queue,
-	// stamped with the reporting event's key, and merged at the next
-	// barrier in global key order — the exact order the sequential kernel
-	// would have applied them in.
-	sched   *sim.Scheduler //stabl:nodet snapshot-fields -- parallel-mode only; core.Fork calls DisableParallel before any snapshot
-	queueOf []int32        //stabl:nodet snapshot-fields -- parallel-mode only; cleared by DisableParallel before any snapshot
-	buf     [][]monEntry   //stabl:nodet snapshot-fields -- drained at every barrier, nil outside parallel mode; empty whenever a snapshot can be taken
-	scratch []monEntry     //stabl:nodet snapshot-fields -- merge scratch space, logically empty between flushes
+}
+
+// monitorPar is the parallel-mode buffering. The monitor is cross-cutting
+// state every validator writes, so in parallel mode reports made inside a
+// lookahead window are buffered per queue, stamped with the reporting
+// event's key, and merged at the next barrier in global key order — the
+// exact order the sequential kernel would have applied them in.
+type monitorPar struct {
+	sched   *sim.Scheduler
+	queueOf []int32
+	buf     [][]monEntry // drained at every barrier
+	scratch []monEntry   // merge scratch space, logically empty between flushes
 }
 
 // monEntry is one buffered report: either a block application or a
@@ -55,7 +66,7 @@ type monEntry struct {
 
 // NewMonitor creates an empty monitor.
 func NewMonitor() *Monitor {
-	return &Monitor{seen: make(map[TxID]bool), maxHeight: -1}
+	return &Monitor{monitorState: monitorState{seen: make(map[TxID]bool), maxHeight: -1}}
 }
 
 // SetMetrics attaches a metrics recorder: unique commits become counters
@@ -71,33 +82,32 @@ func (m *Monitor) Metrics() *metrics.Recorder { return m.rec }
 // and the flush merge registers as a barrier hook. Must be paired with the
 // scheduler's and network's EnableParallel.
 func (m *Monitor) EnableParallel(sched *sim.Scheduler, queueOf []int32, workers int) {
-	if m.sched != nil {
+	if m.par != nil {
 		panic("chain: Monitor.EnableParallel called twice")
 	}
-	m.sched = sched
-	m.queueOf = append([]int32(nil), queueOf...)
-	m.buf = make([][]monEntry, workers+1)
+	m.par = &monitorPar{sched: sched, queueOf: slices.Clone(queueOf), buf: make([][]monEntry, workers+1)}
 	sched.OnBarrier(m.flush)
 }
 
 // DisableParallel reverts to direct application, the sequential fallback the
 // forking API takes. Buffers must be empty (they always are at a barrier).
 func (m *Monitor) DisableParallel() {
-	for _, b := range m.buf {
+	if m.par == nil {
+		return
+	}
+	for _, b := range m.par.buf {
 		if len(b) != 0 {
 			panic("chain: Monitor.DisableParallel with buffered reports")
 		}
 	}
-	m.sched = nil
-	m.queueOf = nil
-	m.buf = nil
+	m.par = nil
 }
 
 // queueIdx resolves the reporting node's partition queue — the queue whose
 // execution context is making the call, so each buffer has one writer.
-func (m *Monitor) queueIdx(id simnet.NodeID) int32 {
-	if id >= 0 && int(id) < len(m.queueOf) {
-		return m.queueOf[id]
+func (p *monitorPar) queueIdx(id simnet.NodeID) int32 {
+	if id >= 0 && int(id) < len(p.queueOf) {
+		return p.queueOf[id]
 	}
 	return 0
 }
@@ -108,8 +118,9 @@ func (m *Monitor) queueIdx(id simnet.NodeID) int32 {
 // sort keeps same-key reports — multiple calls from one event — in call
 // order.
 func (m *Monitor) flush() {
-	merged := m.scratch[:0]
-	for _, b := range m.buf {
+	p := m.par
+	merged := p.scratch[:0]
+	for _, b := range p.buf {
 		merged = append(merged, b...)
 	}
 	if len(merged) == 0 {
@@ -125,18 +136,18 @@ func (m *Monitor) flush() {
 		}
 		*e = monEntry{}
 	}
-	m.scratch = merged[:0]
-	for i := range m.buf {
-		m.buf[i] = m.buf[i][:0]
+	p.scratch = merged[:0]
+	for i := range p.buf {
+		p.buf[i] = p.buf[i][:0]
 	}
 }
 
 // ConsensusEvent forwards a protocol event from a validator to the attached
 // recorder; it is the single funnel every chain model emits through.
 func (m *Monitor) ConsensusEvent(ev metrics.Event) {
-	if m.sched != nil && m.sched.InWindow() {
-		qi := m.queueIdx(ev.Node)
-		m.buf[qi] = append(m.buf[qi], monEntry{key: m.sched.ExecKey(int32(ev.Node)), ev: ev})
+	if p := m.par; p != nil && p.sched.InWindow() {
+		qi := p.queueIdx(ev.Node)
+		p.buf[qi] = append(p.buf[qi], monEntry{key: p.sched.ExecKey(int32(ev.Node)), ev: ev})
 		return
 	}
 	m.applyEvent(ev)
@@ -151,9 +162,9 @@ func (m *Monitor) applyEvent(ev metrics.Event) {
 // RecordBlock registers a block applied by a validator. Blocks already seen
 // (applied by another validator first) only update nothing.
 func (m *Monitor) RecordBlock(id simnet.NodeID, b Block, now time.Duration) {
-	if m.sched != nil && m.sched.InWindow() {
-		qi := m.queueIdx(id)
-		m.buf[qi] = append(m.buf[qi], monEntry{key: m.sched.ExecKey(int32(id)), block: true, b: b, now: now})
+	if p := m.par; p != nil && p.sched.InWindow() {
+		qi := p.queueIdx(id)
+		p.buf[qi] = append(p.buf[qi], monEntry{key: p.sched.ExecKey(int32(id)), block: true, b: b, now: now})
 		return
 	}
 	m.applyBlock(b, now)

@@ -285,7 +285,7 @@ func TestBaseNodeRejectedBlockKeepsPipelineMarks(t *testing.T) {
 func TestRandomPeerMatchesFilteredDraw(t *testing.T) {
 	peers := []simnet.NodeID{0, 1, 2, 3, 4, 5, 6}
 	for _, self := range []simnet.NodeID{0, 3, 6, 99} {
-		n := &BaseNode{ID: self, Peers: peers, rng: rand.New(rand.NewSource(11))}
+		n := &BaseNode{ID: self, Peers: peers, nodeState: nodeState{rng: rand.New(rand.NewSource(11))}}
 		ref := rand.New(rand.NewSource(11))
 		var others []simnet.NodeID
 		for _, p := range peers {
@@ -299,7 +299,7 @@ func TestRandomPeerMatchesFilteredDraw(t *testing.T) {
 			}
 		}
 	}
-	alone := &BaseNode{ID: 4, Peers: []simnet.NodeID{4}, rng: rand.New(rand.NewSource(1))}
+	alone := &BaseNode{ID: 4, Peers: []simnet.NodeID{4}, nodeState: nodeState{rng: rand.New(rand.NewSource(1))}}
 	if alone.randomPeer() != 4 {
 		t.Fatal("a node with no other peer must get itself")
 	}

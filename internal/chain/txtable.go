@@ -139,18 +139,3 @@ func (t *txTable) grow() {
 		t.slots[i] = s
 	}
 }
-
-// clone returns an independent copy of the table.
-func (t *txTable) clone() txTable {
-	c := *t
-	c.slots = append([]txSlot(nil), t.slots...)
-	return c
-}
-
-// restore rewinds the table to a clone taken earlier, reusing its own
-// storage when large enough. Holders of the *txTable keep a valid pointer.
-func (t *txTable) restore(c txTable) {
-	slots := append(t.slots[:0], c.slots...)
-	*t = c
-	t.slots = slots
-}

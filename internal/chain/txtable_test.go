@@ -101,7 +101,7 @@ type txModel struct {
 
 func newTxModel(t testing.TB) *txModel {
 	l := NewLedger()
-	return &txModel{t: t, ledger: l, pool: &Mempool{txs: l.txs}, oracle: newTxOracle()}
+	return &txModel{t: t, ledger: l, pool: &Mempool{txs: &l.txs}, oracle: newTxOracle()}
 }
 
 // run interprets ops. Every op checks its own result; the whole universe is
@@ -200,12 +200,12 @@ func (m *txModel) step(op byte, arg int) {
 		o.pipeline = map[TxID]bool{}
 	case 7: // checkpoint (even) / rewind (odd)
 		if arg%2 == 0 {
-			m.savedLedger = m.ledger.snapshotState()
-			m.savedPool = m.pool.snapshotState()
+			m.ledger.ledgerState.copyInto(&m.savedLedger)
+			m.pool.poolState.copyInto(&m.savedPool)
 			m.savedOracle = o.clone()
 		} else if m.savedOracle != nil {
-			m.ledger.restoreState(m.savedLedger)
-			m.pool.restoreState(m.savedPool)
+			m.savedLedger.copyInto(&m.ledger.ledgerState)
+			m.savedPool.copyInto(&m.pool.poolState)
 			m.oracle = m.savedOracle.clone()
 		}
 	}

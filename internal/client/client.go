@@ -51,7 +51,13 @@ type pendingTx struct {
 type Client struct {
 	cfg Config
 	gen *workload.Generator
+	submitState
+}
 
+// submitState is the submission bookkeeping Client and FlowClient mutate
+// after construction, and their checkpoint — a flow is k clients behind one
+// endpoint, and its state has the same shape regardless of k.
+type submitState struct {
 	ctx        *simnet.Context
 	ticker     interface{ Stop() }
 	pending    map[chain.TxID]*pendingTx
@@ -75,7 +81,7 @@ func New(cfg Config, gen *workload.Generator) *Client {
 	if cfg.Rate <= 0 {
 		panic("client: rate must be positive")
 	}
-	return &Client{cfg: cfg, gen: gen, pending: make(map[chain.TxID]*pendingTx)}
+	return &Client{cfg: cfg, gen: gen, submitState: submitState{pending: make(map[chain.TxID]*pendingTx)}}
 }
 
 // Start implements simnet.Handler.

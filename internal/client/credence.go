@@ -19,7 +19,12 @@ import (
 // retried before being reported as a divergence.
 type VerifiedReader struct {
 	cfg ReaderConfig
+	readerState
+}
 
+// readerState is what a VerifiedReader mutates after construction, and its
+// checkpoint.
+type readerState struct {
 	ctx     *simnet.Context
 	rng     interface{ Intn(int) int }
 	pending map[uint64]*pendingRead
@@ -84,7 +89,7 @@ func NewVerifiedReader(cfg ReaderConfig) *VerifiedReader {
 	if cfg.Rate <= 0 {
 		panic("client: verified reader rate must be positive")
 	}
-	return &VerifiedReader{cfg: cfg.withDefaults(), pending: make(map[uint64]*pendingRead)}
+	return &VerifiedReader{cfg: cfg.withDefaults(), readerState: readerState{pending: make(map[uint64]*pendingRead)}}
 }
 
 // Start implements simnet.Handler.

@@ -53,18 +53,7 @@ type FlowConfig struct {
 type FlowClient struct {
 	cfg  FlowConfig
 	flow *workload.Flow
-
-	ctx        *simnet.Context
-	ticker     interface{ Stop() }
-	pending    map[chain.TxID]*pendingTx
-	order      []chain.TxID // pending txs in submission order
-	credits    float64
-	lastAccrue time.Duration
-	latencies  []float64
-	completeAt []time.Duration
-	submitted  int
-	retried    int
-	duplicates int
+	submitState
 }
 
 var _ simnet.Handler = (*FlowClient)(nil)
@@ -80,7 +69,7 @@ func NewFlow(cfg FlowConfig, flow *workload.Flow) *FlowClient {
 	if cfg.Rate <= 0 {
 		panic("client: flow rate must be positive")
 	}
-	return &FlowClient{cfg: cfg, flow: flow, pending: make(map[chain.TxID]*pendingTx)}
+	return &FlowClient{cfg: cfg, flow: flow, submitState: submitState{pending: make(map[chain.TxID]*pendingTx)}}
 }
 
 // Start implements simnet.Handler.
@@ -233,7 +222,7 @@ func (c *FlowClient) checkRetries() {
 		p.retries++
 		c.retried++
 		p.retryAt = now + c.cfg.RetryAfter
-		member := uint32(p.tx.ID >> 32) - uint32(c.flowStart())
+		member := uint32(p.tx.ID>>32) - uint32(c.flowStart())
 		eps := c.endpoints(member, epBuf[:0])
 		virtual := c.cfg.VirtualBase + simnet.NodeID(member)
 		for _, ep := range eps {

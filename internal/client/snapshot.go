@@ -1,183 +1,72 @@
 package client
 
 import (
-	"time"
+	"maps"
+	"slices"
 
 	"stabl/internal/chain"
-	"stabl/internal/simnet"
 	"stabl/internal/snapshot"
 )
 
-// clientState is a Client checkpoint. No queued closure captures a pendingTx
-// (retries and confirmations reach them through the map), so pending entries
-// are rebuilt as fresh objects on restore.
-type clientState struct {
-	ctx        *simnet.Context
-	ticker     interface{ Stop() }
-	pending    map[chain.TxID]pendingTx
-	order      []chain.TxID
-	credits    float64
-	lastAccrue time.Duration
-	latencies  []float64
-	completeAt []time.Duration
-	submitted  int
-	retried    int
-	duplicates int
+var (
+	_ snapshot.Forkable = (*Client)(nil)
+	_ snapshot.Forkable = (*FlowClient)(nil)
+	_ snapshot.Forkable = (*VerifiedReader)(nil)
+)
+
+// copyInto copies the submission state, reusing dst's per-transaction
+// slices. No queued closure captures a pendingTx (retries and confirmations
+// reach them through the map), so pending entries are rebuilt as fresh
+// objects.
+func (s *submitState) copyInto(dst *submitState) {
+	order, latencies, completeAt := dst.order, dst.latencies, dst.completeAt
+	*dst = *s
+	dst.pending = make(map[chain.TxID]*pendingTx, len(s.pending))
+	for id, p := range s.pending {
+		cp := *p
+		cp.confirmed = maps.Clone(p.confirmed)
+		dst.pending[id] = &cp
+	}
+	dst.order = append(order[:0], s.order...)
+	dst.latencies = append(latencies[:0], s.latencies...)
+	dst.completeAt = append(completeAt[:0], s.completeAt...)
 }
 
-var _ snapshot.Forkable = (*Client)(nil)
-
-// Snapshot captures the client: in-flight transactions, retry bookkeeping
-// and the measured latencies.
-func (c *Client) Snapshot() snapshot.State {
-	st := &clientState{
-		ctx:        c.ctx,
-		ticker:     c.ticker,
-		pending:    make(map[chain.TxID]pendingTx, len(c.pending)),
-		order:      append([]chain.TxID(nil), c.order...),
-		credits:    c.credits,
-		lastAccrue: c.lastAccrue,
-		latencies:  append([]float64(nil), c.latencies...),
-		completeAt: append([]time.Duration(nil), c.completeAt...),
-		submitted:  c.submitted,
-		retried:    c.retried,
-		duplicates: c.duplicates,
-	}
-	for id, p := range c.pending {
-		cp := *p
-		cp.confirmed = make(map[simnet.NodeID]bool, len(p.confirmed))
-		for ep := range p.confirmed {
-			cp.confirmed[ep] = true
-		}
-		st.pending[id] = cp
-	}
+// Snapshot captures a Client or FlowClient: in-flight transactions, retry
+// bookkeeping and the measured latencies.
+func (s *submitState) Snapshot() snapshot.State {
+	st := new(submitState)
+	s.copyInto(st)
 	return st
 }
 
 // Restore rewinds the client to a state captured by Snapshot.
-func (c *Client) Restore(state snapshot.State) {
-	st, ok := state.(*clientState)
+func (s *submitState) Restore(state snapshot.State) {
+	st, ok := state.(*submitState)
 	if !ok {
-		panic("client: Client.Restore on foreign state")
+		panic("client: Restore on foreign state")
 	}
-	c.ctx = st.ctx
-	c.ticker = st.ticker
-	c.pending = make(map[chain.TxID]*pendingTx, len(st.pending))
-	for id, p := range st.pending {
-		cp := p
-		cp.confirmed = make(map[simnet.NodeID]bool, len(p.confirmed))
-		for ep := range p.confirmed {
-			cp.confirmed[ep] = true
-		}
-		c.pending[id] = &cp
-	}
-	c.order = append(c.order[:0], st.order...)
-	c.credits = st.credits
-	c.lastAccrue = st.lastAccrue
-	c.latencies = append(c.latencies[:0], st.latencies...)
-	c.completeAt = append(c.completeAt[:0], st.completeAt...)
-	c.submitted = st.submitted
-	c.retried = st.retried
-	c.duplicates = st.duplicates
+	st.copyInto(s)
 }
 
-var _ snapshot.Forkable = (*FlowClient)(nil)
-
-// Snapshot captures the flow client: in-flight transactions, retry
-// bookkeeping and the measured latencies. The layout mirrors clientState —
-// a flow is k clients behind one endpoint, and its checkpoint is the same
-// shape regardless of k.
-func (c *FlowClient) Snapshot() snapshot.State {
-	st := &clientState{
-		ctx:        c.ctx,
-		ticker:     c.ticker,
-		pending:    make(map[chain.TxID]pendingTx, len(c.pending)),
-		order:      append([]chain.TxID(nil), c.order...),
-		credits:    c.credits,
-		lastAccrue: c.lastAccrue,
-		latencies:  append([]float64(nil), c.latencies...),
-		completeAt: append([]time.Duration(nil), c.completeAt...),
-		submitted:  c.submitted,
-		retried:    c.retried,
-		duplicates: c.duplicates,
-	}
-	for id, p := range c.pending {
+// clone copies the reader state. The retry closure retains its own
+// pendingRead (already removed from the map and immutable from then on), so
+// pending entries are rebuilt as fresh objects.
+func (s *readerState) clone() *readerState {
+	c := *s
+	c.pending = make(map[uint64]*pendingRead, len(s.pending))
+	for seq, p := range s.pending {
 		cp := *p
-		cp.confirmed = make(map[simnet.NodeID]bool, len(p.confirmed))
-		for ep := range p.confirmed {
-			cp.confirmed[ep] = true
-		}
-		st.pending[id] = cp
+		cp.responses = maps.Clone(p.responses)
+		c.pending[seq] = &cp
 	}
-	return st
+	c.latencies = slices.Clone(s.latencies)
+	return &c
 }
-
-// Restore rewinds the flow client to a state captured by Snapshot.
-func (c *FlowClient) Restore(state snapshot.State) {
-	st, ok := state.(*clientState)
-	if !ok {
-		panic("client: FlowClient.Restore on foreign state")
-	}
-	c.ctx = st.ctx
-	c.ticker = st.ticker
-	c.pending = make(map[chain.TxID]*pendingTx, len(st.pending))
-	for id, p := range st.pending {
-		cp := p
-		cp.confirmed = make(map[simnet.NodeID]bool, len(p.confirmed))
-		for ep := range p.confirmed {
-			cp.confirmed[ep] = true
-		}
-		c.pending[id] = &cp
-	}
-	c.order = append(c.order[:0], st.order...)
-	c.credits = st.credits
-	c.lastAccrue = st.lastAccrue
-	c.latencies = append(c.latencies[:0], st.latencies...)
-	c.completeAt = append(c.completeAt[:0], st.completeAt...)
-	c.submitted = st.submitted
-	c.retried = st.retried
-	c.duplicates = st.duplicates
-}
-
-// readerState is a VerifiedReader checkpoint. The retry closure retains its
-// own pendingRead (already removed from the map and immutable from then on),
-// so pending entries are rebuilt as fresh objects on restore.
-type readerState struct {
-	ctx         *simnet.Context
-	rng         interface{ Intn(int) int }
-	pending     map[uint64]pendingRead
-	seq         uint64
-	latencies   []float64
-	reads       int
-	mismatches  int
-	divergences int
-}
-
-var _ snapshot.Forkable = (*VerifiedReader)(nil)
 
 // Snapshot captures the reader: in-flight read rounds and the verdict
 // counters.
-func (r *VerifiedReader) Snapshot() snapshot.State {
-	st := &readerState{
-		ctx:         r.ctx,
-		rng:         r.rng,
-		pending:     make(map[uint64]pendingRead, len(r.pending)),
-		seq:         r.seq,
-		latencies:   append([]float64(nil), r.latencies...),
-		reads:       r.reads,
-		mismatches:  r.mismatches,
-		divergences: r.divergences,
-	}
-	for seq, p := range r.pending {
-		cp := *p
-		cp.responses = make(map[simnet.NodeID]chain.ReadResp, len(p.responses))
-		for ep, resp := range p.responses {
-			cp.responses[ep] = resp
-		}
-		st.pending[seq] = cp
-	}
-	return st
-}
+func (r *VerifiedReader) Snapshot() snapshot.State { return r.readerState.clone() }
 
 // Restore rewinds the reader to a state captured by Snapshot.
 func (r *VerifiedReader) Restore(state snapshot.State) {
@@ -185,20 +74,5 @@ func (r *VerifiedReader) Restore(state snapshot.State) {
 	if !ok {
 		panic("client: VerifiedReader.Restore on foreign state")
 	}
-	r.ctx = st.ctx
-	r.rng = st.rng
-	r.pending = make(map[uint64]*pendingRead, len(st.pending))
-	for seq, p := range st.pending {
-		cp := p
-		cp.responses = make(map[simnet.NodeID]chain.ReadResp, len(p.responses))
-		for ep, resp := range p.responses {
-			cp.responses[ep] = resp
-		}
-		r.pending[seq] = &cp
-	}
-	r.seq = st.seq
-	r.latencies = append(r.latencies[:0], st.latencies...)
-	r.reads = st.reads
-	r.mismatches = st.mismatches
-	r.divergences = st.divergences
+	r.readerState = *st.clone()
 }

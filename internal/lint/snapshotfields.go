@@ -7,20 +7,24 @@ import (
 )
 
 // SnapshotFields verifies Snapshot/Restore completeness: for every struct
-// type implementing the snapshot.Forkable shape (a Snapshot() method with
-// one result and a Restore(state) method with one parameter), every mutable
-// field must be referenced by both methods. A field is mutable when some
+// type with the snapshot.Forkable shape (a Snapshot() method with one result
+// and a Restore(state) method with one parameter, declared on the type or
+// promoted from an embedded state struct), every mutable field must be
+// referenced by both methods. A field is mutable when some
 // function in the program assigns through it (x.f = v, x.f++, x.f[k] = v, a
 // write through a promoted path, or &x.f escaping) after construction —
 // writes inside test files, inside constructors (functions whose results
 // include the type) and inside the type's own Snapshot*/Restore* methods do
-// not count. "References" is deliberately weaker than "deep-copies":
-// identity-preserved pointer fields (tickers, RNG streams, round-state
-// pointers) are captured by storing the pointer, which still shows up as a
-// field selection; what the analyzer catches is the silent killer — a field
-// added to a Forkable struct, mutated by the protocol, and never seen by
-// Snapshot at all, which breaks fork-vs-replay byte-identity without
-// failing any golden until a scenario happens to exercise it.
+// not count. "References" is deliberately weaker than "deep-copies": a
+// selection of the field counts, a whole-struct copy (`v.state = …`,
+// `*s = …`, `c := *s`) counts for every field of the copied struct, and an
+// embedded state whose own Snapshot/Restore are promoted counts as covered.
+// The repo's Forkables keep their mutable fields in one embedded state
+// struct (see package snapshot), so what the analyzer catches is the silent
+// killer that pattern leaves open — a field added *beside* the state,
+// mutated by the protocol, and never seen by Snapshot at all, which breaks
+// fork-vs-replay byte-identity without failing any golden until a scenario
+// happens to exercise it.
 //
 // Deliberately-volatile fields (caches safe to lose across a fork, like the
 // overlay dupemaps) opt out per field:
@@ -67,13 +71,27 @@ func (p *Pass) checkForkableType(idx *programIndex, named *types.Named) {
 	if !ok {
 		return
 	}
-	snap := forkableMethod(named, "Snapshot", 0, 1)
-	restore := forkableMethod(named, "Restore", 1, 0)
+	methods := types.NewMethodSet(types.NewPointer(named))
+	snap, snapVia := forkableMethod(methods, named, st, "Snapshot", 0, 1)
+	restore, restoreVia := forkableMethod(methods, named, st, "Restore", 1, 0)
 	if snap == nil || restore == nil {
 		return
 	}
 	snapRefs := p.Prog.fieldRefs(snap, st)
 	restoreRefs := p.Prog.fieldRefs(restore, st)
+	if snapVia != nil {
+		snapRefs[snapVia] = true
+	}
+	if restoreVia != nil {
+		restoreRefs[restoreVia] = true
+	}
+	advice := "copy it in Snapshot and write it back in Restore"
+	for i := 0; i < st.NumFields(); i++ {
+		if f := st.Field(i); f.Embedded() && snapRefs[f] && restoreRefs[f] {
+			advice = "move it into `" + f.Name() + "`"
+			break
+		}
+	}
 	for i := 0; i < st.NumFields(); i++ {
 		field := st.Field(i)
 		if !p.fieldMutable(idx, named, field) {
@@ -94,8 +112,8 @@ func (p *Pass) checkForkableType(idx *programIndex, named *types.Named) {
 			miss = "Restore"
 		}
 		p.Reportf(field.Pos(),
-			"field %s of %s is mutated after construction but never referenced by (%s).%s; a fork silently loses its state — copy it in Snapshot and write it back in Restore, or justify with //stabl:nodet snapshot-fields",
-			field.Name(), named.Obj().Name(), named.Obj().Name(), miss)
+			"field %s of %s is mutated after construction but never referenced by (%s).%s; a fork silently loses its state — %s, or justify with //stabl:nodet snapshot-fields",
+			field.Name(), named.Obj().Name(), named.Obj().Name(), miss, advice)
 	}
 }
 
@@ -115,20 +133,23 @@ func (p *Pass) fieldMutable(idx *programIndex, named *types.Named, field *types.
 	return false
 }
 
-// forkableMethod returns the explicitly declared method of the given name
-// and arity on named (value or pointer receiver), or nil.
-func forkableMethod(named *types.Named, name string, params, results int) *types.Func {
-	for i := 0; i < named.NumMethods(); i++ {
-		m := named.Method(i)
-		if m.Name() != name {
-			continue
-		}
-		sig, ok := m.Type().(*types.Signature)
-		if ok && sig.Params().Len() == params && sig.Results().Len() == results {
-			return m
-		}
+// forkableMethod returns the method of the given name and arity in methods,
+// *named's method set, or nil. A method promoted from an embedded field of st
+// counts as the type's own; via is then that field.
+func forkableMethod(methods *types.MethodSet, named *types.Named, st *types.Struct, name string, params, results int) (m *types.Func, via *types.Var) {
+	sel := methods.Lookup(named.Obj().Pkg(), name)
+	if sel == nil {
+		return nil, nil
 	}
-	return nil
+	m, _ = sel.Obj().(*types.Func)
+	sig, ok := sel.Type().(*types.Signature)
+	if m == nil || !ok || sig.Params().Len() != params || sig.Results().Len() != results {
+		return nil, nil
+	}
+	if index := sel.Index(); len(index) > 1 {
+		via = st.Field(index[0])
+	}
+	return m, via
 }
 
 // methodReceiverNamed returns the named receiver type of fn, nil for
@@ -171,8 +192,9 @@ func isConstructorOf(fn *types.Func, named *types.Named) bool {
 
 // fieldRefs collects the fields of st referenced anywhere in the body of
 // method — or of any same-package function it transitively calls (helpers
-// like restoreState and copySeries). A reference through a promoted path
-// credits the first-hop field, mirroring the write index.
+// like clone and copySeries). A reference through a promoted path credits
+// the first-hop field, mirroring the write index; an assignment that copies
+// a whole st value references every field.
 func (prog *Program) fieldRefs(method *types.Func, st *types.Struct) map[*types.Var]bool {
 	idx := prog.Index()
 	refs := make(map[*types.Var]bool)
@@ -190,6 +212,14 @@ func (prog *Program) fieldRefs(method *types.Func, st *types.Struct) map[*types.
 		owner := idx.owner[fn]
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, e := range n.Rhs {
+					if t := owner.Info.TypeOf(e); t != nil && t.Underlying() == st {
+						for i := 0; i < st.NumFields(); i++ {
+							refs[st.Field(i)] = true
+						}
+					}
+				}
 			case *ast.SelectorExpr:
 				if sel, ok := owner.Info.Selections[n]; ok && sel.Kind() == types.FieldVal {
 					if fv := firstHopField(sel); fv != nil {

@@ -85,3 +85,77 @@ type scratch struct{ n int }
 func (s *scratch) Snapshot() any { return s.n }
 
 func (s *scratch) bump() { s.n++ }
+
+// crateState is the embedded-state pattern: crate's mutable fields live in
+// one struct that Snapshot and Restore copy whole, so a scalar inside it
+// needs no mention by name.
+type crateState struct {
+	count int // inside the embedded state, covered by the struct copy: silent
+	tags  map[int]int
+}
+
+func (s *crateState) clone() *crateState {
+	c := *s
+	c.tags = make(map[int]int, len(s.tags))
+	for k, v := range s.tags {
+		c.tags[k] = v
+	}
+	return &c
+}
+
+type crate struct {
+	id int // written only during construction: silent
+	crateState
+	stray int // want "never referenced by (crate).Snapshot or Restore; a fork silently loses its state — move it into `crateState`"
+}
+
+func NewCrate(id int) *crate {
+	return &crate{id: id, crateState: crateState{tags: make(map[int]int)}}
+}
+
+func (c *crate) advance() {
+	c.count++
+	c.tags[c.count] = c.id
+	c.stray++
+}
+
+func (c *crate) Snapshot() any { return c.crateState.clone() }
+
+func (c *crate) Restore(st any) { c.crateState = *st.(*crateState).clone() }
+
+// tally carries its own Snapshot/Restore, as a state shared by two holders
+// does. It is Forkable-shaped itself: bump writes n through the *tally
+// receiver, and the whole-struct copies in both methods cover it.
+type tally struct {
+	n   int // mutated, never named by Snapshot/Restore, covered by `c := *s` and `*s = …`: silent
+	log []int
+}
+
+func (s *tally) bump() {
+	s.n++
+	s.log = append(s.log, s.n)
+}
+
+func (s *tally) Snapshot() any {
+	c := *s
+	c.log = append([]int(nil), s.log...)
+	return &c
+}
+
+func (s *tally) Restore(st any) {
+	*s = *st.(*tally)
+	s.log = append([]int(nil), s.log...)
+}
+
+// holder gets Snapshot and Restore by promotion from tally; they count as its
+// own, so holder is checked — and they cannot see a field declared beside
+// the embedded state.
+type holder struct {
+	tally
+	extra int // want "never referenced by (holder).Snapshot or Restore; a fork silently loses its state — move it into `tally`"
+}
+
+func (h *holder) poke() {
+	h.bump()
+	h.extra++
+}

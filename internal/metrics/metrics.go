@@ -111,6 +111,11 @@ type RunInfo struct {
 // usable; construct with NewRecorder.
 type Recorder struct {
 	interval time.Duration
+	recorderState
+}
+
+// recorderState is everything a Recorder accumulates, and its checkpoint.
+type recorderState struct {
 	run      RunInfo
 	counters map[string][]Sample
 	gauges   map[string][]Sample
@@ -125,12 +130,11 @@ func NewRecorder(interval time.Duration) *Recorder {
 	if interval <= 0 {
 		interval = DefaultInterval
 	}
-	return &Recorder{
-		interval: interval,
+	return &Recorder{interval: interval, recorderState: recorderState{
 		counters: make(map[string][]Sample),
 		gauges:   make(map[string][]Sample),
 		obs:      make(map[string][]Sample),
-	}
+	}}
 }
 
 // Interval returns the aggregation interval.

@@ -1,41 +1,33 @@
 package metrics
 
 import (
-	"stabl/internal/simnet"
+	"slices"
+
 	"stabl/internal/snapshot"
 )
-
-// recorderState is a Recorder checkpoint.
-type recorderState struct {
-	run      RunInfo
-	counters map[string][]Sample
-	gauges   map[string][]Sample
-	obs      map[string][]Sample
-	events   []Event
-	trace    []simnet.TraceEvent
-}
 
 var _ snapshot.Forkable = (*Recorder)(nil)
 
 func copySeries(src map[string][]Sample) map[string][]Sample {
 	out := make(map[string][]Sample, len(src))
 	for name, samples := range src {
-		out[name] = append([]Sample(nil), samples...)
+		out[name] = slices.Clone(samples)
 	}
 	return out
 }
 
-// Snapshot captures every recorded series, event and trace entry.
-func (r *Recorder) Snapshot() snapshot.State {
-	return &recorderState{
-		run:      r.run,
-		counters: copySeries(r.counters),
-		gauges:   copySeries(r.gauges),
-		obs:      copySeries(r.obs),
-		events:   append([]Event(nil), r.events...),
-		trace:    append([]simnet.TraceEvent(nil), r.trace...),
-	}
+func (s *recorderState) clone() *recorderState {
+	c := *s
+	c.counters = copySeries(s.counters)
+	c.gauges = copySeries(s.gauges)
+	c.obs = copySeries(s.obs)
+	c.events = slices.Clone(s.events)
+	c.trace = slices.Clone(s.trace)
+	return &c
 }
+
+// Snapshot captures every recorded series, event and trace entry.
+func (r *Recorder) Snapshot() snapshot.State { return r.recorderState.clone() }
 
 // Restore rewinds the recorder to a state captured by Snapshot.
 func (r *Recorder) Restore(state snapshot.State) {
@@ -43,12 +35,7 @@ func (r *Recorder) Restore(state snapshot.State) {
 	if !ok {
 		panic("metrics: Recorder.Restore on foreign state")
 	}
-	r.run = st.run
-	r.counters = copySeries(st.counters)
-	r.gauges = copySeries(st.gauges)
-	r.obs = copySeries(st.obs)
-	r.events = append(r.events[:0], st.events...)
-	r.trace = append(r.trace[:0], st.trace...)
+	r.recorderState = *st.clone()
 }
 
 // ReplaceHeadEvents swaps the first n recorded events for evs, keeping the
@@ -67,13 +54,5 @@ func (r *Recorder) ReplaceHeadEvents(n int, evs []Event) {
 // hand clones to result callbacks because the live recorder is about to be
 // rewound for the next continuation.
 func (r *Recorder) Clone() *Recorder {
-	return &Recorder{
-		interval: r.interval,
-		run:      r.run,
-		counters: copySeries(r.counters),
-		gauges:   copySeries(r.gauges),
-		obs:      copySeries(r.obs),
-		events:   append([]Event(nil), r.events...),
-		trace:    append([]simnet.TraceEvent(nil), r.trace...),
-	}
+	return &Recorder{interval: r.interval, recorderState: *r.recorderState.clone()}
 }

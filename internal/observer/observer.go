@@ -52,6 +52,12 @@ type (
 type Observer struct {
 	target simnet.NodeID
 	net    *simnet.Network
+	observerState
+}
+
+// observerState is what an Observer mutates after construction, and its
+// checkpoint: the installed-rule handle and the action log.
+type observerState struct {
 	ctx    *simnet.Context
 	rule   int
 	hasRul bool
@@ -152,11 +158,19 @@ type Action struct {
 // Primary is the coordinator machine: it owns the fault script and signals
 // observers at the scheduled instants.
 type Primary struct {
-	script    []Action
 	observers map[simnet.NodeID]simnet.NodeID // blockchain node -> observer id
-	ctx       *simnet.Context
-	acks      int
-	executed  int
+	primaryState
+}
+
+// primaryState is what a Primary mutates after construction, and its
+// checkpoint. The script is part of it so a restored run can be re-pointed
+// at a sibling script (see SetScript) without the previous continuation's
+// replacement leaking through.
+type primaryState struct {
+	script   []Action
+	ctx      *simnet.Context
+	acks     int
+	executed int
 }
 
 var _ simnet.Handler = (*Primary)(nil)
@@ -164,7 +178,7 @@ var _ simnet.Handler = (*Primary)(nil)
 // NewPrimary creates the coordinator. observers maps each blockchain node to
 // the network id of its observer process.
 func NewPrimary(script []Action, observers map[simnet.NodeID]simnet.NodeID) *Primary {
-	return &Primary{script: script, observers: observers}
+	return &Primary{observers: observers, primaryState: primaryState{script: script}}
 }
 
 // Start implements simnet.Handler; it schedules every scripted action. Each

@@ -1,29 +1,24 @@
 package observer
 
 import (
-	"stabl/internal/simnet"
+	"slices"
+
 	"stabl/internal/snapshot"
 )
 
-// observerState is an Observer checkpoint.
-type observerState struct {
-	ctx    *simnet.Context
-	rule   int
-	hasRul bool
-	log    []string
-}
+var (
+	_ snapshot.Forkable = (*Observer)(nil)
+	_ snapshot.Forkable = (*Primary)(nil)
+)
 
-var _ snapshot.Forkable = (*Observer)(nil)
+func (s *observerState) clone() *observerState {
+	c := *s
+	c.log = slices.Clone(s.log)
+	return &c
+}
 
 // Snapshot captures the observer's installed-rule handle and action log.
-func (o *Observer) Snapshot() snapshot.State {
-	return &observerState{
-		ctx:    o.ctx,
-		rule:   o.rule,
-		hasRul: o.hasRul,
-		log:    append([]string(nil), o.log...),
-	}
-}
+func (o *Observer) Snapshot() snapshot.State { return o.observerState.clone() }
 
 // Restore rewinds the observer to a state captured by Snapshot.
 func (o *Observer) Restore(state snapshot.State) {
@@ -31,33 +26,17 @@ func (o *Observer) Restore(state snapshot.State) {
 	if !ok {
 		panic("observer: Observer.Restore on foreign state")
 	}
-	o.ctx = st.ctx
-	o.rule = st.rule
-	o.hasRul = st.hasRul
-	o.log = append(o.log[:0], st.log...)
+	o.observerState = *st.clone()
 }
 
-// primaryState is a Primary checkpoint. The script itself is captured so a
-// restored run can be re-pointed at a sibling script (see SetScript) without
-// the previous continuation's mutations leaking through.
-type primaryState struct {
-	ctx      *simnet.Context
-	script   []Action
-	acks     int
-	executed int
+func (s *primaryState) clone() *primaryState {
+	c := *s
+	c.script = slices.Clone(s.script)
+	return &c
 }
-
-var _ snapshot.Forkable = (*Primary)(nil)
 
 // Snapshot captures the primary: its script contents and progress counters.
-func (p *Primary) Snapshot() snapshot.State {
-	return &primaryState{
-		ctx:      p.ctx,
-		script:   append([]Action(nil), p.script...),
-		acks:     p.acks,
-		executed: p.executed,
-	}
-}
+func (p *Primary) Snapshot() snapshot.State { return p.primaryState.clone() }
 
 // Restore rewinds the primary to a state captured by Snapshot.
 func (p *Primary) Restore(state snapshot.State) {
@@ -65,13 +44,7 @@ func (p *Primary) Restore(state snapshot.State) {
 	if !ok {
 		panic("observer: Primary.Restore on foreign state")
 	}
-	if len(st.script) != len(p.script) {
-		panic("observer: Primary.Restore script length mismatch")
-	}
-	p.ctx = st.ctx
-	copy(p.script, st.script)
-	p.acks = st.acks
-	p.executed = st.executed
+	p.primaryState = *st.clone()
 }
 
 // SetScript replaces the primary's script contents in place. The scheduled

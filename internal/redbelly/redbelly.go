@@ -193,7 +193,14 @@ type validator struct {
 	n      int
 	t      int
 	quorum int
+	nodeState
+}
 
+// nodeState is what a validator mutates after construction, and its
+// checkpoint. The roundState objects are identity-preserved: queued proposal,
+// grace and coordinator closures hold the pointers, so a checkpoint keeps the
+// map's pointers and carries each round's contents beside it (snapshot.go).
+type nodeState struct {
 	ctx       *simnet.Context
 	round     int
 	states    map[int]*roundState

@@ -1,152 +1,66 @@
 package redbelly
 
 import (
-	"math/rand"
-	"sort"
-	"time"
+	"maps"
 
 	"stabl/internal/chain"
-	"stabl/internal/sim"
-	"stabl/internal/simnet"
 	"stabl/internal/snapshot"
 )
 
-// roundCheck is one round's captured contents. The roundState object itself
-// is identity-preserved: queued proposal/grace/coordinator closures hold the
-// pointer, so Restore writes these fields back through it. Transaction and
-// estimate slices are immutable once stored and are shared, not copied.
-type roundCheck struct {
-	st            *roundState
-	round         int
-	startedAt     time.Duration
-	proposals     map[simnet.NodeID][]chain.Tx
-	votes         map[int]map[simnet.NodeID]string
-	ests          map[string][]simnet.NodeID
-	myVote        map[int][]simnet.NodeID
-	estimated     bool
-	decided       bool
-	sub           int
-	coordSent     map[int]bool
-	pendingDecide []simnet.NodeID
-}
-
-type validatorState struct {
-	base      chain.BaseState
-	ctx       *simnet.Context
-	round     int
-	states    []roundCheck
-	resend    *sim.Ticker
-	decides   uint64
-	jitterRNG *rand.Rand
-}
-
 var _ snapshot.Forkable = (*validator)(nil)
+
+// checkpoint pairs the BaseNode core's checkpoint with the validator's own
+// and the contents of every live round, keyed like nodeState.states.
+type checkpoint struct {
+	base chain.BaseState
+	nodeState
+	rounds map[int]roundState
+}
+
+func (s *nodeState) clone() nodeState {
+	c := *s
+	c.states = maps.Clone(s.states)
+	return c
+}
+
+// clone copies one round's books. Transaction and estimate slices are
+// immutable once stored and stay shared.
+func (rs *roundState) clone() roundState {
+	c := *rs
+	c.proposals = maps.Clone(rs.proposals)
+	c.votes = snapshot.CloneNested(rs.votes)
+	c.ests = maps.Clone(rs.ests)
+	c.myVote = maps.Clone(rs.myVote)
+	c.coordSent = maps.Clone(rs.coordSent)
+	return c
+}
 
 // Snapshot captures the validator: its BaseNode core, round position and
 // every live round's consensus state. Which ticker and RNG stream are current
 // is recorded by pointer; their internal state lives in the scheduler.
 func (v *validator) Snapshot() snapshot.State {
-	st := &validatorState{
+	cp := &checkpoint{
 		base:      v.base.SnapshotBase(),
-		ctx:       v.ctx,
-		round:     v.round,
-		states:    make([]roundCheck, 0, len(v.states)),
-		resend:    v.resend,
-		decides:   v.decides,
-		jitterRNG: v.jitterRNG,
+		nodeState: v.nodeState.clone(),
+		rounds:    make(map[int]roundState, len(v.states)),
 	}
-	rounds := make([]int, 0, len(v.states))
-	for r := range v.states {
-		rounds = append(rounds, r)
+	for r, rs := range v.states {
+		cp.rounds[r] = rs.clone()
 	}
-	sort.Ints(rounds)
-	for _, r := range rounds {
-		rs := v.states[r]
-		rc := roundCheck{
-			st:            rs,
-			round:         rs.round,
-			startedAt:     rs.startedAt,
-			proposals:     make(map[simnet.NodeID][]chain.Tx, len(rs.proposals)),
-			votes:         make(map[int]map[simnet.NodeID]string, len(rs.votes)),
-			ests:          make(map[string][]simnet.NodeID, len(rs.ests)),
-			myVote:        make(map[int][]simnet.NodeID, len(rs.myVote)),
-			estimated:     rs.estimated,
-			decided:       rs.decided,
-			sub:           rs.sub,
-			coordSent:     make(map[int]bool, len(rs.coordSent)),
-			pendingDecide: rs.pendingDecide,
-		}
-		for p, txs := range rs.proposals {
-			rc.proposals[p] = txs
-		}
-		for sub, voters := range rs.votes {
-			m := make(map[simnet.NodeID]string, len(voters))
-			for voter, key := range voters {
-				m[voter] = key
-			}
-			rc.votes[sub] = m
-		}
-		for key, est := range rs.ests {
-			rc.ests[key] = est
-		}
-		for sub, est := range rs.myVote {
-			rc.myVote[sub] = est
-		}
-		for sub, sent := range rs.coordSent {
-			rc.coordSent[sub] = sent
-		}
-		st.states = append(st.states, rc)
-	}
-	return st
+	return cp
 }
 
 // Restore rewinds the validator to a state captured by Snapshot. Round states
 // created since the checkpoint are abandoned; the captured ones are restored
-// in place so closures queued at checkpoint time still see them.
-func (v *validator) Restore(state snapshot.State) {
-	st, ok := state.(*validatorState)
+// through their pointers so closures queued at checkpoint time still see them.
+func (v *validator) Restore(st snapshot.State) {
+	cp, ok := st.(*checkpoint)
 	if !ok {
 		panic("redbelly: validator.Restore on foreign state")
 	}
-	v.base.RestoreBase(st.base)
-	v.ctx = st.ctx
-	v.round = st.round
-	v.resend = st.resend
-	v.decides = st.decides
-	v.jitterRNG = st.jitterRNG
-	v.states = make(map[int]*roundState, len(st.states))
-	for _, rc := range st.states {
-		rs := rc.st
-		rs.round = rc.round
-		rs.startedAt = rc.startedAt
-		rs.proposals = make(map[simnet.NodeID][]chain.Tx, len(rc.proposals))
-		for p, txs := range rc.proposals {
-			rs.proposals[p] = txs
-		}
-		rs.votes = make(map[int]map[simnet.NodeID]string, len(rc.votes))
-		for sub, voters := range rc.votes {
-			m := make(map[simnet.NodeID]string, len(voters))
-			for voter, key := range voters {
-				m[voter] = key
-			}
-			rs.votes[sub] = m
-		}
-		rs.ests = make(map[string][]simnet.NodeID, len(rc.ests))
-		for key, est := range rc.ests {
-			rs.ests[key] = est
-		}
-		rs.myVote = make(map[int][]simnet.NodeID, len(rc.myVote))
-		for sub, est := range rc.myVote {
-			rs.myVote[sub] = est
-		}
-		rs.estimated = rc.estimated
-		rs.decided = rc.decided
-		rs.sub = rc.sub
-		rs.coordSent = make(map[int]bool, len(rc.coordSent))
-		for sub, sent := range rc.coordSent {
-			rs.coordSent[sub] = sent
-		}
-		rs.pendingDecide = rc.pendingDecide
-		v.states[rc.round] = rs
+	v.base.RestoreBase(cp.base)
+	v.nodeState = cp.nodeState.clone()
+	for r, rs := range cp.rounds {
+		*v.states[r] = rs.clone()
 	}
 }

@@ -132,7 +132,7 @@ func (s *Scheduler) EnableParallel(laneQueue []int32, workers int, lookahead tim
 	s.laneQueue = append([]int32(nil), laneQueue...)
 	root := s.qs[0]
 	for i := 0; i < workers; i++ {
-		s.qs = append(s.qs, &queue{free: -1, now: root.now})
+		s.qs = append(s.qs, &queue{queueState: queueState{free: -1, now: root.now}})
 	}
 	if need := len(laneQueue) + 1; need > len(s.laneSeq) {
 		grown := make([]uint64, need)

@@ -42,11 +42,9 @@ type Scheduler struct {
 	// queues owned by one worker each during a window.
 	qs []*queue
 	//stabl:nodet snapshot-fields -- parallel-mode only; cleared by DisableParallel before any fork
-	laneQueue []int32  // lane -> queue index; nil (sequential) routes all lanes to qs[0]
-	laneSeq   []uint64 // per-lane key counters, indexed lane+1 (lane -1 is the root lane)
+	laneQueue []int32 // lane -> queue index; nil (sequential) routes all lanes to qs[0]
 
-	seed   int64
-	halted bool
+	seed int64
 
 	// regMu guards the stream/ticker registries and the seed-derivation
 	// cache, the only scheduler state that partition events may touch
@@ -55,14 +53,22 @@ type Scheduler struct {
 	//stabl:nodet snapshot-fields -- pure memo: name -> seed is a deterministic derivation, identical across fork and replay
 	rngSeeds map[string]int64 // memoized RNG stream derivations
 
+	par *parRun // nil in sequential mode
+	schedState
+}
+
+// schedState is what the Scheduler itself mutates after construction (each
+// queue carries its own queueState), and that part of its checkpoint.
+type schedState struct {
+	laneSeq []uint64 // per-lane key counters, indexed lane+1 (lane -1 is the root lane)
+	halted  bool
+
 	// Checkpoint registries (see Snapshot): every RNG stream and ticker
 	// ever issued, in creation order. Creation is deterministic, so a
 	// forked continuation and the from-scratch run it mirrors build
-	// identical registries.
+	// identical registries. The objects are identity-preserved.
 	sources []*countingSource
 	tickers []*Ticker
-
-	par *parRun // nil in sequential mode
 }
 
 // queue is one event sub-queue: a 4-ary min-heap plus its slot arena and
@@ -70,18 +76,24 @@ type Scheduler struct {
 // worker. Each queue also records the key of the event it is currently
 // executing, which keys same-instant re-schedules and monitor records.
 type queue struct {
+	queueState
+
+	// Execution context: set while an event runs, consumed by the
+	// same-instant re-schedule rule in schedule() and by ExecKey. Not
+	// state: checkpoints are taken between events.
+	executing bool
+	curLane   int32
+	curSeq    uint64
+	curSub    uint32
+}
+
+// queueState is what outlives an event in a queue, and its checkpoint.
+type queueState struct {
 	now   time.Duration
 	heap  []heapEntry // 4-ary min-heap ordered by (at, lane, seq, sub)
 	slots []eventSlot // callback arena referenced by heap entries and Timers
 	free  int32       // head of the slot free list (-1 when empty)
 	fired uint64
-
-	// Execution context: set while an event runs, consumed by the
-	// same-instant re-schedule rule in schedule() and by ExecKey.
-	executing bool
-	curLane   int32
-	curSeq    uint64
-	curSub    uint32
 	// subSeq is the queue's sub-key counter. It never resets, so a
 	// re-scheduled event's key always sorts after every key this queue has
 	// already executed — the property that keeps execution order equal to
@@ -115,7 +127,7 @@ type eventSlot struct {
 // same seed replay identical executions.
 func New(seed int64) *Scheduler {
 	return &Scheduler{
-		qs:       []*queue{{free: -1}},
+		qs:       []*queue{{queueState: queueState{free: -1}}},
 		seed:     seed,
 		rngSeeds: make(map[string]int64),
 	}

@@ -1,18 +1,18 @@
 package sim
 
 import (
-	"time"
+	"slices"
 
 	"stabl/internal/snapshot"
 )
 
 // countingSource is a SplitMix64 PRNG (Steele, Lea & Flood, OOPSLA 2014)
 // with a draw counter. Its whole state is one 64-bit word advanced by a
-// fixed odd gamma per draw, so the (seed, draws) pair fully determines the
-// generator and rewind() is O(1): state = seed + draws*gamma. That matters
-// twice — checkpoints reposition thousands of streams per Restore, and
-// large deployments derive three degradation streams per node (a stdlib
-// lagged-Fibonacci source would cost ~5 KB each, ~150 MB at 10,240 nodes).
+// fixed odd gamma per draw, so a stream is three words and a checkpoint
+// copies it by value. That matters twice — checkpoints reposition thousands
+// of streams per Restore, and large deployments derive three degradation
+// streams per node (a stdlib lagged-Fibonacci source would cost ~5 KB each,
+// ~150 MB at 10,240 nodes).
 type countingSource struct {
 	seed  int64
 	state uint64
@@ -49,69 +49,56 @@ func (c *countingSource) Seed(seed int64) {
 	c.draws = 0
 }
 
-// rewind repositions the stream at exactly `draws` draws from its seed.
-func (c *countingSource) rewind(draws uint64) {
-	c.state = uint64(c.seed) + splitmixGamma*draws
-	c.draws = draws
+// copyInto makes dst an independent copy of s, reusing dst's heap and arena
+// storage when large enough. Entries are value types; the fn pointers inside
+// the copied slots are the closures queued at checkpoint time, which
+// restore-in-place keeps valid (see package snapshot).
+func (s *queueState) copyInto(dst *queueState) {
+	heap, slots := dst.heap, dst.slots
+	*dst = *s
+	dst.heap = append(heap[:0], s.heap...)
+	dst.slots = append(slots[:0], s.slots...)
 }
 
-// tickerState is one registered ticker's mutable state. The Ticker object
-// itself is identity-preserved: its bound fire closure sits in snapshotted
-// event slots, so Restore writes these fields back through the original
-// pointer instead of replacing it.
-type tickerState struct {
-	interval time.Duration
-	timer    Timer
-	stopped  bool
+func (s *schedState) clone() schedState {
+	c := *s
+	c.laneSeq = slices.Clone(s.laneSeq)
+	c.sources = slices.Clone(s.sources)
+	c.tickers = slices.Clone(s.tickers)
+	return c
 }
 
-// schedState is the Scheduler's checkpoint. Everything is copied by value;
-// the fn pointers inside the copied slots are the closures queued at
-// checkpoint time, which restore-in-place keeps valid (see package
-// snapshot). Checkpoints capture the sequential kernel only (one queue);
-// the forking API falls back to sequential mode before snapshotting.
-type schedState struct {
-	now     time.Duration
-	heap    []heapEntry
-	slots   []eventSlot
-	free    int32
-	fired   uint64
-	subSeq  uint32
-	laneSeq []uint64
-	halted  bool
-	// Registry prefixes: lengths at checkpoint time plus per-entry state.
-	// Entries created after the checkpoint belong to objects the restore
-	// abandons, so truncation is exact.
-	sources []uint64
+// schedCheck is the Scheduler's checkpoint: its own state, the root queue's,
+// and the contents behind the two registries (parallel to them). Entries
+// registered after the checkpoint belong to objects the restore abandons, so
+// restoring the registry slices truncates exactly. Checkpoints capture the
+// sequential kernel only (one queue); the forking API falls back to
+// sequential mode before snapshotting.
+type schedCheck struct {
+	schedState
+	queue   queueState
+	sources []countingSource
 	tickers []tickerState
 }
 
 // Snapshot captures the scheduler: clock, event queue, slot arena, key
-// counters and the RNG/ticker registries. The heap and arena are copied
-// entry-by-entry (value types), so a checkpoint of a steady-state experiment
-// costs a few slice copies plus two small registry walks.
+// counters and the RNG/ticker registries. A checkpoint of a steady-state
+// experiment costs a few slice copies plus two small registry walks.
 func (s *Scheduler) Snapshot() snapshot.State {
 	if s.par != nil {
 		panic("sim: Snapshot requires the sequential kernel (see DisableParallel)")
 	}
-	q := s.qs[0]
-	st := &schedState{
-		now:     q.now,
-		heap:    append([]heapEntry(nil), q.heap...),
-		slots:   append([]eventSlot(nil), q.slots...),
-		free:    q.free,
-		fired:   q.fired,
-		subSeq:  q.subSeq,
-		laneSeq: append([]uint64(nil), s.laneSeq...),
-		halted:  s.halted,
-		sources: make([]uint64, len(s.sources)),
-		tickers: make([]tickerState, len(s.tickers)),
+	st := &schedCheck{
+		schedState: s.schedState.clone(),
+		sources:    make([]countingSource, len(s.sources)),
+		tickers:    make([]tickerState, len(s.tickers)),
 	}
+	s.qs[0].queueState.copyInto(&st.queue)
 	for i, src := range s.sources {
-		st.sources[i] = src.draws
+		st.sources[i] = *src
 	}
 	for i, t := range s.tickers {
-		st.tickers[i] = tickerState{interval: t.interval, timer: t.timer, stopped: t.stopped}
+		st.tickers[i] = t.tickerState
 	}
 	return st
 }
@@ -121,33 +108,19 @@ func (s *Scheduler) Snapshot() snapshot.State {
 // checkpoint are dropped), every registered RNG stream is repositioned at
 // its checkpoint draw count, and tickers recover their checkpoint timers.
 func (s *Scheduler) Restore(state snapshot.State) {
-	st, ok := state.(*schedState)
+	st, ok := state.(*schedCheck)
 	if !ok {
 		panic("sim: Scheduler.Restore on foreign state")
 	}
 	if s.par != nil {
 		panic("sim: Restore requires the sequential kernel")
 	}
-	q := s.qs[0]
-	q.now = st.now
-	q.heap = append(q.heap[:0], st.heap...)
-	q.slots = append(q.slots[:0], st.slots...)
-	q.free = st.free
-	q.fired = st.fired
-	q.subSeq = st.subSeq
-	s.laneSeq = append(s.laneSeq[:0], st.laneSeq...)
-	s.halted = st.halted
-	if len(st.sources) > len(s.sources) || len(st.tickers) > len(s.tickers) {
-		panic("sim: Scheduler.Restore state from a different scheduler history")
-	}
-	s.sources = s.sources[:len(st.sources)]
+	s.schedState = st.schedState.clone()
+	st.queue.copyInto(&s.qs[0].queueState)
 	for i, src := range s.sources {
-		src.rewind(st.sources[i])
+		*src = st.sources[i]
 	}
-	s.tickers = s.tickers[:len(st.tickers)]
 	for i, t := range s.tickers {
-		t.interval = st.tickers[i].interval
-		t.timer = st.tickers[i].timer
-		t.stopped = st.tickers[i].stopped
+		t.tickerState = st.tickers[i]
 	}
 }

@@ -6,11 +6,18 @@ import "time"
 // until stopped. Unlike time.Ticker there is no channel: the callback runs
 // inline in the event loop.
 type Ticker struct {
-	sched    *Scheduler
-	lane     int32
+	sched *Scheduler
+	lane  int32
+	fn    func()
+	fire  func() // bound once so re-arming allocates no new closure
+	tickerState
+}
+
+// tickerState is a ticker's mutable state. The Ticker object itself is
+// identity-preserved: its bound fire closure sits in checkpointed event
+// slots, so the scheduler's Restore writes this back through the pointer.
+type tickerState struct {
 	interval time.Duration
-	fn       func()
-	fire     func() // bound once so re-arming allocates no new closure
 	timer    Timer
 	stopped  bool
 }
@@ -29,7 +36,7 @@ func NewLaneTicker(sched *Scheduler, lane int32, interval time.Duration, fn func
 	if interval <= 0 {
 		panic("sim: ticker interval must be positive")
 	}
-	t := &Ticker{sched: sched, lane: lane, interval: interval, fn: fn}
+	t := &Ticker{sched: sched, lane: lane, fn: fn, tickerState: tickerState{interval: interval}}
 	t.fire = func() {
 		if t.stopped {
 			return

@@ -73,7 +73,13 @@ func makePair(x, y NodeID) pairKey {
 }
 
 type pairState struct {
-	key         pairKey
+	key pairKey
+	connState
+}
+
+// connState is one managed connection pair's mutable state; the pairState
+// object is identity-preserved (retry/ack closures capture it).
+type connState struct {
 	established bool
 	lastRecvA   time.Duration // last time key.a received traffic from key.b
 	lastRecvB   time.Duration
@@ -84,12 +90,17 @@ type pairState struct {
 }
 
 type connManager struct {
-	net     *Network
-	params  ConnParams
-	peers   map[NodeID]bool
-	pairs   map[pairKey]*pairState
-	order   []pairKey // deterministic iteration order; pings sample the shared RNG, so map order would desync runs
-	ticker  *sim.Ticker
+	net    *Network
+	params ConnParams
+	peers  map[NodeID]bool
+	pairs  map[pairKey]*pairState
+	order  []pairKey // deterministic iteration order; pings sample the shared RNG, so map order would desync runs
+	ticker *sim.Ticker
+	connCounts
+}
+
+// connCounts is the connection manager's own mutable state.
+type connCounts struct {
 	downs   uint64 // teardown count, for tests
 	reconns uint64 // successful re-establishments, for tests
 }
@@ -114,7 +125,7 @@ func (n *Network) ManageConns(peers []NodeID, params ConnParams) {
 	for i, a := range peers {
 		for _, b := range peers[i+1:] {
 			k := makePair(a, b)
-			cm.pairs[k] = &pairState{key: k, established: true, lastRecvA: now, lastRecvB: now}
+			cm.pairs[k] = &pairState{key: k, connState: connState{established: true, lastRecvA: now, lastRecvB: now}}
 			cm.order = append(cm.order, k)
 		}
 	}

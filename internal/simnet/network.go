@@ -155,19 +155,43 @@ type Network struct {
 	ids []NodeID
 	//stabl:nodet snapshot-fields -- derived from ids; re-established lazily by StartAll
 	idsSorted bool
-	rules     map[int]partitionRule
-	ruleSeq   int
-	// blockedPairs counts, per unordered node pair, how many active rules
-	// separate the pair; maintained by Partition/Heal so the per-message
-	// Blocked check is a single map probe (skipped entirely when empty).
-	blockedPairs map[pairKey]int
-	conns        *connManager
+	conns     *connManager
 	// statsh shards the counters by executing queue so concurrent
 	// partitions never write the same word; Stats() sums the shards.
 	// Sequential mode holds exactly one shard.
 	statsh []Stats
 	//stabl:nodet snapshot-fields -- identity-preserved attachment set before Start, not simulated state
 	tracer Tracer
+	// lookahead, when positive, overrides the latency model's global lower
+	// bound (see SetLookahead). It must never exceed the true minimum delay
+	// of any pair that can actually exchange a message.
+	//stabl:nodet snapshot-fields -- configuration set before Start; core.Fork disables parallel mode anyway
+	lookahead time.Duration
+	// pools[qi] pools delivery events per queue so a message in steady
+	// state schedules no new closure, and so concurrent partitions never
+	// share a free list. Sequential mode uses pools[0] only.
+	pools []dpool
+	// flights[qi] pools broadcast flights the same way (see flight).
+	flights []fpool
+	// outbox[qi] buffers cross-partition sends made by queue qi inside a
+	// lookahead window; a barrier hook injects them (keys were already
+	// assigned at send time, so injection order is irrelevant).
+	//stabl:nodet snapshot-fields -- parallel-mode only; drained at every barrier and cleared by DisableParallel before any fork
+	outbox []outbox
+	virtMu sync.RWMutex
+	netState
+}
+
+// netState is what the Network itself mutates after Start (endpoints, pooled
+// events and connection pairs carry their own states), and that part of its
+// checkpoint.
+type netState struct {
+	rules   map[int]partitionRule // rule pair lists are immutable after Partition
+	ruleSeq int
+	// blockedPairs counts, per unordered node pair, how many active rules
+	// separate the pair; maintained by Partition/Heal so the per-message
+	// Blocked check is a single map probe (skipped entirely when empty).
+	blockedPairs map[pairKey]int
 	// extraDelay models netem-style per-interface latency injection:
 	// every message entering or leaving the node is delayed. Dense by
 	// NodeID; extraDelayed counts non-zero entries so the common case
@@ -187,33 +211,19 @@ type Network struct {
 	lossyIfaces  int
 	jitterBound  []time.Duration
 	jitterIfaces int
-	// lookahead, when positive, overrides the latency model's global lower
-	// bound (see SetLookahead). It must never exceed the true minimum delay
-	// of any pair that can actually exchange a message.
-	//stabl:nodet snapshot-fields -- configuration set before Start; core.Fork disables parallel mode anyway
-	lookahead time.Duration
-	// pools[qi] pools delivery events per queue so a message in steady
-	// state schedules no new closure, and so concurrent partitions never
-	// share a free list. Sequential mode uses pools[0] only.
-	pools []dpool
-	// flights[qi] pools broadcast flights the same way (see flight).
-	flights []fpool
-	// outbox[qi] buffers cross-partition sends made by queue qi inside a
-	// lookahead window; a barrier hook injects them (keys were already
-	// assigned at send time, so injection order is irrelevant).
-	//stabl:nodet snapshot-fields -- parallel-mode only; drained at every barrier and cleared by DisableParallel before any fork
-	outbox []outbox
 	// virt lazily holds degradation streams for virtual sender ids (see
 	// Context.SendAs): a flow node submitting on behalf of the classic
 	// client it aggregates draws latency/loss/jitter from the member's own
 	// streams — the same names the per-client layout registers — so the
 	// aggregated trajectory is byte-identical to the individual one.
 	// Created on first use: a million modeled clients that never tick cost
-	// nothing. virtMu guards the map (flow nodes in different partitions may
-	// fault streams in concurrently); each virtual id is consumed by exactly
-	// one flow node, so the streams themselves stay single-threaded.
-	virt   map[NodeID]*virtStreams
-	virtMu sync.RWMutex
+	// nothing. Network.virtMu guards the map (flow nodes in different
+	// partitions may fault streams in concurrently); each virtual id is
+	// consumed by exactly one flow node, so the streams themselves stay
+	// single-threaded. A checkpoint keeps which streams existed: the ones
+	// created after it drop out of the scheduler's registry on Restore, and
+	// replayed sends re-derive identical fresh streams on first use.
+	virt map[NodeID]*virtStreams
 }
 
 // virtStreams are the sender-side degradation streams of a virtual node id.
@@ -258,13 +268,11 @@ type outMsg struct {
 }
 
 type endpoint struct {
-	id          NodeID
-	handler     Handler
-	up          bool
-	connPeer    bool  // participates in the managed connection layer
-	qi          int32 // owning partition queue (0 = root; see EnableParallel)
-	incarnation uint64
-	ctx         *Context
+	id      NodeID
+	handler Handler
+	qi      int32 // owning partition queue (0 = root; see EnableParallel)
+	ctx     *Context
+	epState
 	// Sender-owned degradation streams: every delay, loss and jitter draw
 	// for a message is made by its sender, from streams only the sender's
 	// execution context touches. Derived per node so draw order — and with
@@ -272,6 +280,15 @@ type endpoint struct {
 	lat  *rand.Rand
 	loss *rand.Rand
 	jit  *rand.Rand
+}
+
+// epState is an endpoint's mutable state. The endpoint object (and its
+// Context) is identity-preserved: queued delivery and timer closures hold
+// the pointer, so Restore writes through it.
+type epState struct {
+	up          bool
+	connPeer    bool // participates in the managed connection layer
+	incarnation uint64
 }
 
 // partitionRule remembers the cross pairs it contributed to blockedPairs so
@@ -287,13 +304,15 @@ func New(sched *sim.Scheduler, cfg Config) *Network {
 		lat = UniformLatency{Min: 5 * time.Millisecond, Max: 25 * time.Millisecond}
 	}
 	return &Network{
-		sched:        sched,
-		latency:      lat,
-		rules:        make(map[int]partitionRule),
-		blockedPairs: make(map[pairKey]int),
-		statsh:       make([]Stats, 1),
-		pools:        make([]dpool, 1),
-		flights:      []fpool{{stage: make([]*flight, 1)}},
+		sched:   sched,
+		latency: lat,
+		statsh:  make([]Stats, 1),
+		pools:   make([]dpool, 1),
+		flights: []fpool{{stage: make([]*flight, 1)}},
+		netState: netState{
+			rules:        make(map[int]partitionRule),
+			blockedPairs: make(map[pairKey]int),
+		},
 	}
 }
 
@@ -680,14 +699,20 @@ func (n *Network) Blocked(from, to NodeID) bool {
 // state send path allocates nothing. Each delivery belongs to the pool of
 // the queue it executes on.
 type delivery struct {
-	n       *Network
+	n   *Network
+	qi  int32 // owning pool == executing queue
+	run func()
+	deliveryState
+}
+
+// deliveryState is what a send writes into a pooled delivery; dst and next
+// point into the identity-preserved endpoint table and delivery registry.
+type deliveryState struct {
 	dst     *endpoint
 	from    NodeID
 	payload any
 	inc     uint64
-	control bool  // connection-layer traffic (bypasses the app handler)
-	qi      int32 // owning pool == executing queue
-	run     func()
+	control bool      // connection-layer traffic (bypasses the app handler)
 	next    *delivery // pool free list
 }
 
@@ -753,15 +778,21 @@ func (n *Network) arrive(dst *endpoint, from NodeID, payload any, inc uint64, qi
 // exactly the position its own queued event would have had while the queue
 // holds one entry per broadcast instead of one per destination.
 type flight struct {
-	n       *Network
+	n   *Network
+	qi  int32 // owning pool == executing queue
+	run func()
+	flightState
+}
+
+// flightState is what a broadcast writes into a pooled flight; next points
+// into the identity-preserved flight registry.
+type flightState struct {
 	from    NodeID
 	payload any
 	base    uint64       // lane sequence number of seqOff 0
 	dests   []flightDest // sorted by (at, seqOff); pointer-free
 	cur     int          // next destination to deliver
-	qi      int32        // owning pool == executing queue
-	run     func()
-	next    *flight // pool free list
+	next    *flight      // pool free list
 }
 
 // flightDest is one destination of a flight: arrival instant, offset of its

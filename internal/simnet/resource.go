@@ -11,6 +11,9 @@ import "time"
 // units. Reservations may drive the bucket balance negative, which pushes
 // the ready time of subsequent reservations further into the future —
 // exactly the queueing behaviour of Avalanche's cpuThrottler.
+//
+// A bucket is a plain value: owners checkpoint it by copying *b and restore
+// by assigning the copy back through the pointer (see package snapshot).
 type TokenBucket struct {
 	rate     float64 // units per virtual second
 	burst    float64
@@ -71,22 +74,4 @@ func (b *TokenBucket) Backlog(now time.Duration) time.Duration {
 func (b *TokenBucket) Available(now time.Duration) float64 {
 	b.refill(now)
 	return b.balance
-}
-
-// BucketState is a TokenBucket checkpoint (see package snapshot); owners
-// embed it in their own snapshot states.
-type BucketState struct {
-	balance  float64
-	lastFill time.Duration
-}
-
-// SnapshotState captures the bucket's mutable state.
-func (b *TokenBucket) SnapshotState() BucketState {
-	return BucketState{balance: b.balance, lastFill: b.lastFill}
-}
-
-// RestoreState rewinds the bucket to a captured state.
-func (b *TokenBucket) RestoreState(st BucketState) {
-	b.balance = st.balance
-	b.lastFill = st.lastFill
 }

@@ -1,81 +1,46 @@
 package simnet
 
 import (
-	"sort"
-	"time"
+	"maps"
+	"slices"
 
-	"stabl/internal/sim"
 	"stabl/internal/snapshot"
 )
 
-// epState is one endpoint's mutable state. The endpoint object (and its
-// Context) is identity-preserved: queued delivery and timer closures hold
-// the pointer, so Restore writes through it.
-type epState struct {
-	up          bool
-	connPeer    bool
-	incarnation uint64
+func (s *netState) clone() netState {
+	c := *s
+	c.rules = maps.Clone(s.rules)
+	c.blockedPairs = maps.Clone(s.blockedPairs)
+	c.extraDelay = slices.Clone(s.extraDelay)
+	c.lossRate = slices.Clone(s.lossRate)
+	c.jitterBound = slices.Clone(s.jitterBound)
+	c.virt = maps.Clone(s.virt)
+	return c
 }
 
-// deliveryState rewinds one pooled delivery. dst and next are pointers into
-// the identity-preserved endpoint table and delivery registry.
-type deliveryState struct {
-	dst     *endpoint
-	from    NodeID
-	payload any
-	inc     uint64
-	control bool
-	next    *delivery
+// copyInto copies the destinations still to be delivered (a free flight has
+// none) into dst, reusing dst's array.
+func (s *flightState) copyInto(dst *flightState) {
+	dests := dst.dests
+	*dst = *s
+	dst.dests = append(dests[:0], s.dests[s.cur:]...)
+	dst.cur = 0
 }
 
-// flightState rewinds one pooled flight. Only the destinations still to be
-// delivered are kept (a free flight has none); next points into the
-// identity-preserved flight registry.
-type flightState struct {
-	from    NodeID
-	payload any
-	base    uint64
-	rest    []flightDest
-	next    *flight
-}
-
-// pairConnState is one managed connection pair's state; the pairState object
-// is identity-preserved (retry/ack closures capture it).
-type pairConnState struct {
-	established bool
-	lastRecvA   time.Duration
-	lastRecvB   time.Duration
-	attempt     int
-	epoch       uint64
-	retryTimer  sim.Timer
-	ackTimer    sim.Timer
-}
-
-type netState struct {
+// netCheck is the Network's checkpoint: its own state plus the contents
+// behind every identity-preserved object — endpoints (parallel to nodes),
+// pooled deliveries and flights (parallel to the registries, whose lengths
+// they record), and connection pairs (in cm.order order).
+type netCheck struct {
+	netState
 	stats        Stats
-	rules        map[int]partitionRule
-	ruleSeq      int
-	blockedPairs map[pairKey]int
 	eps          []epState
-	extraDelay   []time.Duration
-	extraDelayed int
-	lossRate     []float64
-	lossyIfaces  int
-	jitterBound  []time.Duration
-	jitterIfaces int
 	deliveries   []deliveryState
-	freeHead     *delivery
+	freeDelivery *delivery
 	flights      []flightState
 	freeFlight   *flight
-	// virtIDs records which virtual sender streams existed at the
-	// checkpoint (sorted). Streams created after it are truncated out of
-	// the scheduler's registry by its Restore, so the network must drop its
-	// map entries for them too — re-execution re-derives them fresh.
-	virtIDs []NodeID
-	// Connection layer (nil when unmanaged).
-	pairs   []pairConnState // in cm.order order
-	downs   uint64
-	reconns uint64
+	pairs        []connState
+	conns        connCounts
 }
 
 // Snapshot captures the network: endpoint liveness and incarnations,
@@ -90,62 +55,32 @@ func (n *Network) Snapshot() snapshot.State {
 	if len(n.pools) > 1 {
 		panic("simnet: Snapshot requires the sequential network (see DisableParallel)")
 	}
-	st := &netState{
+	dp, fp := &n.pools[0], &n.flights[0]
+	st := &netCheck{
+		netState:     n.netState.clone(),
 		stats:        n.statsh[0],
-		rules:        make(map[int]partitionRule, len(n.rules)),
-		ruleSeq:      n.ruleSeq,
-		blockedPairs: make(map[pairKey]int, len(n.blockedPairs)),
 		eps:          make([]epState, len(n.nodes)),
-		extraDelay:   append([]time.Duration(nil), n.extraDelay...),
-		extraDelayed: n.extraDelayed,
-		lossRate:     append([]float64(nil), n.lossRate...),
-		lossyIfaces:  n.lossyIfaces,
-		jitterBound:  append([]time.Duration(nil), n.jitterBound...),
-		jitterIfaces: n.jitterIfaces,
-		deliveries:   make([]deliveryState, len(n.pools[0].all)),
-		freeHead:     n.pools[0].free,
-		flights:      make([]flightState, len(n.flights[0].all)),
-		freeFlight:   n.flights[0].free,
-	}
-	for id, r := range n.rules {
-		st.rules[id] = r // rule pair lists are immutable after Partition
-	}
-	for k, c := range n.blockedPairs {
-		st.blockedPairs[k] = c
+		deliveries:   make([]deliveryState, len(dp.all)),
+		freeDelivery: dp.free,
+		flights:      make([]flightState, len(fp.all)),
+		freeFlight:   fp.free,
 	}
 	for i, ep := range n.nodes {
 		if ep != nil {
-			st.eps[i] = epState{up: ep.up, connPeer: ep.connPeer, incarnation: ep.incarnation}
+			st.eps[i] = ep.epState
 		}
 	}
-	for i, d := range n.pools[0].all {
-		st.deliveries[i] = deliveryState{
-			dst: d.dst, from: d.from, payload: d.payload,
-			inc: d.inc, control: d.control, next: d.next,
-		}
+	for i, d := range dp.all {
+		st.deliveries[i] = d.deliveryState
 	}
-	for i, f := range n.flights[0].all {
-		st.flights[i] = flightState{
-			from: f.from, payload: f.payload, base: f.base,
-			rest: append([]flightDest(nil), f.dests[f.cur:]...), next: f.next,
-		}
+	for i, f := range fp.all {
+		f.flightState.copyInto(&st.flights[i])
 	}
-	for id := range n.virt {
-		st.virtIDs = append(st.virtIDs, id)
-	}
-	sort.Slice(st.virtIDs, func(i, j int) bool { return st.virtIDs[i] < st.virtIDs[j] })
 	if cm := n.conns; cm != nil {
-		st.downs = cm.downs
-		st.reconns = cm.reconns
-		st.pairs = make([]pairConnState, len(cm.order))
+		st.conns = cm.connCounts
+		st.pairs = make([]connState, len(cm.order))
 		for i, k := range cm.order {
-			p := cm.pairs[k]
-			st.pairs[i] = pairConnState{
-				established: p.established,
-				lastRecvA:   p.lastRecvA, lastRecvB: p.lastRecvB,
-				attempt: p.attempt, epoch: p.epoch,
-				retryTimer: p.retryTimer, ackTimer: p.ackTimer,
-			}
+			st.pairs[i] = cm.pairs[k].connState
 		}
 	}
 	return st
@@ -156,96 +91,36 @@ func (n *Network) Snapshot() snapshot.State {
 // only closures restored with the scheduler heap can reference them, and
 // those predate the checkpoint too.
 func (n *Network) Restore(state snapshot.State) {
-	st, ok := state.(*netState)
+	st, ok := state.(*netCheck)
 	if !ok {
 		panic("simnet: Network.Restore on foreign state")
 	}
 	if len(n.pools) > 1 {
 		panic("simnet: Restore requires the sequential network")
 	}
+	dp, fp := &n.pools[0], &n.flights[0]
+	if len(st.eps) != len(n.nodes) || len(st.deliveries) > len(dp.all) || len(st.flights) > len(fp.all) {
+		panic("simnet: Network.Restore state from a different deployment or network history")
+	}
+	n.netState = st.netState.clone()
 	n.statsh[0] = st.stats
-	n.ruleSeq = st.ruleSeq
-	clear(n.rules)
-	for id, r := range st.rules {
-		n.rules[id] = r
-	}
-	clear(n.blockedPairs)
-	for k, c := range st.blockedPairs {
-		n.blockedPairs[k] = c
-	}
-	if len(st.eps) != len(n.nodes) {
-		panic("simnet: Network.Restore state from a different deployment")
-	}
 	for i, ep := range n.nodes {
 		if ep != nil {
-			ep.up = st.eps[i].up
-			ep.connPeer = st.eps[i].connPeer
-			ep.incarnation = st.eps[i].incarnation
+			ep.epState = st.eps[i]
 		}
 	}
-	n.extraDelay = append(n.extraDelay[:0], st.extraDelay...)
-	n.extraDelayed = st.extraDelayed
-	n.lossRate = append(n.lossRate[:0], st.lossRate...)
-	n.lossyIfaces = st.lossyIfaces
-	n.jitterBound = append(n.jitterBound[:0], st.jitterBound...)
-	n.jitterIfaces = st.jitterIfaces
-	p := &n.pools[0]
-	if len(st.deliveries) > len(p.all) {
-		panic("simnet: Network.Restore state from a different network history")
+	dp.all, dp.free = dp.all[:len(st.deliveries)], st.freeDelivery
+	for i, d := range dp.all {
+		d.deliveryState = st.deliveries[i]
 	}
-	p.all = p.all[:len(st.deliveries)]
-	for i, d := range p.all {
-		ds := st.deliveries[i]
-		d.dst = ds.dst
-		d.from = ds.from
-		d.payload = ds.payload
-		d.inc = ds.inc
-		d.control = ds.control
-		d.next = ds.next
-	}
-	p.free = st.freeHead
-	fp := &n.flights[0]
-	if len(st.flights) > len(fp.all) {
-		panic("simnet: Network.Restore state from a different network history")
-	}
-	fp.all = fp.all[:len(st.flights)]
+	fp.all, fp.free = fp.all[:len(st.flights)], st.freeFlight
 	for i, f := range fp.all {
-		fs := st.flights[i]
-		f.from = fs.from
-		f.payload = fs.payload
-		f.base = fs.base
-		f.dests = append(f.dests[:0], fs.rest...)
-		f.cur = 0
-		f.next = fs.next
-	}
-	fp.free = st.freeFlight
-	if len(n.virt) > len(st.virtIDs) {
-		// Virtual streams created since the checkpoint: the scheduler's
-		// Restore already truncated their sources out of its registry, so
-		// the cached rand.Rand objects are orphaned. Drop them; replayed
-		// sends re-derive identical fresh streams on first use.
-		keep := make(map[NodeID]bool, len(st.virtIDs))
-		for _, id := range st.virtIDs {
-			keep[id] = true
-		}
-		for id := range n.virt {
-			if !keep[id] {
-				delete(n.virt, id)
-			}
-		}
+		st.flights[i].copyInto(&f.flightState)
 	}
 	if cm := n.conns; cm != nil {
-		cm.downs = st.downs
-		cm.reconns = st.reconns
+		cm.connCounts = st.conns
 		for i, k := range cm.order {
-			p := cm.pairs[k]
-			p.established = st.pairs[i].established
-			p.lastRecvA = st.pairs[i].lastRecvA
-			p.lastRecvB = st.pairs[i].lastRecvB
-			p.attempt = st.pairs[i].attempt
-			p.epoch = st.pairs[i].epoch
-			p.retryTimer = st.pairs[i].retryTimer
-			p.ackTimer = st.pairs[i].ackTimer
+			cm.pairs[k].connState = st.pairs[i]
 		}
 	}
 }

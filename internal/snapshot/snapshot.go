@@ -16,29 +16,28 @@
 //
 // # State ownership rules for implementors
 //
-//   - Snapshot must deep-copy every field the component mutates after the
-//     checkpoint instant: maps, slices that are appended to or written
-//     through, counters, timers. A continuation must not be able to observe
-//     writes made by a sibling continuation.
+//   - Every field a component mutates after construction lives in one
+//     embedded, value-typed state struct (`state`, or `<role>State` where a
+//     package holds several Forkables), declared once. A checkpoint is that
+//     struct copied by assignment plus one clone (or copyInto, where the live
+//     slice's capacity is worth keeping) that names only the reference-typed
+//     fields — maps and slices that are appended to or written through — and
+//     Snapshot and Restore share it. Scalars, timers and pointers to
+//     identity-preserved objects travel with the assignment; immutable
+//     payloads (transactions, blocks, proposal messages) stay shared. A
+//     counter kept in a local captured by a scheduled closure breaks the
+//     rule invisibly; the snapshot-fields analyzer reports a mutated field
+//     declared beside the state.
 //   - Objects captured by scheduled closures (round states, protocol
-//     instances, connection pair states, pooled deliveries, tickers) must be
-//     restored *into the same pointer* — snapshot stores (pointer, copied
-//     contents) pairs and restore writes the contents back through the
-//     pointer. Replacing such an object with a fresh copy would strand the
-//     queued closures on the stale one.
-//   - Immutable data may be shared freely: transaction payloads, block
-//     contents, config structs, and any slice the component only reads are
-//     the same in every continuation by convention (see DESIGN.md
-//     "Immutability of payloads").
-//   - Function literals handed to the scheduler must not mutate captured
-//     outer locals; mutable state belongs in struct fields covered by
-//     Snapshot. A closure-local counter would silently leak one
-//     continuation's progress into the next.
-//   - Registries grow deterministically: components that allocate registered
-//     objects (RNG streams, tickers, pooled deliveries) snapshot the
-//     registry length and truncate on restore, so a continuation recreates
-//     exactly the objects the replay it mirrors would.
+//     instances, connection pairs, pooled deliveries and flights, tickers)
+//     restore *through the same pointer*: the checkpoint holds (pointer,
+//     copy of the pointee's state) and Restore writes the copy back through
+//     the pointer. Replacing such an object would strand the queued closures
+//     on the stale one. Registries of them (RNG streams, tickers, pools) grow
+//     deterministically, so Restore truncates to the checkpoint length.
 package snapshot
+
+import "maps"
 
 // State is one component's opaque checkpoint. Each Forkable returns its own
 // private state type; callers only carry it back to the same component's
@@ -96,4 +95,17 @@ func (s *Set) Restore(st State) {
 	for i, p := range s.parts {
 		p.Restore(states[i])
 	}
+}
+
+// CloneNested copies a map of maps two levels deep, the shape of the chain
+// models' per-round vote books. Inner values are copied by assignment.
+func CloneNested[K, L comparable, V any](m map[K]map[L]V) map[K]map[L]V {
+	if m == nil {
+		return nil
+	}
+	out := make(map[K]map[L]V, len(m))
+	for k, inner := range m {
+		out[k] = maps.Clone(inner)
+	}
+	return out
 }

@@ -1,98 +1,41 @@
 package solana
 
 import (
-	"time"
+	"maps"
 
 	"stabl/internal/chain"
-	"stabl/internal/sim"
-	"stabl/internal/simnet"
 	"stabl/internal/snapshot"
 )
 
-// validatorState is a Solana validator checkpoint. Frozen bank messages are
-// immutable once buffered and are shared by pointer.
-type validatorState struct {
-	base           chain.BaseState
-	ctx            *simnet.Context
-	ticker         *sim.Ticker
-	retry          *sim.Ticker
-	blocks         map[int]*blockMsg
-	eahByEpoch     map[int]chain.Hash
-	votes          map[int]map[simnet.NodeID]bool
-	rooted         map[int]bool
-	lastRootedSlot int
-	panicked       bool
-	panickedAt     time.Duration
+var _ snapshot.Forkable = (*validator)(nil)
+
+// checkpoint pairs the BaseNode core's checkpoint with the validator's own.
+type checkpoint struct {
+	base chain.BaseState
+	state
 }
 
-var _ snapshot.Forkable = (*validator)(nil)
+func (s *state) clone() state {
+	c := *s
+	c.blocks = maps.Clone(s.blocks)
+	c.eahByEpoch = maps.Clone(s.eahByEpoch)
+	c.votes = snapshot.CloneNested(s.votes)
+	c.rooted = maps.Clone(s.rooted)
+	return c
+}
 
 // Snapshot captures the validator: its BaseNode core, per-slot banks and
 // votes, the EAH ledger and the panic latch.
 func (v *validator) Snapshot() snapshot.State {
-	st := &validatorState{
-		base:           v.base.SnapshotBase(),
-		ctx:            v.ctx,
-		ticker:         v.ticker,
-		retry:          v.retry,
-		blocks:         make(map[int]*blockMsg, len(v.blocks)),
-		eahByEpoch:     make(map[int]chain.Hash, len(v.eahByEpoch)),
-		votes:          make(map[int]map[simnet.NodeID]bool, len(v.votes)),
-		rooted:         make(map[int]bool, len(v.rooted)),
-		lastRootedSlot: v.lastRootedSlot,
-		panicked:       v.panicked,
-		panickedAt:     v.panickedAt,
-	}
-	for s, b := range v.blocks {
-		st.blocks[s] = b
-	}
-	for e, h := range v.eahByEpoch {
-		st.eahByEpoch[e] = h
-	}
-	for s, voters := range v.votes {
-		m := make(map[simnet.NodeID]bool, len(voters))
-		for id := range voters {
-			m[id] = true
-		}
-		st.votes[s] = m
-	}
-	for s, r := range v.rooted {
-		st.rooted[s] = r
-	}
-	return st
+	return &checkpoint{base: v.base.SnapshotBase(), state: v.state.clone()}
 }
 
 // Restore rewinds the validator to a state captured by Snapshot.
-func (v *validator) Restore(state snapshot.State) {
-	st, ok := state.(*validatorState)
+func (v *validator) Restore(st snapshot.State) {
+	cp, ok := st.(*checkpoint)
 	if !ok {
 		panic("solana: validator.Restore on foreign state")
 	}
-	v.base.RestoreBase(st.base)
-	v.ctx = st.ctx
-	v.ticker = st.ticker
-	v.retry = st.retry
-	v.lastRootedSlot = st.lastRootedSlot
-	v.panicked = st.panicked
-	v.panickedAt = st.panickedAt
-	v.blocks = make(map[int]*blockMsg, len(st.blocks))
-	for s, b := range st.blocks {
-		v.blocks[s] = b
-	}
-	v.eahByEpoch = make(map[int]chain.Hash, len(st.eahByEpoch))
-	for e, h := range st.eahByEpoch {
-		v.eahByEpoch[e] = h
-	}
-	v.votes = make(map[int]map[simnet.NodeID]bool, len(st.votes))
-	for s, voters := range st.votes {
-		m := make(map[simnet.NodeID]bool, len(voters))
-		for id := range voters {
-			m[id] = true
-		}
-		v.votes[s] = m
-	}
-	v.rooted = make(map[int]bool, len(st.rooted))
-	for s, r := range st.rooted {
-		v.rooted[s] = r
-	}
+	v.base.RestoreBase(cp.base)
+	v.state = cp.state.clone()
 }

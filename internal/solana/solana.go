@@ -165,7 +165,12 @@ type validator struct {
 	n      int
 	t      int
 	quorum int
+	state
+}
 
+// state is what a validator mutates after construction, and its checkpoint.
+// Frozen bank messages are immutable once buffered.
+type state struct {
 	ctx    *simnet.Context
 	ticker *sim.Ticker
 	retry  *sim.Ticker

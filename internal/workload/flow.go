@@ -32,9 +32,16 @@ type Flow struct {
 	acctBase   chain.Address
 	accts      int // folded account count owned by this flow
 	recipients int // recipient universe: addresses [0, recipients)
-	nonces     []uint64
-	seq        uint64
 	rng        *rand.Rand
+	flowState
+}
+
+// flowState is what a Flow mutates after construction, and its checkpoint:
+// the folded nonce slice and the sequence counter. As with Generator, the
+// RNG stream position lives in the scheduler.
+type flowState struct {
+	nonces []uint64
+	seq    uint64
 }
 
 // NewFlow builds a flow modeling `clients` clients, namespaced from global
@@ -63,8 +70,8 @@ func NewFlow(start uint32, clients, perClient int, acctBase chain.Address, accts
 		acctBase:   acctBase,
 		accts:      accts,
 		recipients: recipients,
-		nonces:     make([]uint64, accts),
 		rng:        rng,
+		flowState:  flowState{nonces: make([]uint64, accts)},
 	}, nil
 }
 

@@ -1,31 +1,25 @@
 package workload
 
 import (
-	"stabl/internal/chain"
+	"maps"
+	"slices"
+
 	"stabl/internal/snapshot"
 )
 
-// genState is a Generator checkpoint. The RNG stream position lives in the
-// scheduler (the *rand.Rand handed to NewGenerator is registered there), so
-// only the nonce chains and the sequence counter are captured here.
-type genState struct {
-	nonces map[chain.Address]uint64
-	seq    uint32
-}
+var (
+	_ snapshot.Forkable = (*Generator)(nil)
+	_ snapshot.Forkable = (*Flow)(nil)
+)
 
-var _ snapshot.Forkable = (*Generator)(nil)
+func (s *genState) clone() *genState {
+	c := *s
+	c.nonces = maps.Clone(s.nonces)
+	return &c
+}
 
 // Snapshot captures the generator's nonce chains and sequence counter.
-func (g *Generator) Snapshot() snapshot.State {
-	st := &genState{
-		nonces: make(map[chain.Address]uint64, len(g.nonces)),
-		seq:    g.seq,
-	}
-	for a, n := range g.nonces {
-		st.nonces[a] = n
-	}
-	return st
-}
+func (g *Generator) Snapshot() snapshot.State { return g.genState.clone() }
 
 // Restore rewinds the generator to a state captured by Snapshot.
 func (g *Generator) Restore(state snapshot.State) {
@@ -33,30 +27,17 @@ func (g *Generator) Restore(state snapshot.State) {
 	if !ok {
 		panic("workload: Generator.Restore on foreign state")
 	}
-	g.nonces = make(map[chain.Address]uint64, len(st.nonces))
-	for a, n := range st.nonces {
-		g.nonces[a] = n
-	}
-	g.seq = st.seq
+	g.genState = *st.clone()
 }
 
-// flowState is a Flow checkpoint: the folded nonce slice and the sequence
-// counter. As with Generator, the RNG stream position lives in the
-// scheduler, not here.
-type flowState struct {
-	nonces []uint64
-	seq    uint64
+func (s *flowState) clone() *flowState {
+	c := *s
+	c.nonces = slices.Clone(s.nonces)
+	return &c
 }
-
-var _ snapshot.Forkable = (*Flow)(nil)
 
 // Snapshot captures the flow's nonce slice and sequence counter.
-func (f *Flow) Snapshot() snapshot.State {
-	return &flowState{
-		nonces: append([]uint64(nil), f.nonces...),
-		seq:    f.seq,
-	}
-}
+func (f *Flow) Snapshot() snapshot.State { return f.flowState.clone() }
 
 // Restore rewinds the flow to a state captured by Snapshot.
 func (f *Flow) Restore(state snapshot.State) {
@@ -64,6 +45,5 @@ func (f *Flow) Restore(state snapshot.State) {
 	if !ok {
 		panic("workload: Flow.Restore on foreign state")
 	}
-	f.nonces = append(f.nonces[:0], st.nonces...)
-	f.seq = st.seq
+	f.flowState = *st.clone()
 }

@@ -17,9 +17,16 @@ type Generator struct {
 	client     uint32
 	accounts   []chain.Address
 	recipients []chain.Address
-	nonces     map[chain.Address]uint64
-	seq        uint32
 	rng        *rand.Rand
+	genState
+}
+
+// genState is what a Generator mutates after construction, and its
+// checkpoint. The RNG stream position lives in the scheduler (the *rand.Rand
+// handed to NewGenerator is registered there).
+type genState struct {
+	nonces map[chain.Address]uint64
+	seq    uint32
 }
 
 // NewGenerator creates a generator for the given client index. accounts are
@@ -37,8 +44,8 @@ func NewGenerator(client uint32, accounts, recipients []chain.Address, rng *rand
 		client:     client,
 		accounts:   append([]chain.Address(nil), accounts...),
 		recipients: append([]chain.Address(nil), recipients...),
-		nonces:     make(map[chain.Address]uint64, len(accounts)),
 		rng:        rng,
+		genState:   genState{nonces: make(map[chain.Address]uint64, len(accounts))},
 	}
 }
 
