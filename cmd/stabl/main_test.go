@@ -126,6 +126,40 @@ func TestCLIRunWithMissingConfigFile(t *testing.T) {
 	}
 }
 
+// TestCLIRejectsOutOfRangeSpec: a spec whose numbers have no deployment is
+// reported INVALID by `spec -validate` and refused by `run` with an error
+// naming the field, instead of panicking in a constructor or scoring inf.
+func TestCLIRejectsOutOfRangeSpec(t *testing.T) {
+	for _, tc := range []struct{ field, body string }{
+		{"RatePerClient", `"ratePerClient": -2`},
+		{"AccountsPerClient", `"accountsPerClient": -1`},
+		{"Duration", `"durationSec": -5`},
+	} {
+		field := tc.field
+		t.Run(field, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "bad.json")
+			if err := os.WriteFile(path, []byte(`{"system": "Redbelly", `+tc.body+`}`), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var buf strings.Builder
+			if err := run([]string{"spec", "-validate", path}, &buf); err == nil {
+				t.Fatalf("spec -validate accepted it:\n%s", buf.String())
+			}
+			if !strings.Contains(buf.String(), "INVALID") || !strings.Contains(buf.String(), field) {
+				t.Fatalf("spec -validate output does not flag %s: %q", field, buf.String())
+			}
+			err := run([]string{"-config", path, "run"}, &buf)
+			if err == nil || !strings.Contains(err.Error(), field) {
+				t.Fatalf("run -config error = %v, want one naming %s", err, field)
+			}
+		})
+	}
+	var buf strings.Builder
+	if err := run([]string{"-rate", "-1", "run"}, &buf); err == nil || !strings.Contains(err.Error(), "RatePerClient") {
+		t.Fatalf("run -rate -1 error = %v, want one naming RatePerClient", err)
+	}
+}
+
 // campaignSpec is a small two-system fault-space grid that the campaign CLI
 // tests share: 2x (2 counts x 1 inject) crash cells x 2 seeds = 8+ cells.
 const campaignSpec = `{

@@ -8,11 +8,16 @@ import (
 )
 
 // TestFlowMatchesPerClientWorkload pins the flow-aggregation equivalence
-// contract: one flow modeling n clients produces the same transaction ids at
-// the same instants to the same endpoints as n individual clients, so the
-// chain-side commit stream and the client-observed latency multiset must be
-// identical. Scheduler event counts are NOT compared — one ticker replaces n
-// tickers, which is exactly the point.
+// contract: however n clients are cut into flows, the same transaction ids
+// reach the same endpoints at the same instants, so the chain-side commit
+// stream and the client-observed latency multiset must be identical.
+// Flows: 0 — the reference here — deploys n single-member flows, one node
+// per client; the seed-42 goldens, captured from the per-client load client
+// this one replaced, pin that deployment to its behaviour. The second
+// variant puts the retry scan and the secure client's t+1 fan-out on the
+// compared path, under a transient fault that leaves submissions
+// unconfirmed past RetryAfter. Scheduler event counts are NOT compared —
+// one ticker replaces n tickers, which is exactly the point.
 func TestFlowMatchesPerClientWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("flow equivalence skipped in -short mode")
@@ -26,41 +31,62 @@ func TestFlowMatchesPerClientWorkload(t *testing.T) {
 		RetryAfter:    5 * time.Second,
 		Duration:      60 * time.Second,
 	}
-	classic, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
+	secure := base
+	secure.Fanout = 4
+	secure.RetryAfter = 2 * time.Second
+	secure.Fault = FaultPlan{Kind: FaultTransient, InjectAt: 20 * time.Second, RecoverAt: 40 * time.Second}
+	for _, variant := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", base},
+		{"secure+retries+transient", secure},
+	} {
+		t.Run(variant.name, func(t *testing.T) {
+			perClient, err := Run(variant.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := sortedCopy(perClient.Latencies)
+			for _, flows := range []int{1, 2} {
+				cfg := variant.cfg
+				cfg.Flows = flows
+				flow, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if flow.Submitted != perClient.Submitted {
+					t.Errorf("flows=%d: submitted = %d, per-client %d", flows, flow.Submitted, perClient.Submitted)
+				}
+				if flow.UniqueCommits != perClient.UniqueCommits {
+					t.Errorf("flows=%d: commits = %d, per-client %d", flows, flow.UniqueCommits, perClient.UniqueCommits)
+				}
+				if flow.Pending != perClient.Pending {
+					t.Errorf("flows=%d: pending = %d, per-client %d", flows, flow.Pending, perClient.Pending)
+				}
+				if flow.LastCommitAt != perClient.LastCommitAt {
+					t.Errorf("flows=%d: last commit = %v, per-client %v", flows, flow.LastCommitAt, perClient.LastCommitAt)
+				}
+				if flow.NetStats != perClient.NetStats {
+					t.Errorf("flows=%d: network counters = %+v, per-client %+v", flows, flow.NetStats, perClient.NetStats)
+				}
+				if !reflect.DeepEqual(flow.Throughput, perClient.Throughput) {
+					t.Errorf("flows=%d: chain-side throughput series diverged", flows)
+				}
+				// Latency collection order differs (per-flow concatenation of
+				// completion-ordered lists); the multiset must match exactly.
+				if got := sortedCopy(flow.Latencies); !reflect.DeepEqual(got, want) {
+					t.Errorf("flows=%d: latency multisets diverged: %d vs %d samples", flows, len(got), len(want))
+				}
+			}
+		})
 	}
-	flowCfg := base
-	flowCfg.Flows = 1
-	flow, err := Run(flowCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	if flow.Submitted != classic.Submitted {
-		t.Errorf("submitted = %d, classic %d", flow.Submitted, classic.Submitted)
-	}
-	if flow.UniqueCommits != classic.UniqueCommits {
-		t.Errorf("commits = %d, classic %d", flow.UniqueCommits, classic.UniqueCommits)
-	}
-	if flow.Pending != classic.Pending {
-		t.Errorf("pending = %d, classic %d", flow.Pending, classic.Pending)
-	}
-	if flow.LastCommitAt != classic.LastCommitAt {
-		t.Errorf("last commit = %v, classic %v", flow.LastCommitAt, classic.LastCommitAt)
-	}
-	if !reflect.DeepEqual(flow.Throughput, classic.Throughput) {
-		t.Errorf("chain-side throughput series diverged")
-	}
-	// Latency collection order differs (per-client concatenation vs one
-	// completion-ordered list); the multiset must match exactly.
-	fl := append([]float64(nil), flow.Latencies...)
-	cl := append([]float64(nil), classic.Latencies...)
-	sort.Float64s(fl)
-	sort.Float64s(cl)
-	if !reflect.DeepEqual(fl, cl) {
-		t.Errorf("latency multisets diverged: %d vs %d samples", len(fl), len(cl))
-	}
+func sortedCopy(xs []float64) []float64 {
+	out := append([]float64(nil), xs...)
+	sort.Float64s(out)
+	return out
 }
 
 // TestFlowEquivalenceAcrossSystems repeats the equivalence check on every
@@ -81,7 +107,7 @@ func TestFlowEquivalenceAcrossSystems(t *testing.T) {
 				RatePerClient: 10,
 				Duration:      30 * time.Second,
 			}
-			classic, err := Run(base)
+			perClient, err := Run(base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,11 +117,11 @@ func TestFlowEquivalenceAcrossSystems(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if flow.Submitted != classic.Submitted || flow.UniqueCommits != classic.UniqueCommits {
-				t.Fatalf("flow run = %d submitted / %d commits, classic %d / %d",
-					flow.Submitted, flow.UniqueCommits, classic.Submitted, classic.UniqueCommits)
+			if flow.Submitted != perClient.Submitted || flow.UniqueCommits != perClient.UniqueCommits {
+				t.Fatalf("flow run = %d submitted / %d commits, per-client %d / %d",
+					flow.Submitted, flow.UniqueCommits, perClient.Submitted, perClient.UniqueCommits)
 			}
-			if !reflect.DeepEqual(flow.Throughput, classic.Throughput) {
+			if !reflect.DeepEqual(flow.Throughput, perClient.Throughput) {
 				t.Fatalf("chain-side throughput series diverged")
 			}
 		})

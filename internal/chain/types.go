@@ -14,9 +14,9 @@ import (
 
 // Address identifies an account. Addresses are indexes into each ledger's
 // account table, so they must be dense: a deployment with k accounts uses
-// exactly 0..k-1 (workload.Accounts and the flow generators hand them out
-// that way). A ledger sizes its table to the highest address it has credited,
-// so a sparse or arbitrary 32-bit address costs memory proportional to its
+// exactly 0..k-1 (core lays the flows' account ranges out contiguously from
+// zero). A ledger sizes its table to the highest address it has credited, so
+// a sparse or arbitrary 32-bit address costs memory proportional to its
 // value, not to the number of accounts.
 type Address uint32
 

@@ -1,6 +1,8 @@
 package client
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,6 +19,14 @@ type ackNode struct {
 	delay time.Duration
 	mute  bool
 	seen  map[chain.TxID]int
+	// resent lists retransmissions (a submission of an id already seen) with
+	// their arrival instants, in arrival order.
+	resent []arrival
+}
+
+type arrival struct {
+	at time.Duration
+	id chain.TxID
 }
 
 func (a *ackNode) Start(ctx *simnet.Context) { a.ctx = ctx }
@@ -29,6 +39,9 @@ func (a *ackNode) Deliver(from simnet.NodeID, payload any) {
 	if a.seen == nil {
 		a.seen = make(map[chain.TxID]int)
 	}
+	if a.seen[sub.Tx.ID] > 0 {
+		a.resent = append(a.resent, arrival{a.ctx.Now(), sub.Tx.ID})
+	}
 	a.seen[sub.Tx.ID]++
 	if a.mute {
 		return
@@ -39,7 +52,20 @@ func (a *ackNode) Deliver(from simnet.NodeID, payload any) {
 	})
 }
 
-func clientSetup(t *testing.T, cfg Config, nodes int, delay time.Duration) (*sim.Scheduler, *Client, []*ackNode) {
+// testFlow builds a k-member flow over 4 accounts per member, namespaced from
+// global client index start.
+func testFlow(t *testing.T, start, k int, sched *sim.Scheduler) *workload.Flow {
+	t.Helper()
+	fl, err := workload.NewFlow(uint32(start), k, 4, 0, 4*k, 4*k, sched.RNG("wl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fl
+}
+
+// clientSetup deploys one k-member flow client against `nodes` ack nodes, all
+// of them in its endpoint pool; cfg.Fanout defaults to 1.
+func clientSetup(t *testing.T, cfg FlowConfig, k, nodes int, delay time.Duration) (*sim.Scheduler, *FlowClient, []*ackNode) {
 	t.Helper()
 	sched := sim.New(11)
 	net := simnet.New(sched, simnet.Config{Latency: simnet.FixedLatency(5 * time.Millisecond)})
@@ -47,140 +73,293 @@ func clientSetup(t *testing.T, cfg Config, nodes int, delay time.Duration) (*sim
 	for i := range acks {
 		acks[i] = &ackNode{delay: delay}
 		net.AddNode(simnet.NodeID(i), acks[i])
+		cfg.Endpoints = append(cfg.Endpoints, simnet.NodeID(i))
 	}
-	sets := workload.Accounts(1, 4)
-	gen := workload.NewGenerator(cfg.Index, sets[0], sets[0], sched.RNG("wl"))
-	c := New(cfg, gen)
+	if cfg.Fanout == 0 {
+		cfg.Fanout = 1
+	}
+	cfg.VirtualBase = 100
+	c := NewFlow(cfg, testFlow(t, cfg.Start, k, sched))
 	net.AddNode(100, c)
 	net.StartAll()
 	return sched, c, acks
 }
 
+// forMembers runs fn for a single-member flow (the paper's one client per
+// endpoint) and for a three-member one; counts scale with k, nothing else
+// may.
+func forMembers(t *testing.T, fn func(t *testing.T, k int)) {
+	for _, k := range []int{1, 3} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { fn(t, k) })
+	}
+}
+
 func TestClientMeasuresLatency(t *testing.T) {
-	cfg := Config{Endpoints: []simnet.NodeID{0}, Rate: 10}
-	sched, c, _ := clientSetup(t, cfg, 1, 100*time.Millisecond)
-	sched.RunUntil(2 * time.Second)
-	if c.Submitted() == 0 {
-		t.Fatal("nothing submitted")
-	}
-	if len(c.Latencies()) == 0 {
-		t.Fatal("no latencies recorded")
-	}
-	// Latency = 5ms up + 100ms node delay + 5ms down = 110ms.
-	for _, lat := range c.Latencies() {
-		if lat < 0.109 || lat > 0.112 {
-			t.Fatalf("latency = %v, want ~0.110", lat)
+	forMembers(t, func(t *testing.T, k int) {
+		sched, c, _ := clientSetup(t, FlowConfig{Rate: 10}, k, 1, 100*time.Millisecond)
+		sched.RunUntil(2 * time.Second)
+		if c.Submitted() == 0 {
+			t.Fatal("nothing submitted")
 		}
-	}
+		if len(c.Latencies()) == 0 {
+			t.Fatal("no latencies recorded")
+		}
+		if len(c.CompletionTimes()) != len(c.Latencies()) {
+			t.Fatalf("%d completion times for %d latencies", len(c.CompletionTimes()), len(c.Latencies()))
+		}
+		// Latency = 5ms up + 100ms node delay + 5ms down = 110ms.
+		for _, lat := range c.Latencies() {
+			if lat < 0.109 || lat > 0.112 {
+				t.Fatalf("latency = %v, want ~0.110", lat)
+			}
+		}
+	})
 }
 
 func TestClientRateHonored(t *testing.T) {
-	cfg := Config{Endpoints: []simnet.NodeID{0}, Rate: 40}
-	sched, c, _ := clientSetup(t, cfg, 1, 10*time.Millisecond)
-	sched.RunUntil(10 * time.Second)
-	// 40 tx/s for 10 s: first tick at 25ms, so 400 +- 1.
-	if c.Submitted() < 398 || c.Submitted() > 401 {
-		t.Fatalf("submitted = %d, want ~400", c.Submitted())
-	}
+	forMembers(t, func(t *testing.T, k int) {
+		sched, c, _ := clientSetup(t, FlowConfig{Rate: 40}, k, 1, 10*time.Millisecond)
+		sched.RunUntil(10 * time.Second)
+		// 40 tx/s per member for 10 s: first tick at 25ms, so 400 +- 1 each.
+		if c.Clients() != k {
+			t.Fatalf("Clients = %d, want %d", c.Clients(), k)
+		}
+		if c.Submitted() < 398*k || c.Submitted() > 401*k {
+			t.Fatalf("submitted = %d, want ~%d", c.Submitted(), 400*k)
+		}
+	})
 }
 
 func TestClientStopTime(t *testing.T) {
-	cfg := Config{Endpoints: []simnet.NodeID{0}, Rate: 10, Stop: time.Second}
-	sched, c, _ := clientSetup(t, cfg, 1, time.Millisecond)
-	sched.RunUntil(5 * time.Second)
-	if c.Submitted() > 10 {
-		t.Fatalf("submitted = %d after Stop, want <= 10", c.Submitted())
-	}
+	forMembers(t, func(t *testing.T, k int) {
+		sched, c, _ := clientSetup(t, FlowConfig{Rate: 10, Stop: time.Second}, k, 1, time.Millisecond)
+		sched.RunUntil(5 * time.Second)
+		if c.Submitted() > 10*k {
+			t.Fatalf("submitted = %d after Stop, want <= %d", c.Submitted(), 10*k)
+		}
+		if c.PendingCount() != 0 {
+			t.Fatalf("%d still pending long after Stop: the client must keep listening", c.PendingCount())
+		}
+	})
 }
 
 func TestSecureClientWaitsForAllEndpoints(t *testing.T) {
-	cfg := Config{Endpoints: []simnet.NodeID{0, 1, 2, 3}, Rate: 5, Stop: 2 * time.Second}
-	sched, c, acks := clientSetup(t, cfg, 4, 50*time.Millisecond)
-	// Node 3 is slower than the rest.
-	acks[3].delay = 300 * time.Millisecond
-	sched.RunUntil(4 * time.Second)
-	if len(c.Latencies()) == 0 {
-		t.Fatal("no completions")
-	}
-	for _, lat := range c.Latencies() {
-		if lat < 0.30 {
-			t.Fatalf("latency = %v; secure client must wait for slowest node", lat)
+	forMembers(t, func(t *testing.T, k int) {
+		cfg := FlowConfig{Fanout: 4, Rate: 5, Stop: 2 * time.Second}
+		sched, c, acks := clientSetup(t, cfg, k, 4, 50*time.Millisecond)
+		// Node 3 is slower than the rest.
+		acks[3].delay = 300 * time.Millisecond
+		sched.RunUntil(4 * time.Second)
+		if len(c.Latencies()) == 0 {
+			t.Fatal("no completions")
 		}
-	}
-	// Every node saw every transaction.
-	for i, a := range acks {
-		if len(a.seen) != c.Submitted() {
-			t.Fatalf("node %d saw %d txs, want %d", i, len(a.seen), c.Submitted())
+		for _, lat := range c.Latencies() {
+			if lat < 0.30 {
+				t.Fatalf("latency = %v; secure client must wait for slowest node", lat)
+			}
 		}
-	}
+		// Every node saw every transaction.
+		for i, a := range acks {
+			if len(a.seen) != c.Submitted() {
+				t.Fatalf("node %d saw %d txs, want %d", i, len(a.seen), c.Submitted())
+			}
+		}
+	})
 }
 
 func TestSecureClientIncompleteWithoutAllAcks(t *testing.T) {
-	cfg := Config{Endpoints: []simnet.NodeID{0, 1}, Rate: 5}
-	sched, c, acks := clientSetup(t, cfg, 2, 10*time.Millisecond)
-	acks[1].mute = true
-	sched.RunUntil(3 * time.Second)
-	if len(c.Latencies()) != 0 {
-		t.Fatal("completed without all endpoint confirmations")
+	forMembers(t, func(t *testing.T, k int) {
+		sched, c, acks := clientSetup(t, FlowConfig{Fanout: 2, Rate: 5}, k, 2, 10*time.Millisecond)
+		acks[1].mute = true
+		sched.RunUntil(3 * time.Second)
+		if len(c.Latencies()) != 0 {
+			t.Fatal("completed without all endpoint confirmations")
+		}
+		if c.PendingCount() == 0 {
+			t.Fatal("pending should be non-empty")
+		}
+	})
+}
+
+// TestDefaultClientSpreadsMembersOverPool: with Fanout 1, global client c
+// (member c-Start of its flow) trusts exactly pool[c mod P].
+func TestDefaultClientSpreadsMembersOverPool(t *testing.T) {
+	sched, c, acks := clientSetup(t, FlowConfig{Start: 1, Rate: 5}, 3, 3, time.Millisecond)
+	sched.RunUntil(2 * time.Second)
+	if len(c.Latencies()) == 0 {
+		t.Fatal("no completions")
 	}
-	if c.PendingCount() == 0 {
-		t.Fatal("pending should be non-empty")
+	for i, a := range acks {
+		for id := range a.seen {
+			if want := int(id.Client()) % 3; want != i {
+				t.Fatalf("tx %v of client %d reached node %d, want node %d", id, id.Client(), i, want)
+			}
+		}
 	}
 }
 
 func TestClientRetriesUnconfirmed(t *testing.T) {
-	cfg := Config{Endpoints: []simnet.NodeID{0}, Rate: 2, RetryAfter: 2 * time.Second, MaxRetries: 3}
-	sched, c, acks := clientSetup(t, cfg, 1, 10*time.Millisecond)
-	acks[0].mute = true
-	sched.RunUntil(10 * time.Second)
-	if c.Retried() == 0 {
-		t.Fatal("no retries despite silence")
-	}
-	// Per-tx retry bound respected.
-	for id, n := range acks[0].seen {
-		if n > 4 {
-			t.Fatalf("tx %v submitted %d times, want <= 4", id, n)
+	forMembers(t, func(t *testing.T, k int) {
+		cfg := FlowConfig{Rate: 2, RetryAfter: 2 * time.Second, MaxRetries: 3}
+		sched, c, acks := clientSetup(t, cfg, k, 1, 10*time.Millisecond)
+		acks[0].mute = true
+		// Stop between two retry scans, so nothing resent is still in flight.
+		sched.RunUntil(10*time.Second + 500*time.Millisecond)
+		if c.Retried() == 0 {
+			t.Fatal("no retries despite silence")
 		}
-	}
+		if c.Retried() != len(acks[0].resent) {
+			t.Fatalf("Retried = %d, node saw %d retransmissions", c.Retried(), len(acks[0].resent))
+		}
+		// Per-tx retry bound respected.
+		for id, n := range acks[0].seen {
+			if n > 4 {
+				t.Fatalf("tx %v submitted %d times, want <= 4", id, n)
+			}
+		}
+		// One retry scan resubmits in TxID order — member-major, the order k
+		// single-member flows scanning one after the other produce — not in
+		// the flow's round-robin submission order.
+		for i := 1; i < len(acks[0].resent); i++ {
+			prev, cur := acks[0].resent[i-1], acks[0].resent[i]
+			if prev.at == cur.at && prev.id >= cur.id {
+				t.Fatalf("retransmissions at %v out of TxID order: %v before %v", cur.at, prev.id, cur.id)
+			}
+		}
+	})
+}
+
+// TestClientRetriesOnlyUnconfirmedEndpoints: a secure client's retry goes to
+// the endpoints that have not answered, not to the ones that have.
+func TestClientRetriesOnlyUnconfirmedEndpoints(t *testing.T) {
+	forMembers(t, func(t *testing.T, k int) {
+		cfg := FlowConfig{Fanout: 2, Rate: 2, RetryAfter: 2 * time.Second, Stop: 3 * time.Second}
+		sched, c, acks := clientSetup(t, cfg, k, 2, 10*time.Millisecond)
+		acks[1].mute = true
+		sched.RunUntil(8 * time.Second)
+		if c.Retried() == 0 || len(acks[1].resent) == 0 {
+			t.Fatal("no retries towards the silent endpoint")
+		}
+		if len(acks[0].resent) != 0 {
+			t.Fatalf("%d retransmissions to an endpoint that had confirmed", len(acks[0].resent))
+		}
+	})
 }
 
 func TestClientPanicsOnBadConfig(t *testing.T) {
-	sets := workload.Accounts(1, 1)
-	gen := workload.NewGenerator(0, sets[0], sets[0], sim.New(1).RNG("x"))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for empty endpoints")
-		}
-	}()
-	New(Config{Rate: 1}, gen)
+	pool := []simnet.NodeID{0, 1}
+	cases := []struct {
+		name string
+		cfg  FlowConfig
+	}{
+		{"no endpoints", FlowConfig{Fanout: 1, Rate: 1}},
+		{"zero fanout", FlowConfig{Endpoints: pool, Rate: 1}},
+		{"fanout beyond the pool", FlowConfig{Endpoints: pool, Fanout: 3, Rate: 1}},
+		{"zero rate", FlowConfig{Endpoints: pool, Fanout: 1}},
+		{"negative rate", FlowConfig{Endpoints: pool, Fanout: 1, Rate: -1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fl := testFlow(t, 0, 1, sim.New(1))
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic")
+				}
+			}()
+			NewFlow(tc.cfg, fl)
+		})
+	}
 }
 
 func TestClientBurstProfileModulatesRate(t *testing.T) {
-	cfg := Config{
-		Endpoints: []simnet.NodeID{0},
-		Rate:      40,
-		Profile:   workload.Burst(10*time.Second, 5*time.Second, 3),
-		Stop:      20 * time.Second,
-	}
-	sched, c, _ := clientSetup(t, cfg, 1, time.Millisecond)
-	sched.RunUntil(25 * time.Second)
-	// Two periods: 2 x (5s at 120 tx/s + 5s at 40 tx/s) = 1600 total.
-	if c.Submitted() < 1500 || c.Submitted() > 1650 {
-		t.Fatalf("submitted = %d, want ~1600", c.Submitted())
-	}
+	forMembers(t, func(t *testing.T, k int) {
+		cfg := FlowConfig{
+			Rate:    40,
+			Profile: workload.Burst(10*time.Second, 5*time.Second, 3),
+			Stop:    20 * time.Second,
+		}
+		sched, c, _ := clientSetup(t, cfg, k, 1, time.Millisecond)
+		sched.RunUntil(25 * time.Second)
+		// Two periods: 2 x (5s at 120 tx/s + 5s at 40 tx/s) = 1600 per member.
+		if c.Submitted() < 1500*k || c.Submitted() > 1650*k {
+			t.Fatalf("submitted = %d, want ~%d", c.Submitted(), 1600*k)
+		}
+	})
 }
 
 func TestClientRampProfile(t *testing.T) {
-	cfg := Config{
-		Endpoints: []simnet.NodeID{0},
-		Rate:      10,
-		Profile:   workload.Ramp(0, 2, 10*time.Second),
-		Stop:      10 * time.Second,
+	forMembers(t, func(t *testing.T, k int) {
+		cfg := FlowConfig{
+			Rate:    10,
+			Profile: workload.Ramp(0, 2, 10*time.Second),
+			Stop:    10 * time.Second,
+		}
+		sched, c, _ := clientSetup(t, cfg, k, 1, time.Millisecond)
+		sched.RunUntil(12 * time.Second)
+		// Integral of 10*(0..2) over 10s = 100 per member.
+		if c.Submitted() < 90*k || c.Submitted() > 110*k {
+			t.Fatalf("submitted = %d, want ~%d", c.Submitted(), 100*k)
+		}
+	})
+}
+
+// TestFlowPartitionInvariance: three clients deployed as one three-member
+// flow and as three single-member flows put the same transactions on the
+// wire — same ids, same instants, same retransmissions in the same order —
+// with retries and the secure client's fan-out both in play.
+func TestFlowPartitionInvariance(t *testing.T) {
+	const clients, nodes = 3, 3
+	run := func(sizes []int) (wire []arrival, latencies []float64) {
+		sched := sim.New(11)
+		net := simnet.New(sched, simnet.Config{Latency: simnet.FixedLatency(5 * time.Millisecond)})
+		pool := make([]simnet.NodeID, nodes)
+		acks := make([]*ackNode, nodes)
+		for i := range acks {
+			// Node 2 answers after the retry deadline, so every transaction
+			// it serves is retried towards it at least once.
+			acks[i] = &ackNode{delay: 10 * time.Millisecond}
+			pool[i] = simnet.NodeID(i)
+			net.AddNode(pool[i], acks[i])
+		}
+		acks[2].delay = 3500 * time.Millisecond
+		var flows []*FlowClient
+		start := 0
+		for i, k := range sizes {
+			fl, err := workload.NewFlow(uint32(start), k, 4, chain.Address(4*start), 4*k, 4*clients,
+				sched.RNG(fmt.Sprintf("wl/%d", i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := NewFlow(FlowConfig{
+				Endpoints: pool, Start: start, Fanout: 2, Rate: 4,
+				Stop: 4 * time.Second, RetryAfter: 2 * time.Second,
+				VirtualBase: simnet.NodeID(100 + start),
+			}, fl)
+			flows = append(flows, c)
+			net.AddNode(simnet.NodeID(100+i), c)
+			start += k
+		}
+		net.StartAll()
+		sched.RunUntil(12 * time.Second)
+		for _, c := range flows {
+			if c.PendingCount() != 0 {
+				t.Fatalf("%d transactions never completed", c.PendingCount())
+			}
+			latencies = append(latencies, c.Latencies()...)
+		}
+		slices.Sort(latencies)
+		wire = acks[2].resent
+		if len(wire) == 0 {
+			t.Fatal("no retransmissions reached the slow node")
+		}
+		return wire, latencies
 	}
-	sched, c, _ := clientSetup(t, cfg, 1, time.Millisecond)
-	sched.RunUntil(12 * time.Second)
-	// Integral of 10*(0..2) over 10s = 100.
-	if c.Submitted() < 90 || c.Submitted() > 110 {
-		t.Fatalf("submitted = %d, want ~100", c.Submitted())
+	oneWire, oneLat := run([]int{3})
+	perWire, perLat := run([]int{1, 1, 1})
+	if !slices.Equal(oneWire, perWire) {
+		t.Fatalf("retransmission sequences diverge:\n one flow  %v\n per-client %v", oneWire, perWire)
+	}
+	if !slices.Equal(oneLat, perLat) {
+		t.Fatalf("latency multisets diverge: %d vs %d samples", len(oneLat), len(perLat))
 	}
 }

@@ -1,7 +1,20 @@
+// Package client implements the DIABLO-style load client: a constant-rate
+// transaction submitter that measures client-observed commit latency.
+//
+// There is one load client, FlowClient: k modeled clients behind one simnet
+// endpoint. k = 1 is the paper's deployment, one endpoint per client; larger
+// k is the scale model, where the event-loop cost stays one ticker and one
+// retry scan per flow however many clients it models.
+//
+// Two SDK behaviours are modelled through Fanout. The default client trusts a
+// single validator, like the Algorand/Aptos/Avalanche/Solana SDKs. The secure
+// client (STABL §7) submits every transaction to t+1 validators and reports
+// it committed only once all of them answered, which is how an application
+// defends against a Byzantine validator returning forged results.
 package client
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"stabl/internal/chain"
@@ -12,13 +25,12 @@ import (
 // FlowConfig parameterizes a FlowClient.
 type FlowConfig struct {
 	// Endpoints is the client-facing validator pool. Member m of the flow
-	// submits to Endpoints[(start+m+j) mod len] for j < Fanout, the same
-	// round-robin spread the per-client path uses, so latency attribution
-	// per modeled client is preserved.
+	// submits to Endpoints[(start+m+j) mod len] for j < Fanout: a client's
+	// endpoints depend on its global index only, so latency attribution per
+	// modeled client is the same however the clients are cut into flows.
 	Endpoints []simnet.NodeID
 	// Start is the global index of the flow's first modeled client; it
-	// offsets the endpoint round-robin so multiple flows tile the pool
-	// exactly like the equivalent individual clients would.
+	// offsets the endpoint round-robin so multiple flows tile the pool.
 	Start int
 	// Fanout is how many endpoints each modeled client submits to: 1 is
 	// the default SDK, t+1 the secure client.
@@ -35,25 +47,50 @@ type FlowConfig struct {
 	RetryAfter time.Duration
 	// MaxRetries bounds resubmissions per transaction.
 	MaxRetries int
-	// VirtualBase is the node id member 0 would hold in the classic
-	// per-client layout. Each member m submits via Context.SendAs with
-	// virtual id VirtualBase+m, so its latency/loss/jitter draws come from
-	// the exact streams the individual client node would have consumed —
-	// that is what keeps flow trajectories byte-identical to classic ones
-	// under the network's per-sender-node RNG streams.
+	// VirtualBase is the node id member 0 holds when every client is its
+	// own flow. Each member m submits via Context.SendAs with virtual id
+	// VirtualBase+m, so its latency/loss/jitter draws come from the streams
+	// of that id whichever flow carries it — that is what keeps trajectories
+	// byte-identical across partitions of the same clients under the
+	// network's per-sender-node RNG streams. A single-member flow's virtual
+	// id is its own node id.
 	VirtualBase simnet.NodeID
 }
 
-// FlowClient drives the aggregated workload of k modeled clients through a
-// single simnet endpoint. Submission instants, per-member endpoint choice,
-// retry order and confirmation semantics reproduce k individual Clients
-// exactly (see workload.Flow for the equivalence contract); only the
-// per-client event loops are gone — one ticker and one retry scan serve
-// the whole flow.
+// pendingTx tracks one in-flight transaction.
+type pendingTx struct {
+	tx        chain.Tx
+	confirmed map[simnet.NodeID]bool
+	retries   int
+	retryAt   time.Duration
+}
+
+// FlowClient is a simnet endpoint that drives the workload of k modeled
+// clients into the chain under test. Submission instants, per-member endpoint
+// choice, retry order and confirmation semantics do not depend on how the
+// clients are partitioned into flows (see workload.Flow for the equivalence
+// contract): k single-member flows and one k-member flow differ only in
+// event-loop cost — one ticker and one retry scan serve a whole flow.
 type FlowClient struct {
 	cfg  FlowConfig
 	flow *workload.Flow
 	submitState
+}
+
+// submitState is the submission bookkeeping a FlowClient mutates after
+// construction, and its checkpoint; its shape does not depend on k.
+type submitState struct {
+	ctx        *simnet.Context
+	ticker     interface{ Stop() }
+	pending    map[chain.TxID]*pendingTx
+	order      []chain.TxID // pending txs in submission order; retries must not follow map order
+	credits    float64
+	lastAccrue time.Duration
+	latencies  []float64 // seconds, completed transactions
+	completeAt []time.Duration
+	submitted  int
+	retried    int
+	duplicates int
 }
 
 var _ simnet.Handler = (*FlowClient)(nil)
@@ -82,6 +119,8 @@ func (c *FlowClient) Start(ctx *simnet.Context) {
 	if c.cfg.Profile == nil {
 		c.ticker = ctx.Every(interval, c.tick)
 	} else {
+		// Profiled rates accrue fractional credits on a fine tick and
+		// submit whole transactions as they complete.
 		c.lastAccrue = ctx.Now()
 		step := interval / 4
 		if step <= 0 {
@@ -123,8 +162,7 @@ func (c *FlowClient) tick() {
 // accrue implements profile-shaped submission. Credits accrue at the
 // per-member rate — every member's credit trajectory is identical, so one
 // counter stands in for all k, and each whole credit releases one
-// transaction per member, exactly when the individual clients would have
-// crossed their own thresholds.
+// transaction per member.
 func (c *FlowClient) accrue() {
 	now := c.ctx.Now()
 	if c.cfg.Stop > 0 && now >= c.cfg.Stop {
@@ -148,8 +186,8 @@ func (c *FlowClient) accrue() {
 }
 
 // submitRound submits one transaction per modeled client, in member order —
-// the same global order the individual clients produce at a shared tick
-// instant.
+// the global order single-member flows produce at a shared tick instant
+// (their tickers fire in client order).
 func (c *FlowClient) submitRound(now time.Duration) {
 	var epBuf [8]simnet.NodeID
 	k := c.flow.Clients()
@@ -185,22 +223,24 @@ func (c *FlowClient) Deliver(from simnet.NodeID, payload any) {
 	if len(p.confirmed) < c.cfg.Fanout {
 		return
 	}
+	// All endpoints confirmed (a single endpoint for the default SDK).
 	lat := c.ctx.Now() - p.tx.Submitted
 	c.latencies = append(c.latencies, lat.Seconds())
 	c.completeAt = append(c.completeAt, c.ctx.Now())
 	delete(c.pending, msg.ID)
 }
 
-// checkRetries rescans pending transactions once per second. Individual
-// clients scan member-by-member (each client owns a retry ticker, firing in
-// client order), so the flow walks its live set in TxID order — (member,
-// sequence) lexicographic — which is exactly that global order.
+// checkRetries rescans pending transactions once per second. Single-member
+// flows scan client by client (each owns a retry ticker, firing in client
+// order), so a flow walks its live set in TxID order — (member, sequence)
+// lexicographic — which is exactly that global order.
 func (c *FlowClient) checkRetries() {
 	now := c.ctx.Now()
 	// Compact completed entries out of the submission-order list, then
-	// resubmit from a (member, seq)-sorted copy: retransmissions draw
-	// latency samples from the shared network RNG, so their order must
-	// reproduce the per-client schedule.
+	// resubmit in (member, seq) order: retransmissions draw latency samples
+	// from the network's RNG streams, so their order must not depend on the
+	// partition. One member's submission order is already TxID order, so the
+	// sorted copy is only taken when the data needs it.
 	live := c.order[:0]
 	for _, id := range c.order {
 		if _, ok := c.pending[id]; ok {
@@ -208,8 +248,11 @@ func (c *FlowClient) checkRetries() {
 		}
 	}
 	c.order = live
-	scan := append([]chain.TxID(nil), live...)
-	sort.Slice(scan, func(i, j int) bool { return scan[i] < scan[j] })
+	scan := live
+	if !slices.IsSorted(scan) {
+		scan = slices.Clone(live)
+		slices.Sort(scan)
+	}
 	var epBuf [8]simnet.NodeID
 	for _, id := range scan {
 		p := c.pending[id]

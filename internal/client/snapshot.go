@@ -9,7 +9,6 @@ import (
 )
 
 var (
-	_ snapshot.Forkable = (*Client)(nil)
 	_ snapshot.Forkable = (*FlowClient)(nil)
 	_ snapshot.Forkable = (*VerifiedReader)(nil)
 )
@@ -32,8 +31,8 @@ func (s *submitState) copyInto(dst *submitState) {
 	dst.completeAt = append(completeAt[:0], s.completeAt...)
 }
 
-// Snapshot captures a Client or FlowClient: in-flight transactions, retry
-// bookkeeping and the measured latencies.
+// Snapshot captures a FlowClient: in-flight transactions, retry bookkeeping
+// and the measured latencies.
 func (s *submitState) Snapshot() snapshot.State {
 	st := new(submitState)
 	s.copyInto(st)

@@ -7,6 +7,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"time"
 
@@ -99,19 +100,19 @@ type Config struct {
 	RatePerClient     float64
 	AccountsPerClient int
 	Duration          time.Duration
-	// Flows, when positive, replaces the Clients individual load clients
-	// with this many aggregated flow generators (see workload.Flow):
-	// Clients then counts *modeled* clients — it may exceed Validators
-	// and reach into the millions — while the deployment carries one
-	// network endpoint and one event loop per flow. Zero keeps the
-	// classic one-endpoint-per-client deployment.
+	// Flows is how many load-client endpoints carry the Clients modeled
+	// clients (see workload.Flow, client.FlowClient). Zero is the paper's
+	// deployment: one single-member flow per client, client i attached to
+	// validator i, so Clients may not exceed Validators. A positive value
+	// aggregates: Clients then counts *modeled* clients — it may exceed
+	// Validators and reach into the millions — while the deployment
+	// carries one network endpoint and one event loop per flow.
 	Flows int
 	// FlowAccounts caps each flow's folded sender-account set. Zero
 	// disables folding (every modeled client owns AccountsPerClient
-	// distinct accounts, the exact classic layout); a positive cap folds
-	// the modeled clients onto at most this many accounts per flow, so
-	// ledger and genesis state stay bounded at any client count. Only
-	// meaningful with Flows > 0.
+	// distinct accounts); a positive cap folds the modeled clients onto at
+	// most this many accounts per flow, so ledger and genesis state stay
+	// bounded at any client count. Only meaningful with Flows > 0.
 	FlowAccounts int
 	// CommitteeSize, when positive, runs consensus on stake-weighted
 	// sortition committees of this size (internal/committee) instead of
@@ -242,6 +243,29 @@ func (c Config) validate() error {
 	if c.SimWorkers < 0 {
 		return fmt.Errorf("core: negative sim worker count %d", c.SimWorkers)
 	}
+	// Zero meant "default" and withDefaults replaced it; what is left is the
+	// caller's own value, and a negative size, rate or horizon has no
+	// deployment. NaN fails the >= comparison.
+	badRate := func(r float64) bool { return !(r >= 0) || math.IsInf(r, 1) }
+	for _, f := range []struct {
+		name string
+		bad  bool
+		v    any
+	}{
+		{"Validators", c.Validators < 0, c.Validators},
+		{"Clients", c.Clients < 0, c.Clients},
+		{"RatePerClient", badRate(c.RatePerClient), c.RatePerClient},
+		{"AccountsPerClient", c.AccountsPerClient < 0, c.AccountsPerClient},
+		{"Duration", c.Duration < 0, c.Duration},
+		{"Fanout", c.Fanout < 0, c.Fanout},
+		{"RetryAfter", c.RetryAfter < 0, c.RetryAfter},
+		{"MaxRetries", c.MaxRetries < 0, c.MaxRetries},
+		{"ReadRate", badRate(c.ReadRate), c.ReadRate},
+	} {
+		if f.bad {
+			return fmt.Errorf("core: %s = %v: must be finite and not negative", f.name, f.v)
+		}
+	}
 	if c.Flows < 0 {
 		return fmt.Errorf("core: negative flow count %d", c.Flows)
 	}
@@ -299,12 +323,12 @@ type committeeSystem interface {
 	SetCommitteeSize(size int)
 }
 
-// clientFacing is how many validators serve client traffic. Classically it
-// is Clients (client i submits to validator i); in flow mode modeled
-// clients outnumber validators, so flows spread their members across every
-// validator the worst-case default fault plan (f = tolerance+1) never
-// touches — keeping the pool independent of the swept fault so baseline
-// and altered runs deploy identically.
+// clientFacing is how many validators serve client traffic. With Flows zero
+// it is Clients (client i submits to validator i, the paper's deployment);
+// aggregated flows model more clients than there are validators, so they
+// spread their members across every validator the worst-case default fault
+// plan (f = tolerance+1) never touches — keeping the pool independent of the
+// swept fault so baseline and altered runs deploy identically.
 func (c Config) clientFacing() int {
 	if c.Flows == 0 {
 		return c.Clients
@@ -377,8 +401,8 @@ type idLayout struct {
 	primary      int
 }
 
-// clientNodes is how many client endpoints sit on the network: individual
-// clients classically, flow aggregates in flow mode.
+// clientNodes is how many client endpoints sit on the network: Flows, or one
+// single-member flow per client when Flows is zero.
 func (c Config) clientNodes() int {
 	if c.Flows > 0 {
 		return c.Flows
@@ -411,10 +435,12 @@ type flowSpan struct {
 
 // flowSpans partitions the modeled clients into contiguous per-flow ranges
 // and lays their (possibly folded) account sets out contiguously from
-// address zero.
+// address zero: client i owns accounts [i*AccountsPerClient,
+// (i+1)*AccountsPerClient) when nothing folds.
 func (c Config) flowSpans() []flowSpan {
-	spans := make([]flowSpan, c.Flows)
-	base, rem := c.Clients/c.Flows, c.Clients%c.Flows
+	n := c.clientNodes()
+	spans := make([]flowSpan, n)
+	base, rem := c.Clients/n, c.Clients%n
 	cs, as := 0, 0
 	for i := range spans {
 		k := base
@@ -491,8 +517,6 @@ type Experiment struct {
 	rec        *metrics.Recorder
 	validators []simnet.Handler
 	bases      []*chain.BaseNode
-	clients    []*client.Client
-	gens       []*workload.Generator
 	flows      []*client.FlowClient
 	flowGens   []*workload.Flow
 	readers    []*client.VerifiedReader
@@ -561,7 +585,14 @@ func Build(cfg Config) (*Experiment, error) {
 	for i := range peers {
 		peers[i] = simnet.NodeID(i)
 	}
-	genesis := genesisAccounts(cfg)
+	// Workload layout: which clients and which (possibly folded) account
+	// range each flow carries. Genesis funds exactly those accounts.
+	spans := cfg.flowSpans()
+	totalAccts := 0
+	for _, sp := range spans {
+		totalAccts += sp.accts
+	}
+	genesis := genesisAccounts(totalAccts)
 	var validators []simnet.Handler
 	var bases []*chain.BaseNode
 	for _, id := range peers {
@@ -612,83 +643,55 @@ func Build(cfg Config) (*Experiment, error) {
 	primary := observer.NewPrimary(script, mapping)
 	net.AddNode(simnet.NodeID(lay.primary), primary)
 
-	// Clients: one endpoint per individual client classically, one per
-	// aggregated flow in flow mode. Workload RNG streams are registered in
-	// deployment order either way.
-	var clients []*client.Client
-	var gens []*workload.Generator
-	var flows []*client.FlowClient
-	var flowGens []*workload.Flow
-	var all []chain.Address
+	// Clients: one endpoint per flow. Flow i keeps node id clientBase+i, and
+	// its members send under the ids they hold as single-member flows
+	// (VirtualBase), so the network draws do not depend on the partition.
+	// Workload RNG streams are registered in deployment order, under the
+	// name each mode's goldens were captured with.
+	pool := make([]simnet.NodeID, cfg.clientFacing())
+	for i := range pool {
+		pool[i] = simnet.NodeID(i)
+	}
+	stream := "workload/flow/%d"
 	if cfg.Flows == 0 {
-		clients = make([]*client.Client, cfg.Clients)
-		gens = make([]*workload.Generator, cfg.Clients)
-		accountSets := workload.Accounts(cfg.Clients, cfg.AccountsPerClient)
-		all = workload.AllAccounts(accountSets)
-		for i := range clients {
-			gen := workload.NewGenerator(uint32(i), accountSets[i], all,
-				sched.RNG(fmt.Sprintf("workload/%d", i)))
-			gens[i] = gen
-			clients[i] = client.New(client.Config{
-				Index:      uint32(i),
-				Endpoints:  cfg.clientEndpoints(i),
-				Rate:       cfg.RatePerClient,
-				Profile:    cfg.Profile,
-				Stop:       cfg.Duration,
-				RetryAfter: cfg.RetryAfter,
-				MaxRetries: cfg.MaxRetries,
-			}, gen)
-			net.AddNode(simnet.NodeID(lay.clientBase+i), clients[i])
+		stream = "workload/%d"
+	}
+	flows := make([]*client.FlowClient, len(spans))
+	flowGens := make([]*workload.Flow, len(spans))
+	for i, sp := range spans {
+		fl, err := workload.NewFlow(uint32(sp.start), sp.clients, cfg.AccountsPerClient,
+			chain.Address(sp.acctBase), sp.accts, totalAccts,
+			sched.RNG(fmt.Sprintf(stream, i)))
+		if err != nil {
+			return nil, err
 		}
-	} else {
-		spans := cfg.flowSpans()
-		totalAccts := 0
-		for _, sp := range spans {
-			totalAccts += sp.accts
-		}
-		all = make([]chain.Address, totalAccts)
-		for i := range all {
-			all[i] = chain.Address(i)
-		}
-		pool := make([]simnet.NodeID, cfg.clientFacing())
-		for i := range pool {
-			pool[i] = simnet.NodeID(i)
-		}
-		flows = make([]*client.FlowClient, cfg.Flows)
-		flowGens = make([]*workload.Flow, cfg.Flows)
-		for i, sp := range spans {
-			fl, err := workload.NewFlow(uint32(sp.start), sp.clients, cfg.AccountsPerClient,
-				chain.Address(sp.acctBase), sp.accts, totalAccts,
-				sched.RNG(fmt.Sprintf("workload/flow/%d", i)))
-			if err != nil {
-				return nil, err
-			}
-			flowGens[i] = fl
-			flows[i] = client.NewFlow(client.FlowConfig{
-				Endpoints:  pool,
-				Start:      sp.start,
-				Fanout:     cfg.Fanout,
-				Rate:       cfg.RatePerClient,
-				Stop:       cfg.Duration,
-				Profile:    cfg.Profile,
-				RetryAfter: cfg.RetryAfter,
-				MaxRetries: cfg.MaxRetries,
-				// Member m's draws replay the streams of the node id the
-				// classic layout would give client sp.start+m.
-				VirtualBase: simnet.NodeID(lay.clientBase + sp.start),
-			}, fl)
-			net.AddNode(simnet.NodeID(lay.clientBase+i), flows[i])
-		}
+		flowGens[i] = fl
+		flows[i] = client.NewFlow(client.FlowConfig{
+			Endpoints:   pool,
+			Start:       sp.start,
+			Fanout:      cfg.Fanout,
+			Rate:        cfg.RatePerClient,
+			Stop:        cfg.Duration,
+			Profile:     cfg.Profile,
+			RetryAfter:  cfg.RetryAfter,
+			MaxRetries:  cfg.MaxRetries,
+			VirtualBase: simnet.NodeID(lay.clientBase + sp.start),
+		}, fl)
+		net.AddNode(simnet.NodeID(lay.clientBase+i), flows[i])
 	}
 
 	// Optional credence.js-style verified readers (§9): one per client
-	// endpoint (per client classically, per flow in flow mode).
+	// endpoint.
 	var readers []*client.VerifiedReader
 	if cfg.ReadRate > 0 {
 		facing := cfg.clientFacing()
 		fanout := cfg.System.Tolerance(cfg.Validators) + 1
 		if fanout > facing {
 			fanout = facing
+		}
+		all := make([]chain.Address, totalAccts)
+		for i := range all {
+			all[i] = chain.Address(i)
 		}
 		for i := 0; i < cfg.clientNodes(); i++ {
 			eps := make([]simnet.NodeID, fanout)
@@ -760,8 +763,6 @@ func Build(cfg Config) (*Experiment, error) {
 		rec:        rec,
 		validators: validators,
 		bases:      bases,
-		clients:    clients,
-		gens:       gens,
 		flows:      flows,
 		flowGens:   flowGens,
 		readers:    readers,
@@ -794,9 +795,6 @@ func (e *Experiment) Start() {
 					depth += b.Pool.Len()
 				}
 				pending := 0
-				for _, cl := range e.clients {
-					pending += cl.PendingCount()
-				}
 				for _, fl := range e.flows {
 					pending += fl.PendingCount()
 				}
@@ -889,11 +887,6 @@ func (e *Experiment) Collect() *RunResult {
 		times = append(times, ev.Committed)
 	}
 	res.Throughput = stats.Throughput(times, cfg.Bucket, cfg.Duration)
-	for _, cl := range e.clients {
-		res.Latencies = append(res.Latencies, cl.Latencies()...)
-		res.Submitted += cl.Submitted()
-		res.Pending += cl.PendingCount()
-	}
 	for _, fl := range e.flows {
 		res.Latencies = append(res.Latencies, fl.Latencies()...)
 		res.Submitted += fl.Submitted()
@@ -1095,18 +1088,11 @@ func RestampRun(rec *metrics.Recorder, cfg Config, faulty []simnet.NodeID, compi
 	rec.ReplaceHeadEvents(len(evs), evs)
 }
 
-// genesisAccounts funds every workload account generously so transfers never
-// fail for lack of balance.
-func genesisAccounts(cfg Config) []chain.GenesisAccount {
-	total := cfg.Clients * cfg.AccountsPerClient
-	if cfg.Flows > 0 {
-		// Flow mode funds the folded account layout, so genesis (and every
-		// validator's ledger) stays bounded regardless of modeled clients.
-		total = 0
-		for _, sp := range cfg.flowSpans() {
-			total += sp.accts
-		}
-	}
+// genesisAccounts funds every workload account — addresses [0, total), the
+// flows' folded layout, so genesis and every validator's ledger stay bounded
+// regardless of modeled clients — generously enough that transfers never fail
+// for lack of balance.
+func genesisAccounts(total int) []chain.GenesisAccount {
 	out := make([]chain.GenesisAccount, total)
 	for i := range out {
 		out[i] = chain.GenesisAccount{Addr: chain.Address(i), Balance: 1 << 40}
@@ -1127,16 +1113,6 @@ func (c Config) faultyNodes() []simnet.NodeID {
 		out = append(out, simnet.NodeID(i))
 	}
 	return out
-}
-
-// clientEndpoints maps client i to its Fanout validators among the
-// client-facing ones.
-func (c Config) clientEndpoints(i int) []simnet.NodeID {
-	eps := make([]simnet.NodeID, c.Fanout)
-	for j := range eps {
-		eps[j] = simnet.NodeID((i + j) % c.Clients)
-	}
-	return eps
 }
 
 // faultScript translates the plan into primary actions.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +17,8 @@ import (
 type stubSystem struct {
 	fragile bool
 	name    string
+	// onSubmit, when set, sees every client submission a validator receives.
+	onSubmit func(validator simnet.NodeID, tx chain.Tx)
 }
 
 func (s *stubSystem) Name() string {
@@ -29,8 +32,9 @@ func (s *stubSystem) ConnParams() simnet.ConnParams { return simnet.ConnParams{}
 
 func (s *stubSystem) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *chain.Monitor, genesis []chain.GenesisAccount) simnet.Handler {
 	v := &stubValidator{
-		base:    chain.NewBaseNode(id, peers, mon, chain.BaseConfig{}),
-		fragile: s.fragile,
+		base:     chain.NewBaseNode(id, peers, mon, chain.BaseConfig{}),
+		fragile:  s.fragile,
+		onSubmit: s.onSubmit,
 	}
 	for _, g := range genesis {
 		v.base.Ledger.Mint(g.Addr, g.Balance)
@@ -39,10 +43,11 @@ func (s *stubSystem) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *
 }
 
 type stubValidator struct {
-	base    *chain.BaseNode
-	fragile bool
-	ticker  interface{ Stop() }
-	alive   map[simnet.NodeID]bool
+	base     *chain.BaseNode
+	fragile  bool
+	onSubmit func(validator simnet.NodeID, tx chain.Tx)
+	ticker   interface{ Stop() }
+	alive    map[simnet.NodeID]bool
 }
 
 type stubForward struct{ Tx chain.Tx }
@@ -53,6 +58,9 @@ type stubPong struct{ From simnet.NodeID }
 func (v *stubValidator) Start(ctx *simnet.Context) {
 	v.base.Reset(ctx)
 	v.base.OnLocalSubmit = func(tx chain.Tx) {
+		if v.onSubmit != nil {
+			v.onSubmit(v.base.ID, tx)
+		}
 		if v.base.ID != v.base.Peers[0] {
 			ctx.Send(v.base.Peers[0], stubForward{Tx: tx})
 			v.base.Subscribe(tx.ID, v.base.ID)
@@ -156,6 +164,49 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNegativeAndNonFinite: a negative or non-finite size,
+// rate or horizon is refused by Validate and by Run with an error naming the
+// field and the value — it used to reach the constructors' panics, or run
+// and score infinity. Zero still means "use the default".
+func TestValidateRejectsNegativeAndNonFinite(t *testing.T) {
+	cases := []struct {
+		field, value string
+		set          func(*Config)
+	}{
+		{"Validators", "-3", func(c *Config) { c.Validators = -3 }},
+		{"Clients", "-1", func(c *Config) { c.Clients = -1 }},
+		{"RatePerClient", "-2", func(c *Config) { c.RatePerClient = -2 }},
+		{"RatePerClient", "NaN", func(c *Config) { c.RatePerClient = math.NaN() }},
+		{"RatePerClient", "+Inf", func(c *Config) { c.RatePerClient = math.Inf(1) }},
+		{"AccountsPerClient", "-1", func(c *Config) { c.AccountsPerClient = -1 }},
+		{"Duration", "-5s", func(c *Config) { c.Duration = -5 * time.Second }},
+		{"Fanout", "-1", func(c *Config) { c.Fanout = -1 }},
+		{"RetryAfter", "-1s", func(c *Config) { c.RetryAfter = -time.Second }},
+		{"MaxRetries", "-1", func(c *Config) { c.MaxRetries = -1 }},
+		{"ReadRate", "-0.5", func(c *Config) { c.ReadRate = -0.5 }},
+		{"ReadRate", "NaN", func(c *Config) { c.ReadRate = math.NaN() }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.field+"="+tc.value, func(t *testing.T) {
+			cfg := Config{System: &stubSystem{}}
+			tc.set(&cfg)
+			err := cfg.Validate()
+			if err == nil {
+				t.Fatal("Validate accepted it")
+			}
+			if !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), tc.value) {
+				t.Fatalf("error %q does not name %s and %s", err, tc.field, tc.value)
+			}
+			if _, runErr := Run(cfg); runErr == nil || runErr.Error() != err.Error() {
+				t.Fatalf("Run error = %v, want %v", runErr, err)
+			}
+		})
+	}
+	if err := (Config{System: &stubSystem{}}).Validate(); err != nil {
+		t.Fatalf("all-zero (all-default) config refused: %v", err)
+	}
+}
+
 func TestFaultyNodesAvoidClientFacingValidators(t *testing.T) {
 	cfg := Config{System: &stubSystem{}, Fault: FaultPlan{Kind: FaultTransient}}.withDefaults()
 	faulty := cfg.faultyNodes()
@@ -170,16 +221,30 @@ func TestFaultyNodesAvoidClientFacingValidators(t *testing.T) {
 	}
 }
 
+// TestClientEndpointsFanOutOverClientFacingNodes: in the paper's deployment
+// (Flows zero) client i submits to validators i, i+1, ... i+Fanout-1 modulo
+// the client-facing ones, and the validators reserved for faults see no
+// client traffic.
 func TestClientEndpointsFanOutOverClientFacingNodes(t *testing.T) {
-	cfg := Config{System: &stubSystem{}, Fanout: 4}.withDefaults()
-	eps := cfg.clientEndpoints(3)
-	want := []simnet.NodeID{3, 4, 0, 1}
-	if len(eps) != len(want) {
-		t.Fatalf("endpoints = %v", eps)
+	reached := make(map[simnet.NodeID]map[uint32]bool) // validator -> clients that submitted to it
+	sys := &stubSystem{onSubmit: func(v simnet.NodeID, tx chain.Tx) {
+		if reached[v] == nil {
+			reached[v] = make(map[uint32]bool)
+		}
+		reached[v][tx.ID.Client()] = true
+	}}
+	if _, err := Run(Config{System: sys, Seed: 1, Fanout: 4, Duration: 2 * time.Second}); err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if eps[i] != want[i] {
-			t.Fatalf("endpoints = %v, want %v", eps, want)
+	// 5 clients over 5 client-facing validators, fanout 4: client 3 reaches
+	// validators 3 4 0 1, and validator v hears from every client except the
+	// one whose window starts just past it.
+	for v := simnet.NodeID(0); v < 10; v++ {
+		for c := uint32(0); c < 5; c++ {
+			want := v < 5 && (int(v)-int(c)+5)%5 < 4
+			if reached[v][c] != want {
+				t.Fatalf("client %d reached validator %d = %v, want %v (all: %v)", c, v, reached[v][c], want, reached)
+			}
 		}
 	}
 }

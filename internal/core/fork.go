@@ -80,12 +80,6 @@ func (e *Experiment) forkSet() (*snapshot.Set, error) {
 		}
 		set.Add(forkable)
 	}
-	for _, cl := range e.clients {
-		set.Add(cl)
-	}
-	for _, g := range e.gens {
-		set.Add(g)
-	}
 	for _, fl := range e.flows {
 		set.Add(fl)
 	}

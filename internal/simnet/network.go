@@ -212,10 +212,10 @@ type netState struct {
 	jitterBound  []time.Duration
 	jitterIfaces int
 	// virt lazily holds degradation streams for virtual sender ids (see
-	// Context.SendAs): a flow node submitting on behalf of the classic
-	// client it aggregates draws latency/loss/jitter from the member's own
-	// streams — the same names the per-client layout registers — so the
-	// aggregated trajectory is byte-identical to the individual one.
+	// Context.SendAs): a flow node submitting on behalf of a client it
+	// models draws latency/loss/jitter from the member's own streams — the
+	// names a one-client-per-node layout registers — so the trajectory is
+	// byte-identical however the clients are aggregated.
 	// Created on first use: a million modeled clients that never tick cost
 	// nothing. Network.virtMu guards the map (flow nodes in different
 	// partitions may fault streams in concurrently); each virtual id is
@@ -861,9 +861,9 @@ func (f *flight) fire() {
 // virtual returns the degradation streams of a virtual sender id, creating
 // them on first use. The stream names match the ones AddNode registers for a
 // physical node of the same id, and stream content depends only on
-// (scheduler seed, name), so a flow node replaying a classic client's sends
-// through these streams draws the exact values the client's own endpoint
-// streams would have produced.
+// (scheduler seed, name), so a flow node sending on behalf of a modeled
+// client through these streams draws the exact values that client's own
+// endpoint streams would produce were it deployed as a node of its own.
 func (n *Network) virtual(id NodeID) *virtStreams {
 	n.virtMu.RLock()
 	vs := n.virt[id]
@@ -1104,10 +1104,15 @@ func (c *Context) Send(to NodeID, payload any) {
 // id: every physical property of the message — ordering lane and sequence,
 // stats shard, liveness and partition checks, the from field the receiver
 // sees — comes from the real node, but the latency/loss/jitter draws come
-// from the virtual id's streams. Flow workloads use it so one aggregated
-// node replays the exact per-member stream consumption of the classic
-// per-client layout (see client.FlowConfig.VirtualBase).
+// from the virtual id's streams. Flow clients use it so a member consumes
+// the same streams whichever flow node carries it (see
+// client.FlowConfig.VirtualBase). A node sending as itself is a plain Send:
+// its own streams carry the names, hence the values, a virtual twin would.
 func (c *Context) SendAs(virtual, to NodeID, payload any) {
+	if virtual == c.ep.id {
+		c.Send(to, payload)
+		return
+	}
 	if !c.ep.up {
 		return
 	}

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -245,5 +246,42 @@ func TestDeterministicReplay(t *testing.T) {
 		if first[i] != second[i] {
 			t.Fatalf("replay diverged at %d: %v vs %v", i, first[i], second[i])
 		}
+	}
+}
+
+// TestSendAsDrawsFromTheNamedNodesStreams: a message sent as node v is
+// delayed by the draws node v's own Send would have made — whether v sends as
+// itself (a plain Send) or another node sends on its behalf — which is what
+// lets a flow client carry a modeled client without moving its trajectory.
+func TestSendAsDrawsFromTheNamedNodesStreams(t *testing.T) {
+	run := func(sender NodeID, send func(ctx *Context, i int)) []any {
+		sched := sim.New(99)
+		net := New(sched, Config{}) // default uniform latency: arrival order shows the draws
+		hs := []*echoHandler{{}, {}, {}}
+		for i, h := range hs {
+			net.AddNode(NodeID(i), h)
+		}
+		net.StartAll()
+		for i := 0; i < 50; i++ {
+			sched.At(time.Duration(i)*time.Millisecond, func() { send(hs[sender].ctx, i) })
+		}
+		sched.RunUntil(time.Second)
+		return hs[2].received
+	}
+	want := run(0, func(ctx *Context, i int) { ctx.Send(2, i) })
+	asSelf := run(0, func(ctx *Context, i int) { ctx.SendAs(0, 2, i) })
+	onBehalf := run(1, func(ctx *Context, i int) { ctx.SendAs(0, 2, i) })
+	other := run(1, func(ctx *Context, i int) { ctx.Send(2, i) })
+	if len(want) != 50 {
+		t.Fatalf("received %d of 50", len(want))
+	}
+	if !reflect.DeepEqual(asSelf, want) {
+		t.Fatalf("SendAs(self) order %v, Send order %v", asSelf, want)
+	}
+	if !reflect.DeepEqual(onBehalf, want) {
+		t.Fatalf("SendAs(0) from node 1 order %v, node 0's Send order %v", onBehalf, want)
+	}
+	if reflect.DeepEqual(other, want) {
+		t.Fatal("nodes 0 and 1 drew the same delays: the test cannot tell streams apart")
 	}
 }

@@ -1,3 +1,7 @@
+// Package workload generates the native-transfer workload STABL uses: each
+// client issues transfers at a constant rate from a small set of accounts it
+// owns, with strictly increasing per-account nonces (the ordering constraint
+// that matters for Avalanche's gossip behaviour, STABL §7).
 package workload
 
 import (
@@ -8,18 +12,18 @@ import (
 	"stabl/internal/chain"
 )
 
-// Flow is the aggregated form of Generator: one object modeling k clients'
-// transaction streams. Where the classic path owns a Generator, an event
-// loop and a nonce map per client, a flow derives everything arithmetically
-// from one sequence counter — member, per-member sequence, sender account
-// and nonce — so "millions of users" costs one struct plus a nonce slice
-// bounded by the folded account count, not a heap of per-client state.
+// Flow produces a deterministic stream of transfer transactions for k
+// modeled clients. It derives everything arithmetically from one sequence
+// counter — member, per-member sequence, sender account and nonce — so
+// "millions of users" costs one struct plus a nonce slice bounded by the
+// folded account count, not a heap of per-client state.
 //
 // Equivalence contract: a flow submitting one transaction per member per
-// tick reproduces the classic per-client schedule exactly. Sequence s maps
-// to member m = s mod k and per-member sequence t = s div k; the emitted
-// TxID is MakeTxID(start+m, t), the sender account is the one client
-// start+m would have used for its t-th transaction, and its nonce is that
+// tick emits what its members would emit as k single-member flows. Sequence
+// s maps to member m = s mod k and per-member sequence t = s div k; the
+// emitted TxID is MakeTxID(start+m, t), the sender account is the one
+// client start+m owns (round-robin over its perClient accounts, which keeps
+// nonce chains uniform) for its t-th transaction, and its nonce is that
 // account's use count. Only the recipient draw differs structurally: the k
 // modeled clients share one flow RNG stream instead of one stream each.
 // Recipients never influence event timing (transfers cannot fail — genesis
@@ -37,8 +41,9 @@ type Flow struct {
 }
 
 // flowState is what a Flow mutates after construction, and its checkpoint:
-// the folded nonce slice and the sequence counter. As with Generator, the
-// RNG stream position lives in the scheduler.
+// the folded nonce slice and the sequence counter. The RNG stream position
+// lives in the scheduler (the *rand.Rand handed to NewFlow is registered
+// there).
 type flowState struct {
 	nonces []uint64
 	seq    uint64
@@ -46,10 +51,11 @@ type flowState struct {
 
 // NewFlow builds a flow modeling `clients` clients, namespaced from global
 // client index `start`. The flow owns the folded account range [acctBase,
-// acctBase+accts); accts == clients*perClient disables folding (the exact
-// classic layout), smaller values fold many modeled clients onto a bounded
-// account set so account state stays O(accts) regardless of k. recipients
-// is the experiment-wide destination universe [0, recipients).
+// acctBase+accts); accts == clients*perClient disables folding (client
+// start+m owns perClient accounts of its own), smaller values fold many
+// modeled clients onto a bounded account set so account state stays
+// O(accts) regardless of k. recipients is the experiment-wide destination
+// universe [0, recipients).
 func NewFlow(start uint32, clients, perClient int, acctBase chain.Address, accts, recipients int, rng *rand.Rand) (*Flow, error) {
 	if clients <= 0 || perClient <= 0 {
 		return nil, fmt.Errorf("workload: flow needs positive clients (%d) and accounts per client (%d)", clients, perClient)
