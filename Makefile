@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify verify-race ci specs lint loc bench bench-smoke bench-scale bench-parallel bench-gossip bench-pairs figures clean
+.PHONY: all build vet test race verify verify-race ci specs lint loc fuzz-smoke bench bench-smoke bench-scale bench-parallel bench-gossip bench-pairs figures clean
 
 all: verify
 
@@ -71,9 +71,24 @@ verify-race:
 	$(MAKE) lint
 	$(GO) test -race -timeout 45m ./...
 
-# ci is the full merge gate: verify, verify-race, then the race-enabled
-# benchmark smoke pass. This is what .github/workflows/ci.yml runs.
-ci: verify verify-race bench-smoke
+# ci is the full merge gate: verify, verify-race, the race-enabled benchmark
+# smoke pass and the fuzz smoke pass. This is what .github/workflows/ci.yml
+# runs.
+ci: verify verify-race bench-smoke fuzz-smoke
+
+# fuzz-smoke runs every native fuzz target in the module (`func Fuzz*` in a
+# test file) for FUZZTIME each: the seed corpus first, then fresh inputs.
+# Each target is a model interpreter that compares a flat table against the
+# map-based implementation it replaced (chain.txTable, overlay.dupemap); a
+# crasher lands in the package's testdata/fuzz and is committed with its fix.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	@set -e; for f in $$(grep -rlE --include='*_test.go' --exclude-dir=.bench_build '^func Fuzz[A-Z]' .); do \
+		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz-smoke: $$target in $$(dirname $$f) for $(FUZZTIME)"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$(dirname $$f); \
+		done; \
+	done
 
 # bench regenerates the committed kernel benchmark report (figures at the
 # paper's 400 virtual seconds plus the scheduler/simnet microbenchmarks).

@@ -560,6 +560,9 @@ func run(args []string, out io.Writer) error {
 			return stabl.NewReport(cmp).WriteJSON(out)
 		}
 		fmt.Fprintln(out, cmp)
+		if cfg.Overlay.Enabled() {
+			writeOverlay(out, cmp)
+		}
 		fmt.Fprint(out, stabl.RenderThroughput(cmp, *bucket))
 		return writeSVG(*svgDir, fmt.Sprintf("run-%s-%s.svg", cmp.System, cmp.Fault.Kind), stabl.ThroughputSVG(cmp, 5*time.Second))
 	case "scenario":
@@ -630,6 +633,9 @@ func run(args []string, out io.Writer) error {
 			return stabl.NewReport(cmp).WriteJSON(out)
 		}
 		fmt.Fprintln(out, cmp)
+		if cfg.Overlay.Enabled() {
+			writeOverlay(out, cmp)
+		}
 		fmt.Fprint(out, stabl.RenderThroughput(cmp, *bucket))
 		return writeSVG(*svgDir, base+".svg", stabl.ThroughputSVG(cmp, 5*time.Second))
 	case "lint":
@@ -710,6 +716,25 @@ func run(args []string, out io.Writer) error {
 	default:
 		fs.Usage()
 		return fmt.Errorf("unknown command %q", cmd)
+	}
+}
+
+// writeOverlay prints the overlay routers' counters, one line per run of the
+// comparison: what the gossip cost (sends per origin, relays, the share of
+// envelopes that were duplicates) and how often the stall model held a relay
+// back — skipped one peer, or found a whole bucket stalled and dropped it.
+func writeOverlay(out io.Writer, cmp *stabl.Comparison) {
+	for _, run := range []struct {
+		name string
+		res  *stabl.RunResult
+	}{{"baseline", cmp.Baseline}, {"altered", cmp.Altered}} {
+		ov := run.res.Overlay
+		dupRatio := 0.0
+		if envelopes := ov.OriginSends + ov.Relayed; envelopes > 0 {
+			dupRatio = float64(ov.Duplicates) / float64(envelopes)
+		}
+		fmt.Fprintf(out, "overlay %-8s origins=%d sends/origin=%.1f relayed=%d duplicates=%d (%.3f of envelopes) stall-skips=%d stall-drops=%d\n",
+			run.name, ov.Origins, ov.SendsPerBroadcast(), ov.Relayed, ov.Duplicates, dupRatio, ov.StallSkips, ov.StallDrops)
 	}
 }
 

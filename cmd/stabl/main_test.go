@@ -29,6 +29,46 @@ func TestCLIRunCommand(t *testing.T) {
 	}
 }
 
+// TestCLIRunPrintsOverlayCounters: with an overlay configured, text mode
+// carries one line of router counters per run; mesh output has none, and
+// JSON output is the same document either way.
+func TestCLIRunPrintsOverlayCounters(t *testing.T) {
+	mesh := runCLI(t, "-system", "Redbelly", "-fault", "crash", "run")
+	if strings.Contains(mesh, "overlay") {
+		t.Fatalf("mesh output mentions an overlay:\n%s", mesh)
+	}
+	for _, args := range [][]string{
+		{"-system", "Redbelly", "-fault", "crash", "-overlay", "kadcast", "run"},
+		{"-system", "Redbelly", "-overlay", "kadcast", "-scenario", "eclipse", "scenario"},
+	} {
+		out := runCLI(t, args...)
+		for _, run := range []string{"baseline", "altered"} {
+			var line string
+			for _, l := range strings.Split(out, "\n") {
+				if strings.HasPrefix(l, "overlay "+run) {
+					line = l
+				}
+			}
+			for _, field := range []string{"origins=", "sends/origin=", "relayed=", "duplicates=", "of envelopes", "stall-skips=", "stall-drops="} {
+				if !strings.Contains(line, field) {
+					t.Errorf("%v: %s overlay line %q lacks %q", args, run, line, field)
+				}
+			}
+			if strings.Contains(line, "origins=0 ") || strings.Contains(line, "relayed=0 ") {
+				t.Errorf("%v: %s overlay line reports no routing: %q", args, run, line)
+			}
+		}
+		if strings.Count(out, "\noverlay ") != 2 {
+			t.Errorf("%v: want one overlay line per run:\n%s", args, out)
+		}
+	}
+	var report map[string]any
+	out := runCLI(t, "-system", "Redbelly", "-fault", "crash", "-overlay", "kadcast", "-json", "run")
+	if err := json.Unmarshal([]byte(out), &report); err != nil || strings.Contains(out, "origins=") {
+		t.Fatalf("-json output is not the plain report (%v):\n%s", err, out)
+	}
+}
+
 func TestCLIRunJSON(t *testing.T) {
 	out := runCLI(t, "-system", "Redbelly", "-fault", "crash", "-json", "run")
 	var report struct {

@@ -58,16 +58,40 @@ func recorderLines(t *testing.T, rec *metrics.Recorder) []byte {
 // five systems: a run checkpointed at its fault-injection instant and
 // continued from the fork is byte-identical — scores, event counts, network
 // stats, metrics timelines — to the same run executed from t=0, and rewinding
-// the fork reproduces the continuation again.
+// the fork reproduces the continuation again. The overlay rows put routers —
+// sequence numbers, dupemaps, stall levels — and relays in flight inside the
+// checkpoint.
 func TestGoldenForkMatchesReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fork golden skipped in -short mode")
 	}
+	type row struct {
+		name    string
+		sys     System
+		overlay string
+	}
+	var rows []row
 	for _, sys := range Systems() {
-		sys := sys
-		t.Run(sys.Name(), func(t *testing.T) {
+		rows = append(rows, row{name: sys.Name(), sys: sys})
+	}
+	for _, r := range []struct{ system, overlay string }{
+		{"Algorand", "kadcast"}, {"Redbelly", "kadcast"}, {"Solana", "ring"},
+	} {
+		sys, err := SystemByName(r.system)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row{name: r.system + "-" + r.overlay, sys: sys, overlay: r.overlay})
+	}
+	for _, r := range rows {
+		r := r
+		t.Run(r.name, func(t *testing.T) {
 			t.Parallel()
-			cfg := forkGoldenConfig(sys)
+			cfg := forkGoldenConfig(r.sys)
+			if r.overlay != "" {
+				cfg.Validators = 16
+				cfg.Overlay = OverlayConfig{Topology: r.overlay}
+			}
 			recA := metrics.NewRecorder(0)
 			cfgA := cfg
 			cfgA.Metrics = recA
@@ -82,6 +106,9 @@ func TestGoldenForkMatchesReplay(t *testing.T) {
 			e, fp, got := runForked(t, cfgB)
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("forked continuation diverged from replay:\nreplay: %+v\nforked: %+v", want, got)
+			}
+			if r.overlay != "" && got.Overlay.Relayed == 0 {
+				t.Error("the overlay relayed nothing; the row exercises no router state")
 			}
 			wantLines := recorderLines(t, recA)
 			if gotLines := recorderLines(t, recB); !bytes.Equal(wantLines, gotLines) {

@@ -14,6 +14,7 @@ import (
 	"stabl/internal/avalanche"
 	"stabl/internal/chain"
 	"stabl/internal/metrics"
+	"stabl/internal/overlay"
 	"stabl/internal/redbelly"
 	"stabl/internal/solana"
 )
@@ -184,6 +185,14 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		cfg.Clients, cfg.Flows, cfg.RetryAfter = 12, 3, 5*time.Second
 		cfg.ReadRate = 2
 		cfg.Metrics = metrics.NewRecorder(0)
+		return cfg
+	}})
+	// Routers inside the checkpoint: sequence numbers, dupemap rings and
+	// stall levels, with relay flights queued.
+	cases = append(cases, tcase{"Algorand/kadcast", func() Config {
+		cfg := base(algorand.Default(), FaultTransient)
+		cfg.Validators = 16
+		cfg.Overlay = overlay.Config{Topology: overlay.KindKadcast}
 		return cfg
 	}})
 	for _, tc := range cases {

@@ -58,6 +58,19 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadIDSets: ids key dense tables (the kadcast key table, like
+// simnet's own), so a negative one is an error, as are duplicates and sets
+// too small to relay in.
+func TestNewRejectsBadIDSets(t *testing.T) {
+	for _, ids := range [][]simnet.NodeID{nil, {3}, {1, 2, 1}, {0, -1, 2}} {
+		for _, kind := range Kinds() {
+			if _, err := New(Config{Topology: kind}, 42, ids); err == nil {
+				t.Errorf("%s: id set %v accepted", kind, ids)
+			}
+		}
+	}
+}
+
 // TestTopologyDeterminism: same (cfg, seed, ids) must produce identical
 // adjacency and bucket views across constructions, independent of the input
 // id order; a different seed must move kadcast/regular edges.
@@ -271,11 +284,11 @@ func TestRouterSnapshotRoundtrip(t *testing.T) {
 	r := NewRouter(topo, 3)
 	s := &fakeSender{id: 3}
 	r.Broadcast(s, "a")
-	r.Unwrap(s, 5, Envelope{Origin: 5, Seq: 1, Height: maxHeight, Payload: "b"})
+	r.Unwrap(s, 5, Envelope{Origin: 5, Seq: 1, Payload: "b"})
 	st := r.Snapshot()
 	// Diverge, then restore.
 	r.Broadcast(s, "c")
-	r.Unwrap(s, 5, Envelope{Origin: 5, Seq: 2, Height: maxHeight, Payload: "d"})
+	r.Unwrap(s, 5, Envelope{Origin: 5, Seq: 2, Payload: "d"})
 	r.Restore(st)
 	if r.seq != 1 {
 		t.Errorf("seq = %d after restore, want 1", r.seq)

@@ -1,15 +1,15 @@
 package overlay
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"stabl/internal/simnet"
 )
 
 // Sender is the slice of simnet.Context the router needs: identity, virtual
-// time and point-to-point sends. *simnet.Context satisfies it; tests use
-// in-memory fakes.
+// time and point-to-point sends. *simnet.Context satisfies it, and on one
+// the router multicasts (see relay); tests and probes use in-memory fakes.
 type Sender interface {
 	ID() simnet.NodeID
 	Now() time.Duration
@@ -21,15 +21,19 @@ var _ Sender = (*simnet.Context)(nil)
 // Envelope wraps an application broadcast travelling over the overlay.
 // Direct sends (replies, sync pulls, client traffic) are never enveloped and
 // pass through Router.Unwrap untouched.
+//
+// The envelope carries no relay ceiling. A kadcast bucket index is the top
+// differing bit of two keys, which is symmetric: the bucket a sender keeps
+// the receiver in is the bucket the receiver keeps the sender in, so relay
+// derives the ceiling from who sent it. The envelope is therefore the same
+// value at every hop of a broadcast: Broadcast boxes it once and every relay
+// forwards the interface it received. It is immutable from then on — routers
+// on other partitions of the parallel kernel only read it.
 type Envelope struct {
 	// Origin is the broadcasting node; Seq its persistent per-origin
 	// sequence number. Together they key duplicate suppression.
 	Origin simnet.NodeID
 	Seq    uint64
-	// Height is the kadcast relay ceiling: the receiver forwards only to
-	// buckets strictly below it. floodHeight marks flood relays
-	// (ring/regular): forward to every neighbor except the sender.
-	Height int
 	// Payload is the application message.
 	Payload any
 }
@@ -47,26 +51,46 @@ type stallLevel struct {
 // event context: all methods run inside that node's (single-threaded) event
 // handling, like every other piece of per-node chain state.
 type Router struct {
-	topo  *Topology
-	self  simnet.NodeID
-	seq   uint64 // persistent across restarts
-	dupe  dupemap
-	stall map[simnet.NodeID]stallLevel
+	topo *Topology
+	self simnet.NodeID
+	// The node's slice of the topology, resolved once: its kadcast key and
+	// bucket views (flood topologies: zero and nil) and its neighborhood.
+	key       uint64
+	views     []BucketView
+	neighbors []simnet.NodeID
+
+	seq  uint64 // persistent across restarts
+	dupe dupemap
+	// stall holds one level per peer this node relays to, in the order
+	// relay visits them: view by view, peer by peer (kadcast — a peer sits
+	// in exactly one bucket) or neighbor by neighbor (flood).
+	stall []stallLevel
 	stats Stats
 }
 
 // NewRouter creates the relay endpoint for self on the given topology.
 func NewRouter(topo *Topology, self simnet.NodeID) *Router {
-	return &Router{
-		topo:  topo,
-		self:  self,
-		dupe:  newDupemap(topo.cfg.DupeCap),
-		stall: make(map[simnet.NodeID]stallLevel),
+	r := &Router{
+		topo:      topo,
+		self:      self,
+		key:       topo.key(self),
+		views:     topo.views[self],
+		neighbors: topo.neighbors[self],
+		dupe:      newDupemap(topo.cfg.DupeCap),
 	}
+	peers := len(r.neighbors)
+	if topo.views != nil {
+		peers = 0
+		for _, bv := range r.views {
+			peers += len(bv.Peers)
+		}
+	}
+	r.stall = make([]stallLevel, peers)
+	return r
 }
 
 // Neighbors returns this node's symmetric overlay neighborhood, ascending.
-func (r *Router) Neighbors() []simnet.NodeID { return r.topo.Neighbors(r.self) }
+func (r *Router) Neighbors() []simnet.NodeID { return r.neighbors }
 
 // Stats returns the router's cumulative counters.
 func (r *Router) Stats() Stats { return r.stats }
@@ -77,10 +101,10 @@ func (r *Router) Stats() Stats { return r.stats }
 // remote dissemination happens here.
 func (r *Router) Broadcast(s Sender, payload any) {
 	r.seq++
-	r.dupe.add(dupeKey{origin: r.self, seq: r.seq})
-	env := Envelope{Origin: r.self, Seq: r.seq, Payload: payload}
+	id := dupeKey{origin: r.self, seq: r.seq}
+	r.dupe.add(id)
 	r.stats.Origins++
-	r.stats.OriginSends += r.relay(s, env, maxHeight, r.self)
+	r.stats.OriginSends += r.relay(s, id, Envelope{Origin: r.self, Seq: r.seq, Payload: payload}, r.self)
 }
 
 // Unwrap filters one delivered payload. Non-envelope traffic passes through
@@ -91,65 +115,86 @@ func (r *Router) Unwrap(s Sender, from simnet.NodeID, payload any) (inner any, o
 	if !isEnv {
 		return payload, true
 	}
-	if !r.dupe.add(dupeKey{origin: env.Origin, seq: env.Seq}) {
+	id := dupeKey{origin: env.Origin, seq: env.Seq}
+	if !r.dupe.add(id) {
 		r.stats.Duplicates++
 		return nil, false
 	}
-	r.stats.Relayed += r.relay(s, env, env.Height, from)
+	r.stats.Relayed += r.relay(s, id, payload, from)
 	return env.Payload, true
 }
 
-// relay forwards env below the given height ceiling (kadcast) or floods it
+// relay forwards broadcast id down the kadcast tree or floods it
 // (ring/regular), skipping stalled peers deterministically. It returns the
-// number of envelopes sent. from is excluded: it either originated or just
-// relayed this envelope.
-func (r *Router) relay(s Sender, env Envelope, height int, from simnet.NodeID) uint64 {
+// number of envelopes sent. env is the broadcast's boxed Envelope, sent as it
+// is. from is who handed it to this node — the node itself when it
+// originates — and is excluded along with the origin.
+//
+// The chosen peers go out as one multicast — on a *simnet.Context one
+// flight, which Context.Broadcast guarantees to be the messages a loop of
+// Send over the same peers would produce; any other Sender gets that loop.
+func (r *Router) relay(s Sender, id dupeKey, env any, from simnet.NodeID) uint64 {
 	now := s.Now()
-	var sent uint64
-	if r.topo.views != nil { // kadcast
-		for _, bv := range r.topo.views[r.self] {
+	picks := make([]simnet.NodeID, 0, 64) // call-local: stays on the stack
+	if r.topo.views != nil {              // kadcast
+		// An origin covers every bucket; a relay those strictly below the
+		// one it shares with the sender.
+		height := maxHeight
+		if from != r.self {
+			height = bucketIndex(r.key, r.topo.key(from))
+		}
+		base := 0 // stall index of the view's first peer
+		for _, bv := range r.views {
+			stall := r.stall[base : base+len(bv.Peers)]
+			base += len(bv.Peers)
 			if bv.Index >= height {
 				continue
 			}
 			// Delegate rotation is a pure hash of the broadcast identity
 			// and the bucket, so repeated broadcasts spread load over the
 			// view without drawing from any RNG stream.
-			offset := int(delegateHash(env.Origin, env.Seq, bv.Index, r.self) % uint64(len(bv.Peers)))
+			offset := int(delegateHash(id.origin, id.seq, bv.Index, r.self) % uint64(len(bv.Peers)))
 			picked, candidates := 0, 0
 			for i := 0; i < len(bv.Peers) && picked < r.topo.cfg.Fanout; i++ {
-				peer := bv.Peers[(offset+i)%len(bv.Peers)]
-				if peer == env.Origin || peer == from {
+				at := (offset + i) % len(bv.Peers)
+				peer := bv.Peers[at]
+				if peer == id.origin || peer == from {
 					continue
 				}
 				candidates++
-				if r.stalled(peer, now) {
+				if r.stalled(&stall[at], now) {
 					r.stats.StallSkips++
 					continue
 				}
-				r.charge(peer, now)
-				s.Send(peer, Envelope{Origin: env.Origin, Seq: env.Seq, Height: bv.Index, Payload: env.Payload})
+				r.charge(&stall[at], now)
+				picks = append(picks, peer)
 				picked++
 			}
 			if picked == 0 && candidates > 0 {
 				r.stats.StallDrops++
 			}
-			sent += uint64(picked)
 		}
-		return sent
+	} else { // flood: every neighbor except the origin and the sender
+		for i, peer := range r.neighbors {
+			if peer == id.origin || peer == from {
+				continue
+			}
+			if r.stalled(&r.stall[i], now) {
+				r.stats.StallSkips++
+				continue
+			}
+			r.charge(&r.stall[i], now)
+			picks = append(picks, peer)
+		}
 	}
-	for _, peer := range r.topo.Neighbors(r.self) { // flood
-		if peer == env.Origin || peer == from {
-			continue
+	if ctx, ok := s.(*simnet.Context); ok {
+		ctx.Broadcast(picks, env)
+	} else {
+		for _, peer := range picks {
+			s.Send(peer, env)
 		}
-		if r.stalled(peer, now) {
-			r.stats.StallSkips++
-			continue
-		}
-		r.charge(peer, now)
-		s.Send(peer, Envelope{Origin: env.Origin, Seq: env.Seq, Height: floodHeight, Payload: env.Payload})
-		sent++
 	}
-	return sent
+	return uint64(len(picks))
 }
 
 // delegateHash mixes the broadcast identity with the bucket and the relaying
@@ -159,20 +204,15 @@ func delegateHash(origin simnet.NodeID, seq uint64, bucket int, self simnet.Node
 	return splitmix64(x)
 }
 
-// stalled reports whether peer's drained outstanding level is at or above
+// stalled reports whether a peer's drained outstanding level is at or above
 // the stall threshold.
-func (r *Router) stalled(peer simnet.NodeID, now time.Duration) bool {
-	st, ok := r.stall[peer]
-	if !ok {
-		return false
-	}
+func (r *Router) stalled(st *stallLevel, now time.Duration) bool {
 	lvl := st.level - r.topo.cfg.DrainRate*(now-st.last).Seconds()
 	return lvl >= float64(r.topo.cfg.StallThreshold)
 }
 
-// charge drains peer's level to now and adds one outstanding send.
-func (r *Router) charge(peer simnet.NodeID, now time.Duration) {
-	st := r.stall[peer]
+// charge drains a peer's level to now and adds one outstanding send.
+func (r *Router) charge(st *stallLevel, now time.Duration) {
 	if st.last > 0 || st.level > 0 {
 		st.level -= r.topo.cfg.DrainRate * (now - st.last).Seconds()
 		if st.level < 0 {
@@ -181,7 +221,6 @@ func (r *Router) charge(peer simnet.NodeID, now time.Duration) {
 	}
 	st.level++
 	st.last = now
-	r.stall[peer] = st
 }
 
 // Reset clears the volatile routing state on node reboot: the dupemap and
@@ -190,7 +229,7 @@ func (r *Router) charge(peer simnet.NodeID, now time.Duration) {
 // cumulative stats keep counting across incarnations.
 func (r *Router) Reset() {
 	r.dupe.reset()
-	r.stall = make(map[simnet.NodeID]stallLevel)
+	clear(r.stall)
 }
 
 // State is a value snapshot of a Router for run forking (snapshot.Forkable):
@@ -198,34 +237,19 @@ func (r *Router) Reset() {
 type State struct {
 	seq   uint64
 	dupe  dupeState
-	peers []simnet.NodeID // stall keys, ascending
-	lvls  []stallLevel    // stall values, parallel to peers
+	stall []stallLevel
 	stats Stats
 }
 
-// Snapshot captures the router state by value. Stall levels are serialized
-// in ascending peer order so the snapshot bytes are map-order independent.
+// Snapshot captures the router state by value.
 func (r *Router) Snapshot() State {
-	st := State{seq: r.seq, dupe: r.dupe.snapshot(), stats: r.stats}
-	st.peers = make([]simnet.NodeID, 0, len(r.stall))
-	for peer := range r.stall {
-		st.peers = append(st.peers, peer)
-	}
-	sort.Slice(st.peers, func(i, j int) bool { return st.peers[i] < st.peers[j] })
-	st.lvls = make([]stallLevel, len(st.peers))
-	for i, peer := range st.peers {
-		st.lvls[i] = r.stall[peer]
-	}
-	return st
+	return State{seq: r.seq, dupe: r.dupe.snapshot(), stall: slices.Clone(r.stall), stats: r.stats}
 }
 
 // Restore rewinds the router to a snapshot taken by Snapshot.
 func (r *Router) Restore(st State) {
 	r.seq = st.seq
 	r.dupe.restore(st.dupe)
-	r.stall = make(map[simnet.NodeID]stallLevel, len(st.peers))
-	for i, peer := range st.peers {
-		r.stall[peer] = st.lvls[i]
-	}
+	copy(r.stall, st.stall)
 	r.stats = st.stats
 }

@@ -13,10 +13,10 @@ import (
 // the first hop covers the whole key space. Kadcast keys are 64-bit.
 const maxHeight = 64
 
-// floodHeight marks an envelope as flood-relayed (ring/regular): the
-// receiver forwards to all neighbors except the sender, relying on the
-// dupemap to terminate.
-const floodHeight = -1
+// bucketIndex is the kadcast bucket two keys keep each other in: their most
+// significant differing bit. It is symmetric, so a relay ceiling need not
+// travel with an envelope (see Envelope). Equal keys give -1.
+func bucketIndex(a, b uint64) int { return bits.Len64(a^b) - 1 }
 
 // BucketView is one kadcast distance bucket as seen by one node: the
 // BucketK closest members by XOR distance, ascending.
@@ -41,8 +41,9 @@ type Topology struct {
 	// views holds each node's kadcast bucket views, highest bucket first
 	// (nil for flood topologies).
 	views map[simnet.NodeID][]BucketView
-	// keys holds the kadcast key per node (nil for flood topologies).
-	keys map[simnet.NodeID]uint64
+	// keys holds the kadcast key per node, indexed by node id like simnet's
+	// own tables (nil for flood topologies).
+	keys []uint64
 }
 
 // New derives the overlay graph for the given sorted-or-not id set. The same
@@ -61,6 +62,9 @@ func New(cfg Config, seed int64, ids []simnet.NodeID) (*Topology, error) {
 	}
 	sorted := append([]simnet.NodeID(nil), ids...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	if sorted[0] < 0 {
+		return nil, fmt.Errorf("overlay: negative node id %v (ids key dense tables, as in simnet)", sorted[0])
+	}
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i] == sorted[i-1] {
 			return nil, fmt.Errorf("overlay: duplicate node id %v", sorted[i])
@@ -95,6 +99,15 @@ func (t *Topology) Neighbors(id simnet.NodeID) []simnet.NodeID { return t.neighb
 // flood topologies). Callers must not mutate.
 func (t *Topology) Views(id simnet.NodeID) []BucketView { return t.views[id] }
 
+// key returns id's kadcast key: zero for ids past the table, which is all of
+// them on flood topologies.
+func (t *Topology) key(id simnet.NodeID) uint64 {
+	if uint(id) < uint(len(t.keys)) {
+		return t.keys[id]
+	}
+	return 0
+}
+
 // Edges visits every undirected overlay edge (a < b) in ascending order.
 func (t *Topology) Edges(visit func(a, b simnet.NodeID)) {
 	for _, a := range t.ids {
@@ -122,7 +135,7 @@ func splitmix64(x uint64) uint64 {
 // a nonempty view, and one delegate per view covers it by induction.
 func (t *Topology) buildKadcast(seed int64) {
 	n := len(t.ids)
-	keys := make(map[simnet.NodeID]uint64, n)
+	keys := make([]uint64, t.ids[n-1]+1)
 	used := make(map[uint64]bool, n)
 	for _, id := range t.ids { // sorted order: collision re-salting is deterministic
 		k := splitmix64(uint64(seed) ^ uint64(id)*0x9E3779B97F4A7C15)
@@ -151,7 +164,7 @@ func (t *Topology) buildKadcast(seed int64) {
 				continue
 			}
 			d := kx ^ keys[y]
-			b := bits.Len64(d) - 1
+			b := bucketIndex(kx, keys[y])
 			bk := buckets[b]
 			if len(bk) == t.cfg.BucketK && bk[len(bk)-1].dist <= d {
 				continue // farther than the whole view: cheap reject
