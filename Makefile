@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify verify-race ci specs lint loc fuzz-smoke bench bench-smoke bench-scale bench-parallel bench-gossip bench-pairs figures clean
+.PHONY: all build vet test race verify verify-race ci specs lint loc fuzz-smoke sim-digests bench bench-smoke bench-scale bench-parallel bench-gossip bench-pairs figures clean
 
 all: verify
 
@@ -72,9 +72,9 @@ verify-race:
 	$(GO) test -race -timeout 45m ./...
 
 # ci is the full merge gate: verify, verify-race, the race-enabled benchmark
-# smoke pass and the fuzz smoke pass. This is what .github/workflows/ci.yml
-# runs.
-ci: verify verify-race bench-smoke fuzz-smoke
+# smoke pass, the fuzz smoke pass and the simulated-side digests. This is what
+# .github/workflows/ci.yml runs.
+ci: verify verify-race bench-smoke fuzz-smoke sim-digests
 
 # fuzz-smoke runs every native fuzz target in the module (`func Fuzz*` in a
 # test file) for FUZZTIME each: the seed corpus first, then fresh inputs.
@@ -89,6 +89,14 @@ fuzz-smoke:
 			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$(dirname $$f); \
 		done; \
 	done
+
+# sim-digests replays scripts/sim_digests.txt: one stablbench run (-reps 1
+# -trace 0) per `<seed> <workload> <digest>` line — all five benchmark
+# workloads at seed 42, four at seed 7 — and fails on the first sim_digest
+# that differs. It is the "every simulated column identical" every host-side
+# PR asserts, as a gate (about a minute and a half; see scripts/sim_digests.sh).
+sim-digests:
+	bash scripts/sim_digests.sh
 
 # bench regenerates the committed kernel benchmark report (figures at the
 # paper's 400 virtual seconds plus the scheduler/simnet microbenchmarks).

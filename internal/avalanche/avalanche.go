@@ -20,7 +20,9 @@
 package avalanche
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -568,7 +570,7 @@ func (v *validator) samplePeersN(k int) []simnet.NodeID {
 		u := 1 - v.rngF()
 		others = append(others, keyed{id: p, key: -math.Log(u) / v.stake(int(p))})
 	}
-	sort.Slice(others, func(a, b int) bool { return others[a].key < others[b].key })
+	slices.SortFunc(others, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
 	if len(others) > k {
 		others = others[:k]
 	}

@@ -263,7 +263,8 @@ func (n *BaseNode) Subscribe(id TxID, client simnet.NodeID) {
 // SubmitBlock hands a decided block to the execution pipeline. Blocks apply
 // strictly in height order; duplicates and already-applied heights are
 // ignored. Out-of-order blocks wait for their predecessors (which catch-up
-// will fetch).
+// will fetch). This is where a validator hashes a block, once: the sealed
+// copy serves TipHash, Ledger.Append, the monitor report and catch-up.
 func (n *BaseNode) SubmitBlock(b Block) {
 	if b.Height < n.Ledger.Height() {
 		return
@@ -271,6 +272,7 @@ func (n *BaseNode) SubmitBlock(b Block) {
 	if _, dup := n.pending[b.Height]; dup {
 		return
 	}
+	b.seal()
 	n.pending[b.Height] = b
 	for _, tx := range b.Txs {
 		*n.Ledger.txs.slot(tx.ID) |= txPipeline
@@ -285,6 +287,31 @@ func (n *BaseNode) InPipeline(id TxID) bool {
 	return n.Ledger.txs.state(id)&txPipeline != 0
 }
 
+// Union appends to dst the transactions of src that no earlier Union of the
+// same merge has appended, in src order, and returns the extended slice: a
+// proposer merging overlapping proposal lists calls it once per list and then
+// EndUnion on the result. First sight is a mark in the node's own transaction
+// table (the cells SubmitBlock touches next), so the merge builds no set of
+// its own; pooled, in-pipeline and committed transactions merge like any
+// other. The marks must not outlive the event: always pair with EndUnion.
+func (n *BaseNode) Union(dst, src []Tx) []Tx {
+	for _, tx := range src {
+		if s := n.Ledger.txs.slot(tx.ID); *s&txMark == 0 {
+			*s |= txMark
+			dst = append(dst, tx)
+		}
+	}
+	return dst
+}
+
+// EndUnion clears the first-sight marks of a finished merge; txs is what the
+// Union calls returned.
+func (n *BaseNode) EndUnion(txs []Tx) {
+	for _, tx := range txs {
+		n.Ledger.txs.clear(tx.ID, txMark)
+	}
+}
+
 // TipHash returns the content address of the highest decided block —
 // executed, executing, or queued — i.e. the parent the next proposal must
 // link to.
@@ -293,12 +320,12 @@ func (n *BaseNode) TipHash() Hash {
 	best := n.Ledger.TipHash()
 	if n.applying && n.applyingAt > tip {
 		tip = n.applyingAt
-		best = HashBlock(n.applyingBlock)
+		best = n.applyingBlock.hash
 	}
 	for h, b := range n.pending {
 		if h > tip {
 			tip = h
-			best = HashBlock(b)
+			best = b.hash
 		}
 	}
 	return best

@@ -15,43 +15,42 @@ func (h Hash) String() string { return hex.EncodeToString(h[:8]) }
 // IsZero reports whether the hash is all zeroes (the genesis parent).
 func (h Hash) IsZero() bool { return h == Hash{} }
 
-// HashTx computes a transaction's content address. Note that Tx.ID is an
-// experiment-level identifier chosen by the client; the hash binds the
-// actual transfer contents, which is what validators cross-check.
-func HashTx(tx Tx) Hash {
-	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(tx.ID))
-	_, _ = h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(tx.From))
-	_, _ = h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(tx.To))
-	_, _ = h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], tx.Amount)
-	_, _ = h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], tx.Nonce)
-	_, _ = h.Write(buf[:])
-	var out Hash
-	h.Sum(out[:0])
-	return out
-}
+// txHashBytes is what one transaction contributes to HashBlock's stream:
+// half a SHA-256 block.
+const txHashBytes = 32
 
-// HashBlock computes a block's content address over its height, proposer,
-// parent link and transaction hashes. The decision timestamp is explicitly
-// excluded: every validator observes the decision at a slightly different
-// instant, but all of them must agree on the block's identity.
+// HashBlock computes a block's content address in one pass: height, proposer
+// and parent link, then each transaction's ID, From, To, Amount and Nonce in
+// block order, streamed through a single SHA-256. Tx.ID is an experiment-level
+// identifier chosen by the client; binding the transfer contents beside it is
+// what lets validators cross-check them. DecidedAt and each transaction's
+// Submitted are explicitly excluded: every validator observes the decision at
+// a slightly different instant, but all of them must agree on the block's
+// identity.
+//
+// HashBlock always reads the content; validators call it once per block (see
+// Block) and Ledger.VerifyChain checks that a carried hash still matches.
 func HashBlock(b Block) Hash {
 	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(b.Height))
-	_, _ = h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(b.Proposer))
-	_, _ = h.Write(buf[:])
-	_, _ = h.Write(b.Parent[:])
-	for _, tx := range b.Txs {
-		txh := HashTx(tx)
-		_, _ = h.Write(txh[:])
+	var buf [16 * txHashBytes]byte // flushed when full
+	le := binary.LittleEndian
+	le.PutUint64(buf[0:], uint64(b.Height))
+	le.PutUint64(buf[8:], uint64(b.Proposer))
+	n := 16 + copy(buf[16:], b.Parent[:])
+	for i := range b.Txs {
+		if n+txHashBytes > len(buf) {
+			_, _ = h.Write(buf[:n])
+			n = 0
+		}
+		tx := &b.Txs[i]
+		le.PutUint64(buf[n:], uint64(tx.ID))
+		le.PutUint32(buf[n+8:], uint32(tx.From))
+		le.PutUint32(buf[n+12:], uint32(tx.To))
+		le.PutUint64(buf[n+16:], tx.Amount)
+		le.PutUint64(buf[n+24:], tx.Nonce)
+		n += txHashBytes
 	}
+	_, _ = h.Write(buf[:n])
 	var out Hash
 	h.Sum(out[:0])
 	return out

@@ -25,8 +25,7 @@ type Ledger struct {
 // in-pool and in-pipeline marks — is the ledger's table, so the ledger
 // checkpoint carries all three and the pool's is just its queue.
 type ledgerState struct {
-	blocks []Block
-	hashes []Hash
+	blocks []Block // sealed: each carries the hash Append verified its successor against
 	// txs records every committed transaction's height — the dedup set.
 	// The node's mempool and execution pipeline keep their volatile
 	// per-transaction bits in the same table (see txTable) and reach it
@@ -166,39 +165,40 @@ func (l *Ledger) Append(b Block) ([]Tx, error) {
 		l.applied++
 		executed = append(executed, tx)
 	}
+	b.seal() // a no-op for a block that came through BaseNode.SubmitBlock
 	l.blocks = append(l.blocks, b)
-	l.hashes = append(l.hashes, HashBlock(b))
 	return executed, nil
 }
 
 // TipHash returns the content address of the latest block (zero at genesis).
 func (l *Ledger) TipHash() Hash {
-	if len(l.hashes) == 0 {
+	if len(l.blocks) == 0 {
 		return Hash{}
 	}
-	return l.hashes[len(l.hashes)-1]
+	return l.blocks[len(l.blocks)-1].hash
 }
 
 // BlockHash returns the stored content address of the block at a height.
 func (l *Ledger) BlockHash(height int) (Hash, error) {
-	if height < 0 || height >= len(l.hashes) {
+	if height < 0 || height >= len(l.blocks) {
 		return Hash{}, fmt.Errorf("ledger: no block hash at height %d", height)
 	}
-	return l.hashes[height], nil
+	return l.blocks[height].hash, nil
 }
 
-// VerifyChain re-validates the whole hash chain: every stored hash matches
-// its block's content and every parent link matches the previous hash.
+// VerifyChain re-validates the whole hash chain from content: every block's
+// carried hash matches what its fields hash to now, and every parent link
+// matches the previous hash.
 func (l *Ledger) VerifyChain() error {
 	prev := Hash{}
 	for i, b := range l.blocks {
-		if got := HashBlock(b); got != l.hashes[i] {
+		if got := HashBlock(b); got != b.hash {
 			return fmt.Errorf("ledger: block %d content hash mismatch", i)
 		}
 		if b.Parent != prev {
 			return fmt.Errorf("ledger: block %d parent link broken", i)
 		}
-		prev = l.hashes[i]
+		prev = b.hash
 	}
 	return nil
 }

@@ -33,13 +33,25 @@ type Monitor struct {
 // monitorState is what a Monitor accumulates, and its checkpoint: the dedup
 // set, the commit log and the chain-integrity trail.
 type monitorState struct {
-	seen       map[TxID]bool
+	// seen is the dedup set, the validators' table type with one meaning:
+	// a non-zero cell is a transaction already counted.
+	seen       txTable
 	commits    []CommitEvent
 	maxHeight  int
 	lastCommit time.Duration
-	haveBlock  bool
-	lastHash   Hash
-	integrity  []string
+	// heights[h] is the hash of the first block any validator reported at
+	// height h, zero while nobody has (a hole sync fills on individual
+	// nodes). Every later report at h must carry the same hash.
+	heights   []Hash
+	forks     []heightFork
+	integrity []string
+}
+
+// heightFork is one height at which validators committed different blocks.
+type heightFork struct {
+	height int
+	other  Hash // the first hash reported that is not heights[height]
+	n      int  // reports that are not heights[height]
 }
 
 // monitorPar is the parallel-mode buffering. The monitor is cross-cutting
@@ -66,7 +78,7 @@ type monEntry struct {
 
 // NewMonitor creates an empty monitor.
 func NewMonitor() *Monitor {
-	return &Monitor{monitorState: monitorState{seen: make(map[TxID]bool), maxHeight: -1}}
+	return &Monitor{monitorState: monitorState{maxHeight: -1}}
 }
 
 // SetMetrics attaches a metrics recorder: unique commits become counters
@@ -171,32 +183,55 @@ func (m *Monitor) RecordBlock(id simnet.NodeID, b Block, now time.Duration) {
 }
 
 func (m *Monitor) applyBlock(b Block, now time.Duration) {
+	hash := b.seal() // already computed when a BaseNode reports
 	if b.Height <= m.maxHeight {
+		m.agree(b.Height, hash)
 		return
 	}
 	// Integrity: consecutive heights must link up; gaps (filled later by
 	// sync on individual nodes) cannot be linkage-checked here.
-	if b.Height == m.maxHeight+1 && m.haveBlock && b.Parent != m.lastHash {
+	if m.maxHeight >= 0 && b.Height == m.maxHeight+1 && b.Parent != m.heights[m.maxHeight] {
 		m.integrity = append(m.integrity,
-			fmt.Sprintf("block %d parent %v does not extend %v", b.Height, b.Parent, m.lastHash))
+			fmt.Sprintf("block %d parent %v does not extend %v", b.Height, b.Parent, m.heights[m.maxHeight]))
 	}
-	m.lastHash = HashBlock(b)
+	m.heights = append(m.heights, make([]Hash, b.Height+1-len(m.heights))...)
+	m.heights[b.Height] = hash
 	m.maxHeight = b.Height
-	m.haveBlock = true
 	if m.rec != nil {
 		m.rec.Count(now, "blocks_committed", 1)
 	}
 	for _, tx := range b.Txs {
-		if m.seen[tx.ID] {
+		s := m.seen.slot(tx.ID)
+		if *s != 0 {
 			continue
 		}
-		m.seen[tx.ID] = true
+		*s = 1
 		m.commits = append(m.commits, CommitEvent{ID: tx.ID, Submitted: tx.Submitted, Committed: now})
 		m.lastCommit = now
 		if m.rec != nil {
 			m.rec.Count(now, "tx_committed", 1)
 			m.rec.Observe(now, "commit_latency", (now - tx.Submitted).Seconds())
 		}
+	}
+}
+
+// agree is the per-height agreement check: a report at a height somebody
+// already reported must carry the first-seen hash. Disagreements fold into
+// one record per height, however many validators are on the other side.
+func (m *Monitor) agree(height int, hash Hash) {
+	first := &m.heights[height]
+	switch {
+	case *first == hash:
+	case first.IsZero():
+		*first = hash
+	default:
+		for i := len(m.forks) - 1; i >= 0; i-- {
+			if m.forks[i].height == height {
+				m.forks[i].n++
+				return
+			}
+		}
+		m.forks = append(m.forks, heightFork{height: height, other: hash, n: 1})
 	}
 }
 
@@ -213,10 +248,17 @@ func (m *Monitor) MaxHeight() int { return m.maxHeight }
 // LastCommitAt returns the time of the most recent unique commit.
 func (m *Monitor) LastCommitAt() time.Duration { return m.lastCommit }
 
-// IntegrityErrors lists hash-chain violations observed across the recorded
-// block sequence; a correct deployment reports none.
+// IntegrityErrors lists the safety violations observed across the recorded
+// block sequence: broken parent links in report order, then one entry per
+// height at which validators committed different blocks. A correct
+// deployment reports none.
 func (m *Monitor) IntegrityErrors() []string {
-	return append([]string(nil), m.integrity...)
+	out := append([]string(nil), m.integrity...)
+	for _, f := range m.forks {
+		out = append(out, fmt.Sprintf("height %d: %d validators committed %v, first seen %v",
+			f.height, f.n, f.other, m.heights[f.height]))
+	}
+	return out
 }
 
 // CommittedSince counts unique commits at or after t.

@@ -19,12 +19,18 @@ import (
 // when large enough — the ledger tables are the bulk of a node's checkpoint,
 // and the pool and execution pipeline keep their pointer to dst's table.
 func (s *ledgerState) copyInto(dst *ledgerState) {
-	blocks, hashes, slots, accounts := dst.blocks, dst.hashes, dst.txs.slots, dst.accounts
+	blocks, txs, accounts := dst.blocks, dst.txs, dst.accounts
 	*dst = *s
 	dst.blocks = append(blocks[:0], s.blocks...)
-	dst.hashes = append(hashes[:0], s.hashes...)
-	dst.txs.slots = append(slots[:0], s.txs.slots...)
+	s.txs.copyInto(&txs)
+	dst.txs = txs
 	dst.accounts = append(accounts[:0], s.accounts...)
+}
+
+// copyInto is a table checkpoint: two slice copies into dst's own storage.
+func (t *txTable) copyInto(dst *txTable) {
+	dst.cells = append(dst.cells[:0], t.cells...)
+	dst.rows = append(dst.rows[:0], t.rows...)
 }
 
 func (s *poolState) copyInto(dst *poolState) {
@@ -36,10 +42,13 @@ func (s *poolState) copyInto(dst *poolState) {
 // copyInto reuses dst's commit log: it is the monitor's bulk, one entry per
 // transaction of the run.
 func (s *monitorState) copyInto(dst *monitorState) {
-	commits, integrity := dst.commits, dst.integrity
+	seen, commits, heights, forks, integrity := dst.seen, dst.commits, dst.heights, dst.forks, dst.integrity
 	*dst = *s
-	dst.seen = maps.Clone(s.seen)
+	s.seen.copyInto(&seen)
+	dst.seen = seen
 	dst.commits = append(commits[:0], s.commits...)
+	dst.heights = append(heights[:0], s.heights...)
+	dst.forks = append(forks[:0], s.forks...)
 	dst.integrity = append(integrity[:0], s.integrity...)
 }
 

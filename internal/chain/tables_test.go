@@ -156,7 +156,7 @@ func TestLedgerRejectsUnrecordableHeight(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "can record") {
 		t.Fatalf("Append past the table's height range: %v", err)
 	}
-	if h, ok := committedHeight(uint32(maxTxHeight+1)<<txHeightShift | txUsed); !ok || h != maxTxHeight {
+	if h, ok := committedHeight(uint32(maxTxHeight+1)<<txHeightShift | txMark | txPooled | txPipeline); !ok || h != maxTxHeight {
 		t.Fatalf("maxTxHeight does not round-trip: (%d, %v)", h, ok)
 	}
 }
@@ -191,7 +191,7 @@ func TestBaseSnapshotRestoreEveryTxState(t *testing.T) {
 		height                   int
 	}
 	all := []Tx{committed, pooled, piped, pooledAndPiped, readded, mkTx(1, 5, 0, 1, 1)}
-	observe := func() (views []view, queue []TxID, hash Hash, slots, accounts int) {
+	observe := func() (views []view, queue []TxID, hash Hash, cells, accounts int) {
 		for _, tx := range all {
 			h, ok := n.Ledger.Committed(tx.ID)
 			views = append(views, view{n.Pool.Contains(tx.ID), n.InPipeline(tx.ID), ok, h})
@@ -199,9 +199,9 @@ func TestBaseSnapshotRestoreEveryTxState(t *testing.T) {
 		for _, tx := range n.Pool.Pending() {
 			queue = append(queue, tx.ID)
 		}
-		return views, queue, n.Ledger.StateHash(), n.Ledger.txs.used, len(n.Ledger.accounts)
+		return views, queue, n.Ledger.StateHash(), cellsInUse(&n.Ledger.txs), len(n.Ledger.accounts)
 	}
-	wantViews, wantQueue, wantHash, wantUsed, wantAccounts := observe()
+	wantViews, wantQueue, wantHash, wantCells, wantAccounts := observe()
 	want := []view{{false, false, true, 0}, {true, false, false, 0}, {false, true, false, 0},
 		{true, true, false, 0}, {true, false, false, 0}, {}}
 	for i := range want {
@@ -229,12 +229,12 @@ func TestBaseSnapshotRestoreEveryTxState(t *testing.T) {
 	}
 	n.SubmitBlock(Block{Height: 1, Parent: n.Ledger.TipHash(), Txs: append(more, pooled, piped)})
 	sched.RunUntil(20 * time.Millisecond)
-	if n.Ledger.Height() != 2 || n.Ledger.txs.used <= wantUsed || len(n.Ledger.accounts) <= wantAccounts {
+	if n.Ledger.Height() != 2 || cellsInUse(&n.Ledger.txs) <= wantCells || len(n.Ledger.accounts) <= wantAccounts {
 		t.Fatalf("post-snapshot traffic did not land: height %d", n.Ledger.Height())
 	}
 
 	n.RestoreBase(st)
-	gotViews, gotQueue, gotHash, gotUsed, gotAccounts := observe()
+	gotViews, gotQueue, gotHash, gotCells, gotAccounts := observe()
 	for i := range wantViews {
 		if gotViews[i] != wantViews[i] {
 			t.Fatalf("after restore, tx %d is %+v, want %+v", i, gotViews[i], wantViews[i])
@@ -248,9 +248,9 @@ func TestBaseSnapshotRestoreEveryTxState(t *testing.T) {
 			t.Fatalf("queue after restore: %v, want %v", gotQueue, wantQueue)
 		}
 	}
-	if gotHash != wantHash || gotUsed != wantUsed || gotAccounts != wantAccounts || n.Ledger.Height() != 1 {
-		t.Fatalf("ledger after restore: used %d/%d accounts %d/%d height %d",
-			gotUsed, wantUsed, gotAccounts, wantAccounts, n.Ledger.Height())
+	if gotHash != wantHash || gotCells != wantCells || gotAccounts != wantAccounts || n.Ledger.Height() != 1 {
+		t.Fatalf("ledger after restore: cells %d/%d accounts %d/%d height %d",
+			gotCells, wantCells, gotAccounts, wantAccounts, n.Ledger.Height())
 	}
 	// The checkpoint itself must be untouched by what the node does next.
 	n.Pool.Pop(0)
@@ -352,19 +352,19 @@ func TestSteadyStateAllocations(t *testing.T) {
 	}
 	// Append until the table has just doubled, so the measured appends
 	// below cannot grow it.
-	for size := -1; len(l.txs.slots) < 1<<15 || len(l.txs.slots) == size; {
-		size = len(l.txs.slots)
+	for size := -1; len(l.txs.cells) < 1<<15 || len(l.txs.cells) == size; {
+		size = len(l.txs.cells)
 		appendBlock()
 	}
-	sized := len(l.txs.slots)
+	sized := len(l.txs.cells)
 	sample := Block{Txs: benchTxs(1, 0, block)}
 	var sink Hash
 	hashing := testing.AllocsPerRun(100, func() { sink = HashBlock(sample) })
 	building := testing.AllocsPerRun(100, func() { sample.Txs = benchTxs(1, 0, block) })
 	_ = sink
 	allocs := testing.AllocsPerRun(100, appendBlock)
-	if len(l.txs.slots) != sized {
-		t.Fatalf("table grew during the measurement (%d -> %d slots)", sized, len(l.txs.slots))
+	if len(l.txs.cells) != sized {
+		t.Fatalf("table grew during the measurement (%d -> %d cells)", sized, len(l.txs.cells))
 	}
 	if own := allocs - hashing - building; own > 1 {
 		t.Errorf("Ledger.Append allocates %v times per block beyond hashing; want the executed slice only", own)

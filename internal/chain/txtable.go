@@ -1,34 +1,39 @@
 package chain
 
-import "math/bits"
-
-// txTable is a validator's per-transaction state: one open-addressed
-// TxID -> packed-state table that the ledger owns and shares with its node's
-// mempool and execution pipeline, so "is this pending, decided or committed"
-// is a single probe wherever it is asked.
+// txTable is a validator's per-transaction state: one packed state word per
+// TxID that the ledger owns and shares with its node's mempool and execution
+// pipeline, so "is this pending, decided or committed" is one array read
+// wherever it is asked.
 //
-// Slots are 16 bytes (id, state, padding), probed linearly from a
-// multiplicative-hash home slot. The table never deletes: every transaction a
-// validator pools is expected to commit, and a committed entry is kept for
-// the run's lifetime (that is the ledger's dedup set), so a slot, once
-// claimed, only ever changes state. That keeps probe sequences stable without
-// tombstones and lets a checkpoint be one slice copy.
+// The table is indexed by position, not probed: a TxID is (client, sequence),
+// both dense by contract (see TxID), so transaction (c, s) is cell s-base of
+// client c's row. Rows live in one arena: a row that outgrows its cells
+// doubles into fresh cells at the arena's end (in place when it already ends
+// there) and abandons the old ones, so the arena stays within twice the cells
+// in use and each row grows with its own client. A row's base is the first
+// sequence it saw, rounded down, so a client whose sequences start high costs
+// the span it uses, not the prefix it skipped.
+//
+// The table never deletes: a committed entry is kept for the run's lifetime
+// (that is the ledger's dedup set), and a checkpoint is two slice copies.
 type txTable struct {
-	slots []txSlot // len is zero or a power of two
-	used  int      // claimed slots
-	shift uint     // 64 - log2(len(slots)): hash -> home slot
+	cells []uint32 // the arena; abandoned cells are never read again
+	rows  []txRow  // indexed by client
 }
 
-type txSlot struct {
-	id    TxID
-	state uint32
+// txRow locates one client's cells: sequence base+i is cells[off+i], i < n.
+// A client the table has never seen has n zero.
+type txRow struct {
+	off, n, base uint32
 }
 
-// Packed slot state. txUsed marks a claimed slot (TxID 0 is a valid id, and a
-// popped, uncommitted transaction has no other bit set); the remaining 29
-// bits hold the committed height plus one, zero meaning "not committed".
+// Packed cell state; zero means the table has never seen the transaction.
+// The bits above the flags hold the committed height plus one, zero meaning
+// "not committed".
 const (
-	txUsed     uint32 = 1 << 0
+	// txMark is the first-sight mark of BaseNode.Union: set and cleared
+	// within one call pair, it is never set between events.
+	txMark     uint32 = 1 << 0
 	txPooled   uint32 = 1 << 1 // queued in the node's mempool
 	txPipeline uint32 = 1 << 2 // in a decided-but-unexecuted block
 
@@ -36,20 +41,21 @@ const (
 	// maxTxHeight is the highest block height the packed state can record.
 	maxTxHeight = 1<<(32-txHeightShift) - 2
 
-	txTableMinSlots = 16
+	// Sizing, not settings. A new row covers txRowMinCells sequences: the
+	// scale deployments run a thousand clients of one or two transactions
+	// per validator, so the minimum is what they pay per client. The first
+	// arena allocation holds txArenaMinCells cells so a small table does
+	// not creep there reallocation by reallocation.
+	txRowMinCells   = 2
+	txArenaMinCells = 1024
 )
 
-// committedHeight unpacks a slot state's committed height.
+// committedHeight unpacks a cell state's committed height.
 func committedHeight(state uint32) (int, bool) {
 	if h := state >> txHeightShift; h != 0 {
 		return int(h) - 1, true
 	}
 	return 0, false
-}
-
-// home returns id's home slot index.
-func (t *txTable) home(id TxID) int {
-	return int(uint64(id) * 0x9E3779B97F4A7C15 >> t.shift)
 }
 
 // state returns id's packed state, zero when the table has never seen it.
@@ -60,47 +66,30 @@ func (t *txTable) state(id TxID) uint32 {
 	return 0
 }
 
-// find returns id's state word, or nil when the table has never seen it.
+// find returns id's state word, or nil when no row covers it.
 func (t *txTable) find(id TxID) *uint32 {
-	if len(t.slots) == 0 {
+	c := id.Client()
+	if uint64(c) >= uint64(len(t.rows)) {
 		return nil
 	}
-	mask := len(t.slots) - 1
-	for i := t.home(id); ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if s.state == 0 {
-			return nil
-		}
-		if s.id == id {
-			return &s.state
-		}
+	r := t.rows[c]
+	i := id.Seq() - r.base // wraps past n below the base
+	if i >= r.n {
+		return nil
 	}
+	return &t.cells[r.off+i]
 }
 
-// slot returns id's state word, claiming a slot for it on first sight. The
-// pointer is valid until the next slot call (which may grow the table).
+// slot returns id's state word, growing id's row to cover it on first sight.
+// The pointer is valid until the next slot call (which may move the arena).
 func (t *txTable) slot(id TxID) *uint32 {
-	// Grow at 5/8 load, before looking: at worst one insertion early, and
-	// the probe loop below always has a free slot to stop at.
-	if t.used >= len(t.slots)/8*5 {
-		t.grow()
+	if s := t.find(id); s != nil {
+		return s
 	}
-	mask := len(t.slots) - 1
-	for i := t.home(id); ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if s.state == 0 {
-			s.id, s.state = id, txUsed
-			t.used++
-			return &s.state
-		}
-		if s.id == id {
-			return &s.state
-		}
-	}
+	return t.grow(id)
 }
 
-// clear drops flags from id's state, if the table knows id, and returns the
-// state it had before.
+// clear drops flags from id's state and returns the state it had before.
 func (t *txTable) clear(id TxID, flags uint32) uint32 {
 	s := t.find(id)
 	if s == nil {
@@ -114,28 +103,46 @@ func (t *txTable) clear(id TxID, flags uint32) uint32 {
 // sweep drops flags from every entry; a restart uses it to forget the
 // volatile bits while the committed heights persist.
 func (t *txTable) sweep(flags uint32) {
-	for i := range t.slots {
-		t.slots[i].state &^= flags
+	for i := range t.cells {
+		t.cells[i] &^= flags
 	}
 }
 
-func (t *txTable) grow() {
-	old := t.slots
-	n := 2 * len(old)
-	if n < txTableMinSlots {
-		n = txTableMinSlots
+// grow makes id's row cover it. A new row starts at id's sequence rounded
+// down. An existing one doubles until it spans both what it held and id, and
+// the new cells go on the side it grew toward: above in the common case,
+// below (a re-base) when id precedes the base — so a client that counts
+// downward pays amortised doublings too, not one move per transaction.
+func (t *txTable) grow(id TxID) *uint32 {
+	c, seq := int(id.Client()), uint64(id.Seq())
+	if c >= len(t.rows) {
+		t.rows = append(t.rows, make([]txRow, c+1-len(t.rows))...)
 	}
-	t.slots = make([]txSlot, n)
-	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
-	mask := n - 1
-	for _, s := range old {
-		if s.state == 0 {
-			continue
+	old := t.rows[c]
+	base, n := seq&^(txRowMinCells-1), uint64(txRowMinCells)
+	if old.n != 0 {
+		lo, end := min(base, uint64(old.base)), max(seq+1, uint64(old.base)+uint64(old.n))
+		for n = uint64(old.n); lo+n < end; n *= 2 {
 		}
-		i := t.home(s.id)
-		for t.slots[i].state != 0 {
-			i = (i + 1) & mask
+		if base = uint64(old.base); seq < base {
+			base = end - min(end, n)
 		}
-		t.slots[i] = s
 	}
+	if cap(t.cells) == 0 {
+		t.cells = make([]uint32, 0, txArenaMinCells)
+	}
+	off := uint64(len(t.cells))
+	inPlace := old.n != 0 && base == uint64(old.base) && uint64(old.off)+uint64(old.n) == off
+	if inPlace {
+		off = uint64(old.off)
+	}
+	if off+n >= 1<<32 {
+		panic("chain: transaction table past 2^32 cells; TxIDs must be dense (see TxID)")
+	}
+	t.cells = append(t.cells, make([]uint32, off+n-uint64(len(t.cells)))...)
+	if !inPlace && old.n != 0 {
+		copy(t.cells[off+uint64(old.base)-base:], t.cells[old.off:old.off+old.n])
+	}
+	t.rows[c] = txRow{off: uint32(off), n: uint32(n), base: uint32(base)}
+	return &t.cells[off+seq-base]
 }

@@ -13,26 +13,28 @@ import (
 
 const txUniverse = 1024
 
-// txHashInverse is K^-1 mod 2^64 for the table's hash multiplier K: the hash
-// is id * K, so id = h * K^-1 hashes to h. Ids built from hashes that share
-// their top 32 bits share a home slot at every table size the tests reach.
-var txHashInverse = func() uint64 {
-	const k = 0x9E3779B97F4A7C15
-	inv := uint64(k) // Newton: each step doubles the correct low bits
-	for i := 0; i < 6; i++ {
-		inv *= 2 - k*inv
-	}
-	return inv
-}()
+// The high family starts far from zero; the low family walks downward, so a
+// stream that meets it in index order re-bases its row again and again.
+const (
+	highClient, highBase = 5, 1_000_000
+	lowClient, lowTop    = 6, 5_000
+)
 
-// universeID maps an index to a TxID: the lower half are ordinary
-// (client, seq) ids, the upper half all share one home slot.
+// universeID maps an index to a TxID. The lower half are four clients whose
+// sequences cross five row doublings; then one client whose sequences start
+// at a high base (client 4, between them, never appears: an empty row); the
+// last eighth descends three sequences at a time. A random stream touches
+// every family out of order, so rows also re-base inside the dense ranges.
 func universeID(i int) TxID {
 	i %= txUniverse
-	if i < txUniverse/2 {
+	switch {
+	case i < txUniverse/2:
 		return MakeTxID(uint32(i%4), uint32(i/4))
+	case i < txUniverse/8*7:
+		return MakeTxID(highClient, uint32(highBase+i-txUniverse/2))
+	default:
+		return MakeTxID(lowClient, uint32(lowTop-3*(i-txUniverse/8*7)))
 	}
-	return TxID((0xABCD1234<<32 | uint64(i)) * txHashInverse)
 }
 
 func universeTx(i int) Tx {
@@ -45,7 +47,6 @@ type txOracle struct {
 	pooled    map[TxID]bool
 	pipeline  map[TxID]bool
 	committed map[TxID]int
-	seen      map[TxID]bool // ids that ever claimed a slot
 }
 
 func newTxOracle() *txOracle {
@@ -53,7 +54,6 @@ func newTxOracle() *txOracle {
 		pooled:    map[TxID]bool{},
 		pipeline:  map[TxID]bool{},
 		committed: map[TxID]int{},
-		seen:      map[TxID]bool{},
 	}
 }
 
@@ -68,9 +68,6 @@ func (o *txOracle) clone() *txOracle {
 	}
 	for k, v := range o.committed {
 		c.committed[k] = v
-	}
-	for k, v := range o.seen {
-		c.seen[k] = v
 	}
 	return c
 }
@@ -90,6 +87,7 @@ func (o *txOracle) unqueue(drop map[TxID]bool) {
 // txModel pairs the real structures with the oracle.
 type txModel struct {
 	t      testing.TB
+	node   *BaseNode
 	ledger *Ledger
 	pool   *Mempool
 	oracle *txOracle
@@ -100,8 +98,8 @@ type txModel struct {
 }
 
 func newTxModel(t testing.TB) *txModel {
-	l := NewLedger()
-	return &txModel{t: t, ledger: l, pool: &Mempool{txs: &l.txs}, oracle: newTxOracle()}
+	n := NewBaseNode(0, nil, nil, BaseConfig{})
+	return &txModel{t: t, node: n, ledger: n.Ledger, pool: n.Pool, oracle: newTxOracle()}
 }
 
 // run interprets ops. Every op checks its own result; the whole universe is
@@ -127,17 +125,36 @@ func blockOf(arg int) []Tx {
 func (m *txModel) step(op byte, arg int) {
 	t, o := m.t, m.oracle
 	switch op % 8 {
-	case 0, 1: // add
+	case 0: // add
 		tx := universeTx(arg)
 		_, isCommitted := o.committed[tx.ID]
 		want := !o.pooled[tx.ID] && !isCommitted
 		if got := m.pool.Add(tx); got != want {
 			t.Fatalf("Add(%v) = %v, oracle says %v", tx.ID, got, want)
 		}
-		o.seen[tx.ID] = true
 		if want {
 			o.pooled[tx.ID] = true
 			o.queue = append(o.queue, tx.ID)
+		}
+	case 1: // merge two overlapping lists, as Redbelly's assemble does
+		a, b := blockOf(arg), blockOf(arg+2)
+		got := m.node.Union(m.node.Union(nil, a), b)
+		m.node.EndUnion(got)
+		var want []TxID
+		first := map[TxID]bool{}
+		for _, tx := range append(a, b...) {
+			if !first[tx.ID] {
+				first[tx.ID] = true
+				want = append(want, tx.ID)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("Union merged %d txs, map dedup %d", len(got), len(want))
+		}
+		for i, tx := range got {
+			if tx.ID != want[i] {
+				t.Fatalf("Union()[%d] = %v, map dedup %v", i, tx.ID, want[i])
+			}
 		}
 	case 2: // pop
 		got := m.pool.Pop(arg % 8)
@@ -159,7 +176,6 @@ func (m *txModel) step(op byte, arg int) {
 		for _, tx := range blockOf(arg) {
 			*m.ledger.txs.slot(tx.ID) |= txPipeline
 			o.pipeline[tx.ID] = true
-			o.seen[tx.ID] = true
 		}
 	case 4: // commit block: Ledger.Append, then what BaseNode.apply does
 		b := Block{Height: m.ledger.Height(), Parent: m.ledger.TipHash(), Txs: blockOf(arg)}
@@ -174,7 +190,6 @@ func (m *txModel) step(op byte, arg int) {
 				o.committed[tx.ID] = b.Height
 				fresh++
 			}
-			o.seen[tx.ID] = true
 			delete(o.pipeline, tx.ID)
 			drop[tx.ID] = true
 			m.ledger.txs.clear(tx.ID, txPipeline)
@@ -211,19 +226,46 @@ func (m *txModel) step(op byte, arg int) {
 	}
 }
 
+// cellsInUse is the cells the table's rows cover; the arena also holds the
+// cells rows abandoned when they moved.
+func cellsInUse(tab *txTable) int {
+	n := 0
+	for _, r := range tab.rows {
+		n += int(r.n)
+	}
+	return n
+}
+
 func (m *txModel) check() {
 	t, o, tab := m.t, m.oracle, m.ledger.txs
-	if tab.used != len(o.seen) {
-		t.Fatalf("table holds %d entries, oracle %d", tab.used, len(o.seen))
+	// Rows own disjoint cells inside the arena, and a row that moves at
+	// least doubles, so abandoned cells never outnumber live ones.
+	owner := make([]int, len(tab.cells))
+	for c, r := range tab.rows {
+		if r.n != 0 && (r.n&(r.n-1) != 0 || r.base%txRowMinCells != 0) {
+			t.Fatalf("row %d: %d cells from base %d", c, r.n, r.base)
+		}
+		for i := r.off; i < r.off+r.n; i++ {
+			if owner[i] != 0 {
+				t.Fatalf("cell %d belongs to rows %d and %d", i, owner[i]-1, c)
+			}
+			owner[i] = c + 1
+		}
 	}
-	if n := len(tab.slots); n != 0 && (n&(n-1) != 0 || tab.used >= n) {
-		t.Fatalf("table of %d slots holds %d entries", n, tab.used)
+	if use := cellsInUse(&tab); len(tab.cells) > 2*use {
+		t.Fatalf("arena of %d cells for %d in use", len(tab.cells), use)
 	}
+	for i, cell := range tab.cells {
+		if cell&txMark != 0 && owner[i] != 0 { // abandoned cells are never read again
+			t.Fatalf("cell %d keeps a first-sight mark between steps (state %#x)", i, cell)
+		}
+	}
+	stateful := 0
 	for i := 0; i < txUniverse; i++ {
 		id := universeID(i)
 		state := tab.state(id)
-		if (state != 0) != o.seen[id] {
-			t.Fatalf("%v: state %#x, oracle seen=%v", id, state, o.seen[id])
+		if state != 0 {
+			stateful++
 		}
 		if got := state&txPooled != 0; got != o.pooled[id] || got != m.pool.Contains(id) {
 			t.Fatalf("%v: pooled bit %v, Contains %v, oracle %v", id, got, m.pool.Contains(id), o.pooled[id])
@@ -235,6 +277,16 @@ func (m *txModel) check() {
 		if h, ok := m.ledger.Committed(id); ok != wantOK || h != wantH {
 			t.Fatalf("%v: Committed = (%d, %v), oracle (%d, %v)", id, h, ok, wantH, wantOK)
 		}
+	}
+	// Nothing but the universe was ever written: a cell between two ids of
+	// the sparse family, or beside a row, holds no state.
+	for i, cell := range tab.cells {
+		if cell != 0 && owner[i] != 0 {
+			stateful--
+		}
+	}
+	if stateful != 0 {
+		t.Fatalf("live cells with state and universe ids with state differ by %d", -stateful)
 	}
 	pending := m.pool.Pending()
 	if len(pending) != len(o.queue) || m.pool.Len() != len(o.queue) {
@@ -254,34 +306,59 @@ func TestTxTableModel(t *testing.T) {
 		rng.Read(ops)
 		m := newTxModel(t)
 		m.run(ops)
-		if got := len(m.ledger.txs.slots); got < 1024 {
-			t.Fatalf("seed %d: table only grew to %d slots; the stream must cross every boundary up to 1024", seed, got)
+		tab := &m.ledger.txs
+		for c, want := range map[int]uint32{0: 128, 1: 128, 2: 128, 3: 128, highClient: 256, lowClient: 256} {
+			if got := tab.rows[c].n; got < want {
+				t.Fatalf("seed %d: row %d only grew to %d cells; the stream must cross every doubling up to %d", seed, c, got, want)
+			}
+		}
+		if tab.rows[4].n != 0 {
+			t.Fatalf("seed %d: the client nobody used holds %d cells", seed, tab.rows[4].n)
+		}
+		if r := tab.rows[highClient]; r.base > highBase || r.base+r.n <= highBase || r.n > 1024 {
+			t.Fatalf("seed %d: the high family's row is %+v, want its span and no more around %d", seed, r, highBase)
+		}
+		if len(tab.cells) == cellsInUse(tab) {
+			t.Fatalf("seed %d: no row ever moved", seed)
 		}
 	}
 }
 
-// TestTxTableCollidingHomes fills a table with ids that all share a home
-// slot, through several doublings, and checks every one stays reachable.
-func TestTxTableCollidingHomes(t *testing.T) {
+// TestTxTableRowsGrowIndependently runs one client to sequence 50,000 beside
+// one that stops at 3: the short row stays four cells, and the arena holds
+// less than twice the cells in use however the two interleave.
+func TestTxTableRowsGrowIndependently(t *testing.T) {
 	var tab txTable
-	const n = 200
-	for i := 0; i < n; i++ {
-		id := universeID(txUniverse/2 + i)
-		if i > 0 && tab.home(id) != tab.home(universeID(txUniverse/2)) {
-			t.Fatalf("id %d does not collide", i)
+	for s := uint32(0); s <= 50_000; s++ {
+		*tab.slot(MakeTxID(0, s)) |= (s + 1) << txHeightShift
+		if s <= 3 {
+			*tab.slot(MakeTxID(1, s)) |= txPooled
 		}
-		*tab.slot(id) |= uint32(i+1) << txHeightShift
-	}
-	for i := 0; i < n; i++ {
-		if h, ok := committedHeight(tab.state(universeID(txUniverse/2 + i))); !ok || h != i {
-			t.Fatalf("entry %d reads (%d, %v)", i, h, ok)
+		if s == 40_000 { // a late client lands behind the long row, which then moves past it
+			*tab.slot(MakeTxID(2, 7)) |= txPipeline
 		}
 	}
-	if tab.state(universeID(0)) != 0 || tab.clear(universeID(0), txPooled) != 0 {
-		t.Fatal("absent id has state")
+	if got := tab.rows[1]; got.n != 4 || got.base != 0 {
+		t.Fatalf("the short client's row is %+v", got)
 	}
-	if tab.used != n {
-		t.Fatalf("used = %d", tab.used)
+	if got := tab.rows[2]; got.n != txRowMinCells || got.base != 7&^(txRowMinCells-1) {
+		t.Fatalf("the late client's row is %+v", got)
+	}
+	if use := cellsInUse(&tab); tab.rows[0].n != 1<<16 || len(tab.cells) > 2*use {
+		t.Fatalf("long row %d cells, arena %d cells for %d in use", tab.rows[0].n, len(tab.cells), use)
+	}
+	for s := uint32(0); s <= 50_000; s += 997 {
+		if h, ok := committedHeight(tab.state(MakeTxID(0, s))); !ok || h != int(s) {
+			t.Fatalf("tx0.%d reads (%d, %v)", s, h, ok)
+		}
+	}
+	if tab.state(MakeTxID(1, 3)) != txPooled || tab.state(MakeTxID(2, 7)) != txPipeline {
+		t.Fatal("a short row lost its state when the long one moved")
+	}
+	for _, id := range []TxID{MakeTxID(0, 1<<16), MakeTxID(1, 4), MakeTxID(2, 7-txRowMinCells), MakeTxID(3, 0), MakeTxID(1<<20, 0)} {
+		if tab.state(id) != 0 || tab.clear(id, txPooled) != 0 {
+			t.Fatalf("%v is outside every row yet has state", id)
+		}
 	}
 }
 
@@ -289,7 +366,7 @@ func FuzzTxTable(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 0, 0, 1, 2, 0, 0, 0, 0, 1}) // add, re-add, pop all, add again
 	f.Add([]byte{0, 0, 5, 3, 0, 5, 7, 0, 0, 4, 0, 5, 6, 0, 0, 7, 0, 1, 0, 0, 5})
-	// Fill past several growth boundaries with colliding ids, then commit,
+	// Fill the high family's row past several doublings, then commit,
 	// restart and rewind.
 	long := []byte{7, 0, 0}
 	for i := 0; i < 80; i++ {

@@ -23,6 +23,15 @@ type Address uint32
 // TxID uniquely identifies a transaction across the whole experiment.
 // It packs the issuing client and a per-client sequence number so that
 // deduplication is trivial and IDs are stable across redundant submissions.
+//
+// Like Address, a TxID is a position: every validator indexes its transaction
+// table by (client, sequence), so ids must come from MakeTxID with small
+// client indexes and per-client contiguous sequences (workload.Flow numbers
+// its members from a contiguous start and each member's transactions from a
+// running counter). A client's sequences may start anywhere — a table row
+// covers the span it has seen, not the prefix below it — but a sparse or
+// arbitrary 64-bit id costs memory proportional to its distance from the
+// client's other ids, not a wrong answer.
 type TxID uint64
 
 // MakeTxID builds a TxID from a client index and per-client sequence.
@@ -52,12 +61,29 @@ type Tx struct {
 // Block is a decided batch of transactions. Parent is the content address
 // of the previous block, making the committed history a hash chain that
 // every validator verifies on apply.
+//
+// A Block literal is unsealed. BaseNode.SubmitBlock seals its copy — hashes
+// it once — and the hash rides with that copy through the node's pipeline,
+// ledger and monitor report, and with the copies its ledger serves to
+// catching-up peers; an unsealed block reaching a ledger or the monitor is
+// hashed there. A sealed block must not be modified.
 type Block struct {
 	Height    int
 	Proposer  simnet.NodeID
 	Parent    Hash
 	Txs       []Tx
 	DecidedAt time.Duration
+
+	hash   Hash // HashBlock of the fields above, once sealed
+	sealed bool
+}
+
+// seal returns the block's content address, computing it on the first call.
+func (b *Block) seal() Hash {
+	if !b.sealed {
+		b.hash, b.sealed = HashBlock(*b), true
+	}
+	return b.hash
 }
 
 // Client-facing wire messages. Every chain model understands these; the

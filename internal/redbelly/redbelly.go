@@ -18,10 +18,9 @@
 package redbelly
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
+	"strconv"
 	"time"
 
 	"stabl/internal/chain"
@@ -548,16 +547,10 @@ func (v *validator) assemble(round int, est []simnet.NodeID, st *roundState) cha
 		}
 	}
 	var txs []chain.Tx
-	seen := make(map[chain.TxID]bool)
 	for _, p := range include {
-		for _, tx := range st.proposals[p] {
-			if seen[tx.ID] {
-				continue
-			}
-			seen[tx.ID] = true
-			txs = append(txs, tx)
-		}
+		txs = v.base.Union(txs, st.proposals[p])
 	}
+	v.base.EndUnion(txs)
 	// A superblock has no single proposer; every assembling node must
 	// produce a bit-identical block, so the field is set deterministically
 	// to the first included proposer (or the round's weak coordinator for
@@ -676,10 +669,12 @@ func sortIDs(ids []simnet.NodeID) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
 
+// estKey renders an estimate as "id,id,...,": the decimal form is part of
+// the protocol model, because the tie-break in majorityEst compares keys.
 func estKey(est []simnet.NodeID) string {
-	var b strings.Builder
+	b := make([]byte, 0, 64)
 	for _, id := range est {
-		fmt.Fprintf(&b, "%d,", int(id))
+		b = append(strconv.AppendInt(b, int64(id), 10), ',')
 	}
-	return b.String()
+	return string(b)
 }

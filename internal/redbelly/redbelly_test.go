@@ -1,6 +1,7 @@
 package redbelly
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -134,33 +135,27 @@ func TestPartitionRecoveryTimerBound(t *testing.T) {
 }
 
 func TestSuperblockUnionDeduplicates(t *testing.T) {
-	cfg := DefaultConfig()
 	v, ok := Default().NewValidator(0, []simnet.NodeID{0, 1, 2, 3}, chain.NewMonitor(), nil).(*validator)
 	if !ok {
 		t.Fatal("NewValidator type")
 	}
-	_ = cfg
 	st := newRoundState(0, 0)
 	tx := chain.Tx{ID: chain.MakeTxID(0, 1)}
 	st.proposals[0] = []chain.Tx{tx}
 	st.proposals[1] = []chain.Tx{tx} // same tx proposed twice (secure client)
 	st.proposals[2] = []chain.Tx{{ID: chain.MakeTxID(0, 2)}}
-	// assemble needs a ctx only for timestamps; fake via harness-less call
-	// is not possible, so check through the est/dedup logic directly.
-	var total int
-	seen := make(map[chain.TxID]bool)
-	for _, p := range []simnet.NodeID{0, 1, 2} {
-		for _, tx := range st.proposals[p] {
-			if !seen[tx.ID] {
-				seen[tx.ID] = true
-				total++
-			}
+	// assemble needs a ctx for timestamps, so drive the merge it runs. Twice:
+	// the second merge fails if the first left a first-sight mark behind.
+	for pass := 0; pass < 2; pass++ {
+		var txs []chain.Tx
+		for _, p := range []simnet.NodeID{0, 1, 2} {
+			txs = v.base.Union(txs, st.proposals[p])
+		}
+		v.base.EndUnion(txs)
+		if len(txs) != 2 || txs[0].ID != tx.ID || txs[1].ID != chain.MakeTxID(0, 2) {
+			t.Fatalf("pass %d: superblock union = %v, want tx0.1 then tx0.2", pass, txs)
 		}
 	}
-	if total != 2 {
-		t.Fatalf("superblock union = %d txs, want 2", total)
-	}
-	_ = v
 }
 
 func TestEstKeyDeterministic(t *testing.T) {
@@ -169,6 +164,16 @@ func TestEstKeyDeterministic(t *testing.T) {
 	c := estKey([]simnet.NodeID{1, 2})
 	if a != b || a == c {
 		t.Fatalf("estKey: %q %q %q", a, b, c)
+	}
+	// The bytes are behaviour: majorityEst breaks ties by comparing keys.
+	for _, est := range [][]simnet.NodeID{nil, {0}, {1, 2, 3}, {9, 10, 2047}, {-1, 123456789}} {
+		want := ""
+		for _, id := range est {
+			want += fmt.Sprintf("%d,", int(id))
+		}
+		if got := estKey(est); got != want {
+			t.Fatalf("estKey(%v) = %q, want %q", est, got, want)
+		}
 	}
 }
 
