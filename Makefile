@@ -91,10 +91,12 @@ fuzz-smoke:
 	done
 
 # sim-digests replays scripts/sim_digests.txt: one stablbench run (-reps 1
-# -trace 0) per `<seed> <workload> <digest>` line — all five benchmark
-# workloads at seed 42, four at seed 7 — and fails on the first sim_digest
-# that differs. It is the "every simulated column identical" every host-side
-# PR asserts, as a gate (about a minute and a half; see scripts/sim_digests.sh).
+# -trace 0) per `<seed> <workload> <digest> <allocs_per_commit>` line — all
+# five benchmark workloads at seed 42, four at seed 7 — and fails on the first
+# sim_digest that differs or allocs_per_commit more than 1 % off. It is the
+# "every simulated column identical" every host-side PR asserts, and the
+# allocation level the last perf PR set, as a gate (about a minute and a half;
+# see scripts/sim_digests.sh).
 sim-digests:
 	bash scripts/sim_digests.sh
 

@@ -315,41 +315,37 @@ func (v *validator) Deliver(from simnet.NodeID, payload any) {
 	if v.base.HandleSync(from, payload) {
 		return
 	}
-	switch msg := payload.(type) {
-	case chain.SubmitTx:
-		v.inbound(v.cfg.CostSubmit, func() {
-			retried := v.base.Pool.Contains(msg.Tx.ID)
-			v.base.HandleClient(from, msg)
-			if retried {
-				// A client retry: the SDK re-broadcasts into the
-				// txpool, which re-triggers gossip — the load
-				// feedback loop behind the metastable collapse.
-				v.announceQ = append(v.announceQ, announcement{tx: msg.Tx})
-			}
-		})
+	v.inbound(v.cost(payload), from, payload)
+}
+
+// cost is the CPU-quota charge of one inbound message.
+func (v *validator) cost(payload any) float64 {
+	switch payload.(type) {
 	case txGossip:
-		v.inbound(v.cfg.CostTxGossip, func() { v.onTxGossip(msg) })
+		return v.cfg.CostTxGossip
 	case proposalMsg:
-		v.inbound(v.cfg.CostProposal, func() { v.onProposal(msg) })
+		return v.cfg.CostProposal
 	case queryMsg:
-		v.inbound(v.cfg.CostQuery, func() { v.onQuery(from, msg) })
+		return v.cfg.CostQuery
 	case responseMsg:
-		v.inbound(v.cfg.CostResponse, func() { v.onResponse(msg) })
-	default:
-		v.inbound(v.cfg.CostSubmit, func() { v.base.HandleClient(from, msg) })
+		return v.cfg.CostResponse
+	default: // client traffic
+		return v.cfg.CostSubmit
 	}
 }
 
-// inbound runs fn through the CPU-quota and buffer throttlers.
-func (v *validator) inbound(cost float64, fn func()) {
+// inbound runs one message through the CPU-quota and buffer throttlers. Only
+// a message the quota delays costs a closure; it captures the payload as it
+// arrived, already boxed.
+func (v *validator) inbound(cost float64, from simnet.NodeID, payload any) {
 	if !v.cfg.Throttling {
-		fn()
+		v.handle(from, payload)
 		return
 	}
 	now := v.ctx.Now()
 	readyAt := v.cpu.Reserve(now, cost)
 	if readyAt == now {
-		fn()
+		v.handle(from, payload)
 		return
 	}
 	if v.buffered >= v.cfg.MaxBuffered {
@@ -359,8 +355,33 @@ func (v *validator) inbound(cost float64, fn func()) {
 	v.buffered++
 	v.ctx.After(readyAt-now, func() {
 		v.buffered--
-		fn()
+		v.handle(from, payload)
 	})
+}
+
+// handle processes one admitted message.
+func (v *validator) handle(from simnet.NodeID, payload any) {
+	switch msg := payload.(type) {
+	case chain.SubmitTx:
+		retried := v.base.Pool.Contains(msg.Tx.ID)
+		v.base.HandleClient(from, payload)
+		if retried {
+			// A client retry: the SDK re-broadcasts into the
+			// txpool, which re-triggers gossip — the load
+			// feedback loop behind the metastable collapse.
+			v.announceQ = append(v.announceQ, announcement{tx: msg.Tx})
+		}
+	case txGossip:
+		v.onTxGossip(msg)
+	case proposalMsg:
+		v.onProposal(msg)
+	case queryMsg:
+		v.onQuery(from, msg)
+	case responseMsg:
+		v.onResponse(msg)
+	default:
+		v.base.HandleClient(from, payload)
+	}
 }
 
 // Gossip ------------------------------------------------------------------
@@ -403,9 +424,8 @@ func (v *validator) gossipTo(tx chain.Tx, hop int) {
 	if hop > 0 {
 		fanout = v.cfg.RelayFanout
 	}
-	for _, p := range v.samplePeersN(fanout) {
-		v.ctx.Send(p, txGossip{Tx: tx, Hop: hop})
-	}
+	var buf [sampleBuf]simnet.NodeID
+	v.ctx.Broadcast(v.samplePeersN(fanout, buf[:0]), txGossip{Tx: tx, Hop: hop})
 }
 
 // onRegossip re-announces a random sample of old pool entries; under a large
@@ -534,19 +554,20 @@ func (v *validator) onQueryTick() {
 	inst.positives = 0
 	inst.responses = 0
 	inst.flips = make(map[int]int)
-	peers := v.samplePeers()
-	for _, p := range peers {
-		v.ctx.Send(p, queryMsg{Height: inst.height, Slot: inst.pref.Slot, Seq: inst.roundSeq})
-	}
+	var buf [sampleBuf]simnet.NodeID
+	v.ctx.Broadcast(v.samplePeersN(v.cfg.K, buf[:0]),
+		queryMsg{Height: inst.height, Slot: inst.pref.Slot, Seq: inst.roundSeq})
 	seq := inst.roundSeq
 	v.ctx.After(v.cfg.QueryTimeout, func() { v.closeRound(inst, seq) })
 }
 
-func (v *validator) samplePeers() []simnet.NodeID {
-	return v.samplePeersN(v.cfg.K)
-}
+// sampleBuf is the stack room callers give samplePeersN for a sample; a
+// larger K or fanout grows the buffer on the heap.
+const sampleBuf = 8
 
-func (v *validator) samplePeersN(k int) []simnet.NodeID {
+// samplePeersN appends a stake-weighted sample of k peers to buf and returns
+// it; callers hand the result to ctx.Broadcast, one flight per sample.
+func (v *validator) samplePeersN(k int, buf []simnet.NodeID) []simnet.NodeID {
 	// Overlay mode confines sampling (queries and tx gossip alike) to the
 	// node's overlay neighborhood, so all validator traffic stays on
 	// overlay edges. Validator ids double as stake indices (the deployment
@@ -559,7 +580,8 @@ func (v *validator) samplePeersN(k int) []simnet.NodeID {
 		id  simnet.NodeID
 		key float64
 	}
-	others := make([]keyed, 0, len(candidates))
+	var scratch [32]keyed // committees past 33 validators spill to the heap
+	others := scratch[:0]
 	for _, p := range candidates {
 		if p == v.base.ID {
 			continue
@@ -574,11 +596,10 @@ func (v *validator) samplePeersN(k int) []simnet.NodeID {
 	if len(others) > k {
 		others = others[:k]
 	}
-	out := make([]simnet.NodeID, len(others))
-	for i, o := range others {
-		out[i] = o.id
+	for _, o := range others {
+		buf = append(buf, o.id)
 	}
-	return out
+	return buf
 }
 
 // stake returns validator index i's stake weight (1 by default).

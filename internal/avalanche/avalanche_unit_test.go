@@ -38,7 +38,7 @@ func (nopPeer) Deliver(simnet.NodeID, any) {}
 func TestSamplePeersExcludesSelfAndRespectsK(t *testing.T) {
 	_, v := unitValidator(t, 10, DefaultConfig())
 	for i := 0; i < 50; i++ {
-		sample := v.samplePeers()
+		sample := v.samplePeersN(v.cfg.K, nil)
 		if len(sample) != v.cfg.K {
 			t.Fatalf("sample size = %d", len(sample))
 		}
@@ -208,7 +208,7 @@ func TestStakeWeightedSamplingBias(t *testing.T) {
 	hits := make(map[simnet.NodeID]int)
 	const draws = 2000
 	for i := 0; i < draws; i++ {
-		for _, p := range v.samplePeersN(3) {
+		for _, p := range v.samplePeersN(3, nil) {
 			hits[p]++
 		}
 	}
@@ -226,7 +226,7 @@ func TestEqualStakeSamplingUniform(t *testing.T) {
 	hits := make(map[simnet.NodeID]int)
 	const draws = 3000
 	for i := 0; i < draws; i++ {
-		for _, p := range v.samplePeersN(3) {
+		for _, p := range v.samplePeersN(3, nil) {
 			hits[p]++
 		}
 	}

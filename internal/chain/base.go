@@ -92,8 +92,10 @@ type nodeState struct {
 	extraExec float64
 
 	// Volatile state, reset on every (re)start. So are the in-pipeline
-	// marks of decided-but-unexecuted transactions, which live in the
-	// ledger's table.
+	// marks of decided-but-unexecuted transactions and the subscribed
+	// marks, which live in the ledger's table: subscribers has an entry
+	// exactly for the transactions whose txSubscribed bit is set, so apply
+	// reads the map only for those.
 	subscribers   map[TxID][]simnet.NodeID
 	pending       map[int]Block
 	applying      bool
@@ -203,7 +205,7 @@ func (n *BaseNode) Reset(ctx *simnet.Context) {
 	n.Pool.Clear()
 	n.subscribers = make(map[TxID][]simnet.NodeID)
 	n.pending = make(map[int]Block)
-	n.Ledger.txs.sweep(txPipeline)
+	n.Ledger.txs.sweep(txPipeline | txSubscribed)
 	n.applying = false
 	n.applyingAt = -1
 	n.syncActive = false
@@ -247,7 +249,7 @@ func (n *BaseNode) HandleClient(from simnet.NodeID, payload any) bool {
 		n.ctx.Send(from, TxCommitted{ID: tx.ID, Height: h})
 		return true
 	}
-	n.subscribers[tx.ID] = append(n.subscribers[tx.ID], from)
+	n.Subscribe(tx.ID, from)
 	if n.Pool.Add(tx) && n.OnLocalSubmit != nil {
 		n.OnLocalSubmit(tx)
 	}
@@ -257,6 +259,7 @@ func (n *BaseNode) HandleClient(from simnet.NodeID, payload any) bool {
 // Subscribe registers an additional client to notify when tx commits; used
 // by chains that forward transactions on behalf of clients.
 func (n *BaseNode) Subscribe(id TxID, client simnet.NodeID) {
+	*n.Ledger.txs.slot(id) |= txSubscribed
 	n.subscribers[id] = append(n.subscribers[id], client)
 }
 
@@ -441,7 +444,9 @@ func (n *BaseNode) apply(b Block) {
 		n.Monitor.RecordBlock(n.ID, b, now)
 	}
 	for _, tx := range b.Txs {
-		n.Ledger.txs.clear(tx.ID, txPipeline)
+		if n.Ledger.txs.clear(tx.ID, txPipeline|txSubscribed)&txSubscribed == 0 {
+			continue
+		}
 		for _, client := range n.subscribers[tx.ID] {
 			n.ctx.Send(client, TxCommitted{ID: tx.ID, Height: b.Height})
 		}

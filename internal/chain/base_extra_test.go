@@ -98,3 +98,51 @@ func TestBaseNodeChargeExecWithoutBudgetIsNoop(t *testing.T) {
 	v0.base.AddExecCost(1e9)
 	v0.base.SubmitBlock(Block{Height: 0, Txs: []Tx{mkTx(0, 1, 1, 2, 0)}})
 }
+
+// TestApplyAllocatesPerBlockNotPerTx: executing a block whose transactions no
+// client of this node subscribed to — nine validators in ten, for the default
+// client — reads one table cell per transaction and allocates nothing for it:
+// a block of 1,024 costs what a block of 8 costs. A subscribed transaction
+// does cost its notification.
+func TestApplyAllocatesPerBlockNotPerTx(t *testing.T) {
+	const runs, big = 20, 1024
+	_, _, v, _, _, _ := baseTestSetup(t, BaseConfig{})
+	n := v.base
+	n.Monitor = nil // its commit log is a per-transaction append of its own
+	n.Ledger.VerifyParents = false
+	n.Ledger.Mint(1, 1<<40)
+	seq := uint32(0)
+	*n.Ledger.txs.slot(MakeTxID(7, 3*(runs+1)*big)) = 0 // size the row up front
+	block := func(size int) Block {
+		b := Block{Height: n.Ledger.Height(), Txs: make([]Tx, size)}
+		for i := range b.Txs {
+			b.Txs[i] = mkTx(7, seq, 1, 2, 1)
+			seq++
+		}
+		return b
+	}
+	perBlock := func(size int, subscribe bool) float64 {
+		blocks := make([]Block, runs+1)
+		for i := range blocks {
+			blocks[i] = block(size)
+			blocks[i].Height += i
+			if subscribe {
+				for _, tx := range blocks[i].Txs {
+					n.Subscribe(tx.ID, 100)
+				}
+			}
+		}
+		i := 0
+		return testing.AllocsPerRun(runs, func() { n.apply(blocks[i]); i++ })
+	}
+	small, large := perBlock(8, false), perBlock(big, false)
+	if large != small {
+		t.Fatalf("a block of %d unsubscribed transactions costs %.0f allocations, one of 8 costs %.0f", big, large, small)
+	}
+	if subscribed := perBlock(big, true); subscribed < large+big {
+		t.Fatalf("a block of %d subscribed transactions costs %.0f allocations: the notifications went missing", big, subscribed)
+	}
+	if got, want := n.Ledger.AppliedTxs(), uint64(seq); got != want {
+		t.Fatalf("%d of %d transactions executed", got, want)
+	}
+}

@@ -36,7 +36,7 @@ func (m *Mempool) Add(tx Tx) bool {
 		return false
 	}
 	s := m.txs.slot(tx.ID)
-	if *s&^(txMark|txPipeline) != 0 { // pooled, or committed in the shared table
+	if *s&^(txMark|txPipeline|txSubscribed) != 0 { // pooled, or committed in the shared table
 		m.rejected++
 		return false
 	}

@@ -156,7 +156,7 @@ func TestLedgerRejectsUnrecordableHeight(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "can record") {
 		t.Fatalf("Append past the table's height range: %v", err)
 	}
-	if h, ok := committedHeight(uint32(maxTxHeight+1)<<txHeightShift | txMark | txPooled | txPipeline); !ok || h != maxTxHeight {
+	if h, ok := committedHeight(uint32(maxTxHeight+1)<<txHeightShift | txMark | txPooled | txPipeline | txSubscribed); !ok || h != maxTxHeight {
 		t.Fatalf("maxTxHeight does not round-trip: (%d, %v)", h, ok)
 	}
 }

@@ -2,8 +2,8 @@ package chain
 
 // txTable is a validator's per-transaction state: one packed state word per
 // TxID that the ledger owns and shares with its node's mempool and execution
-// pipeline, so "is this pending, decided or committed" is one array read
-// wherever it is asked.
+// pipeline, so "is this pending, decided, committed, or awaited by a client"
+// is one array read wherever it is asked.
 //
 // The table is indexed by position, not probed: a TxID is (client, sequence),
 // both dense by contract (see TxID), so transaction (c, s) is cell s-base of
@@ -28,17 +28,21 @@ type txRow struct {
 }
 
 // Packed cell state; zero means the table has never seen the transaction.
-// The bits above the flags hold the committed height plus one, zero meaning
-// "not committed".
+// The 28 bits above the four flags hold the committed height plus one, zero
+// meaning "not committed".
 const (
 	// txMark is the first-sight mark of BaseNode.Union: set and cleared
 	// within one call pair, it is never set between events.
 	txMark     uint32 = 1 << 0
 	txPooled   uint32 = 1 << 1 // queued in the node's mempool
 	txPipeline uint32 = 1 << 2 // in a decided-but-unexecuted block
+	// txSubscribed says BaseNode.subscribers has an entry for the
+	// transaction: a client asked this node to tell it when it commits.
+	txSubscribed uint32 = 1 << 3
 
-	txHeightShift = 3
-	// maxTxHeight is the highest block height the packed state can record.
+	txHeightShift = 4
+	// maxTxHeight is the highest block height the packed state can record:
+	// 2^28 - 2.
 	maxTxHeight = 1<<(32-txHeightShift) - 2
 
 	// Sizing, not settings. A new row covers txRowMinCells sequences: the

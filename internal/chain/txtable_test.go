@@ -3,6 +3,8 @@ package chain
 import (
 	"math/rand"
 	"testing"
+
+	"stabl/internal/simnet"
 )
 
 // The transaction table is checked against a map-based oracle by an
@@ -47,13 +49,16 @@ type txOracle struct {
 	pooled    map[TxID]bool
 	pipeline  map[TxID]bool
 	committed map[TxID]int
+	// subscribed counts the subscriptions BaseNode.subscribers must hold.
+	subscribed map[TxID]int
 }
 
 func newTxOracle() *txOracle {
 	return &txOracle{
-		pooled:    map[TxID]bool{},
-		pipeline:  map[TxID]bool{},
-		committed: map[TxID]int{},
+		pooled:     map[TxID]bool{},
+		pipeline:   map[TxID]bool{},
+		committed:  map[TxID]int{},
+		subscribed: map[TxID]int{},
 	}
 }
 
@@ -68,6 +73,9 @@ func (o *txOracle) clone() *txOracle {
 	}
 	for k, v := range o.committed {
 		c.committed[k] = v
+	}
+	for k, v := range o.subscribed {
+		c.subscribed[k] = v
 	}
 	return c
 }
@@ -94,11 +102,13 @@ type txModel struct {
 
 	savedLedger ledgerState
 	savedPool   poolState
+	savedNode   nodeState
 	savedOracle *txOracle
 }
 
 func newTxModel(t testing.TB) *txModel {
 	n := NewBaseNode(0, nil, nil, BaseConfig{})
+	n.subscribers = make(map[TxID][]simnet.NodeID)
 	return &txModel{t: t, node: n, ledger: n.Ledger, pool: n.Pool, oracle: newTxOracle()}
 }
 
@@ -125,9 +135,13 @@ func blockOf(arg int) []Tx {
 func (m *txModel) step(op byte, arg int) {
 	t, o := m.t, m.oracle
 	switch op % 8 {
-	case 0: // add
+	case 0: // add; every other one for a client that subscribes first, as HandleClient does
 		tx := universeTx(arg)
 		_, isCommitted := o.committed[tx.ID]
+		if arg&1 == 1 && !isCommitted {
+			m.node.Subscribe(tx.ID, simnet.NodeID(arg))
+			o.subscribed[tx.ID]++
+		}
 		want := !o.pooled[tx.ID] && !isCommitted
 		if got := m.pool.Add(tx); got != want {
 			t.Fatalf("Add(%v) = %v, oracle says %v", tx.ID, got, want)
@@ -192,7 +206,13 @@ func (m *txModel) step(op byte, arg int) {
 			}
 			delete(o.pipeline, tx.ID)
 			drop[tx.ID] = true
-			m.ledger.txs.clear(tx.ID, txPipeline)
+			if m.ledger.txs.clear(tx.ID, txPipeline|txSubscribed)&txSubscribed != 0 {
+				if len(m.node.subscribers[tx.ID]) != o.subscribed[tx.ID] {
+					t.Fatalf("%v: %d subscribers to notify, oracle %d", tx.ID, len(m.node.subscribers[tx.ID]), o.subscribed[tx.ID])
+				}
+				delete(m.node.subscribers, tx.ID)
+				delete(o.subscribed, tx.ID)
+			}
 		}
 		if len(executed) != fresh {
 			t.Fatalf("Append executed %d txs, oracle says %d", len(executed), fresh)
@@ -209,18 +229,22 @@ func (m *txModel) step(op byte, arg int) {
 		o.unqueue(drop)
 	case 6: // restart: BaseNode.Reset's sweeps
 		m.pool.Clear()
-		m.ledger.txs.sweep(txPipeline)
+		m.ledger.txs.sweep(txPipeline | txSubscribed)
+		m.node.subscribers = make(map[TxID][]simnet.NodeID)
 		o.queue = nil
 		o.pooled = map[TxID]bool{}
 		o.pipeline = map[TxID]bool{}
+		o.subscribed = map[TxID]int{}
 	case 7: // checkpoint (even) / rewind (odd)
 		if arg%2 == 0 {
 			m.ledger.ledgerState.copyInto(&m.savedLedger)
 			m.pool.poolState.copyInto(&m.savedPool)
+			m.savedNode = m.node.nodeState.clone()
 			m.savedOracle = o.clone()
 		} else if m.savedOracle != nil {
 			m.savedLedger.copyInto(&m.ledger.ledgerState)
 			m.savedPool.copyInto(&m.pool.poolState)
+			m.node.nodeState = m.savedNode.clone()
 			m.oracle = m.savedOracle.clone()
 		}
 	}
@@ -272,6 +296,9 @@ func (m *txModel) check() {
 		}
 		if got := state&txPipeline != 0; got != o.pipeline[id] {
 			t.Fatalf("%v: pipeline bit %v, oracle %v", id, got, o.pipeline[id])
+		}
+		if got := state&txSubscribed != 0; got != (o.subscribed[id] > 0) || len(m.node.subscribers[id]) != o.subscribed[id] {
+			t.Fatalf("%v: subscribed bit %v over %d subscribers, oracle %d", id, got, len(m.node.subscribers[id]), o.subscribed[id])
 		}
 		wantH, wantOK := o.committed[id]
 		if h, ok := m.ledger.Committed(id); ok != wantOK || h != wantH {

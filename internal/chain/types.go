@@ -31,7 +31,10 @@ type Address uint32
 // running counter). A client's sequences may start anywhere — a table row
 // covers the span it has seen, not the prefix below it — but a sparse or
 // arbitrary 64-bit id costs memory proportional to its distance from the
-// client's other ids, not a wrong answer.
+// client's other ids, not a wrong answer. The table cell holds four flags
+// (first-sight mark, pooled, in pipeline, a client subscribed on this node)
+// and the committed height in the 28 bits above them, so a ledger records
+// heights up to 2^28 - 2 and Append returns an error past that.
 type TxID uint64
 
 // MakeTxID builds a TxID from a client index and per-client sequence.

@@ -22,6 +22,9 @@ type ackNode struct {
 	// resent lists retransmissions (a submission of an id already seen) with
 	// their arrival instants, in arrival order.
 	resent []arrival
+	// echo lists nodes that also confirm every submission this node confirms,
+	// whether the client asked them or not.
+	echo []*ackNode
 }
 
 type arrival struct {
@@ -49,6 +52,9 @@ func (a *ackNode) Deliver(from simnet.NodeID, payload any) {
 	id := sub.Tx.ID
 	a.ctx.After(a.delay, func() {
 		a.ctx.Send(from, chain.TxCommitted{ID: id})
+		for _, e := range a.echo {
+			e.ctx.Send(from, chain.TxCommitted{ID: id})
+		}
 	})
 }
 
@@ -179,6 +185,100 @@ func TestSecureClientIncompleteWithoutAllAcks(t *testing.T) {
 			t.Fatal("pending should be non-empty")
 		}
 	})
+}
+
+// TestSecureClientIgnoresUnsolicited: "t+1 answered" means the t+1 validators
+// the member asked. A confirmation from a pool validator it did not submit
+// to, or from a node outside the pool, completes nothing — and neither does
+// the same endpoint answering twice.
+func TestSecureClientIgnoresUnsolicited(t *testing.T) {
+	forMembers(t, func(t *testing.T, k int) {
+		// A pool of four and an outsider. Member m asks pool nodes m and m+1;
+		// only node 0 answers, so member 0 has one of its two answers and the
+		// others none. Whatever node 0 confirms, it confirms a second time,
+		// and nodes 2, 3 (in the pool, not asked by member 0) and 4 (outside
+		// it) confirm too.
+		sched := sim.New(11)
+		net := simnet.New(sched, simnet.Config{Latency: simnet.FixedLatency(5 * time.Millisecond)})
+		acks := make([]*ackNode, 5)
+		for i := range acks {
+			acks[i] = &ackNode{delay: 10 * time.Millisecond, mute: i != 0}
+			net.AddNode(simnet.NodeID(i), acks[i])
+		}
+		acks[0].echo = []*ackNode{acks[0], acks[2], acks[3], acks[4]}
+		c := NewFlow(FlowConfig{
+			Endpoints: []simnet.NodeID{0, 1, 2, 3}, Fanout: 2, Rate: 5, Stop: 2 * time.Second,
+			RetryAfter: time.Second, VirtualBase: 100,
+		}, testFlow(t, 0, k, sched))
+		net.AddNode(100, c)
+		net.StartAll()
+		sched.RunUntil(3 * time.Second)
+		if len(acks[0].seen) == 0 {
+			t.Fatal("node 0 confirmed nothing")
+		}
+		if n := len(c.Latencies()); n != 0 {
+			t.Fatalf("%d transactions completed on answers from validators the member never asked", n)
+		}
+		if c.PendingCount() != c.Submitted() {
+			t.Fatalf("pending %d of %d submitted", c.PendingCount(), c.Submitted())
+		}
+		// Four answers in five confirmed nothing: node 0's repeat and the
+		// three nobody asked. Only member 0 asks node 0.
+		if heard := 5 * len(acks[0].seen); c.ignored != heard*4/5 {
+			t.Fatalf("%d of %d answers ignored, want four in five", c.ignored, heard)
+		}
+		// The asked endpoints answering — to a retry — is what completes them.
+		for _, a := range acks {
+			a.mute = false
+		}
+		sched.RunUntil(5 * time.Second)
+		if c.PendingCount() != 0 {
+			t.Fatalf("%d still pending after every asked endpoint answered", c.PendingCount())
+		}
+	})
+}
+
+// TestSecureClientWideFanout: the secure client at scale waits for t+1 = 683
+// of 2,048 validators — more answers than a machine word has bits. The
+// transaction completes on the last distinct answer, not before, however
+// many repeats arrive meanwhile.
+func TestSecureClientWideFanout(t *testing.T) {
+	const nodes, fanout, start = 2048, 683, 2000
+	sched := sim.New(11)
+	net := simnet.New(sched, simnet.Config{Latency: simnet.FixedLatency(5 * time.Millisecond)})
+	cfg := FlowConfig{Start: start, Fanout: fanout, Rate: 1, Stop: 1500 * time.Millisecond, VirtualBase: 5000}
+	acks := make([]*ackNode, nodes)
+	for i := range acks {
+		// The member's slot j is pool node (start+j) mod nodes and answers
+		// j+1 ms after the submission reaches it, twice.
+		slot := (i - start + nodes) % nodes
+		acks[i] = &ackNode{delay: time.Duration(slot+1) * time.Millisecond}
+		acks[i].echo = []*ackNode{acks[i]}
+		net.AddNode(simnet.NodeID(i), acks[i])
+		cfg.Endpoints = append(cfg.Endpoints, simnet.NodeID(i))
+	}
+	c := NewFlow(cfg, testFlow(t, start, 1, sched))
+	net.AddNode(5000, c)
+	net.StartAll()
+	// Submitted at 1 s; slot j's answers land at 1 s + 5 + (j+1) + 5 ms.
+	last := time.Second + (fanout+10)*time.Millisecond
+	sched.RunUntil(last - time.Millisecond)
+	if c.Submitted() != 1 || c.PendingCount() != 1 {
+		t.Fatalf("one answer short of %d: submitted %d, pending %d", fanout, c.Submitted(), c.PendingCount())
+	}
+	sched.RunUntil(last)
+	if c.PendingCount() != 0 || len(c.Latencies()) != 1 {
+		t.Fatalf("after the last distinct answer: pending %d, %d latencies", c.PendingCount(), len(c.Latencies()))
+	}
+	if got, want := c.Latencies()[0], (last - time.Second).Seconds(); got != want {
+		t.Fatalf("latency %v, want %v", got, want)
+	}
+	for i, a := range acks {
+		asked := (i-start+nodes)%nodes < fanout
+		if (len(a.seen) == 1) != asked {
+			t.Fatalf("node %d: asked = %v, saw %d submissions", i, asked, len(a.seen))
+		}
+	}
 }
 
 // TestDefaultClientSpreadsMembersOverPool: with Fanout 1, global client c

@@ -4,7 +4,7 @@
 // There is one load client, FlowClient: k modeled clients behind one simnet
 // endpoint. k = 1 is the paper's deployment, one endpoint per client; larger
 // k is the scale model, where the event-loop cost stays one ticker and one
-// retry scan per flow however many clients it models.
+// retry queue per flow however many clients it models.
 //
 // Two SDK behaviours are modelled through Fanout. The default client trusts a
 // single validator, like the Algorand/Aptos/Avalanche/Solana SDKs. The secure
@@ -14,6 +14,7 @@
 package client
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
@@ -57,12 +58,18 @@ type FlowConfig struct {
 	VirtualBase simnet.NodeID
 }
 
-// pendingTx tracks one in-flight transaction.
+// pendingTx is one window entry: a submitted transaction and how much of its
+// confirmation is still outstanding.
 type pendingTx struct {
-	tx        chain.Tx
-	confirmed map[simnet.NodeID]bool
-	retries   int
-	retryAt   time.Duration
+	tx      chain.Tx
+	retries int32
+	left    int32 // endpoint slots that have not answered; zero once completed
+}
+
+// dueEntry is one armed retry: id is due for resubmission at instant at.
+type dueEntry struct {
+	id chain.TxID
+	at time.Duration
 }
 
 // FlowClient is a simnet endpoint that drives the workload of k modeled
@@ -70,27 +77,52 @@ type pendingTx struct {
 // choice, retry order and confirmation semantics do not depend on how the
 // clients are partitioned into flows (see workload.Flow for the equivalence
 // contract): k single-member flows and one k-member flow differ only in
-// event-loop cost — one ticker and one retry scan serve a whole flow.
+// event-loop cost — one ticker and one retry queue serve a whole flow.
+//
+// In-flight transactions are addressed by position: workload.Flow emits
+// member m's t-th transaction as the flow's (t·k + m)-th, so that ordinal
+// minus head indexes window. The window retains the span from the oldest
+// unfinished transaction to the newest — a completed transaction behind an
+// unfinished one keeps its entry (its left is zero) until the prefix before
+// it completes and head moves past both.
 type FlowClient struct {
 	cfg  FlowConfig
 	flow *workload.Flow
+	// poolPos[id] is id's position in cfg.Endpoints, -1 for a node outside
+	// the pool; member m's endpoint slot j is position (Start+m+j) mod len.
+	poolPos []int32
+	// stride is the confirmation words per window entry: one bit per
+	// endpoint slot, Fanout of them.
+	stride int
 	submitState
 }
 
 // submitState is the submission bookkeeping a FlowClient mutates after
-// construction, and its checkpoint; its shape does not depend on k.
+// construction, and its checkpoint (slice copies); its shape does not depend
+// on k.
 type submitState struct {
-	ctx        *simnet.Context
-	ticker     interface{ Stop() }
-	pending    map[chain.TxID]*pendingTx
-	order      []chain.TxID // pending txs in submission order; retries must not follow map order
+	ctx    *simnet.Context
+	ticker interface{ Stop() }
+	// window[i] is the transaction of ordinal head+i; answered[i*stride:]
+	// are its confirmation bits, by endpoint slot.
+	window   []pendingTx
+	answered []uint64
+	head     int
+	// due lists the armed retries in arm order. RetryAfter is constant and
+	// events fire in time order, so at is non-decreasing along it: the due
+	// entries are a prefix. Every unfinished transaction still entitled to
+	// a retry has exactly one entry.
+	due        []dueEntry
 	credits    float64
 	lastAccrue time.Duration
 	latencies  []float64 // seconds, completed transactions
 	completeAt []time.Duration
 	submitted  int
 	retried    int
-	duplicates int
+	// ignored counts the answers that confirmed nothing: for a transaction
+	// already completed (a late duplicate), from an endpoint that had
+	// already answered, or from a node the member never asked.
+	ignored int
 }
 
 var _ simnet.Handler = (*FlowClient)(nil)
@@ -106,7 +138,15 @@ func NewFlow(cfg FlowConfig, flow *workload.Flow) *FlowClient {
 	if cfg.Rate <= 0 {
 		panic("client: flow rate must be positive")
 	}
-	return &FlowClient{cfg: cfg, flow: flow, submitState: submitState{pending: make(map[chain.TxID]*pendingTx)}}
+	c := &FlowClient{cfg: cfg, flow: flow, stride: (cfg.Fanout + 63) / 64}
+	c.poolPos = make([]int32, int(slices.Max(cfg.Endpoints))+1)
+	for i := range c.poolPos {
+		c.poolPos[i] = -1
+	}
+	for pos, id := range cfg.Endpoints {
+		c.poolPos[id] = int32(pos)
+	}
+	return c
 }
 
 // Start implements simnet.Handler.
@@ -140,14 +180,51 @@ func (c *FlowClient) Stop() {
 	}
 }
 
-// endpoints writes member m's endpoint set into buf and returns it.
-func (c *FlowClient) endpoints(member uint32, buf []simnet.NodeID) []simnet.NodeID {
-	buf = buf[:0]
-	n := len(c.cfg.Endpoints)
-	for j := 0; j < c.cfg.Fanout; j++ {
-		buf = append(buf, c.cfg.Endpoints[(c.cfg.Start+int(member)+j)%n])
+// index returns id's position in window, or -1 when the window does not hold
+// it: another flow's transaction, one never submitted, or one behind head.
+func (c *FlowClient) index(id chain.TxID) int {
+	k := c.flow.Clients()
+	member := int(id.Client()) - c.cfg.Start
+	if member < 0 || member >= k {
+		return -1
 	}
-	return buf
+	i := int(id.Seq())*k + member - c.head
+	if i < 0 || i >= len(c.window) {
+		return -1
+	}
+	return i
+}
+
+// slot returns which endpoint slot of id's member node is, or -1 when the
+// member never submits to it. A member's slot 0 is the pool position of its
+// global client index, which is what a TxID carries.
+func (c *FlowClient) slot(id chain.TxID, node simnet.NodeID) int {
+	if uint(node) >= uint(len(c.poolPos)) || c.poolPos[node] < 0 {
+		return -1
+	}
+	n := len(c.cfg.Endpoints)
+	if j := (int(c.poolPos[node]) - int(id.Client())%n + n) % n; j < c.cfg.Fanout {
+		return j
+	}
+	return -1
+}
+
+// send submits window entry i to its member's endpoint slots whose answered
+// bit is clear, in slot order, boxing the message once.
+func (c *FlowClient) send(i int) {
+	tx, answered := c.window[i].tx, c.answered[i*c.stride:]
+	n := len(c.cfg.Endpoints)
+	pos := int(tx.ID.Client()) % n
+	virtual := c.cfg.VirtualBase + simnet.NodeID(int(tx.ID.Client())-c.cfg.Start)
+	var msg any = chain.SubmitTx{Tx: tx}
+	for j := 0; j < c.cfg.Fanout; j++ {
+		if answered[j>>6]&(1<<(j&63)) == 0 {
+			c.ctx.SendAs(virtual, c.cfg.Endpoints[pos], msg)
+		}
+		if pos++; pos == n {
+			pos = 0
+		}
+	}
 }
 
 func (c *FlowClient) tick() {
@@ -189,95 +266,87 @@ func (c *FlowClient) accrue() {
 // the global order single-member flows produce at a shared tick instant
 // (their tickers fire in client order).
 func (c *FlowClient) submitRound(now time.Duration) {
-	var epBuf [8]simnet.NodeID
-	k := c.flow.Clients()
-	for m := 0; m < k; m++ {
+	for range c.flow.Clients() {
 		tx := c.flow.Next(now)
-		c.order = append(c.order, tx.ID)
-		c.pending[tx.ID] = &pendingTx{
-			tx:        tx,
-			confirmed: make(map[simnet.NodeID]bool, c.cfg.Fanout),
-			retryAt:   now + c.cfg.RetryAfter,
+		c.window = append(c.window, pendingTx{tx: tx, left: int32(c.cfg.Fanout)})
+		if c.index(tx.ID) != len(c.window)-1 {
+			panic("client: flow emitted a transaction out of ordinal order")
+		}
+		for w := 0; w < c.stride; w++ {
+			c.answered = append(c.answered, 0)
+		}
+		if c.cfg.RetryAfter > 0 {
+			c.due = append(c.due, dueEntry{id: tx.ID, at: now + c.cfg.RetryAfter})
 		}
 		c.submitted++
-		eps := c.endpoints(uint32(m), epBuf[:0])
-		virtual := c.cfg.VirtualBase + simnet.NodeID(m)
-		for _, ep := range eps {
-			c.ctx.SendAs(virtual, ep, chain.SubmitTx{Tx: tx})
-		}
+		c.send(len(c.window) - 1)
 	}
 }
 
-// Deliver implements simnet.Handler.
+// Deliver implements simnet.Handler. A TxCommitted counts toward Fanout only
+// when it comes from an endpoint slot the member submitted to and that slot
+// had not answered yet: "t+1 answered" means the t+1 validators asked.
 func (c *FlowClient) Deliver(from simnet.NodeID, payload any) {
 	msg, ok := payload.(chain.TxCommitted)
 	if !ok {
 		return
 	}
-	p, ok := c.pending[msg.ID]
-	if !ok {
-		c.duplicates++
+	i, slot := c.index(msg.ID), c.slot(msg.ID, from)
+	if i < 0 || slot < 0 || c.window[i].left == 0 {
+		c.ignored++
 		return
 	}
-	p.confirmed[from] = true
-	if len(p.confirmed) < c.cfg.Fanout {
+	word, bit := &c.answered[i*c.stride+slot>>6], uint64(1)<<(slot&63)
+	if *word&bit != 0 {
+		c.ignored++
+		return
+	}
+	*word |= bit
+	p := &c.window[i]
+	if p.left--; p.left > 0 {
 		return
 	}
 	// All endpoints confirmed (a single endpoint for the default SDK).
 	lat := c.ctx.Now() - p.tx.Submitted
 	c.latencies = append(c.latencies, lat.Seconds())
 	c.completeAt = append(c.completeAt, c.ctx.Now())
-	delete(c.pending, msg.ID)
+	done := 0
+	for done < len(c.window) && c.window[done].left == 0 {
+		done++
+	}
+	c.window, c.answered, c.head = c.window[done:], c.answered[done*c.stride:], c.head+done
 }
 
-// checkRetries rescans pending transactions once per second. Single-member
-// flows scan client by client (each owns a retry ticker, firing in client
-// order), so a flow walks its live set in TxID order — (member, sequence)
-// lexicographic — which is exactly that global order.
+// checkRetries resubmits, once per second, the unfinished transactions whose
+// retry came due: the prefix of the due queue. Single-member flows scan
+// client by client (each owns a retry ticker, firing in client order), so a
+// flow resubmits in TxID order — (member, sequence) lexicographic — which is
+// exactly that global order: retransmissions draw latency samples from the
+// network's RNG streams, so their order must not depend on the partition.
 func (c *FlowClient) checkRetries() {
 	now := c.ctx.Now()
-	// Compact completed entries out of the submission-order list, then
-	// resubmit in (member, seq) order: retransmissions draw latency samples
-	// from the network's RNG streams, so their order must not depend on the
-	// partition. One member's submission order is already TxID order, so the
-	// sorted copy is only taken when the data needs it.
-	live := c.order[:0]
-	for _, id := range c.order {
-		if _, ok := c.pending[id]; ok {
-			live = append(live, id)
-		}
+	n := 0
+	for n < len(c.due) && c.due[n].at <= now {
+		n++
 	}
-	c.order = live
-	scan := live
-	if !slices.IsSorted(scan) {
-		scan = slices.Clone(live)
-		slices.Sort(scan)
-	}
-	var epBuf [8]simnet.NodeID
-	for _, id := range scan {
-		p := c.pending[id]
-		if p.retryAt > now {
-			continue
+	// The popped prefix is scratch from here on: re-arming appends past it.
+	batch := c.due[:n]
+	c.due = c.due[n:]
+	slices.SortFunc(batch, func(a, b dueEntry) int { return cmp.Compare(a.id, b.id) })
+	for _, e := range batch {
+		i := c.index(e.id)
+		if i < 0 || c.window[i].left == 0 {
+			continue // completed since this retry was armed
 		}
-		if c.cfg.MaxRetries > 0 && p.retries >= c.cfg.MaxRetries {
-			continue
-		}
+		p := &c.window[i]
 		p.retries++
 		c.retried++
-		p.retryAt = now + c.cfg.RetryAfter
-		member := uint32(p.tx.ID>>32) - uint32(c.flowStart())
-		eps := c.endpoints(member, epBuf[:0])
-		virtual := c.cfg.VirtualBase + simnet.NodeID(member)
-		for _, ep := range eps {
-			if !p.confirmed[ep] {
-				c.ctx.SendAs(virtual, ep, chain.SubmitTx{Tx: p.tx})
-			}
+		if c.cfg.MaxRetries == 0 || int(p.retries) < c.cfg.MaxRetries {
+			c.due = append(c.due, dueEntry{id: e.id, at: now + c.cfg.RetryAfter})
 		}
+		c.send(i)
 	}
 }
-
-// flowStart returns the global index of member 0 (the TxID namespace base).
-func (c *FlowClient) flowStart() int { return c.cfg.Start }
 
 // Clients returns how many clients this flow models.
 func (c *FlowClient) Clients() int { return c.flow.Clients() }
@@ -293,7 +362,7 @@ func (c *FlowClient) CompletionTimes() []time.Duration { return c.completeAt }
 func (c *FlowClient) Submitted() int { return c.submitted }
 
 // PendingCount returns how many transactions never completed.
-func (c *FlowClient) PendingCount() int { return len(c.pending) }
+func (c *FlowClient) PendingCount() int { return c.submitted - len(c.latencies) }
 
 // Retried returns how many resubmissions occurred.
 func (c *FlowClient) Retried() int { return c.retried }

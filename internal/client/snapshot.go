@@ -4,7 +4,6 @@ import (
 	"maps"
 	"slices"
 
-	"stabl/internal/chain"
 	"stabl/internal/snapshot"
 )
 
@@ -13,20 +12,14 @@ var (
 	_ snapshot.Forkable = (*VerifiedReader)(nil)
 )
 
-// copyInto copies the submission state, reusing dst's per-transaction
-// slices. No queued closure captures a pendingTx (retries and confirmations
-// reach them through the map), so pending entries are rebuilt as fresh
-// objects.
+// copyInto copies the submission state — value-typed slices throughout —
+// reusing dst's storage.
 func (s *submitState) copyInto(dst *submitState) {
-	order, latencies, completeAt := dst.order, dst.latencies, dst.completeAt
+	window, answered, due, latencies, completeAt := dst.window, dst.answered, dst.due, dst.latencies, dst.completeAt
 	*dst = *s
-	dst.pending = make(map[chain.TxID]*pendingTx, len(s.pending))
-	for id, p := range s.pending {
-		cp := *p
-		cp.confirmed = maps.Clone(p.confirmed)
-		dst.pending[id] = &cp
-	}
-	dst.order = append(order[:0], s.order...)
+	dst.window = append(window[:0], s.window...)
+	dst.answered = append(answered[:0], s.answered...)
+	dst.due = append(due[:0], s.due...)
 	dst.latencies = append(latencies[:0], s.latencies...)
 	dst.completeAt = append(completeAt[:0], s.completeAt...)
 }

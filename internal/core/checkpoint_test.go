@@ -25,7 +25,6 @@ import (
 // identity-preserved (tickers, contexts, RNG streams, round states, pooled
 // deliveries) or shared immutable payload, and must be the same pointer.
 var ownedPointers = map[string]bool{
-	"*client.pendingTx":   true,
 	"*client.pendingRead": true,
 	"*algorand.nodeSet":   true,
 }
@@ -183,6 +182,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	cases = append(cases, tcase{"Redbelly/flows+reads+recorder", func() Config {
 		cfg := base(redbelly.Default(), FaultTransient)
 		cfg.Clients, cfg.Flows, cfg.RetryAfter = 12, 3, 5*time.Second
+		cfg.Fanout = 2 // half-answered confirmation words and armed retries at the fork instant
 		cfg.ReadRate = 2
 		cfg.Metrics = metrics.NewRecorder(0)
 		return cfg

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"time"
 
 	"stabl/internal/sim"
@@ -78,7 +79,8 @@ type pairState struct {
 }
 
 // connState is one managed connection pair's mutable state; the pairState
-// object is identity-preserved (retry/ack closures capture it).
+// object is identity-preserved (retry/ack closures capture it, and the pair
+// table never moves it).
 type connState struct {
 	established bool
 	lastRecvA   time.Duration // last time key.a received traffic from key.b
@@ -92,12 +94,20 @@ type connState struct {
 type connManager struct {
 	net    *Network
 	params ConnParams
-	peers  map[NodeID]bool
-	pairs  map[pairKey]*pairState
-	order  []pairKey // deterministic iteration order; pings sample the shared RNG, so map order would desync runs
+	// pairs holds every managed pair, indexed by the two peers' ranks in the
+	// managed peer list (see pairIndex): row-major over rank pairs i < j,
+	// which is also the order tick visits them in — pings sample the
+	// senders' RNG streams, so that order is part of the trajectory. Sized
+	// once by ManageConns; timers hold pointers into it.
+	pairs  []pairState
+	npeers int
 	ticker *sim.Ticker
 	connCounts
 }
+
+// pairIndex is the position of rank pair i < j among n managed peers in
+// row-major triangular order: (0,1), (0,2), …, (0,n-1), (1,2), ….
+func pairIndex(i, j, n int) int { return i*(2*n-i-1)/2 + j - i - 1 }
 
 // connCounts is the connection manager's own mutable state.
 type connCounts struct {
@@ -115,18 +125,20 @@ func (n *Network) ManageConns(peers []NodeID, params ConnParams) {
 	cm := &connManager{
 		net:    n,
 		params: params.normalized(),
-		peers:  toSet(peers),
-		pairs:  make(map[pairKey]*pairState),
+		pairs:  make([]pairState, 0, len(peers)*(len(peers)-1)/2),
+		npeers: len(peers),
 	}
 	now := n.sched.Now()
-	for _, id := range peers {
-		n.mustNode(id).connPeer = true
+	for i, id := range peers {
+		ep := n.mustNode(id)
+		if ep.connRank != 0 {
+			panic(fmt.Sprintf("simnet: ManageConns lists %v twice", id))
+		}
+		ep.connRank = int32(i + 1)
 	}
 	for i, a := range peers {
 		for _, b := range peers[i+1:] {
-			k := makePair(a, b)
-			cm.pairs[k] = &pairState{key: k, connState: connState{established: true, lastRecvA: now, lastRecvB: now}}
-			cm.order = append(cm.order, k)
+			cm.pairs = append(cm.pairs, pairState{key: makePair(a, b), connState: connState{established: true, lastRecvA: now, lastRecvB: now}})
 		}
 	}
 	cm.ticker = sim.NewTicker(n.sched, cm.params.HeartbeatInterval, cm.tick)
@@ -154,13 +166,27 @@ func (cm *connManager) allows(from, to NodeID) bool {
 	return cm.allowsEp(cm.net.mustNode(from), cm.net.mustNode(to))
 }
 
-// allowsEp is the send-path gate: the connPeer flags replace two map lookups
-// for traffic that does not involve managed peers (clients, observers).
+// pair returns the state of the managed pair {a, b}: an index computed from
+// the two ranks and one load. It is nil when either endpoint is outside the
+// connection layer, or the two are one.
+func (cm *connManager) pair(a, b *endpoint) *pairState {
+	i, j := int(a.connRank), int(b.connRank)
+	if i > j {
+		i, j = j, i
+	}
+	if i == 0 || i == j {
+		return nil
+	}
+	return &cm.pairs[pairIndex(i-1, j-1, cm.npeers)]
+}
+
+// allowsEp is the send-path gate; traffic that does not involve two managed
+// peers (clients, observers) passes on the rank check alone.
 func (cm *connManager) allowsEp(src, dst *endpoint) bool {
-	if !src.connPeer || !dst.connPeer {
+	if src.connRank == 0 || dst.connRank == 0 {
 		return true
 	}
-	st := cm.pairs[makePair(src.id, dst.id)]
+	st := cm.pair(src, dst)
 	return st != nil && st.established
 }
 
@@ -170,10 +196,7 @@ func (cm *connManager) allowsEp(src, dst *endpoint) bool {
 // only at barriers (tick runs on the root queue), so the connection layer
 // needs no locks in parallel mode.
 func (cm *connManager) observeTraffic(from, to NodeID, now time.Duration) {
-	if !cm.net.nodes[from].connPeer || !cm.net.nodes[to].connPeer {
-		return
-	}
-	st := cm.pairs[makePair(from, to)]
+	st := cm.pair(cm.net.nodes[from], cm.net.nodes[to])
 	if st == nil {
 		return
 	}
@@ -187,8 +210,8 @@ func (cm *connManager) observeTraffic(from, to NodeID, now time.Duration) {
 // tick sends keep-alives and performs idle detection.
 func (cm *connManager) tick() {
 	now := cm.net.sched.Now()
-	for _, k := range cm.order {
-		st := cm.pairs[k]
+	for i := range cm.pairs {
+		st := &cm.pairs[i]
 		if !st.established {
 			continue
 		}
@@ -276,13 +299,13 @@ func (cm *connManager) handleControl(from, to NodeID, payload any) bool {
 	case connPing:
 		return true
 	case connReq:
-		st := cm.pairs[makePair(from, to)]
+		st := cm.pair(cm.net.nodes[from], cm.net.nodes[to])
 		if st != nil && !st.established && msg.epoch == st.epoch {
 			cm.sendControl(to, from, connAck{epoch: msg.epoch})
 		}
 		return true
 	case connAck:
-		st := cm.pairs[makePair(from, to)]
+		st := cm.pair(cm.net.nodes[from], cm.net.nodes[to])
 		if st != nil && !st.established && msg.epoch == st.epoch {
 			cm.establish(st)
 		}
@@ -309,11 +332,11 @@ func (cm *connManager) establish(st *pairState) {
 // down whatever connections it nominally had (the old sockets died with the
 // process) and immediately dials every peer.
 func (cm *connManager) nodeRestarted(id NodeID) {
-	if !cm.peers[id] {
+	if cm.net.nodes[id].connRank == 0 {
 		return
 	}
-	for _, k := range cm.order {
-		st := cm.pairs[k]
+	for i := range cm.pairs {
+		st := &cm.pairs[i]
 		if st.key.a != id && st.key.b != id {
 			continue
 		}

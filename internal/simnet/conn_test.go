@@ -30,6 +30,53 @@ func defaultConnParams() ConnParams {
 	}
 }
 
+// TestConnPairIndex: the rank-pair index is a bijection from the managed
+// pairs onto the pair table, in the order ManageConns lists them (peer list
+// order, each peer against the ones after it) whatever the ids are, and an
+// endpoint outside the peer list never reaches the table.
+func TestConnPairIndex(t *testing.T) {
+	for _, n := range []int{2, 3, 10, 33} {
+		_, net, _ := newTestNet(t, n+2, FixedLatency(time.Millisecond))
+		// Ranks run against ids: the peer list is the ids in descending order.
+		peers := make([]NodeID, n)
+		for i := range peers {
+			peers[i] = NodeID(n - 1 - i)
+		}
+		net.ManageConns(peers, defaultConnParams())
+		cm := net.conns
+		if len(cm.pairs) != n*(n-1)/2 {
+			t.Fatalf("n=%d: %d pairs, want %d", n, len(cm.pairs), n*(n-1)/2)
+		}
+		next := 0
+		for i, a := range peers {
+			for _, b := range peers[i+1:] {
+				st, rev := cm.pair(net.nodes[a], net.nodes[b]), cm.pair(net.nodes[b], net.nodes[a])
+				if st != &cm.pairs[next] || rev != st {
+					t.Fatalf("n=%d: pair (%v,%v) is not table entry %d from both sides", n, a, b, next)
+				}
+				if st.key != makePair(a, b) {
+					t.Fatalf("n=%d: entry %d holds %v, want %v", n, next, st.key, makePair(a, b))
+				}
+				next++
+			}
+			if cm.pair(net.nodes[a], net.nodes[a]) != nil {
+				t.Fatalf("n=%d: peer %v paired with itself", n, a)
+			}
+		}
+		out, out2 := net.nodes[n], net.nodes[n+1]
+		if cm.pair(out, net.nodes[0]) != nil || cm.pair(net.nodes[0], out) != nil || cm.pair(out, out2) != nil {
+			t.Fatalf("n=%d: an unmanaged endpoint reached the pair table", n)
+		}
+		if !cm.allowsEp(out, net.nodes[0]) || !cm.allowsEp(net.nodes[0], out) || !cm.allowsEp(out, out2) {
+			t.Fatalf("n=%d: traffic of an unmanaged endpoint was gated", n)
+		}
+		cm.pairs[0].established = false
+		if cm.allowsEp(net.nodes[peers[0]], net.nodes[peers[1]]) || !cm.allowsEp(out, net.nodes[peers[0]]) {
+			t.Fatalf("n=%d: the gate does not follow the pair's state", n)
+		}
+	}
+}
+
 func TestConnsStartEstablished(t *testing.T) {
 	sched, net, hs := connTestNet(t, 2, defaultConnParams())
 	hs[0].ctx.Send(1, "x")

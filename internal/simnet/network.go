@@ -287,7 +287,7 @@ type endpoint struct {
 // the pointer, so Restore writes through it.
 type epState struct {
 	up          bool
-	connPeer    bool // participates in the managed connection layer
+	connRank    int32 // 1 + rank in the managed peer list; zero outside the connection layer
 	incarnation uint64
 }
 
@@ -1060,14 +1060,6 @@ func (n *Network) sortedIDs() []NodeID {
 		n.idsSorted = true
 	}
 	return n.ids
-}
-
-func toSet(ids []NodeID) map[NodeID]bool {
-	s := make(map[NodeID]bool, len(ids))
-	for _, id := range ids {
-		s[id] = true
-	}
-	return s
 }
 
 // Context is the capability surface handed to a node's handler. All methods

@@ -30,7 +30,7 @@ func (s *flightState) copyInto(dst *flightState) {
 // netCheck is the Network's checkpoint: its own state plus the contents
 // behind every identity-preserved object — endpoints (parallel to nodes),
 // pooled deliveries and flights (parallel to the registries, whose lengths
-// they record), and connection pairs (in cm.order order).
+// they record), and connection pairs (parallel to cm.pairs).
 type netCheck struct {
 	netState
 	stats        Stats
@@ -78,9 +78,9 @@ func (n *Network) Snapshot() snapshot.State {
 	}
 	if cm := n.conns; cm != nil {
 		st.conns = cm.connCounts
-		st.pairs = make([]connState, len(cm.order))
-		for i, k := range cm.order {
-			st.pairs[i] = cm.pairs[k].connState
+		st.pairs = make([]connState, len(cm.pairs))
+		for i := range cm.pairs {
+			st.pairs[i] = cm.pairs[i].connState
 		}
 	}
 	return st
@@ -119,8 +119,8 @@ func (n *Network) Restore(state snapshot.State) {
 	}
 	if cm := n.conns; cm != nil {
 		cm.connCounts = st.conns
-		for i, k := range cm.order {
-			cm.pairs[k].connState = st.pairs[i]
+		for i := range cm.pairs {
+			cm.pairs[i].connState = st.pairs[i]
 		}
 	}
 }
