@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify verify-race ci specs lint loc fuzz-smoke sim-digests bench bench-smoke bench-scale bench-parallel bench-gossip bench-pairs figures clean
+.PHONY: all build vet test race verify verify-race ci specs lint loc fuzz-smoke sim-digests bench-smoke bench-pairs figures clean
 
 all: verify
 
@@ -100,11 +100,6 @@ fuzz-smoke:
 sim-digests:
 	bash scripts/sim_digests.sh
 
-# bench regenerates the committed kernel benchmark report (figures at the
-# paper's 400 virtual seconds plus the scheduler/simnet microbenchmarks).
-bench:
-	$(GO) run ./cmd/stabl -bench-out BENCH_kernel.json bench
-
 # bench-smoke is the fast race-enabled benchmark gate: one short iteration
 # of every figure benchmark (120 virtual seconds via -short) and of each
 # kernel and chain-table microbenchmark. It proves the benchmark paths are
@@ -112,32 +107,6 @@ bench:
 bench-smoke:
 	$(GO) test -race -short -run='^$$' -bench=. -benchtime=1x -timeout 20m \
 		. ./internal/sim ./internal/simnet ./internal/chain
-
-# bench-scale regenerates the committed scale-suite report: committee-mode
-# Algorand at 512, 2048 and 10240 validators driven by flow-aggregated
-# workloads, plus a committee-size sweep at fixed size (see
-# internal/kernelbench/scale.go). SCALE_FLAGS=-scale-short caps the suite
-# at 512 validators for smoke runs; the committed report uses the default.
-bench-scale:
-	$(GO) run ./cmd/stabl bench -scale-out BENCH_scale.json $(SCALE_FLAGS)
-
-# bench-parallel regenerates the committed parallel-kernel report: the scale
-# suite's k=1024 cells rerun sequentially and at SimWorkers 1/2/4/8, with
-# byte-identity checked against the sequential reference and both wall-clock
-# and modeled (critical-path) speedups reported (see
-# internal/kernelbench/parallel.go). SCALE_FLAGS=-scale-short caps it at 512
-# validators for smoke runs; the committed report uses the default.
-bench-parallel:
-	$(GO) run ./cmd/stabl bench -parallel-out BENCH_parallel.json $(SCALE_FLAGS)
-
-# bench-gossip regenerates the committed gossip-overlay report: the scale
-# deployments rerun over the legacy full mesh and the kadcast broadcast
-# overlay, reporting sends per broadcast origin — the mesh pays n-1, kadcast
-# must stay near O(fanout * log n) at 10240 validators (see
-# internal/kernelbench/gossip.go). SCALE_FLAGS=-scale-short caps it at 512
-# validators for smoke runs; the committed report uses the default.
-bench-gossip:
-	$(GO) run ./cmd/stabl bench -gossip-out BENCH_gossip.json $(SCALE_FLAGS)
 
 # bench-pairs measures a change the way a performance claim must be shown:
 # `make bench-pairs BASE=<ref> WORKLOAD=<name> [PAIRS=10] [SEED=42]` runs

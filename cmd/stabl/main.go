@@ -27,11 +27,6 @@
 //	search          bisect one fault axis (-axis count|slowby|intensity,
 //	                -lo, -hi) to the pass/fail tolerance boundary of
 //	                -system; -shrink minimizes the failing scenario
-//	bench           kernel benchmark suite, written to BENCH_kernel.json,
-//	                plus the fork-vs-replay suite in BENCH_fork.json;
-//	                -scale-out runs the committee scale suite instead,
-//	                -parallel-out the parallel-kernel speedup suite,
-//	                -gossip-out the mesh-vs-kadcast gossip overlay suite
 //	lint            determinism static analysis: stabl lint [packages]
 //
 // Flags select the system, fault, seed and deployment size, and may come
@@ -40,8 +35,7 @@
 // run also dumps its virtual-time instrumentation — JSONL and CSV interval
 // metrics plus an SVG timeline of latency, commit rate, fault and scenario
 // phase markers and consensus events. -cpuprofile and -memprofile write
-// pprof profiles of any command (most useful around run, campaign and
-// bench).
+// pprof profiles of any command (most useful around run and campaign).
 package main
 
 import (
@@ -58,7 +52,6 @@ import (
 	"time"
 
 	"stabl"
-	"stabl/internal/kernelbench"
 	"stabl/internal/lint"
 )
 
@@ -107,13 +100,6 @@ func run(args []string, out io.Writer) error {
 		threshold = fs.Float64("threshold", 0, "search command: a finite score at or above this also fails (0 = only liveness loss)")
 		shrink    = fs.Bool("shrink", false, "search command: delta-debug the failing scenario at the boundary to a minimal spec (intensity axis)")
 
-		benchOut   = fs.String("bench-out", "BENCH_kernel.json", "report file for the bench command")
-		forkOut    = fs.String("fork-out", "BENCH_fork.json", "fork-vs-replay report file for the bench command")
-		benchFull  = fs.Bool("bench-full", false, "bench command: also replay the Fig 7 matrix (40 runs; slow)")
-		scaleOut   = fs.String("scale-out", "", "bench command: run only the scale suite (committee-mode Algorand at 512-10240 validators with flow workloads) and write its report to this file")
-		gossipOut  = fs.String("gossip-out", "", "bench command: run only the gossip suite (mesh vs kadcast overlay at 512-10240 validators) and write its report to this file")
-		scaleShort = fs.Bool("scale-short", false, "bench command: cap the scale, parallel and gossip suites at 512 validators (smoke runs)")
-		parOut     = fs.String("parallel-out", "", "bench command: run only the parallel-kernel suite (sequential vs SimWorkers 1/2/4/8 on the scale cells) and write its report to this file")
 		simWorkers = fs.Int("sim-workers", 0, "run the simulation on the conservative parallel kernel with this many partition queues (0 = sequential; outputs are byte-identical either way)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the command to this file")
 		memProfile = fs.String("memprofile", "", "write an allocation profile to this file when the command finishes")
@@ -137,6 +123,11 @@ func run(args []string, out io.Writer) error {
 	if command != "spec" && command != "lint" && len(operands) != 0 {
 		fs.Usage()
 		return fmt.Errorf("expected exactly one command, got %q and %q", command, fs.Arg(0))
+	}
+	// RenderThroughput walks the run in -bucket steps; reject a step that
+	// never advances before any simulation starts.
+	if *bucket <= 0 {
+		return fmt.Errorf("-bucket %v: must be positive", *bucket)
 	}
 
 	if *cpuProfile != "" {
@@ -187,6 +178,13 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		cfg.Overlay = stabl.OverlayConfig{Topology: kind}
+	}
+	report := reportOptions{
+		metricsOut:      *metricsOut,
+		metricsInterval: *metricsInterval,
+		json:            *jsonOut,
+		bucket:          *bucket,
+		svgDir:          *svgDir,
 	}
 
 	switch cmd := command; cmd {
@@ -268,17 +266,9 @@ func run(args []string, out io.Writer) error {
 		if *configPath == "" {
 			return fmt.Errorf("campaign needs -config <campaign-spec.json>, e.g. specs/campaign-crash-sweep.json")
 		}
-		f, err := os.Open(*configPath)
+		spec, err := loadSpecFile(*configPath, stabl.ParseCampaignSpec)
 		if err != nil {
 			return err
-		}
-		spec, err := stabl.ParseCampaignSpec(f)
-		closeErr := f.Close()
-		if err != nil {
-			return err
-		}
-		if closeErr != nil {
-			return closeErr
 		}
 		opts := stabl.CampaignOptions{Workers: *workers}
 		if !*jsonOut {
@@ -374,158 +364,11 @@ func run(args []string, out io.Writer) error {
 			return res.WriteJSON(out)
 		}
 		return res.WriteText(out)
-	case "bench":
-		if *parOut != "" {
-			// The parallel suite, like the scale suite, replaces the
-			// figure/micro/fork suites: it reruns the scale cells under
-			// every worker count and checks byte-identity against the
-			// sequential reference.
-			pf, err := os.Create(*parOut)
-			if err != nil {
-				return err
-			}
-			parRep, err := kernelbench.RunParallel(kernelbench.Options{
-				Short:    *scaleShort,
-				Progress: func(name string) { fmt.Fprintln(os.Stderr, "bench:", name) },
-			})
-			if err != nil {
-				pf.Close()
-				return err
-			}
-			if err := parRep.WriteJSON(pf); err != nil {
-				pf.Close()
-				return err
-			}
-			if err := pf.Close(); err != nil {
-				return err
-			}
-			if *jsonOut {
-				return parRep.WriteJSON(out)
-			}
-			return parRep.WriteText(out)
-		}
-		if *gossipOut != "" {
-			// The gossip suite replaces the figure/micro/fork suites: it
-			// reruns the scale deployments once over the mesh and once over
-			// the kadcast overlay and reports sends per broadcast origin.
-			gf, err := os.Create(*gossipOut)
-			if err != nil {
-				return err
-			}
-			gossipRep, err := kernelbench.RunGossip(kernelbench.Options{
-				Short:    *scaleShort,
-				Progress: func(name string) { fmt.Fprintln(os.Stderr, "bench:", name) },
-			})
-			if err != nil {
-				gf.Close()
-				return err
-			}
-			if err := gossipRep.WriteJSON(gf); err != nil {
-				gf.Close()
-				return err
-			}
-			if err := gf.Close(); err != nil {
-				return err
-			}
-			if *jsonOut {
-				return gossipRep.WriteJSON(out)
-			}
-			return gossipRep.WriteText(out)
-		}
-		if *scaleOut != "" {
-			// The scale suite replaces the figure/micro/fork suites: its
-			// 10k-validator cells are a different cost regime and get
-			// their own committed report.
-			sf, err := os.Create(*scaleOut)
-			if err != nil {
-				return err
-			}
-			scaleRep, err := kernelbench.RunScale(kernelbench.Options{
-				Short:    *scaleShort,
-				Progress: func(name string) { fmt.Fprintln(os.Stderr, "bench:", name) },
-			})
-			if err != nil {
-				sf.Close()
-				return err
-			}
-			if err := scaleRep.WriteJSON(sf); err != nil {
-				sf.Close()
-				return err
-			}
-			if err := sf.Close(); err != nil {
-				return err
-			}
-			if *jsonOut {
-				return scaleRep.WriteJSON(out)
-			}
-			return scaleRep.WriteText(out)
-		}
-		// Create the report file first so a bad path fails in
-		// milliseconds, not after minutes of benchmarking.
-		f, err := os.Create(*benchOut)
-		if err != nil {
-			return err
-		}
-		rep, err := kernelbench.Run(kernelbench.Options{
-			Duration: *duration,
-			Full:     *benchFull,
-			Progress: func(name string) { fmt.Fprintln(os.Stderr, "bench:", name) },
-		})
-		if err != nil {
-			f.Close()
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		// The fork suite measures checkpoint reuse against from-scratch
-		// replays; it is small, so bench always includes it.
-		ff, err := os.Create(*forkOut)
-		if err != nil {
-			return err
-		}
-		forkRep, err := kernelbench.RunFork(kernelbench.Options{
-			Duration: *duration,
-			Progress: func(name string) { fmt.Fprintln(os.Stderr, "bench:", name) },
-		})
-		if err != nil {
-			ff.Close()
-			return err
-		}
-		if err := forkRep.WriteJSON(ff); err != nil {
-			ff.Close()
-			return err
-		}
-		if err := ff.Close(); err != nil {
-			return err
-		}
-		if *jsonOut {
-			if err := rep.WriteJSON(out); err != nil {
-				return err
-			}
-			return forkRep.WriteJSON(out)
-		}
-		if err := rep.WriteText(out); err != nil {
-			return err
-		}
-		return forkRep.WriteText(out)
 	case "run":
 		if *configPath != "" {
-			f, err := os.Open(*configPath)
+			loaded, err := loadSpecFile(*configPath, stabl.LoadExperiment)
 			if err != nil {
 				return err
-			}
-			loaded, err := stabl.LoadExperiment(f)
-			closeErr := f.Close()
-			if err != nil {
-				return err
-			}
-			if closeErr != nil {
-				return closeErr
 			}
 			cfg = loaded
 		} else {
@@ -540,31 +383,7 @@ func run(args []string, out io.Writer) error {
 			cfg.System = sys
 			cfg.Fault.Kind = kind
 		}
-		var rec *stabl.MetricsRecorder
-		if *metricsOut != "" {
-			rec = stabl.NewMetricsRecorder(*metricsInterval)
-			cfg.Metrics = rec
-		}
-		cmp, err := stabl.Compare(cfg)
-		if err != nil {
-			return err
-		}
-		if rec != nil {
-			base := fmt.Sprintf("run-%s-%s", cmp.System, cmp.Fault.Kind)
-			title := fmt.Sprintf("%s under %s", cmp.System, cmp.Fault.Kind)
-			if err := writeMetrics(*metricsOut, base, rec, title); err != nil {
-				return err
-			}
-		}
-		if *jsonOut {
-			return stabl.NewReport(cmp).WriteJSON(out)
-		}
-		fmt.Fprintln(out, cmp)
-		if cfg.Overlay.Enabled() {
-			writeOverlay(out, cmp)
-		}
-		fmt.Fprint(out, stabl.RenderThroughput(cmp, *bucket))
-		return writeSVG(*svgDir, fmt.Sprintf("run-%s-%s.svg", cmp.System, cmp.Fault.Kind), stabl.ThroughputSVG(cmp, 5*time.Second))
+		return compareAndReport(out, cfg, "run", report)
 	case "scenario":
 		if *scenList {
 			for _, name := range stabl.BuiltinScenarios() {
@@ -577,17 +396,9 @@ func run(args []string, out io.Writer) error {
 			return nil
 		}
 		if *configPath != "" {
-			f, err := os.Open(*configPath)
+			loaded, err := loadSpecFile(*configPath, stabl.LoadExperiment)
 			if err != nil {
 				return err
-			}
-			loaded, err := stabl.LoadExperiment(f)
-			closeErr := f.Close()
-			if err != nil {
-				return err
-			}
-			if closeErr != nil {
-				return closeErr
 			}
 			if loaded.Scenario == nil {
 				return fmt.Errorf("scenario: %s has no \"scenario\" block (use the run command for single-fault specs)", *configPath)
@@ -613,31 +424,7 @@ func run(args []string, out io.Writer) error {
 			cfg.Fault = stabl.FaultPlan{}
 			cfg.Scenario = sc
 		}
-		var rec *stabl.MetricsRecorder
-		if *metricsOut != "" {
-			rec = stabl.NewMetricsRecorder(*metricsInterval)
-			cfg.Metrics = rec
-		}
-		cmp, err := stabl.Compare(cfg)
-		if err != nil {
-			return err
-		}
-		base := fmt.Sprintf("scenario-%s-%s", cmp.System, cmp.Scenario)
-		if rec != nil {
-			title := fmt.Sprintf("%s under scenario %s", cmp.System, cmp.Scenario)
-			if err := writeMetrics(*metricsOut, base, rec, title); err != nil {
-				return err
-			}
-		}
-		if *jsonOut {
-			return stabl.NewReport(cmp).WriteJSON(out)
-		}
-		fmt.Fprintln(out, cmp)
-		if cfg.Overlay.Enabled() {
-			writeOverlay(out, cmp)
-		}
-		fmt.Fprint(out, stabl.RenderThroughput(cmp, *bucket))
-		return writeSVG(*svgDir, base+".svg", stabl.ThroughputSVG(cmp, 5*time.Second))
+		return compareAndReport(out, cfg, "scenario", report)
 	case "lint":
 		if *scenList {
 			for _, a := range lint.All() {
@@ -717,6 +504,64 @@ func run(args []string, out io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("unknown command %q", cmd)
 	}
+}
+
+// loadSpecFile parses the spec file at path with parse — LoadExperiment for
+// the run and scenario commands, ParseCampaignSpec for campaign.
+func loadSpecFile[T any](path string, parse func(io.Reader) (T, error)) (spec T, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return spec, err
+	}
+	defer f.Close() // read-only: nothing to lose on a failed close
+	return parse(f)
+}
+
+// reportOptions are the output flags the run and scenario commands share.
+type reportOptions struct {
+	metricsOut      string
+	metricsInterval time.Duration
+	json            bool
+	bucket          time.Duration
+	svgDir          string
+}
+
+// compareAndReport is the shared tail of the run and scenario commands: run
+// the baseline/altered pair for cfg, dump the altered run's metrics when
+// asked, and print the comparison as JSON or as the score line, the overlay
+// counters and the throughput table (plus its SVG). verb prefixes the
+// artifact names; the scenario command names runs after the scenario, the
+// run command after the fault kind.
+func compareAndReport(out io.Writer, cfg stabl.Config, verb string, o reportOptions) error {
+	var rec *stabl.MetricsRecorder
+	if o.metricsOut != "" {
+		rec = stabl.NewMetricsRecorder(o.metricsInterval)
+		cfg.Metrics = rec
+	}
+	cmp, err := stabl.Compare(cfg)
+	if err != nil {
+		return err
+	}
+	label, under := fmt.Sprint(cmp.Fault.Kind), ""
+	if verb == "scenario" {
+		label, under = cmp.Scenario, "scenario "
+	}
+	base := fmt.Sprintf("%s-%s-%s", verb, cmp.System, label)
+	if rec != nil {
+		title := fmt.Sprintf("%s under %s%s", cmp.System, under, label)
+		if err := writeMetrics(o.metricsOut, base, rec, title); err != nil {
+			return err
+		}
+	}
+	if o.json {
+		return stabl.NewReport(cmp).WriteJSON(out)
+	}
+	fmt.Fprintln(out, cmp)
+	if cfg.Overlay.Enabled() {
+		writeOverlay(out, cmp)
+	}
+	fmt.Fprint(out, stabl.RenderThroughput(cmp, o.bucket))
+	return writeSVG(o.svgDir, base+".svg", stabl.ThroughputSVG(cmp, 5*time.Second))
 }
 
 // writeOverlay prints the overlay routers' counters, one line per run of the

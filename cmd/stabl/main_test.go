@@ -2,10 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"stabl"
 )
@@ -98,10 +102,42 @@ func TestCLIFig3aWritesSVG(t *testing.T) {
 	}
 }
 
+// TestCLIUnknownCommand: a verb the CLI does not have — the retired bench
+// verb included — is refused by name, and -help lists none of its flags.
 func TestCLIUnknownCommand(t *testing.T) {
-	var buf strings.Builder
-	if err := run([]string{"frobnicate"}, &buf); err == nil {
-		t.Fatal("unknown command accepted")
+	for _, cmd := range []string{"frobnicate", "bench"} {
+		var buf strings.Builder
+		err := run([]string{cmd}, &buf)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown command %q", cmd)) {
+			t.Errorf("%s: error = %v, want unknown command", cmd, err)
+		}
+	}
+	var help strings.Builder
+	if err := run([]string{"-help"}, &help); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-help error = %v, want flag.ErrHelp", err)
+	}
+	for _, name := range []string{"bench-out", "fork-out", "bench-full", "scale-out", "gossip-out", "scale-short", "parallel-out"} {
+		if strings.Contains(help.String(), "-"+name) {
+			t.Errorf("-help still lists -%s", name)
+		}
+	}
+}
+
+// TestCLIRejectsNonPositiveBucket: RenderThroughput steps by -bucket, so a
+// step that never advances is refused before any simulation starts (it used
+// to finish both runs and then spin forever).
+func TestCLIRejectsNonPositiveBucket(t *testing.T) {
+	for _, bucket := range []string{"0", "-5s"} {
+		start := time.Now()
+		var buf strings.Builder
+		err := run([]string{"-bucket", bucket, "run"}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "-bucket") {
+			t.Errorf("-bucket %s: error = %v, want one naming -bucket", bucket, err)
+		}
+		// The default run simulates 400 s twice, several wall seconds.
+		if wall := time.Since(start); wall > time.Second {
+			t.Errorf("-bucket %s: refused after %v, want before any run", bucket, wall)
+		}
 	}
 }
 
@@ -174,6 +210,7 @@ func TestCLIRejectsOutOfRangeSpec(t *testing.T) {
 		{"RatePerClient", `"ratePerClient": -2`},
 		{"AccountsPerClient", `"accountsPerClient": -1`},
 		{"Duration", `"durationSec": -5`},
+		{"RecoverAt", `"fault": {"kind": "transient", "injectSec": 15, "recoverSec": 5}`},
 	} {
 		field := tc.field
 		t.Run(field, func(t *testing.T) {

@@ -261,10 +261,17 @@ func (c Config) validate() error {
 		{"RetryAfter", c.RetryAfter < 0, c.RetryAfter},
 		{"MaxRetries", c.MaxRetries < 0, c.MaxRetries},
 		{"ReadRate", badRate(c.ReadRate), c.ReadRate},
+		{"Fault.InjectAt", c.Fault.InjectAt < 0, c.Fault.InjectAt},
 	} {
 		if f.bad {
 			return fmt.Errorf("core: %s = %v: must be finite and not negative", f.name, f.v)
 		}
+	}
+	// A healing fault that heals first would revert nothing and then inject
+	// for good. Equality is a zero-length outage, which campaigns sweep;
+	// crash and secure-client plans never read RecoverAt.
+	if c.Fault.Kind.Recovers() && c.Fault.RecoverAt < c.Fault.InjectAt {
+		return fmt.Errorf("core: Fault.RecoverAt = %v: must not precede Fault.InjectAt = %v", c.Fault.RecoverAt, c.Fault.InjectAt)
 	}
 	if c.Flows < 0 {
 		return fmt.Errorf("core: negative flow count %d", c.Flows)

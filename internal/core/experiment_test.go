@@ -185,6 +185,10 @@ func TestValidateRejectsNegativeAndNonFinite(t *testing.T) {
 		{"MaxRetries", "-1", func(c *Config) { c.MaxRetries = -1 }},
 		{"ReadRate", "-0.5", func(c *Config) { c.ReadRate = -0.5 }},
 		{"ReadRate", "NaN", func(c *Config) { c.ReadRate = math.NaN() }},
+		{"Fault.InjectAt", "-5s", func(c *Config) { c.Fault.InjectAt = -5 * time.Second }},
+		{"Fault.RecoverAt", "5s", func(c *Config) { c.Fault = invertedWindow(FaultTransient, 5*time.Second) }},
+		{"Fault.RecoverAt", "6s", func(c *Config) { c.Fault = invertedWindow(FaultPartition, 6*time.Second) }},
+		{"Fault.RecoverAt", "7s", func(c *Config) { c.Fault = invertedWindow(FaultSlow, 7*time.Second) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.field+"="+tc.value, func(t *testing.T) {
@@ -205,6 +209,21 @@ func TestValidateRejectsNegativeAndNonFinite(t *testing.T) {
 	if err := (Config{System: &stubSystem{}}).Validate(); err != nil {
 		t.Fatalf("all-zero (all-default) config refused: %v", err)
 	}
+	// A crash never heals, so its plan's RecoverAt is not read; a healing
+	// fault with a zero-length outage is what campaigns sweep from.
+	if err := (Config{System: &stubSystem{}, Fault: invertedWindow(FaultCrash, 5*time.Second)}).Validate(); err != nil {
+		t.Fatalf("crash with RecoverAt < InjectAt refused: %v", err)
+	}
+	zeroOutage := FaultPlan{Kind: FaultTransient, InjectAt: 15 * time.Second, RecoverAt: 15 * time.Second}
+	if err := (Config{System: &stubSystem{}, Fault: zeroOutage}).Validate(); err != nil {
+		t.Fatalf("RecoverAt == InjectAt refused: %v", err)
+	}
+}
+
+// invertedWindow is a plan of the given kind that starts at 15 s and heals
+// before that, at recoverAt.
+func invertedWindow(kind FaultKind, recoverAt time.Duration) FaultPlan {
+	return FaultPlan{Kind: kind, InjectAt: 15 * time.Second, RecoverAt: recoverAt}
 }
 
 func TestFaultyNodesAvoidClientFacingValidators(t *testing.T) {

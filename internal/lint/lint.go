@@ -90,8 +90,8 @@ func (p *Pass) IsTestFile(pos token.Pos) bool {
 }
 
 // Diagnostic is one finding. String renders the conventional
-// path:line:col: [analyzer] message form shared by `stabl lint` and
-// `stabllint`. Suppressed marks findings silenced by a //stabl:nodet
+// path:line:col: [analyzer] message form `stabl lint` prints.
+// Suppressed marks findings silenced by a //stabl:nodet
 // directive: Run drops them, RunAll keeps them flagged so -json consumers
 // can audit the escape hatches in use.
 type Diagnostic struct {

@@ -40,8 +40,12 @@ func scoreBar(cmp *Comparison) string {
 // RenderThroughput renders one system's baseline and altered throughput
 // series side by side, downsampled to the given bucket (e.g. 10 s), with
 // markers at the injection and recovery instants — the textual equivalent of
-// one panel of Figs 4-6.
+// one panel of Figs 4-6. A non-positive bucket renders the series at its own
+// resolution.
 func RenderThroughput(cmp *Comparison, bucket time.Duration) string {
+	if bucket <= 0 {
+		bucket = cmp.Baseline.Throughput.Bucket
+	}
 	var b strings.Builder
 	if cmp.Scenario != "" {
 		fmt.Fprintf(&b, "%s (scenario: %s)\n", cmp.System, cmp.Scenario)
