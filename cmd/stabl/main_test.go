@@ -211,6 +211,8 @@ func TestCLIRejectsOutOfRangeSpec(t *testing.T) {
 		{"AccountsPerClient", `"accountsPerClient": -1`},
 		{"Duration", `"durationSec": -5`},
 		{"RecoverAt", `"fault": {"kind": "transient", "injectSec": 15, "recoverSec": 5}`},
+		{"Fault.Count", `"fault": {"kind": "slow", "count": -3}`},
+		{"Fault.SlowBy", `"fault": {"kind": "slow", "slowBySec": -5}`},
 	} {
 		field := tc.field
 		t.Run(field, func(t *testing.T) {

@@ -66,7 +66,7 @@ func TestCommitteeSuiteWorkerInvariance(t *testing.T) {
 	}
 	base := committeeGoldenConfig()
 	base.Duration = 60 * time.Second
-	base.Fault = FaultPlan{}
+	base.Fault = FaultPlan{InjectAt: 20 * time.Second, RecoverAt: 40 * time.Second}
 	run := func(workers int) *SuiteResult {
 		res, err := RunSuite(SuiteConfig{
 			Base:    base,

@@ -191,14 +191,13 @@ func TestForkDivergeIndependence(t *testing.T) {
 
 	e, fp, origA := runForked(t, cfg)
 
-	// Continuation 2: the sibling schedule, steered via SetScript.
-	sibFaulty, sibScript, _, err := sibling.FaultOutline()
+	// Continuation 2: the sibling schedule, steered onto its timeline.
+	sibTimeline, err := sibling.Timeline()
 	if err != nil {
 		t.Fatal(err)
 	}
 	fp.Rewind()
-	e.Primary().SetScript(sibScript)
-	e.SetFaultTargets(sibFaulty)
+	e.Steer(sibTimeline)
 	e.RunUntil(e.Config().Duration)
 	steered := e.Collect()
 	wantSibling, err := core.Run(sibling)
@@ -209,9 +208,9 @@ func TestForkDivergeIndependence(t *testing.T) {
 		t.Errorf("steered continuation diverged from from-scratch sibling run:\nscratch: %+v\nsteered: %+v", wantSibling, steered)
 	}
 
-	// Continuation 3: rewind restores the original script contents.
+	// Continuation 3: rewind restores the original timeline, script
+	// contents and reported targets alike.
 	fp.Rewind()
-	e.SetFaultTargets(origA.FaultyNodes)
 	e.RunUntil(e.Config().Duration)
 	origB := e.Collect()
 	if !reflect.DeepEqual(origA, origB) {

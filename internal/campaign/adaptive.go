@@ -8,8 +8,6 @@ import (
 	"stabl/internal/core"
 	"stabl/internal/metrics"
 	"stabl/internal/pool"
-	"stabl/internal/scenario"
-	"stabl/internal/simnet"
 )
 
 // familyKey identifies a checkpoint family: cells that share their entire
@@ -213,7 +211,8 @@ func runFamily(ctx context.Context, spec Spec, idxs []int, cells []Cell, opts Op
 	// fall back to full replays; the panicking member itself reports the
 	// same message a from-scratch run of its schedule would.
 	corrupted := false
-	continuation := func(pos int, faulty []simnet.NodeID, compiled *scenario.Compiled) {
+	horizon := exp.Config().Duration
+	continuation := func(pos int) {
 		cell := cells[live[pos]]
 		res := &CellResult{Cell: cell}
 		func() {
@@ -223,7 +222,7 @@ func runFamily(ctx context.Context, spec Spec, idxs []int, cells []Cell, opts Op
 					corrupted = true
 				}
 			}()
-			exp.RunUntil(exp.Config().Duration)
+			exp.RunUntil(horizon)
 			altered := exp.Collect()
 			cmp, err := core.ScoreWithBaseline(cfgs[pos], baseline, altered)
 			if err != nil {
@@ -232,9 +231,7 @@ func runFamily(ctx context.Context, spec Spec, idxs []int, cells []Cell, opts Op
 			}
 			scoreCell(res, cell, cmp)
 			if rec != nil {
-				clone := rec.Clone()
-				core.RestampRun(clone, cfgs[pos], faulty, compiled)
-				opts.Metrics(cell, clone)
+				opts.Metrics(cell, rec.Clone())
 			}
 		}()
 		results[live[pos]] = res
@@ -249,22 +246,22 @@ func runFamily(ctx context.Context, spec Spec, idxs []int, cells []Cell, opts Op
 			replay(live[pos])
 			continue
 		}
-		faulty, script, compiled, err := cfgs[pos].FaultOutline()
-		if err != nil {
-			fail(pos, err.Error())
-			continue
-		}
 		if pos == 0 {
-			// The representative's outline is already loaded; it resumes
+			// The representative's timeline is already loaded; it resumes
 			// straight from the checkpoint it just produced.
-			continuation(pos, faulty, compiled)
+			continuation(pos)
 			st.fullReplays++ // it ran prefix + suffix itself
 			continue
 		}
+		sibling, err := cfgs[pos].Timeline()
+		if err != nil {
+			// What the member's own run reports (core.CompareWithBaseline).
+			fail(pos, fmt.Sprintf("altered run: %v", err))
+			continue
+		}
 		fp.Rewind()
-		exp.Primary().SetScript(script)
-		exp.SetFaultTargets(faulty)
-		continuation(pos, faulty, compiled)
+		exp.Steer(sibling)
+		continuation(pos)
 		st.forkServed++
 		st.wallSaved += prefixWall
 	}

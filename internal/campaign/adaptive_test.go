@@ -82,6 +82,33 @@ func TestAdaptiveMatchesGridByteIdentical(t *testing.T) {
 	}
 }
 
+// TestAdaptiveInvalidSiblingFailsAsInGrid: a family member whose fault count
+// exceeds the client-free validators fails alone, with the error a
+// from-scratch run of it reports — a steered continuation used to run it over
+// client-facing validators instead.
+func TestAdaptiveInvalidSiblingFailsAsInGrid(t *testing.T) {
+	run := func(mode string) *Result {
+		t.Helper()
+		spec := fastSpec()
+		spec.Faults = []string{"transient"}
+		spec.CountDeltas = []int{0, 3} // t = 3: f = 3 fits the 5 client-free validators, f = 6 does not
+		spec.Seeds = []int64{1}
+		spec.Mode = mode
+		res, err := Run(context.Background(), spec, Options{Workers: 1, Resolve: resolveStubs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	grid, adaptive := run(ModeGrid), run(ModeAdaptive)
+	if got, want := encodeResult(t, adaptive), encodeResult(t, grid); !bytes.Equal(got, want) {
+		t.Fatalf("adaptive diverged from grid:\n%s\nvs\n%s", got, want)
+	}
+	if msg := adaptive.Cells[1].Error; !strings.Contains(msg, "6 faulty nodes") {
+		t.Fatalf("oversized sibling's error = %q", msg)
+	}
+}
+
 // TestAdaptiveMetricsIdenticalToGrid extends the byte-identity claim to the
 // observability layer: the cloned-and-restamped recorder a forked member
 // hands out must match the from-scratch recorder of the same cell.

@@ -146,11 +146,12 @@ type Config struct {
 	MaxRetries int
 	Latency    simnet.LatencyModel
 	Fault      FaultPlan
-	// Scenario, when set, replaces the single-fault plan with a composed
-	// multi-phase fault timeline (crash/partition/slow/loss/jitter/flap
-	// actions over node sets, see internal/scenario). Mutually exclusive
-	// with a non-none Fault.Kind: a config may describe its adversarial
-	// environment as one paper-style fault or as a scenario, never both.
+	// Scenario, when set, describes the adversarial environment as a
+	// composed multi-phase fault timeline (crash/partition/slow/loss/jitter/
+	// flap actions over node sets, see internal/scenario) instead of one
+	// paper-style fault. A non-none Fault.Kind is itself lowered to a
+	// one-action scenario (Timeline), so a config sets one or the other,
+	// never both.
 	Scenario *scenario.Scenario
 	// ReadRate, when positive, deploys one credence.js-style verified
 	// reader per client: each issues ReadRate account reads per second
@@ -232,16 +233,19 @@ func (c Config) withDefaults() Config {
 // describes a runnable experiment, without running it. The CLI's
 // `stabl spec -validate` uses it to lint spec files.
 func (c Config) Validate() error {
-	c = c.withDefaults()
-	return c.validate()
+	_, err := c.withDefaults().validate()
+	return err
 }
 
-func (c Config) validate() error {
+// validate checks the materialized config and returns the fault timeline it
+// compiled on the way: node ranges, pool sizes and the horizon are only
+// checkable against the lowered timeline, and Build keeps it.
+func (c Config) validate() (*scenario.Compiled, error) {
 	if c.System == nil {
-		return fmt.Errorf("core: config needs a System")
+		return nil, fmt.Errorf("core: config needs a System")
 	}
 	if c.SimWorkers < 0 {
-		return fmt.Errorf("core: negative sim worker count %d", c.SimWorkers)
+		return nil, fmt.Errorf("core: negative sim worker count %d", c.SimWorkers)
 	}
 	// Zero meant "default" and withDefaults replaced it; what is left is the
 	// caller's own value, and a negative size, rate or horizon has no
@@ -262,66 +266,66 @@ func (c Config) validate() error {
 		{"MaxRetries", c.MaxRetries < 0, c.MaxRetries},
 		{"ReadRate", badRate(c.ReadRate), c.ReadRate},
 		{"Fault.InjectAt", c.Fault.InjectAt < 0, c.Fault.InjectAt},
+		{"Fault.Count", c.Fault.Count < 0, c.Fault.Count},
+		{"Fault.SlowBy", c.Fault.SlowBy < 0, c.Fault.SlowBy},
 	} {
 		if f.bad {
-			return fmt.Errorf("core: %s = %v: must be finite and not negative", f.name, f.v)
+			return nil, fmt.Errorf("core: %s = %v: must be finite and not negative", f.name, f.v)
 		}
 	}
 	// A healing fault that heals first would revert nothing and then inject
 	// for good. Equality is a zero-length outage, which campaigns sweep;
 	// crash and secure-client plans never read RecoverAt.
 	if c.Fault.Kind.Recovers() && c.Fault.RecoverAt < c.Fault.InjectAt {
-		return fmt.Errorf("core: Fault.RecoverAt = %v: must not precede Fault.InjectAt = %v", c.Fault.RecoverAt, c.Fault.InjectAt)
+		return nil, fmt.Errorf("core: Fault.RecoverAt = %v: must not precede Fault.InjectAt = %v", c.Fault.RecoverAt, c.Fault.InjectAt)
 	}
 	if c.Flows < 0 {
-		return fmt.Errorf("core: negative flow count %d", c.Flows)
+		return nil, fmt.Errorf("core: negative flow count %d", c.Flows)
 	}
 	if c.Flows > c.Clients {
-		return fmt.Errorf("core: %d flows cannot model only %d clients", c.Flows, c.Clients)
+		return nil, fmt.Errorf("core: %d flows cannot model only %d clients", c.Flows, c.Clients)
 	}
 	if c.FlowAccounts < 0 {
-		return fmt.Errorf("core: negative flow account cap %d", c.FlowAccounts)
+		return nil, fmt.Errorf("core: negative flow account cap %d", c.FlowAccounts)
 	}
 	if c.FlowAccounts > 0 && c.Flows == 0 {
-		return fmt.Errorf("core: flowAccounts needs flows > 0")
+		return nil, fmt.Errorf("core: flowAccounts needs flows > 0")
 	}
 	if c.CommitteeSize < 0 {
-		return fmt.Errorf("core: negative committee size %d", c.CommitteeSize)
+		return nil, fmt.Errorf("core: negative committee size %d", c.CommitteeSize)
 	}
 	if err := c.Overlay.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	if c.Overlay.Enabled() && c.Validators < 2 {
-		return fmt.Errorf("core: overlay needs at least 2 validators, got %d", c.Validators)
+		return nil, fmt.Errorf("core: overlay needs at least 2 validators, got %d", c.Validators)
 	}
 	if c.CommitteeSize > 0 {
 		if _, ok := c.System.(committeeSystem); !ok {
-			return fmt.Errorf("core: system %s does not support sortition committees", c.System.Name())
+			return nil, fmt.Errorf("core: system %s does not support sortition committees", c.System.Name())
 		}
 	}
 	if c.Flows == 0 && c.Clients > c.Validators {
-		return fmt.Errorf("core: %d clients need at most %d validators", c.Clients, c.Validators)
+		return nil, fmt.Errorf("core: %d clients need at most %d validators", c.Clients, c.Validators)
 	}
-	if c.Scenario != nil {
-		if c.Fault.Kind != FaultNone {
-			return fmt.Errorf("core: config sets both Fault (%s) and Scenario (%s); they are mutually exclusive",
-				c.Fault.Kind, c.Scenario.Name)
-		}
-		// Compiling validates node ranges and pool sizes against this
-		// deployment; the result is discarded (Run compiles again).
-		if _, err := c.compileScenario(); err != nil {
-			return err
-		}
+	if c.Scenario != nil && c.Fault.Kind != FaultNone {
+		return nil, fmt.Errorf("core: config sets both Fault (%s) and Scenario (%s); they are mutually exclusive",
+			c.Fault.Kind, c.Scenario.Name)
 	}
-	f := c.faultCount()
-	if f > c.Validators-c.clientFacing() && c.Fault.Kind.NeedsNodes() {
-		return fmt.Errorf("core: %d faulty nodes but only %d validators have no client attached",
-			f, c.Validators-c.clientFacing())
+	compiled, err := c.Timeline()
+	if err != nil {
+		return nil, err
+	}
+	// A fault that fires at or past the horizon never fires: the run would
+	// score a fault-free system against itself.
+	if compiled.FirstDisrupt >= c.Duration {
+		return nil, fmt.Errorf("core: the first fault fires at %v, not before the run ends (Duration = %v)",
+			compiled.FirstDisrupt, c.Duration)
 	}
 	if c.Fanout > c.clientFacing() {
-		return fmt.Errorf("core: fanout %d exceeds the %d client-facing validators", c.Fanout, c.clientFacing())
+		return nil, fmt.Errorf("core: fanout %d exceeds the %d client-facing validators", c.Fanout, c.clientFacing())
 	}
-	return nil
+	return compiled, nil
 }
 
 // committeeSystem is implemented by systems whose consensus can run on
@@ -369,24 +373,6 @@ func (k FaultKind) Recovers() bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// faultCount resolves f for the plan: an explicit count wins; otherwise the
-// paper's choice of f = t for crashes and f = t+1 for transient failures and
-// partitions.
-func (c Config) faultCount() int {
-	if c.Fault.Count > 0 {
-		return c.Fault.Count
-	}
-	t := c.System.Tolerance(c.Validators)
-	switch c.Fault.Kind {
-	case FaultCrash:
-		return t
-	case FaultTransient, FaultPartition, FaultSlow:
-		return t + 1
-	default:
-		return 0
 	}
 }
 
@@ -513,7 +499,7 @@ type RunResult struct {
 }
 
 // Experiment is a built but not-yet-finished run: the deployed network, the
-// chain nodes, the workload and the fault script, exposed in phases so a run
+// chain nodes, the workload and the fault timeline, exposed in phases so a run
 // can be checkpointed mid-flight and forked (see fork.go). Run composes the
 // phases — Build, Start, RunUntil, Collect — exactly as a plain run does.
 type Experiment struct {
@@ -529,10 +515,11 @@ type Experiment struct {
 	readers    []*client.VerifiedReader
 	observers  []*observer.Observer
 	primary    *observer.Primary
-	faulty     []simnet.NodeID
-	compiled   *scenario.Compiled
-	started    bool
-	forkable   *snapshot.Set
+	// compiled is the run's one fault timeline (empty when nothing is
+	// injected); a forked continuation may be steered onto a sibling's.
+	compiled *scenario.Compiled
+	started  bool
+	forkable *snapshot.Set
 }
 
 // Run executes a single experiment run and collects its measurements.
@@ -553,7 +540,8 @@ func Run(cfg Config) (*RunResult, error) {
 // on.
 func Build(cfg Config) (*Experiment, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	compiled, err := cfg.validate()
+	if err != nil {
 		return nil, err
 	}
 	lay := cfg.layout()
@@ -643,11 +631,7 @@ func Build(cfg Config) (*Experiment, error) {
 		net.AddNode(obsID, obs)
 		mapping[id] = obsID
 	}
-	faulty, script, compiled, err := cfg.FaultOutline()
-	if err != nil {
-		return nil, err
-	}
-	primary := observer.NewPrimary(script, mapping)
+	primary := observer.NewPrimary(compiled.Script, mapping)
 	net.AddNode(simnet.NodeID(lay.primary), primary)
 
 	// Clients: one endpoint per flow. Flow i keeps node id clientBase+i, and
@@ -775,7 +759,6 @@ func Build(cfg Config) (*Experiment, error) {
 		readers:    readers,
 		observers:  observers,
 		primary:    primary,
-		faulty:     faulty,
 		compiled:   compiled,
 	}, nil
 }
@@ -789,7 +772,11 @@ func (e *Experiment) Start() {
 	}
 	e.started = true
 	if rec := e.rec; rec != nil {
-		e.cfg.describeRun(rec, e.faulty, e.compiled)
+		info, evs := e.cfg.runAnnotations(e.compiled)
+		rec.SetRun(info)
+		for _, ev := range evs {
+			rec.AddEvent(ev)
+		}
 		// Periodic gauge sampling: chain-side backlog (mempool depth),
 		// client-side backlog (in-flight submissions) and chain height.
 		// The sampler only reads state — no messages, no RNG — so the
@@ -838,35 +825,20 @@ func (e *Experiment) Now() time.Duration { return e.sched.Now() }
 // Config returns the experiment's materialized (default-applied) config.
 func (e *Experiment) Config() Config { return e.cfg }
 
-// Primary returns the fault-script coordinator; forked continuations steer
-// onto sibling schedules through its SetScript.
-func (e *Experiment) Primary() *observer.Primary { return e.primary }
-
-// Recorder returns the metrics recorder attached to the run, nil when the
-// config had none.
-func (e *Experiment) Recorder() *metrics.Recorder { return e.rec }
-
-// Compiled returns the compiled scenario timeline, nil for single-fault and
-// fault-free runs.
-func (e *Experiment) Compiled() *scenario.Compiled { return e.compiled }
-
-// SetFaultTargets overrides the fault-target list reported by Collect. A
-// forked continuation steered onto a sibling script (whose node sets differ)
-// records the sibling's targets, exactly as a from-scratch run of that script
-// would.
-func (e *Experiment) SetFaultTargets(faulty []simnet.NodeID) { e.faulty = faulty }
-
-// FirstDisrupt returns the virtual instant the first disruptive action
-// fires: the compiled scenario's first phase, the fault plan's InjectAt, or
-// zero when the run injects nothing (then there is nothing to fork around).
-func (e *Experiment) FirstDisrupt() time.Duration {
-	if e.compiled != nil {
-		return e.compiled.FirstDisrupt
+// Steer points a forked continuation at a sibling's timeline (Config.Timeline
+// of the sibling config): the primary's actions not yet executed take the
+// sibling's node sets and magnitudes, and Collect and the recorder's head
+// annotations report the sibling's targets, exactly as a from-scratch run of
+// it would. The sibling must share the timeline's shape — same action count,
+// same instants — so the annotations are replaced position by position.
+func (e *Experiment) Steer(compiled *scenario.Compiled) {
+	e.primary.SetScript(compiled.Script)
+	e.compiled = compiled
+	if e.rec != nil {
+		info, evs := e.cfg.runAnnotations(compiled)
+		e.rec.SetRun(info)
+		e.rec.ReplaceHeadEvents(len(evs), evs)
 	}
-	if e.cfg.Fault.Kind.NeedsNodes() {
-		return e.cfg.Fault.InjectAt
-	}
-	return 0
 }
 
 // Collect assembles the run's measurements. It only reads state, so it can
@@ -878,7 +850,7 @@ func (e *Experiment) Collect() *RunResult {
 		UniqueCommits:   e.monitor.UniqueCommits(),
 		LastCommitAt:    e.monitor.LastCommitAt(),
 		MaxHeight:       e.monitor.MaxHeight(),
-		FaultyNodes:     e.faulty,
+		FaultyNodes:     e.compiled.Affected,
 		Events:          e.sched.Fired(),
 		NetStats:        e.net.Stats(),
 	}
@@ -959,44 +931,40 @@ func (c Config) overlayLookahead(net *simnet.Network, topo *overlay.Topology, la
 	return best
 }
 
-// FaultOutline lowers the config's adversarial environment onto the
-// deployment: the affected nodes and the primary's action script, plus the
-// compiled timeline for scenario runs. Build uses it, and adaptive campaigns
-// call it directly to compute the sibling script a forked continuation is
-// steered onto.
-func (c Config) FaultOutline() (faulty []simnet.NodeID, script []observer.Action, compiled *scenario.Compiled, err error) {
+// Timeline lowers the config's adversarial environment onto the deployment:
+// the one compiled fault timeline every run carries, empty when nothing is
+// injected (fault-free and secure-client runs). A scenario compiles as it is;
+// a node fault first lowers to the one-action scenario it is — crash; crash
+// and restart; partition and heal; slow and clear. Build keeps the result, and
+// adaptive campaigns call it to steer a forked continuation onto a sibling
+// (Experiment.Steer). Random node selectors draw from a stream derived purely
+// from (cfg.Seed, action index), so every compile of one config resolves the
+// same nodes and none perturbs the simulation's own streams.
+func (c Config) Timeline() (*scenario.Compiled, error) {
 	c = c.withDefaults()
-	faulty = c.faultyNodes()
-	script = c.faultScript(faulty)
-	if c.Scenario != nil {
-		compiled, err = c.compileScenario()
-		if err != nil {
-			return nil, nil, nil, err
+	sc := c.Scenario
+	var targets []simnet.NodeID
+	if sc == nil {
+		var err error
+		if sc, targets, err = c.lowerFault(); err != nil {
+			return nil, err
 		}
-		faulty = compiled.Affected
-		script = compiled.Script
+		if sc == nil {
+			return &scenario.Compiled{}, nil
+		}
 	}
-	return faulty, script, compiled, nil
-}
-
-// compileScenario lowers cfg.Scenario onto this deployment. Random node
-// selectors draw from a stream derived purely from (cfg.Seed, action index),
-// so compiling here, in validate and in CompareWithBaseline always resolves
-// the same nodes, and compiling never perturbs the simulation's own streams.
-func (c Config) compileScenario() (*scenario.Compiled, error) {
-	sched := sim.New(c.Seed)
 	env := scenario.Env{
 		Validators: c.Validators,
 		Clients:    c.clientFacing(),
-		RNG: func(name string) *rand.Rand {
-			return sched.RNG("scenario/" + name)
-		},
+		// The derivation is pure in (seed, name): a throwaway scheduler per
+		// draw resolves the same stream, and a lowered plan never draws.
+		RNG: func(name string) *rand.Rand { return sim.New(c.Seed).RNG("scenario/" + name) },
 	}
-	if c.Overlay.Enabled() {
-		// Eclipse actions target each victim's overlay neighborhood. The
-		// topology is a pure function of (overlay config, seed, ids), so
-		// rebuilding it here resolves the same adjacency Build wires into
-		// the routers.
+	if c.Scenario != nil && c.Overlay.Enabled() {
+		// Eclipse actions (which only a scenario holds) target each victim's
+		// overlay neighborhood. The topology is a pure function of (overlay
+		// config, seed, ids), so rebuilding it here resolves the same
+		// adjacency Build wires into the routers.
 		peers := make([]simnet.NodeID, c.Validators)
 		for i := range peers {
 			peers[i] = simnet.NodeID(i)
@@ -1007,92 +975,89 @@ func (c Config) compileScenario() (*scenario.Compiled, error) {
 		}
 		env.Neighbors = topo.Neighbors
 	}
-	return c.Scenario.Compile(env)
+	compiled, err := sc.Compile(env)
+	if err == nil && c.Scenario == nil {
+		// Compile sorts the union of a scenario's targets; a plan reports
+		// its targets in the order they are signalled.
+		compiled.Affected = targets
+	}
+	return compiled, err
 }
 
-// describeRun stamps the recorder with the run's identity and annotates the
-// timeline with the fault plan's inject/recover instants — or, for scenario
-// runs, with one phase annotation per compiled timeline step.
-func (c Config) describeRun(rec *metrics.Recorder, faulty []simnet.NodeID, compiled *scenario.Compiled) {
-	info, evs := c.runAnnotations(faulty, compiled)
-	rec.SetRun(info)
-	for _, ev := range evs {
-		rec.AddEvent(ev)
+// lowerFault builds the one-action scenario a node fault is, over the f
+// highest-numbered validators, none of which serves a client (the paper's
+// "faulty nodes never receive transactions they would otherwise lose"). The
+// targets are listed n−1 downward: the primary draws one latency per signal,
+// so their order is part of what a seed reproduces. An explicit Count wins
+// over the paper's f = t for crashes and f = t+1 for the healing kinds. A
+// config that injects no node fault lowers to nil.
+func (c Config) lowerFault() (*scenario.Scenario, []simnet.NodeID, error) {
+	act := scenario.Action{At: c.Fault.InjectAt, Until: c.Fault.RecoverAt}
+	f := c.System.Tolerance(c.Validators) + 1
+	switch c.Fault.Kind {
+	case FaultCrash:
+		act.Op, act.Until = scenario.OpCrash, 0
+		f--
+	case FaultTransient:
+		act.Op = scenario.OpCrash
+	case FaultPartition:
+		act.Op = scenario.OpPartition
+	case FaultSlow:
+		act.Op, act.Delay = scenario.OpSlow, c.Fault.SlowBy
+	default:
+		return nil, nil, nil
 	}
+	if c.Fault.Count > 0 {
+		f = c.Fault.Count
+	}
+	if pool := c.Validators - c.clientFacing(); f > pool {
+		return nil, nil, fmt.Errorf("core: %d faulty nodes but only %d validators have no client attached", f, pool)
+	}
+	var targets []simnet.NodeID
+	for i := 0; i < f; i++ {
+		targets = append(targets, simnet.NodeID(c.Validators-1-i))
+	}
+	act.Nodes = scenario.Nodes(targets)
+	return &scenario.Scenario{Name: c.Fault.Kind.String(), Actions: []scenario.Action{act}}, targets, nil
 }
 
 // runAnnotations derives the recorder's run identity and head annotation
-// events for this config. The derivation is pure, so a cloned recorder can
-// be re-stamped for a sibling config (see RestampRun).
-func (c Config) runAnnotations(faulty []simnet.NodeID, compiled *scenario.Compiled) (metrics.RunInfo, []metrics.Event) {
+// events from the run's timeline: one phase annotation per compiled step,
+// then the inject and last-revert instants. The derivation is pure, so Steer
+// re-stamps the recorder for a sibling's timeline.
+func (c Config) runAnnotations(compiled *scenario.Compiled) (metrics.RunInfo, []metrics.Event) {
+	env := c.Fault.Kind.String()
+	inject := fmt.Sprintf("%s f=%d", env, len(compiled.Affected))
+	revert := inject
+	if c.Scenario != nil {
+		env = "scenario:" + c.Scenario.Name
+		inject = fmt.Sprintf("scenario %s f=%d", c.Scenario.Name, len(compiled.Affected))
+		revert = fmt.Sprintf("scenario %s last revert", c.Scenario.Name)
+	}
 	info := metrics.RunInfo{
 		System:     c.System.Name(),
 		Seed:       c.Seed,
-		Fault:      c.Fault.Kind.String(),
+		Fault:      env,
 		Validators: c.Validators,
 		Clients:    c.Clients,
 		Duration:   c.Duration,
+		InjectAt:   compiled.FirstDisrupt,
+		RecoverAt:  compiled.LastRevert,
 	}
-	var evs []metrics.Event
-	if compiled != nil {
-		info.Fault = "scenario:" + c.Scenario.Name
-		info.InjectAt = compiled.FirstDisrupt
-		info.RecoverAt = compiled.LastRevert
-		for _, ph := range compiled.Phases {
-			evs = append(evs, metrics.Event{
-				At: ph.At, Kind: metrics.EventPhase,
-				Node: -1, Round: -1, Leader: -1, Detail: ph.Label,
-			})
-		}
-		if compiled.FirstDisrupt > 0 {
-			evs = append(evs, metrics.Event{
-				At: compiled.FirstDisrupt, Kind: metrics.EventFaultInject,
-				Node: -1, Round: -1, Leader: -1,
-				Detail: fmt.Sprintf("scenario %s f=%d", c.Scenario.Name, len(faulty)),
-			})
-		}
-		if compiled.LastRevert > 0 {
-			evs = append(evs, metrics.Event{
-				At: compiled.LastRevert, Kind: metrics.EventFaultRecover,
-				Node: -1, Round: -1, Leader: -1,
-				Detail: fmt.Sprintf("scenario %s last revert", c.Scenario.Name),
-			})
-		}
-		return info, evs
+	evs := make([]metrics.Event, 0, len(compiled.Phases)+2)
+	mark := func(at time.Duration, kind metrics.EventKind, detail string) {
+		evs = append(evs, metrics.Event{At: at, Kind: kind, Node: -1, Round: -1, Leader: -1, Detail: detail})
 	}
-	if c.Fault.Kind.NeedsNodes() {
-		info.InjectAt = c.Fault.InjectAt
+	for _, ph := range compiled.Phases {
+		mark(ph.At, metrics.EventPhase, ph.Label)
 	}
-	if c.Fault.Kind.Recovers() {
-		info.RecoverAt = c.Fault.RecoverAt
+	if compiled.FirstDisrupt > 0 {
+		mark(compiled.FirstDisrupt, metrics.EventFaultInject, inject)
 	}
-	if c.Fault.Kind.NeedsNodes() {
-		detail := fmt.Sprintf("%s f=%d", c.Fault.Kind, len(faulty))
-		evs = append(evs, metrics.Event{
-			At: c.Fault.InjectAt, Kind: metrics.EventFaultInject,
-			Node: -1, Round: -1, Leader: -1, Detail: detail,
-		})
-		if c.Fault.Kind.Recovers() {
-			evs = append(evs, metrics.Event{
-				At: c.Fault.RecoverAt, Kind: metrics.EventFaultRecover,
-				Node: -1, Round: -1, Leader: -1, Detail: detail,
-			})
-		}
+	if compiled.LastRevert > 0 {
+		mark(compiled.LastRevert, metrics.EventFaultRecover, revert)
 	}
 	return info, evs
-}
-
-// RestampRun rewrites the run-identity annotations a family representative's
-// describeRun left on a cloned recorder with the steered member's own, so an
-// adaptive campaign's per-cell metrics dump is byte-identical to a
-// from-scratch run of that member. The representative and the member share
-// the annotation shape (same fault kind or scenario, same instants), so the
-// replacement is positional.
-func RestampRun(rec *metrics.Recorder, cfg Config, faulty []simnet.NodeID, compiled *scenario.Compiled) {
-	cfg = cfg.withDefaults()
-	info, evs := cfg.runAnnotations(faulty, compiled)
-	rec.SetRun(info)
-	rec.ReplaceHeadEvents(len(evs), evs)
 }
 
 // genesisAccounts funds every workload account — addresses [0, total), the
@@ -1105,54 +1070,4 @@ func genesisAccounts(total int) []chain.GenesisAccount {
 		out[i] = chain.GenesisAccount{Addr: chain.Address(i), Balance: 1 << 40}
 	}
 	return out
-}
-
-// faultyNodes picks the f fault targets from the validators that serve no
-// clients, exactly as the paper deploys ("faulty nodes never receive
-// transactions they would otherwise lose").
-func (c Config) faultyNodes() []simnet.NodeID {
-	f := c.faultCount()
-	if !c.Fault.Kind.NeedsNodes() || f == 0 {
-		return nil
-	}
-	out := make([]simnet.NodeID, 0, f)
-	for i := c.Validators - 1; i >= 0 && len(out) < f; i-- {
-		out = append(out, simnet.NodeID(i))
-	}
-	return out
-}
-
-// faultScript translates the plan into primary actions.
-func (c Config) faultScript(faulty []simnet.NodeID) []observer.Action {
-	switch c.Fault.Kind {
-	case FaultCrash:
-		return []observer.Action{{At: c.Fault.InjectAt, Kill: faulty}}
-	case FaultTransient:
-		return []observer.Action{
-			{At: c.Fault.InjectAt, Kill: faulty},
-			{At: c.Fault.RecoverAt, Reboot: faulty},
-		}
-	case FaultPartition:
-		others := make([]simnet.NodeID, 0, c.Validators-len(faulty))
-		isFaulty := make(map[simnet.NodeID]bool, len(faulty))
-		for _, id := range faulty {
-			isFaulty[id] = true
-		}
-		for i := 0; i < c.Validators; i++ {
-			if !isFaulty[simnet.NodeID(i)] {
-				others = append(others, simnet.NodeID(i))
-			}
-		}
-		return []observer.Action{
-			{At: c.Fault.InjectAt, PartitionA: faulty, PartitionB: others},
-			{At: c.Fault.RecoverAt, Heal: faulty},
-		}
-	case FaultSlow:
-		return []observer.Action{
-			{At: c.Fault.InjectAt, Slow: faulty, SlowBy: c.Fault.SlowBy},
-			{At: c.Fault.RecoverAt, Fast: faulty},
-		}
-	default:
-		return nil
-	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -186,6 +187,8 @@ func TestValidateRejectsNegativeAndNonFinite(t *testing.T) {
 		{"ReadRate", "-0.5", func(c *Config) { c.ReadRate = -0.5 }},
 		{"ReadRate", "NaN", func(c *Config) { c.ReadRate = math.NaN() }},
 		{"Fault.InjectAt", "-5s", func(c *Config) { c.Fault.InjectAt = -5 * time.Second }},
+		{"Fault.Count", "-3", func(c *Config) { c.Fault = FaultPlan{Kind: FaultSlow, Count: -3} }},
+		{"Fault.SlowBy", "-5s", func(c *Config) { c.Fault = FaultPlan{Kind: FaultSlow, SlowBy: -5 * time.Second} }},
 		{"Fault.RecoverAt", "5s", func(c *Config) { c.Fault = invertedWindow(FaultTransient, 5*time.Second) }},
 		{"Fault.RecoverAt", "6s", func(c *Config) { c.Fault = invertedWindow(FaultPartition, 6*time.Second) }},
 		{"Fault.RecoverAt", "7s", func(c *Config) { c.Fault = invertedWindow(FaultSlow, 7*time.Second) }},
@@ -228,12 +231,15 @@ func invertedWindow(kind FaultKind, recoverAt time.Duration) FaultPlan {
 
 func TestFaultyNodesAvoidClientFacingValidators(t *testing.T) {
 	cfg := Config{System: &stubSystem{}, Fault: FaultPlan{Kind: FaultTransient}}.withDefaults()
-	faulty := cfg.faultyNodes()
-	// t = 3 for the stub => f = t+1 = 4, drawn from the top ids.
-	if len(faulty) != 4 {
-		t.Fatalf("faulty = %v, want 4 nodes", faulty)
+	compiled, err := cfg.Timeline()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, id := range faulty {
+	// t = 3 for the stub => f = t+1 = 4, drawn from the top ids downward.
+	if want := []simnet.NodeID{9, 8, 7, 6}; !reflect.DeepEqual(compiled.Affected, want) {
+		t.Fatalf("faulty = %v, want %v", compiled.Affected, want)
+	}
+	for _, id := range compiled.Affected {
 		if int(id) < cfg.Clients {
 			t.Fatalf("faulty node %v serves a client", id)
 		}
@@ -411,8 +417,11 @@ func TestFaultKindString(t *testing.T) {
 
 func TestPartitionScriptSeparatesGroups(t *testing.T) {
 	cfg := Config{System: &stubSystem{}, Fault: FaultPlan{Kind: FaultPartition}}.withDefaults()
-	faulty := cfg.faultyNodes()
-	script := cfg.faultScript(faulty)
+	compiled, err := cfg.Timeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty, script := compiled.Affected, compiled.Script
 	if len(script) != 2 {
 		t.Fatalf("script = %d actions", len(script))
 	}

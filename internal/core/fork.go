@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"stabl/internal/scenario"
 	"stabl/internal/snapshot"
 )
 
@@ -17,6 +18,9 @@ type ForkPoint struct {
 	exp   *Experiment
 	at    time.Duration
 	state snapshot.State
+	// compiled is the timeline the experiment followed at the checkpoint;
+	// Rewind puts it back after a steered continuation.
+	compiled *scenario.Compiled
 }
 
 // Fork captures the experiment at its current virtual instant. It fails when
@@ -26,7 +30,7 @@ func Fork(e *Experiment) (*ForkPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ForkPoint{exp: e, at: e.sched.Now(), state: set.Snapshot()}, nil
+	return &ForkPoint{exp: e, at: e.sched.Now(), state: set.Snapshot(), compiled: e.compiled}, nil
 }
 
 // Fork captures the experiment at its current virtual instant; see the
@@ -37,8 +41,9 @@ func (e *Experiment) Fork() (*ForkPoint, error) { return Fork(e) }
 func (f *ForkPoint) At() time.Duration { return f.at }
 
 // Rewind restores the experiment to the checkpoint instant. The experiment's
-// clock, event queue, network, chain nodes, clients and recorders all return
-// to their checkpoint-time state; the caller resumes with RunUntil.
+// clock, event queue, network, chain nodes, clients, recorders and fault
+// timeline all return to their checkpoint-time state; the caller resumes with
+// RunUntil.
 func (f *ForkPoint) Rewind() {
 	set, err := f.exp.forkSet()
 	if err != nil {
@@ -47,6 +52,7 @@ func (f *ForkPoint) Rewind() {
 		panic(fmt.Sprintf("core: fork set vanished: %v", err))
 	}
 	set.Restore(f.state)
+	f.exp.compiled = f.compiled
 }
 
 // forkSet assembles (once) the snapshot.Set covering every stateful component
@@ -110,7 +116,7 @@ const CheckpointLead = time.Nanosecond
 // experiment un-started) when the run injects nothing or the system is not
 // forkable — callers fall back to a plain replay.
 func RunToCheckpoint(e *Experiment) (*ForkPoint, error) {
-	at := e.FirstDisrupt()
+	at := e.compiled.FirstDisrupt
 	if at <= 0 || at > e.cfg.Duration {
 		return nil, nil
 	}

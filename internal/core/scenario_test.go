@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -25,7 +27,7 @@ func TestScenarioAndFaultMutuallyExclusive(t *testing.T) {
 	_, err := Run(Config{
 		System:   &stubSystem{},
 		Duration: 30 * time.Second,
-		Fault:    FaultPlan{Kind: FaultCrash},
+		Fault:    FaultPlan{Kind: FaultCrash, InjectAt: 10 * time.Second},
 		Scenario: sc,
 	})
 	if err == nil {
@@ -117,6 +119,43 @@ func TestScenarioRunDeterministicAndAnnotated(t *testing.T) {
 	}
 }
 
+// TestPlanRunAnnotatedLikeAScenario: a fault plan is a one-action scenario, so
+// its recorder carries the same phase annotations — one per primary action —
+// ahead of the inject and recover marks it always had, under the plan's own
+// run identity.
+func TestPlanRunAnnotatedLikeAScenario(t *testing.T) {
+	rec := metrics.NewRecorder(5 * time.Second)
+	_, err := Run(Config{
+		System:   &stubSystem{},
+		Seed:     3,
+		Duration: 40 * time.Second,
+		Fault:    FaultPlan{Kind: FaultSlow, Count: 2, InjectAt: 10 * time.Second, RecoverAt: 20 * time.Second, SlowBy: 2 * time.Second},
+		Metrics:  rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := rec.Run(); info.Fault != "slow" || info.InjectAt != 10*time.Second || info.RecoverAt != 20*time.Second {
+		t.Fatalf("run info = %+v, want fault slow, inject 10s, recover 20s", info)
+	}
+	var got []string
+	for _, ev := range rec.Events() {
+		switch ev.Kind {
+		case metrics.EventPhase, metrics.EventFaultInject, metrics.EventFaultRecover:
+			got = append(got, fmt.Sprintf("%v %s %s", ev.At, ev.Kind, ev.Detail))
+		}
+	}
+	want := []string{
+		"10s phase slow +2s n9,n8",
+		"20s phase slow clear n9,n8",
+		"10s fault-inject slow f=2",
+		"20s fault-recover slow f=2",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("annotations:\n got %q\nwant %q", got, want)
+	}
+}
+
 // TestCompareScenarioMeasuresRecovery checks that Compare against a reverting
 // scenario reports the scenario name, strips it from the baseline, and
 // measures recovery from the last revert instant.
@@ -142,8 +181,8 @@ func TestCompareScenarioMeasuresRecovery(t *testing.T) {
 	if len(cmp.Baseline.FaultyNodes) != 0 {
 		t.Fatalf("baseline has faulty nodes: %v", cmp.Baseline.FaultyNodes)
 	}
-	if !cmp.RecoveryMeasured {
-		t.Fatal("recovery not measured for a reverting scenario")
+	if cmp.InjectAt != 20*time.Second || cmp.RecoverAt != 40*time.Second {
+		t.Fatalf("timeline instants = %v, %v; want the crash at 20s and the restart at 40s", cmp.InjectAt, cmp.RecoverAt)
 	}
 	if !strings.Contains(cmp.String(), "scenario:blip") {
 		t.Fatalf("String() missing scenario tag:\n%s", cmp.String())

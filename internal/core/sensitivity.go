@@ -33,14 +33,16 @@ type Comparison struct {
 	// Score is the sensitivity score of §3; Infinite when the altered
 	// run lost liveness.
 	Score stats.Score
+	// InjectAt and RecoverAt are the altered run's timeline instants — the
+	// first disruption and the last revert — that charts mark; zero when
+	// there is none (nothing injected, or nothing ever reverted).
+	InjectAt  time.Duration
+	RecoverAt time.Duration
 	// Recovered / RecoveryTime report how quickly throughput returned to
-	// a sustained fraction of the baseline after RecoverAt (only
-	// meaningful for recovering faults, and for scenarios that revert at
-	// least one disruption — RecoveryMeasured tells the latter apart from
-	// scenarios that never heal).
-	Recovered        bool
-	RecoveryTime     time.Duration
-	RecoveryMeasured bool
+	// a sustained fraction of the baseline after RecoverAt; measured only
+	// when the timeline reverts at least one disruption (RecoverAt > 0).
+	Recovered    bool
+	RecoveryTime time.Duration
 }
 
 // SensitivityGridStep is the eCDF grid step in seconds used for the score.
@@ -154,27 +156,19 @@ func ScoreWithBaseline(cfg Config, baseline, altered *RunResult) (*Comparison, e
 	if altered.LivenessLost {
 		cmp.Score.Infinite = true
 	}
-	switch {
-	case cfg.Scenario != nil:
-		// Recovery for scenarios is measured from the last instant any
-		// disruption is reverted, against the steady rate before the first
-		// one hit. Compiling here replays the exact node selection of the
-		// altered run: the derivation is pure, keyed only on (seed, action).
-		compiled, err := cfg.compileScenario()
-		if err != nil {
-			return nil, err
-		}
-		if compiled.LastRevert > 0 {
-			ref := SteadyStateRate(baseline, compiled.FirstDisrupt)
-			cmp.RecoveryTime, cmp.Recovered = altered.Throughput.RecoveryTime(
-				compiled.LastRevert, ref, RecoveryFraction, RecoveryWindow)
-			cmp.RecoveryMeasured = true
-		}
-	case cfg.Fault.Kind.Recovers():
-		ref := SteadyStateRate(baseline, cfg.Fault.InjectAt)
+	// Recovery is measured from the last instant any disruption is reverted,
+	// against the steady rate before the first one hit. Compiling here
+	// replays the altered run's timeline exactly: the derivation is pure,
+	// keyed only on (seed, action).
+	compiled, err := cfg.Timeline()
+	if err != nil {
+		return nil, err
+	}
+	cmp.InjectAt, cmp.RecoverAt = compiled.FirstDisrupt, compiled.LastRevert
+	if cmp.RecoverAt > 0 {
+		ref := SteadyStateRate(baseline, cmp.InjectAt)
 		cmp.RecoveryTime, cmp.Recovered = altered.Throughput.RecoveryTime(
-			cfg.Fault.RecoverAt, ref, RecoveryFraction, RecoveryWindow)
-		cmp.RecoveryMeasured = true
+			cmp.RecoverAt, ref, RecoveryFraction, RecoveryWindow)
 	}
 	return cmp, nil
 }
@@ -182,16 +176,21 @@ func ScoreWithBaseline(cfg Config, baseline, altered *RunResult) (*Comparison, e
 // String renders a comparison as one row of Fig 3.
 func (c *Comparison) String() string {
 	rec := ""
-	if c.Fault.Kind.Recovers() || c.RecoveryMeasured {
+	if c.RecoverAt > 0 {
 		if c.Recovered {
 			rec = fmt.Sprintf(" recovery=%.0fs", c.RecoveryTime.Seconds())
 		} else {
 			rec = " recovery=never"
 		}
 	}
-	env := c.Fault.Kind.String()
+	return fmt.Sprintf("%-10s %-13s score=%s%s", c.System, c.Environment(), c.Score, rec)
+}
+
+// Environment names the altered environment: the fault kind, or
+// "scenario:<name>".
+func (c *Comparison) Environment() string {
 	if c.Scenario != "" {
-		env = "scenario:" + c.Scenario
+		return "scenario:" + c.Scenario
 	}
-	return fmt.Sprintf("%-10s %-13s score=%s%s", c.System, env, c.Score, rec)
+	return c.Fault.Kind.String()
 }

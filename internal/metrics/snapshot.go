@@ -39,10 +39,10 @@ func (r *Recorder) Restore(state snapshot.State) {
 }
 
 // ReplaceHeadEvents swaps the first n recorded events for evs, keeping the
-// rest. Adaptive campaigns use it to re-stamp a cloned recorder's
-// run-identity annotations (written before the checkpoint, for the family
-// representative) with the steered member's own, so the clone is
-// byte-identical to a from-scratch run of that member.
+// rest. core.Experiment.Steer uses it to re-stamp the run-identity
+// annotations (written before the checkpoint, for the family representative)
+// with the steered member's own, so the recorder ends byte-identical to a
+// from-scratch run of that member.
 func (r *Recorder) ReplaceHeadEvents(n int, evs []Event) {
 	if n > len(r.events) {
 		panic("metrics: ReplaceHeadEvents beyond recorded events")

@@ -25,12 +25,11 @@ type (
 	}
 	// HealSignal removes the observer's packet-drop rules.
 	HealSignal struct{}
-	// SlowSignal installs a tc-netem delay rule on the node's interface.
+	// SlowSignal installs a tc-netem delay rule on the node's interface
+	// (delay 0 removes it).
 	SlowSignal struct {
 		Delay time.Duration
 	}
-	// FastSignal removes the delay rule.
-	FastSignal struct{}
 	// LossSignal installs a tc-netem probabilistic-loss rule on the
 	// node's interface (rate 0 removes it).
 	LossSignal struct {
@@ -107,10 +106,6 @@ func (o *Observer) Deliver(from simnet.NodeID, payload any) {
 		o.net.SetExtraDelay(o.target, sig.Delay)
 		o.log = append(o.log, "slow")
 		o.ctx.Send(from, AckSignal{Action: "slow"})
-	case FastSignal:
-		o.net.SetExtraDelay(o.target, 0)
-		o.log = append(o.log, "fast")
-		o.ctx.Send(from, AckSignal{Action: "fast"})
 	case LossSignal:
 		o.net.SetLoss(o.target, sig.Rate)
 		o.log = append(o.log, "loss")
@@ -141,11 +136,10 @@ type Action struct {
 	PartitionB []simnet.NodeID
 	// Heal lists nodes whose observers must drop their packet rules.
 	Heal []simnet.NodeID
-	// Slow lists nodes whose observers install a SlowBy delay rule;
-	// Fast lists nodes whose delay rules are removed.
+	// Slow lists nodes whose observers install a SlowBy delay rule
+	// (SlowBy 0 removes it).
 	Slow   []simnet.NodeID
 	SlowBy time.Duration
-	Fast   []simnet.NodeID
 	// Loss lists nodes whose observers install a LossRate packet-loss
 	// rule (LossRate 0 removes it); Jitter lists nodes whose observers
 	// install a JitterBy delay-variation rule (JitterBy 0 removes it).
@@ -226,9 +220,6 @@ func (p *Primary) execute(act Action) {
 	}
 	for _, node := range act.Slow {
 		p.signal(node, SlowSignal{Delay: act.SlowBy})
-	}
-	for _, node := range act.Fast {
-		p.signal(node, FastSignal{})
 	}
 	for _, node := range act.Loss {
 		p.signal(node, LossSignal{Rate: act.LossRate})

@@ -65,8 +65,3 @@ func (p *Primary) SetScript(script []Action) {
 	}
 	copy(p.script, script)
 }
-
-// Script returns a copy of the primary's current script.
-func (p *Primary) Script() []Action {
-	return append([]Action(nil), p.script...)
-}

@@ -38,15 +38,18 @@ type Phase struct {
 	Label string
 }
 
-// Compiled is a scenario lowered onto a concrete deployment: the observer
-// script that core.Run hands to the fault-injection primary, plus the
-// phase annotations and summary instants the harness reports.
+// Compiled is a scenario lowered onto a concrete deployment — the one fault
+// timeline a run carries: the observer script that core.Build hands to the
+// fault-injection primary, plus the phase annotations and summary instants
+// the harness reports. The zero value is the timeline of a run that injects
+// nothing.
 type Compiled struct {
 	// Script is the primary's action timeline, sorted by instant.
 	Script []observer.Action
 	// Phases annotate every step, in script order.
 	Phases []Phase
-	// Affected is the sorted union of every targeted node.
+	// Affected is the sorted union of every targeted node (core reports a
+	// lowered fault plan's targets in signalling order instead).
 	Affected []simnet.NodeID
 	// FirstDisrupt is the first disruptive instant (the inject marker).
 	FirstDisrupt time.Duration
@@ -137,12 +140,16 @@ func expandAction(act Action, groups [][]simnet.NodeID) ([]step, error) {
 		return expandFlap(act, groups[0]), nil
 	}
 
+	// A zero Until means "never reverts". A set one reverts even when the
+	// outage is zero long: a lowered fault plan may heal at its own inject
+	// instant, and then still signals inject, then revert, in that order.
 	stagger := time.Duration(0)
+	reverts := act.Until > 0
 	outage := act.Until - act.At
 	if act.Nodes.Rolling() {
 		stagger = act.Nodes.every
-		if outage <= 0 {
-			outage = stagger
+		if !reverts {
+			reverts, outage = true, stagger
 		}
 	}
 	var steps []step
@@ -155,7 +162,7 @@ func expandAction(act Action, groups [][]simnet.NodeID) ([]step, error) {
 			for _, v := range nodes {
 				steps = append(steps, step{at: at, op: OpEclipse, nodes: []simnet.NodeID{v}})
 			}
-			if outage > 0 {
+			if reverts {
 				steps = append(steps, revertStep(act.Op, at+outage, nodes))
 			}
 			continue
@@ -169,7 +176,7 @@ func expandAction(act Action, groups [][]simnet.NodeID) ([]step, error) {
 			continue
 		}
 		steps = append(steps, apply)
-		if outage > 0 {
+		if reverts {
 			steps = append(steps, revertStep(act.Op, at+outage, nodes))
 		}
 	}

@@ -90,6 +90,18 @@ func ParseNodeSet(s string) (NodeSet, error) {
 	}
 }
 
+// Nodes selects exactly the given validators, in the given order — the order
+// the primary signals them in. ParseNodeSet sorts an explicit list; core's
+// lowering of a fault plan lists its targets from the highest id downward and
+// must keep that order.
+func Nodes(ids []simnet.NodeID) NodeSet {
+	ns := NodeSet{kind: setExplicit, ids: make([]int, len(ids))}
+	for i, id := range ids {
+		ns.ids[i] = int(id)
+	}
+	return ns
+}
+
 // parseSeconds accepts both a bare number of seconds ("30", "2.5") and a Go
 // duration string ("30s", "150ms").
 func parseSeconds(s string) (time.Duration, error) {

@@ -1,13 +1,14 @@
-// Package scenario is STABL's composable fault-scenario engine. Where a
-// core.FaultPlan expresses exactly one fault kind with one inject/recover
-// window (the paper's four environments), a Scenario composes an ordered
-// timeline of typed actions — crash, restart, partition, heal, slow, loss,
-// jitter, flap — over named node sets, and compiles into the same
-// virtual-time observer script that FaultPlan experiments feed into
-// core.Run. That makes composite, time-varying perturbations (cascading
-// crashes, flapping links, lossy/jittery WANs, rolling restarts)
-// first-class experiments: deterministic, JSON-serializable, scored with
-// the same sensitivity metric, and sweepable by the campaign engine.
+// Package scenario is STABL's fault-injection timeline: a Scenario composes
+// an ordered timeline of typed actions — crash, restart, partition, heal,
+// slow, loss, jitter, flap, eclipse — over named node sets, and compiles into
+// the virtual-time observer script every run's primary executes. A
+// core.FaultPlan — exactly one fault kind with one inject/recover window, the
+// paper's four environments — is the one-action case: core lowers it to a
+// Go-built Scenario and compiles it here too. Composite, time-varying
+// perturbations (cascading crashes, flapping links, lossy/jittery WANs,
+// rolling restarts) are therefore first-class experiments: deterministic,
+// JSON-serializable, scored with the same sensitivity metric, and sweepable
+// by the campaign engine.
 package scenario
 
 import (

@@ -39,9 +39,9 @@ func scoreBar(cmp *Comparison) string {
 
 // RenderThroughput renders one system's baseline and altered throughput
 // series side by side, downsampled to the given bucket (e.g. 10 s), with
-// markers at the injection and recovery instants — the textual equivalent of
-// one panel of Figs 4-6. A non-positive bucket renders the series at its own
-// resolution.
+// markers at the timeline's first-disruption (x) and last-revert (o) instants
+// — the textual equivalent of one panel of Figs 4-6. A non-positive bucket
+// renders the series at its own resolution.
 func RenderThroughput(cmp *Comparison, bucket time.Duration) string {
 	if bucket <= 0 {
 		bucket = cmp.Baseline.Throughput.Bucket
@@ -58,13 +58,11 @@ func RenderThroughput(cmp *Comparison, bucket time.Duration) string {
 	total := time.Duration(len(cmp.Baseline.Throughput.Counts)) * cmp.Baseline.Throughput.Bucket
 	for t := time.Duration(0); t < total; t += bucket {
 		mark := " "
-		if cmp.Fault.Kind != FaultNone && cmp.Fault.Kind != FaultSecureClient {
-			if t <= cmp.Fault.InjectAt && cmp.Fault.InjectAt < t+bucket {
-				mark = "x" // failure injected
-			}
-			if cmp.Fault.Kind != FaultCrash && t <= cmp.Fault.RecoverAt && cmp.Fault.RecoverAt < t+bucket {
-				mark = "o" // recovery
-			}
+		if cmp.InjectAt > 0 && t <= cmp.InjectAt && cmp.InjectAt < t+bucket {
+			mark = "x" // failure injected
+		}
+		if cmp.RecoverAt > 0 && t <= cmp.RecoverAt && cmp.RecoverAt < t+bucket {
+			mark = "o" // recovery
 		}
 		fmt.Fprintf(&b, "  %7s%s %10.1f %10.1f\n", fmtSecs(t), mark,
 			cmp.Baseline.Throughput.MeanRate(t, t+bucket),

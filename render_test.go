@@ -26,3 +26,46 @@ func TestRenderThroughputNonPositiveBucket(t *testing.T) {
 		}
 	}
 }
+
+// scenarioComparison is a scored scenario run: no fault plan, the timeline's
+// instants copied onto the comparison.
+func scenarioComparison() *Comparison {
+	series := TimeSeries{Bucket: time.Second, Counts: []int{3, 1, 4, 1, 5, 9}}
+	return &Comparison{
+		System:    "Stub",
+		Scenario:  "cascade",
+		InjectAt:  2 * time.Second,
+		RecoverAt: 4 * time.Second,
+		Baseline:  &RunResult{Throughput: series},
+		Altered:   &RunResult{Throughput: series},
+	}
+}
+
+// TestRenderThroughputMarksScenarioRuns: the text table marks a scenario's
+// first disruption and last revert exactly as it marks a plan's inject and
+// recover — it used to leave scenario runs unmarked.
+func TestRenderThroughputMarksScenarioRuns(t *testing.T) {
+	got := RenderThroughput(scenarioComparison(), time.Second)
+	if !strings.HasPrefix(got, "Stub (scenario: cascade)\n") {
+		t.Errorf("header:\n%s", got)
+	}
+	for _, row := range []string{"      2sx ", "      4so "} {
+		if !strings.Contains(got, row) {
+			t.Errorf("no %q row in:\n%s", row, got)
+		}
+	}
+	if n := strings.Count(got, "sx ") + strings.Count(got, "so "); n != 2 {
+		t.Errorf("%d marked rows, want 2:\n%s", n, got)
+	}
+}
+
+// TestThroughputSVGTitlesAndMarksScenarioRuns: a scenario chart used to be
+// titled "(none)" and carry no marker.
+func TestThroughputSVGTitlesAndMarksScenarioRuns(t *testing.T) {
+	got := ThroughputSVG(scenarioComparison(), time.Second)
+	for _, part := range []string{"Stub throughput (scenario:cascade)", ">inject<", ">recover<"} {
+		if !strings.Contains(got, part) {
+			t.Errorf("SVG lacks %q", part)
+		}
+	}
+}

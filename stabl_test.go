@@ -250,7 +250,7 @@ func TestFig1ProducesCurves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig1 skipped in -short mode")
 	}
-	fig, err := Fig1(Config{Seed: 42, Duration: 120 * time.Second})
+	fig, err := Fig1(Config{Seed: 42, Duration: 120 * time.Second, Fault: FaultPlan{InjectAt: 40 * time.Second}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,8 @@ func Fig3SVG(title string, cmps []*Comparison) string {
 }
 
 // ThroughputSVG renders one system's baseline and altered throughput series
-// with fault markers, one panel of Figs 4-6.
+// with markers at the timeline's first-disruption and last-revert instants,
+// one panel of Figs 4-6.
 func ThroughputSVG(cmp *Comparison, bucket time.Duration) string {
 	if bucket <= 0 {
 		bucket = 5 * time.Second
@@ -63,7 +64,7 @@ func ThroughputSVG(cmp *Comparison, bucket time.Duration) string {
 		return plot.Series{Name: name, Points: pts, Dashed: dashed}
 	}
 	chart := plot.Chart{
-		Title:  cmp.System + " throughput (" + cmp.Fault.Kind.String() + ")",
+		Title:  cmp.System + " throughput (" + cmp.Environment() + ")",
 		XLabel: "time (s)",
 		YLabel: "tx/s",
 		Series: []plot.Series{
@@ -71,13 +72,13 @@ func ThroughputSVG(cmp *Comparison, bucket time.Duration) string {
 			series(cmp.Altered.Throughput, "altered", true),
 		},
 	}
-	if cmp.Fault.Kind != FaultNone && cmp.Fault.Kind != FaultSecureClient {
-		chart.VLines = append(chart.VLines, plot.VLine{X: cmp.Fault.InjectAt.Seconds(), Label: "inject"})
-		if cmp.Fault.Kind != FaultCrash {
-			chart.VLines = append(chart.VLines, plot.VLine{
-				X: cmp.Fault.RecoverAt.Seconds(), Label: "recover", Color: "#2ca02c",
-			})
-		}
+	if cmp.InjectAt > 0 {
+		chart.VLines = append(chart.VLines, plot.VLine{X: cmp.InjectAt.Seconds(), Label: "inject"})
+	}
+	if cmp.RecoverAt > 0 {
+		chart.VLines = append(chart.VLines, plot.VLine{
+			X: cmp.RecoverAt.Seconds(), Label: "recover", Color: "#2ca02c",
+		})
 	}
 	return chart.SVG()
 }
