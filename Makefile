@@ -101,12 +101,13 @@ sim-digests:
 	bash scripts/sim_digests.sh
 
 # bench-smoke is the fast race-enabled benchmark gate: one short iteration
-# of every figure benchmark (120 virtual seconds via -short) and of each
-# kernel and chain-table microbenchmark. It proves the benchmark paths are
-# race-free and still wired up without measuring anything.
+# of every figure benchmark (120 virtual seconds via -short), of each kernel
+# and chain-table microbenchmark and of the campaign worker-pool benchmark.
+# It proves the benchmark paths are race-free and still wired up without
+# measuring anything.
 bench-smoke:
 	$(GO) test -race -short -run='^$$' -bench=. -benchtime=1x -timeout 20m \
-		. ./internal/sim ./internal/simnet ./internal/chain
+		. ./internal/sim ./internal/simnet ./internal/chain ./internal/campaign
 
 # bench-pairs measures a change the way a performance claim must be shown:
 # `make bench-pairs BASE=<ref> WORKLOAD=<name> [PAIRS=10] [SEED=42]` runs

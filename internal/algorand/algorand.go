@@ -114,9 +114,12 @@ type System struct {
 	// Committee mode (core.Config.CommitteeSize): consensus steps run on
 	// sortition committees drawn from a shared, memoized schedule instead
 	// of the full validator set. The mutex covers campaign/suite workers
-	// building experiments off one System value concurrently; extraction
-	// is pure, so sharing the schedule never couples their runs.
-	mu            sync.Mutex //stabl:nodet goroutine-purity -- guards cross-run schedule memoization; extraction is pure, so sharing never couples runs
+	// building experiments off one System value concurrently. The schedule
+	// it hands out is shared by every validator of every such run — under
+	// SimWorkers by validators in different partitions of one run too — and
+	// takes its own lock; extraction is pure, so sharing it couples neither
+	// runs nor partitions.
+	mu            sync.Mutex //stabl:nodet goroutine-purity -- guards the memoized schedule that concurrent runs, and one run's partitions, share; extraction is pure, so sharing couples nothing
 	committeeSize int
 	sched         *committee.Schedule
 	schedN        int

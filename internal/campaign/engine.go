@@ -111,34 +111,38 @@ func (p *progressTracker) report(res *CellResult) {
 
 // Validate applies defaults, validates the spec and expands its grid
 // without executing anything, returning how many cells it would run. Every
-// scenario is additionally compiled against the spec's deployment, so node
-// sets that exceed the fault-eligible pool fail at lint time, not per cell.
+// scenario is additionally compiled against the spec's deployment as core
+// lays it out, so node sets that exceed the fault-eligible pool fail at lint
+// time, not per cell. The pool depends on the system (aggregated flows leave
+// its worst-case fault set client-free), so the scenarios compile once,
+// against the system with the smallest pool.
 func Validate(spec Spec, resolve func(string) (chain.System, error)) (int, error) {
 	spec = spec.withDefaults()
 	if err := spec.validate(); err != nil {
 		return 0, err
 	}
-	validators := spec.Base.Validators
-	if validators == 0 {
-		validators = 10
+	var env scenario.Env
+	for _, name := range spec.Systems {
+		base := spec.Base
+		base.System = name
+		cfg, err := base.Config(resolve)
+		if err != nil {
+			return 0, err
+		}
+		if d := cfg.Deployment(); d.Clients >= env.Clients {
+			env = d
+		}
 	}
-	clients := spec.Base.Clients
-	if clients == 0 {
-		clients = 5
-	}
+	// Range checks do not depend on the drawn values, any source works.
+	//stabl:nodet globalrand -- validation-only compile: drawn values are discarded, no run consumes this stream
+	rng := rand.New(rand.NewSource(1))
+	env.RNG = func(string) *rand.Rand { return rng }
 	for _, sc := range spec.Scenarios {
 		built, err := sc.Build()
 		if err != nil {
 			return 0, err
 		}
-		// Range checks do not depend on the drawn values, any source works.
-		_, err = built.Compile(scenario.Env{
-			Validators: validators,
-			Clients:    clients,
-			//stabl:nodet globalrand -- validation-only compile: drawn values are discarded, no run consumes this stream
-			RNG: func(string) *rand.Rand { return rand.New(rand.NewSource(1)) },
-		})
-		if err != nil {
+		if _, err := built.Compile(env); err != nil {
 			return 0, err
 		}
 	}

@@ -3,9 +3,11 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
+	"stabl/internal/chain"
 	"stabl/internal/core"
 	"stabl/internal/scenario"
 )
@@ -136,6 +138,38 @@ func TestScenarioCampaignValidation(t *testing.T) {
 	oob.Scenarios[0].Actions[0].Nodes = "42"
 	if _, err := Validate(oob, resolveStubs); err == nil {
 		t.Fatal("out-of-range scenario node passed Validate")
+	}
+}
+
+// TestValidateCompilesAgainstCoresDeployment: with aggregated flows Clients
+// counts modeled clients and may exceed Validators. Validate compiles the
+// scenarios against the layout core deploys (Config.Deployment), so a spec
+// `stabl campaign` runs passes lint, and a node set one past core's
+// fault-eligible pool fails it.
+func TestValidateCompilesAgainstCoresDeployment(t *testing.T) {
+	spec := Spec{
+		Systems: []string{"Stub"},
+		Faults:  []string{},
+		Scenarios: []scenario.Spec{{Name: "w", Actions: []scenario.ActionSpec{
+			{Op: "crash", AtSec: 40, Nodes: "random(1)", UntilSec: 60},
+		}}},
+		Seeds: []int64{1},
+		Base:  core.Spec{Validators: 20, Clients: 100, Flows: 4, DurationSec: 80},
+	}
+	if _, err := Validate(spec, resolveStubs); err != nil {
+		t.Fatalf("flows spec refused: %v", err)
+	}
+	cfg, err := spec.Base.Config(func(string) (chain.System, error) { return resolveStubs("Stub") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := cfg.Deployment()
+	pool := d.Validators - d.Clients
+	for _, k := range []int{pool, pool + 1} {
+		spec.Scenarios[0].Actions[0].Nodes = fmt.Sprintf("random(%d)", k)
+		if _, err := Validate(spec, resolveStubs); (err == nil) != (k == pool) {
+			t.Fatalf("random(%d) of a %d-node pool: Validate error %v", k, pool, err)
+		}
 	}
 }
 

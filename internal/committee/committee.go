@@ -230,9 +230,11 @@ func (f *fenwick) find(target uint64) int {
 // Schedule memoizes committee extraction for one run: all validators share
 // the same (round, step) committees, so the first asker pays the O(size
 // log n) extraction and the rest hit the cache. The mutex makes the cache
-// safe to share across campaign workers running separate experiments off
-// one system instance; extraction itself is pure, so cache hits and misses
-// return identical committees regardless of interleaving.
+// safe to share concurrently — by one run's validators in different
+// partitions under the parallel kernel, and by campaign workers running
+// separate experiments off one system instance; extraction itself is pure,
+// so cache hits, misses and evictions return identical committees
+// regardless of interleaving.
 type Schedule struct {
 	table *Table
 	seed  uint64
@@ -263,8 +265,8 @@ func (s *Schedule) Size() int { return s.size }
 // Committee returns the memoized (round, step) committee.
 func (s *Schedule) Committee(round uint64, step uint8) *Committee {
 	key := scheduleKey{round: round, step: step}
-	s.mu.Lock()         //stabl:nodet goroutine-purity -- cross-run memoization: the schedule is shared by suite workers, never by nodes of one run
-	defer s.mu.Unlock() //stabl:nodet goroutine-purity -- see above; extraction is pure, cache hits and misses yield identical committees
+	s.mu.Lock()         //stabl:nodet goroutine-purity -- shared by one run's validators in different partitions (SimWorkers) and by suite workers' runs
+	defer s.mu.Unlock() //stabl:nodet goroutine-purity -- see above; extraction is pure, so whichever caller fills an entry every caller gets the identical committee
 	if c, ok := s.cache[key]; ok {
 		return c
 	}

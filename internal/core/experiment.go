@@ -6,7 +6,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"time"
@@ -88,6 +87,15 @@ type FaultPlan struct {
 	SlowBy time.Duration
 }
 
+const (
+	// livenessGrace: if the altered run's last commit is older than this at
+	// the end of the experiment, liveness was lost and the sensitivity is
+	// infinite.
+	livenessGrace = 30 * time.Second
+	// bucket is the throughput series granularity.
+	bucket = time.Second
+)
+
 // Config describes one run. The defaults mirror the paper's settings: 10
 // validator nodes, 5 clients at 40 tx/s each (200 TPS total), 400 virtual
 // seconds, faults injected at 133 s on the 5 nodes without clients and
@@ -143,8 +151,6 @@ type Config struct {
 	// constant, the paper's workload).
 	Profile    workload.Profile
 	RetryAfter time.Duration
-	MaxRetries int
-	Latency    simnet.LatencyModel
 	Fault      FaultPlan
 	// Scenario, when set, describes the adversarial environment as a
 	// composed multi-phase fault timeline (crash/partition/slow/loss/jitter/
@@ -158,10 +164,6 @@ type Config struct {
 	// to Tolerance+1 validators and accepts a value only on unanimity
 	// (§9 future work).
 	ReadRate float64
-	// TraceWriter, when set, receives one line per network lifecycle
-	// event (crashes, reboots, partitions, connection churn) — the
-	// transitions that decide an experiment's outcome.
-	TraceWriter io.Writer
 	// Metrics, when set, records the run's virtual-time instrumentation:
 	// commit counters and latencies, periodic mempool/backlog gauges,
 	// consensus events from the chain model and the network trace. One
@@ -169,12 +171,6 @@ type Config struct {
 	// altered run only, and BaselineConfig clears it. Recording draws no
 	// randomness, so it never changes what the run measures.
 	Metrics *metrics.Recorder
-	// LivenessGrace: if the altered run's last commit is older than this
-	// at the end of the experiment, liveness was lost and the
-	// sensitivity is infinite.
-	LivenessGrace time.Duration
-	// Bucket is the throughput series granularity.
-	Bucket time.Duration
 	// SimWorkers, when positive, runs the simulation on the conservative
 	// parallel kernel with this many partition queues (internal/sim's
 	// EnableParallel): validators, clients and readers are spread over the
@@ -210,12 +206,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter == 0 {
 		c.RetryAfter = 30 * time.Second
-	}
-	if c.LivenessGrace == 0 {
-		c.LivenessGrace = 30 * time.Second
-	}
-	if c.Bucket == 0 {
-		c.Bucket = time.Second
 	}
 	if c.Fault.InjectAt == 0 {
 		c.Fault.InjectAt = 133 * time.Second
@@ -263,7 +253,6 @@ func (c Config) validate() (*scenario.Compiled, error) {
 		{"Duration", c.Duration < 0, c.Duration},
 		{"Fanout", c.Fanout < 0, c.Fanout},
 		{"RetryAfter", c.RetryAfter < 0, c.RetryAfter},
-		{"MaxRetries", c.MaxRetries < 0, c.MaxRetries},
 		{"ReadRate", badRate(c.ReadRate), c.ReadRate},
 		{"Fault.InjectAt", c.Fault.InjectAt < 0, c.Fault.InjectAt},
 		{"Fault.Count", c.Fault.Count < 0, c.Fault.Count},
@@ -352,6 +341,16 @@ func (c Config) clientFacing() int {
 		p = c.Clients
 	}
 	return p
+}
+
+// Deployment is the node layout a fault timeline compiles against, defaults
+// applied: the validators, of which the first Clients are client-facing (see
+// clientFacing) and the rest form the fault-eligible pool. It is the one
+// place that layout is derived; campaign linting and search's shrinker read
+// it here. RNG and Neighbors are left for the caller.
+func (c Config) Deployment() scenario.Env {
+	c = c.withDefaults()
+	return scenario.Env{Validators: c.Validators, Clients: c.clientFacing()}
 }
 
 // NeedsNodes reports whether the kind affects a set of validator nodes (as
@@ -554,24 +553,11 @@ func Build(cfg Config) (*Experiment, error) {
 	}
 
 	sched := sim.New(cfg.Seed)
-	net := simnet.New(sched, simnet.Config{Latency: cfg.Latency})
+	net := simnet.New(sched, simnet.Config{})
 	rec := cfg.Metrics
-	var tracers []simnet.Tracer
-	if cfg.TraceWriter != nil {
-		tracers = append(tracers, simnet.WriterTracer(cfg.TraceWriter))
-	}
-	if rec != nil {
-		tracers = append(tracers, rec.Tracer())
-	}
-	switch len(tracers) {
-	case 0:
-	case 1:
-		net.SetTracer(tracers[0])
-	default:
-		net.SetTracer(simnet.MultiTracer(tracers...))
-	}
 	monitor := chain.NewMonitor()
 	if rec != nil {
+		net.SetTracer(rec.Tracer())
 		monitor.SetMetrics(rec)
 	}
 
@@ -665,7 +651,6 @@ func Build(cfg Config) (*Experiment, error) {
 			Stop:        cfg.Duration,
 			Profile:     cfg.Profile,
 			RetryAfter:  cfg.RetryAfter,
-			MaxRetries:  cfg.MaxRetries,
 			VirtualBase: simnet.NodeID(lay.clientBase + sp.start),
 		}, fl)
 		net.AddNode(simnet.NodeID(lay.clientBase+i), flows[i])
@@ -865,7 +850,7 @@ func (e *Experiment) Collect() *RunResult {
 	for _, ev := range e.monitor.Commits() {
 		times = append(times, ev.Committed)
 	}
-	res.Throughput = stats.Throughput(times, cfg.Bucket, cfg.Duration)
+	res.Throughput = stats.Throughput(times, bucket, cfg.Duration)
 	for _, fl := range e.flows {
 		res.Latencies = append(res.Latencies, fl.Latencies()...)
 		res.Submitted += fl.Submitted()
@@ -882,7 +867,7 @@ func (e *Experiment) Collect() *RunResult {
 			res.Overlay.Add(r.Stats())
 		}
 	}
-	res.LivenessLost = res.LastCommitAt < cfg.Duration-cfg.LivenessGrace
+	res.LivenessLost = res.LastCommitAt < cfg.Duration-livenessGrace
 	return res
 }
 
@@ -953,13 +938,10 @@ func (c Config) Timeline() (*scenario.Compiled, error) {
 			return &scenario.Compiled{}, nil
 		}
 	}
-	env := scenario.Env{
-		Validators: c.Validators,
-		Clients:    c.clientFacing(),
-		// The derivation is pure in (seed, name): a throwaway scheduler per
-		// draw resolves the same stream, and a lowered plan never draws.
-		RNG: func(name string) *rand.Rand { return sim.New(c.Seed).RNG("scenario/" + name) },
-	}
+	env := c.Deployment()
+	// The derivation is pure in (seed, name): a throwaway scheduler per draw
+	// resolves the same stream, and a lowered plan never draws.
+	env.RNG = func(name string) *rand.Rand { return sim.New(c.Seed).RNG("scenario/" + name) }
 	if c.Scenario != nil && c.Overlay.Enabled() {
 		// Eclipse actions (which only a scenario holds) target each victim's
 		// overlay neighborhood. The topology is a pure function of (overlay

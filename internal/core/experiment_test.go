@@ -183,7 +183,6 @@ func TestValidateRejectsNegativeAndNonFinite(t *testing.T) {
 		{"Duration", "-5s", func(c *Config) { c.Duration = -5 * time.Second }},
 		{"Fanout", "-1", func(c *Config) { c.Fanout = -1 }},
 		{"RetryAfter", "-1s", func(c *Config) { c.RetryAfter = -time.Second }},
-		{"MaxRetries", "-1", func(c *Config) { c.MaxRetries = -1 }},
 		{"ReadRate", "-0.5", func(c *Config) { c.ReadRate = -0.5 }},
 		{"ReadRate", "NaN", func(c *Config) { c.ReadRate = math.NaN() }},
 		{"Fault.InjectAt", "-5s", func(c *Config) { c.Fault.InjectAt = -5 * time.Second }},

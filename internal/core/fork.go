@@ -64,7 +64,7 @@ func (e *Experiment) forkSet() (*snapshot.Set, error) {
 		return e.forkable, nil
 	}
 	// Checkpoints snapshot the sequential layout (one event queue, one
-	// delivery pool), so a parallel experiment deterministically falls back
+	// flight pool), so a parallel experiment deterministically falls back
 	// to the sequential kernel before its first fork — output is identical
 	// either way, only wall-clock time differs. Once a parallel run has
 	// started its queues hold partition events and the fallback is closed.

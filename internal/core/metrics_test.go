@@ -65,8 +65,8 @@ func TestMetricsRecorderIsPureObservation(t *testing.T) {
 	if !inject || !recover {
 		t.Fatalf("fault annotations missing or mistimed (inject=%v recover=%v)", inject, recover)
 	}
-	// The transient fault halts and restarts nodes; the tee'd tracer must
-	// have captured that lifecycle without a TraceWriter being configured.
+	// The transient fault halts and restarts nodes; the recorder's tracer
+	// must have captured that lifecycle.
 	if len(rec.Trace()) == 0 {
 		t.Fatal("network trace not captured")
 	}

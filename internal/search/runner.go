@@ -158,8 +158,8 @@ func Run(opts Options) (*Result, error) {
 
 	if opts.Shrink && opts.Axis.Name == AxisIntensity && b.HaveFail {
 		failing := opts.Scenario.Scaled(b.FirstFail)
-		pool := withDefaultsPool(base)
-		shrunk, err := Shrink(failing, pool, func(spec scenario.Spec) (bool, error) {
+		d := base.Deployment()
+		shrunk, err := Shrink(failing, d.Validators-d.Clients, func(spec scenario.Spec) (bool, error) {
 			cfg := base
 			sc, err := spec.Build()
 			if err != nil {
@@ -194,19 +194,6 @@ func applyAxis(base core.Config, spec *scenario.Spec, axis string, x float64) (c
 		cfg.Scenario = sc
 	}
 	return cfg, nil
-}
-
-// withDefaultsPool resolves the fault-eligible pool size (validators that
-// serve no clients) with the config's defaults applied.
-func withDefaultsPool(cfg core.Config) int {
-	validators, clients := cfg.Validators, cfg.Clients
-	if validators == 0 {
-		validators = 10
-	}
-	if clients == 0 {
-		clients = 5
-	}
-	return validators - clients
 }
 
 // WriteJSON encodes the result as indented JSON.

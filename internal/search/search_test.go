@@ -2,7 +2,10 @@ package search
 
 import (
 	"testing"
+	"time"
 
+	"stabl/internal/core"
+	"stabl/internal/redbelly"
 	"stabl/internal/scenario"
 )
 
@@ -148,6 +151,41 @@ func TestShrinkRejectsPassingScenario(t *testing.T) {
 		return false, nil
 	}); err == nil {
 		t.Fatal("want error when the input scenario does not fail")
+	}
+}
+
+// TestShrinkSizesAllByCoresPool: the shrinker sizes "all" by the
+// fault-eligible pool core deploys. With aggregated flows Clients counts
+// modeled clients and exceeds Validators, while core serves them from the
+// validators its worst-case fault set leaves alone — 13 of 20 Redbelly
+// validators (f = t+1 = 7) — so "all" is 7 nodes and shrinks, where
+// validators − clients would have been −80 and left it unshrunk.
+func TestShrinkSizesAllByCoresPool(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a dozen 40 s experiments")
+	}
+	spec := scenario.Spec{Name: "wipe", Actions: []scenario.ActionSpec{
+		{Op: "crash", AtSec: 15, Nodes: "all", UntilSec: 25},
+	}}
+	base := core.Config{
+		System: redbelly.Default(), Seed: 1, Validators: 20, Clients: 100, Flows: 4,
+		RatePerClient: 2, Duration: 40 * time.Second,
+	}
+	if d := base.Deployment(); d.Validators-d.Clients != 7 {
+		t.Fatalf("deployment %+v, want 7 fault-eligible validators", d)
+	}
+	res, err := Run(Options{
+		Base: base, Scenario: &spec, Threshold: 1e-9, Shrink: true,
+		Axis: Axis{Name: AxisIntensity, Lo: 1, Hi: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Shrunk == nil || res.Shrunk.ShrunkNodes == 0 {
+		t.Fatalf("\"all\" was not shrunk: %+v", res.Shrunk)
+	}
+	if got := res.Shrunk.Spec.Actions[0].Nodes; got == "all" {
+		t.Fatalf("shrunk spec still targets %q", got)
 	}
 }
 

@@ -353,7 +353,7 @@ func (cm *connManager) nodeRestarted(id NodeID) {
 
 // sendControl bypasses the established-connection gate (control traffic is
 // how connections come up) but still honours partitions and liveness. Like
-// application sends it rides a pooled delivery event.
+// application sends it rides a pooled flight of one.
 func (cm *connManager) sendControl(from, to NodeID, payload any) {
 	n := cm.net
 	src := n.mustNode(from)
@@ -367,18 +367,27 @@ func (cm *connManager) sendControl(from, to NodeID, payload any) {
 	if n.lossyIfaces > 0 && n.lost(src, to, src.loss) {
 		return
 	}
-	// Control deliveries mutate shared pair state, so they execute on the
-	// root queue (lane -1) regardless of the receiver's partition — but
-	// they are keyed by the sender's lane so the total event order is the
-	// same one the sequential kernel produces. sendControl only runs from
-	// root contexts (the heartbeat ticker, retry timers, control handlers),
-	// so the root clock and pool 0 are the right ones.
-	d := n.newDelivery(0)
-	d.dst = dst
-	d.from = from
-	d.payload = payload
-	d.inc = dst.incarnation
-	d.control = true
-	n.sched.ScheduleKeyed(-1, int32(from), n.sched.TakeLaneSeq(int32(from)),
-		n.sched.Now()+n.delay(src, to, src.lat, src.jit), d.run)
+	// Control flights mutate shared pair state, so they execute on the root
+	// queue (lane -1) regardless of the receiver's partition — but they are
+	// keyed by the sender's lane so the total event order is the same one the
+	// sequential kernel produces. sendControl only runs from root contexts
+	// (the heartbeat ticker, retry timers, control handlers), so the root
+	// clock and pool 0 are the right ones.
+	f := n.newFlight(0, false, from, payload, n.sched.TakeLaneSeq(int32(from)), true)
+	f.dests = append(f.dests, flightDest{
+		at: n.sched.Now() + n.delay(src, to, src.lat, src.jit), inc: dst.incarnation, dst: int32(to),
+	})
+	f.arm()
+}
+
+// receive hands an arrived control message to the connection layer, unless
+// the destination crashed or restarted since the send. Control flights
+// always execute on the root queue, so the root clock is the execution
+// clock.
+func (cm *connManager) receive(from NodeID, dst *endpoint, payload any, inc uint64) {
+	if !dst.up || dst.incarnation != inc {
+		return
+	}
+	cm.observeTraffic(from, dst.id, cm.net.sched.Now())
+	cm.handleControl(from, dst.id, payload)
 }

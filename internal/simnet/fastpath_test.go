@@ -2,7 +2,7 @@ package simnet
 
 // Tests for the constant-time send-path structures: the blocked-pair set
 // maintained by Partition/Heal, the Context.RNG seed memoization, and the
-// pooled delivery events.
+// dense node and extra-delay tables (the flight pool is in flight_test.go).
 
 import (
 	"testing"
@@ -78,47 +78,6 @@ func TestContextRNGMemoizationStable(t *testing.T) {
 	net.Halt(0)
 	net.Restart(0)
 	check("post-restart derivation")
-}
-
-// replyHandler echoes every message back to its sender from inside Deliver,
-// exercising the pool's reentrancy.
-type replyHandler struct {
-	ctx *Context
-	got int
-}
-
-func (h *replyHandler) Start(ctx *Context) { h.ctx = ctx }
-func (h *replyHandler) Deliver(from NodeID, payload any) {
-	h.got++
-	h.ctx.Send(from, payload)
-}
-func (h *replyHandler) Stop() {}
-
-// TestDeliveryPoolReuse checks steady-state traffic recycles delivery
-// events rather than growing the pool, and that reentrant sends from inside
-// Deliver are safe.
-func TestDeliveryPoolReuse(t *testing.T) {
-	sched := sim.New(1)
-	net := New(sched, Config{Latency: FixedLatency(time.Millisecond)})
-	a := &echoHandler{}
-	b := &replyHandler{} // replies from inside Deliver: reentrant send
-	net.AddNode(0, a)
-	net.AddNode(1, b)
-	net.StartAll()
-	for i := 0; i < 100; i++ {
-		a.ctx.Send(1, i)
-		sched.RunUntil(sched.Now() + 10*time.Millisecond)
-	}
-	if b.got != 100 || len(a.received) != 100 {
-		t.Fatalf("delivered %d/%d messages, want 100/100", b.got, len(a.received))
-	}
-	pooled := 0
-	for d := net.pools[0].free; d != nil; d = d.next {
-		pooled++
-		if pooled > 10 {
-			t.Fatalf("delivery pool grew past %d entries under serial traffic", pooled)
-		}
-	}
 }
 
 // TestDenseNodeTableSparseIDs checks the dense table copes with the id gap

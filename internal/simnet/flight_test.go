@@ -1,9 +1,10 @@
 package simnet
 
-// Tests for broadcast flights: Context.Broadcast against a reference loop of
-// Context.Send over randomised fault mixes (sequential and parallel
-// kernels), the queue-depth and pool-growth gates, and checkpoints taken
-// with flights half-delivered.
+// Tests for flights, the one in-flight message representation:
+// Context.Broadcast and loops of Context.Send (flights of many and of one)
+// against a reference unicast that owns no pool (refSend) over randomised
+// fault mixes on the sequential and parallel kernels, the queue-depth and
+// pool-growth gates, and checkpoints taken with flights in flight.
 
 import (
 	"fmt"
@@ -26,16 +27,47 @@ type arrival struct {
 	payload  int
 }
 
+// sendMode is how a mixNode puts its messages on the network.
+type sendMode int
+
+const (
+	viaBroadcast sendMode = iota // Broadcast; Send and SendAs for unicasts
+	viaSendLoop                  // every broadcast a loop of Send: flights of one
+	viaRef                       // every message a refSend; sequential kernel only
+)
+
+// refSend is the reference unicast the flights are held to: the send-time
+// half every message shares (route), then one fresh keyed closure per
+// message that calls arrive — no pool, no flight, no outbox (so it cannot
+// cross partitions inside a window). A virtual sender other than the node
+// itself draws from its own streams, as SendAs does.
+func refSend(c *Context, virtual, to NodeID, payload any) {
+	n, src := c.net, c.ep
+	if !src.up {
+		return
+	}
+	lat, loss, jit := src.lat, src.loss, src.jit
+	if virtual != src.id {
+		vs := n.virtual(virtual)
+		lat, loss, jit = vs.lat, vs.loss, vs.jit
+	}
+	dst, at, seq, ok := n.route(src, to, lat, loss, jit)
+	if !ok {
+		return
+	}
+	inc := dst.incarnation
+	n.sched.ScheduleKeyed(int32(to), int32(src.id), seq, at, func() { n.arrive(dst, src.id, payload, inc, dst.qi) })
+}
+
 // mixNode is a scripted handler. Every delivery is logged with its execution
 // key; a per-node stream then decides whether to answer with a broadcast, a
 // unicast, a same-instant or delayed timer that broadcasts, or a unicast on
-// behalf of a virtual sender. With loop set, broadcasts go out as the
-// reference implementation: a loop of Send over the peers.
+// behalf of a virtual sender, all sent the mode's way.
 type mixNode struct {
 	id     NodeID
 	sched  *sim.Scheduler
 	peers  []NodeID
-	loop   bool
+	mode   sendMode
 	ctx    *Context
 	rng    *rand.Rand
 	budget int // reactions left; bounds the run
@@ -65,14 +97,22 @@ func (h *mixNode) next() int {
 
 func (h *mixNode) broadcast() {
 	p := h.next()
-	if !h.loop {
+	if h.mode == viaBroadcast {
 		h.ctx.Broadcast(h.peers, p)
 		return
 	}
 	for _, id := range h.peers {
 		if id != h.id {
-			h.ctx.Send(id, p)
+			h.sendAs(h.id, id, p)
 		}
+	}
+}
+
+func (h *mixNode) sendAs(virtual, to NodeID, p int) {
+	if h.mode == viaRef {
+		refSend(h.ctx, virtual, to, p)
+	} else {
+		h.ctx.SendAs(virtual, to, p)
 	}
 }
 
@@ -92,13 +132,13 @@ func (h *mixNode) Deliver(from NodeID, payload any) {
 	case r < 5:
 		h.broadcast()
 	case r < 8:
-		h.ctx.Send(peer, h.next())
+		h.sendAs(h.id, peer, h.next())
 	case r < 10:
 		h.ctx.After(0, h.broadcast)
 	case r < 12:
 		h.ctx.After(time.Duration(1+h.rng.Intn(30))*time.Millisecond, h.broadcast)
 	case r < 14:
-		h.ctx.SendAs(1000+h.id, peer, h.next())
+		h.sendAs(1000+h.id, peer, h.next())
 	}
 }
 
@@ -144,7 +184,7 @@ func (coarseLatency) LowerBound() time.Duration { return 5 * time.Millisecond }
 // mid-run, and a scripted broadcast during which a destination is halted
 // and restarted and the sender is halted. workers > 0 runs it on the
 // parallel kernel with the last node pinned to the root queue.
-func newMixRun(seed int64, workers int, loop bool) *mixRun {
+func newMixRun(seed int64, workers int, mode sendMode) *mixRun {
 	script := rand.New(rand.NewSource(seed))
 	sched := sim.New(seed)
 	var lat LatencyModel = UniformLatency{Min: 5 * time.Millisecond, Max: 25 * time.Millisecond}
@@ -164,7 +204,7 @@ func newMixRun(seed int64, workers int, loop bool) *mixRun {
 	}
 	last := make([]sim.EventKey, workers+1)
 	for i, id := range peers {
-		h := &mixNode{id: id, sched: sched, peers: peers, loop: loop, budget: 30, last: &last[table[i]]}
+		h := &mixNode{id: id, sched: sched, peers: peers, mode: mode, budget: 30, last: &last[table[i]]}
 		r.hs = append(r.hs, h)
 		net.AddNode(id, h)
 	}
@@ -217,7 +257,8 @@ func newMixRun(seed int64, workers int, loop bool) *mixRun {
 
 	// The scripted flight: sender and victim sit on the larger side of the
 	// partition so the messages exist; 5–25 ms latency leaves the flight
-	// partly delivered at each of the instants below.
+	// partly delivered at each of the instants below. Unicasts to the same
+	// side go out beside it.
 	side := sideA
 	if len(sideB) > len(sideA) {
 		side = sideB
@@ -225,7 +266,13 @@ func newMixRun(seed int64, workers int, loop bool) *mixRun {
 	sender, victim := side[0], side[len(side)-1]
 	t0 := 300 * time.Millisecond
 	r.flightAt = t0
-	sched.At(t0, func() { r.hs[sender].broadcast() })
+	sched.At(t0, func() {
+		h := r.hs[sender]
+		h.broadcast()
+		for _, id := range side[1:] {
+			h.sendAs(sender, id, h.next())
+		}
+	})
 	sched.At(t0+9*time.Millisecond, func() { net.Halt(victim) })
 	sched.At(t0+11*time.Millisecond, func() { net.Halt(sender) })
 	sched.At(t0+13*time.Millisecond, func() { net.Restart(victim) })
@@ -303,10 +350,10 @@ func diffMix(t *testing.T, label string, want, got mixResult) {
 	}
 }
 
-// TestBroadcastEqualsSendLoop holds Broadcast to its contract: over
-// randomised mixes it produces the delivery trace, counters, event count and
-// RNG consumption of the reference loop of Send, on the sequential kernel
-// and on 1, 2 and 4 parallel queues.
+// TestBroadcastEqualsSendLoop holds flights of many (Broadcast) and flights
+// of one (loops of Send) to the reference unicast: over randomised mixes both
+// produce refSend's delivery trace, counters, event count and RNG
+// consumption, on the sequential kernel and on 1, 2 and 4 parallel queues.
 func TestBroadcastEqualsSendLoop(t *testing.T) {
 	seeds := 24
 	if testing.Short() {
@@ -314,18 +361,15 @@ func TestBroadcastEqualsSendLoop(t *testing.T) {
 	}
 	var total Stats
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		ref := newMixRun(seed, 0, true)
+		ref := newMixRun(seed, 0, viaRef)
 		ref.runTo(ref.end)
 		want := ref.result()
 		total.add(want.stats)
 		for _, workers := range []int{0, 1, 2, 4} {
-			for _, loop := range []bool{false, true} {
-				if workers == 0 && loop {
-					continue
-				}
-				r := newMixRun(seed, workers, loop)
+			for _, mode := range []sendMode{viaBroadcast, viaSendLoop} {
+				r := newMixRun(seed, workers, mode)
 				r.runTo(r.end)
-				diffMix(t, fmt.Sprintf("seed %d workers %d loop %v", seed, workers, loop), want, r.result())
+				diffMix(t, fmt.Sprintf("seed %d workers %d mode %d", seed, workers, mode), want, r.result())
 			}
 		}
 	}
@@ -337,16 +381,22 @@ func TestBroadcastEqualsSendLoop(t *testing.T) {
 	}
 }
 
-// halfDelivered counts pooled flights that have delivered to some but not
-// all of their destinations.
-func halfDelivered(net *Network) int {
-	c := 0
+// inFlight counts the pooled flights still in flight by shape: broadcasts
+// delivered to some but not all destinations, application flights of one,
+// and connection control messages.
+func inFlight(net *Network) (half, single, control int) {
 	for _, f := range net.flights[0].all {
-		if f.cur > 0 && f.cur < len(f.dests) {
-			c++
+		switch {
+		case int(f.cur) == len(f.dests): // free
+		case f.control:
+			control++
+		case len(f.dests) == 1:
+			single++
+		case f.cur > 0:
+			half++
 		}
 	}
-	return c
+	return half, single, control
 }
 
 // mixNodeState is a mixNode's checkpoint; log is append-only, so its length
@@ -357,21 +407,26 @@ type mixNodeState struct {
 	last                    sim.EventKey
 }
 
-// TestSnapshotWithFlightsHalfDelivered checkpoints the network while
-// broadcasts are partly delivered, runs on, restores and runs again: both
-// continuations must equal the uninterrupted run, and flights allocated
-// after the checkpoint must drop out of the pool registry.
+// TestSnapshotWithFlightsHalfDelivered checkpoints the network while a
+// broadcast is partly delivered and unicasts — and, with the connection
+// layer on, control messages — are in flight, runs on, restores and runs
+// again: both continuations must equal the uninterrupted run, and flights
+// allocated after the checkpoint must drop out of the pool registry.
 func TestSnapshotWithFlightsHalfDelivered(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		whole := newMixRun(seed, 0, false)
+		whole := newMixRun(seed, 0, viaBroadcast)
 		whole.runTo(whole.end)
 		want := whole.result()
 
-		r := newMixRun(seed, 0, false)
+		r := newMixRun(seed, 0, viaBroadcast)
 		r.runTo(r.flightAt)
-		for halfDelivered(r.net) == 0 {
+		for {
+			half, single, control := inFlight(r.net)
+			if half > 0 && single > 0 && (control > 0 || r.net.conns == nil) {
+				break
+			}
 			if r.sched.Now() > r.flightAt+25*time.Millisecond {
-				t.Fatalf("seed %d: the scripted flight was never half-delivered", seed)
+				t.Fatalf("seed %d: never a half-delivered broadcast beside unicast and control flights", seed)
 			}
 			r.runTo(r.sched.Now() + time.Millisecond)
 		}
@@ -413,9 +468,9 @@ func (h *countNode) Stop()                  {}
 func (h *countNode) tick()                  {}
 func (h *countNode) arm(each time.Duration) { h.ctx.Every(each, h.tick) }
 
-func countNet(n int) (*sim.Scheduler, *Network, []*countNode, []NodeID, *int) {
+func countNet(n int, lat LatencyModel) (*sim.Scheduler, *Network, []*countNode, []NodeID, *int) {
 	sched := sim.New(3)
-	net := New(sched, Config{Latency: UniformLatency{Min: 5 * time.Millisecond, Max: 25 * time.Millisecond}})
+	net := New(sched, Config{Latency: lat})
 	hs := make([]*countNode, n)
 	peers := make([]NodeID, n)
 	got := new(int)
@@ -437,7 +492,7 @@ func TestQueueDepthIsBroadcastsNotDestinations(t *testing.T) {
 	if testing.Short() {
 		nodes, broadcasts = 256, 128
 	}
-	sched, net, hs, peers, got := countNet(nodes)
+	sched, net, hs, peers, got := countNet(nodes, UniformLatency{Min: 5 * time.Millisecond, Max: 25 * time.Millisecond})
 	for _, h := range hs {
 		h.arm(time.Second)
 	}
@@ -463,15 +518,21 @@ func TestQueueDepthIsBroadcastsNotDestinations(t *testing.T) {
 	}
 }
 
-// TestFlightPoolReuse checks steady-state broadcasting recycles flights: the
-// pool stops growing after warm-up and a broadcast then allocates nothing,
-// reentrant broadcasts from inside Deliver included.
+// TestFlightPoolReuse checks steady-state traffic recycles flights: after
+// warm-up a round of Send, SendAs, Broadcast and connection heartbeats
+// allocates nothing and the pool stops growing, and a rebroadcast from
+// inside Deliver may reuse the flight it is executing.
 func TestFlightPoolReuse(t *testing.T) {
-	sched, net, hs, peers, _ := countNet(64)
+	// A fixed latency keeps the number of messages in flight periodic, so
+	// the pool reaches its final size during warm-up.
+	sched, net, hs, peers, _ := countNet(64, FixedLatency(15*time.Millisecond))
+	net.ManageConns(peers[:32], ConnParams{HeartbeatInterval: 10 * time.Millisecond, IdleTimeout: time.Hour})
 	var payload any = "tx"
 	round := func() {
 		for i := 0; i < 8; i++ {
 			hs[i].ctx.Broadcast(peers, payload)
+			hs[i].ctx.Send(peers[63-i], payload)
+			hs[i].ctx.SendAs(1000+NodeID(i), peers[31-i], payload)
 		}
 		sched.RunUntil(sched.Now() + 10*time.Millisecond) // overlaps the next round's flights
 	}
@@ -480,43 +541,64 @@ func TestFlightPoolReuse(t *testing.T) {
 	}
 	pooled := len(net.flights[0].all)
 	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
-		t.Fatalf("steady-state broadcast round allocates %.1f objects, want 0", allocs)
+		t.Fatalf("steady-state round allocates %.1f objects, want 0", allocs)
 	}
 	if got := len(net.flights[0].all); got != pooled {
 		t.Fatalf("flight pool grew from %d to %d in steady state", pooled, got)
 	}
 
-	// Reentrancy: a node that rebroadcasts from inside Deliver may be handed
-	// the flight whose last delivery it is executing.
-	sched2 := sim.New(1)
-	net2 := New(sched2, Config{Latency: FixedLatency(time.Millisecond)})
-	a, b := &echoHandler{}, &relayHandler{peers: []NodeID{0, 1}}
-	net2.AddNode(0, a)
-	net2.AddNode(1, b)
-	net2.StartAll()
+	checkRelayReuse(t, true)
+}
+
+// TestDeliveryPoolReuse checks a unicast delivery is a pooled flight of one:
+// a reply sent from inside Deliver may reuse the flight it is executing, and
+// serial traffic keeps the pool at its floor.
+func TestDeliveryPoolReuse(t *testing.T) {
+	checkRelayReuse(t, false)
+}
+
+// checkRelayReuse sends 100 messages one at a time to a relayHandler that
+// passes each back from inside Deliver, and checks every relay arrives in
+// order while the flight pool stays at most two deep.
+func checkRelayReuse(t *testing.T, broadcast bool) {
+	t.Helper()
+	sched := sim.New(1)
+	net := New(sched, Config{Latency: FixedLatency(time.Millisecond)})
+	a, b := &echoHandler{}, &relayHandler{peers: []NodeID{0, 1}, broadcast: broadcast}
+	net.AddNode(0, a)
+	net.AddNode(1, b)
+	net.StartAll()
 	for i := 0; i < 100; i++ {
-		a.ctx.Broadcast(b.peers, i)
-		sched2.RunUntil(sched2.Now() + 10*time.Millisecond)
+		a.ctx.Send(1, i)
+		sched.RunUntil(sched.Now() + 10*time.Millisecond)
 	}
 	if len(a.received) != 100 {
-		t.Fatalf("relayed %d of 100 broadcasts", len(a.received))
+		t.Fatalf("broadcast %v: relayed %d of 100 messages", broadcast, len(a.received))
 	}
 	for i, p := range a.received {
 		if p != i {
-			t.Fatalf("relay %d carried %v", i, p)
+			t.Fatalf("broadcast %v: relay %d carried %v", broadcast, i, p)
 		}
 	}
-	if got := len(net2.flights[0].all); got > 2 {
-		t.Fatalf("flight pool grew to %d under serial traffic", got)
+	if got := len(net.flights[0].all); got > 2 {
+		t.Fatalf("broadcast %v: flight pool grew to %d under serial traffic", broadcast, got)
 	}
 }
 
-// relayHandler rebroadcasts every message from inside Deliver.
+// relayHandler passes every message back from inside Deliver, as a
+// broadcast to peers or a unicast to the sender.
 type relayHandler struct {
-	ctx   *Context
-	peers []NodeID
+	ctx       *Context
+	peers     []NodeID
+	broadcast bool
 }
 
-func (h *relayHandler) Start(ctx *Context)      { h.ctx = ctx }
-func (h *relayHandler) Deliver(_ NodeID, p any) { h.ctx.Broadcast(h.peers, p) }
-func (h *relayHandler) Stop()                   {}
+func (h *relayHandler) Start(ctx *Context) { h.ctx = ctx }
+func (h *relayHandler) Deliver(from NodeID, p any) {
+	if h.broadcast {
+		h.ctx.Broadcast(h.peers, p)
+	} else {
+		h.ctx.Send(from, p)
+	}
+}
+func (h *relayHandler) Stop() {}

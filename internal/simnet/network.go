@@ -9,17 +9,18 @@
 // constant-time checks: endpoints live in a dense slice keyed by NodeID,
 // partitions maintain a blocked-pair count map updated on Partition/Heal
 // (Blocked is O(1) per message instead of scanning every rule), netem-style
-// extra delays use a dense slice with a non-zero counter, delivery events
-// are pooled value-typed closures rather than a fresh closure per message,
-// and a broadcast is one pooled, sorted flight — one queued event at a time
-// however many destinations it has (see flight).
+// extra delays use a dense slice with a non-zero counter, and every message
+// in flight — a unicast, a broadcast, a connection control message — is one
+// pooled, sorted flight: one queued event at a time however many
+// destinations it has, and no fresh closure per message (see flight).
 //
 // The network is also where the parallel kernel's ownership discipline
 // lives (see sim's parallel mode): every delay/loss/jitter draw comes from
 // the *sender's* private RNG streams, a message's ordering key is assigned
-// at send time from the sender's lane counter, and cross-partition sends
-// inside a lookahead window are buffered per queue and injected at the next
-// barrier. Node lifecycle and degradation mutators are barrier-only.
+// at send time from the sender's lane counter, and flights bound for another
+// partition inside a lookahead window are parked per queue and re-homed at
+// the next barrier. Node lifecycle and degradation mutators are
+// barrier-only.
 package simnet
 
 import (
@@ -167,17 +168,15 @@ type Network struct {
 	// of any pair that can actually exchange a message.
 	//stabl:nodet snapshot-fields -- configuration set before Start; core.Fork disables parallel mode anyway
 	lookahead time.Duration
-	// pools[qi] pools delivery events per queue so a message in steady
-	// state schedules no new closure, and so concurrent partitions never
-	// share a free list. Sequential mode uses pools[0] only.
-	pools []dpool
-	// flights[qi] pools broadcast flights the same way (see flight).
+	// flights[qi] pools flights per queue so a message in steady state
+	// schedules no new closure, and so concurrent partitions never share a
+	// free list. Sequential mode uses flights[0] only.
 	flights []fpool
-	// outbox[qi] buffers cross-partition sends made by queue qi inside a
-	// lookahead window; a barrier hook injects them (keys were already
-	// assigned at send time, so injection order is irrelevant).
+	// outbox[qi] parks the flights queue qi built for other partitions
+	// inside a lookahead window; a barrier hook re-homes them (keys were
+	// already assigned at send time, so injection order is irrelevant).
 	//stabl:nodet snapshot-fields -- parallel-mode only; drained at every barrier and cleared by DisableParallel before any fork
-	outbox []outbox
+	outbox [][]*flight
 	virtMu sync.RWMutex
 	netState
 }
@@ -231,40 +230,20 @@ type virtStreams struct {
 	lat, loss, jit *rand.Rand
 }
 
-// dpool is one queue's delivery pool: a free list plus the registry of every
-// delivery ever allocated (creation order), which Snapshot/Restore rewinds.
-type dpool struct {
-	free *delivery
-	all  []*delivery
-}
-
-// fpool is one queue's flight pool — free list and creation-order registry,
-// like dpool — plus the staging row of the broadcast currently being built
-// by an event of this queue: stage[q] is the sub-flight collecting the
-// destinations queue q owns. Every entry is nil between broadcasts.
+// fpool is one queue's flight pool: the free flights, the registry of every
+// flight ever allocated (creation order), which Snapshot/Restore rewinds,
+// and the staging row of the broadcast currently being built by an event of
+// this queue: stage[q] is the sub-flight collecting the destinations queue q
+// owns. Every stage entry is nil between broadcasts.
+//
+// Free flights are kept apart by destination capacity — free[0] holds at
+// most one, free[1] more — so a broadcast reuses an array a broadcast grew
+// and a unicast does not take it from it: drawn from one list, the two would
+// trade arrays and regrow them for ever.
 type fpool struct {
-	free  *flight
+	free  [2]*flight
 	all   []*flight
 	stage []*flight
-}
-
-// outbox is one queue's buffer of cross-partition sends: unicast messages
-// and whole sub-flights of broadcasts.
-type outbox struct {
-	msgs    []outMsg
-	flights []*flight
-}
-
-// outMsg is one buffered cross-partition send. The ordering key (at, sender
-// lane, seq) was fixed when the send happened; the barrier only moves the
-// event into the receiver's queue.
-type outMsg struct {
-	at      time.Duration
-	seq     uint64
-	from    NodeID
-	dst     *endpoint
-	payload any
-	inc     uint64
 }
 
 type endpoint struct {
@@ -283,8 +262,8 @@ type endpoint struct {
 }
 
 // epState is an endpoint's mutable state. The endpoint object (and its
-// Context) is identity-preserved: queued delivery and timer closures hold
-// the pointer, so Restore writes through it.
+// Context) is identity-preserved: queued timer closures hold the pointer,
+// so Restore writes through it.
 type epState struct {
 	up          bool
 	connRank    int32 // 1 + rank in the managed peer list; zero outside the connection layer
@@ -307,7 +286,6 @@ func New(sched *sim.Scheduler, cfg Config) *Network {
 		sched:   sched,
 		latency: lat,
 		statsh:  make([]Stats, 1),
-		pools:   make([]dpool, 1),
 		flights: []fpool{{stage: make([]*flight, 1)}},
 		netState: netState{
 			rules:        make(map[int]partitionRule),
@@ -369,7 +347,7 @@ func (n *Network) PairLowerBound(from, to NodeID) (time.Duration, bool) {
 // AddNode calls and together with the scheduler's EnableParallel, before
 // StartAll. Registers the cross-partition outbox flush as a barrier hook.
 func (n *Network) EnableParallel(queueOf []int32, workers int) {
-	if len(n.pools) > 1 {
+	if len(n.flights) > 1 {
 		panic("simnet: EnableParallel called twice")
 	}
 	for _, ep := range n.nodes {
@@ -382,13 +360,12 @@ func (n *Network) EnableParallel(queueOf []int32, workers int) {
 	}
 	for i := 0; i < workers; i++ {
 		n.statsh = append(n.statsh, Stats{})
-		n.pools = append(n.pools, dpool{})
 		n.flights = append(n.flights, fpool{})
 	}
 	for i := range n.flights {
 		n.flights[i].stage = make([]*flight, workers+1)
 	}
-	n.outbox = make([]outbox, workers+1)
+	n.outbox = make([][]*flight, workers+1)
 	n.sched.OnBarrier(n.flushOutboxes)
 }
 
@@ -396,11 +373,11 @@ func (n *Network) EnableParallel(queueOf []int32, workers int) {
 // fallback the forking API takes before snapshotting. Outboxes must be
 // empty (they always are outside a window).
 func (n *Network) DisableParallel() {
-	if len(n.pools) == 1 {
+	if len(n.flights) == 1 {
 		return
 	}
 	for _, box := range n.outbox {
-		if len(box.msgs) != 0 || len(box.flights) != 0 {
+		if len(box) != 0 {
 			panic("simnet: DisableParallel with buffered cross-partition sends")
 		}
 	}
@@ -408,21 +385,14 @@ func (n *Network) DisableParallel() {
 		n.statsh[0].add(n.statsh[i])
 	}
 	n.statsh = n.statsh[:1]
-	// Deliveries and flights allocated by partition pools stay owned by
-	// them; merging free lists would break the per-pool registries.
-	// Pre-start (the only place the fallback runs) no partition pool has
-	// allocated anything.
-	for _, p := range n.pools[1:] {
-		if len(p.all) != 0 {
-			panic("simnet: DisableParallel after partition deliveries were pooled")
-		}
-	}
+	// Flights allocated by partition pools stay owned by them; merging free
+	// lists would break the per-pool registries. Pre-start (the only place
+	// the fallback runs) no partition pool has allocated anything.
 	for _, p := range n.flights[1:] {
 		if len(p.all) != 0 {
 			panic("simnet: DisableParallel after partition flights were pooled")
 		}
 	}
-	n.pools = n.pools[:1]
 	n.flights = n.flights[:1]
 	n.flights[0].stage = n.flights[0].stage[:1]
 	n.outbox = nil
@@ -693,66 +663,6 @@ func (n *Network) Blocked(from, to NodeID) bool {
 	return n.blockedPairs[makePair(from, to)] > 0
 }
 
-// delivery is a pooled in-flight message event. Its run closure is bound
-// once when the delivery is first allocated; afterwards sending a message
-// reuses a free delivery and schedules the existing closure, so the steady
-// state send path allocates nothing. Each delivery belongs to the pool of
-// the queue it executes on.
-type delivery struct {
-	n   *Network
-	qi  int32 // owning pool == executing queue
-	run func()
-	deliveryState
-}
-
-// deliveryState is what a send writes into a pooled delivery; dst and next
-// point into the identity-preserved endpoint table and delivery registry.
-type deliveryState struct {
-	dst     *endpoint
-	from    NodeID
-	payload any
-	inc     uint64
-	control bool      // connection-layer traffic (bypasses the app handler)
-	next    *delivery // pool free list
-}
-
-func (n *Network) newDelivery(qi int32) *delivery {
-	p := &n.pools[qi]
-	d := p.free
-	if d == nil {
-		d = &delivery{n: n, qi: qi}
-		d.run = d.fire
-		p.all = append(p.all, d)
-	} else {
-		p.free = d.next
-		d.next = nil
-	}
-	return d
-}
-
-// fire executes the arrival. The delivery returns to the pool before the
-// handler runs: all state is copied to locals first, so reentrant sends from
-// inside Deliver can safely reuse it.
-func (d *delivery) fire() {
-	n, dst, from, payload, inc, control, qi := d.n, d.dst, d.from, d.payload, d.inc, d.control, d.qi
-	d.dst = nil
-	d.payload = nil
-	p := &n.pools[qi]
-	d.next = p.free
-	p.free = d
-	if !control {
-		n.arrive(dst, from, payload, inc, qi)
-		return
-	}
-	if !dst.up || dst.incarnation != inc {
-		return
-	}
-	// Control traffic always executes on the root queue (see sendControl),
-	// so the root clock is the execution clock.
-	n.conns.observeTraffic(from, dst.id, n.sched.Now())
-	n.conns.handleControl(from, dst.id, payload)
-}
-
 // arrive hands one application message to its destination on queue qi,
 // unless the destination crashed or restarted since the send (inc is the
 // incarnation recorded then).
@@ -769,14 +679,19 @@ func (n *Network) arrive(dst *endpoint, from NodeID, payload any, inc uint64, qi
 	dst.handler.Deliver(from, payload)
 }
 
-// flight is a pooled in-flight broadcast: every destination that survived
-// the send-time checks, sorted by its sender-assigned event key, behind one
-// queued event. A delivery's key is (at, sender lane, seq) and a flight's
-// destinations share the lane, so (at, seq) order is key order. The flight
-// is queued under its first destination's key; firing re-arms it under the
-// next destination's key before delivering, so every delivery executes at
-// exactly the position its own queued event would have had while the queue
-// holds one entry per broadcast instead of one per destination.
+// flight is a pooled in-flight message: every destination that survived the
+// send-time checks, sorted by its sender-assigned event key, behind one
+// queued event. A unicast is a flight of one, a broadcast one flight per
+// destination queue. A message's key is (at, sender lane, seq) and a
+// flight's destinations share the lane, so (at, seq) order is key order. The
+// flight is queued under its first destination's key; firing re-arms it
+// under the next destination's key before delivering, so every delivery
+// executes at exactly the position its own queued event would have had while
+// the queue holds one entry per flight instead of one per destination. Its
+// run closure is bound once, when the flight is first allocated, and a
+// reused flight keeps its destination array, so the steady-state send path
+// allocates nothing. Each flight belongs to the pool of the queue it
+// executes on.
 type flight struct {
 	n   *Network
 	qi  int32 // owning pool == executing queue
@@ -784,15 +699,26 @@ type flight struct {
 	flightState
 }
 
-// flightState is what a broadcast writes into a pooled flight; next points
-// into the identity-preserved flight registry.
+// flightState is what a send writes into a pooled flight; next points into
+// the identity-preserved flight registry.
 type flightState struct {
 	from    NodeID
 	payload any
 	base    uint64       // lane sequence number of seqOff 0
 	dests   []flightDest // sorted by (at, seqOff); pointer-free
-	cur     int          // next destination to deliver
-	next    *flight      // pool free list
+	cur     int32        // next destination to deliver
+	// control marks connection-layer traffic: it executes on the root queue
+	// and goes to the connection layer instead of the application handler.
+	control bool
+	next    *flight // pool free list
+}
+
+// unicastFlight is how a flight created for a unicast is allocated: together
+// with the array for its one destination, so a fresh flight of one costs one
+// allocation, as a fresh flight of many does before it grows its array.
+type unicastFlight struct {
+	flight
+	one [1]flightDest
 }
 
 // flightDest is one destination of a flight: arrival instant, offset of its
@@ -813,17 +739,35 @@ func (a flightDest) compare(b flightDest) int {
 	return cmp.Compare(a.seqOff, b.seqOff)
 }
 
-func (n *Network) newFlight(qi int32) *flight {
+// newFlight takes a flight from queue qi's pool — one with room for many
+// destinations if wide, else one with room for one, else any — and stamps a
+// message on it.
+func (n *Network) newFlight(qi int32, wide bool, from NodeID, payload any, base uint64, control bool) *flight {
 	p := &n.flights[qi]
-	f := p.free
+	w := 0
+	if wide {
+		w = 1
+	}
+	f := p.free[w]
 	if f == nil {
-		f = &flight{n: n, qi: qi}
+		w = 1 - w
+		f = p.free[w]
+	}
+	if f == nil {
+		if wide {
+			f = new(flight)
+		} else {
+			u := new(unicastFlight)
+			f, u.dests = &u.flight, u.one[:0]
+		}
+		f.n, f.qi = n, qi
 		f.run = f.fire
 		p.all = append(p.all, f)
 	} else {
-		p.free = f.next
+		p.free[w] = f.next
 		f.next = nil
 	}
+	f.from, f.payload, f.base, f.control = from, payload, base, control
 	return f
 }
 
@@ -832,28 +776,41 @@ func (n *Network) freeFlight(f *flight) {
 	f.dests = f.dests[:0]
 	f.cur = 0
 	p := &n.flights[f.qi]
-	f.next = p.free
-	p.free = f
+	w := 0
+	if cap(f.dests) > 1 {
+		w = 1
+	}
+	f.next = p.free[w]
+	p.free[w] = f
 }
 
-// arm queues the flight under the key of its next destination.
+// arm queues the flight under the key of its next destination, on that
+// destination's lane — or on the root queue, for control traffic.
 func (f *flight) arm() {
 	d := &f.dests[f.cur]
-	f.n.sched.ScheduleKeyed(d.dst, int32(f.from), f.base+uint64(d.seqOff), d.at, f.run)
+	lane := d.dst
+	if f.control {
+		lane = -1
+	}
+	f.n.sched.ScheduleKeyed(lane, int32(f.from), f.base+uint64(d.seqOff), d.at, f.run)
 }
 
 // fire delivers to the next destination. The flight re-arms (or returns to
 // the pool) before the handler runs: the re-arm takes the event slot this
-// firing just released, and reentrant broadcasts from inside Deliver may
-// reuse a finished flight.
+// firing just released, and reentrant sends from inside Deliver may reuse a
+// finished flight.
 func (f *flight) fire() {
-	n, from, payload, qi := f.n, f.from, f.payload, f.qi
+	n, from, payload, qi, control := f.n, f.from, f.payload, f.qi, f.control
 	d := f.dests[f.cur]
 	f.cur++
-	if f.cur < len(f.dests) {
+	if int(f.cur) < len(f.dests) {
 		f.arm()
 	} else {
 		n.freeFlight(f)
+	}
+	if control {
+		n.conns.receive(from, n.nodes[d.dst], payload, d.inc)
+		return
 	}
 	n.arrive(n.nodes[d.dst], from, payload, d.inc, qi)
 }
@@ -924,41 +881,26 @@ func (n *Network) route(src *endpoint, to NodeID, lat, loss, jit *rand.Rand) (ds
 	return dst, at, seq, true
 }
 
-// send is the unicast path: one pooled delivery event per message. The
-// streams are the sender's own or, for SendAs, the virtual sender's.
-// Cross-partition sends inside a window go to the outbox.
+// send is the unicast path: a flight of one. The streams are the sender's
+// own or, for SendAs, the virtual sender's.
 func (n *Network) send(src *endpoint, to NodeID, payload any, lat, loss, jit *rand.Rand) {
 	dst, at, seq, ok := n.route(src, to, lat, loss, jit)
 	if !ok {
 		return
 	}
-	if dst.qi != src.qi && n.sched.InWindow() {
-		box := &n.outbox[src.qi]
-		box.msgs = append(box.msgs, outMsg{
-			at: at, seq: seq, from: src.id, dst: dst, payload: payload, inc: dst.incarnation,
-		})
-		return
+	home := dst.qi
+	if home != src.qi && n.sched.InWindow() {
+		home = src.qi
 	}
-	n.deliverAt(dst, src.id, payload, dst.incarnation, seq, at)
-}
-
-// deliverAt queues one unicast delivery under its sender-assigned key.
-func (n *Network) deliverAt(dst *endpoint, from NodeID, payload any, inc, seq uint64, at time.Duration) {
-	d := n.newDelivery(dst.qi)
-	d.dst = dst
-	d.from = from
-	d.payload = payload
-	d.inc = inc
-	d.control = false
-	n.sched.ScheduleKeyed(int32(dst.id), int32(from), seq, at, d.run)
+	f := n.newFlight(home, false, src.id, payload, seq, false)
+	f.dests = append(f.dests, flightDest{at: at, inc: dst.incarnation, dst: int32(to)})
+	n.post(f, src.qi, dst.qi)
 }
 
 // broadcast is the multicast path: the same per-destination checks and
 // draws as a loop of sends, in peer order, but the survivors are collected
 // into one flight per destination queue (exactly one in sequential mode)
-// instead of one queued event each. A sub-flight bound for another
-// partition inside a window is built in the sender's own pool and parked in
-// the outbox; the barrier re-homes it.
+// instead of one flight each.
 func (n *Network) broadcast(src *endpoint, peers []NodeID, payload any) {
 	stage := n.flights[src.qi].stage
 	inWindow := n.sched.InWindow()
@@ -976,8 +918,7 @@ func (n *Network) broadcast(src *endpoint, peers []NodeID, payload any) {
 			if inWindow {
 				home = src.qi
 			}
-			f = n.newFlight(home)
-			f.from, f.payload, f.base = src.id, payload, seq
+			f = n.newFlight(home, true, src.id, payload, seq, false)
 			stage[dst.qi] = f
 		}
 		f.dests = append(f.dests, flightDest{
@@ -990,40 +931,36 @@ func (n *Network) broadcast(src *endpoint, peers []NodeID, payload any) {
 		}
 		stage[qi] = nil
 		slices.SortFunc(f.dests, flightDest.compare)
-		if f.qi != int32(qi) {
-			box := &n.outbox[src.qi]
-			box.flights = append(box.flights, f)
-			continue
-		}
-		f.arm()
+		n.post(f, src.qi, int32(qi))
 	}
 }
 
-// flushOutboxes injects every buffered cross-partition send into its
-// receiver's queue. Runs as a barrier hook with all partitions quiesced;
-// because keys were assigned at send time, the per-queue append order the
-// boxes happen to hold carries no meaning. A buffered sub-flight hands its
-// destination array to a flight of the receiving queue's pool and returns
-// to its sender's.
+// post arms a flight bound for queue qi. A flight bound for another
+// partition inside a window was built in the sender's own pool instead: it
+// is parked in the sender's outbox, and the barrier re-homes it.
+func (n *Network) post(f *flight, srcQi, qi int32) {
+	if f.qi != qi {
+		n.outbox[srcQi] = append(n.outbox[srcQi], f)
+		return
+	}
+	f.arm()
+}
+
+// flushOutboxes injects every parked flight into its receiver's queue. Runs
+// as a barrier hook with all partitions quiesced; because keys were assigned
+// at send time, the per-queue append order the boxes happen to hold carries
+// no meaning. A parked flight hands its destination array to a flight of the
+// receiving queue's pool and returns to its sender's.
 func (n *Network) flushOutboxes() {
-	for qi := range n.outbox {
-		box := &n.outbox[qi]
-		for i := range box.msgs {
-			m := &box.msgs[i]
-			n.deliverAt(m.dst, m.from, m.payload, m.inc, m.seq, m.at)
-			m.dst = nil
-			m.payload = nil
-		}
-		box.msgs = box.msgs[:0]
-		for i, f := range box.flights {
-			g := n.newFlight(n.nodes[f.dests[0].dst].qi)
-			g.from, g.payload, g.base = f.from, f.payload, f.base
+	for qi, box := range n.outbox {
+		for i, f := range box {
+			g := n.newFlight(n.nodes[f.dests[0].dst].qi, cap(f.dests) > 1, f.from, f.payload, f.base, false)
 			g.dests, f.dests = f.dests, g.dests
 			g.arm()
 			n.freeFlight(f)
-			box.flights[i] = nil
+			box[i] = nil
 		}
-		box.flights = box.flights[:0]
+		n.outbox[qi] = box[:0]
 	}
 }
 

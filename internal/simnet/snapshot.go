@@ -18,63 +18,58 @@ func (s *netState) clone() netState {
 	return c
 }
 
-// copyInto copies the destinations still to be delivered (a free flight has
-// none) into dst, reusing dst's array.
-func (s *flightState) copyInto(dst *flightState) {
-	dests := dst.dests
-	*dst = *s
-	dst.dests = append(dests[:0], s.dests[s.cur:]...)
-	dst.cur = 0
-}
-
 // netCheck is the Network's checkpoint: its own state plus the contents
 // behind every identity-preserved object — endpoints (parallel to nodes),
-// pooled deliveries and flights (parallel to the registries, whose lengths
-// they record), and connection pairs (parallel to cm.pairs).
+// pooled flights (parallel to the registry, whose length they record), and
+// connection pairs (parallel to cm.pairs).
 type netCheck struct {
 	netState
-	stats        Stats
-	eps          []epState
-	deliveries   []deliveryState
-	freeDelivery *delivery
-	flights      []flightState
-	freeFlight   *flight
-	pairs        []connState
-	conns        connCounts
+	stats   Stats
+	eps     []epState
+	flights []flightState
+	free    [2]*flight
+	pairs   []connState
+	conns   connCounts
 }
 
 // Snapshot captures the network: endpoint liveness and incarnations,
 // partition rules and blocked-pair counts, per-interface degradation tables,
-// every pooled delivery and broadcast flight (in-flight or free) and the
-// connection layer's pair states. The node table, contexts, handlers and
-// registries are identity-preserved; the scheduler owns the RNG streams
-// (simnet's per-node latency, loss and jitter streams register there).
-// Checkpoints capture the sequential layout only; the forking API falls back
-// before snapshotting.
+// every pooled flight (in flight or free) and the connection layer's pair
+// states. The node table, contexts, handlers and registry are
+// identity-preserved; the scheduler owns the RNG streams (simnet's per-node
+// latency, loss and jitter streams register there). Checkpoints capture the
+// sequential layout only; the forking API falls back before snapshotting.
 func (n *Network) Snapshot() snapshot.State {
-	if len(n.pools) > 1 {
+	if len(n.flights) > 1 {
 		panic("simnet: Snapshot requires the sequential network (see DisableParallel)")
 	}
-	dp, fp := &n.pools[0], &n.flights[0]
+	fp := &n.flights[0]
 	st := &netCheck{
-		netState:     n.netState.clone(),
-		stats:        n.statsh[0],
-		eps:          make([]epState, len(n.nodes)),
-		deliveries:   make([]deliveryState, len(dp.all)),
-		freeDelivery: dp.free,
-		flights:      make([]flightState, len(fp.all)),
-		freeFlight:   fp.free,
+		netState: n.netState.clone(),
+		stats:    n.statsh[0],
+		eps:      make([]epState, len(n.nodes)),
+		flights:  make([]flightState, len(fp.all)),
+		free:     fp.free,
 	}
 	for i, ep := range n.nodes {
 		if ep != nil {
 			st.eps[i] = ep.epState
 		}
 	}
-	for i, d := range dp.all {
-		st.deliveries[i] = d.deliveryState
+	// The destinations still to be delivered (a free flight has none) share
+	// one array, so a checkpoint costs the same few allocations however
+	// many messages are in flight.
+	rest := 0
+	for _, f := range fp.all {
+		rest += len(f.dests) - int(f.cur)
 	}
+	dests := make([]flightDest, 0, rest)
 	for i, f := range fp.all {
-		f.flightState.copyInto(&st.flights[i])
+		lo := len(dests)
+		dests = append(dests, f.dests[f.cur:]...)
+		s := &st.flights[i]
+		*s = f.flightState
+		s.dests, s.cur = dests[lo:len(dests):len(dests)], 0
 	}
 	if cm := n.conns; cm != nil {
 		st.conns = cm.connCounts
@@ -86,20 +81,21 @@ func (n *Network) Snapshot() snapshot.State {
 	return st
 }
 
-// Restore rewinds the network to a state captured by Snapshot. Deliveries
-// and flights allocated since the checkpoint drop out of their registries:
-// only closures restored with the scheduler heap can reference them, and
-// those predate the checkpoint too.
+// Restore rewinds the network to a state captured by Snapshot. Flights
+// allocated since the checkpoint drop out of the registry: only closures
+// restored with the scheduler heap can reference them, and those predate
+// the checkpoint too. A restored flight copies its destinations into its
+// own array; the checkpoint stays intact for the next Restore.
 func (n *Network) Restore(state snapshot.State) {
 	st, ok := state.(*netCheck)
 	if !ok {
 		panic("simnet: Network.Restore on foreign state")
 	}
-	if len(n.pools) > 1 {
+	if len(n.flights) > 1 {
 		panic("simnet: Restore requires the sequential network")
 	}
-	dp, fp := &n.pools[0], &n.flights[0]
-	if len(st.eps) != len(n.nodes) || len(st.deliveries) > len(dp.all) || len(st.flights) > len(fp.all) {
+	fp := &n.flights[0]
+	if len(st.eps) != len(n.nodes) || len(st.flights) > len(fp.all) {
 		panic("simnet: Network.Restore state from a different deployment or network history")
 	}
 	n.netState = st.netState.clone()
@@ -109,13 +105,11 @@ func (n *Network) Restore(state snapshot.State) {
 			ep.epState = st.eps[i]
 		}
 	}
-	dp.all, dp.free = dp.all[:len(st.deliveries)], st.freeDelivery
-	for i, d := range dp.all {
-		d.deliveryState = st.deliveries[i]
-	}
-	fp.all, fp.free = fp.all[:len(st.flights)], st.freeFlight
+	fp.all, fp.free = fp.all[:len(st.flights)], st.free
 	for i, f := range fp.all {
-		st.flights[i].copyInto(&f.flightState)
+		dests := f.dests
+		f.flightState = st.flights[i]
+		f.dests = append(dests[:0], st.flights[i].dests...)
 	}
 	if cm := n.conns; cm != nil {
 		cm.connCounts = st.conns

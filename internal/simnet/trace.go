@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"fmt"
-	"io"
 	"time"
 )
 
@@ -68,41 +67,11 @@ type TraceEvent struct {
 	Detail string
 }
 
-// String renders the event as one log line.
-func (e TraceEvent) String() string {
-	switch e.Kind {
-	case TraceConnDown, TraceConnUp:
-		return fmt.Sprintf("%8.1fs %-10s %v<->%v %s", e.At.Seconds(), e.Kind, e.Node, e.Peer, e.Detail)
-	default:
-		return fmt.Sprintf("%8.1fs %-10s %v %s", e.At.Seconds(), e.Kind, e.Node, e.Detail)
-	}
-}
-
 // Tracer receives lifecycle events as they happen.
 type Tracer func(TraceEvent)
 
 // SetTracer installs a lifecycle tracer (nil disables tracing).
 func (n *Network) SetTracer(t Tracer) { n.tracer = t }
-
-// WriterTracer returns a tracer that writes one line per event.
-func WriterTracer(w io.Writer) Tracer {
-	return func(ev TraceEvent) {
-		fmt.Fprintln(w, ev.String())
-	}
-}
-
-// MultiTracer fans every event out to all given tracers in order, skipping
-// nil entries; it lets a log writer and a metrics recorder share the
-// network's single tracer slot.
-func MultiTracer(tracers ...Tracer) Tracer {
-	return func(ev TraceEvent) {
-		for _, t := range tracers {
-			if t != nil {
-				t(ev)
-			}
-		}
-	}
-}
 
 func (n *Network) trace(ev TraceEvent) {
 	if n.tracer != nil {

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -76,20 +75,6 @@ func TestTracerConnEvents(t *testing.T) {
 	}
 	if downs == 0 || ups == 0 {
 		t.Fatalf("conn events: downs=%d ups=%d", downs, ups)
-	}
-}
-
-func TestWriterTracerFormatsLines(t *testing.T) {
-	var buf strings.Builder
-	tr := WriterTracer(&buf)
-	tr(TraceEvent{At: 3 * time.Second, Kind: TraceNodeHalt, Node: 7, Peer: 7})
-	tr(TraceEvent{At: 4 * time.Second, Kind: TraceConnUp, Node: 1, Peer: 2, Detail: "handshake"})
-	out := buf.String()
-	if !strings.Contains(out, "node-halt") || !strings.Contains(out, "n7") {
-		t.Fatalf("out = %q", out)
-	}
-	if !strings.Contains(out, "n1<->n2") {
-		t.Fatalf("out = %q", out)
 	}
 }
 

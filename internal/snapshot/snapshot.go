@@ -29,12 +29,13 @@
 //     rule invisibly; the snapshot-fields analyzer reports a mutated field
 //     declared beside the state.
 //   - Objects captured by scheduled closures (round states, protocol
-//     instances, connection pairs, pooled deliveries and flights, tickers)
-//     restore *through the same pointer*: the checkpoint holds (pointer,
-//     copy of the pointee's state) and Restore writes the copy back through
-//     the pointer. Replacing such an object would strand the queued closures
-//     on the stale one. Registries of them (RNG streams, tickers, pools) grow
-//     deterministically, so Restore truncates to the checkpoint length.
+//     instances, connection pairs, tickers, simnet's pooled flights — every
+//     message in flight is one) restore *through the same pointer*: the
+//     checkpoint holds (pointer, copy of the pointee's state) and Restore
+//     writes the copy back through the pointer. Replacing such an object
+//     would strand the queued closures on the stale one. Registries of them
+//     (RNG streams, tickers, the flight pool) grow deterministically, so
+//     Restore truncates to the checkpoint length.
 package snapshot
 
 import "maps"

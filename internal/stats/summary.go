@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Summary condenses a latency distribution into the moments and quantiles
@@ -52,69 +51,6 @@ func (s Summary) String() string {
 	}
 	return fmt.Sprintf("n=%d mean=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f",
 		s.Count, s.Mean, s.P50, s.P95, s.P99, s.Max)
-}
-
-// Histogram is a fixed-width binning of a sample set.
-type Histogram struct {
-	Width  float64 `json:"width"`
-	Counts []int   `json:"counts"`
-	Over   int     `json:"over"` // samples beyond the last bin
-}
-
-// NewHistogram bins samples into bins of the given width covering
-// [0, width*bins); larger samples land in Over.
-func NewHistogram(samples []float64, width float64, bins int) Histogram {
-	if width <= 0 {
-		width = 1
-	}
-	if bins <= 0 {
-		bins = 1
-	}
-	h := Histogram{Width: width, Counts: make([]int, bins)}
-	for _, v := range samples {
-		if v < 0 {
-			v = 0
-		}
-		i := int(v / width)
-		if i >= bins {
-			h.Over++
-			continue
-		}
-		h.Counts[i]++
-	}
-	return h
-}
-
-// Total returns the number of binned samples, including overflow.
-func (h Histogram) Total() int {
-	total := h.Over
-	for _, c := range h.Counts {
-		total += c
-	}
-	return total
-}
-
-// Render draws the histogram as fixed-width text rows.
-func (h Histogram) Render(maxWidth int) string {
-	if maxWidth <= 0 {
-		maxWidth = 40
-	}
-	peak := 1
-	for _, c := range h.Counts {
-		if c > peak {
-			peak = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range h.Counts {
-		bar := strings.Repeat("#", c*maxWidth/peak)
-		fmt.Fprintf(&b, "%8.2f-%8.2f %6d %s\n",
-			float64(i)*h.Width, float64(i+1)*h.Width, c, bar)
-	}
-	if h.Over > 0 {
-		fmt.Fprintf(&b, "%17s %6d\n", "overflow", h.Over)
-	}
-	return b.String()
 }
 
 // KolmogorovSmirnov returns the KS statistic between two sample sets: the

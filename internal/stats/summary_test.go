@@ -57,37 +57,6 @@ func TestPropertySummaryQuantileOrdering(t *testing.T) {
 	}
 }
 
-func TestHistogramBinsAndOverflow(t *testing.T) {
-	h := NewHistogram([]float64{0.1, 0.9, 1.5, 2.5, 99}, 1, 3)
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[2] != 1 {
-		t.Fatalf("counts = %v", h.Counts)
-	}
-	if h.Over != 1 {
-		t.Fatalf("over = %d", h.Over)
-	}
-	if h.Total() != 5 {
-		t.Fatalf("total = %d", h.Total())
-	}
-}
-
-func TestHistogramNegativeClampsToZero(t *testing.T) {
-	h := NewHistogram([]float64{-5}, 1, 2)
-	if h.Counts[0] != 1 {
-		t.Fatalf("counts = %v", h.Counts)
-	}
-}
-
-func TestHistogramRender(t *testing.T) {
-	h := NewHistogram([]float64{0.5, 0.6, 1.5, 10}, 1, 2)
-	out := h.Render(10)
-	if !strings.Contains(out, "overflow") {
-		t.Fatalf("render = %q", out)
-	}
-	if strings.Count(out, "\n") != 3 {
-		t.Fatalf("render = %q", out)
-	}
-}
-
 func TestKolmogorovSmirnovKnownValues(t *testing.T) {
 	if d := KolmogorovSmirnov([]float64{1, 2}, []float64{1, 2}); d != 0 {
 		t.Fatalf("identical KS = %v", d)
