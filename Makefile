@@ -91,9 +91,10 @@ fuzz-smoke:
 	done
 
 # sim-digests replays scripts/sim_digests.txt: one stablbench run (-reps 1
-# -trace 0) per `<seed> <workload> <digest> <allocs_per_commit>` line — all
-# five benchmark workloads at seed 42, four at seed 7 — and fails on the first
-# sim_digest that differs or allocs_per_commit more than 1 % off. It is the
+# -trace 0) per `<seed> <workload> key=value …` line — all five benchmark
+# workloads at seed 42, four at seed 7 — and fails naming each key that moved:
+# sim_digest or a simulated count that differs, or allocs_per_commit more
+# than 1 % off. It is the
 # "every simulated column identical" every host-side PR asserts, and the
 # allocation level the last perf PR set, as a gate (about a minute and a half;
 # see scripts/sim_digests.sh).

@@ -129,6 +129,19 @@ func run(args []string, out io.Writer) error {
 	if *bucket <= 0 {
 		return fmt.Errorf("-bucket %v: must be positive", *bucket)
 	}
+	// core reads a zero count or instant as "use the default", so an
+	// explicit 0 would silently run a different experiment.
+	for _, f := range []struct {
+		name string
+		zero bool
+	}{
+		{"validators", *validators == 0}, {"clients", *clients == 0}, {"rate", *rate == 0},
+		{"duration", *duration == 0}, {"inject", *inject == 0}, {"recover", *recover == 0},
+	} {
+		if f.zero {
+			return fmt.Errorf("-%s 0: must be non-zero (0 would mean the default)", f.name)
+		}
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

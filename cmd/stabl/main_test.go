@@ -141,6 +141,25 @@ func TestCLIRejectsNonPositiveBucket(t *testing.T) {
 	}
 }
 
+// TestCLIRejectsExplicitZero: core reads a zero deployment size, rate or
+// instant as its default, so a 0 on the command line is refused by flag name
+// before any simulation starts (`-inject 0s` used to inject at 2m13s).
+func TestCLIRejectsExplicitZero(t *testing.T) {
+	for _, name := range []string{"validators", "clients", "rate", "duration", "inject", "recover"} {
+		t.Run(name, func(t *testing.T) {
+			start := time.Now()
+			var buf strings.Builder
+			err := run([]string{"-duration", "20s", "-inject", "5s", "-recover", "10s", "-" + name, "0", "-fault", "crash", "run"}, &buf)
+			if err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
+				t.Errorf("-%s 0: error = %v, want one naming -%s", name, err, name)
+			}
+			if wall := time.Since(start); wall > time.Second {
+				t.Errorf("-%s 0: refused after %v, want before any run", name, wall)
+			}
+		})
+	}
+}
+
 func TestCLIUnknownSystem(t *testing.T) {
 	var buf strings.Builder
 	if err := run([]string{"-system", "Bitcoin", "run"}, &buf); err == nil {

@@ -1,18 +1,22 @@
 package stabl
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestDocsNameOnlyLiveTargets: every `make <target>` and every
-// BENCH_<name>.json the living documents name exists. ROADMAP.md and
-// CHANGES.md are history and exempt. This is the check that would have kept
-// four make targets and six report files from outliving their purpose in the
-// docs.
+// TestDocsNameOnlyLiveTargets: every `make <target>`, every
+// BENCH_<name>.json and every Test/Fuzz/Benchmark name the living documents
+// name exists; a test name only as the prefix of some test function, since
+// docs cite `-run` patterns. ROADMAP.md and CHANGES.md are history and
+// exempt. This is the check that would have kept four make targets, six
+// report files and the per-table golden tests from outliving their purpose in
+// the docs.
 func TestDocsNameOnlyLiveTargets(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -39,6 +43,8 @@ func TestDocsNameOnlyLiveTargets(t *testing.T) {
 	quoted := regexp.MustCompile("`make ([a-z][a-z0-9-]*)")
 	command := regexp.MustCompile(`^\s*(?:- run: )?make ([a-z][a-z0-9-]*)`)
 	report := regexp.MustCompile(`BENCH_[A-Za-z0-9_]+\.json`)
+	testName := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*`)
+	funcs := testFuncs(t)
 	for _, path := range []string{
 		"README.md", "DESIGN.md", "EXPERIMENTS.md", "Makefile",
 		".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md",
@@ -68,6 +74,51 @@ func TestDocsNameOnlyLiveTargets(t *testing.T) {
 					t.Errorf("%s:%d: names %s, which does not exist", path, i+1, name)
 				}
 			}
+			for _, name := range testName.FindAllString(line, -1) {
+				if !slices.ContainsFunc(funcs, func(f string) bool { return strings.HasPrefix(f, name) }) {
+					t.Errorf("%s:%d: names %s, which no test function in a _test.go file starts with", path, i+1, name)
+				}
+			}
+		}
+	}
+}
+
+// testFuncs lists the Test, Fuzz and Benchmark functions of every _test.go
+// file in the module.
+func testFuncs(t *testing.T) []string {
+	t.Helper()
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	var funcs []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir // .git, build caches
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(data, -1) {
+			funcs = append(funcs, string(m[1]))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return funcs
+}
+
+// TestDocsLineBudget: DESIGN.md and EXPERIMENTS.md may not grow past the
+// length they had when the budget was set, so a new section is paid for by
+// deleting an old one.
+func TestDocsLineBudget(t *testing.T) {
+	for path, budget := range map[string]int{"DESIGN.md": 1157, "EXPERIMENTS.md": 1123} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(data), "\n"); n > budget {
+			t.Errorf("%s is %d lines, over its budget of %d: delete before adding", path, n, budget)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package stabl
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 	"time"
 
@@ -104,9 +103,7 @@ func TestGoldenForkMatchesReplay(t *testing.T) {
 			cfgB := cfg
 			cfgB.Metrics = recB
 			e, fp, got := runForked(t, cfgB)
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("forked continuation diverged from replay:\nreplay: %+v\nforked: %+v", want, got)
-			}
+			sameRender(t, "forked continuation against replay", renderRun("run", want), renderRun("run", got))
 			if r.overlay != "" && got.Overlay.Relayed == 0 {
 				t.Error("the overlay relayed nothing; the row exercises no router state")
 			}
@@ -120,10 +117,7 @@ func TestGoldenForkMatchesReplay(t *testing.T) {
 			// continuation must not leak into the second.
 			fp.Rewind()
 			e.RunUntil(e.Config().Duration)
-			again := e.Collect()
-			if !reflect.DeepEqual(got, again) {
-				t.Errorf("second continuation diverged from first:\nfirst:  %+v\nsecond: %+v", got, again)
-			}
+			sameRender(t, "second continuation against first", renderRun("run", got), renderRun("run", e.Collect()))
 			if gotLines := recorderLines(t, recB); !bytes.Equal(wantLines, gotLines) {
 				t.Errorf("second continuation's metrics timeline diverged")
 			}
@@ -155,9 +149,7 @@ func TestGoldenForkParallelFallback(t *testing.T) {
 	if got.SimWorkers != 0 {
 		t.Errorf("forked run reported SimWorkers=%d, want 0 (fork must sequentialize)", got.SimWorkers)
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("forked parallel-configured run diverged from sequential replay:\nreplay: %+v\nforked: %+v", want, got)
-	}
+	sameRender(t, "forked parallel-configured run against sequential replay", renderRun("run", want), renderRun("run", got))
 
 	// Once a parallel run has started, its queues hold partition events and
 	// the sequential fallback is closed: Fork must refuse.
@@ -204,16 +196,11 @@ func TestForkDivergeIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(wantSibling, steered) {
-		t.Errorf("steered continuation diverged from from-scratch sibling run:\nscratch: %+v\nsteered: %+v", wantSibling, steered)
-	}
+	sameRender(t, "steered continuation against from-scratch sibling run", renderRun("run", wantSibling), renderRun("run", steered))
 
 	// Continuation 3: rewind restores the original timeline, script
 	// contents and reported targets alike.
 	fp.Rewind()
 	e.RunUntil(e.Config().Duration)
-	origB := e.Collect()
-	if !reflect.DeepEqual(origA, origB) {
-		t.Errorf("original schedule no longer reproducible after steered continuation:\nfirst: %+v\nafter: %+v", origA, origB)
-	}
+	sameRender(t, "original schedule after the steered continuation", renderRun("run", origA), renderRun("run", e.Collect()))
 }

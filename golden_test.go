@@ -1,68 +1,283 @@
 package stabl
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"stabl/internal/core"
 )
 
-// TestGoldenSeed42Scores pins the exact sensitivity scores (and, as a
-// stronger determinism witness, the commit and scheduler-event counts) of all
-// five systems under an f=t crash at seed 42. The values were captured from
-// the seed kernel; any kernel change — event queue, send path, RNG derivation
-// — must reproduce them byte-for-byte. A drift here means the optimization
-// changed the simulation, not just its speed.
-//
-// Regenerated deliberately with the parallel-kernel PR: the network now draws
-// latency/loss/jitter from per-sender-node RNG streams (so draw order is
-// partition-schedule-invariant) instead of three shared streams, which moves
-// every trajectory. The parallel goldens (golden_parallel_test.go) pin the
-// new trajectories to be worker-count-invariant.
-func TestGoldenSeed42Scores(t *testing.T) {
+// update rewrites the golden files from this run instead of comparing
+// against them: go test -run TestGolden -update .
+var update = flag.Bool("update", false, "rewrite testdata/golden/*.txt from this run")
+
+// hostOnly names the RunResult fields that describe how the host executed a
+// run, not what it measured: the only fields allowed to differ between
+// kernels, and the only ones no golden holds.
+var hostOnly = []string{"SimWorkers", "SimWindows", "SimBusyWall", "SimCriticalWall"}
+
+// renderComparison is the canonical golden text of a comparison: one
+// "<Go field path> <value>" per line, floats in their shortest exact form,
+// then both runs.
+func renderComparison(cmp *Comparison) string {
+	var b strings.Builder
+	s := cmp.Score
+	fmt.Fprintf(&b, "System %s\nEnvironment %s\n", cmp.System, cmp.Environment())
+	fmt.Fprintf(&b, "Score.Value %v\nScore.Infinite %t\nScore.Benefit %t\nScore.Baseline %v\nScore.Altered %v\n",
+		s.Value, s.Infinite, s.Benefit, s.Baseline, s.Altered)
+	fmt.Fprintf(&b, "InjectAt %v\nRecoverAt %v\nRecovered %t\nRecoveryTime %v\n",
+		cmp.InjectAt, cmp.RecoverAt, cmp.Recovered, cmp.RecoveryTime)
+	return b.String() + renderRun("baseline", cmp.Baseline) + renderRun("altered", cmp.Altered)
+}
+
+// renderRun is the canonical text of one run, every key prefixed with run.
+// The sample slices render as their length and a digest of their exact
+// values in collection order; each integrity entry is a line of its own.
+func renderRun(run string, r *RunResult) string {
+	var b strings.Builder
+	line := func(key string, v any) { fmt.Fprintf(&b, "%s.%s %v\n", run, key, v) }
+	line("UniqueCommits", r.UniqueCommits)
+	line("Submitted", r.Submitted)
+	line("Pending", r.Pending)
+	line("LastCommitAt", r.LastCommitAt)
+	line("MaxHeight", r.MaxHeight)
+	line("LivenessLost", r.LivenessLost)
+	line("Events", r.Events)
+	for _, counters := range []struct {
+		name string
+		v    reflect.Value
+	}{{"NetStats", reflect.ValueOf(r.NetStats)}, {"Overlay", reflect.ValueOf(r.Overlay)}} {
+		for i := range counters.v.NumField() {
+			line(counters.name+"."+counters.v.Type().Field(i).Name, counters.v.Field(i))
+		}
+	}
+	line("FaultyNodes", r.FaultyNodes)
+	line("Reads", r.Reads)
+	line("ReadMismatches", r.ReadMismatches)
+	line("ReadDivergences", r.ReadDivergences)
+	line("Latencies", digest(r.Latencies))
+	line("ReadLatencies", digest(r.ReadLatencies))
+	line("Throughput.Bucket", r.Throughput.Bucket)
+	line("Throughput.Counts", digest(r.Throughput.Counts))
+	line("IntegrityErrors", len(r.IntegrityErrors))
+	for i, e := range r.IntegrityErrors {
+		line(fmt.Sprintf("IntegrityErrors[%d]", i), e)
+	}
+	return b.String()
+}
+
+// digest is a slice's length and the first 16 hex digits of the SHA-256 of
+// its values, exact and in order.
+func digest[T any](vs []T) string {
+	h := sha256.New()
+	for _, v := range vs {
+		fmt.Fprintf(h, "%v\n", v)
+	}
+	return fmt.Sprintf("n=%d sha256=%s", len(vs), hex.EncodeToString(h.Sum(nil))[:16])
+}
+
+// sameRender fails t at the first line where got differs from want.
+func sameRender(t *testing.T, what, want, got string) {
+	t.Helper()
+	if want == got {
+		return
+	}
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	i := 0
+	for i < len(w) && i < len(g) && w[i] == g[i] {
+		i++
+	}
+	line := func(lines []string) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return "<end of text>"
+	}
+	t.Errorf("%s, line %d: got %q, want %q", what, i+1, line(g), line(w))
+}
+
+// goldenRow is one pinned seed-42 configuration, rendered to
+// testdata/golden/<name>.txt. A fault-free config renders as one run, any
+// other as a comparison. Each of workers is a SimWorkers count whose render
+// must equal the sequential kernel's byte for byte.
+type goldenRow struct {
+	name    string
+	config  func() (Config, error)
+	workers []int
+}
+
+func goldenRows() []goldenRow {
+	const d = 120 * time.Second
+	crash := func(system, overlay string) func() (Config, error) {
+		return func() (Config, error) {
+			sys, err := SystemByName(system)
+			return Config{
+				System: sys, Seed: 42, Duration: d, Overlay: OverlayConfig{Topology: overlay},
+				Fault: FaultPlan{Kind: FaultCrash, InjectAt: 40 * time.Second, RecoverAt: 80 * time.Second},
+			}, err
+		}
+	}
+	scenario := func(name, system, overlay string) func() (Config, error) {
+		return func() (Config, error) {
+			sys, err := SystemByName(system)
+			if err != nil {
+				return Config{}, err
+			}
+			spec, err := BuiltinScenario(name, d)
+			if err != nil {
+				return Config{}, err
+			}
+			sc, err := spec.Build()
+			return Config{System: sys, Seed: 42, Duration: d, Overlay: OverlayConfig{Topology: overlay}, Scenario: sc}, err
+		}
+	}
+	parallel := []int{1, 2, 4}
+	var rows []goldenRow
+	for _, sys := range Systems() {
+		rows = append(rows,
+			goldenRow{"crash-" + sys.Name(), crash(sys.Name(), ""), parallel},
+			goldenRow{"kadcast-crash-" + sys.Name(), crash(sys.Name(), "kadcast"), parallel})
+	}
+	for _, sys := range []string{"Redbelly", "Algorand"} {
+		rows = append(rows, goldenRow{"eclipse-" + sys, scenario("eclipse", sys, "kadcast"), nil})
+		for _, sc := range []string{"cascade", "flap", "lossy-wan"} {
+			rows = append(rows, goldenRow{sc + "-" + sys, scenario(sc, sys, ""), nil})
+		}
+	}
+	return append(rows,
+		goldenRow{"committee-Algorand", func() (Config, error) { return committeeGoldenConfig(), nil }, nil},
+		// The scale suite's regime: committees of 64 seats, flow-aggregated
+		// clients, no managed connection layer, most nodes silent per round.
+		goldenRow{"committee-flows-Algorand", func() (Config, error) {
+			return Config{
+				System: NewAlgorand(), Seed: 42, Validators: 128, Clients: 256, Flows: 8,
+				FlowAccounts: 256, RatePerClient: 0.05, CommitteeSize: 64,
+				Duration: 60 * time.Second, DisableConnLayer: true,
+			}, nil
+		}, parallel})
+}
+
+// TestGolden holds every pinned configuration to its committed render, and
+// the parallel kernel to the sequential one. A deliberate move is
+// `go test -run TestGolden -update .` and a reviewed testdata/golden diff.
+func TestGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("golden score pin skipped in -short mode")
+		t.Skip("goldens skipped in -short mode")
 	}
-	golden := []struct {
-		system   string
-		score    float64
-		baseline int
-		altered  int
-		events   uint64
-	}{
-		{"Algorand", 0.6583754091741838, 23598, 23540, 287242},
-		{"Aptos", 10.098321156995958, 23888, 23800, 251322},
-		{"Avalanche", 6.5752913521527745, 23286, 23180, 724998},
-		{"Redbelly", 0.44121630216242469, 23922, 23853, 174732},
-		{"Solana", 5.2657835871997776, 23912, 23913, 132108},
+	for _, row := range goldenRows() {
+		t.Run(row.name, func(t *testing.T) {
+			t.Parallel()
+			render := func(workers int) string {
+				cfg, err := row.config()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.SimWorkers = workers
+				var text string
+				var runs []*RunResult
+				if cfg.Fault.Kind == FaultNone && cfg.Scenario == nil {
+					r, err := Run(cfg)
+					if err != nil {
+						t.Fatalf("P=%d: %v", workers, err)
+					}
+					text, runs = renderRun("run", r), []*RunResult{r}
+				} else {
+					cmp, err := Compare(cfg)
+					if err != nil {
+						t.Fatalf("P=%d: %v", workers, err)
+					}
+					text, runs = renderComparison(cmp), []*RunResult{cmp.Baseline, cmp.Altered}
+				}
+				for _, r := range runs {
+					if r.SimWorkers != workers {
+						t.Errorf("P=%d: run reported SimWorkers=%d", workers, r.SimWorkers)
+					}
+					// At n=10 a broadcast origin never pays more than the
+					// mesh's n-1 = 9 first-hop sends.
+					if ov := r.Overlay; ov.Origins > 0 && ov.SendsPerBroadcast() > 9 {
+						t.Errorf("%f sends/broadcast exceeds the n-1 mesh cost", ov.SendsPerBroadcast())
+					}
+				}
+				return text
+			}
+			want := render(0)
+			path := filepath.Join("testdata", "golden", row.name+".txt")
+			if *update {
+				if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			} else if file, err := os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			} else {
+				sameRender(t, path, string(file), want)
+			}
+			for _, p := range row.workers {
+				sameRender(t, fmt.Sprintf("P=%d against the sequential kernel", p), want, render(p))
+			}
+		})
 	}
+}
+
+// TestGoldenRendersEveryRunResultField: each RunResult field is rendered or
+// host-only, so a new measured field cannot escape the goldens.
+func TestGoldenRendersEveryRunResultField(t *testing.T) {
+	covered := make(map[string]bool)
+	for _, name := range hostOnly {
+		covered[name] = true
+	}
+	for _, l := range strings.Split(renderRun("r", &RunResult{}), "\n") {
+		key, _, _ := strings.Cut(strings.TrimPrefix(l, "r."), " ")
+		key, _, _ = strings.Cut(key, ".")
+		covered[key] = true
+	}
+	fields := reflect.TypeOf(RunResult{})
+	for i := range fields.NumField() {
+		if name := fields.Field(i).Name; !covered[name] {
+			t.Errorf("RunResult.%s is neither rendered by renderRun nor listed in hostOnly", name)
+		}
+	}
+}
+
+// TestParallelRunUntilInSlices pins Experiment.RunUntil's re-entrancy under
+// the parallel kernel: advancing a SimWorkers=2 run in 1 s slices must equal
+// advancing it in one call, and both must equal the sequential kernel.
+// (runParallel used to close its worker channels on return, so the second
+// slice panicked.)
+func TestParallelRunUntilInSlices(t *testing.T) {
 	cfg := Config{
+		System:   NewRedbelly(),
 		Seed:     42,
-		Duration: 120 * time.Second,
-		Fault:    FaultPlan{Kind: FaultCrash, InjectAt: 40 * time.Second, RecoverAt: 80 * time.Second},
+		Duration: 30 * time.Second,
+		Fault:    FaultPlan{Kind: FaultCrash, InjectAt: 10 * time.Second, RecoverAt: 20 * time.Second},
 	}
-	for i, sys := range Systems() {
-		want := golden[i]
-		if got := sys.Name(); got != want.system {
-			t.Fatalf("system %d = %s, want %s (registry order changed; regenerate goldens deliberately)", i, got, want.system)
-		}
+	run := func(workers int, slice time.Duration) string {
+		t.Helper()
 		c := cfg
-		c.System = sys
-		cmp, err := Compare(c)
+		c.System = NewRedbelly()
+		c.SimWorkers = workers
+		e, err := core.Build(c)
 		if err != nil {
-			t.Fatalf("%s: %v", want.system, err)
+			t.Fatalf("P=%d: %v", workers, err)
 		}
-		if cmp.Score.Infinite {
-			t.Errorf("%s: score became infinite, want %v", want.system, want.score)
-			continue
+		e.Start()
+		for e.Now() < cfg.Duration {
+			e.RunUntil(min(e.Now()+slice, cfg.Duration))
 		}
-		if cmp.Score.Value != want.score {
-			t.Errorf("%s: score = %.17g, want %.17g", want.system, cmp.Score.Value, want.score)
+		r := e.Collect()
+		if r.SimWorkers != workers {
+			t.Fatalf("P=%d: run reported SimWorkers=%d", workers, r.SimWorkers)
 		}
-		if cmp.Baseline.UniqueCommits != want.baseline || cmp.Altered.UniqueCommits != want.altered {
-			t.Errorf("%s: commits = %d/%d, want %d/%d", want.system,
-				cmp.Baseline.UniqueCommits, cmp.Altered.UniqueCommits, want.baseline, want.altered)
-		}
-		if cmp.Altered.Events != want.events {
-			t.Errorf("%s: altered run fired %d events, want %d", want.system, cmp.Altered.Events, want.events)
-		}
+		return renderRun("run", r)
 	}
+	want := run(0, cfg.Duration)
+	sameRender(t, "P=2 in one call against the sequential kernel", want, run(2, cfg.Duration))
+	sameRender(t, "P=2 in 1 s slices against the sequential kernel", want, run(2, time.Second))
 }

@@ -368,9 +368,11 @@ func TestChainIntegrity(t *testing.T) {
 // and 11 do the same; 2, 6, 8, 9, 10 and 42 are clean (EXPERIMENTS.md, "The
 // Aptos fork under the transient fault").
 //
-// When the model is fixed this test fails: delete it, add the `7
-// paper-transient` line to scripts/sim_digests.txt, and update EXPERIMENTS.md
-// and benchmark/pass.go's note on failed runs.
+// When the model is fixed this test fails: delete it, add a `7
+// paper-transient sim_digest=… allocs_per_commit=… tx_committed=…` line
+// with every key the seed-42 line has (the values `stablbench -reps 1 -trace
+// 0 -workload paper-transient -seed 7` prints) to scripts/sim_digests.txt,
+// and update EXPERIMENTS.md and benchmark/pass.go's note on failed runs.
 func TestAptosTransientForksAtSeed7(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pinned-finding run skipped in -short mode")
