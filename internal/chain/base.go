@@ -434,9 +434,9 @@ func (n *BaseNode) apply(b Block) {
 	if err != nil {
 		// A duplicate height or a block that fails hash-chain
 		// verification: drop it. Catch-up refetches the canonical
-		// block from peers. (The block's in-pipeline marks stay set —
-		// see ROADMAP item 4 and TestBaseNodeRejectedBlockKeepsPipelineMarks.)
+		// block from peers.
 		n.applyErrors++
+		n.releasePipeline(b)
 		return
 	}
 	now := n.ctx.Now()
@@ -455,6 +455,30 @@ func (n *BaseNode) apply(b Block) {
 	n.Pool.Drop(b.Txs)
 	if n.OnCommit != nil {
 		n.OnCommit(b, executed)
+	}
+}
+
+// releasePipeline clears the in-pipeline marks of a rejected block, so its
+// transactions can be proposed again — except those the mark still
+// describes: a committed transaction, and one that a block queued in the
+// pump also holds. The queued blocks' transactions carry txMark meanwhile.
+func (n *BaseNode) releasePipeline(b Block) {
+	t := &n.Ledger.txs
+	for _, q := range n.pending {
+		for _, tx := range q.Txs {
+			*t.slot(tx.ID) |= txMark
+		}
+	}
+	for _, tx := range b.Txs {
+		s := t.state(tx.ID)
+		if _, committed := committedHeight(s); !committed && s&txMark == 0 {
+			t.clear(tx.ID, txPipeline)
+		}
+	}
+	for _, q := range n.pending {
+		for _, tx := range q.Txs {
+			t.clear(tx.ID, txMark)
+		}
 	}
 }
 

@@ -260,25 +260,39 @@ func TestBaseSnapshotRestoreEveryTxState(t *testing.T) {
 	}
 }
 
-// TestBaseNodeRejectedBlockKeepsPipelineMarks pins a known defect so that
-// fixing it is a deliberate change (ROADMAP item 4): when Ledger.Append
-// rejects a block, apply returns before clearing the block's in-pipeline
-// marks, so this node never proposes those transactions again.
-func TestBaseNodeRejectedBlockKeepsPipelineMarks(t *testing.T) {
+// TestBaseNodeRejectedBlockReleasesPipelineMarks: when Ledger.Append rejects
+// a block, apply clears its transactions' in-pipeline marks, so the node
+// proposes them again — except a transaction already committed, and one
+// that a block still queued in the pump holds.
+func TestBaseNodeRejectedBlockReleasesPipelineMarks(t *testing.T) {
 	sched, _, v0, _, _, _ := baseTestSetup(t, BaseConfig{})
 	n := v0.base
-	tx := mkTx(0, 1, 1, 2, 0)
-	n.Pool.Add(tx)
-	n.SubmitBlock(Block{Height: 0, Parent: Hash{1}, Txs: []Tx{tx}}) // wrong parent
+	done := mkTx(0, 0, 1, 2, 0)
+	n.SubmitBlock(Block{Height: 0, Parent: n.TipHash(), Txs: []Tx{done}})
 	sched.RunUntil(10 * time.Millisecond)
-	if n.ApplyErrors() != 1 || n.Ledger.Height() != 0 {
+	if _, ok := n.Ledger.Committed(done.ID); !ok {
+		t.Fatal("the setup block did not commit")
+	}
+	stranded, held := mkTx(0, 1, 1, 2, 0), mkTx(0, 2, 1, 2, 0)
+	n.Pool.Add(stranded)
+	n.Pool.Add(held)
+	n.SubmitBlock(Block{Height: 2, Parent: Hash{2}, Txs: []Tx{held}})                 // waits for height 1
+	n.SubmitBlock(Block{Height: 1, Parent: Hash{1}, Txs: []Tx{stranded, held, done}}) // wrong parent
+	sched.RunUntil(20 * time.Millisecond)
+	if n.ApplyErrors() != 1 || n.Ledger.Height() != 1 {
 		t.Fatalf("block not rejected: errors=%d height=%d", n.ApplyErrors(), n.Ledger.Height())
 	}
-	if !n.InPipeline(tx.ID) {
-		t.Fatal("in-pipeline mark cleared on a rejected block: the behaviour this test pins changed")
+	if n.InPipeline(stranded.ID) {
+		t.Fatal("the rejected block left its transaction marked in the pipeline")
 	}
-	if !n.Pool.Contains(tx.ID) || len(n.ProposalTxs(10)) != 0 {
-		t.Fatal("the stranded transaction should stay pooled but unproposable")
+	if !n.InPipeline(held.ID) {
+		t.Fatal("released a transaction the queued block at height 2 still holds")
+	}
+	if h, ok := n.Ledger.Committed(done.ID); !ok || h != 0 {
+		t.Fatalf("the committed transaction moved: height %d, committed %v", h, ok)
+	}
+	if got := n.ProposalTxs(10); len(got) != 1 || got[0].ID != stranded.ID {
+		t.Fatalf("proposable after the rejection: %v, want the stranded transaction alone", got)
 	}
 }
 

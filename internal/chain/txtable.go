@@ -31,8 +31,9 @@ type txRow struct {
 // The 28 bits above the four flags hold the committed height plus one, zero
 // meaning "not committed".
 const (
-	// txMark is the first-sight mark of BaseNode.Union: set and cleared
-	// within one call pair, it is never set between events.
+	// txMark is a scratch mark — BaseNode.Union's first sight, and
+	// releasePipeline's "a queued block holds it": set and cleared within
+	// one event, it is never set between events.
 	txMark     uint32 = 1 << 0
 	txPooled   uint32 = 1 << 1 // queued in the node's mempool
 	txPipeline uint32 = 1 << 2 // in a decided-but-unexecuted block

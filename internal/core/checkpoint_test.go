@@ -27,6 +27,7 @@ import (
 var ownedPointers = map[string]bool{
 	"*client.pendingRead": true,
 	"*algorand.nodeSet":   true,
+	"*sim.chunk":          true,
 }
 
 // render writes v's state in a canonical text form, unexported fields

@@ -479,9 +479,10 @@ type RunResult struct {
 	Reads           int
 	ReadMismatches  int
 	ReadDivergences int
-	// IntegrityErrors lists hash-chain violations the monitor observed
-	// across the committed block sequence; always empty for a correct
-	// deployment.
+	// IntegrityErrors lists the safety violations the monitor observed
+	// across the committed block sequence, then a message-conservation
+	// failure of the network (see simnet.Network.CheckConservation); always
+	// empty for a correct deployment.
 	IntegrityErrors []string
 	// Overlay aggregates every validator router's counters; all zero when
 	// the run used the legacy full mesh.
@@ -838,6 +839,9 @@ func (e *Experiment) Collect() *RunResult {
 		FaultyNodes:     e.compiled.Affected,
 		Events:          e.sched.Fired(),
 		NetStats:        e.net.Stats(),
+	}
+	if err := e.net.CheckConservation(); err != nil {
+		res.IntegrityErrors = append(res.IntegrityErrors, err.Error())
 	}
 	if e.sched.Parallel() {
 		ps := e.sched.ParallelStats()

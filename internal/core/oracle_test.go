@@ -77,3 +77,41 @@ func TestNoDoubleCommit(t *testing.T) {
 		}
 	}
 }
+
+// TestMessageConservation runs the message-conservation oracle mid-run: the
+// five chains, fault-free (the baseline both fault kinds share) and under
+// the paper's transient and partition faults, seed 42, checked every 10
+// virtual seconds and in Collect. Every application message sent must be
+// delivered, dropped or still in flight at each check — through the outage,
+// the restarts that drop messages in flight and the heal.
+func TestMessageConservation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fifteen 400 s runs skipped in -short mode")
+	}
+	systems := []chain.System{algorand.Default(), aptos.Default(), avalanche.Default(), redbelly.Default(), solana.Default()}
+	for _, sys := range systems {
+		for _, kind := range []FaultKind{FaultNone, FaultTransient, FaultPartition} {
+			t.Run(fmt.Sprintf("%s/%v", sys.Name(), kind), func(t *testing.T) {
+				t.Parallel()
+				exp, err := Build(Config{System: sys, Seed: 42, Duration: 400 * time.Second, Fault: FaultPlan{Kind: kind}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				exp.Start()
+				for at := 10 * time.Second; at <= exp.Config().Duration; at += 10 * time.Second {
+					exp.RunUntil(at)
+					if err := exp.net.CheckConservation(); err != nil {
+						t.Fatalf("at %v: %v", at, err)
+					}
+				}
+				res := exp.Collect()
+				if len(res.IntegrityErrors) != 0 {
+					t.Fatalf("integrity errors: %q", res.IntegrityErrors)
+				}
+				if st := res.NetStats; st.Delivered == 0 || (kind != FaultNone && st.Dropped() == 0) {
+					t.Fatalf("the oracle saw no traffic to account for: %+v", st)
+				}
+			})
+		}
+	}
+}

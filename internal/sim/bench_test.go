@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -79,6 +80,38 @@ func BenchmarkSchedulerMixed(b *testing.B) {
 	}
 	b.StopTimer()
 	reportRate(b, uint64(b.N), "events/s")
+}
+
+// BenchmarkSchedulerHold is the hold model at a standing queue depth: each
+// op schedules one event a link delay (5–25 ms) ahead and executes the
+// earliest one, so the queue stays depth entries deep. 256 is the depth of a
+// paper-sized run, 8,192 and 65,536 those of the scale deployments; ns/op is
+// the cost of one event through the queue.
+func BenchmarkSchedulerHold(b *testing.B) {
+	for _, depth := range []int{256, 8192, 65536} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			s := sim.New(1)
+			rng := s.RNG("bench.delays")
+			delays := make([]time.Duration, 1024)
+			for i := range delays {
+				delays[i] = 5*time.Millisecond + time.Duration(rng.Int63n(int64(20*time.Millisecond)))
+			}
+			fn := func() {}
+			for i := 0; i < depth; i++ {
+				s.At(delays[i%len(delays)]-5*time.Millisecond, fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.At(s.Now()+delays[i%len(delays)], fn)
+				s.Step()
+			}
+			b.StopTimer()
+			if s.Pending() != depth {
+				b.Fatalf("queue depth %d, want %d", s.Pending(), depth)
+			}
+		})
+	}
 }
 
 // BenchmarkSchedulerRNG measures deriving a named random stream, which chain

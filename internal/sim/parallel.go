@@ -155,7 +155,7 @@ func (s *Scheduler) DisableParallel() {
 		return
 	}
 	for _, q := range s.qs[1:] {
-		if len(q.heap) != 0 {
+		if q.len() != 0 {
 			panic("sim: DisableParallel with pending partition events")
 		}
 	}
@@ -246,7 +246,7 @@ func (s *Scheduler) runParallel(deadline time.Duration) {
 		if h := (heapEntry{at: head.at + p.lookahead, lane: math.MinInt32}); h.less(bound) {
 			bound = h
 		}
-		if root := s.qs[0]; len(root.heap) > 0 && root.heap[0].less(bound) {
+		if root := s.qs[0]; root.head() && root.heap[0].less(bound) {
 			bound = root.heap[0]
 		}
 		s.window(bound)

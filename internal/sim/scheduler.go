@@ -13,17 +13,19 @@
 // (see parallel.go) execute partitions of the node set concurrently and
 // still merge their event streams into exactly the sequential order.
 //
-// The event queue is built for throughput: an inlined 4-ary min-heap over
-// value-typed entries, with callbacks parked in a free-listed slot arena so
-// that At/After/Step allocate nothing in steady state. Timer handles refer
-// to (queue, slot, generation) triples, which keeps stale handles safe after
-// a slot is recycled. Cancellation is lazy — a stopped event's heap entry
-// stays queued until it surfaces.
+// The event queue is built for throughput: a monotone radix queue over
+// value-typed entries (see queueState), where scheduling past the current
+// instant is an O(1) append, with callbacks parked in a free-listed slot
+// arena so that At/After/Step allocate nothing in steady state. Timer
+// handles refer to (queue, slot, generation) triples, which keeps stale
+// handles safe after a slot is recycled. Cancellation is lazy — a stopped
+// event's entry stays queued until it surfaces.
 package sim
 
 import (
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"time"
@@ -71,7 +73,7 @@ type schedState struct {
 	tickers []*Ticker
 }
 
-// queue is one event sub-queue: a 4-ary min-heap plus its slot arena and
+// queue is one event sub-queue: a radix queue plus its slot arena and
 // clock. Sequential mode uses exactly one; parallel mode adds one per
 // worker. Each queue also records the key of the event it is currently
 // executing, which keys same-instant re-schedules and monitor records.
@@ -88,12 +90,25 @@ type queue struct {
 }
 
 // queueState is what outlives an event in a queue, and its checkpoint.
+//
+// The entries form a monotone radix queue around a floor instant. heap holds
+// every entry at or before floor, ordered by the full key; every later entry
+// sits unordered in buckets[b], where b is the highest bit in which its at
+// differs from floor. So heap[0], when there is one, is the least entry of
+// the queue, and a push that is not at the floor is an append. When the heap
+// runs dry, refill moves the floor to the least at of the lowest non-empty
+// bucket and empties that bucket into the heap and strictly lower buckets.
 type queueState struct {
-	now   time.Duration
-	heap  []heapEntry // 4-ary min-heap ordered by (at, lane, seq, sub)
-	slots []eventSlot // callback arena referenced by heap entries and Timers
-	free  int32       // head of the slot free list (-1 when empty)
-	fired uint64
+	now      time.Duration
+	floor    time.Duration
+	heap     []heapEntry // 4-ary min-heap ordered by (at, lane, seq, sub)
+	buckets  [64]bucket
+	occupied uint64      // bit b set while buckets[b] holds entries
+	bucketed int         // entries across all buckets
+	spare    *chunk      // emptied chunks for reuse: memory, not simulated state
+	slots    []eventSlot // callback arena referenced by queued entries and Timers
+	free     int32       // head of the slot free list (-1 when empty)
+	fired    uint64
 	// subSeq is the queue's sub-key counter. It never resets, so a
 	// re-scheduled event's key always sorts after every key this queue has
 	// already executed — the property that keeps execution order equal to
@@ -103,7 +118,8 @@ type queueState struct {
 
 // heapEntry is a queued occurrence: the (at, lane, seq, sub) ordering key
 // plus a generation-checked reference into the slot arena. Entries are moved
-// by value during sifts; the slot never moves, so Timers stay valid.
+// by value between buckets and during sifts; the slot never moves, so
+// Timers stay valid.
 type heapEntry struct {
 	at   time.Duration
 	seq  uint64
@@ -113,9 +129,29 @@ type heapEntry struct {
 	gen  uint32
 }
 
+// bucket is one radix bucket: a stack of chunks, and the least at among its
+// entries, which becomes the floor when the bucket is refilled from.
+type bucket struct {
+	top *chunk
+	min time.Duration
+}
+
+// chunkLen is a bucket chunk's entry count: 63 entries and the 32-byte
+// header fill the 2 KiB allocation size class (64 would round up to 2,304
+// bytes). Chunks come from a per-queue free list, so a queue retains its
+// peak entry count plus at most one partial chunk per bucket, where slices
+// per bucket would retain the sum of every bucket's own peak.
+const chunkLen = 63
+
+// chunk is a fixed block of bucket entries, linked into its bucket's stack.
+type chunk struct {
+	next *chunk
+	e    []heapEntry // capacity chunkLen, never grown
+}
+
 // eventSlot parks a callback between scheduling and execution. gen increments
 // every time the slot is released (fired or cancelled), invalidating any
-// outstanding heap entry or Timer that still references the old occupancy.
+// outstanding queued entry or Timer that still references the old occupancy.
 type eventSlot struct {
 	fn   func()
 	next int32 // free-list link; -1 while occupied
@@ -176,7 +212,7 @@ func (s *Scheduler) Fired() uint64 {
 func (s *Scheduler) Pending() int {
 	n := 0
 	for _, q := range s.qs {
-		n += len(q.heap)
+		n += q.len()
 	}
 	return n
 }
@@ -341,7 +377,7 @@ func (s *Scheduler) Step() bool {
 
 // step pops entries until a live one surfaces and executes it.
 func (q *queue) step(s *Scheduler) bool {
-	for len(q.heap) > 0 && !s.halted {
+	for !s.halted && q.head() {
 		e := q.pop()
 		sl := &q.slots[e.slot]
 		if sl.gen != e.gen { // cancelled; slot already recycled
@@ -358,7 +394,7 @@ func (q *queue) step(s *Scheduler) bool {
 // deadline horizon, parallel windows drain each partition queue to the
 // window bound.
 func (q *queue) drain(s *Scheduler, bound heapEntry) {
-	for len(q.heap) > 0 && !s.halted && q.heap[0].less(bound) {
+	for !s.halted && q.head() && q.heap[0].less(bound) {
 		e := q.pop()
 		sl := &q.slots[e.slot]
 		if sl.gen != e.gen {
@@ -379,10 +415,10 @@ func (q *queue) exec(e heapEntry, fn func()) {
 	q.executing = false
 }
 
-// settleHead pops cancelled entries off the heap until a live event (true)
-// or emptiness (false) surfaces, so callers can trust heap[0].
+// settleHead pops cancelled entries until a live event (true) or emptiness
+// (false) surfaces, so callers can trust heap[0].
 func (q *queue) settleHead() bool {
-	for len(q.heap) > 0 {
+	for q.head() {
 		e := q.heap[0]
 		if q.slots[e.slot].gen == e.gen {
 			return true
@@ -492,7 +528,7 @@ func (q *queue) acquireSlot(fn func()) int32 {
 }
 
 // releaseSlot retires a slot's current occupancy: the generation bump
-// invalidates outstanding Timers and heap entries, and the slot joins the
+// invalidates outstanding Timers and queued entries, and the slot joins the
 // free list for reuse.
 func (q *queue) releaseSlot(slot int32) {
 	sl := &q.slots[slot]
@@ -519,8 +555,110 @@ func (e heapEntry) less(o heapEntry) bool {
 	return e.sub < o.sub
 }
 
-// push inserts an entry into the 4-ary min-heap.
+// len counts the queued entries, cancelled ones included.
+func (q *queueState) len() int { return len(q.heap) + q.bucketed }
+
+// head reports whether the queue holds an entry, refilling the heap from the
+// buckets when it has run dry; when it does, heap[0] is the least entry.
+// Peeking may move the floor past a drain bound: push is correct for any at.
+func (q *queue) head() bool { return len(q.heap) > 0 || q.refill() }
+
+// push queues an entry: into the heap at or before the floor, else as an
+// append to its bucket.
 func (q *queue) push(e heapEntry) {
+	if e.at <= q.floor {
+		q.heapPush(e)
+		return
+	}
+	q.bucketed++
+	q.bucketPush(e)
+}
+
+// bucketPush appends an entry later than the floor to its bucket. refill
+// repeats these lines in its loop, with the floor and the occupied mask in
+// locals: as a call per entry, the loop runs 20–30 % slower.
+func (q *queueState) bucketPush(e heapEntry) {
+	b := bits.Len64(uint64(e.at^q.floor)) - 1
+	bk := &q.buckets[b]
+	c := bk.top
+	if c == nil || len(c.e) == chunkLen {
+		c = q.newChunk(c)
+		bk.top = c
+	}
+	c.e = append(c.e, e)
+	if m := uint64(1) << b; q.occupied&m == 0 || e.at < bk.min {
+		bk.min = e.at
+		q.occupied |= m
+	}
+}
+
+// newChunk takes an empty chunk, from the free list when it has one, and
+// links it on top of next.
+func (q *queueState) newChunk(next *chunk) *chunk {
+	c := q.spare
+	if c == nil {
+		m := new(struct { // one allocation: the chunk and its entries
+			chunk
+			buf [chunkLen]heapEntry
+		})
+		c = &m.chunk
+		c.e = m.buf[:0]
+	} else {
+		q.spare = c.next
+	}
+	c.next, c.e = next, c.e[:0]
+	return c
+}
+
+// refill moves the floor to the least at of the lowest non-empty bucket b
+// and empties that bucket: entries at the new floor go to the heap, every
+// other one to a bucket below b. Bucket b's entries all agree with the old
+// floor above bit b and have bit b set, and so does the new floor, so they
+// differ from it only below b. Entries of the buckets above b differ from
+// the old floor at their own bit, above b, where the new floor still agrees
+// with the old one: they keep their index. It reports false when every
+// bucket is empty.
+func (q *queue) refill() bool {
+	if q.occupied == 0 {
+		return false
+	}
+	b := bits.TrailingZeros64(q.occupied)
+	q.occupied &^= 1 << b
+	bk := &q.buckets[b]
+	c := bk.top
+	bk.top = nil
+	floor, occupied := bk.min, q.occupied
+	q.floor = floor
+	for c != nil {
+		for _, e := range c.e {
+			if e.at == floor {
+				q.bucketed--
+				q.heapPush(e)
+				continue
+			}
+			i := bits.Len64(uint64(e.at^floor)) - 1 // bucketPush, inlined
+			d := &q.buckets[i]
+			t := d.top
+			if t == nil || len(t.e) == chunkLen {
+				t = q.newChunk(t)
+				d.top = t
+			}
+			t.e = append(t.e, e)
+			if m := uint64(1) << i; occupied&m == 0 || e.at < d.min {
+				d.min = e.at
+				occupied |= m
+			}
+		}
+		next := c.next
+		c.next, q.spare = q.spare, c
+		c = next
+	}
+	q.occupied = occupied
+	return true
+}
+
+// heapPush inserts an entry into the 4-ary min-heap.
+func (q *queueState) heapPush(e heapEntry) {
 	h := append(q.heap, e)
 	i := len(h) - 1
 	for i > 0 {
@@ -535,7 +673,8 @@ func (q *queue) push(e heapEntry) {
 	q.heap = h
 }
 
-// pop removes and returns the minimum entry.
+// pop removes and returns the minimum entry; the caller has seen head()
+// report true.
 func (q *queue) pop() heapEntry {
 	h := q.heap
 	top := h[0]
@@ -549,9 +688,8 @@ func (q *queue) pop() heapEntry {
 }
 
 // siftDown places e starting from the root, shifting smaller children up.
-// A 4-ary layout halves the tree depth versus a binary heap and keeps the
-// four children in one cache line, which is what buys the queue its
-// throughput on the deep queues real experiments build.
+// The 4-ary layout halves the tree depth of a binary heap; four 32-byte
+// children span two cache lines.
 func (q *queue) siftDown(e heapEntry) {
 	h := q.heap
 	n := len(h)

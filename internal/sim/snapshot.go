@@ -49,15 +49,33 @@ func (c *countingSource) Seed(seed int64) {
 	c.draws = 0
 }
 
-// copyInto makes dst an independent copy of s, reusing dst's heap and arena
-// storage when large enough. Entries are value types; the fn pointers inside
-// the copied slots are the closures queued at checkpoint time, which
-// restore-in-place keeps valid (see package snapshot).
+// copyInto makes dst an independent copy of s, reusing dst's heap, chunk
+// and arena storage when large enough. Entries are value types; the fn
+// pointers inside the copied slots are the closures queued at checkpoint
+// time, which restore-in-place keeps valid (see package snapshot). A copied
+// bucket keeps its chunk order, and no free chunk is copied.
 func (s *queueState) copyInto(dst *queueState) {
-	heap, slots := dst.heap, dst.slots
+	heap, slots, spare := dst.heap, dst.slots, dst.spare
+	for _, b := range dst.buckets {
+		for c := b.top; c != nil; {
+			next := c.next
+			c.next, spare = spare, c
+			c = next
+		}
+	}
 	*dst = *s
 	dst.heap = append(heap[:0], s.heap...)
 	dst.slots = append(slots[:0], s.slots...)
+	dst.spare = spare
+	for i := range dst.buckets {
+		link := &dst.buckets[i].top
+		for c := s.buckets[i].top; c != nil; c = c.next {
+			d := dst.newChunk(nil)
+			d.e = append(d.e, c.e...)
+			*link = d
+			link = &d.next
+		}
+	}
 }
 
 func (s *schedState) clone() schedState {

@@ -139,6 +139,12 @@ func (a *Stats) add(b Stats) {
 	a.DroppedLoss += b.DroppedLoss
 }
 
+// Dropped sums every drop counter.
+func (a Stats) Dropped() uint64 {
+	return a.DroppedPartition + a.DroppedConnDown + a.DroppedNodeDown +
+		a.DroppedInFlight + a.DroppedSenderDown + a.DroppedLoss
+}
+
 // Config parameterizes a Network.
 type Config struct {
 	// Latency models one-way delays; defaults to a 5-25 ms uniform link.
@@ -304,6 +310,30 @@ func (n *Network) Stats() Stats {
 		s.add(sh)
 	}
 	return s
+}
+
+// CheckConservation is the message-conservation oracle: every application
+// message sent was delivered, was dropped, or is still in flight — an
+// undelivered destination of an application flight, armed or parked in an
+// outbox. Connection-layer control flights are neither sent nor in flight in
+// this count. It returns an error naming the four numbers when the identity
+// fails, which a queue that lost or duplicated an event would make it do.
+// Call it between events.
+func (n *Network) CheckConservation() error {
+	st := n.Stats()
+	var inFlight uint64
+	for i := range n.flights {
+		for _, f := range n.flights[i].all {
+			if !f.control {
+				inFlight += uint64(len(f.dests) - int(f.cur))
+			}
+		}
+	}
+	if st.Sent == st.Delivered+st.Dropped()+inFlight {
+		return nil
+	}
+	return fmt.Errorf("message conservation: sent %d != delivered %d + dropped %d + in flight %d",
+		st.Sent, st.Delivered, st.Dropped(), inFlight)
 }
 
 // Lookahead returns the static lower bound of the configured latency model,

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -283,5 +284,45 @@ func TestSendAsDrawsFromTheNamedNodesStreams(t *testing.T) {
 	}
 	if reflect.DeepEqual(other, want) {
 		t.Fatal("nodes 0 and 1 drew the same delays: the test cannot tell streams apart")
+	}
+}
+
+// TestCheckConservation holds the message-conservation oracle on a network
+// whose messages end every way a message can — delivered, dropped at send
+// time by a partition or a down destination, dropped in flight by a crash —
+// checked while broadcasts are half delivered; then breaks one count and
+// expects the failure to name all four numbers.
+func TestCheckConservation(t *testing.T) {
+	sched, net, hs := newTestNet(t, 6, UniformLatency{Min: 5 * time.Millisecond, Max: 25 * time.Millisecond})
+	net.StartAll()
+	peers := []NodeID{0, 1, 2, 3, 4, 5}
+	net.Partition([]NodeID{3}, []NodeID{0, 1, 2, 4})
+	net.Halt(5)
+	for i := 0; i < 4; i++ {
+		hs[0].ctx.Broadcast(peers, i)
+		hs[1].ctx.Send(2, i)
+		hs[2].ctx.Send(4, i)
+	}
+	for _, at := range []time.Duration{0, 12 * time.Millisecond, 15 * time.Millisecond, 30 * time.Millisecond} {
+		if at == 15*time.Millisecond {
+			net.Halt(4) // whatever is still bound for 4 is dropped on arrival
+		}
+		sched.RunUntil(at)
+		if err := net.CheckConservation(); err != nil {
+			t.Fatalf("at %v: %v", at, err)
+		}
+		if st := net.Stats(); at == 12*time.Millisecond && st.Sent == st.Delivered+st.Dropped() {
+			t.Fatal("nothing in flight at 12 ms: the check counted no flight")
+		}
+	}
+	st := net.Stats()
+	if st.Delivered == 0 || st.DroppedPartition == 0 || st.DroppedNodeDown == 0 || st.DroppedInFlight == 0 {
+		t.Fatalf("not every way a message ends was exercised: %+v", st)
+	}
+	net.statsh[0].Delivered++
+	err := net.CheckConservation()
+	want := fmt.Sprintf("message conservation: sent %d != delivered %d + dropped %d + in flight 0", st.Sent, st.Delivered+1, st.Dropped())
+	if err == nil || err.Error() != want {
+		t.Fatalf("with one delivery too many: %v, want %q", err, want)
 	}
 }
