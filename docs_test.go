@@ -112,7 +112,7 @@ func testFuncs(t *testing.T) []string {
 // length they had when the budget was set, so a new section is paid for by
 // deleting an old one.
 func TestDocsLineBudget(t *testing.T) {
-	for path, budget := range map[string]int{"DESIGN.md": 1139, "EXPERIMENTS.md": 675} {
+	for path, budget := range map[string]int{"DESIGN.md": 1139, "EXPERIMENTS.md": 659} {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

@@ -300,6 +300,11 @@ type state struct {
 	lastReset  time.Duration
 	everReset  bool
 	rngPull    interface{ Intn(int) int }
+	// memo is the committee of (memoRound, memoStep), the last one asked
+	// for (see committeeAt).
+	memoRound int
+	memoStep  uint8
+	memo      *committee.Committee
 }
 
 var _ simnet.Handler = (*validator)(nil)
@@ -363,7 +368,7 @@ func (v *validator) Candidates(round int) []simnet.NodeID {
 		// Committee mode: the proposer candidates are the first k seats of
 		// the round's proposer committee — extraction order is the
 		// sortition priority, so no O(n log n) ranking of the full set.
-		ord := v.comm.Committee(uint64(round), stepProposer).Order()
+		ord := v.committeeAt(round, stepProposer).Order()
 		if k > len(ord) {
 			k = len(ord)
 		}
@@ -436,13 +441,25 @@ func (v *validator) rank(round int, id simnet.NodeID) int {
 // full-membership mode every node is seated at every step and the fixed
 // n-t quorum applies.
 
+// committeeAt returns the (round, step) committee. A validator asks for one
+// committee many times in a row (every vote of a step), so it keeps the last
+// one and asks the shared Schedule, behind its lock, only on a miss.
+// Committees are immutable and extraction is pure, so a hit returns a
+// committee identical to the Schedule's, even after the Schedule evicted it.
+func (v *validator) committeeAt(round int, step uint8) *committee.Committee {
+	if v.memo == nil || v.memoRound != round || v.memoStep != step {
+		v.memo, v.memoRound, v.memoStep = v.comm.Committee(uint64(round), step), round, step
+	}
+	return v.memo
+}
+
 // seated reports whether the local node sits on the (round, step)
 // committee.
 func (v *validator) seated(round int, step uint8) bool {
 	if v.comm == nil {
 		return true
 	}
-	return v.comm.Committee(uint64(round), step).IsMember(int(v.base.ID))
+	return v.committeeAt(round, step).IsMember(int(v.base.ID))
 }
 
 // countsAt reports whether a vote by voter counts at the (round, step)
@@ -451,7 +468,7 @@ func (v *validator) countsAt(round int, step uint8, voter simnet.NodeID) bool {
 	if v.comm == nil {
 		return true
 	}
-	return v.comm.Committee(uint64(round), step).IsMember(int(voter))
+	return v.committeeAt(round, step).IsMember(int(voter))
 }
 
 // stepQuorum returns the vote threshold of the (round, step) committee.
@@ -459,7 +476,7 @@ func (v *validator) stepQuorum(round int, step uint8) int {
 	if v.comm == nil {
 		return v.quorum
 	}
-	return v.comm.Committee(uint64(round), step).Quorum()
+	return v.committeeAt(round, step).Quorum()
 }
 
 // evidenceThreshold is how many distinct later-round senders prove the
@@ -469,7 +486,7 @@ func (v *validator) evidenceThreshold(round int) int {
 	if v.comm == nil {
 		return v.t + 1
 	}
-	return v.comm.Committee(uint64(round), uint8(stageSoft)).Evidence()
+	return v.committeeAt(round, uint8(stageSoft)).Evidence()
 }
 
 // Deliver implements simnet.Handler.

@@ -1,15 +1,25 @@
 package algorand
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"stabl/internal/chain"
+	"stabl/internal/committee"
 	"stabl/internal/sim"
 	"stabl/internal/simnet"
 )
 
 func unitValidator(t *testing.T, n int) (*sim.Scheduler, *validator) {
+	t.Helper()
+	return systemValidator(t, Default(), n)
+}
+
+// systemValidator is validator 0 of an n-node deployment of s, started, with
+// every other node a sink.
+func systemValidator(t *testing.T, s *System, n int) (*sim.Scheduler, *validator) {
 	t.Helper()
 	sched := sim.New(5)
 	net := simnet.New(sched, simnet.Config{Latency: simnet.FixedLatency(time.Millisecond)})
@@ -17,7 +27,7 @@ func unitValidator(t *testing.T, n int) (*sim.Scheduler, *validator) {
 	for i := range peers {
 		peers[i] = simnet.NodeID(i)
 	}
-	v, ok := Default().NewValidator(0, peers, chain.NewMonitor(), nil).(*validator)
+	v, ok := s.NewValidator(0, peers, chain.NewMonitor(), nil).(*validator)
 	if !ok {
 		t.Fatal("unexpected validator type")
 	}
@@ -162,4 +172,72 @@ func TestPullGossipExchangesPoolContents(t *testing.T) {
 	if !a.base.Pool.Contains(tx.ID) && !committed {
 		t.Fatal("pull gossip did not propagate the peer's transaction")
 	}
+}
+
+// TestCommitteeMemoEqualsSchedule holds every committee-mode lookup of a
+// validator, which answers from its one-entry memo on a repeat, to a
+// Schedule of its own: over interleaved (round, step) sequences, after a
+// Restore to a checkpoint taken while the memo pointed at a later round, and
+// after the shared Schedule evicted the memoized entry.
+func TestCommitteeMemoEqualsSchedule(t *testing.T) {
+	const n, size = 64, 16
+	sys := Default()
+	sys.SetCommitteeSize(size)
+	_, v := systemValidator(t, sys, n)
+	ref := committee.NewSchedule(sys.stakeTable(n), sys.cfg.SortitionSeed, size)
+	check := func(label string, round int, step uint8) {
+		t.Helper()
+		want := ref.Committee(uint64(round), step)
+		if got := v.committeeAt(round, step); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: committee (%d, %d) differs from the Schedule's", label, round, step)
+		}
+		if v.seated(round, step) != want.IsMember(int(v.base.ID)) ||
+			v.stepQuorum(round, step) != want.Quorum() ||
+			v.evidenceThreshold(round) != ref.Committee(uint64(round), stageSoft).Evidence() {
+			t.Fatalf("%s: seat, quorum or evidence threshold of (%d, %d) differs", label, round, step)
+		}
+		for voter := simnet.NodeID(0); voter < n; voter++ {
+			if v.countsAt(round, step, voter) != want.IsMember(int(voter)) {
+				t.Fatalf("%s: voter %d counts differently at (%d, %d)", label, voter, round, step)
+			}
+		}
+		if got, want := v.Candidates(round)[0], v.base.Peers[ref.Committee(uint64(round), stepProposer).Order()[0]]; got != want {
+			t.Fatalf("%s: round %d proposer is %v, want %v", label, round, got, want)
+		}
+	}
+	// memoized answers one lookup and reports whether the memo then holds
+	// the Schedule's committee.
+	memoized := func(round int, step uint8) bool {
+		return reflect.DeepEqual(v.committeeAt(round, step), ref.Committee(uint64(round), step))
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		check("interleaved", rng.Intn(6), uint8(rng.Intn(4)))
+	}
+
+	v.committeeAt(90, stageCert)
+	cp := v.Snapshot()
+	check("after checkpoint", 5, stageSoft)
+	v.Restore(cp)
+	if v.memoRound != 90 || v.memoStep != stageCert {
+		t.Fatalf("restored memo holds (%d, %d), want (90, %d)", v.memoRound, v.memoStep, stageCert)
+	}
+	if !memoized(90, stageCert) {
+		t.Fatal("restored memo differs from the Schedule's (90, cert)")
+	}
+	check("after restore", 5, stageSoft)
+
+	v.committeeAt(7, stepNext)
+	memo := v.memo
+	for r := uint64(1000); r < 1300; r++ {
+		v.comm.Committee(r, stepNext)
+	}
+	if v.comm.Committee(7, stepNext) == memo {
+		t.Fatal("the Schedule still holds (7, next): nothing was evicted")
+	}
+	if v.committeeAt(7, stepNext) != memo || !memoized(7, stepNext) {
+		t.Fatal("after eviction the memo no longer answers (7, next) with the Schedule's committee")
+	}
+	check("after eviction", 7, stepNext)
 }

@@ -152,7 +152,7 @@ func TestPropertyQueueMatchesReference(t *testing.T) {
 				if rng.Intn(4) == 0 { // a same-instant tie on (at, lane, seq)
 					e.at, e.lane, e.seq, e.sub = q.now, -1, 0, uint32(seq)
 				}
-				e.slot = q.acquireSlot(func() {})
+				e.slot = q.acquireSlot(funcEvent(func() {}))
 				e.gen = q.slots[e.slot].gen
 				q.push(e)
 				heap.Push(ref, e)
@@ -300,7 +300,7 @@ func (h *queueFuzz) keyed(lane int32, at time.Duration, child byte) {
 	at = max(at, h.s.qs[0].now)
 	seq := h.s.TakeLaneSeq(lane)
 	id := h.insert(EventKey{At: at, Lane: lane, Seq: seq}, child)
-	h.s.ScheduleKeyed(lane, lane, seq, at, func() { h.fire(id) })
+	h.s.ScheduleKeyed(lane, lane, seq, at, funcEvent(func() { h.fire(id) }))
 }
 
 // surface drops the cancelled entries at the model's head that sort before

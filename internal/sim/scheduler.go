@@ -1,9 +1,10 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// All STABL experiments run in virtual time: events are functions scheduled
-// at a virtual instant and executed in a deterministic total order. A
-// 400-second blockchain experiment therefore completes in milliseconds of
-// wall-clock time and is reproducible bit-for-bit from its seed.
+// All STABL experiments run in virtual time: events (an Event, or a plain
+// function) are scheduled at a virtual instant and executed in a
+// deterministic total order. A 400-second blockchain experiment therefore
+// completes in milliseconds of wall-clock time and is reproducible
+// bit-for-bit from its seed.
 //
 // Events are ordered by a four-part key (at, lane, seq, sub): the virtual
 // instant, the lane (node) that scheduled the event, a per-lane sequence
@@ -15,11 +16,13 @@
 //
 // The event queue is built for throughput: a monotone radix queue over
 // value-typed entries (see queueState), where scheduling past the current
-// instant is an O(1) append, with callbacks parked in a free-listed slot
-// arena so that At/After/Step allocate nothing in steady state. Timer
-// handles refer to (queue, slot, generation) triples, which keeps stale
-// handles safe after a slot is recycled. Cancellation is lazy — a stopped
-// event's entry stays queued until it surfaces.
+// instant is an O(1) append, with events parked in a free-listed slot arena
+// so that At/After/Step allocate nothing in steady state. A slot holds an
+// Event: a pooled object such as a network flight queues itself with no
+// closure, and a func() passed to At converts into one without allocating.
+// Timer handles refer to (queue, slot, generation) triples, which keeps
+// stale handles safe after a slot is recycled. Cancellation is lazy — a
+// stopped event's entry stays queued until it surfaces.
 package sim
 
 import (
@@ -149,11 +152,20 @@ type chunk struct {
 	e    []heapEntry // capacity chunkLen, never grown
 }
 
-// eventSlot parks a callback between scheduling and execution. gen increments
+// Event is what an event slot holds: Fire runs when the event's key comes up.
+type Event interface{ Fire() }
+
+// funcEvent is a func() as an Event. A func value is one pointer, so the
+// conversion stores it in the interface without allocating.
+type funcEvent func()
+
+func (f funcEvent) Fire() { f() }
+
+// eventSlot parks an event between scheduling and execution. gen increments
 // every time the slot is released (fired or cancelled), invalidating any
 // outstanding queued entry or Timer that still references the old occupancy.
 type eventSlot struct {
-	fn   func()
+	ev   Event
 	next int32 // free-list link; -1 while occupied
 	gen  uint32
 }
@@ -315,19 +327,20 @@ func (s *Scheduler) schedule(lane int32, at time.Duration, fn func()) Timer {
 		}
 		e = heapEntry{at: at, lane: lane, seq: s.takeLaneSeq(lane)}
 	}
-	e.slot = dq.acquireSlot(fn)
+	e.slot = dq.acquireSlot(funcEvent(fn))
 	e.gen = dq.slots[e.slot].gen
 	dq.push(e)
 	return Timer{s: s, at: e.at, slot: e.slot, qi: qi, gen: e.gen}
 }
 
-// ScheduleKeyed pushes fn with a fully specified key (at, keyLane, seq)
+// ScheduleKeyed pushes ev with a fully specified key (at, keyLane, seq)
 // onto the queue owning routeLane. The network's delivery path uses it: a
 // message's key belongs to its sender (assigned at send time via
-// TakeLaneSeq) while the event executes on the receiver's queue.
-func (s *Scheduler) ScheduleKeyed(routeLane, keyLane int32, seq uint64, at time.Duration, fn func()) {
+// TakeLaneSeq) while the event — the flight itself — executes on the
+// receiver's queue.
+func (s *Scheduler) ScheduleKeyed(routeLane, keyLane int32, seq uint64, at time.Duration, ev Event) {
 	dq, _ := s.queueFor(routeLane)
-	slot := dq.acquireSlot(fn)
+	slot := dq.acquireSlot(ev)
 	dq.push(heapEntry{at: at, lane: keyLane, seq: seq, slot: slot, gen: dq.slots[slot].gen})
 }
 
@@ -383,7 +396,7 @@ func (q *queue) step(s *Scheduler) bool {
 		if sl.gen != e.gen { // cancelled; slot already recycled
 			continue
 		}
-		q.exec(e, sl.fn)
+		q.exec(e, sl.ev)
 		return true
 	}
 	return false
@@ -400,18 +413,18 @@ func (q *queue) drain(s *Scheduler, bound heapEntry) {
 		if sl.gen != e.gen {
 			continue
 		}
-		q.exec(e, sl.fn)
+		q.exec(e, sl.ev)
 	}
 }
 
 // exec runs one event: slot release, clock advance, execution context.
-func (q *queue) exec(e heapEntry, fn func()) {
+func (q *queue) exec(e heapEntry, ev Event) {
 	q.releaseSlot(e.slot)
 	q.now = e.at
 	q.fired++
 	q.executing = true
 	q.curLane, q.curSeq, q.curSub = e.lane, e.seq, e.sub
-	fn()
+	ev.Fire()
 	q.executing = false
 }
 
@@ -513,17 +526,17 @@ func (s *Scheduler) RNGSeed(name string) int64 {
 	return d
 }
 
-// acquireSlot parks fn in a free slot and returns its index.
-func (q *queue) acquireSlot(fn func()) int32 {
+// acquireSlot parks ev in a free slot and returns its index.
+func (q *queue) acquireSlot(ev Event) int32 {
 	if q.free >= 0 {
 		slot := q.free
 		sl := &q.slots[slot]
 		q.free = sl.next
-		sl.fn = fn
+		sl.ev = ev
 		sl.next = -1
 		return slot
 	}
-	q.slots = append(q.slots, eventSlot{fn: fn, next: -1})
+	q.slots = append(q.slots, eventSlot{ev: ev, next: -1})
 	return int32(len(q.slots) - 1)
 }
 
@@ -532,7 +545,7 @@ func (q *queue) acquireSlot(fn func()) int32 {
 // free list for reuse.
 func (q *queue) releaseSlot(slot int32) {
 	sl := &q.slots[slot]
-	sl.fn = nil
+	sl.ev = nil
 	sl.gen++
 	sl.next = q.free
 	q.free = slot

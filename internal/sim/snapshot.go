@@ -50,9 +50,9 @@ func (c *countingSource) Seed(seed int64) {
 }
 
 // copyInto makes dst an independent copy of s, reusing dst's heap, chunk
-// and arena storage when large enough. Entries are value types; the fn
-// pointers inside the copied slots are the closures queued at checkpoint
-// time, which restore-in-place keeps valid (see package snapshot). A copied
+// and arena storage when large enough. Entries are value types; the events
+// inside the copied slots are the closures and pooled objects queued at
+// checkpoint time, which restore-in-place keeps valid (see package snapshot). A copied
 // bucket keeps its chunk order, and no free chunk is copied.
 func (s *queueState) copyInto(dst *queueState) {
 	heap, slots, spare := dst.heap, dst.slots, dst.spare

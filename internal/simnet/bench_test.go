@@ -1,6 +1,8 @@
 package simnet_test
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -63,6 +65,77 @@ func BenchmarkSendDeliver(b *testing.B) {
 		b.Fatalf("delivered %d, want %d", hs[1].delivered, b.N*batch)
 	}
 	reportRate(b, uint64(b.N)*batch, "msgs/s")
+}
+
+// BenchmarkBroadcast measures one broadcast and its drain: every destination
+// routed, the flight's destinations sorted into event-key order, and one
+// delivery per destination. 9 peers is the paper's deployment, 2,047 the
+// scale-mesh fan-out; 511 and 2,047 take the radix sort.
+func BenchmarkBroadcast(b *testing.B) {
+	for _, peers := range []int{9, 511, 2047} {
+		b.Run(fmt.Sprintf("peers=%d", peers), func(b *testing.B) {
+			sched, _, hs := benchNet(peers + 1)
+			ids := make([]simnet.NodeID, peers+1)
+			for i := range ids {
+				ids[i] = simnet.NodeID(i)
+			}
+			var payload any = "block"
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hs[0].ctx.Broadcast(ids, payload)
+				for sched.Step() {
+				}
+			}
+			b.StopTimer()
+			if got := hs[peers].delivered; got != b.N {
+				b.Fatalf("last peer got %d of %d broadcasts", got, b.N)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*peers), "ns/dest")
+		})
+	}
+}
+
+// TestBroadcastSizesArrayOnce checks that a flight built for a 2,047-peer
+// broadcast allocates its destination array once, at full size, instead of
+// growing it by doubling. On a warm network whose pool holds one unicast
+// flight, the first broadcast allocates that array and the pool's sort
+// buffer, two objects (twelve when the array doubled up from one); once it
+// drained, a second reuses both.
+func TestBroadcastSizesArrayOnce(t *testing.T) {
+	sched, _, hs := benchNet(2048)
+	ids := make([]simnet.NodeID, 2048)
+	for i := range ids {
+		ids[i] = simnet.NodeID(i)
+	}
+	var payload any = "block"
+	broadcast := func() { hs[0].ctx.Broadcast(ids, payload) }
+	drain := func() {
+		for sched.Step() {
+		}
+	}
+	hs[0].ctx.Send(1, payload) // warms the slot arena and the queue, and pools a flight of one
+	drain()
+	if got := mallocs(broadcast); got != 2 {
+		t.Fatalf("first broadcast allocated %d objects, want 2", got)
+	}
+	drain()
+	if got := mallocs(broadcast); got != 0 {
+		t.Fatalf("second broadcast allocated %d objects, want 0", got)
+	}
+	drain()
+	if got := hs[2047].delivered; got != 2 {
+		t.Fatalf("last peer got %d deliveries, want 2", got)
+	}
+}
+
+// mallocs counts the heap objects fn allocates.
+func mallocs(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // BenchmarkSendDegraded measures the send→deliver path with loss and jitter

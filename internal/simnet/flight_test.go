@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -56,8 +57,13 @@ func refSend(c *Context, virtual, to NodeID, payload any) {
 		return
 	}
 	inc := dst.incarnation
-	n.sched.ScheduleKeyed(int32(to), int32(src.id), seq, at, func() { n.arrive(dst, src.id, payload, inc, dst.qi) })
+	n.sched.ScheduleKeyed(int32(to), int32(src.id), seq, at, eventFunc(func() { n.arrive(dst, src.id, payload, inc, dst.qi) }))
 }
+
+// eventFunc is a closure as a sim.Event.
+type eventFunc func()
+
+func (f eventFunc) Fire() { f() }
 
 // mixNode is a scripted handler. Every delivery is logged with its execution
 // key; a per-node stream then decides whether to answer with a broadcast, a
@@ -177,14 +183,15 @@ func (coarseLatency) Sample(_, _ NodeID, rng *rand.Rand) time.Duration {
 
 func (coarseLatency) LowerBound() time.Duration { return 5 * time.Millisecond }
 
-// newMixRun builds the scenario of a seed: 8–24 nodes on a 5–25 ms mesh
-// (coarse-grained every third seed; the first half of the nodes behind the
-// connection layer on odd seeds), loss, jitter
-// and extra delay armed and cleared, a partition installed and healed
+// newMixRun builds the scenario of a seed: 8–24 nodes on a 5–25 ms mesh, or
+// 280–319 when wide, so that broadcasts stage flights past radixMin on every
+// queue even at four workers (coarse-grained every third seed; the first half
+// of the nodes, at most 16, behind the connection layer on odd seeds), loss,
+// jitter and extra delay armed and cleared, a partition installed and healed
 // mid-run, and a scripted broadcast during which a destination is halted
 // and restarted and the sender is halted. workers > 0 runs it on the
 // parallel kernel with the last node pinned to the root queue.
-func newMixRun(seed int64, workers int, mode sendMode) *mixRun {
+func newMixRun(seed int64, wide bool, workers int, mode sendMode) *mixRun {
 	script := rand.New(rand.NewSource(seed))
 	sched := sim.New(seed)
 	var lat LatencyModel = UniformLatency{Min: 5 * time.Millisecond, Max: 25 * time.Millisecond}
@@ -192,7 +199,10 @@ func newMixRun(seed int64, workers int, mode sendMode) *mixRun {
 		lat = coarseLatency{}
 	}
 	net := New(sched, Config{Latency: lat})
-	n := 8 + script.Intn(17)
+	n, budget := 8+script.Intn(17), 30
+	if wide {
+		n, budget = 280+script.Intn(40), 1
+	}
 	peers := make([]NodeID, n)
 	for i := range peers {
 		peers[i] = NodeID(i)
@@ -204,12 +214,12 @@ func newMixRun(seed int64, workers int, mode sendMode) *mixRun {
 	}
 	last := make([]sim.EventKey, workers+1)
 	for i, id := range peers {
-		h := &mixNode{id: id, sched: sched, peers: peers, mode: mode, budget: 30, last: &last[table[i]]}
+		h := &mixNode{id: id, sched: sched, peers: peers, mode: mode, budget: budget, last: &last[table[i]]}
 		r.hs = append(r.hs, h)
 		net.AddNode(id, h)
 	}
 	if seed%2 == 1 {
-		net.ManageConns(peers[:n/2], ConnParams{
+		net.ManageConns(peers[:min(n/2, 16)], ConnParams{
 			HeartbeatInterval: 50 * time.Millisecond,
 			IdleTimeout:       200 * time.Millisecond,
 			ReconnectBase:     100 * time.Millisecond,
@@ -354,22 +364,35 @@ func diffMix(t *testing.T, label string, want, got mixResult) {
 // of one (loops of Send) to the reference unicast: over randomised mixes both
 // produce refSend's delivery trace, counters, event count and RNG
 // consumption, on the sequential kernel and on 1, 2 and 4 parallel queues.
+// The wide mixes sort their broadcasts by radix passes, seed 3's on coarse
+// latency, where most destinations tie on the instant.
 func TestBroadcastEqualsSendLoop(t *testing.T) {
-	seeds := 24
+	seeds, wide := 24, []int64{1, 2, 3}
 	if testing.Short() {
-		seeds = 6
+		seeds, wide = 6, []int64{3}
+	}
+	type mix struct {
+		seed int64
+		wide bool
+	}
+	var mixes []mix
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		mixes = append(mixes, mix{seed, false})
+	}
+	for _, seed := range wide {
+		mixes = append(mixes, mix{seed, true})
 	}
 	var total Stats
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		ref := newMixRun(seed, 0, viaRef)
+	for _, m := range mixes {
+		ref := newMixRun(m.seed, m.wide, 0, viaRef)
 		ref.runTo(ref.end)
 		want := ref.result()
 		total.add(want.stats)
 		for _, workers := range []int{0, 1, 2, 4} {
 			for _, mode := range []sendMode{viaBroadcast, viaSendLoop} {
-				r := newMixRun(seed, workers, mode)
+				r := newMixRun(m.seed, m.wide, workers, mode)
 				r.runTo(r.end)
-				diffMix(t, fmt.Sprintf("seed %d workers %d mode %d", seed, workers, mode), want, r.result())
+				diffMix(t, fmt.Sprintf("seed %d wide %v workers %d mode %d", m.seed, m.wide, workers, mode), want, r.result())
 			}
 		}
 	}
@@ -414,11 +437,11 @@ type mixNodeState struct {
 // allocated after the checkpoint must drop out of the pool registry.
 func TestSnapshotWithFlightsHalfDelivered(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		whole := newMixRun(seed, 0, viaBroadcast)
+		whole := newMixRun(seed, false, 0, viaBroadcast)
 		whole.runTo(whole.end)
 		want := whole.result()
 
-		r := newMixRun(seed, 0, viaBroadcast)
+		r := newMixRun(seed, false, 0, viaBroadcast)
 		r.runTo(r.flightAt)
 		for {
 			half, single, control := inFlight(r.net)
@@ -602,3 +625,52 @@ func (h *relayHandler) Deliver(from NodeID, p any) {
 	}
 }
 func (h *relayHandler) Stop() {}
+
+// FuzzFlightOrder holds sortDests to the comparison sort it replaces above
+// radixMin: destinations in seqOff order (with gaps, as a parallel
+// broadcast's sub-flights have), 0–4,096 of them, drawn from as few as one
+// instant, over spans up to 2^45 ns — past 2^32, as seconds of jitter or
+// injected delay make them. A second, shorter sort on the same pool reuses
+// its scratch buffer.
+func FuzzFlightOrder(f *testing.F) {
+	for _, c := range []struct {
+		seed     int64
+		size     uint16
+		spanLog  uint8
+		distinct uint16
+	}{
+		{1, 0, 0, 0}, {2, 1, 10, 0}, {3, 63, 20, 5}, {4, 64, 24, 3}, {5, 65, 24, 65},
+		{6, 200, 0, 0}, {7, 2047, 25, 4}, {8, 2047, 33, 2047}, {9, 4096, 40, 7}, {10, 4096, 45, 4096},
+	} {
+		f.Add(c.seed, c.size, c.spanLog, c.distinct)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, size uint16, spanLog uint8, distinct uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		n := int(size) % 4097
+		span := int64(1) << (spanLog % 46)
+		instants := make([]time.Duration, 1+int(distinct)%max(n, 1))
+		base := time.Duration(rng.Int63n(1 << 50))
+		for i := range instants {
+			instants[i] = base + time.Duration(rng.Int63n(span))
+		}
+		dests := make([]flightDest, n)
+		seqOff := uint32(0)
+		for i := range dests {
+			seqOff += 1 + uint32(rng.Intn(3))
+			dests[i] = flightDest{at: instants[rng.Intn(len(instants))], inc: rng.Uint64(), dst: rng.Int31(), seqOff: seqOff}
+		}
+		var p fpool
+		for _, d := range [][]flightDest{dests, dests[:n/2]} {
+			d = slices.Clone(d)
+			want := slices.Clone(d)
+			slices.SortFunc(want, flightDest.compare)
+			p.sortDests(d)
+			for i := range d {
+				if d[i] != want[i] {
+					t.Fatalf("%d destinations over a 2^%d ns span: position %d holds %+v, want %+v",
+						len(d), spanLog%46, i, d[i], want[i])
+				}
+			}
+		}
+	})
+}

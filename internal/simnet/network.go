@@ -11,8 +11,9 @@
 // (Blocked is O(1) per message instead of scanning every rule), netem-style
 // extra delays use a dense slice with a non-zero counter, and every message
 // in flight — a unicast, a broadcast, a connection control message — is one
-// pooled, sorted flight: one queued event at a time however many
-// destinations it has, and no fresh closure per message (see flight).
+// pooled, sorted flight that is itself the queued sim.Event: one event at a
+// time however many destinations it has, and no closure per message (see
+// flight).
 //
 // The network is also where the parallel kernel's ownership discipline
 // lives (see sim's parallel mode): every delay/loss/jitter draw comes from
@@ -26,6 +27,7 @@ package simnet
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -240,16 +242,20 @@ type virtStreams struct {
 // flight ever allocated (creation order), which Snapshot/Restore rewinds,
 // and the staging row of the broadcast currently being built by an event of
 // this queue: stage[q] is the sub-flight collecting the destinations queue q
-// owns. Every stage entry is nil between broadcasts.
+// owns. Every stage entry is nil between broadcasts. owned counts the
+// endpoints the queue executes, the most destinations one broadcast can
+// stage for it; tmp is the broadcast sort's scratch buffer.
 //
 // Free flights are kept apart by destination capacity — free[0] holds at
-// most one, free[1] more — so a broadcast reuses an array a broadcast grew
+// most one, free[1] more — so a broadcast reuses an array a broadcast sized
 // and a unicast does not take it from it: drawn from one list, the two would
-// trade arrays and regrow them for ever.
+// trade arrays and reallocate them for ever.
 type fpool struct {
 	free  [2]*flight
 	all   []*flight
 	stage []*flight
+	owned int
+	tmp   []flightDest
 }
 
 type endpoint struct {
@@ -380,6 +386,11 @@ func (n *Network) EnableParallel(queueOf []int32, workers int) {
 	if len(n.flights) > 1 {
 		panic("simnet: EnableParallel called twice")
 	}
+	for i := 0; i < workers; i++ {
+		n.statsh = append(n.statsh, Stats{})
+		n.flights = append(n.flights, fpool{})
+	}
+	n.flights[0].owned = 0
 	for _, ep := range n.nodes {
 		if ep == nil {
 			continue
@@ -387,10 +398,7 @@ func (n *Network) EnableParallel(queueOf []int32, workers int) {
 		if int(ep.id) < len(queueOf) {
 			ep.qi = queueOf[ep.id]
 		}
-	}
-	for i := 0; i < workers; i++ {
-		n.statsh = append(n.statsh, Stats{})
-		n.flights = append(n.flights, fpool{})
+		n.flights[ep.qi].owned++
 	}
 	for i := range n.flights {
 		n.flights[i].stage = make([]*flight, workers+1)
@@ -425,6 +433,7 @@ func (n *Network) DisableParallel() {
 	}
 	n.flights = n.flights[:1]
 	n.flights[0].stage = n.flights[0].stage[:1]
+	n.flights[0].owned = len(n.ids)
 	n.outbox = nil
 	for _, ep := range n.nodes {
 		if ep != nil {
@@ -467,6 +476,7 @@ func (n *Network) AddNode(id NodeID, h Handler) {
 	if n.nodes[id] != nil {
 		panic(fmt.Sprintf("simnet: duplicate node %v", id))
 	}
+	n.flights[0].owned++
 	ep := &endpoint{id: id, handler: h}
 	ep.ctx = &Context{net: n, ep: ep}
 	// The degradation streams are tiny (SplitMix64 state), so deriving all
@@ -714,18 +724,16 @@ func (n *Network) arrive(dst *endpoint, from NodeID, payload any, inc uint64, qi
 // queued event. A unicast is a flight of one, a broadcast one flight per
 // destination queue. A message's key is (at, sender lane, seq) and a
 // flight's destinations share the lane, so (at, seq) order is key order. The
-// flight is queued under its first destination's key; firing re-arms it
-// under the next destination's key before delivering, so every delivery
-// executes at exactly the position its own queued event would have had while
-// the queue holds one entry per flight instead of one per destination. Its
-// run closure is bound once, when the flight is first allocated, and a
-// reused flight keeps its destination array, so the steady-state send path
-// allocates nothing. Each flight belongs to the pool of the queue it
-// executes on.
+// flight is a sim.Event, queued under its first destination's key; Fire
+// re-arms it under the next destination's key before delivering, so every
+// delivery executes at exactly the position its own queued event would have
+// had while the queue holds one entry per flight instead of one per
+// destination. A reused flight keeps its destination array, so the
+// steady-state send path allocates nothing. Each flight belongs to the pool
+// of the queue it executes on.
 type flight struct {
-	n   *Network
-	qi  int32 // owning pool == executing queue
-	run func()
+	n  *Network
+	qi int32 // owning pool == executing queue
 	flightState
 }
 
@@ -745,7 +753,7 @@ type flightState struct {
 
 // unicastFlight is how a flight created for a unicast is allocated: together
 // with the array for its one destination, so a fresh flight of one costs one
-// allocation, as a fresh flight of many does before it grows its array.
+// allocation.
 type unicastFlight struct {
 	flight
 	one [1]flightDest
@@ -791,7 +799,6 @@ func (n *Network) newFlight(qi int32, wide bool, from NodeID, payload any, base 
 			f, u.dests = &u.flight, u.one[:0]
 		}
 		f.n, f.qi = n, qi
-		f.run = f.fire
 		p.all = append(p.all, f)
 	} else {
 		p.free[w] = f.next
@@ -822,14 +829,14 @@ func (f *flight) arm() {
 	if f.control {
 		lane = -1
 	}
-	f.n.sched.ScheduleKeyed(lane, int32(f.from), f.base+uint64(d.seqOff), d.at, f.run)
+	f.n.sched.ScheduleKeyed(lane, int32(f.from), f.base+uint64(d.seqOff), d.at, f)
 }
 
-// fire delivers to the next destination. The flight re-arms (or returns to
-// the pool) before the handler runs: the re-arm takes the event slot this
-// firing just released, and reentrant sends from inside Deliver may reuse a
-// finished flight.
-func (f *flight) fire() {
+// Fire implements sim.Event: it delivers to the next destination. The
+// flight re-arms (or returns to the pool) before the handler runs: the
+// re-arm takes the event slot this firing just released, and reentrant
+// sends from inside Deliver may reuse a finished flight.
+func (f *flight) Fire() {
 	n, from, payload, qi, control := f.n, f.from, f.payload, f.qi, f.control
 	d := f.dests[f.cur]
 	f.cur++
@@ -930,9 +937,11 @@ func (n *Network) send(src *endpoint, to NodeID, payload any, lat, loss, jit *ra
 // broadcast is the multicast path: the same per-destination checks and
 // draws as a loop of sends, in peer order, but the survivors are collected
 // into one flight per destination queue (exactly one in sequential mode)
-// instead of one flight each.
+// instead of one flight each. A staged flight's array is sized once for all
+// the destinations its queue can receive.
 func (n *Network) broadcast(src *endpoint, peers []NodeID, payload any) {
-	stage := n.flights[src.qi].stage
+	pool := &n.flights[src.qi]
+	stage := pool.stage
 	inWindow := n.sched.InWindow()
 	for _, to := range peers {
 		if to == src.id {
@@ -949,6 +958,9 @@ func (n *Network) broadcast(src *endpoint, peers []NodeID, payload any) {
 				home = src.qi
 			}
 			f = n.newFlight(home, true, src.id, payload, seq, false)
+			if size := min(len(peers), n.flights[dst.qi].owned); cap(f.dests) < size {
+				f.dests = make([]flightDest, 0, size)
+			}
 			stage[dst.qi] = f
 		}
 		f.dests = append(f.dests, flightDest{
@@ -960,8 +972,55 @@ func (n *Network) broadcast(src *endpoint, peers []NodeID, payload any) {
 			continue
 		}
 		stage[qi] = nil
-		slices.SortFunc(f.dests, flightDest.compare)
+		pool.sortDests(f.dests)
 		n.post(f, src.qi, int32(qi))
+	}
+}
+
+// radixMin is the flight size from which sortDests runs its radix passes;
+// smaller flights (every 10-node deployment's) take the comparison sort.
+const radixMin = 64
+
+// sortDests orders a staged flight's destinations by event key (at, seqOff).
+// broadcast appends them in seqOff order, so a stable sort on at alone gives
+// exactly that order: equal instants keep their seqOff order, which is the
+// tie-break compare applies. From radixMin destinations up that sort is an
+// LSD radix sort on at − min(at), in 8-bit digits, which runs only the passes
+// the span reaches and skips a digit every destination shares.
+func (p *fpool) sortDests(d []flightDest) {
+	if len(d) < radixMin {
+		slices.SortFunc(d, flightDest.compare)
+		return
+	}
+	lo, hi := d[0].at, d[0].at
+	for _, x := range d[1:] {
+		lo, hi = min(lo, x.at), max(hi, x.at)
+	}
+	if cap(p.tmp) < len(d) {
+		p.tmp = make([]flightDest, len(d))
+	}
+	src, dst := d, p.tmp[:len(d)]
+	for shift := 0; shift < bits.Len64(uint64(hi-lo)); shift += 8 {
+		var pos [256]int
+		for _, x := range src {
+			pos[uint8(uint64(x.at-lo)>>shift)]++
+		}
+		if pos[uint8(uint64(src[0].at-lo)>>shift)] == len(src) {
+			continue
+		}
+		sum := 0
+		for i, c := range pos {
+			pos[i], sum = sum, sum+c
+		}
+		for _, x := range src {
+			k := uint8(uint64(x.at-lo) >> shift)
+			dst[pos[k]] = x
+			pos[k]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &d[0] {
+		copy(d, src)
 	}
 }
 
@@ -980,7 +1039,8 @@ func (n *Network) post(f *flight, srcQi, qi int32) {
 // as a barrier hook with all partitions quiesced; because keys were assigned
 // at send time, the per-queue append order the boxes happen to hold carries
 // no meaning. A parked flight hands its destination array to a flight of the
-// receiving queue's pool and returns to its sender's.
+// receiving queue's pool and returns to its sender's, with that flight's
+// array in exchange.
 func (n *Network) flushOutboxes() {
 	for qi, box := range n.outbox {
 		for i, f := range box {
