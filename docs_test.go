@@ -122,3 +122,35 @@ func TestDocsLineBudget(t *testing.T) {
 		}
 	}
 }
+
+// codeSizeBudget is the non-test Go line count `make loc` printed when the
+// budget was last recorded. A change that raises it says so, and why, in
+// CHANGES.md.
+const codeSizeBudget = 25683
+
+// TestCodeSizeBudget: the module's non-test Go — every .go file but the
+// _test.go ones, outside .bench_build, counted in lines as `make loc` counts
+// them — may not grow past codeSizeBudget, so new code is paid for by
+// deleting old code or by a recorded decision to raise the budget.
+func TestCodeSizeBudget(t *testing.T) {
+	lines := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() && d.Name() == ".bench_build" {
+			return filepath.SkipDir
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		lines += strings.Count(string(data), "\n")
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines > codeSizeBudget {
+		t.Errorf("non-test Go is %d lines, over its budget of %d: delete code, or raise codeSizeBudget and say why in CHANGES.md", lines, codeSizeBudget)
+	} else if lines < codeSizeBudget {
+		t.Logf("non-test Go is %d lines, %d under its budget: lower codeSizeBudget to ratchet it", lines, codeSizeBudget-lines)
+	}
+}

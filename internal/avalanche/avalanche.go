@@ -20,9 +20,7 @@
 package avalanche
 
 import (
-	"cmp"
 	"math"
-	"slices"
 	"sort"
 	"time"
 
@@ -483,7 +481,9 @@ func (v *validator) onSlot() {
 
 // nonceOrderedTxs builds a block respecting per-account nonce order: a
 // transaction enters only if every lower nonce of its account is committed,
-// in the pipeline, or included earlier in this block.
+// in the pipeline, or included earlier in this block. It selects into a
+// transient scratch and returns a copy of exactly the selected length, since
+// the block's list outlives the event in every ledger that commits it.
 func (v *validator) nonceOrderedTxs(max int) []chain.Tx {
 	pool := v.base.Pool.Pending()
 	byAcct := make(map[chain.Address][]chain.Tx)
@@ -496,12 +496,13 @@ func (v *validator) nonceOrderedTxs(max int) []chain.Tx {
 		sort.Slice(byAcct[a], func(i, j int) bool { return byAcct[a][i].Nonce < byAcct[a][j].Nonce })
 	}
 	sort.Slice(accts, func(i, j int) bool { return accts[i] < accts[j] })
-	out := make([]chain.Tx, 0, max)
+	picked := make([]chain.Tx, 0, min(max, len(pool)))
+fill:
 	for _, a := range accts {
 		expected := v.base.Ledger.NextNonce(a)
 		for _, tx := range byAcct[a] {
-			if len(out) >= max {
-				return out
+			if len(picked) >= max {
+				break fill
 			}
 			if tx.Nonce < expected {
 				continue
@@ -513,9 +514,11 @@ func (v *validator) nonceOrderedTxs(max int) []chain.Tx {
 			if v.base.InPipeline(tx.ID) {
 				continue
 			}
-			out = append(out, tx)
+			picked = append(picked, tx)
 		}
 	}
+	out := make([]chain.Tx, len(picked))
+	copy(out, picked)
 	return out
 }
 
@@ -576,30 +579,48 @@ func (v *validator) samplePeersN(k int, buf []simnet.NodeID) []simnet.NodeID {
 	if v.base.Gossips() {
 		candidates = v.base.Neighbors()
 	}
-	type keyed struct {
-		id  simnet.NodeID
-		key float64
-	}
-	var scratch [32]keyed // committees past 33 validators spill to the heap
-	others := scratch[:0]
+	// Weighted sampling without replacement via exponential keys: key =
+	// -ln(u)/stake for u = 1 - r/2^30 and a 30-bit draw r per candidate; the
+	// k smallest keys form the sample, with inclusion probability
+	// proportional to stake. Under equal stake the key is strictly
+	// increasing in r, so r itself serves and no logarithm is taken. Only
+	// the k smallest are kept, each inserted after the equal keys before
+	// it: the order a stable sort of every key gives.
+	var room [sampleBuf]keyed
+	top := room[:0]
+	weighted := len(v.cfg.StakeWeights) > 0
 	for _, p := range candidates {
 		if p == v.base.ID {
 			continue
 		}
-		// Weighted sampling without replacement via exponential keys:
-		// key = -ln(u)/stake; the k smallest keys form the sample with
-		// inclusion probability proportional to stake.
-		u := 1 - v.rngF()
-		others = append(others, keyed{id: p, key: -math.Log(u) / v.stake(int(p))})
+		r := v.rng.Intn(1 << 30)
+		key := float64(r)
+		if weighted {
+			key = -math.Log(1-float64(r)/(1<<30)) / v.stake(int(p))
+		}
+		i := len(top)
+		for i > 0 && top[i-1].key > key {
+			i--
+		}
+		if i >= k {
+			continue
+		}
+		if len(top) < k {
+			top = append(top, keyed{})
+		}
+		copy(top[i+1:], top[i:len(top)-1])
+		top[i] = keyed{id: p, key: key}
 	}
-	slices.SortFunc(others, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
-	if len(others) > k {
-		others = others[:k]
-	}
-	for _, o := range others {
+	for _, o := range top {
 		buf = append(buf, o.id)
 	}
 	return buf
+}
+
+// keyed is a sample candidate and its exponential key.
+type keyed struct {
+	id  simnet.NodeID
+	key float64
 }
 
 // stake returns validator index i's stake weight (1 by default).
@@ -608,11 +629,6 @@ func (v *validator) stake(i int) float64 {
 		return v.cfg.StakeWeights[i]
 	}
 	return 1
-}
-
-// rngF draws a uniform float in [0,1) from the validator's stream.
-func (v *validator) rngF() float64 {
-	return float64(v.rng.Intn(1<<30)) / float64(1<<30)
 }
 
 func (v *validator) onQuery(from simnet.NodeID, msg queryMsg) {

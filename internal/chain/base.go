@@ -95,8 +95,12 @@ type nodeState struct {
 	// marks of decided-but-unexecuted transactions and the subscribed
 	// marks, which live in the ledger's table: subscribers has an entry
 	// exactly for the transactions whose txSubscribed bit is set, so apply
-	// reads the map only for those.
-	subscribers   map[TxID][]simnet.NodeID
+	// reads the map only for those. It holds a transaction's first
+	// subscriber inline; resubscribers, made on first use, holds the later
+	// ones in order for the few transactions that have any (a client
+	// retrying to this node).
+	subscribers   map[TxID]simnet.NodeID
+	resubscribers map[TxID][]simnet.NodeID
 	pending       map[int]Block
 	applying      bool
 	applyingAt    int // height of the block being executed (-1 when idle)
@@ -203,7 +207,8 @@ func (n *BaseNode) Reset(ctx *simnet.Context) {
 	n.ctx = ctx
 	n.rng = ctx.RNG("base.sync")
 	n.Pool.Clear()
-	n.subscribers = make(map[TxID][]simnet.NodeID)
+	n.subscribers = make(map[TxID]simnet.NodeID)
+	n.resubscribers = nil
 	n.pending = make(map[int]Block)
 	n.Ledger.txs.sweep(txPipeline | txSubscribed)
 	n.applying = false
@@ -259,8 +264,16 @@ func (n *BaseNode) HandleClient(from simnet.NodeID, payload any) bool {
 // Subscribe registers an additional client to notify when tx commits; used
 // by chains that forward transactions on behalf of clients.
 func (n *BaseNode) Subscribe(id TxID, client simnet.NodeID) {
-	*n.Ledger.txs.slot(id) |= txSubscribed
-	n.subscribers[id] = append(n.subscribers[id], client)
+	s := n.Ledger.txs.slot(id)
+	if *s&txSubscribed == 0 {
+		*s |= txSubscribed
+		n.subscribers[id] = client
+		return
+	}
+	if n.resubscribers == nil {
+		n.resubscribers = make(map[TxID][]simnet.NodeID)
+	}
+	n.resubscribers[id] = append(n.resubscribers[id], client)
 }
 
 // SubmitBlock hands a decided block to the execution pipeline. Blocks apply
@@ -290,29 +303,33 @@ func (n *BaseNode) InPipeline(id TxID) bool {
 	return n.Ledger.txs.state(id)&txPipeline != 0
 }
 
-// Union appends to dst the transactions of src that no earlier Union of the
-// same merge has appended, in src order, and returns the extended slice: a
-// proposer merging overlapping proposal lists calls it once per list and then
-// EndUnion on the result. First sight is a mark in the node's own transaction
-// table (the cells SubmitBlock touches next), so the merge builds no set of
-// its own; pooled, in-pipeline and committed transactions merge like any
-// other. The marks must not outlive the event: always pair with EndUnion.
-func (n *BaseNode) Union(dst, src []Tx) []Tx {
-	for _, tx := range src {
-		if s := n.Ledger.txs.slot(tx.ID); *s&txMark == 0 {
-			*s |= txMark
-			dst = append(dst, tx)
+// Merge returns the transactions of lists, each once, in first-sight order —
+// what a proposer merging overlapping proposal lists commits — in one array
+// of exactly that length. The first pass marks each transaction in the node's
+// own table (the cells SubmitBlock touches next) and counts the fresh ones;
+// the second appends each marked transaction and clears its mark, so no set
+// is built and no mark outlives the call. Pooled, in-pipeline and committed
+// transactions merge like any other.
+func (n *BaseNode) Merge(lists [][]Tx) []Tx {
+	t := &n.Ledger.txs
+	count := 0
+	for _, list := range lists {
+		for _, tx := range list {
+			if s := t.slot(tx.ID); *s&txMark == 0 {
+				*s |= txMark
+				count++
+			}
 		}
 	}
-	return dst
-}
-
-// EndUnion clears the first-sight marks of a finished merge; txs is what the
-// Union calls returned.
-func (n *BaseNode) EndUnion(txs []Tx) {
-	for _, tx := range txs {
-		n.Ledger.txs.clear(tx.ID, txMark)
+	out := make([]Tx, 0, count)
+	for _, list := range lists {
+		for _, tx := range list {
+			if t.clear(tx.ID, txMark)&txMark != 0 {
+				out = append(out, tx)
+			}
+		}
 	}
+	return out
 }
 
 // TipHash returns the content address of the highest decided block —
@@ -369,16 +386,25 @@ func (n *BaseNode) AddExecCost(cost float64) {
 }
 
 // ProposalTxs returns up to max pool transactions that are neither executed
-// nor already in the decided pipeline, in FIFO order.
+// nor already in the decided pipeline, in FIFO order. It counts them first
+// and fills an array of exactly that length: the proposal becomes a block's
+// Txs, which every ledger that commits it keeps for the run.
 func (n *BaseNode) ProposalTxs(max int) []Tx {
-	out := make([]Tx, 0, max)
-	for _, tx := range n.Pool.Pending() {
+	pending := n.Pool.Pending()
+	count, end := 0, len(pending)
+	for i, tx := range pending {
 		if n.InPipeline(tx.ID) {
 			continue
 		}
-		out = append(out, tx)
-		if len(out) >= max {
+		if count++; count >= max {
+			end = i + 1
 			break
+		}
+	}
+	out := make([]Tx, 0, count)
+	for _, tx := range pending[:end] {
+		if !n.InPipeline(tx.ID) {
+			out = append(out, tx)
 		}
 	}
 	return out
@@ -447,10 +473,12 @@ func (n *BaseNode) apply(b Block) {
 		if n.Ledger.txs.clear(tx.ID, txPipeline|txSubscribed)&txSubscribed == 0 {
 			continue
 		}
-		for _, client := range n.subscribers[tx.ID] {
+		n.ctx.Send(n.subscribers[tx.ID], TxCommitted{ID: tx.ID, Height: b.Height})
+		delete(n.subscribers, tx.ID)
+		for _, client := range n.resubscribers[tx.ID] {
 			n.ctx.Send(client, TxCommitted{ID: tx.ID, Height: b.Height})
 		}
-		delete(n.subscribers, tx.ID)
+		delete(n.resubscribers, tx.ID)
 	}
 	n.Pool.Drop(b.Txs)
 	if n.OnCommit != nil {

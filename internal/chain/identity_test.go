@@ -119,11 +119,11 @@ func TestSubmitBlockSealsOnce(t *testing.T) {
 	}
 }
 
-// TestUnionMatchesMapDedup merges random overlapping proposal lists through
-// Union/EndUnion and through the map loop Redbelly's assemble used to run, on
-// a node whose table already holds pooled, in-pipeline and committed
-// transactions among the proposed ones.
-func TestUnionMatchesMapDedup(t *testing.T) {
+// TestMergeMatchesMapDedup merges random overlapping proposal lists through
+// Merge and through the map loop Redbelly's assemble used to run, on a node
+// whose table already holds pooled, in-pipeline and committed transactions
+// among the proposed ones. The merge comes back at its exact length.
+func TestMergeMatchesMapDedup(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := NewBaseNode(0, []simnet.NodeID{0}, nil, BaseConfig{})
 	n.Ledger.Mint(1, 1<<40)
@@ -170,13 +170,9 @@ func TestUnionMatchesMapDedup(t *testing.T) {
 			}
 		}
 		before := states()
-		var got []Tx
-		for _, list := range lists {
-			got = n.Union(got, list)
-		}
-		n.EndUnion(got)
-		if len(got) != len(want) {
-			t.Fatalf("round %d: Union merged %d txs, the map loop %d", round, len(got), len(want))
+		got := n.Merge(lists)
+		if len(got) != len(want) || cap(got) != len(want) {
+			t.Fatalf("round %d: Merge returned %d txs in room for %d, the map loop %d", round, len(got), cap(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {

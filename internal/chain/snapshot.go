@@ -87,9 +87,10 @@ type BaseState struct {
 
 func (s *nodeState) clone() nodeState {
 	c := *s
-	c.subscribers = make(map[TxID][]simnet.NodeID, len(s.subscribers))
-	for id, subs := range s.subscribers {
-		c.subscribers[id] = slices.Clone(subs)
+	c.subscribers = maps.Clone(s.subscribers)
+	c.resubscribers = maps.Clone(s.resubscribers)
+	for id, subs := range c.resubscribers {
+		c.resubscribers[id] = slices.Clone(subs)
 	}
 	c.pending = maps.Clone(s.pending)
 	return c

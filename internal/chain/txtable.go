@@ -31,7 +31,7 @@ type txRow struct {
 // The 28 bits above the four flags hold the committed height plus one, zero
 // meaning "not committed".
 const (
-	// txMark is a scratch mark — BaseNode.Union's first sight, and
+	// txMark is a scratch mark — BaseNode.Merge's first sight, and
 	// releasePipeline's "a queued block holds it": set and cleared within
 	// one event, it is never set between events.
 	txMark     uint32 = 1 << 0

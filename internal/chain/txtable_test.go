@@ -2,6 +2,7 @@ package chain
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"stabl/internal/simnet"
@@ -49,8 +50,9 @@ type txOracle struct {
 	pooled    map[TxID]bool
 	pipeline  map[TxID]bool
 	committed map[TxID]int
-	// subscribed counts the subscriptions BaseNode.subscribers must hold.
-	subscribed map[TxID]int
+	// subscribed lists, in order, the clients BaseNode's subscription maps
+	// must notify.
+	subscribed map[TxID][]simnet.NodeID
 }
 
 func newTxOracle() *txOracle {
@@ -58,7 +60,7 @@ func newTxOracle() *txOracle {
 		pooled:     map[TxID]bool{},
 		pipeline:   map[TxID]bool{},
 		committed:  map[TxID]int{},
-		subscribed: map[TxID]int{},
+		subscribed: map[TxID][]simnet.NodeID{},
 	}
 }
 
@@ -75,7 +77,7 @@ func (o *txOracle) clone() *txOracle {
 		c.committed[k] = v
 	}
 	for k, v := range o.subscribed {
-		c.subscribed[k] = v
+		c.subscribed[k] = slices.Clone(v)
 	}
 	return c
 }
@@ -108,7 +110,7 @@ type txModel struct {
 
 func newTxModel(t testing.TB) *txModel {
 	n := NewBaseNode(0, nil, nil, BaseConfig{})
-	n.subscribers = make(map[TxID][]simnet.NodeID)
+	n.subscribers = make(map[TxID]simnet.NodeID)
 	return &txModel{t: t, node: n, ledger: n.Ledger, pool: n.Pool, oracle: newTxOracle()}
 }
 
@@ -140,7 +142,7 @@ func (m *txModel) step(op byte, arg int) {
 		_, isCommitted := o.committed[tx.ID]
 		if arg&1 == 1 && !isCommitted {
 			m.node.Subscribe(tx.ID, simnet.NodeID(arg))
-			o.subscribed[tx.ID]++
+			o.subscribed[tx.ID] = append(o.subscribed[tx.ID], simnet.NodeID(arg))
 		}
 		want := !o.pooled[tx.ID] && !isCommitted
 		if got := m.pool.Add(tx); got != want {
@@ -150,24 +152,26 @@ func (m *txModel) step(op byte, arg int) {
 			o.pooled[tx.ID] = true
 			o.queue = append(o.queue, tx.ID)
 		}
-	case 1: // merge two overlapping lists, as Redbelly's assemble does
-		a, b := blockOf(arg), blockOf(arg+2)
-		got := m.node.Union(m.node.Union(nil, a), b)
-		m.node.EndUnion(got)
+	case 1: // merge overlapping lists, as Redbelly's assemble does
+		lists := [][]Tx{blockOf(arg), blockOf(arg + 2), blockOf(arg + arg%3)}
+		got := m.node.Merge(lists)
 		var want []TxID
 		first := map[TxID]bool{}
-		for _, tx := range append(a, b...) {
+		for _, tx := range slices.Concat(lists...) {
+			if m.ledger.txs.state(tx.ID)&txMark != 0 {
+				t.Fatalf("%v keeps its first-sight mark after Merge returned", tx.ID)
+			}
 			if !first[tx.ID] {
 				first[tx.ID] = true
 				want = append(want, tx.ID)
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("Union merged %d txs, map dedup %d", len(got), len(want))
+		if len(got) != len(want) || cap(got) != len(want) {
+			t.Fatalf("Merge returned %d txs in room for %d, map dedup %d", len(got), cap(got), len(want))
 		}
 		for i, tx := range got {
 			if tx.ID != want[i] {
-				t.Fatalf("Union()[%d] = %v, map dedup %v", i, tx.ID, want[i])
+				t.Fatalf("Merge()[%d] = %v, map dedup %v", i, tx.ID, want[i])
 			}
 		}
 	case 2: // pop
@@ -207,10 +211,11 @@ func (m *txModel) step(op byte, arg int) {
 			delete(o.pipeline, tx.ID)
 			drop[tx.ID] = true
 			if m.ledger.txs.clear(tx.ID, txPipeline|txSubscribed)&txSubscribed != 0 {
-				if len(m.node.subscribers[tx.ID]) != o.subscribed[tx.ID] {
-					t.Fatalf("%v: %d subscribers to notify, oracle %d", tx.ID, len(m.node.subscribers[tx.ID]), o.subscribed[tx.ID])
+				if got := subscriptions(m.node, tx.ID); !slices.Equal(got, o.subscribed[tx.ID]) {
+					t.Fatalf("%v: subscribers to notify %v, oracle %v", tx.ID, got, o.subscribed[tx.ID])
 				}
 				delete(m.node.subscribers, tx.ID)
+				delete(m.node.resubscribers, tx.ID)
 				delete(o.subscribed, tx.ID)
 			}
 		}
@@ -230,11 +235,12 @@ func (m *txModel) step(op byte, arg int) {
 	case 6: // restart: BaseNode.Reset's sweeps
 		m.pool.Clear()
 		m.ledger.txs.sweep(txPipeline | txSubscribed)
-		m.node.subscribers = make(map[TxID][]simnet.NodeID)
+		m.node.subscribers = make(map[TxID]simnet.NodeID)
+		m.node.resubscribers = nil
 		o.queue = nil
 		o.pooled = map[TxID]bool{}
 		o.pipeline = map[TxID]bool{}
-		o.subscribed = map[TxID]int{}
+		o.subscribed = map[TxID][]simnet.NodeID{}
 	case 7: // checkpoint (even) / rewind (odd)
 		if arg%2 == 0 {
 			m.ledger.ledgerState.copyInto(&m.savedLedger)
@@ -248,6 +254,16 @@ func (m *txModel) step(op byte, arg int) {
 			m.oracle = m.savedOracle.clone()
 		}
 	}
+}
+
+// subscriptions lists, in order, the clients n notifies when id commits: the
+// inline first subscriber, then the spilled repeats.
+func subscriptions(n *BaseNode, id TxID) []simnet.NodeID {
+	first, ok := n.subscribers[id]
+	if !ok {
+		return nil
+	}
+	return append([]simnet.NodeID{first}, n.resubscribers[id]...)
 }
 
 // cellsInUse is the cells the table's rows cover; the arena also holds the
@@ -297,8 +313,11 @@ func (m *txModel) check() {
 		if got := state&txPipeline != 0; got != o.pipeline[id] {
 			t.Fatalf("%v: pipeline bit %v, oracle %v", id, got, o.pipeline[id])
 		}
-		if got := state&txSubscribed != 0; got != (o.subscribed[id] > 0) || len(m.node.subscribers[id]) != o.subscribed[id] {
-			t.Fatalf("%v: subscribed bit %v over %d subscribers, oracle %d", id, got, len(m.node.subscribers[id]), o.subscribed[id])
+		if got, subs := state&txSubscribed != 0, subscriptions(m.node, id); got != (len(o.subscribed[id]) > 0) || !slices.Equal(subs, o.subscribed[id]) {
+			t.Fatalf("%v: subscribed bit %v over subscribers %v, oracle %v", id, got, subs, o.subscribed[id])
+		}
+		if _, spilled := m.node.resubscribers[id]; spilled && len(o.subscribed[id]) < 2 {
+			t.Fatalf("%v: a spill entry for %d subscriptions", id, len(o.subscribed[id]))
 		}
 		wantH, wantOK := o.committed[id]
 		if h, ok := m.ledger.Committed(id); ok != wantOK || h != wantH {

@@ -546,11 +546,12 @@ func (v *validator) assemble(round int, est []simnet.NodeID, st *roundState) cha
 			include = est[:1]
 		}
 	}
-	var txs []chain.Tx
+	var buf [16][]chain.Tx // committees past 16 proposers spill to the heap
+	lists := buf[:0]
 	for _, p := range include {
-		txs = v.base.Union(txs, st.proposals[p])
+		lists = append(lists, st.proposals[p])
 	}
-	v.base.EndUnion(txs)
+	txs := v.base.Merge(lists)
 	// A superblock has no single proposer; every assembling node must
 	// produce a bit-identical block, so the field is set deterministically
 	// to the first included proposer (or the round's weak coordinator for

@@ -147,11 +147,7 @@ func TestSuperblockUnionDeduplicates(t *testing.T) {
 	// assemble needs a ctx for timestamps, so drive the merge it runs. Twice:
 	// the second merge fails if the first left a first-sight mark behind.
 	for pass := 0; pass < 2; pass++ {
-		var txs []chain.Tx
-		for _, p := range []simnet.NodeID{0, 1, 2} {
-			txs = v.base.Union(txs, st.proposals[p])
-		}
-		v.base.EndUnion(txs)
+		txs := v.base.Merge([][]chain.Tx{st.proposals[0], st.proposals[1], st.proposals[2]})
 		if len(txs) != 2 || txs[0].ID != tx.ID || txs[1].ID != chain.MakeTxID(0, 2) {
 			t.Fatalf("pass %d: superblock union = %v, want tx0.1 then tx0.2", pass, txs)
 		}

@@ -1,6 +1,8 @@
 package stabl
 
 import (
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -204,6 +206,60 @@ func TestPaperShape(t *testing.T) {
 			}
 		}
 	})
+
+	t.Run("EXPERIMENTS_fig3_tables", func(t *testing.T) {
+		// The Fig 3a–3d tables of EXPERIMENTS.md quote these scores: each
+		// Measured cell opens with the score as `stabl fig3a`–`fig3d`
+		// print it, ∞ standing for inf.
+		doc, err := os.ReadFile("EXPERIMENTS.md")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for kind, heading := range map[FaultKind]string{
+			FaultCrash: "## Fig 3a ", FaultTransient: "## Fig 3b ",
+			FaultPartition: "## Fig 3c ", FaultSecureClient: "## Fig 3d ",
+		} {
+			measured := measuredColumn(t, string(doc), heading)
+			for _, sys := range radar.Order {
+				want := strings.Replace(cell(sys, kind).Score.String(), "inf", "∞", 1)
+				got, ok := measured[sys]
+				if rest, quoted := strings.CutPrefix(got, want); !ok || !quoted || (rest != "" && rest[0] != ' ' && rest[0] != ',') {
+					t.Errorf("EXPERIMENTS.md %q table: %s reads %q, the run measured %s", heading, sys, got, want)
+				}
+			}
+		}
+	})
+}
+
+// measuredColumn returns, by system, the Measured column of the first table
+// under heading in an EXPERIMENTS.md text.
+func measuredColumn(t *testing.T, doc, heading string) map[string]string {
+	t.Helper()
+	_, section, ok := strings.Cut(doc, "\n"+heading)
+	if !ok {
+		t.Fatalf("EXPERIMENTS.md has no %q section", heading)
+	}
+	col := -1
+	out := make(map[string]string)
+	for _, line := range strings.Split(section, "\n")[1:] {
+		if strings.HasPrefix(line, "## ") || (len(out) > 0 && !strings.HasPrefix(line, "|")) {
+			break
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		switch {
+		case col < 0:
+			col = slices.IndexFunc(cells, func(c string) bool { return strings.HasPrefix(c, "Measured") })
+		case len(cells) > col && !strings.HasPrefix(cells[0], "---"):
+			out[cells[0]] = cells[col]
+		}
+	}
+	if len(out) == 0 {
+		t.Fatalf("EXPERIMENTS.md %q: no table with a Measured column", heading)
+	}
+	return out
 }
 
 // TestTransientRunIsReproducible re-runs a real-model experiment that
