@@ -15,6 +15,7 @@ package stabl
 // Absolute metric values are compared against the paper in EXPERIMENTS.md.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -318,6 +319,27 @@ func BenchmarkCoreSensitivity(b *testing.B) {
 		})
 		if err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuild measures deploying the scale deployment — network, ledgers
+// at genesis, overlay — at n = 2,048 and, outside -short, at the ROADMAP's
+// large-cell size of 10,240, on the mesh and on kadcast.
+func BenchmarkBuild(b *testing.B) {
+	for _, topo := range []struct{ name, kind string }{{"mesh", ""}, {"kadcast", "kadcast"}} {
+		for _, n := range []int{2048, 10240} {
+			b.Run(fmt.Sprintf("%s/n=%d", topo.name, n), func(b *testing.B) {
+				if n > 2048 && testing.Short() {
+					b.Skip("n = 10,240 skipped in -short mode")
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := core.Build(scaleDeployment(n, topo.kind)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -112,7 +112,7 @@ func testFuncs(t *testing.T) []string {
 // length they had when the budget was set, so a new section is paid for by
 // deleting an old one.
 func TestDocsLineBudget(t *testing.T) {
-	for path, budget := range map[string]int{"DESIGN.md": 1139, "EXPERIMENTS.md": 659} {
+	for path, budget := range map[string]int{"DESIGN.md": 884, "EXPERIMENTS.md": 659} {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -126,7 +126,7 @@ func TestDocsLineBudget(t *testing.T) {
 // codeSizeBudget is the non-test Go line count `make loc` printed when the
 // budget was last recorded. A change that raises it says so, and why, in
 // CHANGES.md.
-const codeSizeBudget = 25683
+const codeSizeBudget = 25679
 
 // TestCodeSizeBudget: the module's non-test Go — every .go file but the
 // _test.go ones, outside .bench_build, counted in lines as `make loc` counts

@@ -132,9 +132,7 @@ func (s *System) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *chai
 		t:    chain.ToleranceThird(len(peers)),
 	}
 	v.quorum = committee.Quorum(v.n, v.t)
-	for _, g := range genesis {
-		v.base.Ledger.Mint(g.Addr, g.Balance)
-	}
+	v.base.Ledger.Genesis(genesis)
 	return v
 }
 

@@ -28,9 +28,7 @@ func (s *stubSystem) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *
 		base:        chain.NewBaseNode(id, peers, mon, chain.BaseConfig{}),
 		panicOnStop: s.panicOnStop,
 	}
-	for _, g := range genesis {
-		v.base.Ledger.Mint(g.Addr, g.Balance)
-	}
+	v.base.Ledger.Genesis(genesis)
 	return v
 }
 

@@ -60,13 +60,23 @@ func (l *Ledger) account(addr Address) *account {
 	return &l.accounts[addr]
 }
 
-// Mint credits an account out of thin air; used to fund workload accounts at
-// genesis.
-func (l *Ledger) Mint(addr Address, amount uint64) {
-	a := l.account(addr)
-	a.balance += amount
-	a.live = true
+// Genesis mints every genesis account, sizing the account table for the
+// whole list at once.
+func (l *Ledger) Genesis(accts []GenesisAccount) {
+	top := len(l.accounts)
+	for _, g := range accts {
+		top = max(top, int(g.Addr)+1)
+	}
+	l.accounts = append(l.accounts, make([]account, top-len(l.accounts))...)
+	for _, g := range accts {
+		a := &l.accounts[g.Addr]
+		a.balance += g.Balance
+		a.live = true
+	}
 }
+
+// Mint credits one account out of thin air.
+func (l *Ledger) Mint(addr Address, amount uint64) { l.Genesis([]GenesisAccount{{addr, amount}}) }
 
 // Height returns the number of committed blocks.
 func (l *Ledger) Height() int { return len(l.blocks) }

@@ -190,3 +190,26 @@ func TestPropertyLedgerIdempotentCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGenesisEqualsMints: one Genesis call over an unsorted list with a gap
+// and a repeated address funds exactly what minting each entry does, in an
+// account table as long as the highest address plus one.
+func TestGenesisEqualsMints(t *testing.T) {
+	accts := []GenesisAccount{{9, 5}, {2, 7}, {9, 1}, {0, 3}}
+	g, m := NewLedger(), NewLedger()
+	g.Genesis(accts)
+	for _, a := range accts {
+		m.Mint(a.Addr, a.Balance)
+	}
+	if len(g.accounts) != 10 {
+		t.Fatalf("account table of %d entries, want 10", len(g.accounts))
+	}
+	for a := Address(0); a < 11; a++ {
+		if g.Balance(a) != m.Balance(a) {
+			t.Fatalf("account %d: %d after Genesis, %d after Mint", a, g.Balance(a), m.Balance(a))
+		}
+	}
+	if g.Balance(9) != 6 || g.StateHash() != m.StateHash() {
+		t.Fatalf("balance(9) = %d; state hashes %v, %v", g.Balance(9), g.StateHash(), m.StateHash())
+	}
+}

@@ -37,9 +37,7 @@ func (s *stubSystem) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *
 		fragile:  s.fragile,
 		onSubmit: s.onSubmit,
 	}
-	for _, g := range genesis {
-		v.base.Ledger.Mint(g.Addr, g.Balance)
-	}
+	v.base.Ledger.Genesis(genesis)
 	return v
 }
 

@@ -6,18 +6,25 @@ import (
 	"stabl/internal/simnet"
 )
 
-// dupeKey identifies one broadcast: the origin plus its per-origin sequence
-// number. Sequence numbers are persistent across restarts, so a rebooted
-// origin never reuses a key its peers may still hold.
-type dupeKey struct {
-	origin simnet.NodeID
-	seq    uint64
+// dupeKey identifies one broadcast in one word: the origin in the top
+// originBits bits, its per-origin sequence number in the low seqBits.
+// Sequence numbers are persistent across restarts, so a rebooted origin
+// never reuses a key its peers may still hold.
+type dupeKey uint64
+
+const originBits, seqBits = 24, 64 - 24 // New rejects node ids past 2^24
+
+func newDupeKey(origin simnet.NodeID, seq uint64) dupeKey {
+	return dupeKey(uint64(origin)<<seqBits | seq)
 }
+
+func (k dupeKey) origin() simnet.NodeID { return simnet.NodeID(k >> seqBits) }
+func (k dupeKey) seq() uint64           { return uint64(k) & (1<<seqBits - 1) }
 
 // hash is multiplicative hashing of origin and seq folded into one word; the
 // table takes the home slot from its top bits.
 func (k dupeKey) hash() uint64 {
-	return (k.seq + uint64(k.origin)*0xC2B2AE3D27D4EB4F) * 0x9E3779B97F4A7C15
+	return (k.seq() + uint64(k.origin())*0xC2B2AE3D27D4EB4F) * 0x9E3779B97F4A7C15
 }
 
 // dupemap is a bounded duplicate-suppression cache: a set plus a FIFO ring.
@@ -58,14 +65,14 @@ func (d *dupemap) find(k dupeKey) (int, bool) {
 		switch d.slots[i] {
 		case k:
 			return i, true
-		case dupeKey{}:
+		case 0:
 			return i, false
 		}
 	}
 }
 
 func (d *dupemap) has(k dupeKey) bool {
-	if k == (dupeKey{}) {
+	if k == 0 {
 		return d.zero
 	}
 	_, ok := d.find(k)
@@ -74,7 +81,7 @@ func (d *dupemap) has(k dupeKey) bool {
 
 // insert places a key the set does not hold.
 func (d *dupemap) insert(k dupeKey) {
-	if k == (dupeKey{}) {
+	if k == 0 {
 		d.zero = true
 		return
 	}
@@ -86,19 +93,19 @@ func (d *dupemap) insert(k dupeKey) {
 // moves into the hole when the hole lies on its probe path, between its home
 // slot and where it sits, so no probe sequence is ever cut by a free slot.
 func (d *dupemap) remove(k dupeKey) {
-	if k == (dupeKey{}) {
+	if k == 0 {
 		d.zero = false
 		return
 	}
 	hole, _ := d.find(k)
 	mask := len(d.slots) - 1
-	for j := (hole + 1) & mask; d.slots[j] != (dupeKey{}); j = (j + 1) & mask {
+	for j := (hole + 1) & mask; d.slots[j] != 0; j = (j + 1) & mask {
 		if (j-d.home(d.slots[j]))&mask >= (j-hole)&mask {
 			d.slots[hole] = d.slots[j]
 			hole = j
 		}
 	}
-	d.slots[hole] = dupeKey{}
+	d.slots[hole] = 0
 }
 
 // add records k, evicting the oldest entry when full. It reports whether k

@@ -5,7 +5,6 @@ package overlay
 // table replaced.
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -61,30 +60,32 @@ func (d *mapDupemap) restore(s dupeState) {
 
 const dupeUniverse = 256
 
-// dupeHashInverse is K^-1 mod 2^64 for the multiplier K of dupeKey.hash.
-var dupeHashInverse = func() uint64 {
-	const k = 0x9E3779B97F4A7C15
-	inv := uint64(k) // Newton: each step doubles the correct low bits
-	for i := 0; i < 6; i++ {
-		inv *= 2 - k*inv
+// collidingKeys are keys of origin 7 whose hashes share their top 12 bits,
+// so they share one home slot at every table size up to 4,096 slots — 16
+// times the largest the model's capacities reach.
+var collidingKeys = func() []dupeKey {
+	home := newDupeKey(7, 1).hash() >> 52
+	var ks []dupeKey
+	for seq := uint64(1); len(ks) < dupeUniverse/2; seq++ {
+		if k := newDupeKey(7, seq); k.hash()>>52 == home {
+			ks = append(ks, k)
+		}
 	}
-	return inv
+	return ks
 }()
 
 // universeKey maps an index to a key. The first quarter are the keys a run
-// produces, the zero key among them; the second sits at the ends of the
-// sequence space; the upper half hash to values that share their top 32
-// bits, so they share one home slot at every table size.
+// produces, the zero key among them; the second sits at the end of the
+// sequence space; the upper half are collidingKeys.
 func universeKey(i int) dupeKey {
 	i %= dupeUniverse
 	switch {
 	case i < dupeUniverse/4:
-		return dupeKey{origin: simnet.NodeID(i % 4), seq: uint64(i / 4)}
+		return newDupeKey(simnet.NodeID(i%4), uint64(i/4))
 	case i < dupeUniverse/2:
-		return dupeKey{origin: simnet.NodeID(i % 4), seq: math.MaxUint64 - uint64(i/4)}
+		return newDupeKey(simnet.NodeID(i%4), 1<<seqBits-1-uint64(i/4))
 	}
-	origin := uint64(7)
-	return dupeKey{origin: simnet.NodeID(origin), seq: (0xABCD1234<<32|uint64(i))*dupeHashInverse - origin*0xC2B2AE3D27D4EB4F}
+	return collidingKeys[i-dupeUniverse/2]
 }
 
 // dupeModel pairs the table with the oracle, and the checkpoints of one with
@@ -158,7 +159,7 @@ func (m *dupeModel) check() {
 	}
 	live := 0
 	for _, k := range d.slots {
-		if k != (dupeKey{}) {
+		if k != 0 {
 			live++
 		}
 	}

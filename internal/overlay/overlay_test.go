@@ -59,16 +59,41 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestNewRejectsBadIDSets: ids key dense tables (the kadcast key table, like
-// simnet's own), so a negative one is an error, as are duplicates and sets
-// too small to relay in.
+// simnet's own), so a negative one is an error, as are duplicates, sets too
+// small to relay in and ids past the 24 bits a dupemap key holds.
 func TestNewRejectsBadIDSets(t *testing.T) {
-	for _, ids := range [][]simnet.NodeID{nil, {3}, {1, 2, 1}, {0, -1, 2}} {
+	for _, ids := range [][]simnet.NodeID{nil, {3}, {1, 2, 1}, {0, -1, 2}, {0, 1 << 24}} {
 		for _, kind := range Kinds() {
 			if _, err := New(Config{Topology: kind}, 42, ids); err == nil {
 				t.Errorf("%s: id set %v accepted", kind, ids)
 			}
 		}
 	}
+	_, err := New(Config{Topology: KindKadcast}, 42, []simnet.NodeID{1<<24 - 1, 1 << 24})
+	if err == nil || !contains(err.Error(), "2^24") {
+		t.Errorf("id past the bound: error %v does not name 2^24", err)
+	}
+}
+
+// TestBroadcastSequenceBound: an origin's sequence numbers fill the 40 bits
+// of its dupemap keys, and the broadcast past them panics.
+func TestBroadcastSequenceBound(t *testing.T) {
+	topo, err := New(Config{Topology: KindRing}, 42, nodeIDs(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRouter(topo, 3)
+	r.seq = 1<<40 - 2
+	r.Broadcast(&fakeSender{id: 3}, "last")
+	if k := newDupeKey(3, r.seq); k.origin() != 3 || k.seq() != 1<<40-1 || !r.dupe.has(k) {
+		t.Fatalf("key %x: origin %v seq %d", uint64(k), k.origin(), k.seq())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("broadcast past 2^40 sequence numbers did not panic")
+		}
+	}()
+	r.Broadcast(&fakeSender{id: 3}, "one too many")
 }
 
 // TestTopologyDeterminism: same (cfg, seed, ids) must produce identical
@@ -233,7 +258,7 @@ func TestBroadcastCoverage(t *testing.T) {
 func TestDupemapEviction(t *testing.T) {
 	d := newDupemap(8)
 	for i := 0; i < 100; i++ {
-		if !d.add(dupeKey{origin: 1, seq: uint64(i)}) {
+		if !d.add(newDupeKey(1, uint64(i))) {
 			t.Fatalf("fresh key %d reported duplicate", i)
 		}
 		if d.size() > 8 {
@@ -241,10 +266,10 @@ func TestDupemapEviction(t *testing.T) {
 		}
 	}
 	// Entries 92..99 remain; 91 and older were evicted and re-admit.
-	if d.add(dupeKey{origin: 1, seq: 99}) {
+	if d.add(newDupeKey(1, 99)) {
 		t.Error("recent key evicted too early")
 	}
-	if !d.add(dupeKey{origin: 1, seq: 0}) {
+	if !d.add(newDupeKey(1, 0)) {
 		t.Error("evicted key still reported duplicate")
 	}
 }

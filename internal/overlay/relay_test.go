@@ -58,7 +58,7 @@ func (r *refRouter) Reset() {
 
 func (r *refRouter) Broadcast(s Sender, payload any) {
 	r.seq++
-	r.dupe.add(dupeKey{origin: r.self, seq: r.seq})
+	r.dupe.add(newDupeKey(r.self, r.seq))
 	r.stats.Origins++
 	r.stats.OriginSends += r.relay(s, refEnvelope{origin: r.self, seq: r.seq, payload: payload}, maxHeight, r.self)
 }
@@ -68,7 +68,7 @@ func (r *refRouter) Unwrap(s Sender, from simnet.NodeID, payload any) (any, bool
 	if !isEnv {
 		return payload, true
 	}
-	if !r.dupe.add(dupeKey{origin: env.origin, seq: env.seq}) {
+	if !r.dupe.add(newDupeKey(env.origin, env.seq)) {
 		r.stats.Duplicates++
 		return nil, false
 	}

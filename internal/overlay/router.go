@@ -74,8 +74,8 @@ func NewRouter(topo *Topology, self simnet.NodeID) *Router {
 		topo:      topo,
 		self:      self,
 		key:       topo.key(self),
-		views:     topo.views[self],
-		neighbors: topo.neighbors[self],
+		views:     topo.Views(self),
+		neighbors: topo.Neighbors(self),
 		dupe:      newDupemap(topo.cfg.DupeCap),
 	}
 	peers := len(r.neighbors)
@@ -101,7 +101,10 @@ func (r *Router) Stats() Stats { return r.stats }
 // remote dissemination happens here.
 func (r *Router) Broadcast(s Sender, payload any) {
 	r.seq++
-	id := dupeKey{origin: r.self, seq: r.seq}
+	if r.seq >= 1<<seqBits {
+		panic("overlay: broadcast sequence numbers exhausted (2^40 per origin)")
+	}
+	id := newDupeKey(r.self, r.seq)
 	r.dupe.add(id)
 	r.stats.Origins++
 	r.stats.OriginSends += r.relay(s, id, Envelope{Origin: r.self, Seq: r.seq, Payload: payload}, r.self)
@@ -115,7 +118,7 @@ func (r *Router) Unwrap(s Sender, from simnet.NodeID, payload any) (inner any, o
 	if !isEnv {
 		return payload, true
 	}
-	id := dupeKey{origin: env.Origin, seq: env.Seq}
+	id := newDupeKey(env.Origin, env.Seq)
 	if !r.dupe.add(id) {
 		r.stats.Duplicates++
 		return nil, false
@@ -134,7 +137,7 @@ func (r *Router) Unwrap(s Sender, from simnet.NodeID, payload any) (inner any, o
 // flight, which Context.Broadcast guarantees to be the messages a loop of
 // Send over the same peers would produce; any other Sender gets that loop.
 func (r *Router) relay(s Sender, id dupeKey, env any, from simnet.NodeID) uint64 {
-	now := s.Now()
+	now, origin := s.Now(), id.origin()
 	picks := make([]simnet.NodeID, 0, 64) // call-local: stays on the stack
 	if r.topo.views != nil {              // kadcast
 		// An origin covers every bucket; a relay those strictly below the
@@ -153,12 +156,12 @@ func (r *Router) relay(s Sender, id dupeKey, env any, from simnet.NodeID) uint64
 			// Delegate rotation is a pure hash of the broadcast identity
 			// and the bucket, so repeated broadcasts spread load over the
 			// view without drawing from any RNG stream.
-			offset := int(delegateHash(id.origin, id.seq, bv.Index, r.self) % uint64(len(bv.Peers)))
+			offset := int(delegateHash(origin, id.seq(), bv.Index, r.self) % uint64(len(bv.Peers)))
 			picked, candidates := 0, 0
 			for i := 0; i < len(bv.Peers) && picked < r.topo.cfg.Fanout; i++ {
 				at := (offset + i) % len(bv.Peers)
 				peer := bv.Peers[at]
-				if peer == id.origin || peer == from {
+				if peer == origin || peer == from {
 					continue
 				}
 				candidates++
@@ -176,7 +179,7 @@ func (r *Router) relay(s Sender, id dupeKey, env any, from simnet.NodeID) uint64
 		}
 	} else { // flood: every neighbor except the origin and the sender
 		for i, peer := range r.neighbors {
-			if peer == id.origin || peer == from {
+			if peer == origin || peer == from {
 				continue
 			}
 			if r.stalled(&r.stall[i], now) {

@@ -1,9 +1,11 @@
 package overlay
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"stabl/internal/simnet"
@@ -34,15 +36,15 @@ type BucketView struct {
 type Topology struct {
 	cfg Config
 	ids []simnet.NodeID
+	// The per-node tables are indexed by node id, like simnet's own.
 	// neighbors is the symmetric closure of the overlay edges, sorted per
 	// node: the peers a node may exchange any validator traffic with
 	// (relays out, replies and sync pulls back in).
-	neighbors map[simnet.NodeID][]simnet.NodeID
+	neighbors [][]simnet.NodeID
 	// views holds each node's kadcast bucket views, highest bucket first
 	// (nil for flood topologies).
-	views map[simnet.NodeID][]BucketView
-	// keys holds the kadcast key per node, indexed by node id like simnet's
-	// own tables (nil for flood topologies).
+	views [][]BucketView
+	// keys holds the kadcast key per node (nil for flood topologies).
 	keys []uint64
 }
 
@@ -64,6 +66,9 @@ func New(cfg Config, seed int64, ids []simnet.NodeID) (*Topology, error) {
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	if sorted[0] < 0 {
 		return nil, fmt.Errorf("overlay: negative node id %v (ids key dense tables, as in simnet)", sorted[0])
+	}
+	if last := sorted[len(sorted)-1]; last >= 1<<originBits {
+		return nil, fmt.Errorf("overlay: node id %v is past the bound 2^%d (duplicate-suppression keys hold the origin in %d bits)", last, originBits, originBits)
 	}
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i] == sorted[i-1] {
@@ -93,11 +98,19 @@ func (t *Topology) Nodes() []simnet.NodeID { return t.ids }
 
 // Neighbors returns the symmetric overlay neighborhood of id, ascending.
 // Callers must not mutate. Unknown ids have no neighbors.
-func (t *Topology) Neighbors(id simnet.NodeID) []simnet.NodeID { return t.neighbors[id] }
+func (t *Topology) Neighbors(id simnet.NodeID) []simnet.NodeID { return byID(t.neighbors, id) }
 
 // Views returns id's kadcast bucket views, highest bucket first (nil for
 // flood topologies). Callers must not mutate.
-func (t *Topology) Views(id simnet.NodeID) []BucketView { return t.views[id] }
+func (t *Topology) Views(id simnet.NodeID) []BucketView { return byID(t.views, id) }
+
+// byID returns id's entry of an id-indexed table: nil for ids past it.
+func byID[E any](table [][]E, id simnet.NodeID) []E {
+	if uint(id) < uint(len(table)) {
+		return table[id]
+	}
+	return nil
+}
 
 // key returns id's kadcast key: zero for ids past the table, which is all of
 // them on flood topologies.
@@ -133,77 +146,84 @@ func splitmix64(x uint64) uint64 {
 // Coverage under truncation stays exact: a node's buckets below index i
 // partition the key subtree it was delegated, each nonempty sub-subtree has
 // a nonempty view, and one delegate per view covers it by induction.
+//
+// The views come from the sorted keys, not from a scan of every member per
+// node: the keys that agree with x's above bit b are one run, bucket b is
+// the half of it whose bit b differs from x's, and closest descends that
+// half's implicit trie. Keys are distinct, so distances are too, and the
+// views are exactly the BucketK closest.
 func (t *Topology) buildKadcast(seed int64) {
 	n := len(t.ids)
 	keys := make([]uint64, t.ids[n-1]+1)
 	used := make(map[uint64]bool, n)
-	for _, id := range t.ids { // sorted order: collision re-salting is deterministic
+	members := make([]member, n)
+	for i, id := range t.ids { // sorted order: collision re-salting is deterministic
 		k := splitmix64(uint64(seed) ^ uint64(id)*0x9E3779B97F4A7C15)
 		for used[k] {
 			k = splitmix64(k)
 		}
 		used[k] = true
 		keys[id] = k
+		members[i] = member{key: k, id: id}
 	}
 	t.keys = keys
+	slices.SortFunc(members, func(a, b member) int { return cmp.Compare(a.key, b.key) })
 
-	type memb struct {
-		id   simnet.NodeID
-		dist uint64
-	}
-	views := make(map[simnet.NodeID][]BucketView, n)
-	adj := make(map[simnet.NodeID]map[simnet.NodeID]bool, n)
-	var buckets [maxHeight][]memb
+	views := make([][]BucketView, len(keys))
+	adj := make([][]simnet.NodeID, len(keys))
+	var vs []BucketView
 	for _, x := range t.ids {
-		kx := keys[x]
-		for b := range buckets {
-			buckets[b] = buckets[b][:0]
-		}
-		for _, y := range t.ids {
-			if y == x {
+		vs = vs[:0]
+		run := members // the keys that agree with x's above bit b
+		for b := maxHeight - 1; len(run) > 1; b-- {
+			var bucket []member
+			run, bucket = split(run, b, keys[x])
+			if len(bucket) == 0 {
 				continue
 			}
-			d := kx ^ keys[y]
-			b := bucketIndex(kx, keys[y])
-			bk := buckets[b]
-			if len(bk) == t.cfg.BucketK && bk[len(bk)-1].dist <= d {
-				continue // farther than the whole view: cheap reject
-			}
-			i := sort.Search(len(bk), func(i int) bool { return bk[i].dist > d })
-			if len(bk) < t.cfg.BucketK {
-				bk = append(bk, memb{})
-			}
-			copy(bk[i+1:], bk[i:])
-			bk[i] = memb{id: y, dist: d}
-			buckets[b] = bk
-		}
-		var vs []BucketView
-		for b := maxHeight - 1; b >= 0; b-- {
-			if len(buckets[b]) == 0 {
-				continue
-			}
-			peers := make([]simnet.NodeID, len(buckets[b]))
-			for i, m := range buckets[b] {
-				peers[i] = m.id
-			}
+			k := min(len(bucket), t.cfg.BucketK)
+			peers := closest(make([]simnet.NodeID, 0, k), bucket, b-1, keys[x], k)
 			vs = append(vs, BucketView{Index: b, Peers: peers})
-		}
-		views[x] = vs
-		for _, v := range vs {
-			for _, y := range v.Peers {
-				if adj[x] == nil {
-					adj[x] = make(map[simnet.NodeID]bool)
-				}
-				if adj[y] == nil {
-					adj[y] = make(map[simnet.NodeID]bool)
-				}
-				adj[x][y] = true
-				adj[y][x] = true
+			for _, y := range peers {
+				adj[x] = append(adj[x], y)
+				adj[y] = append(adj[y], x)
 			}
 		}
+		views[x] = slices.Clip(slices.Clone(vs))
 	}
 	t.views = views
-	t.neighbors = sortAdjacency(t.ids, adj)
+	t.setNeighbors(adj)
+}
+
+// member is one node in key order.
+type member struct {
+	key uint64
+	id  simnet.NodeID
+}
+
+// split cuts a run of keys that agree above bit b into the half whose bit b
+// matches k's and the other half.
+func split(run []member, b int, k uint64) (near, far []member) {
+	i := sort.Search(len(run), func(i int) bool { return run[i].key>>b&1 == 1 })
+	if k>>b&1 == 1 {
+		return run[i:], run[:i]
+	}
+	return run[:i], run[i:]
+}
+
+// closest appends the ids of a run of keys that agree above bit b to out in
+// ascending XOR distance from k, until out holds want: the near half of the
+// run is nearer than the whole far half, so it goes first, recursively.
+func closest(out []simnet.NodeID, run []member, b int, k uint64, want int) []simnet.NodeID {
+	for len(run) > 0 && len(out) < want {
+		if len(run) == 1 {
+			return append(out, run[0].id)
+		}
+		near, far := split(run, b, k)
+		out = closest(out, near, b-1, k, want)
+		run, b = far, b-1
+	}
+	return out
 }
 
 // buildRing connects the sorted ids in a cycle plus power-of-two shortcut
@@ -211,28 +231,17 @@ func (t *Topology) buildKadcast(seed int64) {
 // not participate.
 func (t *Topology) buildRing() {
 	n := len(t.ids)
-	adj := make(map[simnet.NodeID]map[simnet.NodeID]bool, n)
+	adj := make([][]simnet.NodeID, t.ids[n-1]+1)
 	for i, x := range t.ids {
 		off := 1
-		for s := 0; s <= t.cfg.Fanout; s++ {
-			if off >= n {
-				break
-			}
+		for s := 0; s <= t.cfg.Fanout && off < n; s++ {
 			y := t.ids[(i+off)%n]
-			if y != x {
-				if adj[x] == nil {
-					adj[x] = make(map[simnet.NodeID]bool)
-				}
-				if adj[y] == nil {
-					adj[y] = make(map[simnet.NodeID]bool)
-				}
-				adj[x][y] = true
-				adj[y][x] = true
-			}
+			adj[x] = append(adj[x], y)
+			adj[y] = append(adj[y], x)
 			off *= 2
 		}
 	}
-	t.neighbors = sortAdjacency(t.ids, adj)
+	t.setNeighbors(adj)
 }
 
 // buildRegular unions ⌈Fanout/2⌉ seed-derived Hamiltonian cycles, giving an
@@ -246,42 +255,27 @@ func (t *Topology) buildRegular(seed int64) {
 	if cycles < 1 {
 		cycles = 1
 	}
-	adj := make(map[simnet.NodeID]map[simnet.NodeID]bool, n)
+	adj := make([][]simnet.NodeID, t.ids[n-1]+1)
 	for c := 0; c < cycles; c++ {
 		rng := rand.New(rand.NewSource(int64(splitmix64(uint64(seed) ^ uint64(c+1)*0xD1342543DE82EF95))))
 		perm := rng.Perm(n)
 		for i := 0; i < n; i++ {
 			x := t.ids[perm[i]]
 			y := t.ids[perm[(i+1)%n]]
-			if x == y {
-				continue
-			}
-			if adj[x] == nil {
-				adj[x] = make(map[simnet.NodeID]bool)
-			}
-			if adj[y] == nil {
-				adj[y] = make(map[simnet.NodeID]bool)
-			}
-			adj[x][y] = true
-			adj[y][x] = true
+			adj[x] = append(adj[x], y)
+			adj[y] = append(adj[y], x)
 		}
 	}
-	t.neighbors = sortAdjacency(t.ids, adj)
+	t.setNeighbors(adj)
 }
 
-// sortAdjacency freezes an adjacency-set map into sorted neighbor slices.
-// The set maps are iterated in whatever order Go picks — the sort makes the
-// result independent of it, and nothing downstream ever ranges a map.
-func sortAdjacency(ids []simnet.NodeID, adj map[simnet.NodeID]map[simnet.NodeID]bool) map[simnet.NodeID][]simnet.NodeID {
-	out := make(map[simnet.NodeID][]simnet.NodeID, len(ids))
-	for _, x := range ids {
-		set := adj[x]
-		ns := make([]simnet.NodeID, 0, len(set))
-		for y := range set {
-			ns = append(ns, y)
-		}
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-		out[x] = ns
+// setNeighbors freezes id-indexed adjacency lists — every edge appended both
+// ways, duplicates allowed — into sorted, duplicate-free neighbor slices of
+// exact length.
+func (t *Topology) setNeighbors(adj [][]simnet.NodeID) {
+	for _, x := range t.ids {
+		slices.Sort(adj[x])
+		adj[x] = slices.Clip(slices.Clone(slices.Compact(adj[x])))
 	}
-	return out
+	t.neighbors = adj
 }

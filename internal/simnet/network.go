@@ -459,19 +459,11 @@ func (n *Network) AddNode(id NodeID, h Handler) {
 	if id < 0 {
 		panic(fmt.Sprintf("simnet: negative node id %v", id))
 	}
-	if int(id) >= len(n.nodes) {
-		grown := make([]*endpoint, id+1)
-		copy(grown, n.nodes)
-		n.nodes = grown
-		delays := make([]time.Duration, id+1)
-		copy(delays, n.extraDelay)
-		n.extraDelay = delays
-		losses := make([]float64, id+1)
-		copy(losses, n.lossRate)
-		n.lossRate = losses
-		jitters := make([]time.Duration, id+1)
-		copy(jitters, n.jitterBound)
-		n.jitterBound = jitters
+	if grow := int(id) + 1 - len(n.nodes); grow > 0 { // amortised: n registrations copy O(n) entries
+		n.nodes = append(n.nodes, make([]*endpoint, grow)...)
+		n.extraDelay = append(n.extraDelay, make([]time.Duration, grow)...)
+		n.lossRate = append(n.lossRate, make([]float64, grow)...)
+		n.jitterBound = append(n.jitterBound, make([]time.Duration, grow)...)
 	}
 	if n.nodes[id] != nil {
 		panic(fmt.Sprintf("simnet: duplicate node %v", id))

@@ -131,9 +131,7 @@ func (s *System) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *chai
 	}
 	v.quorum = committee.Quorum(v.n, v.t)
 	v.lastRootedSlot = -1
-	for _, g := range genesis {
-		v.base.Ledger.Mint(g.Addr, g.Balance)
-	}
+	v.base.Ledger.Genesis(genesis)
 	return v
 }
 

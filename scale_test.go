@@ -1,8 +1,11 @@
 package stabl
 
 import (
+	"runtime"
 	"testing"
 	"time"
+
+	"stabl/internal/core"
 )
 
 // TestScaleLargerNetwork addresses the paper's future work: "measure the
@@ -67,5 +70,52 @@ func TestScaleCrashToleranceGrowsWithN(t *testing.T) {
 				t.Fatalf("f=t crash killed %s at n=20; last commit %v", sys.Name(), res.LastCommitAt)
 			}
 		})
+	}
+}
+
+// scaleDeployment is the benchmark's scale deployment at n validators:
+// committee-mode Algorand with 1,024 clients folded into 8 flows of 256
+// accounts, connection layer off, over the given overlay ("" for the mesh).
+func scaleDeployment(n int, topology string) Config {
+	return Config{
+		System:           NewAlgorand(),
+		Seed:             42,
+		Validators:       n,
+		Clients:          1024,
+		Flows:            8,
+		FlowAccounts:     256,
+		RatePerClient:    0.05,
+		CommitteeSize:    64,
+		Duration:         30 * time.Second,
+		DisableConnLayer: true,
+		Overlay:          OverlayConfig{Topology: topology},
+	}
+}
+
+// TestBuildScalesLinearly: deploying four times the validators allocates at
+// most 4.5 times the bytes, on the mesh and on kadcast. A per-node table
+// regrown (and copied) once per node, or a kadcast view found by scanning
+// every member, makes the ratio climb with n. Not parallel: TotalAlloc
+// counts every goroutine's allocations.
+func TestBuildScalesLinearly(t *testing.T) {
+	for _, topology := range []string{"", "kadcast"} {
+		var bytes [2]uint64
+		for i, n := range []int{1024, 4096} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			e, err := core.Build(scaleDeployment(n, topology))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Start()
+			runtime.ReadMemStats(&after)
+			bytes[i] = after.TotalAlloc - before.TotalAlloc
+		}
+		if ratio := float64(bytes[1]) / float64(bytes[0]); ratio > 4.5 {
+			t.Errorf("overlay %q: Build+Start allocated %.1f MB at n=1,024 and %.1f MB at n=4,096, ×%.2f (limit ×4.5)",
+				topology, float64(bytes[0])/1e6, float64(bytes[1])/1e6, ratio)
+		} else {
+			t.Logf("overlay %q: %.1f MB → %.1f MB, ×%.2f", topology, float64(bytes[0])/1e6, float64(bytes[1])/1e6, ratio)
+		}
 	}
 }
