@@ -250,12 +250,6 @@ type (
 	}
 )
 
-// voteKey names one tally of a round: the votes of a stage for a proposer.
-type voteKey struct {
-	stage    int
-	proposer simnet.NodeID
-}
-
 // Committee steps of one BA* round (committee mode). The proposer step
 // shares the vote stages' numbering space: stageSoft/stageCert map onto
 // their step values directly.
@@ -263,6 +257,12 @@ const (
 	stepProposer = 0
 	stepNext     = 3
 )
+
+// proposalKey names a buffered proposal.
+type proposalKey struct {
+	round    int
+	proposer simnet.NodeID
+}
 
 type validator struct {
 	cfg    Config
@@ -287,21 +287,21 @@ type state struct {
 	round      int
 	filterTO   time.Duration
 	roundTimer sim.Timer
-	proposals  map[int]map[simnet.NodeID]*proposalMsg
-	votes      map[int]map[voteKey]*nodeSet // round -> stage/proposer -> voters
-	nexts      map[int]*nodeSet
-	certSent   map[int]bool
-	committed  map[int]bool
-	evidence   map[int]*nodeSet // round -> senders, for jumps
-	puller     *sim.Ticker
-	resets     uint64
-	lastReset  time.Duration
-	everReset  bool
-	rngPull    interface{ Intn(int) int }
+	proposals  map[proposalKey]*proposalMsg
+	// votes holds each round's soft and cert votes, valued by the proposer
+	// they endorse, and its next votes, which name no proposer.
+	votes     chain.Tally[simnet.NodeID]
+	certSent  int                   // the last round this node's cert step ran
+	evidence  chain.Tally[struct{}] // later-round senders, for jumps
+	puller    *sim.Ticker
+	resets    uint64
+	lastReset time.Duration
+	everReset bool
+	rngPull   interface{ Intn(int) int }
 	// memo is the committee of (memoRound, memoStep), the last one asked
 	// for (see committeeAt).
 	memoRound int
-	memoStep  uint8
+	memoStep  int
 	memo      *committee.Committee
 }
 
@@ -313,12 +313,14 @@ func (v *validator) Start(ctx *simnet.Context) {
 	v.base.Reset(ctx)
 	v.round = 0
 	v.filterTO = v.cfg.DefaultFilterTimeout
-	v.proposals = make(map[int]map[simnet.NodeID]*proposalMsg)
-	v.votes = make(map[int]map[voteKey]*nodeSet)
-	v.nexts = make(map[int]*nodeSet)
-	v.certSent = make(map[int]bool)
-	v.committed = make(map[int]bool)
-	v.evidence = make(map[int]*nodeSet)
+	v.proposals = make(map[proposalKey]*proposalMsg)
+	var seats func(round, step int) *committee.Committee
+	if v.comm != nil {
+		seats = v.committeeAt
+	}
+	v.votes = chain.NewTally[simnet.NodeID](v.n, v.quorum, seats)
+	v.certSent = -1
+	v.evidence = chain.NewTally[struct{}](v.n, 0, nil)
 	v.everReset = false
 	v.lastReset = 0
 	v.base.OnLocalSubmit = v.pushGossip
@@ -433,48 +435,19 @@ func (v *validator) rank(round int, id simnet.NodeID) int {
 	return -1
 }
 
-// Committee-mode helpers. Validator ids double as stake-table member
-// indices (the deployment assigns validators ids 0..n-1, matching their
-// position in Peers), so membership checks are direct bitset lookups. In
-// full-membership mode every node is seated at every step and the fixed
-// n-t quorum applies.
-
-// committeeAt returns the (round, step) committee. A validator asks for one
-// committee many times in a row (every vote of a step), so it keeps the last
-// one and asks the shared Schedule, behind its lock, only on a miss.
+// committeeAt returns the (round, step) committee (committee mode), and is
+// the vote tally's seats. Validator ids double as stake-table member indices
+// (the deployment assigns validators ids 0..n-1, matching their position in
+// Peers), so membership checks are direct bitset lookups. A validator asks
+// for one committee many times in a row (every vote of a step), so it keeps
+// the last one and asks the shared Schedule, behind its lock, only on a miss.
 // Committees are immutable and extraction is pure, so a hit returns a
 // committee identical to the Schedule's, even after the Schedule evicted it.
-func (v *validator) committeeAt(round int, step uint8) *committee.Committee {
+func (v *validator) committeeAt(round, step int) *committee.Committee {
 	if v.memo == nil || v.memoRound != round || v.memoStep != step {
-		v.memo, v.memoRound, v.memoStep = v.comm.Committee(uint64(round), step), round, step
+		v.memo, v.memoRound, v.memoStep = v.comm.Committee(uint64(round), uint8(step)), round, step
 	}
 	return v.memo
-}
-
-// seated reports whether the local node sits on the (round, step)
-// committee.
-func (v *validator) seated(round int, step uint8) bool {
-	if v.comm == nil {
-		return true
-	}
-	return v.committeeAt(round, step).IsMember(int(v.base.ID))
-}
-
-// countsAt reports whether a vote by voter counts at the (round, step)
-// committee.
-func (v *validator) countsAt(round int, step uint8, voter simnet.NodeID) bool {
-	if v.comm == nil {
-		return true
-	}
-	return v.committeeAt(round, step).IsMember(int(voter))
-}
-
-// stepQuorum returns the vote threshold of the (round, step) committee.
-func (v *validator) stepQuorum(round int, step uint8) int {
-	if v.comm == nil {
-		return v.quorum
-	}
-	return v.committeeAt(round, step).Quorum()
 }
 
 // evidenceThreshold is how many distinct later-round senders prove the
@@ -484,7 +457,7 @@ func (v *validator) evidenceThreshold(round int) int {
 	if v.comm == nil {
 		return v.t + 1
 	}
-	return v.committeeAt(round, uint8(stageSoft)).Evidence()
+	return v.committeeAt(round, stageSoft).Evidence()
 }
 
 // Deliver implements simnet.Handler.
@@ -548,13 +521,8 @@ func (v *validator) noteEvidence(round int, from simnet.NodeID) {
 	if round <= v.round {
 		return
 	}
-	ev, ok := v.evidence[round]
-	if !ok {
-		ev = newNodeSet(v.n)
-		v.evidence[round] = ev
-	}
-	ev.add(from)
-	if ev.len() >= v.evidenceThreshold(round) {
+	v.evidence.Add(round, 0, from, struct{}{})
+	if v.evidence.Voters(round, 0) >= v.evidenceThreshold(round) {
 		v.advance(round, false)
 	}
 }
@@ -572,7 +540,7 @@ func (v *validator) enterRound(round int) {
 	v.roundTimer = v.ctx.After(v.filterTO, func() { v.onFilterStep(round) })
 	// Replay quorums that assembled before we entered this round (e.g.
 	// right after a jump).
-	if v.nexts[round].len() >= v.stepQuorum(round, stepNext) {
+	if v.votes.Voters(round, stepNext) >= v.votes.Threshold(round, stepNext) {
 		v.advance(round+1, true)
 	}
 }
@@ -593,27 +561,21 @@ func (v *validator) onProposal(msg proposalMsg) {
 	if msg.Round < v.round || v.rank(msg.Round, msg.Proposer) < 0 {
 		return
 	}
-	props, ok := v.proposals[msg.Round]
-	if !ok {
-		props = make(map[simnet.NodeID]*proposalMsg)
-		v.proposals[msg.Round] = props
-	}
-	if _, dup := props[msg.Proposer]; dup {
+	key := proposalKey{msg.Round, msg.Proposer}
+	if _, dup := v.proposals[key]; dup {
 		return
 	}
-	m := msg
-	props[msg.Proposer] = &m
+	v.proposals[key] = &msg
 }
 
 // bestProposal returns the lowest-ranked received proposal of a round.
 func (v *validator) bestProposal(round int) *proposalMsg {
-	props := v.proposals[round]
-	if len(props) == 0 {
-		return nil
-	}
 	var best *proposalMsg
 	bestRank := 1 << 30
-	for _, p := range props {
+	for k, p := range v.proposals {
+		if k.round != round {
+			continue
+		}
 		if r := v.rank(round, p.Proposer); r < bestRank {
 			bestRank = r
 			best = p
@@ -629,49 +591,36 @@ func (v *validator) castVote(round, stage int, proposer simnet.NodeID) {
 }
 
 func (v *validator) onVote(msg voteMsg) {
-	if msg.Round < v.round || v.committed[msg.Round] {
+	// A commit enters the next round at once, so rounds below the current
+	// one are closed.
+	if msg.Round < v.round {
 		return
 	}
-	if !v.countsAt(msg.Round, uint8(msg.Stage), msg.Voter) {
-		return
-	}
-	stages, ok := v.votes[msg.Round]
-	if !ok {
-		stages = make(map[voteKey]*nodeSet)
-		v.votes[msg.Round] = stages
-	}
-	key := voteKey{stage: msg.Stage, proposer: msg.Proposer}
-	voters, ok := stages[key]
-	if !ok {
-		voters = newNodeSet(v.n)
-		stages[key] = voters
-	}
-	voters.add(msg.Voter)
+	// Only seated members vote, so a vote the tally refuses is a repeat;
+	// the checks below run for it as for a first vote.
+	v.votes.Add(msg.Round, msg.Stage, msg.Voter, msg.Proposer)
 	if msg.Round != v.round {
 		return
 	}
-	if msg.Stage == stageSoft && voters.len() >= v.stepQuorum(msg.Round, stageSoft) && !v.certSent[msg.Round] {
-		v.certSent[msg.Round] = true
-		if v.seated(msg.Round, stageCert) {
+	votes := v.votes.Count(msg.Round, msg.Stage, msg.Proposer)
+	if msg.Stage == stageSoft && votes >= v.votes.Threshold(msg.Round, stageSoft) && v.certSent != msg.Round {
+		v.certSent = msg.Round
+		if v.votes.Seated(msg.Round, stageCert, v.base.ID) {
 			v.castVote(msg.Round, stageCert, msg.Proposer)
 		}
 	}
-	if msg.Stage == stageCert && voters.len() >= v.stepQuorum(msg.Round, stageCert) {
+	if msg.Stage == stageCert && votes >= v.votes.Threshold(msg.Round, stageCert) {
 		v.commitRound(msg.Round, msg.Proposer)
 	}
 }
 
 func (v *validator) commitRound(round int, proposer simnet.NodeID) {
-	if v.committed[round] {
-		return
-	}
-	prop := v.proposals[round][proposer]
+	prop := v.proposals[proposalKey{round, proposer}]
 	if prop == nil {
 		// Certified without content (e.g. right after a jump); block
 		// sync will deliver the block.
 		return
 	}
-	v.committed[round] = true
 	v.base.Consensus(metrics.EventCommit, round, proposer, "")
 	v.base.SubmitBlock(chain.Block{
 		Height:    prop.Height,
@@ -691,7 +640,7 @@ func (v *validator) commitRound(round int, proposer simnet.NodeID) {
 // onFilterStep closes the proposal-collection phase: soft-vote the proposal
 // if one arrived, otherwise signal the round as failed.
 func (v *validator) onFilterStep(round int) {
-	if round != v.round || v.committed[round] {
+	if round != v.round {
 		return
 	}
 	if prop := v.bestProposal(round); prop != nil {
@@ -702,7 +651,7 @@ func (v *validator) onFilterStep(round int) {
 			v.slowRound()
 			v.base.Consensus(metrics.EventLeaderChange, round, prop.Proposer, "sortition winner silent, falling back")
 			v.roundTimer = v.ctx.After(v.cfg.FallbackGrace, func() {
-				if round != v.round || v.committed[round] {
+				if round != v.round {
 					return
 				}
 				fallback := v.bestProposal(round)
@@ -710,14 +659,14 @@ func (v *validator) onFilterStep(round int) {
 					v.onRoundStuck(round)
 					return
 				}
-				if v.seated(round, stageSoft) {
+				if v.votes.Seated(round, stageSoft, v.base.ID) {
 					v.castVote(round, stageSoft, fallback.Proposer)
 				}
 				v.roundTimer = v.ctx.After(v.cfg.CertTimeout, func() { v.onRoundStuck(round) })
 			})
 			return
 		}
-		if v.seated(round, stageSoft) {
+		if v.votes.Seated(round, stageSoft, v.base.ID) {
 			v.castVote(round, stageSoft, prop.Proposer)
 		}
 		v.roundTimer = v.ctx.After(v.cfg.CertTimeout, func() { v.onRoundStuck(round) })
@@ -744,14 +693,14 @@ func (v *validator) slowRound() {
 // round time: vote to move to the next round, re-arming so the signal keeps
 // going out until the network moves (or a lost quorum returns).
 func (v *validator) onRoundStuck(round int) {
-	if round != v.round || v.committed[round] {
+	if round != v.round {
 		return
 	}
 	v.base.Consensus(metrics.EventTimeout, round, v.Proposer(round), "round stuck")
 	// The timer re-arms between the broadcast and the local vote: onNext
 	// may advance the round, and the round-entry timer it installs must
 	// survive this handler.
-	if v.seated(round, stepNext) {
+	if v.votes.Seated(round, stepNext, v.base.ID) {
 		msg := nextMsg{Round: round, Voter: v.base.ID}
 		v.base.Broadcast(msg)
 		v.roundTimer = v.ctx.After(v.filterTO+v.cfg.CertTimeout, func() { v.onRoundStuck(round) })
@@ -765,16 +714,8 @@ func (v *validator) onNext(msg nextMsg) {
 	if msg.Round < v.round {
 		return
 	}
-	if !v.countsAt(msg.Round, stepNext, msg.Voter) {
-		return
-	}
-	voters, ok := v.nexts[msg.Round]
-	if !ok {
-		voters = newNodeSet(v.n)
-		v.nexts[msg.Round] = voters
-	}
-	voters.add(msg.Voter)
-	if msg.Round == v.round && voters.len() >= v.stepQuorum(msg.Round, stepNext) {
+	v.votes.Add(msg.Round, stepNext, msg.Voter, 0)
+	if msg.Round == v.round && v.votes.Voters(msg.Round, stepNext) >= v.votes.Threshold(msg.Round, stepNext) {
 		v.advance(msg.Round+1, true)
 	}
 }
@@ -788,26 +729,11 @@ func (v *validator) advance(round int, slow bool) {
 	if slow {
 		v.slowRound()
 	}
-	for r := range v.votes {
-		if r < round {
-			delete(v.votes, r)
-			delete(v.certSent, r)
-			delete(v.committed, r)
-		}
-	}
-	for r := range v.proposals {
-		if r < round-1 {
-			delete(v.proposals, r)
-		}
-	}
-	for r := range v.nexts {
-		if r < round {
-			delete(v.nexts, r)
-		}
-	}
-	for r := range v.evidence {
-		if r <= round {
-			delete(v.evidence, r)
+	v.votes.Prune(round)
+	v.evidence.Prune(round + 1)
+	for k := range v.proposals {
+		if k.round < round-1 {
+			delete(v.proposals, k)
 		}
 	}
 	v.enterRound(round)

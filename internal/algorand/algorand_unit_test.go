@@ -84,7 +84,7 @@ func TestBestProposalPicksLowestRank(t *testing.T) {
 		}
 	}
 	v.onProposal(proposalMsg{Round: 0, Proposer: other})
-	if _, ok := v.proposals[0][other]; ok {
+	if _, ok := v.proposals[proposalKey{0, other}]; ok {
 		t.Fatal("non-candidate proposal accepted")
 	}
 }
@@ -185,19 +185,18 @@ func TestCommitteeMemoEqualsSchedule(t *testing.T) {
 	sys.SetCommitteeSize(size)
 	_, v := systemValidator(t, sys, n)
 	ref := committee.NewSchedule(sys.stakeTable(n), sys.cfg.SortitionSeed, size)
-	check := func(label string, round int, step uint8) {
+	check := func(label string, round, step int) {
 		t.Helper()
-		want := ref.Committee(uint64(round), step)
+		want := ref.Committee(uint64(round), uint8(step))
 		if got := v.committeeAt(round, step); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: committee (%d, %d) differs from the Schedule's", label, round, step)
 		}
-		if v.seated(round, step) != want.IsMember(int(v.base.ID)) ||
-			v.stepQuorum(round, step) != want.Quorum() ||
+		if v.votes.Threshold(round, step) != want.Quorum() ||
 			v.evidenceThreshold(round) != ref.Committee(uint64(round), stageSoft).Evidence() {
-			t.Fatalf("%s: seat, quorum or evidence threshold of (%d, %d) differs", label, round, step)
+			t.Fatalf("%s: quorum or evidence threshold of (%d, %d) differs", label, round, step)
 		}
 		for voter := simnet.NodeID(0); voter < n; voter++ {
-			if v.countsAt(round, step, voter) != want.IsMember(int(voter)) {
+			if v.votes.Seated(round, step, voter) != want.IsMember(int(voter)) {
 				t.Fatalf("%s: voter %d counts differently at (%d, %d)", label, voter, round, step)
 			}
 		}
@@ -207,13 +206,13 @@ func TestCommitteeMemoEqualsSchedule(t *testing.T) {
 	}
 	// memoized answers one lookup and reports whether the memo then holds
 	// the Schedule's committee.
-	memoized := func(round int, step uint8) bool {
-		return reflect.DeepEqual(v.committeeAt(round, step), ref.Committee(uint64(round), step))
+	memoized := func(round, step int) bool {
+		return reflect.DeepEqual(v.committeeAt(round, step), ref.Committee(uint64(round), uint8(step)))
 	}
 
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
-		check("interleaved", rng.Intn(6), uint8(rng.Intn(4)))
+		check("interleaved", rng.Intn(6), rng.Intn(4))
 	}
 
 	v.committeeAt(90, stageCert)

@@ -15,25 +15,11 @@ type checkpoint struct {
 	state
 }
 
-func cloneSets[K comparable](m map[K]*nodeSet) map[K]*nodeSet {
-	out := make(map[K]*nodeSet, len(m))
-	for k, s := range m {
-		out[k] = s.clone()
-	}
-	return out
-}
-
 func (s *state) clone() state {
 	c := *s
-	c.proposals = snapshot.CloneNested(s.proposals)
-	c.votes = make(map[int]map[voteKey]*nodeSet, len(s.votes))
-	for r, stages := range s.votes {
-		c.votes[r] = cloneSets(stages)
-	}
-	c.nexts = cloneSets(s.nexts)
-	c.certSent = maps.Clone(s.certSent)
-	c.committed = maps.Clone(s.committed)
-	c.evidence = cloneSets(s.evidence)
+	c.proposals = maps.Clone(s.proposals)
+	c.votes = s.votes.Clone()
+	c.evidence = s.evidence.Clone()
 	return c
 }
 

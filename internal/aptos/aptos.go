@@ -142,18 +142,21 @@ type (
 	txGossip struct {
 		Tx chain.Tx
 	}
-	// proposalMsg is the round leader's block.
+	// proposalMsg is the round leader's block: Txs at Height, extending
+	// the leader's tip Parent.
 	proposalMsg struct {
 		Round  int
 		Height int
+		Parent chain.Hash
 		Leader simnet.NodeID
 		Txs    []chain.Tx
 	}
-	// voteMsg is a replica's vote, sent to the leader.
+	// voteMsg is a replica's vote, sent to the leader. It names the
+	// proposal's height and parent, so it certifies one block.
 	voteMsg struct {
-		Round  int
-		Height int
-		Voter  simnet.NodeID
+		Round int
+		Block blockRef
+		Voter simnet.NodeID
 	}
 	// commitMsg is the leader's quorum-certified block.
 	commitMsg struct {
@@ -168,6 +171,19 @@ type (
 	}
 )
 
+// blockRef is what a vote binds: the proposal's height and the parent it
+// extends.
+type blockRef struct {
+	Height int
+	Parent chain.Hash
+}
+
+// Steps of a round in the vote tally.
+const (
+	stepVote = iota
+	stepTimeout
+)
+
 type validator struct {
 	cfg    Config
 	base   *chain.BaseNode
@@ -179,16 +195,14 @@ type validator struct {
 
 // state is what a validator mutates after construction, and its checkpoint.
 // Queued pacemaker closures capture only round numbers and the validator
-// pointer, and proposed transaction slices are immutable once stored.
+// pointer, and proposals are immutable once stored.
 type state struct {
 	ctx        *simnet.Context
 	round      int
 	consFails  int
 	roundTimer sim.Timer
-	votes      map[int]map[simnet.NodeID]bool
-	timeouts   map[int]map[simnet.NodeID]bool
-	proposed   map[int][]chain.Tx
-	committed  map[int]bool
+	votes      chain.Tally[blockRef] // stepVote and stepTimeout of each round
+	proposal   *proposalMsg          // this node's latest own proposal
 	// Leader reputation (volatile, converges via timeout quorums).
 	failCount  map[simnet.NodeID]int
 	excludedAt map[simnet.NodeID]int
@@ -203,10 +217,8 @@ func (v *validator) Start(ctx *simnet.Context) {
 	v.base.Reset(ctx)
 	v.round = 0
 	v.consFails = 0
-	v.votes = make(map[int]map[simnet.NodeID]bool)
-	v.timeouts = make(map[int]map[simnet.NodeID]bool)
-	v.proposed = make(map[int][]chain.Tx)
-	v.committed = make(map[int]bool)
+	v.votes = chain.NewTally[blockRef](v.n, v.quorum, nil)
+	v.proposal = nil
 	v.failCount = make(map[simnet.NodeID]int)
 	v.excludedAt = make(map[simnet.NodeID]int)
 	v.base.OnLocalSubmit = v.gossipTx
@@ -329,13 +341,17 @@ func (v *validator) propose(round int) {
 	if round != v.round {
 		return
 	}
-	if _, done := v.proposed[round]; done {
+	if v.proposal != nil && v.proposal.Round == round {
 		return
 	}
-	height := v.base.ChainTip()
-	txs := v.base.ProposalTxs(v.cfg.MaxBlockTxs)
-	v.proposed[round] = txs
-	msg := proposalMsg{Round: round, Height: height, Leader: v.base.ID, Txs: txs}
+	msg := proposalMsg{
+		Round:  round,
+		Height: v.base.ChainTip(),
+		Parent: v.base.TipHash(),
+		Leader: v.base.ID,
+		Txs:    v.base.ProposalTxs(v.cfg.MaxBlockTxs),
+	}
+	v.proposal = &msg
 	v.base.Broadcast(msg)
 	v.onProposal(msg) // count self
 }
@@ -352,7 +368,12 @@ func (v *validator) onProposal(msg proposalMsg) {
 	if v.leader(msg.Round) != msg.Leader {
 		return
 	}
-	vote := voteMsg{Round: msg.Round, Height: msg.Height, Voter: v.base.ID}
+	// Vote only for a block that extends this node's own tip, so a quorum
+	// certifies one block per height.
+	if msg.Height != v.base.ChainTip() || msg.Parent != v.base.TipHash() {
+		return
+	}
+	vote := voteMsg{Round: msg.Round, Block: blockRef{Height: msg.Height, Parent: msg.Parent}, Voter: v.base.ID}
 	switch {
 	case msg.Leader == v.base.ID:
 		v.onVote(vote)
@@ -366,32 +387,26 @@ func (v *validator) onProposal(msg proposalMsg) {
 }
 
 func (v *validator) onVote(msg voteMsg) {
-	if msg.Round != v.round || v.committed[msg.Round] {
+	// A commit enters the next round at once, so the current round is
+	// never one this node already committed.
+	if msg.Round != v.round {
 		return
 	}
-	if v.base.Gossips() {
-		// Votes are broadcast over the overlay, so every validator sees
-		// them; only the round's proposer tallies — it alone holds the
-		// proposal content a certificate would certify.
-		if _, mine := v.proposed[msg.Round]; !mine {
-			return
-		}
-	}
-	votes, ok := v.votes[msg.Round]
-	if !ok {
-		votes = make(map[simnet.NodeID]bool)
-		v.votes[msg.Round] = votes
-	}
-	votes[msg.Voter] = true
-	if len(votes) < v.quorum {
+	// Only the round's proposer tallies, and only votes for its own
+	// proposal: it alone holds the content the quorum certifies.
+	prop := v.proposal
+	if prop == nil || prop.Round != msg.Round || msg.Block != (blockRef{Height: prop.Height, Parent: prop.Parent}) {
 		return
 	}
-	v.committed[msg.Round] = true
+	v.votes.Add(msg.Round, stepVote, msg.Voter, msg.Block)
+	if _, ok := v.votes.Quorum(msg.Round, stepVote); !ok {
+		return
+	}
 	block := chain.Block{
-		Height:    v.base.ChainTip(),
+		Height:    prop.Height,
 		Proposer:  v.base.ID,
-		Parent:    v.base.TipHash(),
-		Txs:       v.proposed[msg.Round],
+		Parent:    prop.Parent,
+		Txs:       prop.Txs,
 		DecidedAt: v.ctx.Now(),
 	}
 	msgOut := commitMsg{Round: msg.Round, Block: block}
@@ -431,18 +446,14 @@ func (v *validator) onTimeout(msg timeoutMsg) {
 	if msg.Round < v.round {
 		return
 	}
-	touts, ok := v.timeouts[msg.Round]
-	if !ok {
-		touts = make(map[simnet.NodeID]bool)
-		v.timeouts[msg.Round] = touts
-	}
-	touts[msg.Voter] = true
+	v.votes.Add(msg.Round, stepTimeout, msg.Voter, blockRef{})
+	touts := v.votes.Voters(msg.Round, stepTimeout)
 	// t+1 timeouts prove at least one correct node gave up on the round:
 	// join the view change. A full quorum completes it.
-	if len(touts) >= v.t+1 && msg.Round > v.round {
+	if touts >= v.t+1 && msg.Round > v.round {
 		v.jumpTo(msg.Round)
 	}
-	if msg.Round == v.round && len(touts) >= v.quorum {
+	if msg.Round == v.round && touts >= v.quorum {
 		v.viewChange(msg.Round)
 	}
 }
@@ -473,22 +484,9 @@ func (v *validator) advance(round int, delay time.Duration) {
 	if round <= v.round {
 		return
 	}
-	for r := range v.votes {
-		if r < round {
-			delete(v.votes, r)
-		}
-	}
-	for r := range v.timeouts {
-		if r < round-1 {
-			delete(v.timeouts, r)
-		}
-	}
-	for r := range v.proposed {
-		if r < round {
-			delete(v.proposed, r)
-			delete(v.committed, r)
-		}
-	}
+	// The round just left keeps its timeouts; its votes are dead, since
+	// onVote reads only the current round.
+	v.votes.Prune(round - 1)
 	v.enterRound(round, delay)
 	// A node whose chain is behind its pipeline has missed commits.
 	if v.base.HeadPending() > v.base.Ledger.Height() {

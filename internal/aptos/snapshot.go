@@ -17,10 +17,7 @@ type checkpoint struct {
 
 func (s *state) clone() state {
 	c := *s
-	c.votes = snapshot.CloneNested(s.votes)
-	c.timeouts = snapshot.CloneNested(s.timeouts)
-	c.proposed = maps.Clone(s.proposed)
-	c.committed = maps.Clone(s.committed)
+	c.votes = s.votes.Clone()
 	c.failCount = maps.Clone(s.failCount)
 	c.excludedAt = maps.Clone(s.excludedAt)
 	return c

@@ -1,4 +1,4 @@
-package algorand
+package chain
 
 import (
 	"testing"
@@ -7,11 +7,11 @@ import (
 )
 
 func TestNodeSet(t *testing.T) {
-	var empty *nodeSet
-	if empty.len() != 0 {
-		t.Fatal("nil set is not empty")
+	var s nodeSet
+	if s.count != 0 {
+		t.Fatal("zero set is not empty")
 	}
-	s := newNodeSet(10)
+	s.bits = make([]uint64, 1)
 	for _, id := range []simnet.NodeID{0, 9, 63, 64, 500} { // past the presized word too
 		if !s.add(id) {
 			t.Fatalf("first add(%d) reported a duplicate", id)
@@ -20,12 +20,12 @@ func TestNodeSet(t *testing.T) {
 			t.Fatalf("second add(%d) reported a new member", id)
 		}
 	}
-	if s.len() != 5 {
-		t.Fatalf("len = %d, want 5", s.len())
+	if s.count != 5 {
+		t.Fatalf("count = %d, want 5", s.count)
 	}
 	c := s.clone()
 	c.add(7)
-	if s.len() != 5 || c.len() != 6 || !s.add(7) {
+	if s.count != 5 || c.count != 6 || !s.add(7) {
 		t.Fatal("clone shares storage with its source")
 	}
 }

@@ -26,7 +26,6 @@ import (
 // deliveries) or shared immutable payload, and must be the same pointer.
 var ownedPointers = map[string]bool{
 	"*client.pendingRead": true,
-	"*algorand.nodeSet":   true,
 	"*sim.chunk":          true,
 }
 

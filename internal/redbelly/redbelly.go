@@ -19,6 +19,7 @@ package redbelly
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -159,7 +160,7 @@ type roundState struct {
 	round     int
 	startedAt time.Duration
 	proposals map[simnet.NodeID][]chain.Tx
-	votes     map[int]map[simnet.NodeID]string // sub -> voter -> est key
+	votes     chain.Tally[string] // (round, sub) -> est key
 	ests      map[string][]simnet.NodeID
 	myVote    map[int][]simnet.NodeID
 	estimated bool
@@ -172,12 +173,12 @@ type roundState struct {
 	pendingDecide []simnet.NodeID
 }
 
-func newRoundState(round int, now time.Duration) *roundState {
+func newRoundState(round int, now time.Duration, n, quorum int) *roundState {
 	return &roundState{
 		round:     round,
 		startedAt: now,
 		proposals: make(map[simnet.NodeID][]chain.Tx),
-		votes:     make(map[int]map[simnet.NodeID]string),
+		votes:     chain.NewTally[string](n, quorum, nil),
 		ests:      make(map[string][]simnet.NodeID),
 		myVote:    make(map[int][]simnet.NodeID),
 		coordSent: make(map[int]bool),
@@ -266,7 +267,7 @@ func (v *validator) Deliver(from simnet.NodeID, payload any) {
 func (v *validator) state(round int) *roundState {
 	st, ok := v.states[round]
 	if !ok {
-		st = newRoundState(round, v.ctx.Now())
+		st = newRoundState(round, v.ctx.Now(), v.n, v.quorum)
 		v.states[round] = st
 	}
 	return st
@@ -364,16 +365,10 @@ func (v *validator) onVote(msg voteMsg) {
 	if st.decided {
 		return
 	}
-	votes, ok := st.votes[msg.Sub]
-	if !ok {
-		votes = make(map[simnet.NodeID]string)
-		st.votes[msg.Sub] = votes
-	}
 	key := estKey(msg.Est)
-	if _, dup := votes[msg.Voter]; dup {
+	if !st.votes.Add(msg.Round, msg.Sub, msg.Voter, key) {
 		return
 	}
-	votes[msg.Voter] = key
 	st.ests[key] = msg.Est
 	v.evaluate(msg.Round, msg.Sub)
 	v.maybeSendCoord(msg.Round)
@@ -387,28 +382,13 @@ func (v *validator) evaluate(round, sub int) {
 	if st.decided || round != v.round || sub != st.sub {
 		return
 	}
-	votes := st.votes[sub]
-	if len(votes) < v.quorum {
+	if st.votes.Voters(round, sub) < v.quorum {
 		return
 	}
-	counts := make(map[string]int)
-	for _, key := range votes {
-		counts[key]++
-	}
-	// At most one estimate can reach quorum (quorum = n-t > n/2), so which
-	// key decides is order-independent today — but iterate sorted anyway so
-	// the decision path stays provably deterministic if that invariant ever
-	// weakens, and so the send behind decide never follows map order.
-	keys := make([]string, 0, len(counts))
-	for key := range counts {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		if counts[key] >= v.quorum {
-			v.decide(round, st.ests[key])
-			return
-		}
+	// At most one estimate can reach quorum (quorum = n-t > n/2).
+	if key, ok := st.votes.Quorum(round, sub); ok {
+		v.decide(round, st.ests[key])
+		return
 	}
 	// Mixed estimates: defer to the weak coordinator of this sub-round,
 	// falling back to our majority view when it stays silent (a crashed
@@ -442,7 +422,7 @@ func (v *validator) maybeSendCoord(round int) {
 	if v.coordinator(round, sub) != v.base.ID || st.coordSent[sub] {
 		return
 	}
-	if len(st.votes[sub]) < v.quorum {
+	if st.votes.Voters(round, sub) < v.quorum {
 		return
 	}
 	st.coordSent[sub] = true
@@ -464,31 +444,22 @@ func (v *validator) onCoord(msg coordMsg) {
 // by the union of all voted estimates so the result grows toward inclusion.
 func (v *validator) majorityEst(round, sub int) []simnet.NodeID {
 	st := v.state(round)
-	counts := make(map[string]int)
-	for _, key := range st.votes[sub] {
-		counts[key]++
-	}
+	counts := st.votes.Values(round, sub)
 	bestKey, best := "", 0
-	for key, c := range counts {
-		if c > best || (c == best && key > bestKey) {
-			bestKey, best = key, c
+	for _, c := range counts {
+		if c.Count > best || (c.Count == best && c.Value > bestKey) {
+			bestKey, best = c.Value, c.Count
 		}
 	}
-	if best*2 > len(st.votes[sub]) {
+	if best*2 > st.votes.Voters(round, sub) {
 		return st.ests[bestKey]
 	}
-	union := make(map[simnet.NodeID]bool)
-	for key := range counts {
-		for _, id := range st.ests[key] {
-			union[id] = true
-		}
-	}
-	est := make([]simnet.NodeID, 0, len(union))
-	for id := range union {
-		est = append(est, id)
+	est := []simnet.NodeID{} // never nil: castVote reads nil as "not voted"
+	for _, c := range counts {
+		est = append(est, st.ests[c.Value]...)
 	}
 	sortIDs(est)
-	return est
+	return slices.Compact(est)
 }
 
 // decide assembles the superblock for the agreed proposer set and commits.

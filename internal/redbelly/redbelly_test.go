@@ -139,7 +139,7 @@ func TestSuperblockUnionDeduplicates(t *testing.T) {
 	if !ok {
 		t.Fatal("NewValidator type")
 	}
-	st := newRoundState(0, 0)
+	st := newRoundState(0, 0, v.n, v.quorum)
 	tx := chain.Tx{ID: chain.MakeTxID(0, 1)}
 	st.proposals[0] = []chain.Tx{tx}
 	st.proposals[1] = []chain.Tx{tx} // same tx proposed twice (secure client)

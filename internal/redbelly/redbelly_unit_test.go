@@ -46,13 +46,13 @@ func TestCoordinatorRotatesWithRoundAndSubround(t *testing.T) {
 func TestMajorityEstPrefersMajority(t *testing.T) {
 	v := unitValidator(t, 4)
 	v.states = map[int]*roundState{}
-	st := newRoundState(0, 0)
+	st := newRoundState(0, 0, v.n, v.quorum)
 	v.states[0] = st
 	estA := []simnet.NodeID{0, 1}
 	estB := []simnet.NodeID{0, 1, 2}
-	st.votes[0] = map[simnet.NodeID]string{
-		1: estKey(estA), 2: estKey(estA), 3: estKey(estB),
-	}
+	st.votes.Add(0, 0, 1, estKey(estA))
+	st.votes.Add(0, 0, 2, estKey(estA))
+	st.votes.Add(0, 0, 3, estKey(estB))
 	st.ests[estKey(estA)] = estA
 	st.ests[estKey(estB)] = estB
 	got := v.majorityEst(0, 0)
@@ -64,11 +64,12 @@ func TestMajorityEstPrefersMajority(t *testing.T) {
 func TestMajorityEstTieFallsBackToUnion(t *testing.T) {
 	v := unitValidator(t, 4)
 	v.states = map[int]*roundState{}
-	st := newRoundState(0, 0)
+	st := newRoundState(0, 0, v.n, v.quorum)
 	v.states[0] = st
 	estA := []simnet.NodeID{0, 1}
 	estB := []simnet.NodeID{2, 3}
-	st.votes[0] = map[simnet.NodeID]string{1: estKey(estA), 2: estKey(estB)}
+	st.votes.Add(0, 0, 1, estKey(estA))
+	st.votes.Add(0, 0, 2, estKey(estB))
 	st.ests[estKey(estA)] = estA
 	st.ests[estKey(estB)] = estB
 	got := v.majorityEst(0, 0)

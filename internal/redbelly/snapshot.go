@@ -28,7 +28,7 @@ func (s *nodeState) clone() nodeState {
 func (rs *roundState) clone() roundState {
 	c := *rs
 	c.proposals = maps.Clone(rs.proposals)
-	c.votes = snapshot.CloneNested(rs.votes)
+	c.votes = rs.votes.Clone()
 	c.ests = maps.Clone(rs.ests)
 	c.myVote = maps.Clone(rs.myVote)
 	c.coordSent = maps.Clone(rs.coordSent)

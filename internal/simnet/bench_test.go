@@ -129,8 +129,12 @@ func TestBroadcastSizesArrayOnce(t *testing.T) {
 	}
 }
 
-// mallocs counts the heap objects fn allocates.
+// mallocs counts the heap objects fn allocates. Like testing.AllocsPerRun it
+// collects first and runs fn on one P, so neither a background GC's work nor
+// another goroutine's allocations land in the count.
 func mallocs(fn func()) uint64 {
+	runtime.GC()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fn()

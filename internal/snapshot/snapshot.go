@@ -38,8 +38,6 @@
 //     Restore truncates to the checkpoint length.
 package snapshot
 
-import "maps"
-
 // State is one component's opaque checkpoint. Each Forkable returns its own
 // private state type; callers only carry it back to the same component's
 // Restore.
@@ -96,17 +94,4 @@ func (s *Set) Restore(st State) {
 	for i, p := range s.parts {
 		p.Restore(states[i])
 	}
-}
-
-// CloneNested copies a map of maps two levels deep, the shape of the chain
-// models' per-round vote books. Inner values are copied by assignment.
-func CloneNested[K, L comparable, V any](m map[K]map[L]V) map[K]map[L]V {
-	if m == nil {
-		return nil
-	}
-	out := make(map[K]map[L]V, len(m))
-	for k, inner := range m {
-		out[k] = maps.Clone(inner)
-	}
-	return out
 }

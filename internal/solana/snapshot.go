@@ -19,7 +19,7 @@ func (s *state) clone() state {
 	c := *s
 	c.blocks = maps.Clone(s.blocks)
 	c.eahByEpoch = maps.Clone(s.eahByEpoch)
-	c.votes = snapshot.CloneNested(s.votes)
+	c.votes = s.votes.Clone()
 	c.rooted = maps.Clone(s.rooted)
 	return c
 }

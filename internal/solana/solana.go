@@ -177,7 +177,7 @@ type state struct {
 	// (between its ¼ and ¾ marks); integration at the ¾ mark panics when
 	// the hash is missing in a too-short epoch.
 	eahByEpoch map[int]chain.Hash
-	votes      map[int]map[simnet.NodeID]bool
+	votes      chain.Tally[struct{}] // by slot; a vote names no value
 	rooted     map[int]bool
 
 	// lastRootedSlot persists across restarts (it is derived from the
@@ -196,7 +196,7 @@ func (v *validator) Start(ctx *simnet.Context) {
 	v.ctx = ctx
 	v.base.Reset(ctx)
 	v.blocks = make(map[int]*blockMsg)
-	v.votes = make(map[int]map[simnet.NodeID]bool)
+	v.votes = chain.NewTally[struct{}](v.n, v.quorum, nil)
 	v.rooted = make(map[int]bool)
 	v.eahByEpoch = make(map[int]chain.Hash)
 	v.base.OnCommit = v.onBlockApplied
@@ -508,14 +508,9 @@ func (v *validator) onVote(msg voteMsg) {
 	if v.rooted[msg.Slot] {
 		return
 	}
-	voters, ok := v.votes[msg.Slot]
-	if !ok {
-		voters = make(map[simnet.NodeID]bool)
-		v.votes[msg.Slot] = voters
-	}
-	voters[msg.Voter] = true
+	v.votes.Add(msg.Slot, 0, msg.Voter, struct{}{})
 	block := v.blocks[msg.Slot]
-	if block == nil || len(voters) < v.quorum {
+	if _, ok := v.votes.Quorum(msg.Slot, 0); block == nil || !ok {
 		return
 	}
 	v.rooted[msg.Slot] = true
@@ -549,8 +544,8 @@ func (v *validator) gc(upto int) {
 	for s := range v.blocks {
 		if s < upto-64 {
 			delete(v.blocks, s)
-			delete(v.votes, s)
 			delete(v.rooted, s)
 		}
 	}
+	v.votes.Prune(upto - 64)
 }
