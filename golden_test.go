@@ -165,6 +165,18 @@ func goldenRows() []goldenRow {
 		}, parallel})
 }
 
+// forkingGoldens names the rows whose runs may report integrity errors: a
+// golden must not pin a fork silently, so any other row whose run reports
+// one fails. Each entry is a known fork its owner fixes by deleting it.
+var forkingGoldens = map[string]bool{
+	// Two entries in each run: Solana validators reject blocks that reach
+	// them through kadcast's stall model. ROADMAP item 10 owns it.
+	"kadcast-crash-Solana": true,
+	// One entry in the altered run: one validator commits another block at
+	// height 87 under the lossy-WAN scenario. ROADMAP item 1 owns it.
+	"lossy-wan-Redbelly": true,
+}
+
 // TestGolden holds every pinned configuration to its committed render, and
 // the parallel kernel to the sequential one. A deliberate move is
 // `go test -run TestGolden -update .` and a reviewed testdata/golden diff.
@@ -199,6 +211,9 @@ func TestGolden(t *testing.T) {
 				for _, r := range runs {
 					if r.SimWorkers != workers {
 						t.Errorf("P=%d: run reported SimWorkers=%d", workers, r.SimWorkers)
+					}
+					if len(r.IntegrityErrors) > 0 && !forkingGoldens[row.name] {
+						t.Errorf("P=%d: run reports %d integrity errors, first %q", workers, len(r.IntegrityErrors), r.IntegrityErrors[0])
 					}
 					// At n=10 a broadcast origin never pays more than the
 					// mesh's n-1 = 9 first-hop sends.

@@ -62,7 +62,7 @@ type BaseNode struct {
 
 	// OnCommit, if set, runs after a block is executed; chains use it to
 	// prune their volatile structures.
-	OnCommit func(b Block, executed []Tx)
+	OnCommit func(b Block)
 	// OnCaughtUp, if set, runs when a catch-up round finds no more
 	// blocks to fetch.
 	OnCaughtUp func()
@@ -456,8 +456,7 @@ func (n *BaseNode) pump() {
 }
 
 func (n *BaseNode) apply(b Block) {
-	executed, err := n.Ledger.Append(b)
-	if err != nil {
+	if _, err := n.Ledger.Append(b); err != nil {
 		// A duplicate height or a block that fails hash-chain
 		// verification: drop it. Catch-up refetches the canonical
 		// block from peers.
@@ -482,7 +481,7 @@ func (n *BaseNode) apply(b Block) {
 	}
 	n.Pool.Drop(b.Txs)
 	if n.OnCommit != nil {
-		n.OnCommit(b, executed)
+		n.OnCommit(b)
 	}
 }
 

@@ -204,7 +204,7 @@ func TestBaseNodeRestartClearsPool(t *testing.T) {
 func TestBaseNodeOnCommitHookAndOnLocalSubmit(t *testing.T) {
 	sched, _, v0, _, cl, _ := baseTestSetup(t, BaseConfig{})
 	var hookBlocks, localSubmits int
-	v0.base.OnCommit = func(Block, []Tx) { hookBlocks++ }
+	v0.base.OnCommit = func(Block) { hookBlocks++ }
 	v0.base.OnLocalSubmit = func(Tx) { localSubmits++ }
 	cl.ctx.Send(0, SubmitTx{Tx: mkTx(0, 1, 1, 2, 0)})
 	sched.RunUntil(50 * time.Millisecond)

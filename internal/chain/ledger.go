@@ -37,15 +37,26 @@ type ledgerState struct {
 	skipped  uint64
 }
 
-// account is one entry of the ledger's account table. live marks the
-// addresses that ever held funds or took part in an executed transfer —
-// exactly the accounts StateHash covers; an address the slice merely grew
-// past is not one.
+// account is one entry of the ledger's account table, in 16 bytes. The
+// accountLive bit of word marks the addresses that ever held funds or took
+// part in an executed transfer — exactly the accounts StateHash covers; an
+// address the slice merely grew past is not one. The bits below it hold
+// the next expected nonce, so maxNonce is the highest nonce Append takes.
 type account struct {
 	balance uint64
-	nonce   uint64 // next expected nonce
-	live    bool
+	word    uint64
 }
+
+const (
+	accountLive = 1 << 63
+	maxNonce    = accountLive - 2
+)
+
+// nonce returns the account's next expected nonce.
+func (a *account) nonce() uint64 { return a.word &^ accountLive }
+
+// live reports whether StateHash covers the account.
+func (a *account) live() bool { return a.word&accountLive != 0 }
 
 // NewLedger creates an empty ledger.
 func NewLedger() *Ledger {
@@ -71,7 +82,7 @@ func (l *Ledger) Genesis(accts []GenesisAccount) {
 	for _, g := range accts {
 		a := &l.accounts[g.Addr]
 		a.balance += g.Balance
-		a.live = true
+		a.word |= accountLive
 	}
 }
 
@@ -99,7 +110,7 @@ func (l *Ledger) NextNonce(addr Address) uint64 {
 	if int(addr) >= len(l.accounts) {
 		return 0
 	}
-	return l.accounts[addr].nonce
+	return l.accounts[addr].nonce()
 }
 
 // AppliedTxs returns how many transactions executed successfully.
@@ -135,23 +146,30 @@ func (l *Ledger) BlocksFrom(from, max int) []Block {
 }
 
 // Append commits a block at the next height, executing its transactions.
-// It returns the transactions that executed (i.e. were not duplicates).
-// Appending a block whose height is not the current chain height, or (with
-// VerifyParents) whose parent link does not match the chain tip, is a
-// protocol error; so is growing the chain past the height the transaction
-// table can record.
-func (l *Ledger) Append(b Block) ([]Tx, error) {
+// It returns how many of them executed (were neither duplicates nor
+// unfunded). Appending a block whose height is not the current chain
+// height, or (with VerifyParents) whose parent link does not match the
+// chain tip, is a protocol error; so is growing the chain past the height
+// the transaction table can record, or a transaction nonce past the
+// maxNonce the account table can record. A block that fails changes
+// nothing.
+func (l *Ledger) Append(b Block) (int, error) {
 	if b.Height > maxTxHeight {
-		return nil, fmt.Errorf("ledger: height %d is past the %d blocks a ledger can record", b.Height, maxTxHeight+1)
+		return 0, fmt.Errorf("ledger: height %d is past the %d blocks a ledger can record", b.Height, maxTxHeight+1)
 	}
 	if b.Height != len(l.blocks) {
-		return nil, fmt.Errorf("ledger: append height %d, want %d", b.Height, len(l.blocks))
+		return 0, fmt.Errorf("ledger: append height %d, want %d", b.Height, len(l.blocks))
 	}
 	if l.VerifyParents && b.Parent != l.TipHash() {
-		return nil, fmt.Errorf("ledger: block %d parent %v does not extend tip %v",
+		return 0, fmt.Errorf("ledger: block %d parent %v does not extend tip %v",
 			b.Height, b.Parent, l.TipHash())
 	}
-	executed := make([]Tx, 0, len(b.Txs))
+	for _, tx := range b.Txs {
+		if tx.Nonce > maxNonce {
+			return 0, fmt.Errorf("ledger: %v nonce %d is past the %d a ledger can record", tx.ID, tx.Nonce, uint64(maxNonce))
+		}
+	}
+	applied := l.applied
 	height := uint32(b.Height+1) << txHeightShift
 	for _, tx := range b.Txs {
 		s := l.txs.slot(tx.ID)
@@ -168,16 +186,13 @@ func (l *Ledger) Append(b Block) ([]Tx, error) {
 		from, to := &l.accounts[tx.From], &l.accounts[tx.To]
 		from.balance -= tx.Amount
 		to.balance += tx.Amount
-		from.live, to.live = true, true
-		if tx.Nonce >= from.nonce {
-			from.nonce = tx.Nonce + 1
-		}
+		from.word = accountLive | max(from.nonce(), tx.Nonce+1)
+		to.word |= accountLive
 		l.applied++
-		executed = append(executed, tx)
 	}
 	b.seal() // a no-op for a block that came through BaseNode.SubmitBlock
 	l.blocks = append(l.blocks, b)
-	return executed, nil
+	return int(l.applied - applied), nil
 }
 
 // TipHash returns the content address of the latest block (zero at genesis).
@@ -220,14 +235,14 @@ func (l *Ledger) StateHash() Hash {
 	h := sha256.New()
 	var buf [8]byte
 	for addr, a := range l.accounts {
-		if !a.live {
+		if !a.live() {
 			continue
 		}
 		binary.LittleEndian.PutUint64(buf[:], uint64(addr))
 		_, _ = h.Write(buf[:])
 		binary.LittleEndian.PutUint64(buf[:], a.balance)
 		_, _ = h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], a.nonce)
+		binary.LittleEndian.PutUint64(buf[:], a.nonce())
 		_, _ = h.Write(buf[:])
 	}
 	var out Hash

@@ -31,8 +31,8 @@ func TestLedgerAppendExecutesTransfers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(executed) != 1 {
-		t.Fatalf("executed %d txs, want 1", len(executed))
+	if executed != 1 {
+		t.Fatalf("executed %d txs, want 1", executed)
 	}
 	if l.Balance(1) != 70 || l.Balance(2) != 30 {
 		t.Fatalf("balances = %d,%d", l.Balance(1), l.Balance(2))
@@ -63,7 +63,7 @@ func TestLedgerDeduplicatesAcrossBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(executed) != 0 {
+	if executed != 0 {
 		t.Fatal("duplicate executed twice")
 	}
 	if l.Balance(2) != 10 {
@@ -81,7 +81,7 @@ func TestLedgerInsufficientFundsSkipsButCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(executed) != 0 {
+	if executed != 0 {
 		t.Fatal("unfunded transfer executed")
 	}
 	if _, ok := l.Committed(tx.ID); !ok {

@@ -71,12 +71,14 @@ func (m *Mempool) Peek(max int) []Tx {
 func (m *Mempool) Pending() []Tx { return m.queue }
 
 // Pop removes and returns up to max pending transactions in FIFO order.
+// The survivors move to the front of the array, where the next Add reuses
+// the cells the popped ones freed.
 func (m *Mempool) Pop(max int) []Tx {
 	out := m.Peek(max)
-	m.queue = m.queue[len(out):]
 	for _, tx := range out {
 		m.txs.clear(tx.ID, txPooled)
 	}
+	m.queue = fitQueue(m.queue[:copy(m.queue, m.queue[len(out):])])
 	return out
 }
 
@@ -105,13 +107,31 @@ func (m *Mempool) Drop(txs []Tx) {
 		}
 		kept = append(kept, tx)
 	}
-	m.queue = kept
+	m.queue = fitQueue(kept)
 }
 
 // Clear empties the pool; used to model volatile state lost on crash.
 func (m *Mempool) Clear() {
 	m.queue = nil
 	m.txs.sweep(txPooled)
+}
+
+// poolMinCells is the array size a pool keeps however empty it is, short of
+// drained: below it, shrinking saves less than a refill's reallocations.
+const poolMinCells = 64
+
+// fitQueue bounds a pool's array by its working set, not by the burst it
+// once held, which every validator of a large deployment would otherwise
+// keep: a drained queue holds no array, and an array of more than
+// poolMinCells cells under a quarter full moves to one twice the length.
+func fitQueue(q []Tx) []Tx {
+	switch {
+	case len(q) == 0:
+		return nil
+	case cap(q) > poolMinCells && 4*len(q) < cap(q):
+		return append(make([]Tx, 0, 2*len(q)), q...)
+	}
+	return q
 }
 
 // Stats returns (accepted, rejected) counters.

@@ -36,7 +36,7 @@ func (t *txTable) copyInto(dst *txTable) {
 func (s *poolState) copyInto(dst *poolState) {
 	queue := dst.queue
 	*dst = *s
-	dst.queue = append(queue[:0], s.queue...)
+	dst.queue = fitQueue(append(queue[:0], s.queue...))
 }
 
 // copyInto reuses dst's commit log: it is the monitor's bulk, one entry per

@@ -3,11 +3,13 @@ package chain
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"stabl/internal/simnet"
 )
@@ -80,7 +82,7 @@ func compareLedgers(t *testing.T, l *Ledger, r *refLedger, addrs Address, ids []
 				a, l.Balance(a), l.NextNonce(a), r.balances[a], r.nonces[a])
 		}
 		_, wantLive := r.balances[a]
-		if live := int(a) < len(l.accounts) && l.accounts[a].live; live != wantLive {
+		if live := int(a) < len(l.accounts) && l.accounts[a].live(); live != wantLive {
 			t.Fatalf("account %d: live = %v, reference holds it: %v", a, live, wantLive)
 		}
 	}
@@ -114,8 +116,8 @@ func TestLedgerMatchesMapReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := r.append(txs); len(executed) != want {
-			t.Fatalf("block %d executed %d txs, reference %d", l.Height()-1, len(executed), want)
+		if want := r.append(txs); executed != want {
+			t.Fatalf("block %d executed %d txs, reference %d", l.Height()-1, executed, want)
 		}
 		compareLedgers(t, l, r, addrs, ids)
 	}
@@ -124,9 +126,9 @@ func TestLedgerMatchesMapReference(t *testing.T) {
 	// and makes both live; address 40 lies below 41..42 in the slice yet
 	// stays out of the state hash.
 	appendBoth([]Tx{{ID: MakeTxID(9, 0), From: 41, To: 42, Amount: 0, Nonce: 5}})
-	if !l.accounts[41].live || !l.accounts[42].live || l.accounts[40].live {
+	if !l.accounts[41].live() || !l.accounts[42].live() || l.accounts[40].live() {
 		t.Fatalf("live flags after zero-amount transfer: 40=%v 41=%v 42=%v",
-			l.accounts[40].live, l.accounts[41].live, l.accounts[42].live)
+			l.accounts[40].live(), l.accounts[41].live(), l.accounts[42].live())
 	}
 	// An unfunded sender commits the id but touches no account.
 	appendBoth([]Tx{{ID: MakeTxID(9, 1), From: 44, To: 45, Amount: 1}})
@@ -158,6 +160,42 @@ func TestLedgerRejectsUnrecordableHeight(t *testing.T) {
 	}
 	if h, ok := committedHeight(uint32(maxTxHeight+1)<<txHeightShift | txMark | txPooled | txPipeline | txSubscribed); !ok || h != maxTxHeight {
 		t.Fatalf("maxTxHeight does not round-trip: (%d, %v)", h, ok)
+	}
+}
+
+// TestLedgerRejectsUnrecordableNonce: a nonce whose successor would reach
+// the account word's live bit fails the whole block, naming the bound, and
+// the highest recordable nonce executes and reads back exactly.
+func TestLedgerRejectsUnrecordableNonce(t *testing.T) {
+	l := NewLedger()
+	l.Mint(1, 100)
+	before := l.StateHash()
+	fine, past := mkTx(0, 0, 1, 2, 10), mkTx(0, 1, 1, 2, 10)
+	past.Nonce = maxNonce + 1
+	_, err := l.Append(Block{Height: 0, Txs: []Tx{fine, past}})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(uint64(maxNonce))) {
+		t.Fatalf("Append of nonce %d: %v", past.Nonce, err)
+	}
+	if l.Height() != 0 || l.StateHash() != before || l.AppliedTxs() != 0 {
+		t.Fatal("a rejected block changed the ledger")
+	}
+	fine.Nonce = maxNonce
+	if n, err := l.Append(Block{Height: 0, Txs: []Tx{fine}}); err != nil || n != 1 {
+		t.Fatalf("Append of nonce maxNonce = (%d, %v)", n, err)
+	}
+	if got := l.NextNonce(1); got != maxNonce+1 {
+		t.Fatalf("NextNonce = %d, want %d", got, uint64(maxNonce+1))
+	}
+	if !l.accounts[1].live() || l.Balance(1) != 90 {
+		t.Fatal("the account at maxNonce lost its live bit or balance")
+	}
+}
+
+// TestAccountIs16Bytes: the account table is a per-validator, per-account
+// cost, so the live flag rides in the nonce word instead of padding a third.
+func TestAccountIs16Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(account{}); size != 16 {
+		t.Fatalf("account is %d bytes, want 16", size)
 	}
 }
 
@@ -341,6 +379,11 @@ func fundedLedger() *Ledger {
 func TestSteadyStateAllocations(t *testing.T) {
 	const block = 64
 	pool := NewMempool(nil)
+	// A pool with a backlog keeps its array across blocks; one that drains
+	// releases it (see fitQueue), so the next block pays for a new one.
+	for _, tx := range benchTxs(2, 0, block) {
+		pool.Add(tx)
+	}
 	batch := benchTxs(0, 0, block)
 	cycle := func() {
 		for _, tx := range batch {
@@ -350,11 +393,11 @@ func TestSteadyStateAllocations(t *testing.T) {
 	}
 	cycle() // size the table and the queue
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-		t.Errorf("Mempool Add+Drop of a sized pool allocates %v times per block", allocs)
+		t.Errorf("Mempool Add+Drop of a sized pool with a backlog allocates %v times per block", allocs)
 	}
 
-	// Append's own cost is the executed slice; hashing the block allocates
-	// too (sha256 digests), which is measured apart and subtracted.
+	// Append itself allocates nothing; hashing the block does (sha256
+	// digests), which is measured apart and subtracted.
 	l := fundedLedger()
 	next := uint32(0)
 	appendBlock := func() {
@@ -380,8 +423,8 @@ func TestSteadyStateAllocations(t *testing.T) {
 	if len(l.txs.cells) != sized {
 		t.Fatalf("table grew during the measurement (%d -> %d cells)", sized, len(l.txs.cells))
 	}
-	if own := allocs - hashing - building; own > 1 {
-		t.Errorf("Ledger.Append allocates %v times per block beyond hashing; want the executed slice only", own)
+	if own := allocs - hashing - building; own >= 0.1 {
+		t.Errorf("Ledger.Append allocates %v times per block beyond hashing; want none", own)
 	}
 }
 

@@ -219,8 +219,8 @@ func (m *txModel) step(op byte, arg int) {
 				delete(o.subscribed, tx.ID)
 			}
 		}
-		if len(executed) != fresh {
-			t.Fatalf("Append executed %d txs, oracle says %d", len(executed), fresh)
+		if executed != fresh {
+			t.Fatalf("Append executed %d txs, oracle says %d", executed, fresh)
 		}
 		m.pool.Drop(b.Txs)
 		o.unqueue(drop)

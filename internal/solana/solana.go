@@ -533,7 +533,7 @@ func (v *validator) onVote(msg voteMsg) {
 
 // onBlockApplied keeps the root clock in sync when blocks arrive via
 // catch-up rather than live votes.
-func (v *validator) onBlockApplied(b chain.Block, _ []chain.Tx) {
+func (v *validator) onBlockApplied(b chain.Block) {
 	slot := int(b.DecidedAt / v.cfg.SlotDuration)
 	if slot > v.lastRootedSlot {
 		v.lastRootedSlot = slot
