@@ -24,7 +24,7 @@ race:
 # specs lints every shipped experiment, scenario and campaign spec through
 # the same parser/validator the CLI uses at run time.
 specs:
-	$(GO) run ./cmd/stabl spec -validate 'specs/*.json' 'specs/scenarios/*.json'
+	$(GO) run ./cmd/stabl spec 'specs/*.json' 'specs/scenarios/*.json'
 
 # lint runs the whole-program determinism analysis (internal/lint) over the
 # module: the engine loads every package once, builds a cross-package call
@@ -123,14 +123,14 @@ bench-pairs:
 
 # figures regenerates every SVG artifact of the paper into ./out.
 figures:
-	$(GO) run ./cmd/stabl -svg out fig1
-	$(GO) run ./cmd/stabl -svg out fig3a
-	$(GO) run ./cmd/stabl -svg out fig3b
-	$(GO) run ./cmd/stabl -svg out fig3c
-	$(GO) run ./cmd/stabl -svg out fig3d
-	$(GO) run ./cmd/stabl -svg out fig4
-	$(GO) run ./cmd/stabl -svg out fig5
-	$(GO) run ./cmd/stabl -svg out fig6
+	$(GO) run ./cmd/stabl fig1 -svg out
+	$(GO) run ./cmd/stabl fig3a -svg out
+	$(GO) run ./cmd/stabl fig3b -svg out
+	$(GO) run ./cmd/stabl fig3c -svg out
+	$(GO) run ./cmd/stabl fig3d -svg out
+	$(GO) run ./cmd/stabl fig4 -svg out
+	$(GO) run ./cmd/stabl fig5 -svg out
+	$(GO) run ./cmd/stabl fig6 -svg out
 
 clean:
 	rm -rf out

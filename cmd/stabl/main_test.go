@@ -17,17 +17,23 @@ import (
 // fastArgs shrink the experiment so CLI tests stay quick.
 var fastArgs = []string{"-duration", "90s", "-inject", "30s", "-recover", "60s"}
 
-func runCLI(t *testing.T, args ...string) string {
+// runCLI runs `stabl <verb> <fastArgs> <args>`; a scenario's timeline
+// replaces the fault window, so the scenario verb takes only -duration.
+func runCLI(t *testing.T, verb string, args ...string) string {
 	t.Helper()
+	fast := fastArgs
+	if verb == "scenario" {
+		fast = fastArgs[:2]
+	}
 	var buf strings.Builder
-	if err := run(append(append([]string{}, fastArgs...), args...), &buf); err != nil {
+	if err := run(append(append([]string{verb}, fast...), args...), &buf); err != nil {
 		t.Fatalf("run(%v): %v\noutput: %s", args, err, buf.String())
 	}
 	return buf.String()
 }
 
 func TestCLIRunCommand(t *testing.T) {
-	out := runCLI(t, "-system", "Redbelly", "-fault", "crash", "run")
+	out := runCLI(t, "run", "-system", "Redbelly", "-fault", "crash")
 	if !strings.Contains(out, "Redbelly") || !strings.Contains(out, "score=") {
 		t.Fatalf("output = %q", out)
 	}
@@ -37,15 +43,15 @@ func TestCLIRunCommand(t *testing.T) {
 // carries one line of router counters per run; mesh output has none, and
 // JSON output is the same document either way.
 func TestCLIRunPrintsOverlayCounters(t *testing.T) {
-	mesh := runCLI(t, "-system", "Redbelly", "-fault", "crash", "run")
+	mesh := runCLI(t, "run", "-system", "Redbelly", "-fault", "crash")
 	if strings.Contains(mesh, "overlay") {
 		t.Fatalf("mesh output mentions an overlay:\n%s", mesh)
 	}
 	for _, args := range [][]string{
-		{"-system", "Redbelly", "-fault", "crash", "-overlay", "kadcast", "run"},
-		{"-system", "Redbelly", "-overlay", "kadcast", "-scenario", "eclipse", "scenario"},
+		{"run", "-system", "Redbelly", "-fault", "crash", "-overlay", "kadcast"},
+		{"scenario", "-system", "Redbelly", "-overlay", "kadcast", "-scenario", "eclipse"},
 	} {
-		out := runCLI(t, args...)
+		out := runCLI(t, args[0], args[1:]...)
 		for _, run := range []string{"baseline", "altered"} {
 			var line string
 			for _, l := range strings.Split(out, "\n") {
@@ -67,14 +73,14 @@ func TestCLIRunPrintsOverlayCounters(t *testing.T) {
 		}
 	}
 	var report map[string]any
-	out := runCLI(t, "-system", "Redbelly", "-fault", "crash", "-overlay", "kadcast", "-json", "run")
+	out := runCLI(t, "run", "-system", "Redbelly", "-fault", "crash", "-overlay", "kadcast", "-json")
 	if err := json.Unmarshal([]byte(out), &report); err != nil || strings.Contains(out, "origins=") {
 		t.Fatalf("-json output is not the plain report (%v):\n%s", err, out)
 	}
 }
 
 func TestCLIRunJSON(t *testing.T) {
-	out := runCLI(t, "-system", "Redbelly", "-fault", "crash", "-json", "run")
+	out := runCLI(t, "run", "-system", "Redbelly", "-fault", "crash", "-json")
 	var report struct {
 		System string  `json:"system"`
 		Score  float64 `json:"score"`
@@ -89,7 +95,7 @@ func TestCLIRunJSON(t *testing.T) {
 
 func TestCLIFig3aWritesSVG(t *testing.T) {
 	dir := t.TempDir()
-	out := runCLI(t, "-svg", dir, "fig3a")
+	out := runCLI(t, "fig3a", "-svg", dir)
 	if !strings.Contains(out, "Fig 3a") {
 		t.Fatalf("output = %q", out)
 	}
@@ -130,7 +136,7 @@ func TestCLIRejectsNonPositiveBucket(t *testing.T) {
 	for _, bucket := range []string{"0", "-5s"} {
 		start := time.Now()
 		var buf strings.Builder
-		err := run([]string{"-bucket", bucket, "run"}, &buf)
+		err := run([]string{"run", "-bucket", bucket}, &buf)
 		if err == nil || !strings.Contains(err.Error(), "-bucket") {
 			t.Errorf("-bucket %s: error = %v, want one naming -bucket", bucket, err)
 		}
@@ -149,7 +155,7 @@ func TestCLIRejectsExplicitZero(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			start := time.Now()
 			var buf strings.Builder
-			err := run([]string{"-duration", "20s", "-inject", "5s", "-recover", "10s", "-" + name, "0", "-fault", "crash", "run"}, &buf)
+			err := run([]string{"run", "-duration", "20s", "-inject", "5s", "-recover", "10s", "-" + name, "0", "-fault", "crash"}, &buf)
 			if err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
 				t.Errorf("-%s 0: error = %v, want one naming -%s", name, err, name)
 			}
@@ -162,14 +168,14 @@ func TestCLIRejectsExplicitZero(t *testing.T) {
 
 func TestCLIUnknownSystem(t *testing.T) {
 	var buf strings.Builder
-	if err := run([]string{"-system", "Bitcoin", "run"}, &buf); err == nil {
+	if err := run([]string{"run", "-system", "Bitcoin"}, &buf); err == nil {
 		t.Fatal("unknown system accepted")
 	}
 }
 
 func TestCLIUnknownFault(t *testing.T) {
 	var buf strings.Builder
-	if err := run([]string{"-fault", "meteor", "run"}, &buf); err == nil {
+	if err := run([]string{"run", "-fault", "meteor"}, &buf); err == nil {
 		t.Fatal("unknown fault accepted")
 	}
 }
@@ -206,7 +212,7 @@ func TestCLIRunWithConfigFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf strings.Builder
-	if err := run([]string{"-config", path, "run"}, &buf); err != nil {
+	if err := run([]string{"run", "-config", path}, &buf); err != nil {
 		t.Fatalf("run -config: %v\n%s", err, buf.String())
 	}
 	if !strings.Contains(buf.String(), "Redbelly") || !strings.Contains(buf.String(), "crash") {
@@ -216,13 +222,13 @@ func TestCLIRunWithConfigFile(t *testing.T) {
 
 func TestCLIRunWithMissingConfigFile(t *testing.T) {
 	var buf strings.Builder
-	if err := run([]string{"-config", "/nonexistent.json", "run"}, &buf); err == nil {
+	if err := run([]string{"run", "-config", "/nonexistent.json"}, &buf); err == nil {
 		t.Fatal("missing config accepted")
 	}
 }
 
 // TestCLIRejectsOutOfRangeSpec: a spec whose numbers have no deployment is
-// reported INVALID by `spec -validate` and refused by `run` with an error
+// reported INVALID by `spec` and refused by `run` with an error
 // naming the field, instead of panicking in a constructor or scoring inf.
 func TestCLIRejectsOutOfRangeSpec(t *testing.T) {
 	for _, tc := range []struct{ field, body string }{
@@ -240,20 +246,20 @@ func TestCLIRejectsOutOfRangeSpec(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf strings.Builder
-			if err := run([]string{"spec", "-validate", path}, &buf); err == nil {
-				t.Fatalf("spec -validate accepted it:\n%s", buf.String())
+			if err := run([]string{"spec", path}, &buf); err == nil {
+				t.Fatalf("spec accepted it:\n%s", buf.String())
 			}
 			if !strings.Contains(buf.String(), "INVALID") || !strings.Contains(buf.String(), field) {
-				t.Fatalf("spec -validate output does not flag %s: %q", field, buf.String())
+				t.Fatalf("spec output does not flag %s: %q", field, buf.String())
 			}
-			err := run([]string{"-config", path, "run"}, &buf)
+			err := run([]string{"run", "-config", path}, &buf)
 			if err == nil || !strings.Contains(err.Error(), field) {
 				t.Fatalf("run -config error = %v, want one naming %s", err, field)
 			}
 		})
 	}
 	var buf strings.Builder
-	if err := run([]string{"-rate", "-1", "run"}, &buf); err == nil || !strings.Contains(err.Error(), "RatePerClient") {
+	if err := run([]string{"run", "-rate", "-1"}, &buf); err == nil || !strings.Contains(err.Error(), "RatePerClient") {
 		t.Fatalf("run -rate -1 error = %v, want one naming RatePerClient", err)
 	}
 }
@@ -282,7 +288,7 @@ func TestCLICampaignJSONStableAcrossWorkers(t *testing.T) {
 	path := writeCampaignSpec(t)
 	encode := func(workers string) string {
 		var buf strings.Builder
-		if err := run([]string{"-config", path, "-workers", workers, "-json", "campaign"}, &buf); err != nil {
+		if err := run([]string{"campaign", "-config", path, "-workers", workers, "-json"}, &buf); err != nil {
 			t.Fatalf("campaign -workers %s: %v", workers, err)
 		}
 		return buf.String()
@@ -314,7 +320,7 @@ func TestCLICampaignTextAndHeatmaps(t *testing.T) {
 	path := writeCampaignSpec(t)
 	dir := t.TempDir()
 	var buf strings.Builder
-	if err := run([]string{"-config", path, "-workers", "2", "-svg", dir, "campaign"}, &buf); err != nil {
+	if err := run([]string{"campaign", "-config", path, "-workers", "2", "-svg", dir}, &buf); err != nil {
 		t.Fatalf("campaign: %v", err)
 	}
 	out := buf.String()
@@ -332,9 +338,21 @@ func TestCLICampaignTextAndHeatmaps(t *testing.T) {
 	}
 }
 
+// TestCLIFlagsAfterCommand: flags follow the verb; a leading flag is refused
+// with the verb list instead of being read as global.
 func TestCLIFlagsAfterCommand(t *testing.T) {
 	path := writeCampaignSpec(t)
 	var buf strings.Builder
+	err := run([]string{"-config", path, "campaign"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "flags follow the command") {
+		t.Fatalf("leading flag: error = %v, want one saying flags follow the command", err)
+	}
+	for _, cmd := range commands {
+		if !strings.Contains(buf.String(), "\n  "+cmd.name+" ") {
+			t.Errorf("leading-flag usage does not list %s:\n%s", cmd.name, buf.String())
+		}
+	}
+	buf.Reset()
 	if err := run([]string{"campaign", "-config", path, "-workers", "2", "-json"}, &buf); err != nil {
 		t.Fatalf("flags after command rejected: %v", err)
 	}
@@ -387,7 +405,7 @@ func TestCLIScenarioList(t *testing.T) {
 }
 
 func TestCLISearchCount(t *testing.T) {
-	out := runCLI(t, "-system", "Redbelly", "-fault", "crash", "-lo", "1", "-hi", "2", "search")
+	out := runCLI(t, "search", "-system", "Redbelly", "-fault", "crash", "-lo", "1", "-hi", "2")
 	if !strings.Contains(out, "search: Redbelly") || !strings.Contains(out, "probe count=") {
 		t.Fatalf("output = %q", out)
 	}
@@ -397,7 +415,7 @@ func TestCLISearchCount(t *testing.T) {
 }
 
 func TestCLISearchJSON(t *testing.T) {
-	out := runCLI(t, "-system", "Redbelly", "-fault", "crash", "-lo", "1", "-hi", "2", "-json", "search")
+	out := runCLI(t, "search", "-system", "Redbelly", "-fault", "crash", "-lo", "1", "-hi", "2", "-json")
 	var res struct {
 		System string `json:"system"`
 		Axis   string `json:"axis"`
@@ -420,13 +438,13 @@ func TestCLISearchJSON(t *testing.T) {
 
 func TestCLISearchValidation(t *testing.T) {
 	var buf strings.Builder
-	if err := run([]string{"-axis", "voltage", "search"}, &buf); err == nil {
+	if err := run([]string{"search", "-axis", "voltage"}, &buf); err == nil {
 		t.Fatal("unknown axis accepted")
 	}
-	if err := run([]string{"-axis", "intensity", "search"}, &buf); err == nil {
+	if err := run([]string{"search", "-axis", "intensity"}, &buf); err == nil {
 		t.Fatal("intensity without -scenario accepted")
 	}
-	if err := run([]string{"-axis", "count", "-fault", "secure-client", "search"}, &buf); err == nil {
+	if err := run([]string{"search", "-axis", "count", "-fault", "secure-client"}, &buf); err == nil {
 		t.Fatal("count axis over a nodeless fault accepted")
 	}
 }
@@ -477,5 +495,71 @@ func TestCLILintJSON(t *testing.T) {
 	}
 	if got := strings.TrimSpace(buf.String()); got != "[]" {
 		t.Fatalf("lint -json on a clean package = %q, want []", got)
+	}
+}
+
+// TestCLIRejectsUnreadFlags: each verb parses only the flags it reads, so a
+// flag it would ignore is an error instead of a silent no-op.
+func TestCLIRejectsUnreadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"fig3a", "-system", "Aptos"},
+		{"campaign", "-seed", "7"},
+		{"fig7", "-svg", "out"},
+		{"lint", "-bucket", "5s"},
+		{"spec", "-json"},
+		{"suite", "-fault", "crash"},
+	} {
+		var buf strings.Builder
+		err := run(args, &buf)
+		if want := "flag provided but not defined: " + args[1]; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%v: error = %v, want %q", args, err, want)
+		}
+	}
+}
+
+// TestCLIVerbHelp: `stabl <verb> -help` prints that verb's flags only.
+func TestCLIVerbHelp(t *testing.T) {
+	var buf strings.Builder
+	if err := run([]string{"run", "-help"}, &buf); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run -help error = %v, want flag.ErrHelp", err)
+	}
+	if !strings.Contains(buf.String(), "-system") || strings.Contains(buf.String(), "-analyzers") {
+		t.Fatalf("run -help should list -system and not -analyzers:\n%s", buf.String())
+	}
+}
+
+// TestCLIConfigFlagOverride: a flag set beside -config overrides that field
+// of the spec: the run is the flags-only experiment at seed 7, not the
+// spec's seed 42.
+func TestCLIConfigFlagOverride(t *testing.T) {
+	spec := filepath.Join("..", "..", "specs", "transient-redbelly.json")
+	withConfig := runCLI(t, "run", "-config", spec, "-seed", "7", "-json")
+	seed7 := runCLI(t, "run", "-system", "Redbelly", "-fault", "transient", "-seed", "7", "-json")
+	seed42 := runCLI(t, "run", "-config", spec, "-json")
+	if withConfig != seed7 {
+		t.Fatalf("run -config %s -seed 7 differs from the seed-7 flags run:\n%s\nvs\n%s", spec, withConfig, seed7)
+	}
+	if withConfig == seed42 {
+		t.Fatal("-seed 7 beside -config did not change the run")
+	}
+}
+
+// TestCLIRunFailsOnIntegrity: the kadcast-crash-Solana golden row forks in
+// both runs (two integrity entries each); run prints its report, then fails
+// naming the entries.
+func TestCLIRunFailsOnIntegrity(t *testing.T) {
+	var buf strings.Builder
+	err := run([]string{"run", "-system", "Solana", "-fault", "crash", "-overlay", "kadcast",
+		"-duration", "120s", "-inject", "40s", "-recover", "80s"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "4 integrity violation(s)") || !strings.Contains(err.Error(), "height ") {
+		t.Fatalf("error = %v, want the four integrity entries, naming a height", err)
+	}
+	for _, run := range []string{"baseline: ", "altered: "} {
+		if strings.Count(err.Error(), run) != 2 {
+			t.Errorf("error does not list two %sentries: %v", run, err)
+		}
+	}
+	if !strings.Contains(buf.String(), "score=") {
+		t.Fatalf("report not printed before the failure:\n%s", buf.String())
 	}
 }

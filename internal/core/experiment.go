@@ -221,7 +221,7 @@ func (c Config) withDefaults() Config {
 
 // Validate reports whether the materialized config (with defaults applied)
 // describes a runnable experiment, without running it. The CLI's
-// `stabl spec -validate` uses it to lint spec files.
+// `stabl spec` uses it to lint spec files.
 func (c Config) Validate() error {
 	_, err := c.withDefaults().validate()
 	return err
@@ -995,6 +995,10 @@ func (c Config) lowerFault() (*scenario.Scenario, []simnet.NodeID, error) {
 	}
 	if c.Fault.Count > 0 {
 		f = c.Fault.Count
+	}
+	if f < 1 {
+		return nil, nil, fmt.Errorf("core: %s targets no node: Fault.Count = 0 and %s tolerates t = 0 faults among %d validators (set Fault.Count)",
+			c.Fault.Kind, c.System.Name(), c.Validators)
 	}
 	if pool := c.Validators - c.clientFacing(); f > pool {
 		return nil, nil, fmt.Errorf("core: %d faulty nodes but only %d validators have no client attached", f, pool)

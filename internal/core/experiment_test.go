@@ -186,6 +186,8 @@ func TestValidateRejectsNegativeAndNonFinite(t *testing.T) {
 		{"Fault.InjectAt", "-5s", func(c *Config) { c.Fault.InjectAt = -5 * time.Second }},
 		{"Fault.Count", "-3", func(c *Config) { c.Fault = FaultPlan{Kind: FaultSlow, Count: -3} }},
 		{"Fault.SlowBy", "-5s", func(c *Config) { c.Fault = FaultPlan{Kind: FaultSlow, SlowBy: -5 * time.Second} }},
+		// t = 0 of 3 validators: a crash of f = t nodes would inject nothing.
+		{"Fault.Count", "0", func(c *Config) { c.Validators, c.Clients, c.Fault = 3, 1, FaultPlan{Kind: FaultCrash} }},
 		{"Fault.RecoverAt", "5s", func(c *Config) { c.Fault = invertedWindow(FaultTransient, 5*time.Second) }},
 		{"Fault.RecoverAt", "6s", func(c *Config) { c.Fault = invertedWindow(FaultPartition, 6*time.Second) }},
 		{"Fault.RecoverAt", "7s", func(c *Config) { c.Fault = invertedWindow(FaultSlow, 7*time.Second) }},

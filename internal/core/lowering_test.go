@@ -115,7 +115,7 @@ func FuzzPlanLowering(f *testing.F) {
 		f.Add(kind, 10, 5, 0, 15_000, 0, 500)     // zero-length outage
 		f.Add(kind, 10, 5, 6, 15_000, 5_000, 500) // more targets than client-free validators
 	}
-	f.Add(0, 3, 1, 0, 10_000, 10_000, 0) // tolerance 0: a crash of f = 0 nodes still signals once
+	f.Add(0, 3, 1, 0, 10_000, 10_000, 0) // tolerance 0: a crash of f = 0 nodes is refused
 	f.Fuzz(func(t *testing.T, kind, validators, clients, count, injectMs, outageMs, slowMs int) {
 		abs := func(v int) int {
 			if v < 0 {
@@ -139,6 +139,12 @@ func FuzzPlanLowering(f *testing.F) {
 		}.withDefaults()
 
 		got, err := cfg.Timeline()
+		if cfg.refFaultCount() == 0 {
+			if err == nil || !strings.Contains(err.Error(), "Fault.Count = 0") {
+				t.Fatalf("a plan of no faulty node: err = %v, want the Fault.Count error", err)
+			}
+			return
+		}
 		if pool := cfg.Validators - cfg.Clients; cfg.refFaultCount() > pool {
 			if err == nil || !strings.Contains(err.Error(), "faulty nodes") {
 				t.Fatalf("f = %d over a pool of %d: err = %v, want the faulty-nodes error", cfg.refFaultCount(), pool, err)

@@ -19,6 +19,8 @@ type RunReport struct {
 	LastCommitSec  float64       `json:"lastCommitSec"`
 	LivenessLost   bool          `json:"livenessLost"`
 	MaxHeight      int           `json:"maxHeight"`
+	// Integrity lists the run's IntegrityErrors; clean runs omit it.
+	Integrity []string `json:"integrity,omitempty"`
 }
 
 // NewRunReport digests a RunResult.
@@ -33,6 +35,7 @@ func NewRunReport(res *RunResult) RunReport {
 		LastCommitSec:  res.LastCommitAt.Seconds(),
 		LivenessLost:   res.LivenessLost,
 		MaxHeight:      res.MaxHeight,
+		Integrity:      res.IntegrityErrors,
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // TestShippedSpecsValidate walks every JSON file under specs/ through the
-// same ValidateSpec path the `stabl spec -validate` command uses, so a spec
+// same ValidateSpec path the `stabl spec` command uses, so a spec
 // that drifts from the schema (renamed field, out-of-range scenario node,
 // unknown fault) breaks the build rather than a future experiment.
 func TestShippedSpecsValidate(t *testing.T) {

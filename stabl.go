@@ -241,10 +241,6 @@ type (
 // OverlayKinds lists the overlay topology names (kadcast, regular, ring).
 func OverlayKinds() []string { return overlay.Kinds() }
 
-// ParseOverlayKind validates an overlay topology name, enumerating the valid
-// names on failure.
-func ParseOverlayKind(name string) (string, error) { return overlay.ParseKind(name) }
-
 // ParseScenario reads and validates a JSON scenario spec (the scenario
 // action grammar: crash, restart, partition, heal, slow, loss, jitter, flap
 // over node-set selectors).
@@ -265,16 +261,6 @@ func NewReport(cmp *Comparison) Report { return core.NewReport(cmp) }
 
 // Spec is the JSON experiment description (see internal/core.Spec).
 type Spec = core.Spec
-
-// LoadExperiment reads a JSON experiment spec and materializes it against
-// the built-in system registry.
-func LoadExperiment(r io.Reader) (Config, error) {
-	spec, err := core.ParseSpec(r)
-	if err != nil {
-		return Config{}, err
-	}
-	return spec.Config(SystemByName)
-}
 
 // ValidateSpec lints one spec document without running anything. It accepts
 // both formats the CLI consumes — experiment specs (a single "system") and
@@ -300,7 +286,11 @@ func ValidateSpec(r io.Reader) (kind string, err error) {
 		_, err = campaign.Validate(spec, SystemByName)
 		return "campaign", err
 	}
-	cfg, err := LoadExperiment(bytes.NewReader(raw))
+	spec, err := core.ParseSpec(bytes.NewReader(raw))
+	if err != nil {
+		return "experiment", err
+	}
+	cfg, err := spec.Config(SystemByName)
 	if err != nil {
 		return "experiment", err
 	}
