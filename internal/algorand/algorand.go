@@ -197,7 +197,7 @@ func (s *System) Tolerance(n int) int { return chain.ToleranceFifth(n) }
 func (s *System) ConnParams() simnet.ConnParams { return s.cfg.Conn }
 
 // NewValidator implements chain.System.
-func (s *System) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *chain.Monitor, genesis []chain.GenesisAccount) simnet.Handler {
+func (s *System) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *chain.Monitor, genesis *chain.Genesis) simnet.Handler {
 	v := &validator{
 		cfg:  s.cfg,
 		base: chain.NewBaseNode(id, peers, mon, s.cfg.Base),
@@ -357,27 +357,15 @@ func (v *validator) Resets() uint64 { return v.resets }
 // Every node computes the identical ranking, crashed nodes included —
 // exactly why crashed proposers keep being selected (§4).
 func (v *validator) Candidates(round int) []simnet.NodeID {
-	k := v.cfg.ProposerCandidates
-	if k < 1 {
-		k = 1
-	}
-	if k > v.n {
-		k = v.n
-	}
 	if v.comm != nil {
-		// Committee mode: the proposer candidates are the first k seats of
-		// the round's proposer committee — extraction order is the
-		// sortition priority, so no O(n log n) ranking of the full set.
-		ord := v.committeeAt(round, stepProposer).Order()
-		if k > len(ord) {
-			k = len(ord)
-		}
-		out := make([]simnet.NodeID, k)
-		for i := 0; i < k; i++ {
-			out[i] = v.base.Peers[ord[i]]
+		seats := v.seats(round)
+		out := make([]simnet.NodeID, len(seats))
+		for i, m := range seats {
+			out[i] = v.base.Peers[m]
 		}
 		return out
 	}
+	k := min(max(v.cfg.ProposerCandidates, 1), v.n)
 	type ranked struct {
 		id  simnet.NodeID
 		key float64
@@ -420,13 +408,33 @@ func (v *validator) sortitionKey(round, i int) float64 {
 	return -math.Log(u) / v.stake(i)
 }
 
+// seats returns the committee-mode proposer candidates as validator
+// indices, read in place: the first k seats of the round's proposer
+// committee — extraction order is the sortition priority, so no O(n log n)
+// ranking of the full set.
+func (v *validator) seats(round int) []int {
+	ord := v.committeeAt(round, stepProposer).Order()
+	return ord[:min(max(v.cfg.ProposerCandidates, 1), v.n, len(ord))]
+}
+
 // Proposer returns the best-ranked sortition winner of a round.
 func (v *validator) Proposer(round int) simnet.NodeID {
+	if v.comm != nil {
+		return v.base.Peers[v.seats(round)[0]]
+	}
 	return v.Candidates(round)[0]
 }
 
 // rank returns the candidate index of a node for a round, or -1.
 func (v *validator) rank(round int, id simnet.NodeID) int {
+	if v.comm != nil {
+		for i, m := range v.seats(round) {
+			if v.base.Peers[m] == id {
+				return i
+			}
+		}
+		return -1
+	}
 	for i, c := range v.Candidates(round) {
 		if c == id {
 			return i

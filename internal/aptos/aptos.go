@@ -124,7 +124,7 @@ func (s *System) WithResources(scale float64) chain.System {
 }
 
 // NewValidator implements chain.System.
-func (s *System) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *chain.Monitor, genesis []chain.GenesisAccount) simnet.Handler {
+func (s *System) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *chain.Monitor, genesis *chain.Genesis) simnet.Handler {
 	v := &validator{
 		cfg:  s.cfg,
 		base: chain.NewBaseNode(id, peers, mon, s.cfg.Base),

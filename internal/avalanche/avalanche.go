@@ -248,7 +248,7 @@ type state struct {
 var _ simnet.Handler = (*validator)(nil)
 
 // NewValidator implements chain.System.
-func (s *System) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *chain.Monitor, genesis []chain.GenesisAccount) simnet.Handler {
+func (s *System) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *chain.Monitor, genesis *chain.Genesis) simnet.Handler {
 	v := &validator{
 		cfg:  s.cfg,
 		base: chain.NewBaseNode(id, peers, mon, s.cfg.Base),

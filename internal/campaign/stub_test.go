@@ -23,7 +23,7 @@ func (s *stubSystem) Name() string                  { return s.name }
 func (s *stubSystem) Tolerance(n int) int           { return chain.ToleranceThird(n) }
 func (s *stubSystem) ConnParams() simnet.ConnParams { return simnet.ConnParams{} }
 
-func (s *stubSystem) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *chain.Monitor, genesis []chain.GenesisAccount) simnet.Handler {
+func (s *stubSystem) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *chain.Monitor, genesis *chain.Genesis) simnet.Handler {
 	v := &stubValidator{
 		base:        chain.NewBaseNode(id, peers, mon, chain.BaseConfig{}),
 		panicOnStop: s.panicOnStop,

@@ -12,9 +12,15 @@ import (
 // deduplicates transactions so that a transaction redundantly submitted to
 // several validators (the secure client of STABL §7) executes exactly once.
 //
+// The account table is an immutable version shared by every ledger that
+// applied the same blocks from the same Genesis (see accounts.go); the
+// transaction table is the ledger's own.
+//
 // The ledger is the node's persistent state: it survives crash/restart.
 type Ledger struct {
 	ledgerState
+	// memo is the deployment's shared version memo (nil: compute privately).
+	memo *accountMemo
 	// VerifyParents enables hash-chain verification on Append (the
 	// harness enables it everywhere; tests may relax it).
 	VerifyParents bool
@@ -31,17 +37,18 @@ type ledgerState struct {
 	// per-transaction bits in the same table (see txTable) and reach it
 	// through a pointer to this field.
 	txs txTable
-	// accounts is indexed by Address (dense by contract, see Address).
-	accounts []account
+	// accounts is the current account version, indexed by Address (dense
+	// by contract, see Address).
+	accounts *accounts
 	applied  uint64
 	skipped  uint64
 }
 
-// account is one entry of the ledger's account table, in 16 bytes. The
-// accountLive bit of word marks the addresses that ever held funds or took
-// part in an executed transfer — exactly the accounts StateHash covers; an
-// address the slice merely grew past is not one. The bits below it hold
-// the next expected nonce, so maxNonce is the highest nonce Append takes.
+// account is one entry of the account table, in 16 bytes. The accountLive
+// bit of word marks the addresses that ever held funds or took part in an
+// executed transfer — exactly the accounts StateHash covers; an address a
+// leaf merely holds is not one. The bits below it hold the next expected
+// nonce, so maxNonce is the highest nonce Append takes.
 type account struct {
 	balance uint64
 	word    uint64
@@ -53,41 +60,37 @@ const (
 )
 
 // nonce returns the account's next expected nonce.
-func (a *account) nonce() uint64 { return a.word &^ accountLive }
+func (a account) nonce() uint64 { return a.word &^ accountLive }
 
 // live reports whether StateHash covers the account.
-func (a *account) live() bool { return a.word&accountLive != 0 }
+func (a account) live() bool { return a.word&accountLive != 0 }
 
 // NewLedger creates an empty ledger.
 func NewLedger() *Ledger {
 	return &Ledger{}
 }
 
-// account returns addr's entry, growing the table (amortised) to reach it.
-func (l *Ledger) account(addr Address) *account {
-	if int(addr) >= len(l.accounts) {
-		l.accounts = append(l.accounts, make([]account, int(addr)+1-len(l.accounts))...)
-	}
-	return &l.accounts[addr]
-}
-
-// Genesis mints every genesis account, sizing the account table for the
-// whole list at once.
-func (l *Ledger) Genesis(accts []GenesisAccount) {
-	top := len(l.accounts)
-	for _, g := range accts {
-		top = max(top, int(g.Addr)+1)
-	}
-	l.accounts = append(l.accounts, make([]account, top-len(l.accounts))...)
-	for _, g := range accts {
-		a := &l.accounts[g.Addr]
-		a.balance += g.Balance
-		a.word |= accountLive
+// Genesis starts an empty ledger from g's account version and shares the
+// versions its blocks produce with every other ledger started from g. A nil
+// g leaves the ledger empty.
+func (l *Ledger) Genesis(g *Genesis) {
+	if g != nil {
+		l.accounts, l.memo = g.accounts, g.memo
 	}
 }
 
-// Mint credits one account out of thin air.
-func (l *Ledger) Mint(addr Address, amount uint64) { l.Genesis([]GenesisAccount{{addr, amount}}) }
+// own returns the ledger's account version for writing, deriving a private
+// one from a shared version first.
+func (l *Ledger) own() *accounts {
+	if !l.accounts.private() {
+		l.accounts = l.accounts.derive()
+	}
+	return l.accounts
+}
+
+// Mint credits one account out of thin air. The ledger's account version
+// becomes its own.
+func (l *Ledger) Mint(addr Address, amount uint64) { l.own().credit(addr, amount) }
 
 // Height returns the number of committed blocks.
 func (l *Ledger) Height() int { return len(l.blocks) }
@@ -98,20 +101,13 @@ func (l *Ledger) Committed(id TxID) (int, bool) {
 }
 
 // Balance returns the current balance of an account.
-func (l *Ledger) Balance(addr Address) uint64 {
-	if int(addr) >= len(l.accounts) {
-		return 0
-	}
-	return l.accounts[addr].balance
-}
+func (l *Ledger) Balance(addr Address) uint64 { return l.accounts.get(addr).balance }
 
 // NextNonce returns the next expected nonce for an account.
-func (l *Ledger) NextNonce(addr Address) uint64 {
-	if int(addr) >= len(l.accounts) {
-		return 0
-	}
-	return l.accounts[addr].nonce()
-}
+func (l *Ledger) NextNonce(addr Address) uint64 { return l.accounts.get(addr).nonce() }
+
+// SharesAccounts reports whether l and o hold the same account version.
+func (l *Ledger) SharesAccounts(o *Ledger) bool { return l.accounts == o.accounts }
 
 // AppliedTxs returns how many transactions executed successfully.
 func (l *Ledger) AppliedTxs() uint64 { return l.applied }
@@ -153,6 +149,11 @@ func (l *Ledger) BlocksFrom(from, max int) []Block {
 // the transaction table can record, or a transaction nonce past the
 // maxNonce the account table can record. A block that fails changes
 // nothing.
+//
+// When another ledger already applied this block to this ledger's account
+// version, Append adopts that ledger's child version and only marks its own
+// transaction table; otherwise it executes the block and offers the child
+// to the memo.
 func (l *Ledger) Append(b Block) (int, error) {
 	if b.Height > maxTxHeight {
 		return 0, fmt.Errorf("ledger: height %d is past the %d blocks a ledger can record", b.Height, maxTxHeight+1)
@@ -169,30 +170,55 @@ func (l *Ledger) Append(b Block) (int, error) {
 			return 0, fmt.Errorf("ledger: %v nonce %d is past the %d a ledger can record", tx.ID, tx.Nonce, uint64(maxNonce))
 		}
 	}
-	applied := l.applied
+	b.seal() // a no-op for a block that came through BaseNode.SubmitBlock
 	height := uint32(b.Height+1) << txHeightShift
+	// A shared version may have a child for this block already; a block
+	// that executes nothing leaves the version as it was.
+	shared := l.memo != nil && !l.accounts.private()
+	e, hit := memoEntry{parent: l.accounts, block: b.hash}, false
+	if shared {
+		if m, ok := l.memo.lookup(l.accounts, b.hash, b.Height); ok {
+			e, hit = m, true
+		}
+	}
+	dups := 0
 	for _, tx := range b.Txs {
 		s := l.txs.slot(tx.ID)
 		if *s>>txHeightShift != 0 {
-			l.skipped++
+			dups++
 			continue
 		}
 		*s |= height
-		if l.Balance(tx.From) < tx.Amount {
-			l.skipped++
+		if hit {
 			continue
 		}
-		l.account(max(tx.From, tx.To)) // size once: from and to stay valid together
-		from, to := &l.accounts[tx.From], &l.accounts[tx.To]
+		if l.accounts.get(tx.From).balance < tx.Amount {
+			e.unfunded++
+			continue
+		}
+		acc := l.own()
+		from := acc.write(tx.From)
 		from.balance -= tx.Amount
-		to.balance += tx.Amount
 		from.word = accountLive | max(from.nonce(), tx.Nonce+1)
+		to := acc.write(tx.To)
+		to.balance += tx.Amount
 		to.word |= accountLive
-		l.applied++
+		e.applied++
 	}
-	b.seal() // a no-op for a block that came through BaseNode.SubmitBlock
+	switch {
+	case hit:
+		if dups+e.applied+e.unfunded != len(b.Txs) {
+			panic("chain: a ledger's dedup set disagrees with the ledgers it shares its account version with")
+		}
+		l.accounts = e.child
+	case shared:
+		e.child = l.accounts
+		l.accounts = l.memo.record(e, b.Height)
+	}
+	l.applied += uint64(e.applied)
+	l.skipped += uint64(dups + e.unfunded)
 	l.blocks = append(l.blocks, b)
-	return int(l.applied - applied), nil
+	return e.applied, nil
 }
 
 // TipHash returns the content address of the latest block (zero at genesis).
@@ -234,16 +260,26 @@ func (l *Ledger) VerifyChain() error {
 func (l *Ledger) StateHash() Hash {
 	h := sha256.New()
 	var buf [8]byte
-	for addr, a := range l.accounts {
-		if !a.live() {
+	var leaves []*accountLeaf
+	if l.accounts != nil {
+		leaves = l.accounts.leaves
+	}
+	for i, leaf := range leaves {
+		if leaf == nil {
 			continue
 		}
-		binary.LittleEndian.PutUint64(buf[:], uint64(addr))
-		_, _ = h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], a.balance)
-		_, _ = h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], a.nonce())
-		_, _ = h.Write(buf[:])
+		for j := range leaf {
+			a := &leaf[j]
+			if !a.live() {
+				continue
+			}
+			binary.LittleEndian.PutUint64(buf[:], uint64(i<<leafShift+j))
+			_, _ = h.Write(buf[:])
+			binary.LittleEndian.PutUint64(buf[:], a.balance)
+			_, _ = h.Write(buf[:])
+			binary.LittleEndian.PutUint64(buf[:], a.nonce())
+			_, _ = h.Write(buf[:])
+		}
 	}
 	var out Hash
 	h.Sum(out[:0])

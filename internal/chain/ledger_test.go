@@ -191,20 +191,20 @@ func TestPropertyLedgerIdempotentCommits(t *testing.T) {
 	}
 }
 
-// TestGenesisEqualsMints: one Genesis call over an unsorted list with a gap
-// and a repeated address funds exactly what minting each entry does, in an
-// account table as long as the highest address plus one.
+// TestGenesisEqualsMints: one genesis version over an unsorted list with a
+// gap and a repeated address funds exactly what minting each entry does, in
+// a directory that reaches the highest address's leaf and no further.
 func TestGenesisEqualsMints(t *testing.T) {
-	accts := []GenesisAccount{{9, 5}, {2, 7}, {9, 1}, {0, 3}}
+	accts := []GenesisAccount{{9, 5}, {2, 7}, {9, 1}, {0, 3}, {leafSize + 1, 4}}
 	g, m := NewLedger(), NewLedger()
-	g.Genesis(accts)
+	g.Genesis(NewGenesis(accts))
 	for _, a := range accts {
 		m.Mint(a.Addr, a.Balance)
 	}
-	if len(g.accounts) != 10 {
-		t.Fatalf("account table of %d entries, want 10", len(g.accounts))
+	if tableSize(g) != 2*leafSize {
+		t.Fatalf("account table of %d entries, want %d", tableSize(g), 2*leafSize)
 	}
-	for a := Address(0); a < 11; a++ {
+	for a := Address(0); a < 2*leafSize+1; a++ {
 		if g.Balance(a) != m.Balance(a) {
 			t.Fatalf("account %d: %d after Genesis, %d after Mint", a, g.Balance(a), m.Balance(a))
 		}

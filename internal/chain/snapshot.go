@@ -16,15 +16,24 @@ import (
 // checkpoints via SnapshotBase/RestoreBase.
 
 // copyInto makes dst an independent copy of s, reusing dst's own storage
-// when large enough — the ledger tables are the bulk of a node's checkpoint,
-// and the pool and execution pipeline keep their pointer to dst's table.
+// when large enough — the transaction table is the bulk of a node's
+// checkpoint, and the pool and execution pipeline keep their pointer to
+// dst's table. The account version is shared, not copied: it is frozen
+// first, so whichever side writes next derives its own.
 func (s *ledgerState) copyInto(dst *ledgerState) {
-	blocks, txs, accounts := dst.blocks, dst.txs, dst.accounts
+	blocks, txs := dst.blocks, dst.txs
+	s.accounts.freeze()
 	*dst = *s
 	dst.blocks = append(blocks[:0], s.blocks...)
 	s.txs.copyInto(&txs)
 	dst.txs = txs
-	dst.accounts = append(accounts[:0], s.accounts...)
+}
+
+// restore rewinds the ledger to a checkpoint. The memo forgets what it
+// holds: a rewound experiment replays heights it has already moved past.
+func (l *Ledger) restore(st *ledgerState) {
+	st.copyInto(&l.ledgerState)
+	l.memo.forget()
 }
 
 // copyInto is a table checkpoint: two slice copies into dst's own storage.
@@ -114,7 +123,7 @@ func (n *BaseNode) SnapshotBase() BaseState {
 // RestoreBase rewinds the shared validator core to a captured state.
 func (n *BaseNode) RestoreBase(st BaseState) {
 	n.nodeState = st.nodeState.clone()
-	st.ledger.copyInto(&n.Ledger.ledgerState)
+	n.Ledger.restore(&st.ledger)
 	st.pool.copyInto(&n.Pool.poolState)
 	if n.exec != nil {
 		*n.exec = st.exec

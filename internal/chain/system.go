@@ -2,7 +2,8 @@ package chain
 
 import "stabl/internal/simnet"
 
-// GenesisAccount funds an account at chain genesis on every validator.
+// GenesisAccount funds an account at chain genesis on every validator (see
+// NewGenesis).
 type GenesisAccount struct {
 	Addr    Address
 	Balance uint64
@@ -21,8 +22,9 @@ type System interface {
 	// ConnParams returns the chain's peer-connection timers, which govern
 	// partition detection and reconnection (STABL §6).
 	ConnParams() simnet.ConnParams
-	// NewValidator constructs validator id of the given validator set.
-	NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *Monitor, genesis []GenesisAccount) simnet.Handler
+	// NewValidator constructs validator id of the given validator set,
+	// its ledger started from genesis (shared by the whole deployment).
+	NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *Monitor, genesis *Genesis) simnet.Handler
 }
 
 // ToleranceFifth is ceil(n/5) - 1 (Algorand, Avalanche).

@@ -82,7 +82,7 @@ func compareLedgers(t *testing.T, l *Ledger, r *refLedger, addrs Address, ids []
 				a, l.Balance(a), l.NextNonce(a), r.balances[a], r.nonces[a])
 		}
 		_, wantLive := r.balances[a]
-		if live := int(a) < len(l.accounts) && l.accounts[a].live(); live != wantLive {
+		if live := liveAt(l, a); live != wantLive {
 			t.Fatalf("account %d: live = %v, reference holds it: %v", a, live, wantLive)
 		}
 	}
@@ -123,17 +123,17 @@ func TestLedgerMatchesMapReference(t *testing.T) {
 	}
 
 	// A zero-amount transfer between two never-minted accounts executes
-	// and makes both live; address 40 lies below 41..42 in the slice yet
-	// stays out of the state hash.
+	// and makes both live; address 40 shares their leaf yet stays out of
+	// the state hash.
 	appendBoth([]Tx{{ID: MakeTxID(9, 0), From: 41, To: 42, Amount: 0, Nonce: 5}})
-	if !l.accounts[41].live() || !l.accounts[42].live() || l.accounts[40].live() {
+	if !liveAt(l, 41) || !liveAt(l, 42) || liveAt(l, 40) {
 		t.Fatalf("live flags after zero-amount transfer: 40=%v 41=%v 42=%v",
-			l.accounts[40].live(), l.accounts[41].live(), l.accounts[42].live())
+			liveAt(l, 40), liveAt(l, 41), liveAt(l, 42))
 	}
 	// An unfunded sender commits the id but touches no account.
-	appendBoth([]Tx{{ID: MakeTxID(9, 1), From: 44, To: 45, Amount: 1}})
-	if len(l.accounts) > 43 {
-		t.Fatalf("a skipped transfer grew the account table to %d", len(l.accounts))
+	appendBoth([]Tx{{ID: MakeTxID(9, 1), From: 44, To: 4 * leafSize, Amount: 1}})
+	if tableSize(l) > leafSize {
+		t.Fatalf("a skipped transfer grew the account table to %d", tableSize(l))
 	}
 
 	for block := 0; block < 60; block++ {
@@ -186,18 +186,41 @@ func TestLedgerRejectsUnrecordableNonce(t *testing.T) {
 	if got := l.NextNonce(1); got != maxNonce+1 {
 		t.Fatalf("NextNonce = %d, want %d", got, uint64(maxNonce+1))
 	}
-	if !l.accounts[1].live() || l.Balance(1) != 90 {
+	if !liveAt(l, 1) || l.Balance(1) != 90 {
 		t.Fatal("the account at maxNonce lost its live bit or balance")
 	}
 }
 
-// TestAccountIs16Bytes: the account table is a per-validator, per-account
-// cost, so the live flag rides in the nonce word instead of padding a third.
+// TestAccountIs16Bytes: a block's child version copies every leaf it
+// writes, so the live flag rides in the nonce word instead of padding a
+// third, and a leaf is exactly 1 KiB.
 func TestAccountIs16Bytes(t *testing.T) {
 	if size := unsafe.Sizeof(account{}); size != 16 {
 		t.Fatalf("account is %d bytes, want 16", size)
 	}
+	if size := unsafe.Sizeof(accountLeaf{}); size != 1024 {
+		t.Fatalf("account leaf is %d bytes, want 1024", size)
+	}
 }
+
+// TestTxRowIs16Bytes: the row is the one table read a short row costs, its
+// two cells inline, so it stays a quarter of a cache line.
+func TestTxRowIs16Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(txRow{}); size != 16 {
+		t.Fatalf("txRow is %d bytes, want 16", size)
+	}
+}
+
+// tableSize is the addresses the ledger's account directory covers.
+func tableSize(l *Ledger) int {
+	if l.accounts == nil {
+		return 0
+	}
+	return len(l.accounts.leaves) << leafShift
+}
+
+// liveAt reports whether StateHash covers addr on l.
+func liveAt(l *Ledger, addr Address) bool { return l.accounts.get(addr).live() }
 
 // TestBaseSnapshotRestoreEveryTxState checkpoints a node holding one
 // transaction in each state the table encodes, runs it on through a restart
@@ -237,7 +260,7 @@ func TestBaseSnapshotRestoreEveryTxState(t *testing.T) {
 		for _, tx := range n.Pool.Pending() {
 			queue = append(queue, tx.ID)
 		}
-		return views, queue, n.Ledger.StateHash(), cellsInUse(&n.Ledger.txs), len(n.Ledger.accounts)
+		return views, queue, n.Ledger.StateHash(), cellsInUse(&n.Ledger.txs), tableSize(n.Ledger)
 	}
 	wantViews, wantQueue, wantHash, wantCells, wantAccounts := observe()
 	want := []view{{false, false, true, 0}, {true, false, false, 0}, {false, true, false, 0},
@@ -267,7 +290,7 @@ func TestBaseSnapshotRestoreEveryTxState(t *testing.T) {
 	}
 	n.SubmitBlock(Block{Height: 1, Parent: n.Ledger.TipHash(), Txs: append(more, pooled, piped)})
 	sched.RunUntil(20 * time.Millisecond)
-	if n.Ledger.Height() != 2 || cellsInUse(&n.Ledger.txs) <= wantCells || len(n.Ledger.accounts) <= wantAccounts {
+	if n.Ledger.Height() != 2 || cellsInUse(&n.Ledger.txs) <= wantCells || tableSize(n.Ledger) <= wantAccounts {
 		t.Fatalf("post-snapshot traffic did not land: height %d", n.Ledger.Height())
 	}
 

@@ -7,12 +7,14 @@ package chain
 //
 // The table is indexed by position, not probed: a TxID is (client, sequence),
 // both dense by contract (see TxID), so transaction (c, s) is cell s-base of
-// client c's row. Rows live in one arena: a row that outgrows its cells
-// doubles into fresh cells at the arena's end (in place when it already ends
-// there) and abandons the old ones, so the arena stays within twice the cells
-// in use and each row grows with its own client. A row's base is the first
-// sequence it saw, rounded down, so a client whose sequences start high costs
-// the span it uses, not the prefix it skipped.
+// client c's row. A row of at most txInlineCells cells keeps them in the row
+// itself, so the scale deployments' clients of one or two transactions cost
+// one 16-byte row read and no second miss. Longer rows live in one arena: a
+// row that outgrows its cells doubles into fresh cells at the arena's end (in
+// place when it already ends there) and abandons the old ones, so the arena
+// stays within twice the cells in use and each row grows with its own client.
+// A row's base is the first sequence it saw, rounded down, so a client whose
+// sequences start high costs the span it uses, not the prefix it skipped.
 //
 // The table never deletes: a committed entry is kept for the run's lifetime
 // (that is the ledger's dedup set), and a checkpoint is two slice copies.
@@ -21,10 +23,13 @@ type txTable struct {
 	rows  []txRow  // indexed by client
 }
 
-// txRow locates one client's cells: sequence base+i is cells[off+i], i < n.
-// A client the table has never seen has n zero.
+// txRow locates one client's cells: sequence base+i is cell i of the row,
+// i < n. Up to txInlineCells cells are cells[i] itself; past that, cells[0]
+// is the row's arena offset and cell i is the arena's cells[0]+i. A client
+// the table has never seen has n zero.
 type txRow struct {
-	off, n, base uint32
+	base, n uint32
+	cells   [txInlineCells]uint32
 }
 
 // Packed cell state; zero means the table has never seen the transaction.
@@ -48,10 +53,11 @@ const (
 
 	// Sizing, not settings. A new row covers txRowMinCells sequences: the
 	// scale deployments run a thousand clients of one or two transactions
-	// per validator, so the minimum is what they pay per client. The first
-	// arena allocation holds txArenaMinCells cells so a small table does
-	// not creep there reallocation by reallocation.
+	// per validator, so the minimum is what they pay per client, inline.
+	// The first arena allocation holds txArenaMinCells cells so a small
+	// table does not creep there reallocation by reallocation.
 	txRowMinCells   = 2
+	txInlineCells   = 2
 	txArenaMinCells = 1024
 )
 
@@ -77,12 +83,15 @@ func (t *txTable) find(id TxID) *uint32 {
 	if uint64(c) >= uint64(len(t.rows)) {
 		return nil
 	}
-	r := t.rows[c]
+	r := &t.rows[c]
 	i := id.Seq() - r.base // wraps past n below the base
 	if i >= r.n {
 		return nil
 	}
-	return &t.cells[r.off+i]
+	if r.n <= txInlineCells {
+		return &r.cells[i]
+	}
+	return &t.cells[r.cells[0]+i]
 }
 
 // slot returns id's state word, growing id's row to cover it on first sight.
@@ -111,13 +120,21 @@ func (t *txTable) sweep(flags uint32) {
 	for i := range t.cells {
 		t.cells[i] &^= flags
 	}
+	for i := range t.rows {
+		if r := &t.rows[i]; r.n <= txInlineCells {
+			for j := range r.cells {
+				r.cells[j] &^= flags
+			}
+		}
+	}
 }
 
 // grow makes id's row cover it. A new row starts at id's sequence rounded
-// down. An existing one doubles until it spans both what it held and id, and
-// the new cells go on the side it grew toward: above in the common case,
-// below (a re-base) when id precedes the base — so a client that counts
-// downward pays amortised doublings too, not one move per transaction.
+// down, inline. An existing one doubles until it spans both what it held and
+// id, and the new cells go on the side it grew toward: above in the common
+// case, below (a re-base) when id precedes the base — so a client that
+// counts downward pays amortised doublings too, not one move per
+// transaction.
 func (t *txTable) grow(id TxID) *uint32 {
 	c, seq := int(id.Client()), uint64(id.Seq())
 	if c >= len(t.rows) {
@@ -133,21 +150,33 @@ func (t *txTable) grow(id TxID) *uint32 {
 			base = end - min(end, n)
 		}
 	}
+	if n <= txInlineCells { // a new row: no cells to carry over
+		t.rows[c] = txRow{base: uint32(base), n: uint32(n)}
+		return &t.rows[c].cells[seq-base]
+	}
 	if cap(t.cells) == 0 {
 		t.cells = make([]uint32, 0, txArenaMinCells)
 	}
 	off := uint64(len(t.cells))
-	inPlace := old.n != 0 && base == uint64(old.base) && uint64(old.off)+uint64(old.n) == off
+	inArena := old.n > txInlineCells
+	oldOff := uint64(old.cells[0]) // the arena offset when inArena
+	inPlace := inArena && base == uint64(old.base) && oldOff+uint64(old.n) == off
 	if inPlace {
-		off = uint64(old.off)
+		off = oldOff
 	}
 	if off+n >= 1<<32 {
 		panic("chain: transaction table past 2^32 cells; TxIDs must be dense (see TxID)")
 	}
 	t.cells = append(t.cells, make([]uint32, off+n-uint64(len(t.cells)))...)
 	if !inPlace && old.n != 0 {
-		copy(t.cells[off+uint64(old.base)-base:], t.cells[old.off:old.off+old.n])
+		var held []uint32
+		if inArena {
+			held = t.cells[oldOff : oldOff+uint64(old.n)]
+		} else {
+			held = old.cells[:old.n]
+		}
+		copy(t.cells[off+uint64(old.base)-base:], held)
 	}
-	t.rows[c] = txRow{off: uint32(off), n: uint32(n), base: uint32(base)}
+	t.rows[c] = txRow{base: uint32(base), n: uint32(n), cells: [txInlineCells]uint32{uint32(off)}}
 	return &t.cells[off+seq-base]
 }

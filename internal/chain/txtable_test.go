@@ -266,12 +266,14 @@ func subscriptions(n *BaseNode, id TxID) []simnet.NodeID {
 	return append([]simnet.NodeID{first}, n.resubscribers[id]...)
 }
 
-// cellsInUse is the cells the table's rows cover; the arena also holds the
-// cells rows abandoned when they moved.
+// cellsInUse is the arena cells the table's rows cover; the arena also holds
+// the cells rows abandoned when they moved. Inline rows own no arena cells.
 func cellsInUse(tab *txTable) int {
 	n := 0
 	for _, r := range tab.rows {
-		n += int(r.n)
+		if r.n > txInlineCells {
+			n += int(r.n)
+		}
 	}
 	return n
 }
@@ -279,13 +281,29 @@ func cellsInUse(tab *txTable) int {
 func (m *txModel) check() {
 	t, o, tab := m.t, m.oracle, m.ledger.txs
 	// Rows own disjoint cells inside the arena, and a row that moves at
-	// least doubles, so abandoned cells never outnumber live ones.
+	// least doubles, so abandoned cells never outnumber live ones. Inline
+	// rows own none; their cells past n, and an unseen client's, are zero.
 	owner := make([]int, len(tab.cells))
+	stateful := 0
 	for c, r := range tab.rows {
 		if r.n != 0 && (r.n&(r.n-1) != 0 || r.base%txRowMinCells != 0) {
 			t.Fatalf("row %d: %d cells from base %d", c, r.n, r.base)
 		}
-		for i := r.off; i < r.off+r.n; i++ {
+		if r.n <= txInlineCells {
+			for i, cell := range r.cells {
+				switch {
+				case uint32(i) >= r.n && cell != 0:
+					t.Fatalf("row %d of %d inline cells holds %#x in cell %d", c, r.n, cell, i)
+				case cell&txMark != 0:
+					t.Fatalf("row %d keeps a first-sight mark between steps (state %#x)", c, cell)
+				case cell != 0:
+					stateful--
+				}
+			}
+			continue
+		}
+		off := r.cells[0]
+		for i := off; i < off+r.n; i++ {
 			if owner[i] != 0 {
 				t.Fatalf("cell %d belongs to rows %d and %d", i, owner[i]-1, c)
 			}
@@ -300,7 +318,6 @@ func (m *txModel) check() {
 			t.Fatalf("cell %d keeps a first-sight mark between steps (state %#x)", i, cell)
 		}
 	}
-	stateful := 0
 	for i := 0; i < txUniverse; i++ {
 		id := universeID(i)
 		state := tab.state(id)

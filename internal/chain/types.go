@@ -12,12 +12,13 @@ import (
 	"stabl/internal/simnet"
 )
 
-// Address identifies an account. Addresses are indexes into each ledger's
-// account table, so they must be dense: a deployment with k accounts uses
-// exactly 0..k-1 (core lays the flows' account ranges out contiguously from
-// zero). A ledger sizes its table to the highest address it has credited, so
-// a sparse or arbitrary 32-bit address costs memory proportional to its
-// value, not to the number of accounts.
+// Address identifies an account. Addresses are indexes into the account
+// table the ledgers of a deployment share (see Genesis), so they must be
+// dense: a deployment with k accounts uses exactly 0..k-1 (core lays the
+// flows' account ranges out contiguously from zero). A table version's
+// directory reaches the highest address credited, one 64-account leaf at a
+// time, so a sparse or arbitrary 32-bit address costs memory proportional
+// to its value, not to the number of accounts.
 type Address uint32
 
 // TxID uniquely identifies a transaction across the whole experiment.

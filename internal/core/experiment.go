@@ -574,7 +574,9 @@ func Build(cfg Config) (*Experiment, error) {
 	for _, sp := range spans {
 		totalAccts += sp.accts
 	}
-	genesis := genesisAccounts(totalAccts)
+	// One genesis version for the whole deployment: every ledger starts
+	// from it and shares the versions the same blocks produce.
+	genesis := chain.NewGenesis(genesisAccounts(totalAccts))
 	var validators []simnet.Handler
 	var bases []*chain.BaseNode
 	for _, id := range peers {

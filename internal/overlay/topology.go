@@ -170,7 +170,7 @@ func (t *Topology) buildKadcast(seed int64) {
 	slices.SortFunc(members, func(a, b member) int { return cmp.Compare(a.key, b.key) })
 
 	views := make([][]BucketView, len(keys))
-	adj := make([][]simnet.NodeID, len(keys))
+	degree := make([]int, len(keys)) // edges both ways, duplicates included
 	var vs []BucketView
 	for _, x := range t.ids {
 		vs = vs[:0]
@@ -184,14 +184,34 @@ func (t *Topology) buildKadcast(seed int64) {
 			k := min(len(bucket), t.cfg.BucketK)
 			peers := closest(make([]simnet.NodeID, 0, k), bucket, b-1, keys[x], k)
 			vs = append(vs, BucketView{Index: b, Peers: peers})
+			degree[x] += len(peers)
 			for _, y := range peers {
-				adj[x] = append(adj[x], y)
-				adj[y] = append(adj[y], x)
+				degree[y]++
 			}
 		}
 		views[x] = slices.Clip(slices.Clone(vs))
 	}
 	t.views = views
+	// One array holds every node's edge list at its counted length, so no
+	// list regrows: a kadcast degree is O(BucketK log n), and doubling
+	// lists of that length allocated more than the views themselves.
+	adj := make([][]simnet.NodeID, len(keys))
+	total := 0
+	for _, d := range degree {
+		total += d
+	}
+	flat := make([]simnet.NodeID, total)
+	for x, d := range degree {
+		adj[x], flat = flat[:0:d], flat[d:]
+	}
+	for _, x := range t.ids {
+		for _, v := range views[x] {
+			for _, y := range v.Peers {
+				adj[x] = append(adj[x], y)
+				adj[y] = append(adj[y], x)
+			}
+		}
+	}
 	t.setNeighbors(adj)
 }
 
