@@ -172,9 +172,6 @@ var forkingGoldens = map[string]bool{
 	// Two entries in each run: Solana validators reject blocks that reach
 	// them through kadcast's stall model. ROADMAP item 10 owns it.
 	"kadcast-crash-Solana": true,
-	// One entry in the altered run: one validator commits another block at
-	// height 87 under the lossy-WAN scenario. ROADMAP item 1 owns it.
-	"lossy-wan-Redbelly": true,
 }
 
 // TestGolden holds every pinned configuration to its committed render, and

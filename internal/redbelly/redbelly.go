@@ -289,6 +289,11 @@ func (v *validator) startRound(round int) {
 		if v.state(round).decided {
 			return
 		}
+		// OnCaughtUp re-enters a started round; a second proposal would pop
+		// a fresh batch that peers, who keep the first one, never see.
+		if _, proposed := v.state(round).proposals[v.base.ID]; proposed {
+			return
+		}
 		txs := v.base.Pool.Pop(v.cfg.MaxProposalTxs)
 		st.proposals[v.base.ID] = txs
 		v.base.Broadcast(proposalMsg{Round: round, Proposer: v.base.ID, Txs: txs})

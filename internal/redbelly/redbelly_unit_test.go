@@ -131,6 +131,36 @@ func TestDecideWaitsForMissingProposalContent(t *testing.T) {
 	}
 }
 
+// TestCaughtUpReentryProposesOnce re-enters a started round through
+// OnCaughtUp, the path a catch-up takes back into consensus: the round keeps
+// its first proposal, and the pool, the recorded batch and the network see no
+// second one.
+func TestCaughtUpReentryProposesOnce(t *testing.T) {
+	sched, net, v := singleValidatorHarness(t)
+	for i := uint32(0); i < 800; i++ {
+		v.base.Pool.Add(chain.Tx{ID: chain.MakeTxID(0, i), From: chain.Address(i), To: 1, Amount: 1})
+	}
+	jitter := v.cfg.ProposalJitter
+	sched.RunUntil(jitter) // round 0's proposal fires within the jitter bound
+	first, ok := v.state(0).proposals[v.base.ID]
+	if !ok {
+		t.Fatal("round 0 has no own proposal")
+	}
+	pooled, sent := v.base.Pool.Len(), net.Stats().Sent
+
+	v.base.OnCaughtUp()
+	sched.RunUntil(2 * jitter) // past the re-entry's proposal instant, before the proposal timeout
+	if got := v.base.Pool.Len(); got != pooled {
+		t.Fatalf("re-entry popped %d more transactions", pooled-got)
+	}
+	if got := v.state(0).proposals[v.base.ID]; len(got) != len(first) || (len(got) > 0 && got[0].ID != first[0].ID) {
+		t.Fatalf("re-entry replaced the recorded proposal: %d txs, first had %d", len(got), len(first))
+	}
+	if got := net.Stats().Sent; got != sent {
+		t.Fatalf("re-entry sent %d messages", got-sent)
+	}
+}
+
 // singleValidatorHarness boots one Redbelly validator next to a silent peer,
 // giving unit tests a live context without a full deployment.
 func singleValidatorHarness(t *testing.T) (*sim.Scheduler, *simnet.Network, *validator) {
