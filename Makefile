@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify verify-race ci specs lint loc fuzz-smoke sim-digests bench-smoke bench-pairs figures clean
+.PHONY: all build vet test race verify verify-race ci specs lint loc fuzz-smoke sim-digests census bench-smoke bench-pairs figures clean
 
 all: verify
 
@@ -72,9 +72,9 @@ verify-race:
 	$(GO) test -race -timeout 45m ./...
 
 # ci is the full merge gate: verify, verify-race, the race-enabled benchmark
-# smoke pass, the fuzz smoke pass and the simulated-side digests. This is what
-# .github/workflows/ci.yml runs.
-ci: verify verify-race bench-smoke fuzz-smoke sim-digests
+# smoke pass, the fuzz smoke pass, the simulated-side digests and the
+# integrity census. This is what .github/workflows/ci.yml runs.
+ci: verify verify-race bench-smoke fuzz-smoke sim-digests census
 
 # fuzz-smoke runs every native fuzz target in the module (`func Fuzz*` in a
 # test file) for FUZZTIME each: the seed corpus first, then fresh inputs.
@@ -100,6 +100,15 @@ fuzz-smoke:
 # see scripts/sim_digests.sh).
 sim-digests:
 	bash scripts/sim_digests.sh
+
+# census is the many-seed safety gate: TestIntegrityCensus (census_test.go,
+# behind the census build tag so `go test ./...` never runs it) compares every
+# golden configuration but committee-flows-Algorand over seeds 1–10 and the
+# paper's four faults on the five chains over seeds 1–5 on internal/pool, and
+# fails on a fork scripts/census.txt does not list or a listed one that no
+# longer forks.
+census:
+	$(GO) test -tags census -run '^TestIntegrityCensus$$' -timeout 30m .
 
 # bench-smoke is the fast race-enabled benchmark gate: one short iteration
 # of every figure benchmark (120 virtual seconds via -short), of each kernel

@@ -99,7 +99,7 @@ type cli struct {
 	jsonOut, list                                       bool
 	bucket, metricsInterval                             time.Duration
 	workers                                             int
-	search                                              stabl.SearchOptions
+	bisect                                              stabl.CampaignBisect
 }
 
 // catalog defines every flag of the CLI, bound to c. A command's flag set
@@ -137,13 +137,13 @@ func (c *cli) catalog() *flag.FlagSet {
 	fs.StringVar(&c.metricsOut, "metrics-out", "", "write the altered run's metrics (JSONL, CSV, SVG timeline) into this directory")
 	fs.StringVar(&c.metricsDir, "metrics-dir", "", "write per-cell metrics dumps and timelines into this directory")
 	fs.DurationVar(&c.metricsInterval, "metrics-interval", 5*time.Second, "aggregation interval for -metrics-out and -metrics-dir")
-	axis := &c.search.Axis
-	fs.StringVar(&axis.Name, "axis", "count", "swept axis: count|slowby|intensity")
-	fs.Float64Var(&axis.Lo, "lo", 1, "low end of the searched range (expected to pass)")
-	fs.Float64Var(&axis.Hi, "hi", 5, "high end of the searched range")
-	fs.Float64Var(&axis.Resolution, "resolution", 0, "bracket resolution for non-integer axes (0 = range/64)")
-	fs.Float64Var(&c.search.Threshold, "threshold", 0, "a finite score at or above this also fails (0 = only liveness loss)")
-	fs.BoolVar(&c.search.Shrink, "shrink", false, "delta-debug the failing scenario at the boundary to a minimal spec (intensity axis)")
+	b := &c.bisect
+	fs.StringVar(&b.Axis, "axis", "count", "swept axis: count|slowby|intensity")
+	fs.Float64Var(&b.Lo, "lo", 1, "low end of the searched range (expected to pass)")
+	fs.Float64Var(&b.Hi, "hi", 5, "high end of the searched range")
+	fs.Float64Var(&b.Resolution, "resolution", 0, "bracket resolution for non-integer axes (0 = range/64)")
+	fs.Float64Var(&b.Threshold, "threshold", 0, "a finite score at or above this also fails (0 = only liveness loss)")
+	fs.BoolVar(&b.Shrink, "shrink", false, "delta-debug the failing scenario at the boundary to a minimal spec (intensity axis)")
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile of the command to this file")
 	fs.StringVar(&c.memProfile, "memprofile", "", "write an allocation profile to this file when the command finishes")
 	return fs
@@ -346,9 +346,24 @@ func recovery(c *cli, cfg stabl.Config) error {
 	return nil
 }
 
+// preset is the campaign the suite and search verbs run: the flags'
+// deployment as its template, swept over the given systems and seeds, with
+// -inject's instant and the outage up to -recover.
+func (c *cli) preset(systems []string, seeds ...int64) stabl.CampaignSpec {
+	f := c.spec.Fault
+	return stabl.CampaignSpec{Systems: systems, Seeds: seeds, Base: c.spec,
+		InjectSecs: []float64{f.InjectSec}, OutageSecs: []float64{f.RecoverSec - f.InjectSec}}
+}
+
+// suite runs the paper suite over the five chains and three seeds from
+// -seed, and prints every seed's score, then each point's min/median/max.
 func suite(c *cli, cfg stabl.Config) error {
-	seeds := []int64{cfg.Seed, cfg.Seed + 1, cfg.Seed + 2}
-	res, err := stabl.RunSuite(stabl.SuiteConfig{Base: cfg, Systems: stabl.Systems(), Seeds: seeds, Workers: c.workers})
+	var systems []string
+	for _, sys := range stabl.Systems() {
+		systems = append(systems, sys.Name())
+	}
+	spec := c.preset(systems, cfg.Seed, cfg.Seed+1, cfg.Seed+2)
+	res, err := stabl.RunPaperSuite(context.Background(), spec, stabl.CampaignOptions{Workers: c.workers})
 	if err != nil {
 		return err
 	}
@@ -357,6 +372,9 @@ func suite(c *cli, cfg stabl.Config) error {
 	}
 	for _, cell := range res.Cells {
 		fmt.Fprintln(c.out, cell)
+	}
+	for _, p := range res.Points {
+		fmt.Fprintln(c.out, p)
 	}
 	return nil
 }
@@ -426,36 +444,40 @@ func campaign(c *cli, _ stabl.Config) error {
 	return res.WriteText(c.out)
 }
 
+// search bisects -system's -fault (or -scenario) along -axis: a one-family
+// campaign in mode bisect. The fault's count is the paper's unless -axis
+// count sweeps it.
 func search(c *cli, cfg stabl.Config) error {
-	opts, axis := c.search, c.search.Axis.Name
-	opts.Base = cfg
+	spec := c.preset([]string{cfg.System.Name()}, cfg.Seed)
+	spec.Mode, spec.Bisect = "bisect", &c.bisect
+	spec.CountDeltas = []int{core.PaperFaultCount(cfg.Fault.Kind, 0)} // relative to t
 	if c.scenario != "" {
-		if axis != stabl.SearchAxisIntensity {
-			return fmt.Errorf("search: -scenario needs -axis intensity, got -axis %s", axis)
-		}
-		spec, err := stabl.BuiltinScenario(c.scenario, cfg.Duration)
+		sc, err := stabl.BuiltinScenario(c.scenario, cfg.Duration)
 		if err != nil {
 			return err
 		}
-		opts.Scenario = &spec
+		spec.Scenarios = []stabl.ScenarioSpec{sc}
 	}
+	if c.scenario == "" || cfg.Fault.Kind != stabl.FaultNone {
+		spec.Faults = []string{c.spec.Fault.Kind}
+	}
+	var opts stabl.CampaignOptions
 	if !c.jsonOut {
-		opts.Progress = func(x float64, fail bool, cmp *stabl.Comparison) {
-			verdict := "pass"
-			if fail {
-				verdict = "FAIL"
-			}
-			fmt.Fprintf(os.Stderr, "probe %s=%g: %s (%s)\n", axis, x, verdict, cmp.Score)
-		}
+		opts.Progress = func(_, _ int, cell *stabl.CampaignCell) { fmt.Fprintf(os.Stderr, "probe %s\n", cell) }
 	}
-	res, err := stabl.RunSearch(opts)
+	res, err := stabl.RunCampaign(context.Background(), spec, opts)
 	if err != nil {
 		return err
 	}
 	if c.jsonOut {
-		return res.WriteJSON(c.out)
+		err = res.WriteJSON(c.out)
+	} else {
+		err = res.WriteText(c.out)
 	}
-	return res.WriteText(c.out)
+	if b := res.Bisections[0]; err == nil && b.Error != "" {
+		err = fmt.Errorf("search: %s", b.Error)
+	}
+	return err
 }
 
 func lintPackages(c *cli, _ stabl.Config) error {

@@ -417,22 +417,35 @@ func TestCLISearchCount(t *testing.T) {
 func TestCLISearchJSON(t *testing.T) {
 	out := runCLI(t, "search", "-system", "Redbelly", "-fault", "crash", "-lo", "1", "-hi", "2", "-json")
 	var res struct {
-		System string `json:"system"`
-		Axis   string `json:"axis"`
-		Probes []struct {
-			X    float64 `json:"x"`
-			Fail bool    `json:"fail"`
-		} `json:"probes"`
-		Runs int `json:"runs"`
+		Cells      []struct{ Count int } `json:"cells"`
+		Bisections []struct {
+			Cell struct {
+				System string `json:"system"`
+			} `json:"cell"`
+			Axis   string `json:"axis"`
+			Probes []struct {
+				X    float64 `json:"x"`
+				Fail bool    `json:"fail"`
+			} `json:"probes"`
+			Runs int `json:"runs"`
+		} `json:"bisections"`
 	}
 	if err := json.Unmarshal([]byte(out), &res); err != nil {
 		t.Fatalf("not JSON: %v\n%s", err, out)
 	}
-	if res.System != "Redbelly" || res.Axis != "count" || len(res.Probes) == 0 {
-		t.Fatalf("result = %+v", res)
+	if len(res.Bisections) != 1 {
+		t.Fatalf("bisections = %d, want 1\n%s", len(res.Bisections), out)
 	}
-	if res.Runs != len(res.Probes)+1 {
-		t.Fatalf("runs = %d, want probes+baseline = %d", res.Runs, len(res.Probes)+1)
+	b := res.Bisections[0]
+	if b.Cell.System != "Redbelly" || b.Axis != "count" || len(b.Probes) == 0 {
+		t.Fatalf("result = %+v", b)
+	}
+	if b.Runs != len(b.Probes)+1 {
+		t.Fatalf("runs = %d, want probes+baseline = %d", b.Runs, len(b.Probes)+1)
+	}
+	// Every probe is a campaign cell at its count.
+	if len(res.Cells) != len(b.Probes) || res.Cells[0].Count != int(b.Probes[0].X) {
+		t.Fatalf("cells %+v do not match probes %+v", res.Cells, b.Probes)
 	}
 }
 

@@ -1,7 +1,8 @@
 package stabl
 
 import (
-	"reflect"
+	"bytes"
+	"context"
 	"testing"
 	"time"
 )
@@ -24,33 +25,40 @@ func committeeGoldenConfig() Config {
 	}
 }
 
-// TestCommitteeSuiteWorkerInvariance runs a committee-mode suite at one and
-// at four workers and requires identical aggregates: the memoized committee
-// schedule is shared across concurrently running experiments, so cache-hit
-// races must never leak into results.
+// TestCommitteeSuiteWorkerInvariance runs a committee-mode campaign at one
+// and at four workers and requires byte-identical results: the memoized
+// committee schedule is shared across concurrently running experiments, so
+// cache-hit races must never leak into results.
 func TestCommitteeSuiteWorkerInvariance(t *testing.T) {
 	if testing.Short() {
-		t.Skip("committee suite invariance skipped in -short mode")
+		t.Skip("committee campaign invariance skipped in -short mode")
 	}
 	base := committeeGoldenConfig()
-	base.Duration = 60 * time.Second
-	base.Fault = FaultPlan{InjectAt: 20 * time.Second, RecoverAt: 40 * time.Second}
-	run := func(workers int) *SuiteResult {
-		res, err := RunSuite(SuiteConfig{
-			Base:    base,
-			Systems: []System{NewAlgorand()},
-			Faults:  []FaultKind{FaultCrash, FaultTransient},
-			Seeds:   []int64{1, 2},
-			Workers: workers,
-		})
+	spec := CampaignSpec{
+		Systems:        []string{"Algorand"},
+		Faults:         []string{"crash", "transient"},
+		InjectSecs:     []float64{20},
+		OutageSecs:     []float64{20},
+		CommitteeSizes: []int{base.CommitteeSize},
+		Seeds:          []int64{1, 2},
+		Base:           Spec{Validators: base.Validators, Clients: base.Clients, DurationSec: 60},
+	}
+	run := func(workers int) []byte {
+		res, err := RunCampaign(context.Background(), spec, CampaignOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		if res.FailedCells > 0 {
+			t.Fatalf("%d of %d cells failed", res.FailedCells, res.TotalCells)
+		}
+		var buf bytes.Buffer
+		if err := res.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	serial, parallel := run(1), run(4)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("suite results differ across worker counts:\n 1 worker: %+v\n 4 workers: %+v", serial, parallel)
+	if serial, parallel := run(1), run(4); !bytes.Equal(serial, parallel) {
+		t.Fatalf("campaign results differ across worker counts:\n 1 worker: %s\n 4 workers: %s", serial, parallel)
 	}
 }
 

@@ -1,13 +1,11 @@
 package campaign
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"stabl/internal/core"
 	"stabl/internal/metrics"
-	"stabl/internal/pool"
 )
 
 // familyKey identifies a checkpoint family: cells that share their entire
@@ -55,16 +53,16 @@ func (c Cell) family() (familyKey, bool) {
 }
 
 // groupFamilies partitions the cell indices into execution units, preserving
-// grid order: each checkpoint family becomes one unit (members in grid
-// order), and every ineligible cell is its own singleton unit. Units are
-// ordered by their first member, so progress output walks the grid in the
-// same order as ModeGrid.
-func groupFamilies(cells []Cell) [][]int {
+// grid order: with forking on, each checkpoint family becomes one unit
+// (members in grid order), and every other cell is its own singleton unit.
+// Units are ordered by their first member, so progress output walks the grid
+// in the same order in every mode.
+func groupFamilies(cells []Cell, forking bool) [][]int {
 	var units [][]int
 	byKey := make(map[familyKey]int)
 	for i, cell := range cells {
 		key, ok := cell.family()
-		if !ok {
+		if !ok || !forking {
 			units = append(units, []int{i})
 			continue
 		}
@@ -78,194 +76,122 @@ func groupFamilies(cells []Cell) [][]int {
 	return units
 }
 
-// unitStat accumulates one unit's contribution to the campaign's checkpoint
-// statistics. Units aggregate into index-addressed slots, so the totals are
-// deterministic at any worker count.
-type unitStat struct {
-	families    int
-	forkServed  int
-	fullReplays int
-	wallSaved   time.Duration
+// family runs the cells of one unit, in the order the unit's driver asks for
+// them. A cell measured with fork set shares the family checkpoint: the
+// first one builds the family's altered experiment, runs it to the
+// checkpoint just before the first disruptive action and resumes from
+// there; every later one rewinds that checkpoint and is steered onto its own
+// timeline. The members of a family (Cell.family) share their pre-fault
+// prefix, and run one after another because they rewind one live object
+// graph. Any other cell, and every cell the checkpoint cannot serve, is
+// replayed from scratch, which is all grid mode does; both paths score the
+// same run, so results are byte-identical across the modes.
+type family struct {
+	*engine
+	results []*CellResult
+	st      CheckpointStats
+
+	baseline *core.RunResult
+	fp       *core.ForkPoint
+	exp      *core.Experiment
+	// rec instruments the whole family: it is part of the fork set, so
+	// rewinding returns it to its checkpoint state and each continuation's
+	// clone holds exactly that member's timeline.
+	rec        *metrics.Recorder
+	prefixWall time.Duration
+	// replayAll replays every remaining member: the family has no
+	// checkpoint to take, or a member's panic corrupted the live graph.
+	replayAll bool
 }
 
-// runAdaptive executes the cells family-by-family: each family's shared
-// prefix runs once, is checkpointed just before the first disruptive action,
-// and the members run as forked continuations of that checkpoint. Families
-// execute in parallel on the worker pool; members within a family are
-// inherently sequential (they rewind the same live object graph). Results
-// are byte-identical to ModeGrid — every fallback path degrades to runCell,
-// the grid-mode executor.
-func runAdaptive(ctx context.Context, spec Spec, cells []Cell, opts Options,
-	baselines *baselineCache, results []*CellResult, progress *progressTracker) *CheckpointStats {
-
-	units := groupFamilies(cells)
-	stats := make([]unitStat, len(units))
-	errs := pool.ForEach(ctx, len(units), opts.Workers, func(u int) error {
-		stats[u] = runFamily(ctx, spec, units[u], cells, opts, baselines, results, progress)
-		return nil
-	})
-	for u, err := range errs {
-		if err == nil {
-			continue
+// measure runs one cell and records its result. A cell whose coordinate is
+// invalid (e.g. a count exceeding the fault-eligible pool) fails alone,
+// without costing the family its checkpoint; a panic inside the model run
+// fails only this cell, with the message a from-scratch run reports.
+func (f *family) measure(cell Cell, fork bool) (res *CellResult) {
+	res = &CellResult{Cell: cell}
+	defer func() {
+		if v := recover(); v != nil {
+			res.Error = fmt.Sprintf("panic: %v", v)
+			f.replayAll = true
 		}
-		// Cancellation (or a panic in the family bookkeeping itself):
-		// every member without a measurement failed.
-		for _, i := range units[u] {
-			if results[i] == nil {
-				results[i] = &CellResult{Cell: cells[i], Error: err.Error()}
-			}
-		}
+		f.results = append(f.results, res)
+		f.report(res)
+	}()
+	cfg, err := cellConfig(f.spec, cell, f.opts.Resolve)
+	if err == nil && f.baseline == nil {
+		// The cache memoizes a failure; every member reports it.
+		f.baseline, err = f.baselines.get(cell.System, cell.Seed, cfg)
 	}
-	total := &CheckpointStats{}
-	for _, st := range stats {
-		total.Families += st.families
-		total.ForkServed += st.forkServed
-		total.FullReplays += st.fullReplays
-		total.WallSaved += st.wallSaved
-	}
-	return total
-}
-
-// runFamily executes one unit. Singletons and every fallback path run
-// through runCell, so any cell the checkpoint machinery cannot serve is
-// measured exactly as ModeGrid would measure it.
-func runFamily(ctx context.Context, spec Spec, idxs []int, cells []Cell, opts Options,
-	baselines *baselineCache, results []*CellResult, progress *progressTracker) (st unitStat) {
-
-	replay := func(i int) {
-		res := runCell(spec, cells[i], opts, baselines)
-		results[i] = res
-		st.fullReplays++
-		progress.report(res)
-	}
-
-	if len(idxs) == 1 {
-		replay(idxs[0])
-		return st
-	}
-
-	// Materialize every member's config first: a member whose coordinate is
-	// invalid (e.g. a count delta exceeding the fault-eligible pool) fails
-	// alone, without costing the family its checkpoint.
-	cfgs := make([]core.Config, len(idxs))
-	live := idxs[:0:0]
-	for _, i := range idxs {
-		cfg, err := cellConfig(spec, cells[i], opts.Resolve)
-		if err != nil {
-			res := &CellResult{Cell: cells[i], Error: err.Error()}
-			results[i] = res
-			progress.report(res)
-			continue
-		}
-		cfgs[len(live)] = cfg
-		live = append(live, i)
-	}
-	if len(live) == 0 {
-		return st
-	}
-	cfgs = cfgs[:len(live)]
-
-	fail := func(pos int, msg string) {
-		res := &CellResult{Cell: cells[live[pos]], Error: msg}
-		results[live[pos]] = res
-		progress.report(res)
-	}
-
-	baseline, err := baselines.get(cells[live[0]].System, cells[live[0]].Seed, cfgs[0])
 	if err != nil {
-		// The cache memoizes the failure; every grid-mode member would
-		// report the same message.
-		for pos := range live {
-			fail(pos, err.Error())
-		}
-		return st
+		res.Error = err.Error()
+		return res
 	}
-
-	// One recorder instruments the whole family: it is part of the fork
-	// set, so rewinding returns it to its checkpoint state and each
-	// continuation's clone holds exactly that member's timeline.
-	repCfg := cfgs[0]
+	resumed := false
+	if fork && !f.replayAll && f.exp == nil {
+		repCfg := cfg
+		if f.opts.Metrics != nil {
+			f.rec = metrics.NewRecorder(f.opts.MetricsInterval)
+			repCfg.Metrics = f.rec
+		}
+		// No disruptive action, an unforkable system, or a prefix panic
+		// leave nothing to share (a panicking prefix panics identically in
+		// each member's own run).
+		f.fp, f.exp, f.prefixWall = checkpointPrefix(repCfg)
+		f.replayAll = f.fp == nil
+		// The representative's timeline is already loaded: it resumes
+		// straight from the checkpoint it just produced, so it runs prefix
+		// and suffix itself.
+		resumed = !f.replayAll
+	}
+	var cmp *core.Comparison
 	var rec *metrics.Recorder
-	if opts.Metrics != nil {
-		rec = metrics.NewRecorder(opts.MetricsInterval)
-		repCfg.Metrics = rec
-	}
-
-	fp, exp, prefixWall := checkpointPrefix(repCfg)
-	if fp == nil {
-		// No disruptive action, an unforkable system, or a prefix panic:
-		// nothing to share, run every member from scratch (a panicking
-		// prefix panics identically in each member's own run).
-		for _, i := range live {
-			if ctx.Err() != nil {
-				return st
+	switch {
+	case !fork || f.replayAll:
+		f.st.FullReplays++
+		if f.opts.Metrics != nil {
+			rec = metrics.NewRecorder(f.opts.MetricsInterval)
+			cfg.Metrics = rec
+		}
+		cmp, err = core.CompareWithBaseline(cfg, f.baseline)
+	default:
+		if resumed {
+			f.st.Families++
+			f.st.FullReplays++
+		} else {
+			sibling, terr := cfg.Timeline()
+			if terr != nil {
+				// What the member's own run reports (core.CompareWithBaseline).
+				res.Error = fmt.Sprintf("altered run: %v", terr)
+				return res
 			}
-			replay(i)
+			f.fp.Rewind()
+			f.exp.Steer(sibling)
+			f.st.ForkServed++
+			f.st.WallSaved += f.prefixWall
 		}
-		return st
+		cmp, rec, err = f.resume(cfg)
 	}
-	st.families++
+	if err != nil {
+		res.Error = err.Error()
+		return res
+	}
+	scoreCell(res, cell, cmp)
+	if rec != nil {
+		f.opts.Metrics(cell, rec)
+	}
+	return res
+}
 
-	// continuation runs one member from the checkpoint to the end and
-	// scores it. A panic corrupts the live object graph, so the survivors
-	// fall back to full replays; the panicking member itself reports the
-	// same message a from-scratch run of its schedule would.
-	corrupted := false
-	horizon := exp.Config().Duration
-	continuation := func(pos int) {
-		cell := cells[live[pos]]
-		res := &CellResult{Cell: cell}
-		func() {
-			defer func() {
-				if v := recover(); v != nil {
-					res.Error = fmt.Sprintf("panic: %v", v)
-					corrupted = true
-				}
-			}()
-			exp.RunUntil(horizon)
-			altered := exp.Collect()
-			cmp, err := core.ScoreWithBaseline(cfgs[pos], baseline, altered)
-			if err != nil {
-				res.Error = err.Error()
-				return
-			}
-			scoreCell(res, cell, cmp)
-			if rec != nil {
-				opts.Metrics(cell, rec.Clone())
-			}
-		}()
-		results[live[pos]] = res
-		progress.report(res)
+// resume runs the loaded experiment from the checkpoint to the end, scores
+// it, and clones the family recorder's state for this member.
+func (f *family) resume(cfg core.Config) (*core.Comparison, *metrics.Recorder, error) {
+	f.exp.RunUntil(f.exp.Config().Duration)
+	cmp, err := core.ScoreWithBaseline(cfg, f.baseline, f.exp.Collect())
+	if err != nil || f.rec == nil {
+		return cmp, nil, err
 	}
-
-	for pos := 0; pos < len(live); pos++ {
-		if ctx.Err() != nil {
-			return st
-		}
-		if corrupted {
-			replay(live[pos])
-			continue
-		}
-		if pos == 0 {
-			// The representative's timeline is already loaded; it resumes
-			// straight from the checkpoint it just produced.
-			continuation(pos)
-			st.fullReplays++ // it ran prefix + suffix itself
-			continue
-		}
-		sibling, err := cfgs[pos].Timeline()
-		if err != nil {
-			// What the member's own run reports (core.CompareWithBaseline).
-			fail(pos, fmt.Sprintf("altered run: %v", err))
-			continue
-		}
-		fp.Rewind()
-		exp.Steer(sibling)
-		continuation(pos)
-		st.forkServed++
-		st.wallSaved += prefixWall
-	}
-	return st
+	return cmp, f.rec.Clone(), nil
 }
 
 // checkpointPrefix builds the family's altered experiment and runs it to the

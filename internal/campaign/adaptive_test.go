@@ -220,7 +220,10 @@ func TestGroupFamilies(t *testing.T) {
 		{System: "A", Scenario: "blip", Intensity: 2, Seed: 1},
 		{System: "B", Fault: "crash", Count: 3, InjectSec: 15, Seed: 1},
 	}
-	units := groupFamilies(cells)
+	if grid := groupFamilies(cells, false); len(grid) != len(cells) {
+		t.Fatalf("grid units = %v, want one per cell", grid)
+	}
+	units := groupFamilies(cells, true)
 	want := [][]int{{0, 2}, {1}, {3}, {4, 6}, {5}, {7}}
 	if len(units) != len(want) {
 		t.Fatalf("units = %v, want %v", units, want)

@@ -200,7 +200,7 @@ func TestExpandCollapsesInapplicableDimensions(t *testing.T) {
 		SlowBySecs:  []float64{5},
 		Seeds:       []int64{1},
 	}.withDefaults()
-	cells, err := expand(spec, resolveStubs)
+	cells, err := expand(spec, resolveStubs, deltaCounts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,11 +305,11 @@ func TestHeatmapGridMarksInfiniteAndMissing(t *testing.T) {
 func TestExpandCommitteeAxis(t *testing.T) {
 	spec := fastSpec()
 	spec.CommitteeSizes = []int{0, 16}
-	cells, err := expand(spec.withDefaults(), resolveStubs)
+	cells, err := expand(spec.withDefaults(), resolveStubs, deltaCounts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := expand(fastSpec().withDefaults(), resolveStubs)
+	base, err := expand(fastSpec().withDefaults(), resolveStubs, deltaCounts)
 	if err != nil {
 		t.Fatal(err)
 	}

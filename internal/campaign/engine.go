@@ -26,7 +26,8 @@ type Options struct {
 	Resolve func(string) (chain.System, error)
 	// Progress, when set, is called after every cell completes, from
 	// worker goroutines but never concurrently. done counts completed
-	// cells, total is the campaign size.
+	// cells, total is the campaign size (0 in mode bisect, whose probe
+	// count is not known in advance).
 	Progress func(done, total int, res *CellResult)
 	// Metrics, when set, attaches a fresh metrics.Recorder to every
 	// cell's altered run and hands it over once the cell completes
@@ -48,77 +49,137 @@ type Options struct {
 // ctx stops scheduling new cells; already-started cells finish and the
 // partial result is still aggregated and returned.
 func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
+	return run(ctx, spec, opts, deltaCounts)
+}
+
+// RunPaperSuite is the paper's multi-seed CI sweep as a campaign preset:
+// the spec's systems × faults × seeds, each node fault at the paper's count
+// (core.PaperFaultCount: t for crashes, t+1 for the rest) where Run would
+// sweep t + CountDeltas. Faults default to the paper's four: crash,
+// transient, partition and the secure client.
+func RunPaperSuite(ctx context.Context, spec Spec, opts Options) (*Result, error) {
+	if len(spec.Faults) == 0 && len(spec.Scenarios) == 0 {
+		spec.Faults = []string{core.FaultCrash.String(), core.FaultTransient.String(),
+			core.FaultPartition.String(), core.FaultSecureClient.String()}
+	}
+	return run(ctx, spec, opts, paperCounts)
+}
+
+// run is the one executor behind Run and RunPaperSuite: counts resolves each
+// node fault's counts from the system's tolerance. Every mode hands the
+// worker pool units of cells that share a family; grid units hold one cell.
+func run(ctx context.Context, spec Spec, opts Options, counts countRule) (*Result, error) {
 	if opts.Resolve == nil {
 		return nil, fmt.Errorf("campaign: Options.Resolve is required")
 	}
-	spec = spec.withDefaults()
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	cells, err := expand(spec, opts.Resolve)
+	spec, cells, err := prepare(spec, opts.Resolve, counts)
 	if err != nil {
 		return nil, err
 	}
-	if len(cells) == 0 {
-		return nil, fmt.Errorf("campaign: spec expands to zero cells")
+	e := &engine{ctx: ctx, spec: spec, opts: opts, baselines: newBaselineCache(), total: len(cells)}
+	if spec.Mode == ModeBisect {
+		e.total = 0 // the probe count is not known in advance
+		return e.bisectAll(cells), nil
 	}
 
-	baselines := newBaselineCache()
+	groups := groupFamilies(cells, spec.Mode == ModeAdaptive)
 	results := make([]*CellResult, len(cells))
-	progress := &progressTracker{total: len(cells), fn: opts.Progress}
-
-	var checkpoint *CheckpointStats
-	if spec.Mode == ModeAdaptive {
-		checkpoint = runAdaptive(ctx, spec, cells, opts, baselines, results, progress)
-	} else {
-		errs := pool.ForEach(ctx, len(cells), opts.Workers, func(i int) error {
-			res := runCell(spec, cells[i], opts, baselines)
-			results[i] = res
-			progress.report(res)
-			return nil
-		})
-		// runCell captures its own panics, so pool errors are cancellation
-		// (skipped cells) or a panic in the bookkeeping above; either way
-		// the cell failed without a measurement.
-		for i, err := range errs {
-			if err != nil {
+	errs := e.execute(len(groups), func(f *family, u int) {
+		for _, i := range groups[u] {
+			if ctx.Err() != nil {
+				return
+			}
+			results[i] = f.measure(cells[i], len(groups[u]) > 1)
+		}
+	})
+	// The cells a cancellation, or a panic in the bookkeeping, left
+	// unmeasured failed without a measurement.
+	for u, idxs := range groups {
+		for _, i := range idxs {
+			if err := errs[u]; results[i] == nil {
+				if err == nil {
+					err = ctx.Err() // only a cancellation cuts a unit short
+				}
 				results[i] = &CellResult{Cell: cells[i], Error: err.Error()}
 			}
 		}
 	}
 	res := aggregate(spec, results)
-	res.Checkpoint = checkpoint
+	if spec.Mode == ModeAdaptive {
+		res.Checkpoint = &e.stats
+	}
 	return res, nil
 }
 
-// progressTracker serializes per-cell progress callbacks across workers.
-type progressTracker struct {
-	mu    sync.Mutex
-	done  int
-	total int
-	fn    func(done, total int, res *CellResult)
+// prepare applies defaults, validates the spec and expands its cells.
+func prepare(spec Spec, resolve func(string) (chain.System, error), counts countRule) (Spec, []Cell, error) {
+	spec = spec.withDefaults()
+	if err := spec.validate(); err != nil {
+		return spec, nil, err
+	}
+	cells, err := expand(spec, resolve, counts)
+	if err == nil && len(cells) == 0 {
+		err = fmt.Errorf("campaign: spec expands to zero cells")
+	}
+	return spec, cells, err
 }
 
-func (p *progressTracker) report(res *CellResult) {
-	if p.fn == nil {
+// engine is one campaign execution: what every unit reads, the baselines
+// they share, and what they report.
+type engine struct {
+	ctx       context.Context
+	spec      Spec
+	opts      Options
+	baselines *baselineCache
+
+	mu    sync.Mutex // guards the fields below
+	done  int        // cells measured, and Progress's total
+	total int
+	stats CheckpointStats // sums; the counts are deterministic at any worker count
+}
+
+// report hands one measured cell to Options.Progress.
+func (e *engine) report(res *CellResult) {
+	if e.opts.Progress == nil {
 		return
 	}
-	p.mu.Lock()
-	p.done++
-	p.fn(p.done, p.total, res)
-	p.mu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.done++
+	e.opts.Progress(e.done, e.total, res)
+}
+
+// execute runs n units on the worker pool, each driven through its own
+// family, whose live experiment and checkpoint die with its unit. errs[u] is
+// the pool's error for a unit it skipped on cancellation or whose
+// bookkeeping panicked.
+func (e *engine) execute(n int, drive func(f *family, u int)) (errs []error) {
+	return pool.ForEach(e.ctx, n, e.opts.Workers, func(u int) error {
+		f := &family{engine: e}
+		defer func() {
+			e.mu.Lock()
+			defer e.mu.Unlock()
+			e.stats.Families += f.st.Families
+			e.stats.ForkServed += f.st.ForkServed
+			e.stats.FullReplays += f.st.FullReplays
+			e.stats.WallSaved += f.st.WallSaved
+		}()
+		drive(f, u)
+		return nil
+	})
 }
 
 // Validate applies defaults, validates the spec and expands its grid
-// without executing anything, returning how many cells it would run. Every
+// without executing anything, returning how many cells it would run (in mode
+// bisect, how many bisections). Every
 // scenario is additionally compiled against the spec's deployment as core
 // lays it out, so node sets that exceed the fault-eligible pool fail at lint
 // time, not per cell. The pool depends on the system (aggregated flows leave
 // its worst-case fault set client-free), so the scenarios compile once,
 // against the system with the smallest pool.
 func Validate(spec Spec, resolve func(string) (chain.System, error)) (int, error) {
-	spec = spec.withDefaults()
-	if err := spec.validate(); err != nil {
+	spec, cells, err := prepare(spec, resolve, deltaCounts)
+	if err != nil {
 		return 0, err
 	}
 	var env scenario.Env
@@ -146,12 +207,8 @@ func Validate(spec Spec, resolve func(string) (chain.System, error)) (int, error
 			return 0, err
 		}
 	}
-	cells, err := expand(spec, resolve)
-	if err != nil {
-		return 0, err
-	}
-	if len(cells) == 0 {
-		return 0, fmt.Errorf("campaign: spec expands to zero cells")
+	if spec.Mode == ModeBisect {
+		return len(spec.Bisect.templates(cells)), nil
 	}
 	return len(cells), nil
 }
@@ -205,45 +262,6 @@ func scoreCell(res *CellResult, cell Cell, cmp *core.Comparison) {
 		res.Stabilized = ok
 		res.StabilizationSec = stab.Seconds()
 	}
-}
-
-// runCell executes one cell: materialize its config, fetch (or compute) the
-// shared baseline, run the altered environment and digest the comparison.
-// Any panic inside the model run fails only this cell.
-func runCell(spec Spec, cell Cell, opts Options, baselines *baselineCache) (res *CellResult) {
-	res = &CellResult{Cell: cell}
-	defer func() {
-		if v := recover(); v != nil {
-			res.Error = fmt.Sprintf("panic: %v", v)
-		}
-	}()
-
-	cfg, err := cellConfig(spec, cell, opts.Resolve)
-	if err != nil {
-		res.Error = err.Error()
-		return res
-	}
-	var rec *metrics.Recorder
-	if opts.Metrics != nil {
-		rec = metrics.NewRecorder(opts.MetricsInterval)
-		cfg.Metrics = rec
-	}
-
-	baseline, err := baselines.get(cell.System, cell.Seed, cfg)
-	if err != nil {
-		res.Error = err.Error()
-		return res
-	}
-	cmp, err := core.CompareWithBaseline(cfg, baseline)
-	if err != nil {
-		res.Error = err.Error()
-		return res
-	}
-	scoreCell(res, cell, cmp)
-	if rec != nil {
-		opts.Metrics(cell, rec)
-	}
-	return res
 }
 
 // baselineCache shares fault-free baseline runs across cells. Within one

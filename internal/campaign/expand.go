@@ -78,9 +78,10 @@ func (c Cell) Slug() string {
 // expand materializes the spec's grid: systems × committee sizes × overlays ×
 // faults × counts × inject times × outages × slow-bys × seeds, with
 // inapplicable dimensions collapsed per fault kind so the grid holds no
-// duplicate coordinates. The order is deterministic: dimensions nest in the
-// order above, seeds vary fastest.
-func expand(spec Spec, resolve func(string) (chain.System, error)) ([]Cell, error) {
+// duplicate coordinates, and each node fault's counts resolved by counts.
+// The order is deterministic: dimensions nest in the order above, seeds vary
+// fastest.
+func expand(spec Spec, resolve func(string) (chain.System, error), counts countRule) ([]Cell, error) {
 	validators := spec.Base.Validators
 	if validators == 0 {
 		validators = 10
@@ -101,10 +102,10 @@ func expand(spec Spec, resolve func(string) (chain.System, error)) ([]Cell, erro
 						return nil, err
 					}
 
-					counts := []int{0}
+					faultCounts := []int{0}
 					injects := []float64{0}
 					if kind.NeedsNodes() {
-						counts = resolveCounts(tolerance, spec.CountDeltas)
+						faultCounts = counts(spec, kind, tolerance)
 						injects = spec.InjectSecs
 					}
 					outages := []float64{0}
@@ -116,7 +117,7 @@ func expand(spec Spec, resolve func(string) (chain.System, error)) ([]Cell, erro
 						slows = spec.SlowBySecs
 					}
 
-					for _, count := range counts {
+					for _, count := range faultCounts {
 						for _, inject := range injects {
 							for _, outage := range outages {
 								for _, slow := range slows {
@@ -158,14 +159,22 @@ func expand(spec Spec, resolve func(string) (chain.System, error)) ([]Cell, erro
 	return sample(spec, cells), nil
 }
 
-// resolveCounts maps tolerance deltas to distinct positive fault counts,
-// ascending. Deltas below f=1 are dropped: killing zero nodes is the
-// baseline, not a fault.
-func resolveCounts(tolerance int, deltas []int) []int {
-	seen := make(map[int]bool, len(deltas))
+// countRule resolves a node fault's counts from the system's tolerance t.
+type countRule func(spec Spec, kind core.FaultKind, t int) []int
+
+// paperCounts is the paper suite's rule: one count per kind, the paper's.
+func paperCounts(_ Spec, kind core.FaultKind, t int) []int {
+	return []int{core.PaperFaultCount(kind, t)}
+}
+
+// deltaCounts is the campaign's rule: the distinct positive counts t + d over
+// CountDeltas, ascending. Deltas below f=1 are dropped: killing zero nodes is
+// the baseline, not a fault.
+func deltaCounts(spec Spec, _ core.FaultKind, t int) []int {
+	seen := make(map[int]bool, len(spec.CountDeltas))
 	var counts []int
-	for _, d := range deltas {
-		f := tolerance + d
+	for _, d := range spec.CountDeltas {
+		f := t + d
 		if f < 1 || seen[f] {
 			continue
 		}

@@ -155,8 +155,11 @@ type Result struct {
 	Points []*Point `json:"points"`
 	// Cells are the raw per-cell outcomes, in grid order.
 	Cells []*CellResult `json:"cells"`
-	// Checkpoint reports the adaptive mode's fork reuse; nil in grid mode.
+	// Checkpoint reports the adaptive and bisect modes' fork reuse; nil in
+	// grid mode.
 	Checkpoint *CheckpointStats `json:"checkpoint,omitempty"`
+	// Bisections are mode bisect's boundary searches, in grid order.
+	Bisections []*Bisection `json:"bisections,omitempty"`
 }
 
 // CheckpointStats summarizes checkpoint reuse in an adaptive campaign. The
@@ -205,6 +208,15 @@ func (r *Result) WriteText(w io.Writer) error {
 	if cp := r.Checkpoint; cp != nil {
 		fmt.Fprintf(w, "checkpoint reuse: %d of %d cells served from %d family fork(s), %d full replay(s)\n",
 			cp.ForkServed, r.TotalCells, cp.Families, cp.FullReplays)
+	}
+	cells := make(map[Cell]*CellResult, len(r.Cells))
+	for _, c := range r.Cells {
+		cells[c.Cell] = c
+	}
+	for _, b := range r.Bisections {
+		if err := b.writeText(w, cells); err != nil {
+			return err
+		}
 	}
 	for _, sys := range r.Systems {
 		fmt.Fprintf(w, "\n%s: mean score %.2f over %d runs (inf %d, failed %d)\n",

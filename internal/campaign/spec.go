@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"stabl/internal/core"
 	"stabl/internal/overlay"
@@ -89,7 +90,11 @@ type Spec struct {
 	// the first disruptive action and serves the remaining members by
 	// rewinding the checkpoint. Results are byte-identical between the
 	// modes and across worker counts; only wall-clock time changes.
+	// "bisect" searches each family for its pass/fail boundary along the
+	// Bisect block's axis instead of running the axis' swept values.
 	Mode string `json:"mode,omitempty"`
+	// Bisect configures mode "bisect"; it is an error in any other mode.
+	Bisect *Bisect `json:"bisect,omitempty"`
 	// Base is the deployment template shared by every cell (validators,
 	// clients, rate, duration, profile, …). Its system, seed, fault and
 	// scenario fields are ignored: the campaign dimensions override them.
@@ -103,7 +108,92 @@ const (
 	// ModeAdaptive forks shared checkpoints at the fault-injection
 	// instant.
 	ModeAdaptive = "adaptive"
+	// ModeBisect bisects every family along one axis, each probe a forked
+	// continuation of the family checkpoint.
+	ModeBisect = "bisect"
 )
+
+// Bisect is mode "bisect"'s block. Each cell of the spec's grid, with the
+// axis dimension collapsed, is one bisection: the probes are that cell at
+// axis values Bisect chooses, run one at a time from one family checkpoint.
+//
+//	"bisect": {"axis": "count", "lo": 1, "hi": 5}
+type Bisect struct {
+	// Axis is the swept scalar: "count" (the absolute fault count of a node
+	// fault), "slowby" (the slow fault's delay, seconds) or "intensity" (a
+	// scenario's magnitude scale).
+	Axis string `json:"axis"`
+	// Lo and Hi bracket the search; Lo is expected to pass and Hi to fail.
+	Lo float64 `json:"lo"`
+	Hi float64 `json:"hi"`
+	// Resolution is the bracket width at which bisection stops: 1 on the
+	// count axis, (Hi-Lo)/64 when zero elsewhere.
+	Resolution float64 `json:"resolution,omitempty"`
+	// Threshold: a finite score at or above it also fails a probe. Zero
+	// means only liveness loss fails.
+	Threshold float64 `json:"threshold,omitempty"`
+	// Shrink delta-debugs the scenario at the first failing intensity to a
+	// minimal failing spec (axis intensity only). Its candidates change the
+	// scenario's shape, so each one is a full replay.
+	Shrink bool `json:"shrink,omitempty"`
+}
+
+// Axis names for Bisect.Axis.
+const (
+	AxisCount     = "count"
+	AxisSlowBy    = "slowby"
+	AxisIntensity = "intensity"
+)
+
+// at returns the cell at axis value x.
+func (b *Bisect) at(c Cell, x float64) Cell {
+	switch b.Axis {
+	case AxisCount:
+		c.Count = int(math.Round(x))
+	case AxisSlowBy:
+		c.SlowBySec = x
+	case AxisIntensity:
+		c.Intensity = x
+	}
+	return c
+}
+
+// fails is a probe's verdict: liveness lost, or a score at the threshold.
+func (b *Bisect) fails(score float64, infinite bool) bool {
+	return infinite || (b.Threshold > 0 && score >= b.Threshold)
+}
+
+func (b *Bisect) validate(s Spec) error {
+	if b == nil {
+		return fmt.Errorf("campaign: mode %q needs a \"bisect\" block", ModeBisect)
+	}
+	// What each axis sweeps: a node fault's count, the slow fault's delay,
+	// a scenario's magnitudes.
+	sweeps, ok := map[string]func(core.FaultKind) bool{
+		AxisCount:     core.FaultKind.NeedsNodes,
+		AxisSlowBy:    func(k core.FaultKind) bool { return k == core.FaultSlow },
+		AxisIntensity: func(core.FaultKind) bool { return false },
+	}[b.Axis]
+	if !ok {
+		return fmt.Errorf("campaign: unknown bisect axis %q (valid: %s|%s|%s)", b.Axis, AxisCount, AxisSlowBy, AxisIntensity)
+	}
+	for _, name := range s.Faults {
+		if kind, _ := core.ParseFaultKind(name); !sweeps(kind) { // validate parsed every name
+			return fmt.Errorf("campaign: bisect axis %s cannot sweep fault %s", b.Axis, name)
+		}
+	}
+	switch {
+	case (b.Axis == AxisIntensity) != (len(s.Scenarios) > 0):
+		return fmt.Errorf("campaign: bisect axis intensity sweeps scenarios, and only it does")
+	case b.Hi <= b.Lo:
+		return fmt.Errorf("campaign: bisect hi (%g) must exceed lo (%g)", b.Hi, b.Lo)
+	case b.Resolution < 0 || b.Threshold < 0:
+		return fmt.Errorf("campaign: bisect resolution and threshold must be non-negative")
+	case b.Shrink && b.Axis != AxisIntensity:
+		return fmt.Errorf("campaign: bisect shrink needs axis intensity, got %s", b.Axis)
+	}
+	return nil
+}
 
 // ParseSpec decodes a campaign spec from JSON, rejecting unknown fields.
 func ParseSpec(r io.Reader) (Spec, error) {
@@ -201,8 +291,15 @@ func (s Spec) validate() error {
 	}
 	switch s.Mode {
 	case "", ModeGrid, ModeAdaptive:
+		if s.Bisect != nil {
+			return fmt.Errorf("campaign: a bisect block needs mode %q", ModeBisect)
+		}
+	case ModeBisect:
+		if err := s.Bisect.validate(s); err != nil {
+			return err
+		}
 	default:
-		return fmt.Errorf("campaign: unknown mode %q (valid: %s|%s)", s.Mode, ModeGrid, ModeAdaptive)
+		return fmt.Errorf("campaign: unknown mode %q (valid: %s|%s|%s)", s.Mode, ModeGrid, ModeAdaptive, ModeBisect)
 	}
 	seen := make(map[string]bool, len(s.Scenarios))
 	for _, sc := range s.Scenarios {
@@ -222,7 +319,7 @@ func (s Spec) validate() error {
 	return nil
 }
 
-// scenarioByName finds the named scenario spec, the lookup runCell uses to
+// scenarioByName finds the named scenario spec, the lookup cellConfig uses to
 // materialize a scenario cell.
 func (s Spec) scenarioByName(name string) (scenario.Spec, bool) {
 	for _, sc := range s.Scenarios {

@@ -972,20 +972,28 @@ func (c Config) Timeline() (*scenario.Compiled, error) {
 	return compiled, err
 }
 
+// PaperFaultCount is the paper's fault count against tolerance t: f = t for
+// crashes (§4) and f = t+1 for the kinds that heal (§5, §6, slow), one more
+// than the protocol claims to tolerate.
+func PaperFaultCount(kind FaultKind, t int) int {
+	if kind == FaultCrash {
+		return t
+	}
+	return t + 1
+}
+
 // lowerFault builds the one-action scenario a node fault is, over the f
 // highest-numbered validators, none of which serves a client (the paper's
 // "faulty nodes never receive transactions they would otherwise lose"). The
 // targets are listed n−1 downward: the primary draws one latency per signal,
 // so their order is part of what a seed reproduces. An explicit Count wins
-// over the paper's f = t for crashes and f = t+1 for the healing kinds. A
-// config that injects no node fault lowers to nil.
+// over PaperFaultCount. A config that injects no node fault lowers to nil.
 func (c Config) lowerFault() (*scenario.Scenario, []simnet.NodeID, error) {
 	act := scenario.Action{At: c.Fault.InjectAt, Until: c.Fault.RecoverAt}
-	f := c.System.Tolerance(c.Validators) + 1
+	f := PaperFaultCount(c.Fault.Kind, c.System.Tolerance(c.Validators))
 	switch c.Fault.Kind {
 	case FaultCrash:
 		act.Op, act.Until = scenario.OpCrash, 0
-		f--
 	case FaultTransient:
 		act.Op = scenario.OpCrash
 	case FaultPartition:

@@ -1,5 +1,5 @@
 // Package pool provides the bounded worker pool shared by the chaos-campaign
-// engine and the suite runner. Every STABL experiment is an independent
+// engine and the integrity census. Every STABL experiment is an independent
 // deterministic simulation, so fault-space exploration parallelizes
 // trivially: ForEach fans a fixed set of jobs out over a bounded number of
 // goroutines, recovers per-job panics into errors, and honours context

@@ -174,17 +174,29 @@ func TestShrinkSizesAllByCoresPool(t *testing.T) {
 	if d := base.Deployment(); d.Validators-d.Clients != 7 {
 		t.Fatalf("deployment %+v, want 7 fault-eligible validators", d)
 	}
-	res, err := Run(Options{
-		Base: base, Scenario: &spec, Threshold: 1e-9, Shrink: true,
-		Axis: Axis{Name: AxisIntensity, Lo: 1, Hi: 2},
+	baseline, err := core.Run(core.BaselineConfig(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := base.Deployment()
+	shrunk, err := Shrink(spec, d.Validators-d.Clients, func(cand scenario.Spec) (bool, error) {
+		cfg := base
+		if cfg.Scenario, err = cand.Build(); err != nil {
+			return false, err
+		}
+		cmp, err := core.CompareWithBaseline(cfg, baseline)
+		if err != nil {
+			return false, err
+		}
+		return cmp.Score.Infinite || cmp.Score.Value > 0, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Shrunk == nil || res.Shrunk.ShrunkNodes == 0 {
-		t.Fatalf("\"all\" was not shrunk: %+v", res.Shrunk)
+	if shrunk.ShrunkNodes == 0 {
+		t.Fatalf("\"all\" was not shrunk: %+v", shrunk)
 	}
-	if got := res.Shrunk.Spec.Actions[0].Nodes; got == "all" {
+	if got := shrunk.Spec.Actions[0].Nodes; got == "all" {
 		t.Fatalf("shrunk spec still targets %q", got)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"stabl/internal/core"
+	"stabl/internal/overlay"
+	"stabl/internal/simnet"
 )
 
 // TestScaleLargerNetwork addresses the paper's future work: "measure the
@@ -93,17 +95,35 @@ func scaleDeployment(n int, topology string) Config {
 }
 
 // TestBuildScalesLinearly: deploying four times the validators allocates at
-// most 4.5 times the bytes, on the mesh and on kadcast. A per-node table
-// regrown (and copied) once per node, or a kadcast view found by scanning
-// every member, makes the ratio climb with n. Not parallel: TotalAlloc
-// counts every goroutine's allocations.
+// most 4.5 times the bytes on the mesh. A kadcast node's degree grows as
+// O(BucketK·log n), so there the allocation may grow at most 4.5/4 times as
+// fast as what the topology holds: nodes plus adjacency entries, counted from
+// overlay.New's graph of the same deployment. A per-node table regrown (and
+// copied) once per node, or a kadcast view found by scanning every member,
+// makes the ratio climb with n. Not parallel: TotalAlloc counts every
+// goroutine's allocations.
 func TestBuildScalesLinearly(t *testing.T) {
 	for _, topology := range []string{"", "kadcast"} {
-		var bytes [2]uint64
+		var bytes, units [2]uint64
 		for i, n := range []int{1024, 4096} {
+			cfg := scaleDeployment(n, topology)
+			units[i] = uint64(n)
+			if topology != "" {
+				ids := make([]simnet.NodeID, n)
+				for id := range ids {
+					ids[id] = simnet.NodeID(id)
+				}
+				topo, err := overlay.New(cfg.Overlay, cfg.Seed, ids)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, id := range ids {
+					units[i] += uint64(len(topo.Neighbors(id)))
+				}
+			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			e, err := core.Build(scaleDeployment(n, topology))
+			e, err := core.Build(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,11 +131,12 @@ func TestBuildScalesLinearly(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			bytes[i] = after.TotalAlloc - before.TotalAlloc
 		}
-		if ratio := float64(bytes[1]) / float64(bytes[0]); ratio > 4.5 {
-			t.Errorf("overlay %q: Build+Start allocated %.1f MB at n=1,024 and %.1f MB at n=4,096, ×%.2f (limit ×4.5)",
-				topology, float64(bytes[0])/1e6, float64(bytes[1])/1e6, ratio)
+		growth := float64(units[1]) / float64(units[0])
+		if ratio := float64(bytes[1]) / float64(bytes[0]); ratio > 4.5*growth/4 {
+			t.Errorf("overlay %q: Build+Start allocated %.1f MB at n=1,024 and %.1f MB at n=4,096, ×%.2f against ×%.2f nodes and adjacency (limit ×%.2f)",
+				topology, float64(bytes[0])/1e6, float64(bytes[1])/1e6, ratio, growth, 4.5*growth/4)
 		} else {
-			t.Logf("overlay %q: %.1f MB → %.1f MB, ×%.2f", topology, float64(bytes[0])/1e6, float64(bytes[1])/1e6, ratio)
+			t.Logf("overlay %q: %.1f MB → %.1f MB, ×%.2f against ×%.2f nodes and adjacency", topology, float64(bytes[0])/1e6, float64(bytes[1])/1e6, ratio, growth)
 		}
 	}
 }

@@ -42,7 +42,6 @@ import (
 	"stabl/internal/overlay"
 	"stabl/internal/redbelly"
 	"stabl/internal/scenario"
-	"stabl/internal/search"
 	"stabl/internal/solana"
 	"stabl/internal/stats"
 	"stabl/internal/workload"
@@ -95,24 +94,11 @@ const (
 	FaultSlow         = core.FaultSlow
 )
 
-// Suite types for CI-style multi-seed sweeps.
-type (
-	// SuiteConfig describes a multi-seed sensitivity sweep.
-	SuiteConfig = core.SuiteConfig
-	// SuiteResult aggregates a sweep.
-	SuiteResult = core.SuiteResult
-	// Cell is one (system, fault) aggregation of a sweep.
-	Cell = core.Cell
-	// Report is the JSON digest of one comparison.
-	Report = core.Report
-)
+// Report is the JSON digest of one comparison.
+type Report = core.Report
 
 // Run executes a single experiment run.
 func Run(cfg Config) (*RunResult, error) { return core.Run(cfg) }
-
-// RunSuite executes a multi-seed sensitivity sweep, fanning the independent
-// runs out over SuiteConfig.Workers goroutines.
-func RunSuite(cfg SuiteConfig) (*SuiteResult, error) { return core.RunSuite(cfg) }
 
 // Chaos-campaign types for systematic fault-space exploration. See the
 // internal/campaign package for field documentation.
@@ -129,10 +115,12 @@ type (
 	CampaignCell = campaign.CellResult
 	// CampaignPoint aggregates one fault-space coordinate across seeds.
 	CampaignPoint = campaign.Point
-	// CampaignCheckpointStats reports how many cells an adaptive campaign
-	// (spec mode "adaptive") served from forked checkpoints instead of
-	// full replays.
+	// CampaignCheckpointStats reports how many cells an adaptive or bisect
+	// campaign served from forked checkpoints instead of full replays.
 	CampaignCheckpointStats = campaign.CheckpointStats
+	// CampaignBisect is mode "bisect"'s block: the axis each family is
+	// bisected along to its tolerance boundary, and the failure criterion.
+	CampaignBisect = campaign.Bisect
 )
 
 // RunCampaign expands the spec into its fault-space grid and executes every
@@ -146,38 +134,20 @@ func RunCampaign(ctx context.Context, spec CampaignSpec, opts CampaignOptions) (
 	return campaign.Run(ctx, spec, opts)
 }
 
+// RunPaperSuite is the multi-seed CI sweep the paper pitches STABL for, as a
+// campaign preset: the spec's systems × faults (by default crash, transient,
+// partition and the secure client) × seeds, each node fault at the paper's
+// count — f = t for crashes, t+1 otherwise — where RunCampaign sweeps
+// t + countDeltas.
+func RunPaperSuite(ctx context.Context, spec CampaignSpec, opts CampaignOptions) (*CampaignResult, error) {
+	if opts.Resolve == nil {
+		opts.Resolve = SystemByName
+	}
+	return campaign.RunPaperSuite(ctx, spec, opts)
+}
+
 // ParseCampaignSpec reads a JSON campaign spec (see specs/campaign-*.json).
 func ParseCampaignSpec(r io.Reader) (CampaignSpec, error) { return campaign.ParseSpec(r) }
-
-// Tolerance-boundary search types. See the internal/search package for the
-// bisection invariants and the scenario-shrinking (delta debugging) rules.
-type (
-	// SearchOptions configure a boundary search: the experiment template,
-	// the swept axis and the failure criterion.
-	SearchOptions = search.Options
-	// SearchAxis is the swept scalar dimension (count, slowby seconds or
-	// scenario intensity) with its range and resolution.
-	SearchAxis = search.Axis
-	// SearchResult is the outcome: the pass/fail bracket, every probe and
-	// optionally the shrunken minimal failing scenario.
-	SearchResult = search.Result
-	// ShrinkResult is a minimal failing scenario with shrink statistics.
-	ShrinkResult = search.ShrinkResult
-)
-
-// Search axis names for SearchOptions.Axis.Name.
-const (
-	SearchAxisCount     = search.AxisCount
-	SearchAxisSlowBy    = search.AxisSlowBy
-	SearchAxisIntensity = search.AxisIntensity
-)
-
-// RunSearch bisects the axis to the tolerance boundary of one system: the
-// largest value that still passes and the smallest that fails (liveness loss,
-// or a sensitivity score at or above SearchOptions.Threshold). With
-// SearchOptions.Shrink it additionally delta-debugs the failing scenario down
-// to a minimal spec that still fails.
-func RunSearch(opts SearchOptions) (*SearchResult, error) { return search.Run(opts) }
 
 // Virtual-time instrumentation types. See the internal/metrics package for
 // the determinism and single-run guarantees.
