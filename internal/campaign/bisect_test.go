@@ -213,6 +213,12 @@ func TestBisectSpecValidation(t *testing.T) {
 	if n, err := Validate(spec, resolveStubs); err != nil || n != 4 {
 		t.Fatalf("Validate = %d, %v; want 4 bisections", n, err)
 	}
+	// At t = 0 the default count delta resolves to f = 0, which a grid
+	// drops, but the search sets the count itself.
+	spec.Base.Validators, spec.Base.Clients, spec.CountDeltas = 3, 1, nil
+	if n, err := Validate(spec, resolveStubs); err != nil || n != 4 {
+		t.Fatalf("Validate at t = 0 = %d, %v; want 4 bisections", n, err)
+	}
 }
 
 // TestPaperSuiteMatchesCompare holds the suite preset to what the suite

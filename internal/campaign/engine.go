@@ -117,6 +117,10 @@ func prepare(spec Spec, resolve func(string) (chain.System, error), counts count
 	if err := spec.validate(); err != nil {
 		return spec, nil, err
 	}
+	if spec.Mode == ModeBisect && spec.Bisect.Axis == AxisCount {
+		// The search sets every count, so none is dropped as f < 1.
+		counts = func(Spec, core.FaultKind, int) []int { return []int{0} }
+	}
 	cells, err := expand(spec, resolve, counts)
 	if err == nil && len(cells) == 0 {
 		err = fmt.Errorf("campaign: spec expands to zero cells")

@@ -183,8 +183,10 @@ func (b *Bisect) validate(s Spec) error {
 		}
 	}
 	switch {
-	case (b.Axis == AxisIntensity) != (len(s.Scenarios) > 0):
-		return fmt.Errorf("campaign: bisect axis intensity sweeps scenarios, and only it does")
+	case b.Axis == AxisIntensity && len(s.Scenarios) == 0:
+		return fmt.Errorf("campaign: bisect axis intensity needs a scenario")
+	case b.Axis != AxisIntensity && len(s.Scenarios) > 0:
+		return fmt.Errorf("campaign: bisect axis %s sweeps a fault, not scenarios", b.Axis)
 	case b.Hi <= b.Lo:
 		return fmt.Errorf("campaign: bisect hi (%g) must exceed lo (%g)", b.Hi, b.Lo)
 	case b.Resolution < 0 || b.Threshold < 0:
