@@ -51,7 +51,7 @@ loc:
 
 # verify is the everyday gate: compile everything, static checks, spec and
 # determinism linting, then the full suite. Run verify-race instead when
-# touching the parallel suite/campaign paths or internal/pool — the race
+# touching the campaign workers or internal/pool — the race
 # detector is required there and slow everywhere else.
 verify:
 	$(GO) build ./...
@@ -61,8 +61,8 @@ verify:
 	$(GO) test ./...
 
 # verify-race is verify with the suite under the race detector. Required
-# before committing changes to the concurrent code paths (RunSuite,
-# internal/campaign workers, internal/pool, the parallel kernel); optional
+# before committing changes to the concurrent code paths (internal/campaign
+# workers, which also run suite and search, internal/pool, the parallel kernel); optional
 # but slower elsewhere.
 verify-race:
 	$(GO) build ./...
