@@ -73,7 +73,7 @@ func (e *engine) bisectAll(cells []Cell) *Result {
 // shrinks the scenario at the first failing intensity when asked to.
 func (f *family) bisect(template Cell) *Bisection {
 	b := f.spec.Bisect
-	out := &Bisection{Cell: template, Boundary: search.Boundary{Axis: b.Axis}}
+	out := &Bisection{Cell: template}
 	axis := search.Axis{Name: b.Axis, Lo: b.Lo, Hi: b.Hi, Integer: b.Axis == AxisCount, Resolution: b.Resolution}
 	bound, err := search.Bisect(axis, func(x float64) (bool, error) {
 		if err := f.ctx.Err(); err != nil {
@@ -85,12 +85,12 @@ func (f *family) bisect(template Cell) *Bisection {
 		}
 		return b.fails(res.Score, res.Infinite), nil
 	})
-	out.Runs = 1 + len(f.results)
+	out.Boundary = *bound
+	out.Runs = 1 + len(bound.Probes)
 	if err != nil {
 		out.Error = err.Error()
 		return out
 	}
-	out.Boundary = *bound
 	if b.Shrink && bound.HaveFail {
 		if out.Shrunk, err = f.shrink(b.at(template, bound.FirstFail)); err != nil {
 			out.Error = err.Error()

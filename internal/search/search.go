@@ -79,7 +79,8 @@ func (b *Boundary) Bracketed() bool { return b.HavePass && b.HaveFail }
 // Bisect locates the pass/fail boundary of probe over ax. It first evaluates
 // the endpoints: when even Lo fails (or nothing up to Hi does) it returns the
 // one-sided result instead of probing further. Each probe value is evaluated
-// at most once.
+// at most once. A probe's error stops the search; the boundary returned with
+// it holds the probes evaluated before.
 func Bisect(ax Axis, probe Probe) (*Boundary, error) {
 	ax, err := ax.withDefaults()
 	if err != nil {
@@ -105,7 +106,7 @@ func Bisect(ax Axis, probe Probe) (*Boundary, error) {
 
 	loFails, err := eval(ax.Lo)
 	if err != nil {
-		return nil, err
+		return b, err
 	}
 	if loFails {
 		b.HaveFail = true
@@ -114,7 +115,7 @@ func Bisect(ax Axis, probe Probe) (*Boundary, error) {
 	}
 	hiFails, err := eval(ax.Hi)
 	if err != nil {
-		return nil, err
+		return b, err
 	}
 	if !hiFails {
 		b.HavePass = true
@@ -133,7 +134,7 @@ func Bisect(ax Axis, probe Probe) (*Boundary, error) {
 		}
 		fail, err := eval(mid)
 		if err != nil {
-			return nil, err
+			return b, err
 		}
 		if fail {
 			hi = mid

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -227,5 +228,19 @@ func TestNodeSetHelpers(t *testing.T) {
 	}
 	if got := shrunkNodes("rolling(2, 30)", 1); got != "" {
 		t.Errorf("shrunkNodes(rolling) = %q, want empty", got)
+	}
+}
+
+// TestBisectKeepsProbesOnError: a probe's error stops the search, and the
+// boundary returned with it lists the probes evaluated before.
+func TestBisectKeepsProbesOnError(t *testing.T) {
+	b, err := Bisect(Axis{Name: "count", Lo: 1, Hi: 6, Integer: true}, func(x float64) (bool, error) {
+		if x > 5 {
+			return false, fmt.Errorf("no room for %g", x)
+		}
+		return false, nil
+	})
+	if err == nil || b == nil || len(b.Probes) != 1 || b.Probes[0].X != 1 {
+		t.Fatalf("boundary %+v, err %v; want lo's probe and the error", b, err)
 	}
 }
