@@ -99,23 +99,27 @@ func (a *accounts) credit(addr Address, amount uint64) {
 }
 
 // Genesis is a deployment's starting state: the genesis account version every
-// validator's ledger starts from, and the memo through which ledgers that
-// apply the same blocks share the versions those blocks produce. core.Build
-// makes one per experiment.
+// validator's ledger starts from, the memo through which ledgers that apply
+// the same blocks share the versions those blocks produce, and the
+// deployment's client count, which sizes a ledger's transaction table once.
+// core.Build makes one per experiment.
 type Genesis struct {
 	accounts *accounts
 	memo     *accountMemo
+	clients  int
 }
 
 // NewGenesis builds the genesis version: every listed account funded (a
-// repeated address is credited once per entry) and live.
-func NewGenesis(accts []GenesisAccount) *Genesis {
+// repeated address is credited once per entry) and live. clients is how
+// many clients issue transactions (TxID.Client below it); zero leaves the
+// transaction tables growing as they go.
+func NewGenesis(accts []GenesisAccount, clients int) *Genesis {
 	a := (*accounts)(nil).derive()
 	for _, g := range accts {
 		a.credit(g.Addr, g.Balance)
 	}
 	a.freeze()
-	return &Genesis{accounts: a, memo: &accountMemo{}}
+	return &Genesis{accounts: a, memo: &accountMemo{}, clients: clients}
 }
 
 // memoHeights bounds the memo to the newest heights: a ledger further

@@ -71,11 +71,12 @@ func NewLedger() *Ledger {
 }
 
 // Genesis starts an empty ledger from g's account version and shares the
-// versions its blocks produce with every other ledger started from g. A nil
-// g leaves the ledger empty.
+// versions its blocks produce with every other ledger started from g; its
+// transaction table takes one row per client of g at its first transaction.
+// A nil g leaves the ledger empty.
 func (l *Ledger) Genesis(g *Genesis) {
 	if g != nil {
-		l.accounts, l.memo = g.accounts, g.memo
+		l.accounts, l.memo, l.txs.clients = g.accounts, g.memo, g.clients
 	}
 }
 

@@ -197,7 +197,7 @@ func TestPropertyLedgerIdempotentCommits(t *testing.T) {
 func TestGenesisEqualsMints(t *testing.T) {
 	accts := []GenesisAccount{{9, 5}, {2, 7}, {9, 1}, {0, 3}, {leafSize + 1, 4}}
 	g, m := NewLedger(), NewLedger()
-	g.Genesis(NewGenesis(accts))
+	g.Genesis(NewGenesis(accts, 0))
 	for _, a := range accts {
 		m.Mint(a.Addr, a.Balance)
 	}

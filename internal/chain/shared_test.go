@@ -143,7 +143,7 @@ type sharedModel struct {
 
 func newSharedModel(t testing.TB, ledgers int) *sharedModel {
 	accts := sharedGenesis()
-	g := NewGenesis(accts)
+	g := NewGenesis(accts, 0)
 	m := &sharedModel{t: t, saved: make([]*ledgerState, ledgers), savedD: make([]*denseLedger, ledgers)}
 	for range ledgers {
 		l := NewLedger()
@@ -308,7 +308,7 @@ func TestLedgersShareVersions(t *testing.T) {
 func TestLedgerSharingConcurrent(t *testing.T) {
 	const workers, perWorker, heights = 4, 8, 2 * memoHeights
 	accts := sharedGenesis()
-	g := NewGenesis(accts)
+	g := NewGenesis(accts, 0)
 	ref := &denseLedger{}
 	ref.genesis(accts)
 	var blocks []Block

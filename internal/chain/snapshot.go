@@ -40,6 +40,7 @@ func (l *Ledger) restore(st *ledgerState) {
 func (t *txTable) copyInto(dst *txTable) {
 	dst.cells = append(dst.cells[:0], t.cells...)
 	dst.rows = append(dst.rows[:0], t.rows...)
+	dst.clients = t.clients
 }
 
 func (s *poolState) copyInto(dst *poolState) {

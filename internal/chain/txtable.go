@@ -21,6 +21,10 @@ package chain
 type txTable struct {
 	cells []uint32 // the arena; abandoned cells are never read again
 	rows  []txRow  // indexed by client
+	// clients is the deployment's client count (see Genesis): the first
+	// transaction of a client below it allocates every row at once, at
+	// exactly that length. Zero, or a client past it, grows rows by append.
+	clients int
 }
 
 // txRow locates one client's cells: sequence base+i is cell i of the row,
@@ -138,7 +142,11 @@ func (t *txTable) sweep(flags uint32) {
 func (t *txTable) grow(id TxID) *uint32 {
 	c, seq := int(id.Client()), uint64(id.Seq())
 	if c >= len(t.rows) {
-		t.rows = append(t.rows, make([]txRow, c+1-len(t.rows))...)
+		if len(t.rows) == 0 && c < t.clients {
+			t.rows = make([]txRow, t.clients)
+		} else {
+			t.rows = append(t.rows, make([]txRow, c+1-len(t.rows))...)
+		}
 	}
 	old := t.rows[c]
 	base, n := seq&^(txRowMinCells-1), uint64(txRowMinCells)

@@ -425,6 +425,38 @@ func TestTxTableRowsGrowIndependently(t *testing.T) {
 	}
 }
 
+// TestTxTableRowsSizedOnce: a genesis ledger's table takes one row per
+// client of the deployment at its first transaction, so once every client
+// has been seen its rows' capacity is exactly the client count (an append
+// would round it up); a client past that count still grows the rows, and a
+// ledger without a client count grows them as it goes.
+func TestTxTableRowsSizedOnce(t *testing.T) {
+	const clients = 1000
+	l := NewLedger()
+	l.Genesis(NewGenesis(nil, clients))
+	if l.txs.rows != nil {
+		t.Fatal("Genesis allocated the rows before the first transaction")
+	}
+	for i := 0; i < clients; i++ {
+		c := uint32((i + clients/2) % clients) // the first client is not client 0
+		*l.txs.slot(MakeTxID(c, 1)) |= txPooled
+	}
+	if len(l.txs.rows) != clients || cap(l.txs.rows) != clients {
+		t.Fatalf("rows of length %d and capacity %d for %d clients", len(l.txs.rows), cap(l.txs.rows), clients)
+	}
+	*l.txs.slot(MakeTxID(clients+5, 0)) |= txPipeline
+	if len(l.txs.rows) != clients+6 || l.txs.state(MakeTxID(clients+5, 0)) != txPipeline || l.txs.state(MakeTxID(0, 1)) != txPooled {
+		t.Fatalf("a client past the count left %d rows", len(l.txs.rows))
+	}
+	var plain txTable
+	for c := uint32(0); c < clients; c++ {
+		plain.slot(MakeTxID(c, 1))
+	}
+	if cap(plain.rows) == clients {
+		t.Fatalf("a table without a client count sized its rows at exactly %d", clients)
+	}
+}
+
 func FuzzTxTable(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 0, 0, 1, 2, 0, 0, 0, 0, 1}) // add, re-add, pop all, add again

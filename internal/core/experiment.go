@@ -576,7 +576,7 @@ func Build(cfg Config) (*Experiment, error) {
 	}
 	// One genesis version for the whole deployment: every ledger starts
 	// from it and shares the versions the same blocks produce.
-	genesis := chain.NewGenesis(genesisAccounts(totalAccts))
+	genesis := chain.NewGenesis(genesisAccounts(totalAccts), cfg.Clients)
 	var validators []simnet.Handler
 	var bases []*chain.BaseNode
 	for _, id := range peers {

@@ -373,7 +373,7 @@ func (cm *connManager) sendControl(from, to NodeID, payload any) {
 	// sequential kernel produces. sendControl only runs from root contexts
 	// (the heartbeat ticker, retry timers, control handlers), so the root
 	// clock and pool 0 are the right ones.
-	f := n.newFlight(0, false, from, payload, n.sched.TakeLaneSeq(int32(from)), true)
+	f := n.newFlight(0, 0, from, payload, n.sched.TakeLaneSeq(int32(from)), true)
 	f.dests = append(f.dests, flightDest{
 		at: n.sched.Now() + n.delay(src, to, src.lat, src.jit), inc: dst.incarnation, dst: int32(to),
 	})

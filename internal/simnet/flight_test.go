@@ -434,14 +434,28 @@ type mixNodeState struct {
 // broadcast is partly delivered and unicasts — and, with the connection
 // layer on, control messages — are in flight, runs on, restores and runs
 // again: both continuations must equal the uninterrupted run, and flights
-// allocated after the checkpoint must drop out of the pool registry.
+// allocated after the checkpoint must drop out of the pool registry. The
+// wide mixes take the checkpoint in the middle of a burst of large flights,
+// whose arrays the pool drops and reallocates between checkpoint and
+// restore: the pool's counts must match its registry after the restore and
+// after the drain.
 func TestSnapshotWithFlightsHalfDelivered(t *testing.T) {
+	type mix struct {
+		seed int64
+		wide bool
+	}
+	var mixes []mix
 	for seed := int64(1); seed <= 8; seed++ {
-		whole := newMixRun(seed, false, 0, viaBroadcast)
+		mixes = append(mixes, mix{seed, false})
+	}
+	mixes = append(mixes, mix{1, true}, mix{2, true})
+	for _, m := range mixes {
+		seed := m.seed
+		whole := newMixRun(seed, m.wide, 0, viaBroadcast)
 		whole.runTo(whole.end)
 		want := whole.result()
 
-		r := newMixRun(seed, false, 0, viaBroadcast)
+		r := newMixRun(seed, m.wide, 0, viaBroadcast)
 		r.runTo(r.flightAt)
 		for {
 			half, single, control := inFlight(r.net)
@@ -449,9 +463,12 @@ func TestSnapshotWithFlightsHalfDelivered(t *testing.T) {
 				break
 			}
 			if r.sched.Now() > r.flightAt+25*time.Millisecond {
-				t.Fatalf("seed %d: never a half-delivered broadcast beside unicast and control flights", seed)
+				t.Fatalf("seed %d wide %v: never a half-delivered broadcast beside unicast and control flights", seed, m.wide)
 			}
 			r.runTo(r.sched.Now() + time.Millisecond)
+		}
+		if busy, _ := pooledLarge(r.net, 0); m.wide && busy == 0 {
+			t.Fatalf("seed %d wide: no large flight in flight at the checkpoint", seed)
 		}
 		states := []snapshot.State{r.sched.Snapshot(), r.net.Snapshot()}
 		nodes := make([]mixNodeState, len(r.hs))
@@ -462,7 +479,8 @@ func TestSnapshotWithFlightsHalfDelivered(t *testing.T) {
 
 		r.runTo(r.end)
 		// result() draws from the streams; the restore below rewinds them.
-		diffMix(t, fmt.Sprintf("seed %d first continuation", seed), want, r.result())
+		diffMix(t, fmt.Sprintf("seed %d wide %v first continuation", seed, m.wide), want, r.result())
+		checkPools(t, fmt.Sprintf("seed %d wide %v after the first continuation", seed, m.wide), r.net)
 
 		r.sched.Restore(states[0])
 		r.net.Restore(states[1])
@@ -472,10 +490,84 @@ func TestSnapshotWithFlightsHalfDelivered(t *testing.T) {
 			*h.last = st.last
 		}
 		if got := len(r.net.flights[0].all); got != pooled {
-			t.Fatalf("seed %d: flight registry holds %d flights after restore, want %d", seed, got, pooled)
+			t.Fatalf("seed %d wide %v: flight registry holds %d flights after restore, want %d", seed, m.wide, got, pooled)
 		}
+		checkPools(t, fmt.Sprintf("seed %d wide %v after the restore", seed, m.wide), r.net)
 		r.runTo(r.end)
-		diffMix(t, fmt.Sprintf("seed %d restored continuation", seed), want, r.result())
+		diffMix(t, fmt.Sprintf("seed %d wide %v restored continuation", seed, m.wide), want, r.result())
+		checkPools(t, fmt.Sprintf("seed %d wide %v after the restored continuation", seed, m.wide), r.net)
+	}
+}
+
+// pooledLarge counts queue qi's flights holding a large destination array
+// (see class), in flight and free.
+func pooledLarge(net *Network, qi int) (busy, idle int) {
+	for _, f := range net.flights[qi].all {
+		switch {
+		case cap(f.dests) < radixMin:
+		case int(f.cur) < len(f.dests):
+			busy++
+		default:
+			idle++
+		}
+	}
+	return busy, idle
+}
+
+// checkPools holds every pool's large-array counts to its registry: busy is
+// the flights in flight (or parked in an outbox) holding a large array, idle
+// the free ones holding one, which are exactly the flights on the large free
+// list, and idle stays within busy+1.
+func checkPools(t *testing.T, label string, net *Network) {
+	t.Helper()
+	for qi := range net.flights {
+		p := &net.flights[qi]
+		busy, idle := pooledLarge(net, qi)
+		listed := 0
+		for f := p.free[2]; f != nil; f = f.next {
+			listed++
+		}
+		if p.busy != busy || p.idle != idle || listed != idle || idle > busy+1 {
+			t.Fatalf("%s: queue %d counts %d large flights in flight and %d idle, its registry %d and %d, its large free list %d",
+				label, qi, p.busy, p.idle, busy, idle, listed)
+		}
+	}
+}
+
+// TestLargeFlightPoolBound checks what the pool retains after bursts of
+// large flights. Sixteen concurrent 2,047-peer broadcasts drained leave at
+// most one idle large array. On two partition queues outbox flushes trade
+// arrays between pools: a queue whose local broadcasts drained inside the
+// window that parked its cross-partition ones keeps at most one idle large
+// array once the barrier handed those on, and the wide mixes keep every
+// pool's counts equal to its registry and within the bound after every
+// 100 ms drain.
+func TestLargeFlightPoolBound(t *testing.T) {
+	sched, net, hs, peers, got := countNet(2048, UniformLatency{Min: 5 * time.Millisecond, Max: 25 * time.Millisecond})
+	const burst = 16
+	for i := 0; i < burst; i++ {
+		hs[i].ctx.Broadcast(peers, i)
+	}
+	if busy, _ := pooledLarge(net, 0); busy != burst {
+		t.Fatalf("%d large flights in flight after %d broadcasts", busy, burst)
+	}
+	for sched.Step() {
+	}
+	if *got != burst*2047 {
+		t.Fatalf("%d deliveries, want %d", *got, burst*2047)
+	}
+	checkPools(t, "after the burst", net)
+	if _, idle := pooledLarge(net, 0); idle > 1 {
+		t.Fatalf("%d idle large arrays after the burst drained, want at most 1", idle)
+	}
+
+	checkFlushTrims(t)
+	for _, seed := range []int64{1, 2, 3} {
+		r := newMixRun(seed, true, 2, viaBroadcast)
+		for r.sched.Now() < r.end {
+			r.sched.RunUntil(r.sched.Now() + 100*time.Millisecond)
+			checkPools(t, fmt.Sprintf("seed %d at %v", seed, r.sched.Now()), r.net)
+		}
 	}
 }
 
@@ -674,3 +766,111 @@ func FuzzFlightOrder(f *testing.F) {
 		}
 	})
 }
+
+// TestRestoreKeepsLargeFlightBound checkpoints a burst of eight 299-peer
+// broadcasts as it drains — four in flight with fewer than radixMin
+// destinations left, four idle — lets it drain, which drops all arrays but
+// one, and sends a second burst of four, which sizes arrays for flights that
+// were idle or in flight at the checkpoint. The restore then finds idle
+// arrays past the bound once the in-flight flights get small ones back, and
+// trims them; the restored run delivers the first burst in full. A second
+// checkpoint, of the drained pool, is restored while eight broadcasts hold
+// arrays sized for flights that had lost theirs: the restore re-files those
+// flights on the large list and trims it.
+func TestRestoreKeepsLargeFlightBound(t *testing.T) {
+	sched, net, hs, peers, got := countNet(300, UniformLatency{Min: 5 * time.Millisecond, Max: 25 * time.Millisecond})
+	for i := 0; i < 8; i++ {
+		hs[i].ctx.Broadcast(peers, i)
+	}
+	for {
+		if busy, idle := pooledLarge(net, 0); busy == 4 && idle == 4 {
+			break
+		}
+		if !sched.Step() {
+			t.Fatal("the burst drained without four flights idle beside four in flight")
+		}
+	}
+	for _, f := range net.flights[0].all {
+		if rest := len(f.dests) - int(f.cur); rest >= radixMin {
+			t.Fatalf("a flight has %d destinations left at the checkpoint, want fewer than %d", rest, radixMin)
+		}
+	}
+	states, delivered := []snapshot.State{sched.Snapshot(), net.Snapshot()}, *got
+	for sched.Step() {
+	}
+	for i := 0; i < 4; i++ {
+		hs[i].ctx.Broadcast(peers, i)
+	}
+	sched.Restore(states[0])
+	net.Restore(states[1])
+	*got = delivered
+	checkPools(t, "after the restore", net)
+	for sched.Step() {
+	}
+	if *got != 8*299 {
+		t.Fatalf("the restored run delivered %d of %d", *got, 8*299)
+	}
+	checkPools(t, "after the restored run drained", net)
+
+	states = []snapshot.State{sched.Snapshot(), net.Snapshot()}
+	for i := 0; i < 8; i++ {
+		hs[i].ctx.Broadcast(peers, i)
+	}
+	sched.Restore(states[0])
+	net.Restore(states[1])
+	checkPools(t, "after restoring the drained pool", net)
+}
+
+// checkFlushTrims runs 200 nodes on two queues of 100 at a fixed 10 ms
+// latency. Node 0 sends five broadcasts to its own queue; the first arrival
+// at node 1 sends five to the other queue, parked in the outbox while the
+// first five drain and leave their arrays idle. The barrier hands the
+// parked arrays to a pool without idle ones, so queue 1 ends the window with
+// no large flight in flight.
+func checkFlushTrims(t *testing.T) {
+	t.Helper()
+	sched := sim.New(1)
+	net := New(sched, Config{Latency: FixedLatency(10 * time.Millisecond)})
+	ids := make([]NodeID, 200)
+	table := make([]int32, len(ids))
+	hs := make([]*burstNode, len(ids))
+	for i := range ids {
+		ids[i], table[i], hs[i] = NodeID(i), int32(1+i/100), &burstNode{}
+		net.AddNode(ids[i], hs[i])
+	}
+	hs[1].cross = ids[100:]
+	sched.EnableParallel(table, 2, net.Lookahead())
+	net.EnableParallel(table, 2)
+	net.StartAll()
+	hs[0].ctx.After(time.Millisecond, func() {
+		for i := 0; i < 5; i++ {
+			hs[0].ctx.Broadcast(ids[:100], i)
+		}
+	})
+	sched.RunUntil(15 * time.Millisecond)
+	if busy, idle := pooledLarge(net, 2); busy != 5 || idle != 0 {
+		t.Fatalf("queue 2 holds %d large flights in flight and %d idle after the barrier, want 5 and 0", busy, idle)
+	}
+	checkPools(t, "after the cross-partition burst was handed on", net)
+	sched.RunUntil(50 * time.Millisecond)
+	checkPools(t, "after the cross-partition burst drained", net)
+}
+
+// burstNode sends five broadcasts to cross on its first delivery, if cross
+// is set.
+type burstNode struct {
+	ctx   *Context
+	cross []NodeID
+	sent  bool
+}
+
+func (h *burstNode) Start(ctx *Context) { h.ctx = ctx }
+func (h *burstNode) Deliver(NodeID, any) {
+	if h.cross != nil && !h.sent {
+		h.sent = true
+		for i := 0; i < 5; i++ {
+			h.ctx.Broadcast(h.cross, i)
+		}
+	}
+}
+func (h *burstNode) Stop() {}

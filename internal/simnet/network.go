@@ -246,16 +246,52 @@ type virtStreams struct {
 // endpoints the queue executes, the most destinations one broadcast can
 // stage for it; tmp is the broadcast sort's scratch buffer.
 //
-// Free flights are kept apart by destination capacity — free[0] holds at
-// most one, free[1] more — so a broadcast reuses an array a broadcast sized
-// and a unicast does not take it from it: drawn from one list, the two would
-// trade arrays and reallocate them for ever.
+// Free flights are kept apart by destination capacity (see class) — free[0]
+// holds room for one, free[1] for fewer than radixMin or none, free[2] the
+// large arrays — so a broadcast reuses an array a broadcast sized and a unicast
+// does not take it from it: drawn from one list, the two would trade arrays
+// and reallocate them for ever.
+//
+// Idle large arrays are bounded by the large flights in flight: busy counts
+// the flights out of the pool holding a large array, idle the length of
+// free[2], and trim keeps idle <= busy+1 — the +1 lets a lone broadcast's
+// array wait for the next. A burst of broadcasts therefore leaves behind
+// what is still in flight, not its high-water mark; what trim drops goes to
+// the GC, its flight to free[1].
 type fpool struct {
-	free  [2]*flight
-	all   []*flight
-	stage []*flight
-	owned int
-	tmp   []flightDest
+	free       [3]*flight
+	idle, busy int
+	all        []*flight
+	stage      []*flight
+	owned      int
+	tmp        []flightDest
+}
+
+// class is the free list a flight whose destination array has capacity c
+// returns to; a flight without an array is wide.
+func class(c int) int {
+	switch {
+	case c >= radixMin:
+		return 2
+	case c == 1:
+		return 0
+	}
+	return 1
+}
+
+// large is 1 when f holds a large destination array (class 2), else 0.
+func large(f *flight) int { return class(cap(f.dests)) / 2 }
+
+// trim drops idle large arrays, the newest first, while they outnumber the
+// large flights in flight plus one. A flight that lost its array goes on the
+// wide list: a broadcast sizes an array for it anyway, a unicast would not.
+func (p *fpool) trim() {
+	for p.idle > p.busy+1 {
+		f := p.free[2]
+		p.free[2], p.idle = f.next, p.idle-1
+		f.dests = nil
+		f.next, p.free[1] = p.free[1], f
+	}
 }
 
 type endpoint struct {
@@ -720,9 +756,10 @@ func (n *Network) arrive(dst *endpoint, from NodeID, payload any, inc uint64, qi
 // re-arms it under the next destination's key before delivering, so every
 // delivery executes at exactly the position its own queued event would have
 // had while the queue holds one entry per flight instead of one per
-// destination. A reused flight keeps its destination array, so the
-// steady-state send path allocates nothing. Each flight belongs to the pool
-// of the queue it executes on.
+// destination. A reused flight keeps its destination array — a small one
+// always, a large one while the pool's bound lets it (see fpool) — so steady
+// traffic allocates nothing on the send path. Each flight belongs to the
+// pool of the queue it executes on.
 type flight struct {
 	n  *Network
 	qi int32 // owning pool == executing queue
@@ -769,22 +806,22 @@ func (a flightDest) compare(b flightDest) int {
 	return cmp.Compare(a.seqOff, b.seqOff)
 }
 
-// newFlight takes a flight from queue qi's pool — one with room for many
-// destinations if wide, else one with room for one, else any — and stamps a
-// message on it.
-func (n *Network) newFlight(qi int32, wide bool, from NodeID, payload any, base uint64, control bool) *flight {
+// newFlight takes a flight from queue qi's pool — from list w (see class),
+// else from the others in fallback order — and stamps a message on it.
+func (n *Network) newFlight(qi int32, w int, from NodeID, payload any, base uint64, control bool) *flight {
 	p := &n.flights[qi]
-	w := 0
-	if wide {
-		w = 1
+	var f *flight
+	for _, l := range fallback[w] {
+		if f = p.free[l]; f != nil {
+			p.free[l], f.next = f.next, nil
+			if l == 2 {
+				p.idle--
+			}
+			break
+		}
 	}
-	f := p.free[w]
 	if f == nil {
-		w = 1 - w
-		f = p.free[w]
-	}
-	if f == nil {
-		if wide {
+		if w != 0 {
 			f = new(flight)
 		} else {
 			u := new(unicastFlight)
@@ -792,25 +829,29 @@ func (n *Network) newFlight(qi int32, wide bool, from NodeID, payload any, base 
 		}
 		f.n, f.qi = n, qi
 		p.all = append(p.all, f)
-	} else {
-		p.free[w] = f.next
-		f.next = nil
 	}
+	p.busy += large(f)
 	f.from, f.payload, f.base, f.control = from, payload, base, control
 	return f
 }
+
+// fallback[w] is the order newFlight searches the free lists for a flight
+// of list w.
+var fallback = [3][3]int{{0, 1, 2}, {1, 2, 0}, {2, 1, 0}}
 
 func (n *Network) freeFlight(f *flight) {
 	f.payload = nil
 	f.dests = f.dests[:0]
 	f.cur = 0
 	p := &n.flights[f.qi]
-	w := 0
-	if cap(f.dests) > 1 {
-		w = 1
-	}
+	w := class(cap(f.dests))
 	f.next = p.free[w]
 	p.free[w] = f
+	if w == 2 {
+		p.busy--
+		p.idle++
+		p.trim()
+	}
 }
 
 // arm queues the flight under the key of its next destination, on that
@@ -921,7 +962,7 @@ func (n *Network) send(src *endpoint, to NodeID, payload any, lat, loss, jit *ra
 	if home != src.qi && n.sched.InWindow() {
 		home = src.qi
 	}
-	f := n.newFlight(home, false, src.id, payload, seq, false)
+	f := n.newFlight(home, 0, src.id, payload, seq, false)
 	f.dests = append(f.dests, flightDest{at: at, inc: dst.incarnation, dst: int32(to)})
 	n.post(f, src.qi, dst.qi)
 }
@@ -949,9 +990,13 @@ func (n *Network) broadcast(src *endpoint, peers []NodeID, payload any) {
 			if inWindow {
 				home = src.qi
 			}
-			f = n.newFlight(home, true, src.id, payload, seq, false)
-			if size := min(len(peers), n.flights[dst.qi].owned); cap(f.dests) < size {
+			size := min(len(peers), n.flights[dst.qi].owned)
+			f = n.newFlight(home, max(1, class(size)), src.id, payload, seq, false)
+			if cap(f.dests) < size {
+				hp := &n.flights[home]
+				hp.busy -= large(f)
 				f.dests = make([]flightDest, 0, size)
+				hp.busy += large(f)
 			}
 			stage[dst.qi] = f
 		}
@@ -1032,17 +1077,23 @@ func (n *Network) post(f *flight, srcQi, qi int32) {
 // at send time, the per-queue append order the boxes happen to hold carries
 // no meaning. A parked flight hands its destination array to a flight of the
 // receiving queue's pool and returns to its sender's, with that flight's
-// array in exchange.
+// array in exchange; the two pools' large-flight counts trade with the
+// arrays, and the sender's pool trims what the trade left idle.
 func (n *Network) flushOutboxes() {
 	for qi, box := range n.outbox {
+		p := &n.flights[qi]
 		for i, f := range box {
-			g := n.newFlight(n.nodes[f.dests[0].dst].qi, cap(f.dests) > 1, f.from, f.payload, f.base, false)
+			g := n.newFlight(n.nodes[f.dests[0].dst].qi, class(cap(f.dests)), f.from, f.payload, f.base, false)
+			d := large(f) - large(g)
+			p.busy -= d
+			n.flights[g.qi].busy += d
 			g.dests, f.dests = f.dests, g.dests
 			g.arm()
 			n.freeFlight(f)
 			box[i] = nil
 		}
 		n.outbox[qi] = box[:0]
+		p.trim()
 	}
 }
 

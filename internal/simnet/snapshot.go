@@ -27,7 +27,7 @@ type netCheck struct {
 	stats   Stats
 	eps     []epState
 	flights []flightState
-	free    [2]*flight
+	free    [3]*flight
 	pairs   []connState
 	conns   connCounts
 }
@@ -85,7 +85,13 @@ func (n *Network) Snapshot() snapshot.State {
 // allocated since the checkpoint drop out of the registry: only closures
 // restored with the scheduler heap can reference them, and those predate
 // the checkpoint too. A restored flight copies its destinations into its
-// own array; the checkpoint stays intact for the next Restore.
+// own array; the checkpoint stays intact for the next Restore. A flight
+// keeps its current array, which may have become large, or stopped being
+// large, since the checkpoint: the free lists are walked in their
+// checkpointed order and such a flight re-filed by the array it holds now
+// (the lists come back exactly as checkpointed when none did), the
+// large-array counts are recounted from the registry, and the bound on idle
+// large arrays applied again.
 func (n *Network) Restore(state snapshot.State) {
 	st, ok := state.(*netCheck)
 	if !ok {
@@ -105,12 +111,34 @@ func (n *Network) Restore(state snapshot.State) {
 			ep.epState = st.eps[i]
 		}
 	}
-	fp.all, fp.free = fp.all[:len(st.flights)], st.free
+	fp.all, fp.free, fp.idle, fp.busy = fp.all[:len(st.flights)], [3]*flight{}, 0, 0
 	for i, f := range fp.all {
 		dests := f.dests
 		f.flightState = st.flights[i]
 		f.dests = append(dests[:0], st.flights[i].dests...)
+		if len(f.dests) != 0 { // in flight
+			fp.busy += large(f)
+		}
 	}
+	var tail [3]*flight
+	for k, f := range st.free {
+		for f != nil {
+			g, w := f.next, k
+			if (cap(f.dests) >= radixMin) != (k == 2) {
+				w = class(cap(f.dests))
+			}
+			if f.next = nil; tail[w] == nil {
+				fp.free[w] = f
+			} else {
+				tail[w].next = f
+			}
+			tail[w], f = f, g
+			if w == 2 {
+				fp.idle++
+			}
+		}
+	}
+	fp.trim()
 	if cm := n.conns; cm != nil {
 		cm.connCounts = st.conns
 		for i := range cm.pairs {
