@@ -2,13 +2,13 @@ package sim
 
 import "testing"
 
-// The RNGSeed memoization must be invisible: streams drawn through the cache
-// are byte-identical to streams derived from scratch, and every RNG call
-// still returns a fresh stream positioned at its start.
+// Deriving a name again must be invisible: streams drawn from repeated
+// derivations are byte-identical to the first, and every RNG call still
+// returns a fresh stream positioned at its start.
 
 func TestRNGSeedMemoizationDoesNotChangeStreams(t *testing.T) {
 	fresh := New(42)  // derives each name once
-	cached := New(42) // derives repeatedly, hitting the cache
+	cached := New(42) // derives each name three times
 	names := []string{"node/0/timeout", "node/1/timeout", "workload/0", "simnet.latency"}
 	want := make(map[string][]int64)
 	for _, name := range names {
@@ -21,10 +21,10 @@ func TestRNGSeedMemoizationDoesNotChangeStreams(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		for _, name := range names {
-			r := cached.RNG(name) // first round misses, later rounds hit the memo
+			r := cached.RNG(name)
 			for i, w := range want[name] {
 				if got := r.Int63(); got != w {
-					t.Fatalf("round %d, %q[%d]: memoized stream %d, fresh %d", round, name, i, got, w)
+					t.Fatalf("round %d, %q[%d]: repeated derivation %d, first %d", round, name, i, got, w)
 				}
 			}
 		}
@@ -49,5 +49,25 @@ func TestRNGFreshStreamEachCall(t *testing.T) {
 	second := s.RNG("stream").Int63()
 	if first != second {
 		t.Fatalf("second RNG call resumed mid-stream: %d vs %d", first, second)
+	}
+}
+
+// TestRNGAfterRestoreKeepsAbandonedStreams: streams share allocation blocks,
+// whose cursor a restore does not rewind — a stream issued after a
+// checkpoint is abandoned by the restore, not recycled, and one issued after
+// the restore shares no state with it.
+func TestRNGAfterRestoreKeepsAbandonedStreams(t *testing.T) {
+	s := New(5)
+	s.RNG("before")
+	st := s.Snapshot()
+	abandoned := s.RNG("abandoned")
+	s.Restore(st)
+	after := s.RNG("after")
+	want := New(5).RNG("after")
+	for i := 0; i < 8; i++ {
+		abandoned.Int63()
+		if got, w := after.Int63(), want.Int63(); got != w {
+			t.Fatalf("draw %d: the stream issued after the restore read %d, a fresh one %d", i, got, w)
+		}
 	}
 }

@@ -27,7 +27,6 @@ package sim
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/bits"
 	"math/rand"
 	"sync"
@@ -51,12 +50,13 @@ type Scheduler struct {
 
 	seed int64
 
-	// regMu guards the stream/ticker registries and the seed-derivation
-	// cache, the only scheduler state that partition events may touch
-	// concurrently (a restarted node re-deriving its RNG streams).
+	// regMu guards the stream/ticker registries, the only scheduler state
+	// that partition events may touch concurrently (a restarted node
+	// re-deriving its RNG streams).
 	regMu sync.Mutex
-	//stabl:nodet snapshot-fields -- pure memo: name -> seed is a deterministic derivation, identical across fork and replay
-	rngSeeds map[string]int64 // memoized RNG stream derivations
+	// streams is the block RNGFromSeed carves new streams from.
+	//stabl:nodet snapshot-fields -- allocation cursor that only moves forward: the registered sources are the state, and no slot is handed out twice
+	streams []stream
 
 	par *parRun // nil in sequential mode
 	schedState
@@ -175,9 +175,8 @@ type eventSlot struct {
 // same seed replay identical executions.
 func New(seed int64) *Scheduler {
 	return &Scheduler{
-		qs:       []*queue{{queueState: queueState{free: -1}}},
-		seed:     seed,
-		rngSeeds: make(map[string]int64),
+		qs:   []*queue{{queueState: queueState{free: -1}}},
+		seed: seed,
 	}
 }
 
@@ -498,32 +497,40 @@ func (s *Scheduler) RNG(name string) *rand.Rand {
 	return s.RNGFromSeed(s.RNGSeed(name))
 }
 
-// RNGFromSeed returns a fresh registered stream for an already-derived seed
-// (see RNGSeed). Callers that memoize derivations (simnet.Context) use it so
-// their streams still participate in Snapshot/Restore.
-func (s *Scheduler) RNGFromSeed(seed int64) *rand.Rand {
-	src := newCountingSource(seed)
-	s.regMu.Lock()
-	s.sources = append(s.sources, src)
-	s.regMu.Unlock()
-	return rand.New(src)
+// stream is one registered RNG stream: its source and the rand.Rand that
+// draws from it, allocated together.
+type stream struct {
+	src countingSource
+	rng rand.Rand
 }
 
-// RNGSeed returns the derived seed behind RNG(name). The derivation (an FNV
-// hash of the name mixed with the scheduler seed) is memoized per name, so
-// hot callers can skip the hashing; the stream contents are identical with
-// or without the cache.
-func (s *Scheduler) RNGSeed(name string) int64 {
+// RNGFromSeed returns a fresh registered stream for an already-derived seed
+// (see RNGSeed). Callers that build the name themselves (simnet) use it so
+// their streams still participate in Snapshot/Restore.
+func (s *Scheduler) RNGFromSeed(seed int64) *rand.Rand {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
-	if d, ok := s.rngSeeds[name]; ok {
-		return d
+	if len(s.streams) == cap(s.streams) {
+		s.streams = make([]stream, 0, 64)
 	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(name))
-	d := int64(h.Sum64()^uint64(s.seed)*0x9E3779B97F4A7C15) ^ s.seed
-	s.rngSeeds[name] = d
-	return d
+	s.streams = s.streams[:len(s.streams)+1]
+	st := &s.streams[len(s.streams)-1]
+	st.src = countingSource{seed: seed, state: uint64(seed)}
+	st.rng = *rand.New(&st.src)
+	s.sources = append(s.sources, &st.src)
+	return &st.rng
+}
+
+// RNGSeed returns the derived seed behind RNG(name): the 64-bit FNV-1a hash
+// of the name, as hash/fnv computes it, mixed with the scheduler seed. It
+// keeps nothing of name, so a name converted from a short buffer stays off
+// the heap.
+func (s *Scheduler) RNGSeed(name string) int64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * 1099511628211
+	}
+	return int64(h^uint64(s.seed)*0x9E3779B97F4A7C15) ^ s.seed
 }
 
 // acquireSlot parks ev in a free slot and returns its index.

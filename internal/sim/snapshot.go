@@ -23,10 +23,6 @@ type countingSource struct {
 // forced odd), the constant the SplitMix64 reference uses.
 const splitmixGamma = 0x9E3779B97F4A7C15
 
-func newCountingSource(seed int64) *countingSource {
-	return &countingSource{seed: seed, state: uint64(seed)}
-}
-
 func (c *countingSource) Uint64() uint64 {
 	c.state += splitmixGamma
 	c.draws++

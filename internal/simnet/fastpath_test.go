@@ -48,10 +48,10 @@ func TestHealUnknownRuleIsNoop(t *testing.T) {
 	}
 }
 
-// TestContextRNGMemoizationStable is the satellite requirement: memoizing
-// the derived seed must not change stream contents, and every call —
-// including after a restart, when handlers re-derive their streams — must
-// return the same fresh stream a cold derivation would.
+// TestContextRNGMemoizationStable: a node's stream is the scheduler's
+// "node/<id>/<name>" stream, and every call — including after a restart,
+// when handlers re-derive their streams — returns the same fresh stream a
+// cold derivation would.
 func TestContextRNGMemoizationStable(t *testing.T) {
 	sched, net, hs := newTestNet(t, 2, FixedLatency(time.Millisecond))
 	_ = sched
@@ -74,7 +74,7 @@ func TestContextRNGMemoizationStable(t *testing.T) {
 		}
 	}
 	check("first derivation")
-	check("memoized derivation")
+	check("repeated derivation")
 	net.Halt(0)
 	net.Restart(0)
 	check("post-restart derivation")

@@ -8,12 +8,14 @@ package simnet
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"stabl/internal/sim"
 	"stabl/internal/snapshot"
@@ -435,10 +437,9 @@ type mixNodeState struct {
 // layer on, control messages — are in flight, runs on, restores and runs
 // again: both continuations must equal the uninterrupted run, and flights
 // allocated after the checkpoint must drop out of the pool registry. The
-// wide mixes take the checkpoint in the middle of a burst of large flights,
-// whose arrays the pool drops and reallocates between checkpoint and
-// restore: the pool's counts must match its registry after the restore and
-// after the drain.
+// wide mixes take the checkpoint in the middle of a burst of large flights:
+// the pool's counts must match its registry after the restore and after the
+// drain.
 func TestSnapshotWithFlightsHalfDelivered(t *testing.T) {
 	type mix struct {
 		seed int64
@@ -517,7 +518,8 @@ func pooledLarge(net *Network, qi int) (busy, idle int) {
 // checkPools holds every pool's large-array counts to its registry: busy is
 // the flights in flight (or parked in an outbox) holding a large array, idle
 // the free ones holding one, which are exactly the flights on the large free
-// list, and idle stays within busy+1.
+// list, and while any is idle the pool holds no more large arrays than the
+// largest of its three busy periods' peaks.
 func checkPools(t *testing.T, label string, net *Network) {
 	t.Helper()
 	for qi := range net.flights {
@@ -527,41 +529,73 @@ func checkPools(t *testing.T, label string, net *Network) {
 		for f := p.free[2]; f != nil; f = f.next {
 			listed++
 		}
-		if p.busy != busy || p.idle != idle || listed != idle || idle > busy+1 {
-			t.Fatalf("%s: queue %d counts %d large flights in flight and %d idle, its registry %d and %d, its large free list %d",
-				label, qi, p.busy, p.idle, busy, idle, listed)
+		if p.busy != busy || p.idle != idle || listed != idle || (idle > 0 && idle+busy > max(p.peak, p.last, p.prev)) {
+			t.Fatalf("%s: queue %d counts %d large flights in flight and %d idle (peaks %d, %d, %d), its registry %d and %d, its large free list %d",
+				label, qi, p.busy, p.idle, p.peak, p.last, p.prev, busy, idle, listed)
 		}
 	}
 }
 
-// TestLargeFlightPoolBound checks what the pool retains after bursts of
-// large flights. Sixteen concurrent 2,047-peer broadcasts drained leave at
-// most one idle large array. On two partition queues outbox flushes trade
-// arrays between pools: a queue whose local broadcasts drained inside the
-// window that parked its cross-partition ones keeps at most one idle large
-// array once the barrier handed those on, and the wide mixes keep every
-// pool's counts equal to its registry and within the bound after every
-// 100 ms drain.
+// largeArrays returns the destination arrays of queue qi's idle large
+// flights, by address.
+func largeArrays(net *Network, qi int) map[*flightDest]bool {
+	arrays := map[*flightDest]bool{}
+	for f := net.flights[qi].free[2]; f != nil; f = f.next {
+		arrays[unsafe.SliceData(f.dests)] = true
+	}
+	return arrays
+}
+
+// TestLargeFlightPoolBound checks what the pool retains between waves of
+// large flights. A wave of sixteen concurrent 2,047-peer broadcasts leaves
+// its sixteen arrays idle. A unicast that borrows one is a busy period of
+// its own, and a second wave of sixteen after it reuses exactly the first
+// wave's arrays. Two waves of four follow: after the first the pool still
+// keeps sixteen, after the second the four those waves needed. On two
+// partition queues outbox flushes trade arrays and counts between pools,
+// and the wide mixes keep every pool's counts equal to its registry and
+// within the bound after every 100 ms drain.
 func TestLargeFlightPoolBound(t *testing.T) {
 	sched, net, hs, peers, got := countNet(2048, UniformLatency{Min: 5 * time.Millisecond, Max: 25 * time.Millisecond})
-	const burst = 16
-	for i := 0; i < burst; i++ {
-		hs[i].ctx.Broadcast(peers, i)
+	delivered := 0
+	wave := func(label string, size, wantIdle int) {
+		t.Helper()
+		for i := 0; i < size; i++ {
+			hs[i].ctx.Broadcast(peers, i)
+		}
+		if busy, _ := pooledLarge(net, 0); busy != size {
+			t.Fatalf("%s: %d large flights in flight after %d broadcasts", label, busy, size)
+		}
+		for sched.Step() {
+		}
+		if delivered += size * 2047; *got != delivered {
+			t.Fatalf("%s: %d deliveries, want %d", label, *got, delivered)
+		}
+		checkPools(t, label, net)
+		if _, idle := pooledLarge(net, 0); idle != wantIdle {
+			t.Fatalf("%s: %d idle large arrays once drained, want %d", label, idle, wantIdle)
+		}
 	}
-	if busy, _ := pooledLarge(net, 0); busy != burst {
-		t.Fatalf("%d large flights in flight after %d broadcasts", busy, burst)
+	wave("first wave of 16", 16, 16)
+	arrays := largeArrays(net, 0)
+	hs[0].ctx.Send(1, "borrow") // no small flight is free: the unicast takes a large one
+	if busy, _ := pooledLarge(net, 0); busy != 1 {
+		t.Fatalf("a unicast on a pool of large flights holds %d large arrays, want 1", busy)
 	}
 	for sched.Step() {
 	}
-	if *got != burst*2047 {
-		t.Fatalf("%d deliveries, want %d", *got, burst*2047)
+	if delivered++; *got != delivered {
+		t.Fatalf("the unicast was not delivered")
 	}
-	checkPools(t, "after the burst", net)
-	if _, idle := pooledLarge(net, 0); idle > 1 {
-		t.Fatalf("%d idle large arrays after the burst drained, want at most 1", idle)
+	checkPools(t, "after the unicast", net)
+	wave("a second wave of 16, after the unicast", 16, 16)
+	if again := largeArrays(net, 0); !maps.Equal(again, arrays) {
+		t.Fatalf("the second wave of 16 left %d idle arrays, %d of them the first wave's", len(again), countShared(again, arrays))
 	}
+	wave("a wave of 4", 4, 16)
+	wave("a second wave of 4", 4, 4)
 
-	checkFlushTrims(t)
+	checkFlushCounts(t)
 	for _, seed := range []int64{1, 2, 3} {
 		r := newMixRun(seed, true, 2, viaBroadcast)
 		for r.sched.Now() < r.end {
@@ -767,16 +801,28 @@ func FuzzFlightOrder(f *testing.F) {
 	})
 }
 
+// countShared counts the arrays a and b both hold.
+func countShared(a, b map[*flightDest]bool) int {
+	n := 0
+	for p := range a {
+		if b[p] {
+			n++
+		}
+	}
+	return n
+}
+
 // TestRestoreKeepsLargeFlightBound checkpoints a burst of eight 299-peer
 // broadcasts as it drains — four in flight with fewer than radixMin
-// destinations left, four idle — lets it drain, which drops all arrays but
-// one, and sends a second burst of four, which sizes arrays for flights that
-// were idle or in flight at the checkpoint. The restore then finds idle
-// arrays past the bound once the in-flight flights get small ones back, and
-// trims them; the restored run delivers the first burst in full. A second
-// checkpoint, of the drained pool, is restored while eight broadcasts hold
-// arrays sized for flights that had lost theirs: the restore re-files those
-// flights on the large list and trims it.
+// destinations left, four idle — and lets it drain. Two lone broadcasts
+// follow, and two periods after the burst the pool keeps one large array;
+// a second checkpoint is taken there. Restoring the first finds the
+// flights idle at it without their arrays and the in-flight ones copying
+// their destinations into small arrays: the restore re-files them, counts
+// them from the registry, and the restored run delivers the burst in full.
+// A burst of eight then sizes arrays for the flights that had lost theirs,
+// and restoring the second checkpoint, of the drained pool, re-files those
+// flights on the large list.
 func TestRestoreKeepsLargeFlightBound(t *testing.T) {
 	sched, net, hs, peers, got := countNet(300, UniformLatency{Min: 5 * time.Millisecond, Max: 25 * time.Millisecond})
 	for i := 0; i < 8; i++ {
@@ -795,16 +841,23 @@ func TestRestoreKeepsLargeFlightBound(t *testing.T) {
 			t.Fatalf("a flight has %d destinations left at the checkpoint, want fewer than %d", rest, radixMin)
 		}
 	}
-	states, delivered := []snapshot.State{sched.Snapshot(), net.Snapshot()}, *got
+	first, delivered := []snapshot.State{sched.Snapshot(), net.Snapshot()}, *got
 	for sched.Step() {
 	}
-	for i := 0; i < 4; i++ {
-		hs[i].ctx.Broadcast(peers, i)
+	for _, want := range []int{8, 1} {
+		hs[0].ctx.Broadcast(peers, 0)
+		for sched.Step() {
+		}
+		if _, idle := pooledLarge(net, 0); idle != want {
+			t.Fatalf("%d idle large arrays after a lone broadcast, want %d", idle, want)
+		}
 	}
-	sched.Restore(states[0])
-	net.Restore(states[1])
+	second := []snapshot.State{sched.Snapshot(), net.Snapshot()}
+
+	sched.Restore(first[0])
+	net.Restore(first[1])
 	*got = delivered
-	checkPools(t, "after the restore", net)
+	checkPools(t, "after restoring the burst", net)
 	for sched.Step() {
 	}
 	if *got != 8*299 {
@@ -812,22 +865,24 @@ func TestRestoreKeepsLargeFlightBound(t *testing.T) {
 	}
 	checkPools(t, "after the restored run drained", net)
 
-	states = []snapshot.State{sched.Snapshot(), net.Snapshot()}
 	for i := 0; i < 8; i++ {
 		hs[i].ctx.Broadcast(peers, i)
 	}
-	sched.Restore(states[0])
-	net.Restore(states[1])
+	sched.Restore(second[0])
+	net.Restore(second[1])
 	checkPools(t, "after restoring the drained pool", net)
+	if _, idle := pooledLarge(net, 0); idle != 8 {
+		t.Fatalf("%d idle large arrays after restoring the drained pool, want the burst's 8", idle)
+	}
 }
 
-// checkFlushTrims runs 200 nodes on two queues of 100 at a fixed 10 ms
+// checkFlushCounts runs 200 nodes on two queues of 100 at a fixed 10 ms
 // latency. Node 0 sends five broadcasts to its own queue; the first arrival
 // at node 1 sends five to the other queue, parked in the outbox while the
 // first five drain and leave their arrays idle. The barrier hands the
 // parked arrays to a pool without idle ones, so queue 1 ends the window with
-// no large flight in flight.
-func checkFlushTrims(t *testing.T) {
+// no large flight in flight and its busy period closed.
+func checkFlushCounts(t *testing.T) {
 	t.Helper()
 	sched := sim.New(1)
 	net := New(sched, Config{Latency: FixedLatency(10 * time.Millisecond)})

@@ -31,6 +31,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -252,19 +253,21 @@ type virtStreams struct {
 // does not take it from it: drawn from one list, the two would trade arrays
 // and reallocate them for ever.
 //
-// Idle large arrays are bounded by the large flights in flight: busy counts
-// the flights out of the pool holding a large array, idle the length of
-// free[2], and trim keeps idle <= busy+1 — the +1 lets a lone broadcast's
-// array wait for the next. A burst of broadcasts therefore leaves behind
-// what is still in flight, not its high-water mark; what trim drops goes to
-// the GC, its flight to free[1].
+// The large arrays a pool keeps follow what its traffic needed at once:
+// busy counts the flights out of the pool holding one, idle the length of
+// free[2]; a busy period lasts while busy > 0, peak is its most at once and
+// last and prev the two periods' before. hold keeps busy+idle within the
+// largest of the three, so steady waves of broadcasts keep their arrays
+// (a unicast borrowing one between waves is a period of its own) and a
+// one-off burst's go to the GC two periods on, their flights to free[1].
 type fpool struct {
-	free       [3]*flight
-	idle, busy int
-	all        []*flight
-	stage      []*flight
-	owned      int
-	tmp        []flightDest
+	free             [3]*flight
+	idle, busy       int
+	peak, last, prev int
+	all              []*flight
+	stage            []*flight
+	owned            int
+	tmp              []flightDest
 }
 
 // class is the free list a flight whose destination array has capacity c
@@ -282,11 +285,19 @@ func class(c int) int {
 // large is 1 when f holds a large destination array (class 2), else 0.
 func large(f *flight) int { return class(cap(f.dests)) / 2 }
 
-// trim drops idle large arrays, the newest first, while they outnumber the
-// large flights in flight plus one. A flight that lost its array goes on the
-// wide list: a broadcast sizes an array for it anyway, a unicast would not.
-func (p *fpool) trim() {
-	for p.idle > p.busy+1 {
+// hold adds d to the large flights in flight, closes the busy period when
+// none is left, and drops idle large arrays, the newest first, while the
+// pool holds more than its periods' bound (see fpool). A flight that lost
+// its array goes on the wide list: a broadcast sizes an array for it
+// anyway, a unicast would not.
+func (p *fpool) hold(d int) {
+	p.busy += d
+	if p.busy > p.peak {
+		p.peak = p.busy
+	} else if p.busy == 0 && p.peak > 0 {
+		p.prev, p.last, p.peak = p.last, p.peak, 0
+	}
+	for p.idle > 0 && p.idle+p.busy > max(p.peak, p.last, p.prev) {
 		f := p.free[2]
 		p.free[2], p.idle = f.next, p.idle-1
 		f.dests = nil
@@ -509,9 +520,7 @@ func (n *Network) AddNode(id NodeID, h Handler) {
 	ep.ctx = &Context{net: n, ep: ep}
 	// The degradation streams are tiny (SplitMix64 state), so deriving all
 	// three eagerly per node is cheaper than branching on every send.
-	ep.lat = n.sched.RNG(fmt.Sprintf("simnet.latency/n%d", int(id)))
-	ep.loss = n.sched.RNG(fmt.Sprintf("simnet.loss/n%d", int(id)))
-	ep.jit = n.sched.RNG(fmt.Sprintf("simnet.jitter/n%d", int(id)))
+	ep.lat, ep.loss, ep.jit = n.nodeStream("simnet.latency/n", id, ""), n.nodeStream("simnet.loss/n", id, ""), n.nodeStream("simnet.jitter/n", id, "")
 	n.nodes[id] = ep
 	n.ids = append(n.ids, id)
 	n.idsSorted = len(n.ids) == 1 || (n.idsSorted && id > n.ids[len(n.ids)-2])
@@ -830,7 +839,9 @@ func (n *Network) newFlight(qi int32, w int, from NodeID, payload any, base uint
 		f.n, f.qi = n, qi
 		p.all = append(p.all, f)
 	}
-	p.busy += large(f)
+	if l := large(f); l != 0 {
+		p.hold(l)
+	}
 	f.from, f.payload, f.base, f.control = from, payload, base, control
 	return f
 }
@@ -848,9 +859,8 @@ func (n *Network) freeFlight(f *flight) {
 	f.next = p.free[w]
 	p.free[w] = f
 	if w == 2 {
-		p.busy--
 		p.idle++
-		p.trim()
+		p.hold(-1)
 	}
 }
 
@@ -904,9 +914,9 @@ func (n *Network) virtual(id NodeID) *virtStreams {
 		return vs
 	}
 	vs = &virtStreams{
-		lat:  n.sched.RNG(fmt.Sprintf("simnet.latency/n%d", int(id))),
-		loss: n.sched.RNG(fmt.Sprintf("simnet.loss/n%d", int(id))),
-		jit:  n.sched.RNG(fmt.Sprintf("simnet.jitter/n%d", int(id))),
+		lat:  n.nodeStream("simnet.latency/n", id, ""),
+		loss: n.nodeStream("simnet.loss/n", id, ""),
+		jit:  n.nodeStream("simnet.jitter/n", id, ""),
 	}
 	if n.virt == nil {
 		n.virt = make(map[NodeID]*virtStreams)
@@ -993,10 +1003,9 @@ func (n *Network) broadcast(src *endpoint, peers []NodeID, payload any) {
 			size := min(len(peers), n.flights[dst.qi].owned)
 			f = n.newFlight(home, max(1, class(size)), src.id, payload, seq, false)
 			if cap(f.dests) < size {
-				hp := &n.flights[home]
-				hp.busy -= large(f)
+				was := large(f)
 				f.dests = make([]flightDest, 0, size)
-				hp.busy += large(f)
+				n.flights[home].hold(large(f) - was)
 			}
 			stage[dst.qi] = f
 		}
@@ -1078,22 +1087,21 @@ func (n *Network) post(f *flight, srcQi, qi int32) {
 // no meaning. A parked flight hands its destination array to a flight of the
 // receiving queue's pool and returns to its sender's, with that flight's
 // array in exchange; the two pools' large-flight counts trade with the
-// arrays, and the sender's pool trims what the trade left idle.
+// arrays.
 func (n *Network) flushOutboxes() {
 	for qi, box := range n.outbox {
 		p := &n.flights[qi]
 		for i, f := range box {
 			g := n.newFlight(n.nodes[f.dests[0].dst].qi, class(cap(f.dests)), f.from, f.payload, f.base, false)
 			d := large(f) - large(g)
-			p.busy -= d
-			n.flights[g.qi].busy += d
 			g.dests, f.dests = f.dests, g.dests
+			n.flights[g.qi].hold(d)
+			p.hold(-d)
 			g.arm()
 			n.freeFlight(f)
 			box[i] = nil
 		}
 		n.outbox[qi] = box[:0]
-		p.trim()
 	}
 }
 
@@ -1140,9 +1148,6 @@ func (n *Network) sortedIDs() []NodeID {
 type Context struct {
 	net *Network
 	ep  *endpoint
-	// rngSeeds memoizes the derived seed per stream name so repeated
-	// derivations (every restart) skip the name formatting and hashing.
-	rngSeeds map[string]int64
 }
 
 // ID returns the node's identity.
@@ -1214,21 +1219,17 @@ func (c *Context) Every(interval time.Duration, fn func()) *sim.Ticker {
 	})
 }
 
-// RNG derives a deterministic random stream namespaced to this node. Like
-// sim.Scheduler.RNG, every call returns a fresh stream positioned at its
-// start; the derivation is memoized per name.
-func (c *Context) RNG(name string) *rand.Rand {
-	d, ok := c.rngSeeds[name]
-	if !ok {
-		d = c.net.sched.RNGSeed(fmt.Sprintf("node/%d/%s", int(c.ep.id), name))
-		if c.rngSeeds == nil {
-			c.rngSeeds = make(map[string]int64)
-		}
-		c.rngSeeds[name] = d
-	}
-	// Issue through the scheduler so the stream registers for
-	// Snapshot/Restore.
-	return c.net.sched.RNGFromSeed(d)
+// RNG derives a deterministic random stream namespaced to this node: the
+// scheduler's stream "node/<id>/<name>". Like sim.Scheduler.RNG, every call
+// returns a fresh stream positioned at its start.
+func (c *Context) RNG(name string) *rand.Rand { return c.net.nodeStream("node/", c.ep.id, "/"+name) }
+
+// nodeStream derives the scheduler's stream prefix+id+suffix, id in decimal,
+// without building the name on the heap.
+func (n *Network) nodeStream(prefix string, id NodeID, suffix string) *rand.Rand {
+	var buf [64]byte
+	b := append(strconv.AppendInt(append(buf[:0], prefix...), int64(id), 10), suffix...)
+	return n.sched.RNGFromSeed(n.sched.RNGSeed(string(b)))
 }
 
 // Connected reports whether the connection layer currently allows traffic

@@ -89,9 +89,10 @@ func (n *Network) Snapshot() snapshot.State {
 // keeps its current array, which may have become large, or stopped being
 // large, since the checkpoint: the free lists are walked in their
 // checkpointed order and such a flight re-filed by the array it holds now
-// (the lists come back exactly as checkpointed when none did), the
-// large-array counts are recounted from the registry, and the bound on idle
-// large arrays applied again.
+// (the lists come back exactly as checkpointed when none did), and the
+// large-array counts are recounted from the registry. The busy periods'
+// peaks are the pool's own history, not the simulation's, and stay as they
+// are; the pool's bound is applied again.
 func (n *Network) Restore(state snapshot.State) {
 	st, ok := state.(*netCheck)
 	if !ok {
@@ -138,7 +139,7 @@ func (n *Network) Restore(state snapshot.State) {
 			}
 		}
 	}
-	fp.trim()
+	fp.hold(0)
 	if cm := n.conns; cm != nil {
 		cm.connCounts = st.conns
 		for i := range cm.pairs {
