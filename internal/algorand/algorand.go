@@ -283,7 +283,7 @@ type validator struct {
 // Queued round closures capture only round numbers and the validator
 // pointer, and proposal messages are immutable once buffered.
 type state struct {
-	ctx        *simnet.Context
+	durable
 	round      int
 	filterTO   time.Duration
 	roundTimer sim.Timer
@@ -294,7 +294,6 @@ type state struct {
 	certSent  int                   // the last round this node's cert step ran
 	evidence  chain.Tally[struct{}] // later-round senders, for jumps
 	puller    *sim.Ticker
-	resets    uint64
 	lastReset time.Duration
 	everReset bool
 	rngPull   interface{ Intn(int) int }
@@ -305,26 +304,28 @@ type state struct {
 	memo      *committee.Committee
 }
 
+// durable is the part of state that survives a restart.
+type durable struct{ resets uint64 }
+
 var _ simnet.Handler = (*validator)(nil)
 
 // Start implements simnet.Handler.
 func (v *validator) Start(ctx *simnet.Context) {
-	v.ctx = ctx
 	v.base.Reset(ctx)
-	v.round = 0
-	v.filterTO = v.cfg.DefaultFilterTimeout
-	v.proposals = make(map[proposalKey]*proposalMsg)
 	var seats func(round, step int) *committee.Committee
 	if v.comm != nil {
 		seats = v.committeeAt
 	}
-	v.votes = chain.NewTally[simnet.NodeID](v.n, v.quorum, seats)
-	v.certSent = -1
-	v.evidence = chain.NewTally[struct{}](v.n, 0, nil)
-	v.everReset = false
-	v.lastReset = 0
+	v.state = state{
+		durable:   v.durable,
+		filterTO:  v.cfg.DefaultFilterTimeout,
+		proposals: make(map[proposalKey]*proposalMsg),
+		votes:     chain.NewTally[simnet.NodeID](v.n, v.quorum, seats),
+		certSent:  -1,
+		evidence:  chain.NewTally[struct{}](v.n, 0, nil),
+		rngPull:   ctx.RNG("algorand.pull"),
+	}
 	v.base.OnLocalSubmit = v.pushGossip
-	v.rngPull = ctx.RNG("algorand.pull")
 	v.puller = ctx.Every(v.cfg.PullInterval, v.pull)
 	if v.base.Ledger.Height() > 0 {
 		// Active recovery: restarted participation nodes immediately
@@ -337,9 +338,7 @@ func (v *validator) Start(ctx *simnet.Context) {
 // Stop implements simnet.Handler.
 func (v *validator) Stop() {
 	v.roundTimer.Stop()
-	if v.puller != nil {
-		v.puller.Stop()
-	}
+	v.puller.Stop()
 }
 
 // Base exposes the validator core.
@@ -484,7 +483,7 @@ func (v *validator) Deliver(from simnet.NodeID, payload any) {
 	case txGossip:
 		v.base.Pool.Add(msg.Tx)
 	case pullReq:
-		v.ctx.Send(from, pullResp{Txs: v.base.Pool.Peek(v.cfg.PullBatch)})
+		v.base.Ctx().Send(from, pullResp{Txs: v.base.Pool.Peek(v.cfg.PullBatch)})
 	case pullResp:
 		for _, tx := range msg.Txs {
 			v.base.Pool.Add(tx)
@@ -513,14 +512,14 @@ func (v *validator) pull() {
 		if len(ns) == 0 {
 			return
 		}
-		v.ctx.Send(ns[v.rngPull.Intn(len(ns))], pullReq{})
+		v.base.Ctx().Send(ns[v.rngPull.Intn(len(ns))], pullReq{})
 		return
 	}
 	peer := v.base.Peers[v.rngPull.Intn(len(v.base.Peers))]
 	if peer == v.base.ID {
 		return
 	}
-	v.ctx.Send(peer, pullReq{})
+	v.base.Ctx().Send(peer, pullReq{})
 }
 
 // noteEvidence jumps forward when t+1 distinct nodes demonstrably work on a
@@ -545,7 +544,7 @@ func (v *validator) enterRound(round int) {
 	// The filter step: collect proposals for one dynamic round time
 	// before soft-voting; this is the adaptive delay of Dynamic Round
 	// Time.
-	v.roundTimer = v.ctx.After(v.filterTO, func() { v.onFilterStep(round) })
+	v.roundTimer = v.base.Ctx().After(v.filterTO, func() { v.onFilterStep(round) })
 	// Replay quorums that assembled before we entered this round (e.g.
 	// right after a jump).
 	if v.votes.Voters(round, stepNext) >= v.votes.Threshold(round, stepNext) {
@@ -635,7 +634,7 @@ func (v *validator) commitRound(round int, proposer simnet.NodeID) {
 		Proposer:  prop.Proposer,
 		Parent:    prop.Parent,
 		Txs:       prop.Txs,
-		DecidedAt: v.ctx.Now(),
+		DecidedAt: v.base.Ctx().Now(),
 	})
 	// Fast round: the dynamic round time shrinks.
 	v.filterTO = time.Duration(float64(v.filterTO) * v.cfg.Shrink)
@@ -658,7 +657,7 @@ func (v *validator) onFilterStep(round int) {
 			// and Dynamic Round Time marks the round slow (§4).
 			v.slowRound()
 			v.base.Consensus(metrics.EventLeaderChange, round, prop.Proposer, "sortition winner silent, falling back")
-			v.roundTimer = v.ctx.After(v.cfg.FallbackGrace, func() {
+			v.roundTimer = v.base.Ctx().After(v.cfg.FallbackGrace, func() {
 				if round != v.round {
 					return
 				}
@@ -670,14 +669,14 @@ func (v *validator) onFilterStep(round int) {
 				if v.votes.Seated(round, stageSoft, v.base.ID) {
 					v.castVote(round, stageSoft, fallback.Proposer)
 				}
-				v.roundTimer = v.ctx.After(v.cfg.CertTimeout, func() { v.onRoundStuck(round) })
+				v.roundTimer = v.base.Ctx().After(v.cfg.CertTimeout, func() { v.onRoundStuck(round) })
 			})
 			return
 		}
 		if v.votes.Seated(round, stageSoft, v.base.ID) {
 			v.castVote(round, stageSoft, prop.Proposer)
 		}
-		v.roundTimer = v.ctx.After(v.cfg.CertTimeout, func() { v.onRoundStuck(round) })
+		v.roundTimer = v.base.Ctx().After(v.cfg.CertTimeout, func() { v.onRoundStuck(round) })
 		return
 	}
 	v.onRoundStuck(round)
@@ -687,7 +686,7 @@ func (v *validator) onFilterStep(round int) {
 // at most once per refractory window (§4: "there are periods when the
 // decreased timing parameters are reset to their default values").
 func (v *validator) slowRound() {
-	now := v.ctx.Now()
+	now := v.base.Ctx().Now()
 	if v.everReset && now-v.lastReset < v.cfg.ResetRefractory {
 		return
 	}
@@ -711,11 +710,11 @@ func (v *validator) onRoundStuck(round int) {
 	if v.votes.Seated(round, stepNext, v.base.ID) {
 		msg := nextMsg{Round: round, Voter: v.base.ID}
 		v.base.Broadcast(msg)
-		v.roundTimer = v.ctx.After(v.filterTO+v.cfg.CertTimeout, func() { v.onRoundStuck(round) })
+		v.roundTimer = v.base.Ctx().After(v.filterTO+v.cfg.CertTimeout, func() { v.onRoundStuck(round) })
 		v.onNext(msg)
 		return
 	}
-	v.roundTimer = v.ctx.After(v.filterTO+v.cfg.CertTimeout, func() { v.onRoundStuck(round) })
+	v.roundTimer = v.base.Ctx().After(v.filterTO+v.cfg.CertTimeout, func() { v.onRoundStuck(round) })
 }
 
 func (v *validator) onNext(msg nextMsg) {

@@ -197,38 +197,38 @@ type validator struct {
 // Queued pacemaker closures capture only round numbers and the validator
 // pointer, and proposals are immutable once stored.
 type state struct {
-	ctx        *simnet.Context
+	durable
 	round      int
 	consFails  int
 	roundTimer sim.Timer
 	votes      chain.Tally[blockRef] // stepVote and stepTimeout of each round
 	proposal   *proposalMsg          // this node's latest own proposal
-	// Leader reputation (volatile, converges via timeout quorums).
+	// Leader reputation, which converges again via timeout quorums.
 	failCount  map[simnet.NodeID]int
 	excludedAt map[simnet.NodeID]int
-	viewJumps  uint64
 }
+
+// durable is the part of state that survives a restart.
+type durable struct{ viewJumps uint64 }
 
 var _ simnet.Handler = (*validator)(nil)
 
 // Start implements simnet.Handler.
 func (v *validator) Start(ctx *simnet.Context) {
-	v.ctx = ctx
 	v.base.Reset(ctx)
-	v.round = 0
-	v.consFails = 0
-	v.votes = chain.NewTally[blockRef](v.n, v.quorum, nil)
-	v.proposal = nil
-	v.failCount = make(map[simnet.NodeID]int)
-	v.excludedAt = make(map[simnet.NodeID]int)
+	v.state = state{
+		durable:    v.durable,
+		votes:      chain.NewTally[blockRef](v.n, v.quorum, nil),
+		failCount:  make(map[simnet.NodeID]int),
+		excludedAt: make(map[simnet.NodeID]int),
+	}
 	v.base.OnLocalSubmit = v.gossipTx
-	v.base.OnCaughtUp = func() {}
 	if v.base.Ledger.Height() > 0 {
 		// Restart: fetch missed blocks; round position is learned from
 		// live traffic.
 		v.base.StartCatchUp()
 	}
-	v.enterRound(v.round, 0)
+	v.enterRound(0, 0)
 }
 
 // Stop implements simnet.Handler.
@@ -320,9 +320,9 @@ func (v *validator) enterRound(round int, delay time.Duration) {
 	v.round = round
 	v.roundTimer.Stop()
 	v.base.Consensus(metrics.EventRoundStart, round, v.leader(round), "")
-	v.roundTimer = v.ctx.After(delay+v.timeout(), func() { v.onLocalTimeout(round) })
+	v.roundTimer = v.base.Ctx().After(delay+v.timeout(), func() { v.onLocalTimeout(round) })
 	if v.leader(round) == v.base.ID {
-		v.ctx.After(delay, func() { v.propose(round) })
+		v.base.Ctx().After(delay, func() { v.propose(round) })
 	}
 }
 
@@ -382,7 +382,7 @@ func (v *validator) onProposal(msg proposalMsg) {
 		// vote travels the broadcast tree instead of a direct send.
 		v.base.Broadcast(vote)
 	default:
-		v.ctx.Send(msg.Leader, vote)
+		v.base.Ctx().Send(msg.Leader, vote)
 	}
 }
 
@@ -407,7 +407,7 @@ func (v *validator) onVote(msg voteMsg) {
 		Proposer:  v.base.ID,
 		Parent:    prop.Parent,
 		Txs:       prop.Txs,
-		DecidedAt: v.ctx.Now(),
+		DecidedAt: v.base.Ctx().Now(),
 	}
 	msgOut := commitMsg{Round: msg.Round, Block: block}
 	v.base.Broadcast(msgOut)
@@ -438,7 +438,7 @@ func (v *validator) onLocalTimeout(round int) {
 	// Keep the pacemaker alive: re-arm so the timeout is re-broadcast
 	// until the round advances. Without this a network that temporarily
 	// lost its quorum would never re-assemble one.
-	v.roundTimer = v.ctx.After(v.timeout(), func() { v.onLocalTimeout(round) })
+	v.roundTimer = v.base.Ctx().After(v.timeout(), func() { v.onLocalTimeout(round) })
 	v.onTimeout(msg)
 }
 

@@ -225,7 +225,7 @@ type validator struct {
 // checkpoint carries their contents beside the pointers (see snapshot.go).
 // Proposal messages are immutable once buffered.
 type state struct {
-	ctx       *simnet.Context
+	durable
 	slotTick  *sim.Ticker
 	queryTick *sim.Ticker
 	gossTick  *sim.Ticker
@@ -233,7 +233,6 @@ type state struct {
 
 	cpu      *simnet.TokenBucket
 	buffered int
-	dropped  uint64
 
 	inst      *instance
 	proposals map[int]*proposalMsg // height -> buffered proposal
@@ -242,8 +241,10 @@ type state struct {
 		Intn(int) int
 		Shuffle(int, func(int, int))
 	}
-	resets uint64
 }
+
+// durable is the part of state that survives a restart.
+type durable struct{ dropped, resets uint64 }
 
 var _ simnet.Handler = (*validator)(nil)
 
@@ -262,14 +263,13 @@ func (s *System) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *chai
 
 // Start implements simnet.Handler.
 func (v *validator) Start(ctx *simnet.Context) {
-	v.ctx = ctx
 	v.base.Reset(ctx)
-	v.inst = nil
-	v.proposals = make(map[int]*proposalMsg)
-	v.announceQ = nil
-	v.buffered = 0
-	v.cpu = simnet.NewTokenBucket(v.cfg.CPURate, v.cfg.CPUBurst)
-	v.rng = ctx.RNG("avalanche")
+	v.state = state{
+		durable:   v.durable,
+		cpu:       simnet.NewTokenBucket(v.cfg.CPURate, v.cfg.CPUBurst),
+		proposals: make(map[int]*proposalMsg),
+		rng:       ctx.RNG("avalanche"),
+	}
 	v.base.OnLocalSubmit = func(tx chain.Tx) {
 		v.announceQ = append(v.announceQ, announcement{tx: tx})
 	}
@@ -285,9 +285,7 @@ func (v *validator) Start(ctx *simnet.Context) {
 // Stop implements simnet.Handler.
 func (v *validator) Stop() {
 	for _, tk := range []*sim.Ticker{v.slotTick, v.queryTick, v.gossTick, v.regosTick} {
-		if tk != nil {
-			tk.Stop()
-		}
+		tk.Stop()
 	}
 }
 
@@ -338,7 +336,7 @@ func (v *validator) inbound(cost float64, from simnet.NodeID, payload any) {
 		v.handle(from, payload)
 		return
 	}
-	now := v.ctx.Now()
+	now := v.base.Ctx().Now()
 	readyAt := v.cpu.Reserve(now, cost)
 	if readyAt == now {
 		v.handle(from, payload)
@@ -349,7 +347,7 @@ func (v *validator) inbound(cost float64, from simnet.NodeID, payload any) {
 		return
 	}
 	v.buffered++
-	v.ctx.After(readyAt-now, func() {
+	v.base.Ctx().After(readyAt-now, func() {
 		v.buffered--
 		v.handle(from, payload)
 	})
@@ -421,7 +419,7 @@ func (v *validator) gossipTo(tx chain.Tx, hop int) {
 		fanout = v.cfg.RelayFanout
 	}
 	var buf [sampleBuf]simnet.NodeID
-	v.ctx.Broadcast(v.samplePeersN(fanout, buf[:0]), txGossip{Tx: tx, Hop: hop})
+	v.base.Ctx().Broadcast(v.samplePeersN(fanout, buf[:0]), txGossip{Tx: tx, Hop: hop})
 }
 
 // onRegossip re-announces a random sample of old pool entries; under a large
@@ -446,7 +444,7 @@ func (v *validator) onRegossip() {
 
 // Block production ---------------------------------------------------------
 
-func (v *validator) slot() int { return int(v.ctx.Now() / v.cfg.BlockInterval) }
+func (v *validator) slot() int { return int(v.base.Ctx().Now() / v.cfg.BlockInterval) }
 
 // Proposer returns the rotation winner for a slot.
 func (v *validator) Proposer(slot int) simnet.NodeID {
@@ -556,10 +554,10 @@ func (v *validator) onQueryTick() {
 	inst.responses = 0
 	inst.flips = make(map[int]int)
 	var buf [sampleBuf]simnet.NodeID
-	v.ctx.Broadcast(v.samplePeersN(v.cfg.K, buf[:0]),
+	v.base.Ctx().Broadcast(v.samplePeersN(v.cfg.K, buf[:0]),
 		queryMsg{Height: inst.height, Slot: inst.pref.Slot, Seq: inst.roundSeq})
 	seq := inst.roundSeq
-	v.ctx.After(v.cfg.QueryTimeout, func() { v.closeRound(inst, seq) })
+	v.base.Ctx().After(v.cfg.QueryTimeout, func() { v.closeRound(inst, seq) })
 }
 
 // sampleBuf is the stack room callers give samplePeersN for a sample; a
@@ -640,7 +638,7 @@ func (v *validator) onQuery(from simnet.NodeID, msg queryMsg) {
 	} else if p, ok := v.proposals[msg.Height]; ok {
 		resp.PrefSlot = p.Slot
 	}
-	v.ctx.Send(from, resp)
+	v.base.Ctx().Send(from, resp)
 }
 
 func (v *validator) onResponse(msg responseMsg) {
@@ -691,7 +689,7 @@ func (v *validator) closeRound(inst *instance, seq uint64) {
 				Proposer:  inst.pref.Proposer,
 				Parent:    inst.pref.Parent,
 				Txs:       inst.pref.Txs,
-				DecidedAt: v.ctx.Now(),
+				DecidedAt: v.base.Ctx().Now(),
 			})
 		}
 		return

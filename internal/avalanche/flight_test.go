@@ -78,7 +78,7 @@ func TestGossipFlightEqualsSendLoop(t *testing.T) {
 					fanout = v.cfg.RelayFanout
 				}
 				for _, p := range v.samplePeersN(fanout, nil) {
-					v.ctx.Send(p, txGossip{Tx: tx(i), Hop: i % 2})
+					v.base.Ctx().Send(p, txGossip{Tx: tx(i), Hop: i % 2})
 				}
 			}},
 		{"onQueryTick",
@@ -91,7 +91,7 @@ func TestGossipFlightEqualsSendLoop(t *testing.T) {
 				inst.roundSeq++
 				inst.roundOpen = true
 				for _, p := range v.samplePeersN(v.cfg.K, nil) {
-					v.ctx.Send(p, queryMsg{Height: inst.height, Slot: inst.pref.Slot, Seq: inst.roundSeq})
+					v.base.Ctx().Send(p, queryMsg{Height: inst.height, Slot: inst.pref.Slot, Seq: inst.roundSeq})
 				}
 			}},
 	}

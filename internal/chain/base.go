@@ -73,45 +73,46 @@ type BaseNode struct {
 	cfg BaseConfig
 	// relay, when set, routes every validator broadcast over a structured
 	// gossip overlay instead of the full mesh; nil preserves the legacy
-	// byte-identical behaviour. Set once at deployment time (SetRelay),
-	// it survives restarts — only its volatile caches clear in Reset.
+	// byte-identical behaviour. Set once at deployment time (SetRelay);
+	// Reset clears its caches (see overlay.Router.Reset).
 	relay *overlay.Router
 	nodeState
 }
 
 // nodeState is what a BaseNode itself mutates after construction (the ledger
-// and pool carry their own states), and its checkpoint. Reset replaces the
-// exec bucket and sync RNG on every restart, so the state records which
-// objects were current; no queued closure captures either directly
-// (everything reaches them through the stable *BaseNode). The RNG stream
-// position lives in the scheduler's registry.
+// and pool carry their own states), and its checkpoint. Reset replaces it
+// whole but for durable, so the exec bucket and sync RNG are new objects on
+// every restart; no queued closure captures either (everything reaches them
+// through the stable *BaseNode), and the RNG stream position lives in the
+// scheduler's registry. The in-pipeline and subscribed marks live in the
+// ledger's table: subscribers has an entry exactly for the transactions
+// whose txSubscribed bit is set, holding the first subscriber; resubscribers,
+// made on first use, holds later ones in order (a client retrying here).
 type nodeState struct {
-	ctx       *simnet.Context
-	exec      *simnet.TokenBucket
-	rng       *rand.Rand
-	extraExec float64
-
-	// Volatile state, reset on every (re)start. So are the in-pipeline
-	// marks of decided-but-unexecuted transactions and the subscribed
-	// marks, which live in the ledger's table: subscribers has an entry
-	// exactly for the transactions whose txSubscribed bit is set, so apply
-	// reads the map only for those. It holds a transaction's first
-	// subscriber inline; resubscribers, made on first use, holds the later
-	// ones in order for the few transactions that have any (a client
-	// retrying to this node).
+	durable
+	ctx           *simnet.Context
+	exec          *simnet.TokenBucket
+	rng           *rand.Rand
+	extraExec     float64
 	subscribers   map[TxID]simnet.NodeID
 	resubscribers map[TxID][]simnet.NodeID
 	pending       map[int]Block
 	applying      bool
 	applyingAt    int // height of the block being executed (-1 when idle)
 	applyingBlock Block
-	applyErrors   uint64
-	syncTimer     sim.Timer
 	syncActive    bool
 }
 
-// NewBaseNode constructs the shared validator core. The ledger persists
-// across restarts; everything else is rebuilt in Reset.
+// durable is the part of nodeState that survives a restart.
+type durable struct {
+	applyErrors uint64
+	// syncTimer is the last catch-up retry: a halted incarnation's stays
+	// queued (a fenced no-op) until the next requestSyncRound cancels it.
+	syncTimer sim.Timer
+}
+
+// NewBaseNode constructs the shared validator core. The ledger survives
+// restarts; Reset rebuilds the rest.
 func NewBaseNode(id simnet.NodeID, peers []simnet.NodeID, monitor *Monitor, cfg BaseConfig) *BaseNode {
 	// Peers is shared, not copied: every validator reads the same
 	// deployment-owned roster (nobody mutates it), and a per-node copy is
@@ -200,28 +201,25 @@ func (n *BaseNode) Neighbors() []simnet.NodeID {
 	return n.Peers
 }
 
-// Reset rebinds the node to a (re)started incarnation, dropping all volatile
-// state. The mempool empties — in-flight transactions die with the process —
-// while the ledger survives.
+// Reset rebinds the node to a (re)started incarnation: nodeState is replaced
+// whole but for its durable part. The mempool empties — in-flight
+// transactions die with the process — while the ledger survives.
 func (n *BaseNode) Reset(ctx *simnet.Context) {
-	n.ctx = ctx
-	n.rng = ctx.RNG("base.sync")
-	n.Pool.Clear()
-	n.subscribers = make(map[TxID]simnet.NodeID)
-	n.resubscribers = nil
-	n.pending = make(map[int]Block)
-	n.Ledger.txs.sweep(txPipeline | txSubscribed)
-	n.applying = false
-	n.applyingAt = -1
-	n.syncActive = false
-	n.extraExec = 0
-	if n.relay != nil {
-		n.relay.Reset()
+	n.nodeState = nodeState{
+		durable:     n.durable,
+		ctx:         ctx,
+		rng:         ctx.RNG("base.sync"),
+		subscribers: make(map[TxID]simnet.NodeID),
+		pending:     make(map[int]Block),
+		applyingAt:  -1,
 	}
 	if n.cfg.ExecRate > 0 {
 		n.exec = simnet.NewTokenBucket(n.cfg.ExecRate, n.cfg.ExecBurst)
-	} else {
-		n.exec = nil
+	}
+	n.Pool.Clear()
+	n.Ledger.txs.sweep(txPipeline | txSubscribed)
+	if n.relay != nil {
+		n.relay.Reset()
 	}
 }
 

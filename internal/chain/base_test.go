@@ -201,6 +201,23 @@ func TestBaseNodeRestartClearsPool(t *testing.T) {
 	}
 }
 
+// TestBaseNodeRestartCancelsLastSyncRetry restarts a node mid catch-up: the
+// next round cancels the halted incarnation's retry instead of leaving it
+// queued to fire as a fenced no-op.
+func TestBaseNodeRestartCancelsLastSyncRetry(t *testing.T) {
+	sched, net, _, v1, _, _ := baseTestSetup(t, BaseConfig{SyncRetry: time.Second})
+	net.Halt(0) // nobody answers v1's sync requests
+	v1.base.StartCatchUp()
+	sched.RunUntil(100 * time.Millisecond)
+	retry := v1.base.syncTimer
+	net.Halt(1)
+	net.Restart(1)
+	v1.base.StartCatchUp()
+	if !retry.Stopped() {
+		t.Fatal("the halted incarnation's sync retry is still queued")
+	}
+}
+
 func TestBaseNodeOnCommitHookAndOnLocalSubmit(t *testing.T) {
 	sched, _, v0, _, cl, _ := baseTestSetup(t, BaseConfig{})
 	var hookBlocks, localSubmits int

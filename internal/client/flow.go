@@ -175,9 +175,7 @@ func (c *FlowClient) Start(ctx *simnet.Context) {
 
 // Stop implements simnet.Handler.
 func (c *FlowClient) Stop() {
-	if c.ticker != nil {
-		c.ticker.Stop()
-	}
+	c.ticker.Stop()
 }
 
 // index returns id's position in window, or -1 when the window does not hold

@@ -199,29 +199,39 @@ type validator struct {
 // grace and coordinator closures hold the pointers, so a checkpoint keeps the
 // map's pointers and carries each round's contents beside it (snapshot.go).
 type nodeState struct {
-	ctx       *simnet.Context
-	round     int
+	durable
 	states    map[int]*roundState
 	resend    *sim.Ticker
-	decides   uint64
 	jitterRNG *rand.Rand
+}
+
+// durable is the part of nodeState that survives a restart. Start reads
+// round: a validator that has left round 0 rejoins by catching up, even
+// with an empty ledger.
+type durable struct {
+	round   int
+	decides uint64
 }
 
 var _ simnet.Handler = (*validator)(nil)
 
 // Start implements simnet.Handler.
 func (v *validator) Start(ctx *simnet.Context) {
-	v.ctx = ctx
-	v.jitterRNG = ctx.RNG("redbelly.jitter")
+	// Read before the replacement, where a field that is not carried reads
+	// as garbage in TestRestartEquivalence.
+	fresh := v.base.Ledger.Height() == 0 && v.round == 0
+	v.nodeState = nodeState{
+		durable:   v.durable,
+		states:    make(map[int]*roundState),
+		jitterRNG: ctx.RNG("redbelly.jitter"),
+	}
 	v.base.Reset(ctx)
-	v.states = make(map[int]*roundState)
 	v.base.OnCaughtUp = func() {
 		v.round = v.base.Ledger.Height()
 		v.startRound(v.round)
 	}
 	v.resend = ctx.Every(v.cfg.ResendInterval, v.resendRound)
-	if v.base.Ledger.Height() == 0 && v.round == 0 {
-		v.round = 0
+	if fresh {
 		v.startRound(0)
 		return
 	}
@@ -232,9 +242,7 @@ func (v *validator) Start(ctx *simnet.Context) {
 
 // Stop implements simnet.Handler.
 func (v *validator) Stop() {
-	if v.resend != nil {
-		v.resend.Stop()
-	}
+	v.resend.Stop()
 }
 
 // Base exposes the validator core for tests and the harness.
@@ -267,7 +275,7 @@ func (v *validator) Deliver(from simnet.NodeID, payload any) {
 func (v *validator) state(round int) *roundState {
 	st, ok := v.states[round]
 	if !ok {
-		st = newRoundState(round, v.ctx.Now(), v.n, v.quorum)
+		st = newRoundState(round, v.base.Ctx().Now(), v.n, v.quorum)
 		v.states[round] = st
 	}
 	return st
@@ -279,13 +287,13 @@ func (v *validator) startRound(round int) {
 	}
 	v.round = round
 	st := v.state(round)
-	st.startedAt = v.ctx.Now()
+	st.startedAt = v.base.Ctx().Now()
 	v.base.Consensus(metrics.EventRoundStart, round, v.coordinator(round, 0), "")
 	jitter := time.Duration(0)
 	if v.cfg.ProposalJitter > 0 {
 		jitter = time.Duration(v.jitterRNG.Int63n(int64(v.cfg.ProposalJitter)))
 	}
-	v.ctx.After(jitter, func() {
+	v.base.Ctx().After(jitter, func() {
 		if v.state(round).decided {
 			return
 		}
@@ -299,7 +307,7 @@ func (v *validator) startRound(round int) {
 		v.base.Broadcast(proposalMsg{Round: round, Proposer: v.base.ID, Txs: txs})
 		v.maybeScheduleEstimate(round)
 	})
-	v.ctx.After(v.cfg.ProposalTimeout, func() {
+	v.base.Ctx().After(v.cfg.ProposalTimeout, func() {
 		if cur := v.state(round); !cur.decided && cur.myVote[0] == nil {
 			v.base.Consensus(metrics.EventTimeout, round, v.base.ID, "proposal quorum timeout")
 		}
@@ -334,7 +342,7 @@ func (v *validator) maybeScheduleEstimate(round int) {
 		return
 	}
 	st.estimated = true
-	v.ctx.After(v.cfg.ProposalGrace, func() { v.estimate(round) })
+	v.base.Ctx().After(v.cfg.ProposalGrace, func() { v.estimate(round) })
 }
 
 // estimate emits the node's sub-round-0 vote: include every proposer whose
@@ -400,7 +408,7 @@ func (v *validator) evaluate(round, sub int) {
 	// coordinator cannot block convergence).
 	st.sub = sub + 1
 	v.base.Consensus(metrics.EventLeaderChange, round, v.coordinator(round, sub+1), "sub-round coordinator rotation")
-	v.ctx.After(v.cfg.CoordTimeout, func() {
+	v.base.Ctx().After(v.cfg.CoordTimeout, func() {
 		cur := v.state(round)
 		if cur.decided || cur.myVote[sub+1] != nil {
 			return
@@ -539,7 +547,7 @@ func (v *validator) assemble(round int, est []simnet.NodeID, st *roundState) cha
 		Proposer:  proposer,
 		Parent:    v.base.TipHash(),
 		Txs:       txs,
-		DecidedAt: v.ctx.Now(),
+		DecidedAt: v.base.Ctx().Now(),
 	}
 }
 
@@ -562,13 +570,13 @@ func (v *validator) advance(decided int) {
 	delete(v.states, decided-2) // bounded memory
 	wait := v.cfg.InterBlock
 	if st != nil {
-		elapsed := v.ctx.Now() - st.startedAt
+		elapsed := v.base.Ctx().Now() - st.startedAt
 		if elapsed+wait < v.cfg.MinRoundInterval {
 			wait = v.cfg.MinRoundInterval - elapsed
 		}
 	}
 	v.round = next
-	v.ctx.After(wait, func() {
+	v.base.Ctx().After(wait, func() {
 		if v.round == next && !v.state(next).decided {
 			v.startRound(next)
 		}
@@ -586,7 +594,7 @@ func (v *validator) repliedIfDecided(from simnet.NodeID, round int) bool {
 		return true
 	}
 	if b, err := v.base.Ledger.Block(round); err == nil {
-		v.ctx.Send(from, decideMsg{Round: round, Block: b})
+		v.base.Ctx().Send(from, decideMsg{Round: round, Block: b})
 	}
 	return true
 }
@@ -599,7 +607,7 @@ func (v *validator) resendRound() {
 	if !ok || st.decided {
 		return
 	}
-	if v.ctx.Now()-st.startedAt < v.cfg.ResendInterval {
+	if v.base.Ctx().Now()-st.startedAt < v.cfg.ResendInterval {
 		return
 	}
 	if txs, ok := st.proposals[v.base.ID]; ok {

@@ -182,3 +182,19 @@ type nopPeer struct{}
 func (nopPeer) Start(*simnet.Context)      {}
 func (nopPeer) Stop()                      {}
 func (nopPeer) Deliver(simnet.NodeID, any) {}
+
+// TestRestartPathFollowsRound restarts a validator with an empty ledger: one
+// that never left round 0 starts it again, one that had moved on rejoins by
+// catching up, like a validator that has blocks.
+func TestRestartPathFollowsRound(t *testing.T) {
+	for _, round := range []int{0, 3} {
+		_, net, v := singleValidatorHarness(t)
+		v.round = round
+		net.Halt(0)
+		net.Restart(0)
+		catchUp := round > 0
+		if _, started := v.states[0]; v.base.CatchingUp() != catchUp || started == catchUp {
+			t.Errorf("round %d: catching up %v, round 0 started %v; want catching up %v", round, v.base.CatchingUp(), started, catchUp)
+		}
+	}
+}

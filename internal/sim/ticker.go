@@ -59,9 +59,10 @@ func (t *Ticker) arm() {
 	t.timer = t.sched.AfterLane(t.lane, t.interval, t.fire)
 }
 
-// Stop cancels future ticks. It is idempotent.
+// Stop cancels future ticks. It is idempotent, and a nil ticker (one never
+// armed) has none to cancel.
 func (t *Ticker) Stop() {
-	if t.stopped {
+	if t == nil || t.stopped {
 		return
 	}
 	t.stopped = true

@@ -49,9 +49,9 @@ func (id NodeID) String() string { return fmt.Sprintf("n%d", int(id)) }
 // Handler is the application logic attached to an endpoint.
 //
 // Start is invoked once when the network boots and again after every
-// Restart; implementations must re-arm their volatile state (timers, vote
-// tables) there while keeping persistent state (the ledger) across restarts.
-// Stop is invoked when the node is halted.
+// Restart. A validator's Start replaces its state struct in one assignment
+// that keeps only the embedded durable part (the ledger lives outside it),
+// then re-arms its timers. Stop is invoked when the node is halted.
 type Handler interface {
 	Start(ctx *Context)
 	Deliver(from NodeID, payload any)
@@ -575,8 +575,8 @@ func (n *Network) Halt(id NodeID) {
 	ep.handler.Stop()
 }
 
-// Restart boots a previously halted node with the same identity. The
-// handler's persistent state survives; Start is called again.
+// Restart boots a previously halted node with the same identity: Start is
+// called again (see Handler).
 func (n *Network) Restart(id NodeID) { n.StartNode(id) }
 
 // IsUp reports whether the node is currently running.

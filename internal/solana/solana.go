@@ -169,7 +169,7 @@ type validator struct {
 // state is what a validator mutates after construction, and its checkpoint.
 // Frozen bank messages are immutable once buffered.
 type state struct {
-	ctx    *simnet.Context
+	durable
 	ticker *sim.Ticker
 	retry  *sim.Ticker
 	blocks map[int]*blockMsg
@@ -179,29 +179,35 @@ type state struct {
 	eahByEpoch map[int]chain.Hash
 	votes      chain.Tally[struct{}] // by slot; a vote names no value
 	rooted     map[int]bool
+}
 
-	// lastRootedSlot persists across restarts (it is derived from the
-	// ledger, which survives).
+// durable is the part of state that survives a restart. lastRootedSlot is
+// derived from the ledger, which survives too; a validator that hit the EAH
+// panic crashes again on every restart until the operator intervenes.
+type durable struct {
 	lastRootedSlot int
-	// panicked persists: a validator that hit the EAH panic crashes
-	// again on restart until the operator intervenes.
-	panicked   bool
-	panickedAt time.Duration
+	panicked       bool
+	panickedAt     time.Duration
 }
 
 var _ simnet.Handler = (*validator)(nil)
 
 // Start implements simnet.Handler.
 func (v *validator) Start(ctx *simnet.Context) {
-	v.ctx = ctx
 	v.base.Reset(ctx)
-	v.blocks = make(map[int]*blockMsg)
-	v.votes = chain.NewTally[struct{}](v.n, v.quorum, nil)
-	v.rooted = make(map[int]bool)
-	v.eahByEpoch = make(map[int]chain.Hash)
+	// Read before the replacement, where a field that is not carried reads
+	// as garbage in TestRestartEquivalence.
+	panicked := v.panicked
+	v.state = state{
+		durable:    v.durable,
+		blocks:     make(map[int]*blockMsg),
+		eahByEpoch: make(map[int]chain.Hash),
+		votes:      chain.NewTally[struct{}](v.n, v.quorum, nil),
+		rooted:     make(map[int]bool),
+	}
 	v.base.OnCommit = v.onBlockApplied
 	v.base.OnLocalSubmit = v.forwardOne
-	if v.panicked {
+	if panicked {
 		return
 	}
 	if v.base.Ledger.Height() > 0 {
@@ -221,12 +227,8 @@ func (v *validator) Start(ctx *simnet.Context) {
 
 // Stop implements simnet.Handler.
 func (v *validator) Stop() {
-	if v.ticker != nil {
-		v.ticker.Stop()
-	}
-	if v.retry != nil {
-		v.retry.Stop()
-	}
+	v.ticker.Stop()
+	v.retry.Stop()
 }
 
 // Base exposes the validator core.
@@ -241,13 +243,8 @@ func (v *validator) panic() {
 		return
 	}
 	v.panicked = true
-	v.panickedAt = v.ctx.Now()
-	if v.ticker != nil {
-		v.ticker.Stop()
-	}
-	if v.retry != nil {
-		v.retry.Stop()
-	}
+	v.panickedAt = v.base.Ctx().Now()
+	v.Stop()
 }
 
 // Deliver implements simnet.Handler.
@@ -279,7 +276,7 @@ func (v *validator) Deliver(from simnet.NodeID, payload any) {
 
 // currentSlot derives the slot index from the PoH clock.
 func (v *validator) currentSlot() int {
-	return int(v.ctx.Now() / v.cfg.SlotDuration)
+	return int(v.base.Ctx().Now() / v.cfg.SlotDuration)
 }
 
 // epochOfSlot returns (epoch index, first slot, length) for a slot,
@@ -422,7 +419,7 @@ func (v *validator) forwardOne(tx chain.Tx) {
 		return
 	}
 	for _, leader := range v.upcomingLeaders() {
-		v.ctx.Send(leader, txForward{Tx: tx})
+		v.base.Ctx().Send(leader, txForward{Tx: tx})
 	}
 }
 
@@ -470,7 +467,7 @@ func (v *validator) forward() {
 	}
 	for _, leader := range v.upcomingLeaders() {
 		for _, tx := range batch {
-			v.ctx.Send(leader, txForward{Tx: tx})
+			v.base.Ctx().Send(leader, txForward{Tx: tx})
 		}
 	}
 }
@@ -520,7 +517,7 @@ func (v *validator) onVote(msg voteMsg) {
 		Proposer:  block.Leader,
 		Parent:    block.Parent,
 		Txs:       block.Txs,
-		DecidedAt: v.ctx.Now(),
+		DecidedAt: v.base.Ctx().Now(),
 	})
 	if msg.Slot > v.lastRootedSlot {
 		v.lastRootedSlot = msg.Slot

@@ -178,3 +178,41 @@ func TestSlowFaultTriggersEAHPanic(t *testing.T) {
 		t.Fatalf("Solana survived transient delays; last commit %v", res.LastCommitAt)
 	}
 }
+
+// TestRestartAfterEAHPanicStaysDown restarts a validator that hit the EAH
+// panic: it arms no ticker, so nothing fires, and it drops every delivery,
+// answering nothing and pooling nothing.
+func TestRestartAfterEAHPanicStaysDown(t *testing.T) {
+	sched := sim.New(5)
+	net := simnet.New(sched, simnet.Config{Latency: simnet.FixedLatency(time.Millisecond)})
+	v, ok := Default().NewValidator(0, []simnet.NodeID{0, 1}, chain.NewMonitor(), nil).(*validator)
+	if !ok {
+		t.Fatal("unexpected validator type")
+	}
+	net.AddNode(0, v)
+	net.AddNode(1, nopPeer{})
+	net.StartAll()
+	sched.RunUntil(2 * time.Second)
+	v.panic()
+	net.Halt(0)
+	net.Restart(0)
+	sched.RunUntil(5 * time.Second) // the first incarnation's fenced events drain
+	fired, sent := sched.Fired(), net.Stats().Sent
+	v.Deliver(1, chain.SubmitTx{Tx: chain.Tx{ID: chain.MakeTxID(0, 1), From: 1, To: 2, Amount: 1}})
+	v.Deliver(1, chain.SyncReq{From: 0})
+	v.Deliver(1, blockMsg{Slot: v.currentSlot(), Leader: 1})
+	v.Deliver(1, voteMsg{Slot: v.currentSlot(), Voter: 1})
+	sched.RunUntil(10 * time.Second)
+	if got := sched.Fired() - fired; got != 0 {
+		t.Errorf("%d events fired after the restart", got)
+	}
+	if got := net.Stats().Sent - sent; got != 0 {
+		t.Errorf("%d messages sent after the restart", got)
+	}
+	if v.base.Pool.Len() != 0 || len(v.blocks) != 0 {
+		t.Errorf("restarted panicked validator pooled %d transactions and %d banks", v.base.Pool.Len(), len(v.blocks))
+	}
+	if panicked, _ := v.Panicked(); !panicked {
+		t.Error("restart cleared the panic")
+	}
+}
