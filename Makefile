@@ -92,12 +92,12 @@ fuzz-smoke:
 
 # sim-digests replays scripts/sim_digests.txt: one stablbench run (-reps 1
 # -trace 0) per `<seed> <workload> key=value …` line — all five benchmark
-# workloads at seed 42, four at seed 7 — and fails naming each key that moved:
-# sim_digest or a simulated count that differs, or allocs_per_commit more
-# than 1 % off. It is the
-# "every simulated column identical" every host-side PR asserts, and the
-# allocation level the last perf PR set, as a gate (about a minute and a half;
-# see scripts/sim_digests.sh).
+# workloads at seeds 42 and 7 — and fails naming each key that moved:
+# sim_digest or a simulated count that differs, allocs_per_commit more than
+# 1 % off, or live_heap_mb more than 2 % off. It is the "every simulated
+# column identical" every host-side PR asserts, and the allocation and
+# retained-heap levels the last perf PRs set, as a gate (about a minute and a
+# half; see scripts/sim_digests.sh).
 sim-digests:
 	bash scripts/sim_digests.sh
 

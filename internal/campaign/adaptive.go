@@ -91,7 +91,7 @@ type family struct {
 	results []*CellResult
 	st      CheckpointStats
 
-	baseline *core.RunResult
+	baseline *core.Baseline
 	fp       *core.ForkPoint
 	exp      *core.Experiment
 	// rec instruments the whole family: it is part of the fork set, so
@@ -153,7 +153,7 @@ func (f *family) measure(cell Cell, fork bool) (res *CellResult) {
 			rec = metrics.NewRecorder(f.opts.MetricsInterval)
 			cfg.Metrics = rec
 		}
-		cmp, err = core.CompareWithBaseline(cfg, f.baseline)
+		cmp, err = f.baseline.Compare(cfg)
 	default:
 		if resumed {
 			f.st.Families++
@@ -161,7 +161,7 @@ func (f *family) measure(cell Cell, fork bool) (res *CellResult) {
 		} else {
 			sibling, terr := cfg.Timeline()
 			if terr != nil {
-				// What the member's own run reports (core.CompareWithBaseline).
+				// What the member's own run reports (core.Baseline.Compare).
 				res.Error = fmt.Sprintf("altered run: %v", terr)
 				return res
 			}
@@ -187,7 +187,7 @@ func (f *family) measure(cell Cell, fork bool) (res *CellResult) {
 // it, and clones the family recorder's state for this member.
 func (f *family) resume(cfg core.Config) (*core.Comparison, *metrics.Recorder, error) {
 	f.exp.RunUntil(f.exp.Config().Duration)
-	cmp, err := core.ScoreWithBaseline(cfg, f.baseline, f.exp.Collect())
+	cmp, err := f.baseline.Score(cfg, f.exp.Collect())
 	if err != nil || f.rec == nil {
 		return cmp, nil, err
 	}

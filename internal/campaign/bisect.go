@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"stabl/internal/core"
 	"stabl/internal/scenario"
 	"stabl/internal/search"
 )
@@ -120,7 +119,7 @@ func (f *family) shrink(cell Cell) (*search.ShrinkResult, error) {
 		if run.Scenario, err = cand.Build(); err != nil {
 			return false, err
 		}
-		cmp, err := core.CompareWithBaseline(run, f.baseline)
+		cmp, err := f.baseline.Compare(run)
 		if err != nil {
 			return false, err
 		}

@@ -119,7 +119,7 @@ func TestBisectProbesEqualGridCells(t *testing.T) {
 					if err != nil {
 						return false, err
 					}
-					cmp, err := core.CompareWithBaseline(cfg, baseline)
+					cmp, err := core.NewBaseline(baseline).Compare(cfg)
 					if err != nil {
 						return false, err
 					}

@@ -271,7 +271,7 @@ func scoreCell(res *CellResult, cell Cell, cmp *core.Comparison) {
 // baselineCache shares fault-free baseline runs across cells. Within one
 // campaign every cell uses the same deployment template, so the baseline is
 // fully determined by (system, seed, committee size, overlay): a grid of
-// dozens of fault cells pays for each baseline once instead of once per cell.
+// dozens of fault cells pays for each baseline (run and sort) once.
 // Committee size and overlay topology join the key because they change the
 // fault-free run itself, unlike the swept fault dimensions.
 type baselineCache struct {
@@ -288,7 +288,7 @@ type baselineKey struct {
 
 type baselineEntry struct {
 	once sync.Once
-	res  *core.RunResult
+	res  *core.Baseline
 	err  error
 }
 
@@ -296,7 +296,7 @@ func newBaselineCache() *baselineCache {
 	return &baselineCache{m: make(map[baselineKey]*baselineEntry)}
 }
 
-func (c *baselineCache) get(system string, seed int64, cfg core.Config) (*core.RunResult, error) {
+func (c *baselineCache) get(system string, seed int64, cfg core.Config) (*core.Baseline, error) {
 	key := baselineKey{system: system, seed: seed, committee: cfg.CommitteeSize, overlay: cfg.Overlay.Topology}
 	c.mu.Lock()
 	e := c.m[key]
@@ -313,7 +313,10 @@ func (c *baselineCache) get(system string, seed int64, cfg core.Config) (*core.R
 				e.err = fmt.Errorf("panic: %v", v)
 			}
 		}()
-		e.res, e.err = core.Run(core.BaselineConfig(cfg))
+		var run *core.RunResult
+		if run, e.err = core.Run(core.BaselineConfig(cfg)); e.err == nil {
+			e.res = core.NewBaseline(run)
+		}
 	})
 	if e.err != nil {
 		return nil, fmt.Errorf("baseline %s seed %d: %w", system, seed, e.err)

@@ -1,9 +1,6 @@
 package chain
 
-import (
-	"slices"
-	"sync"
-)
+import "slices"
 
 // The account table is one structure per chain, not per validator: every
 // replica executes the same decided blocks, so ledgers that applied the same
@@ -99,13 +96,13 @@ func (a *accounts) credit(addr Address, amount uint64) {
 }
 
 // Genesis is a deployment's starting state: the genesis account version every
-// validator's ledger starts from, the memo through which ledgers that apply
-// the same blocks share the versions those blocks produce, and the
+// validator's ledger starts from, the memo through which validators share the
+// blocks they seal and the versions those blocks produce (memo.go), and the
 // deployment's client count, which sizes a ledger's transaction table once.
 // core.Build makes one per experiment.
 type Genesis struct {
 	accounts *accounts
-	memo     *accountMemo
+	memo     *memo
 	clients  int
 }
 
@@ -119,94 +116,5 @@ func NewGenesis(accts []GenesisAccount, clients int) *Genesis {
 		a.credit(g.Addr, g.Balance)
 	}
 	a.freeze()
-	return &Genesis{accounts: a, memo: &accountMemo{}, clients: clients}
-}
-
-// memoHeights bounds the memo to the newest heights: a ledger further
-// behind recomputes privately, so no version outlives the ledgers that hold
-// it by more than this many blocks.
-const memoHeights = 8
-
-// accountMemo maps (parent version, sealed block hash) to the child version
-// that block produces from that parent, with the counts that depend on
-// balances. It is a pure memo, not Forkable state: a hit returns exactly what
-// executing the block would, so hits and misses never change a byte of
-// output. slots[h%memoHeights] holds the blocks of height h; two different
-// blocks at one height (a fork) are two entries.
-type accountMemo struct {
-	mu    sync.Mutex //stabl:nodet goroutine-purity -- pure memo shared by one run's validators in different partitions (SimWorkers); see lock
-	slots [memoHeights]memoSlot
-}
-
-type memoSlot struct {
-	height  int
-	entries []memoEntry
-}
-
-// memoEntry is one applied block. Duplicates are not counted here: a ledger
-// reads them from its own transaction table.
-type memoEntry struct {
-	parent   *accounts
-	block    Hash
-	child    *accounts
-	applied  int // executed transfers
-	unfunded int // transfers skipped for insufficient funds
-}
-
-// lock takes the memo's mutex and returns the memo, for
-// `defer m.lock().unlock()`.
-func (m *accountMemo) lock() *accountMemo {
-	m.mu.Lock() //stabl:nodet goroutine-purity -- pure memo: whichever ledger records a block's child first, every ledger reads identical balances
-	return m
-}
-
-func (m *accountMemo) unlock() {
-	m.mu.Unlock() //stabl:nodet goroutine-purity -- see lock
-}
-
-// lookup returns the entry for block at height applied to parent.
-func (m *accountMemo) lookup(parent *accounts, block Hash, height int) (memoEntry, bool) {
-	defer m.lock().unlock()
-	if s := &m.slots[height%memoHeights]; s.height == height {
-		for _, e := range s.entries {
-			if e.parent == parent && e.block == block {
-				return e, true
-			}
-		}
-	}
-	return memoEntry{}, false
-}
-
-// record offers e, a block at height whose child version e.child is private
-// to the caller, and returns the version the caller's ledger should hold: an
-// equal child another ledger recorded first, e.child frozen and recorded, or
-// e.child still private when height lags the memo's window.
-func (m *accountMemo) record(e memoEntry, height int) *accounts {
-	defer m.lock().unlock()
-	s := &m.slots[height%memoHeights]
-	switch {
-	case len(s.entries) > 0 && s.height > height:
-		return e.child
-	case s.height != height:
-		clear(s.entries)
-		s.height, s.entries = height, s.entries[:0]
-	}
-	for _, old := range s.entries {
-		if old.parent == e.parent && old.block == e.block {
-			return old.child
-		}
-	}
-	e.child.freeze()
-	s.entries = append(s.entries, e)
-	return e.child
-}
-
-// forget drops every entry. A rewound experiment replays heights the memo
-// has moved past; forgetting lets its ledgers share again.
-func (m *accountMemo) forget() {
-	if m == nil {
-		return
-	}
-	defer m.lock().unlock()
-	m.slots = [memoHeights]memoSlot{}
+	return &Genesis{accounts: a, memo: &memo{}, clients: clients}
 }

@@ -277,7 +277,7 @@ func (n *BaseNode) Subscribe(id TxID, client simnet.NodeID) {
 // SubmitBlock hands a decided block to the execution pipeline. Blocks apply
 // strictly in height order; duplicates and already-applied heights are
 // ignored. Out-of-order blocks wait for their predecessors (which catch-up
-// will fetch). This is where a validator hashes a block, once: the sealed
+// will fetch). An unsealed block is sealed here, through the memo; the sealed
 // copy serves TipHash, Ledger.Append, the monitor report and catch-up.
 func (n *BaseNode) SubmitBlock(b Block) {
 	if b.Height < n.Ledger.Height() {
@@ -286,7 +286,7 @@ func (n *BaseNode) SubmitBlock(b Block) {
 	if _, dup := n.pending[b.Height]; dup {
 		return
 	}
-	b.seal()
+	n.Ledger.memo.sealBlock(&b, nil, nil)
 	n.pending[b.Height] = b
 	for _, tx := range b.Txs {
 		*n.Ledger.txs.slot(tx.ID) |= txPipeline
@@ -301,13 +301,20 @@ func (n *BaseNode) InPipeline(id TxID) bool {
 	return n.Ledger.txs.state(id)&txPipeline != 0
 }
 
-// Merge returns the transactions of lists, each once, in first-sight order —
-// what a proposer merging overlapping proposal lists commits — in one array
-// of exactly that length. The first pass marks each transaction in the node's
-// own table (the cells SubmitBlock touches next) and counts the fresh ones;
-// the second appends each marked transaction and clears its mark, so no set
-// is built and no mark outlives the call. Pooled, in-pipeline and committed
-// transactions merge like any other.
+// MergeBlock returns header b sealed with Merge(lists) as its transactions,
+// for SubmitBlock next: through the memo, a deployment merges and hashes
+// each (header, lists) once, and its other validators share that block.
+func (n *BaseNode) MergeBlock(b Block, lists [][]Tx) Block {
+	n.Ledger.memo.sealBlock(&b, lists, n)
+	return b
+}
+
+// Merge returns the transactions of lists, each once, in first-sight order,
+// in one array of exactly that length. The first pass marks each
+// transaction in the node's own table (the cells SubmitBlock touches next)
+// and counts the fresh ones; the second appends each marked transaction and
+// clears its mark, so no set is built and no mark outlives the call. Pooled,
+// in-pipeline and committed transactions merge like any other.
 func (n *BaseNode) Merge(lists [][]Tx) []Tx {
 	t := &n.Ledger.txs
 	count := 0

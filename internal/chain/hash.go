@@ -28,8 +28,8 @@ const txHashBytes = 32
 // a slightly different instant, but all of them must agree on the block's
 // identity.
 //
-// HashBlock always reads the content; validators call it once per block (see
-// Block) and Ledger.VerifyChain checks that a carried hash still matches.
+// HashBlock always reads the content; a deployment calls it once per block
+// (see Block) and Ledger.VerifyChain checks that a carried hash still matches.
 func HashBlock(b Block) Hash {
 	h := sha256.New()
 	var buf [16 * txHashBytes]byte // flushed when full

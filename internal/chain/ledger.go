@@ -19,8 +19,8 @@ import (
 // The ledger is the node's persistent state: it survives crash/restart.
 type Ledger struct {
 	ledgerState
-	// memo is the deployment's shared version memo (nil: compute privately).
-	memo *accountMemo
+	// memo is the deployment's shared memo (nil: compute privately).
+	memo *memo
 	// VerifyParents enables hash-chain verification on Append (the
 	// harness enables it everywhere; tests may relax it).
 	VerifyParents bool
@@ -176,12 +176,8 @@ func (l *Ledger) Append(b Block) (int, error) {
 	// A shared version may have a child for this block already; a block
 	// that executes nothing leaves the version as it was.
 	shared := l.memo != nil && !l.accounts.private()
-	e, hit := memoEntry{parent: l.accounts, block: b.hash}, false
-	if shared {
-		if m, ok := l.memo.lookup(l.accounts, b.hash, b.Height); ok {
-			e, hit = m, true
-		}
-	}
+	e := memoEntry{parent: l.accounts, block: b.hash}
+	hit := shared && l.memo.version(&e, b.Height, false)
 	dups := 0
 	for _, tx := range b.Txs {
 		s := l.txs.slot(tx.ID)
@@ -214,7 +210,8 @@ func (l *Ledger) Append(b Block) (int, error) {
 		l.accounts = e.child
 	case shared:
 		e.child = l.accounts
-		l.accounts = l.memo.record(e, b.Height)
+		l.memo.version(&e, b.Height, true)
+		l.accounts = e.child
 	}
 	l.applied += uint64(e.applied)
 	l.skipped += uint64(dups + e.unfunded)

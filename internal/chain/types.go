@@ -66,11 +66,11 @@ type Tx struct {
 // of the previous block, making the committed history a hash chain that
 // every validator verifies on apply.
 //
-// A Block literal is unsealed. BaseNode.SubmitBlock seals its copy — hashes
-// it once — and the hash rides with that copy through the node's pipeline,
-// ledger and monitor report, and with the copies its ledger serves to
-// catching-up peers; an unsealed block reaching a ledger or the monitor is
-// hashed there. A sealed block must not be modified.
+// A Block literal is unsealed. BaseNode.SubmitBlock and MergeBlock seal it
+// through the deployment's memo, which hashes (and merges) it once for all
+// validators; the hash rides with the sealed copies through pipelines,
+// ledgers, monitor reports, messages and catch-up. An unsealed block reaching
+// a ledger or the monitor is hashed there. A sealed block must not be modified.
 type Block struct {
 	Height    int
 	Proposer  simnet.NodeID

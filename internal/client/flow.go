@@ -103,11 +103,13 @@ type FlowClient struct {
 type submitState struct {
 	ctx    *simnet.Context
 	ticker interface{ Stop() }
-	// window[i] is the transaction of ordinal head+i; answered[i*stride:]
-	// are its confirmation bits, by endpoint slot.
-	window   []pendingTx
-	answered []uint64
-	head     int
+	// window[i] is the transaction of ordinal head+i, answered[i*stride:] its
+	// confirmation bits by endpoint slot; *Arr hold their arrays (see push).
+	window      []pendingTx
+	answered    []uint64
+	windowArr   []pendingTx
+	answeredArr []uint64
+	head        int
 	// due lists the armed retries in arm order. RetryAfter is constant and
 	// events fire in time order, so at is non-decreasing along it: the due
 	// entries are a prefix. Every unfinished transaction still entitled to
@@ -266,12 +268,12 @@ func (c *FlowClient) accrue() {
 func (c *FlowClient) submitRound(now time.Duration) {
 	for range c.flow.Clients() {
 		tx := c.flow.Next(now)
-		c.window = append(c.window, pendingTx{tx: tx, left: int32(c.cfg.Fanout)})
+		c.window = push(c.window, &c.windowArr, pendingTx{tx: tx, left: int32(c.cfg.Fanout)})
 		if c.index(tx.ID) != len(c.window)-1 {
 			panic("client: flow emitted a transaction out of ordinal order")
 		}
 		for w := 0; w < c.stride; w++ {
-			c.answered = append(c.answered, 0)
+			c.answered = push(c.answered, &c.answeredArr, 0)
 		}
 		if c.cfg.RetryAfter > 0 {
 			c.due = append(c.due, dueEntry{id: tx.ID, at: now + c.cfg.RetryAfter})
@@ -327,9 +329,8 @@ func (c *FlowClient) checkRetries() {
 	for n < len(c.due) && c.due[n].at <= now {
 		n++
 	}
-	// The popped prefix is scratch from here on: re-arming appends past it.
+	// The popped prefix is scratch until the survivors move over it below.
 	batch := c.due[:n]
-	c.due = c.due[n:]
 	slices.SortFunc(batch, func(a, b dueEntry) int { return cmp.Compare(a.id, b.id) })
 	for _, e := range batch {
 		i := c.index(e.id)
@@ -344,6 +345,22 @@ func (c *FlowClient) checkRetries() {
 		}
 		c.send(i)
 	}
+	c.due = c.due[:copy(c.due, c.due[n:])]
+}
+
+// push appends v to q, the tail of a FIFO resliced off the array *arr starts.
+// When q fills the array and the consumed cells before it are at least as
+// many as its own, q first moves to the front, reusing the array.
+func push[T any](q []T, arr *[]T, v T) []T {
+	if len(q) < cap(q) {
+		return append(q, v)
+	}
+	if free := cap(*arr) - cap(q); free > 0 && free >= len(q) {
+		return append((*arr)[:copy((*arr)[:len(q)], q)], v)
+	}
+	q = append(q, v)
+	*arr = q[:0]
+	return q
 }
 
 // Clients returns how many clients this flow models.

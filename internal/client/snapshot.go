@@ -15,10 +15,11 @@ var (
 // copyInto copies the submission state — value-typed slices throughout —
 // reusing dst's storage.
 func (s *submitState) copyInto(dst *submitState) {
-	window, answered, due, latencies, completeAt := dst.window, dst.answered, dst.due, dst.latencies, dst.completeAt
+	window, answered, due, latencies, completeAt := dst.windowArr, dst.answeredArr, dst.due, dst.latencies, dst.completeAt
 	*dst = *s
 	dst.window = append(window[:0], s.window...)
 	dst.answered = append(answered[:0], s.answered...)
+	dst.windowArr, dst.answeredArr = dst.window[:0], dst.answered[:0]
 	dst.due = append(due[:0], s.due...)
 	dst.latencies = append(latencies[:0], s.latencies...)
 	dst.completeAt = append(completeAt[:0], s.completeAt...)

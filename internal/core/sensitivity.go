@@ -62,8 +62,7 @@ const (
 // BaselineConfig returns the fault-free counterpart of cfg: the same
 // deployment, no injected failure and the default single-endpoint client.
 // The baseline is independent of cfg.Fault, so campaigns compute it once per
-// (system, seed) and share it across every fault cell via
-// CompareWithBaseline.
+// (system, seed) and share it across every fault cell as a Baseline.
 func BaselineConfig(cfg Config) Config {
 	cfg = cfg.withDefaults()
 	cfg.Fault = FaultPlan{Kind: FaultNone}
@@ -97,14 +96,24 @@ func Compare(cfg Config) (*Comparison, error) {
 	if err != nil {
 		return nil, fmt.Errorf("baseline run: %w", err)
 	}
-	return CompareWithBaseline(cfg, baseline)
+	return NewBaseline(baseline).Compare(cfg)
 }
 
-// CompareWithBaseline runs only the altered environment described by
-// cfg.Fault or cfg.Scenario and scores it against a precomputed baseline
-// run, which must come from BaselineConfig(cfg) (same deployment, same
-// seed).
-func CompareWithBaseline(cfg Config, baseline *RunResult) (*Comparison, error) {
+// Baseline is a fault-free run to score altered runs against, its latencies
+// sorted once for all of them.
+type Baseline struct {
+	Result *RunResult
+	dist   stats.Dist
+}
+
+// NewBaseline prepares run, a BaselineConfig run of the configs it scores.
+func NewBaseline(run *RunResult) *Baseline {
+	return &Baseline{Result: run, dist: stats.NewDist(run.Latencies)}
+}
+
+// Compare runs only the altered environment described by cfg.Fault or
+// cfg.Scenario and scores it against the baseline.
+func (b *Baseline) Compare(cfg Config) (*Comparison, error) {
 	cfg = cfg.withDefaults()
 	if cfg.System == nil {
 		return nil, fmt.Errorf("core: config needs a System")
@@ -116,7 +125,7 @@ func CompareWithBaseline(cfg Config, baseline *RunResult) (*Comparison, error) {
 	if err != nil {
 		return nil, fmt.Errorf("altered run: %w", err)
 	}
-	return ScoreWithBaseline(cfg, baseline, altered)
+	return b.Score(cfg, altered)
 }
 
 // AlteredConfig returns the config of the altered run Compare would execute
@@ -137,12 +146,17 @@ func AlteredConfig(cfg Config) Config {
 	return cfg
 }
 
-// ScoreWithBaseline computes the sensitivity comparison from an
-// already-collected altered run. CompareWithBaseline is Run + this; adaptive
-// campaigns call it directly with results collected from forked
-// continuations.
+// ScoreWithBaseline is NewBaseline(baseline).Score(cfg, altered).
 func ScoreWithBaseline(cfg Config, baseline, altered *RunResult) (*Comparison, error) {
+	return NewBaseline(baseline).Score(cfg, altered)
+}
+
+// Score computes the sensitivity comparison from an already-collected altered
+// run. Compare is Run + this; adaptive campaigns call it directly with
+// results collected from forked continuations.
+func (b *Baseline) Score(cfg Config, altered *RunResult) (*Comparison, error) {
 	cfg = cfg.withDefaults()
+	baseline := b.Result
 	cmp := &Comparison{
 		System:   cfg.System.Name(),
 		Fault:    cfg.Fault,
@@ -152,7 +166,7 @@ func ScoreWithBaseline(cfg Config, baseline, altered *RunResult) (*Comparison, e
 	if cfg.Scenario != nil {
 		cmp.Scenario = cfg.Scenario.Name
 	}
-	cmp.Score = stats.Sensitivity(baseline.Latencies, altered.Latencies, SensitivityGridStep)
+	cmp.Score = stats.Sensitivity(b.dist, altered.Latencies, SensitivityGridStep)
 	if altered.LivenessLost {
 		cmp.Score.Infinite = true
 	}

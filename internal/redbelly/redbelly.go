@@ -475,7 +475,8 @@ func (v *validator) majorityEst(round, sub int) []simnet.NodeID {
 	return slices.Compact(est)
 }
 
-// decide assembles the superblock for the agreed proposer set and commits.
+// decide assembles the superblock for the agreed proposer set, commits it and
+// broadcasts it sealed.
 func (v *validator) decide(round int, est []simnet.NodeID) {
 	st := v.state(round)
 	if st.decided {
@@ -533,7 +534,6 @@ func (v *validator) assemble(round int, est []simnet.NodeID, st *roundState) cha
 	for _, p := range include {
 		lists = append(lists, st.proposals[p])
 	}
-	txs := v.base.Merge(lists)
 	// A superblock has no single proposer; every assembling node must
 	// produce a bit-identical block, so the field is set deterministically
 	// to the first included proposer (or the round's weak coordinator for
@@ -542,13 +542,12 @@ func (v *validator) assemble(round int, est []simnet.NodeID, st *roundState) cha
 	if len(include) > 0 {
 		proposer = include[0]
 	}
-	return chain.Block{
+	return v.base.MergeBlock(chain.Block{
 		Height:    round,
 		Proposer:  proposer,
 		Parent:    v.base.TipHash(),
-		Txs:       txs,
 		DecidedAt: v.base.Ctx().Now(),
-	}
+	}, lists)
 }
 
 func (v *validator) onDecide(msg decideMsg) {

@@ -185,7 +185,7 @@ func TestShrinkSizesAllByCoresPool(t *testing.T) {
 		if cfg.Scenario, err = cand.Build(); err != nil {
 			return false, err
 		}
-		cmp, err := core.CompareWithBaseline(cfg, baseline)
+		cmp, err := core.NewBaseline(baseline).Compare(cfg)
 		if err != nil {
 			return false, err
 		}

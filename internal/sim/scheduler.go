@@ -54,7 +54,8 @@ type Scheduler struct {
 	// that partition events may touch concurrently (a restarted node
 	// re-deriving its RNG streams).
 	regMu sync.Mutex
-	// streams is the block RNGFromSeed carves new streams from.
+	// streams is the block RNGFromSeed carves new streams from; Restore
+	// drops it, so the next stream opens a block and a registry entry.
 	//stabl:nodet snapshot-fields -- allocation cursor that only moves forward: the registered sources are the state, and no slot is handed out twice
 	streams []stream
 
@@ -71,8 +72,9 @@ type schedState struct {
 	// Checkpoint registries (see Snapshot): every RNG stream and ticker
 	// ever issued, in creation order. Creation is deterministic, so a
 	// forked continuation and the from-scratch run it mirrors build
-	// identical registries. The objects are identity-preserved.
-	sources []*countingSource
+	// identical registries. The objects are identity-preserved; sources
+	// holds each block of streams, the last one being carved.
+	sources []streamBlock
 	tickers []*Ticker
 }
 
@@ -504,6 +506,12 @@ type stream struct {
 	rng rand.Rand
 }
 
+// streamBlock is a block of streams and how many of them are registered.
+type streamBlock struct {
+	streams *[64]stream
+	n       int
+}
+
 // RNGFromSeed returns a fresh registered stream for an already-derived seed
 // (see RNGSeed). Callers that build the name themselves (simnet) use it so
 // their streams still participate in Snapshot/Restore.
@@ -512,12 +520,13 @@ func (s *Scheduler) RNGFromSeed(seed int64) *rand.Rand {
 	defer s.regMu.Unlock()
 	if len(s.streams) == cap(s.streams) {
 		s.streams = make([]stream, 0, 64)
+		s.sources = append(s.sources, streamBlock{streams: (*[64]stream)(s.streams[:64])})
 	}
 	s.streams = s.streams[:len(s.streams)+1]
+	s.sources[len(s.sources)-1].n++
 	st := &s.streams[len(s.streams)-1]
 	st.src = countingSource{seed: seed, state: uint64(seed)}
 	st.rng = *rand.New(&st.src)
-	s.sources = append(s.sources, &st.src)
 	return &st.rng
 }
 

@@ -83,7 +83,7 @@ func (s *schedState) clone() schedState {
 }
 
 // schedCheck is the Scheduler's checkpoint: its own state, the root queue's,
-// and the contents behind the two registries (parallel to them). Entries
+// and the contents behind the two registries, in registry order. Entries
 // registered after the checkpoint belong to objects the restore abandons, so
 // restoring the registry slices truncates exactly. Checkpoints capture the
 // sequential kernel only (one queue); the forking API falls back to
@@ -104,12 +104,14 @@ func (s *Scheduler) Snapshot() snapshot.State {
 	}
 	st := &schedCheck{
 		schedState: s.schedState.clone(),
-		sources:    make([]countingSource, len(s.sources)),
+		sources:    make([]countingSource, 0, 64*len(s.sources)), // a block holds 64 streams at most
 		tickers:    make([]tickerState, len(s.tickers)),
 	}
 	s.qs[0].queueState.copyInto(&st.queue)
-	for i, src := range s.sources {
-		st.sources[i] = *src
+	for _, b := range s.sources {
+		for i := range b.n {
+			st.sources = append(st.sources, b.streams[i].src)
+		}
 	}
 	for i, t := range s.tickers {
 		st.tickers[i] = t.tickerState
@@ -130,9 +132,13 @@ func (s *Scheduler) Restore(state snapshot.State) {
 		panic("sim: Restore requires the sequential kernel")
 	}
 	s.schedState = st.schedState.clone()
+	s.streams = nil
 	st.queue.copyInto(&s.qs[0].queueState)
-	for i, src := range s.sources {
-		*src = st.sources[i]
+	next := st.sources
+	for _, b := range s.sources {
+		for i := range b.n {
+			b.streams[i].src, next = next[0], next[1:]
+		}
 	}
 	for i, t := range s.tickers {
 		t.tickerState = st.tickers[i]

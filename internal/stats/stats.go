@@ -158,8 +158,9 @@ func (s Score) String() string {
 	return fmt.Sprintf("%.2f", s.Value)
 }
 
-// Sensitivity computes the STABL sensitivity score between a baseline and an
-// altered latency sample set, on a grid of the given step (same unit as the
+// Sensitivity computes the STABL sensitivity score between a baseline
+// distribution, sorted once for every set scored against it, and an altered
+// latency sample set, on a grid of the given step (same unit as the
 // samples). An empty altered sample set yields an infinite score.
 //
 // The score is the absolute difference of the areas under the two eCDFs
@@ -169,12 +170,11 @@ func (s Score) String() string {
 // hypersensitive to a single outlier, contradicting the paper's stated
 // outlier-resilience property; the common-grid area difference satisfies
 // all four properties listed in §3.
-func Sensitivity(baseline, altered []float64, step float64) Score {
+func Sensitivity(baseline Dist, altered []float64, step float64) Score {
 	if len(altered) == 0 {
 		return Score{Infinite: true}
 	}
-	d1 := NewDist(baseline)
-	d2 := NewDist(altered)
+	d1, d2 := baseline, NewDist(altered)
 	b := math.Max(d1.Max(), d2.Max())
 	s1 := d1.SuperCumulativeAt(b, step)
 	s2 := d2.SuperCumulativeAt(b, step)

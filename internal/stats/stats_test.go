@@ -71,7 +71,7 @@ func TestSuperCumulativeHandComputed(t *testing.T) {
 
 func TestSensitivityIdenticalDistributionsIsZero(t *testing.T) {
 	samples := []float64{1, 2, 3, 4, 5}
-	s := Sensitivity(samples, samples, 1)
+	s := Sensitivity(NewDist(samples), samples, 1)
 	if s.Infinite || s.Value != 0 || s.Benefit {
 		t.Fatalf("score = %+v", s)
 	}
@@ -80,7 +80,7 @@ func TestSensitivityIdenticalDistributionsIsZero(t *testing.T) {
 func TestSensitivityWorseLatenciesPositiveNoBenefit(t *testing.T) {
 	base := []float64{1, 1, 2, 2}
 	altered := []float64{5, 6, 7, 8}
-	s := Sensitivity(base, altered, 1)
+	s := Sensitivity(NewDist(base), altered, 1)
 	if s.Infinite {
 		t.Fatal("finite case marked infinite")
 	}
@@ -94,7 +94,7 @@ func TestSensitivityWorseLatenciesPositiveNoBenefit(t *testing.T) {
 }
 
 func TestSensitivityEmptyAlteredIsInfinite(t *testing.T) {
-	s := Sensitivity([]float64{1, 2}, nil, 1)
+	s := Sensitivity(NewDist([]float64{1, 2}), nil, 1)
 	if !s.Infinite {
 		t.Fatal("empty altered should be infinite")
 	}
@@ -115,8 +115,8 @@ func TestSensitivityOutlierResilience(t *testing.T) {
 	for i := range shifted {
 		shifted[i] = 10 // every sample worse
 	}
-	outlierScore := Sensitivity(base, withOutlier, 1).Value
-	shiftScore := Sensitivity(base, shifted, 1).Value
+	outlierScore := Sensitivity(NewDist(base), withOutlier, 1).Value
+	shiftScore := Sensitivity(NewDist(base), shifted, 1).Value
 	if outlierScore >= shiftScore {
 		t.Fatalf("outlier score %v >= full shift score %v; metric should resist outliers",
 			outlierScore, shiftScore)
@@ -138,7 +138,7 @@ func TestPropertySensitivityNonNegativeAndPermutationInvariant(t *testing.T) {
 		for i, v := range b {
 			alt[i] = float64(v%50) + 1
 		}
-		s := Sensitivity(base, alt, 1)
+		s := Sensitivity(NewDist(base), alt, 1)
 		if s.Value < 0 || s.Infinite {
 			return false
 		}
@@ -148,7 +148,7 @@ func TestPropertySensitivityNonNegativeAndPermutationInvariant(t *testing.T) {
 			j := (i * 7) % (i + 1)
 			perm[i], perm[j] = perm[j], perm[i]
 		}
-		s2 := Sensitivity(perm, alt, 1)
+		s2 := Sensitivity(NewDist(perm), alt, 1)
 		return math.Abs(s.Value-s2.Value) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -171,8 +171,8 @@ func TestPropertySensitivitySymmetry(t *testing.T) {
 		for i, v := range b {
 			alt[i] = float64(v) + 1
 		}
-		s1 := Sensitivity(base, alt, 1)
-		s2 := Sensitivity(alt, base, 1)
+		s1 := Sensitivity(NewDist(base), alt, 1)
+		s2 := Sensitivity(NewDist(alt), base, 1)
 		return math.Abs(s1.Value-s2.Value) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -12,8 +12,8 @@
 # and reads every `<key> <value>` pair the report prints: sim_digest's first
 # 16 hex digits, the counts on its `simulated` lines and the end-to-end
 # metrics. Each key must match exactly, except allocs_per_commit within 1 %
-# either way. Every key that moved is printed by name; a moved key, a failed
-# run or a missing value fails the script.
+# and live_heap_mb within 2 %, either way. Every key that moved is printed by
+# name; a moved key, a failed run or a missing value fails the script.
 set -euo pipefail
 
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -38,9 +38,14 @@ while read -r seed workload expect; do
 	for pair in $expect; do
 		key=${pair%%=*} want=${pair#*=}
 		got=$(awk -v k="$key" '$1 == k { print $2; exit }' "$tmp/got")
-		if [ "$key" = allocs_per_commit ]; then
-			awk -v got="$got" -v want="$want" 'BEGIN { d = got - want; if (d < 0) d = -d; exit !(got != "" && want > 0 && d <= 0.01 * want) }' && continue
-			want="$want within 1 %"
+		case $key in
+		allocs_per_commit) pct=1 ;;
+		live_heap_mb) pct=2 ;;
+		*) pct= ;;
+		esac
+		if [ -n "$pct" ]; then
+			awk -v got="$got" -v want="$want" -v pct="$pct" 'BEGIN { d = got - want; if (d < 0) d = -d; exit !(got != "" && want > 0 && d <= pct / 100 * want) }' && continue
+			want="$want within $pct %"
 		elif [ "$got" = "$want" ]; then
 			continue
 		fi

@@ -274,7 +274,7 @@ func Compare(cfg Config) (*Comparison, error) { return core.Compare(cfg) }
 // Sensitivity computes the paper's sensitivity score between two latency
 // sample sets (seconds), on the harness's default grid.
 func Sensitivity(baseline, altered []float64) Score {
-	return stats.Sensitivity(baseline, altered, core.SensitivityGridStep)
+	return stats.Sensitivity(stats.NewDist(baseline), altered, core.SensitivityGridStep)
 }
 
 // Constructors for the five evaluated blockchains, with the
