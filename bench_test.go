@@ -15,6 +15,7 @@ package stabl
 // Absolute metric values are compared against the paper in EXPERIMENTS.md.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -38,16 +39,34 @@ func paperCfg(seed int64) Config {
 	return Config{Seed: seed, Duration: 400 * time.Second}
 }
 
-// reportScores publishes one metric per system for a Fig 3 panel.
-func reportScores(b *testing.B, cmps []*Comparison) {
-	b.Helper()
-	for _, cmp := range cmps {
-		v := cmp.Score.Value
-		if cmp.Score.Infinite {
-			v = -1
-		}
-		b.ReportMetric(v, "score_"+cmp.System)
+// paperSuite runs the preset the figure verbs run: the paper suite over the
+// five chains at cfg's seed and deployment, one shared baseline per chain,
+// under the given faults (all four, as fig7, when none are given). It
+// returns the cells in campaign order, chain by chain, and fails tb on any
+// failed cell.
+func paperSuite(tb testing.TB, cfg Config, faults ...FaultKind) []*CampaignCell {
+	tb.Helper()
+	spec := CampaignSpec{Seeds: []int64{cfg.Seed}, Base: Spec{DurationSec: cfg.Duration.Seconds()}}
+	for _, sys := range Systems() {
+		spec.Systems = append(spec.Systems, sys.Name())
 	}
+	if f := cfg.Fault; f.InjectAt > 0 {
+		spec.InjectSecs = []float64{f.InjectAt.Seconds()}
+		spec.OutageSecs = []float64{(f.RecoverAt - f.InjectAt).Seconds()}
+	}
+	for _, kind := range faults {
+		spec.Faults = append(spec.Faults, kind.String())
+	}
+	res, err := RunPaperSuite(context.Background(), spec, CampaignOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, c := range res.Cells {
+		if c.Error != "" {
+			tb.Fatalf("%s: %s", c.Cell, c.Error)
+		}
+	}
+	return res.Cells
 }
 
 // BenchmarkFig1AptosECDF regenerates Fig 1: the baseline and altered latency
@@ -61,56 +80,6 @@ func BenchmarkFig1AptosECDF(b *testing.B) {
 		}
 		b.ReportMetric(fig.Score.Value, "score_Aptos")
 		b.ReportMetric(float64(len(fig.Baseline)), "curve_points")
-	}
-}
-
-// BenchmarkFig3aCrashSensitivity regenerates Fig 3a: sensitivity of the five
-// chains to f = t permanent crashes.
-func BenchmarkFig3aCrashSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cmps, err := Fig3a(paperCfg(42))
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportScores(b, cmps)
-	}
-}
-
-// BenchmarkFig3bTransientSensitivity regenerates Fig 3b: sensitivity to
-// f = t+1 transient node failures (Avalanche and Solana score infinite,
-// reported as -1).
-func BenchmarkFig3bTransientSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cmps, err := Fig3b(paperCfg(42))
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportScores(b, cmps)
-	}
-}
-
-// BenchmarkFig3cPartitionSensitivity regenerates Fig 3c: sensitivity to a
-// transient partition of f = t+1 nodes.
-func BenchmarkFig3cPartitionSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cmps, err := Fig3c(paperCfg(42))
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportScores(b, cmps)
-	}
-}
-
-// BenchmarkFig3dByzantineSensitivity regenerates Fig 3d: sensitivity to the
-// secure client that submits to t+1 validators (redundancy benefits are
-// reported with their magnitude; see the figure runners for the sign).
-func BenchmarkFig3dByzantineSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cmps, err := Fig3d(paperCfg(42))
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportScores(b, cmps)
 	}
 }
 
@@ -144,12 +113,12 @@ func BenchmarkFig5TransientThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, r := range RecoveryTimes(cmps) {
+		for _, cmp := range cmps {
 			v := -1.0
-			if r.Recovered {
-				v = r.Delay.Seconds()
+			if cmp.Recovered {
+				v = cmp.RecoveryTime.Seconds()
 			}
-			b.ReportMetric(v, "recovery_s_"+r.System)
+			b.ReportMetric(v, "recovery_s_"+cmp.System)
 		}
 	}
 }
@@ -162,33 +131,36 @@ func BenchmarkFig6PartitionThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, r := range RecoveryTimes(cmps) {
+		for _, cmp := range cmps {
 			v := -1.0
-			if r.Recovered {
-				v = r.Delay.Seconds()
+			if cmp.Recovered {
+				v = cmp.RecoveryTime.Seconds()
 			}
-			b.ReportMetric(v, "recovery_s_"+r.System)
+			b.ReportMetric(v, "recovery_s_"+cmp.System)
 		}
 	}
 }
 
-// BenchmarkFig7Radar regenerates the full Fig 7 matrix (20 comparisons, 40
-// runs) and reports the number of infinite cells — the paper's headline:
-// exactly four (Avalanche and Solana under transient failures and
+// BenchmarkFig7Matrix regenerates the paper's fault matrix through the fig7
+// preset (20 cells, 25 runs: one shared baseline per chain). Figs 3a-3d are
+// its columns: it reports each panel's scores as "fig3a_score_<system>" …
+// "fig3d_score_<system>", and the number of infinite cells — the paper's
+// headline: exactly four (Avalanche and Solana under transient failures and
 // partitions).
-func BenchmarkFig7Radar(b *testing.B) {
+func BenchmarkFig7Matrix(b *testing.B) {
+	panel := map[string]string{
+		FaultCrash.String(): "fig3a", FaultTransient.String(): "fig3b",
+		FaultPartition.String(): "fig3c", FaultSecureClient.String(): "fig3d",
+	}
 	for i := 0; i < b.N; i++ {
-		radar, err := Fig7(paperCfg(42))
-		if err != nil {
-			b.Fatal(err)
-		}
 		infinite := 0
-		for _, row := range radar.Cells {
-			for _, cmp := range row {
-				if cmp.Score.Infinite {
-					infinite++
-				}
+		for _, c := range paperSuite(b, paperCfg(42)) {
+			v := c.Score
+			if c.Infinite {
+				v = -1
+				infinite++
 			}
+			b.ReportMetric(v, panel[c.Fault]+"_score_"+c.System)
 		}
 		b.ReportMetric(float64(infinite), "infinite_cells")
 	}

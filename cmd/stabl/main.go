@@ -67,13 +67,13 @@ const (
 
 var commands = []command{
 	{"fig1", "Fig 1: Aptos latency eCDFs, baseline vs f=t crashes", "", deployment + " svg", fig1},
-	{"fig3a", "Fig 3a: sensitivity to f=t crashes", "", deployment + " svg", plot(stabl.Fig3a, sensitivity)},
-	{"fig3b", "Fig 3b: sensitivity to f=t+1 transient failures", "", deployment + " svg", plot(stabl.Fig3b, sensitivity)},
-	{"fig3c", "Fig 3c: sensitivity to an f=t+1 partition", "", deployment + " svg", plot(stabl.Fig3c, sensitivity)},
-	{"fig3d", "Fig 3d: sensitivity to the secure client (t+1 endpoints)", "", deployment + " svg", plot(stabl.Fig3d, sensitivity)},
-	{"fig4", "Fig 4: throughput over time under f=t crashes", "", deployment + " svg bucket", plot(stabl.Fig4, throughput)},
-	{"fig5", "Fig 5: throughput over time under f=t+1 transient failures", "", deployment + " svg bucket", plot(stabl.Fig5, throughput)},
-	{"fig6", "Fig 6: throughput over time under an f=t+1 partition", "", deployment + " svg bucket", plot(stabl.Fig6, throughput)},
+	{"fig3a", "Fig 3a: sensitivity to f=t crashes", "", deployment + " svg", panel(stabl.FaultCrash)},
+	{"fig3b", "Fig 3b: sensitivity to f=t+1 transient failures", "", deployment + " svg", panel(stabl.FaultTransient)},
+	{"fig3c", "Fig 3c: sensitivity to an f=t+1 partition", "", deployment + " svg", panel(stabl.FaultPartition)},
+	{"fig3d", "Fig 3d: sensitivity to the secure client (t+1 endpoints)", "", deployment + " svg", panel(stabl.FaultSecureClient)},
+	{"fig4", "Fig 4: throughput over time under f=t crashes", "", deployment + " svg bucket", throughput(stabl.Fig4)},
+	{"fig5", "Fig 5: throughput over time under f=t+1 transient failures", "", deployment + " svg bucket", throughput(stabl.Fig5)},
+	{"fig6", "Fig 6: throughput over time under an f=t+1 partition", "", deployment + " svg bucket", throughput(stabl.Fig6)},
 	{"fig7", "Fig 7: the full sensitivity matrix", "", deployment, fig7},
 	{"recovery", "recovery times after transient failures and partitions", "", deployment, recovery},
 	{"suite", "multi-seed sweep over all systems and faults", "", deployment + " json workers", suite},
@@ -295,58 +295,92 @@ func fig1(c *cli, cfg stabl.Config) error {
 	return writeFiles(c.svgDir, "fig1.svg", fig.SVG())
 }
 
-type figure = func(stabl.Config) ([]*stabl.Comparison, error)
+// panel draws a Fig 3 panel, titled by its command's summary: one score per
+// chain under the panel's fault.
+func panel(kind stabl.FaultKind) func(*cli, stabl.Config) error {
+	return func(c *cli, cfg stabl.Config) error {
+		cells, err := c.paperCells(cfg, kind)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(c.out, stabl.RenderFig3(c.cmd.summary, cells))
+		return writeFiles(c.svgDir, c.cmd.name+".svg", stabl.Fig3SVG(c.cmd.summary, cells))
+	}
+}
 
-// plot runs a figure's comparisons and hands them to draw.
-func plot(runner figure, draw func(c *cli, cmps []*stabl.Comparison) error) func(*cli, stabl.Config) error {
+// throughput draws one of Figs 4–6: each chain's throughput over time.
+func throughput(runner func(stabl.Config) ([]*stabl.Comparison, error)) func(*cli, stabl.Config) error {
 	return func(c *cli, cfg stabl.Config) error {
 		cmps, err := runner(cfg)
 		if err != nil {
 			return err
 		}
-		return draw(c, cmps)
-	}
-}
-
-// sensitivity draws a Fig 3 panel, titled by its command's summary: one
-// score per chain under the panel's fault.
-func sensitivity(c *cli, cmps []*stabl.Comparison) error {
-	fmt.Fprint(c.out, stabl.RenderFig3(c.cmd.summary, cmps))
-	return writeFiles(c.svgDir, c.cmd.name+".svg", stabl.Fig3SVG(c.cmd.summary, cmps))
-}
-
-// throughput draws one of Figs 4–6: each chain's throughput over time.
-func throughput(c *cli, cmps []*stabl.Comparison) error {
-	for _, cmp := range cmps {
-		fmt.Fprintln(c.out, stabl.RenderThroughput(cmp, c.bucket))
-		if err := writeFiles(c.svgDir, fmt.Sprintf("%s-%s.svg", c.cmd.name, cmp.System), stabl.ThroughputSVG(cmp, 5*time.Second)); err != nil {
-			return err
+		for _, cmp := range cmps {
+			fmt.Fprintln(c.out, stabl.RenderThroughput(cmp, c.bucket))
+			if err := writeFiles(c.svgDir, fmt.Sprintf("%s-%s.svg", c.cmd.name, cmp.System), stabl.ThroughputSVG(cmp, 5*time.Second)); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	return nil
 }
 
 func fig7(c *cli, cfg stabl.Config) error {
-	radar, err := stabl.Fig7(cfg)
+	cells, err := c.paperCells(cfg, stabl.FaultCrash, stabl.FaultTransient, stabl.FaultPartition, stabl.FaultSecureClient)
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(c.out, "Fig 7: sensitivity matrix\n", stabl.RenderRadar(radar))
+	fmt.Fprint(c.out, "Fig 7: sensitivity matrix\n", stabl.RenderRadar(cells))
 	return nil
 }
 
 func recovery(c *cli, cfg stabl.Config) error {
-	for _, runner := range []figure{stabl.Fig5, stabl.Fig6} {
-		cmps, err := runner(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(c.out, stabl.RenderRecovery(stabl.RecoveryTimes(cmps)))
+	cells, err := c.paperCells(cfg, stabl.FaultTransient, stabl.FaultPartition)
+	if err != nil {
+		return err
 	}
+	fmt.Fprint(c.out, stabl.RenderRecovery(cells))
 	return nil
 }
 
-// preset is the campaign the suite and search verbs run: the flags'
+// paperCells runs the figure verbs' preset: the paper suite over the five
+// chains at -seed under the given faults, one shared baseline per chain. It
+// returns the cells fault by fault, each fault's in chain order; a failed
+// cell fails the command.
+func (c *cli) paperCells(cfg stabl.Config, faults ...stabl.FaultKind) ([]*stabl.CampaignCell, error) {
+	spec := c.preset(systemNames(), cfg.Seed)
+	for _, kind := range faults {
+		spec.Faults = append(spec.Faults, kind.String())
+	}
+	res, err := stabl.RunPaperSuite(context.Background(), spec, stabl.CampaignOptions{})
+	if err != nil {
+		return nil, err
+	}
+	var cells []*stabl.CampaignCell
+	for _, fault := range spec.Faults {
+		for _, cell := range res.Cells {
+			if cell.Fault != fault {
+				continue
+			}
+			if cell.Error != "" {
+				return nil, fmt.Errorf("%s/%s: %s", cell.System, cell.Fault, cell.Error)
+			}
+			cells = append(cells, cell)
+		}
+	}
+	return cells, nil
+}
+
+// systemNames lists the five chains, in the paper's order.
+func systemNames() []string {
+	var names []string
+	for _, sys := range stabl.Systems() {
+		names = append(names, sys.Name())
+	}
+	return names
+}
+
+// preset is the campaign the figure, suite and search verbs run: the flags'
 // deployment as its template, swept over the given systems and seeds, with
 // -inject's instant and the outage up to -recover.
 func (c *cli) preset(systems []string, seeds ...int64) stabl.CampaignSpec {
@@ -358,11 +392,7 @@ func (c *cli) preset(systems []string, seeds ...int64) stabl.CampaignSpec {
 // suite runs the paper suite over the five chains and three seeds from
 // -seed, and prints every seed's score, then each point's min/median/max.
 func suite(c *cli, cfg stabl.Config) error {
-	var systems []string
-	for _, sys := range stabl.Systems() {
-		systems = append(systems, sys.Name())
-	}
-	spec := c.preset(systems, cfg.Seed, cfg.Seed+1, cfg.Seed+2)
+	spec := c.preset(systemNames(), cfg.Seed, cfg.Seed+1, cfg.Seed+2)
 	res, err := stabl.RunPaperSuite(context.Background(), spec, stabl.CampaignOptions{Workers: c.workers})
 	if err != nil {
 		return err

@@ -108,6 +108,21 @@ func TestCLIFig3aWritesSVG(t *testing.T) {
 	}
 }
 
+// TestCLIFigureFailsOnFailedCell: on four validators that each serve a
+// client, the paper's t+1 transient nodes have no fault-eligible node to
+// land on, so every cell of fig3b fails; the command prints no panel and its
+// error names the first failed cell's system and fault.
+func TestCLIFigureFailsOnFailedCell(t *testing.T) {
+	var buf strings.Builder
+	err := run(append([]string{"fig3b", "-validators", "4", "-clients", "4"}, fastArgs...), &buf)
+	if err == nil || !strings.HasPrefix(err.Error(), "Algorand/transient: ") || !strings.Contains(err.Error(), "faulty nodes") {
+		t.Fatalf("error = %v, want Algorand/transient's failed cell", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("a failed figure printed:\n%s", buf.String())
+	}
+}
+
 // TestCLIUnknownCommand: a verb the CLI does not have — the retired bench
 // verb included — is refused by name, and -help lists none of its flags.
 func TestCLIUnknownCommand(t *testing.T) {

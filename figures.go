@@ -2,17 +2,19 @@ package stabl
 
 import (
 	"fmt"
-	"time"
 
 	"stabl/internal/core"
 	"stabl/internal/stats"
 )
 
-// The figure runners regenerate the paper's evaluation artifacts. Each takes
-// a Config whose System field is ignored (the runner supplies the systems)
-// and whose zero value reproduces the paper's deployment: 10 validators,
-// 5 clients at 40 tx/s, 400 virtual seconds, faults at 133 s, recovery at
-// 266 s.
+// The figure runners regenerate the paper's per-run evaluation artifacts:
+// the latency eCDFs of Fig 1 and the throughput series of Figs 4-6. Each
+// takes a Config whose System field is ignored (the runner supplies the
+// systems) and whose zero value reproduces the paper's deployment: 10
+// validators, 5 clients at 40 tx/s, 400 virtual seconds, faults at 133 s,
+// recovery at 266 s. The scores of Figs 3a-3d and 7 and the recovery times
+// are the paper suite's cells (RunPaperSuite), which share one baseline per
+// chain; RenderFig3, RenderRadar and RenderRecovery draw them.
 
 // ECDFFigure is the paper's Fig 1: the latency eCDFs of a baseline and an
 // altered run of one system, whose area difference is the sensitivity.
@@ -40,10 +42,9 @@ func Fig1(cfg Config) (*ECDFFigure, error) {
 	}, nil
 }
 
-// Fig3 reproduces one panel of Fig 3: the sensitivity of all five
-// blockchains to the given fault kind (crash for 3a, transient for 3b,
-// partition for 3c, secure client for 3d).
-func Fig3(cfg Config, kind FaultKind) ([]*Comparison, error) {
+// compareAll compares all five blockchains under one fault kind, keeping
+// the per-run series (throughput, latencies) that Figs 4-6 plot.
+func compareAll(cfg Config, kind FaultKind) ([]*Comparison, error) {
 	out := make([]*Comparison, 0, 5)
 	for _, sys := range Systems() {
 		c := cfg
@@ -58,86 +59,16 @@ func Fig3(cfg Config, kind FaultKind) ([]*Comparison, error) {
 	return out, nil
 }
 
-// Fig3a reproduces Fig 3a: sensitivity to f = t permanent crashes.
-func Fig3a(cfg Config) ([]*Comparison, error) { return Fig3(cfg, FaultCrash) }
-
-// Fig3b reproduces Fig 3b: sensitivity to f = t+1 transient node failures.
-func Fig3b(cfg Config) ([]*Comparison, error) { return Fig3(cfg, FaultTransient) }
-
-// Fig3c reproduces Fig 3c: sensitivity to a transient partition of f = t+1
-// nodes.
-func Fig3c(cfg Config) ([]*Comparison, error) { return Fig3(cfg, FaultPartition) }
-
-// Fig3d reproduces Fig 3d: sensitivity to the secure client submitting every
-// transaction to t+1 validators.
-func Fig3d(cfg Config) ([]*Comparison, error) { return Fig3(cfg, FaultSecureClient) }
-
 // Fig4 reproduces Fig 4: throughput over time of the five blockchains as
 // f = t nodes crash at the injection time. The returned comparisons carry
 // the baseline and altered series in Baseline.Throughput and
 // Altered.Throughput.
-func Fig4(cfg Config) ([]*Comparison, error) { return Fig3(cfg, FaultCrash) }
+func Fig4(cfg Config) ([]*Comparison, error) { return compareAll(cfg, FaultCrash) }
 
 // Fig5 reproduces Fig 5: throughput over time as f = t+1 nodes stop and are
 // later restarted.
-func Fig5(cfg Config) ([]*Comparison, error) { return Fig3(cfg, FaultTransient) }
+func Fig5(cfg Config) ([]*Comparison, error) { return compareAll(cfg, FaultTransient) }
 
 // Fig6 reproduces Fig 6: throughput over time as f = t+1 nodes are
 // partitioned and later healed.
-func Fig6(cfg Config) ([]*Comparison, error) { return Fig3(cfg, FaultPartition) }
-
-// Radar is the paper's Fig 7: every sensitivity score measured, by system
-// and fault kind.
-type Radar struct {
-	Order []string
-	Kinds []FaultKind
-	Cells map[string]map[FaultKind]*Comparison
-}
-
-// Fig7 reproduces Fig 7 by running the full fault matrix (20 comparisons, 40
-// runs). This is the most expensive runner.
-func Fig7(cfg Config) (*Radar, error) {
-	r := &Radar{
-		Kinds: []FaultKind{FaultCrash, FaultTransient, FaultPartition, FaultSecureClient},
-		Cells: make(map[string]map[FaultKind]*Comparison),
-	}
-	for _, kind := range r.Kinds {
-		cmps, err := Fig3(cfg, kind)
-		if err != nil {
-			return nil, err
-		}
-		for _, cmp := range cmps {
-			if _, ok := r.Cells[cmp.System]; !ok {
-				r.Order = append(r.Order, cmp.System)
-				r.Cells[cmp.System] = make(map[FaultKind]*Comparison)
-			}
-			r.Cells[cmp.System][kind] = cmp
-		}
-	}
-	return r, nil
-}
-
-// RecoveryReport summarizes the §5/§6 recovery-time observations for one
-// system: how long after the recovery event throughput returned to a
-// sustained fraction of baseline.
-type RecoveryReport struct {
-	System    string
-	Fault     FaultKind
-	Recovered bool
-	Delay     time.Duration
-}
-
-// RecoveryTimes extracts the recovery observations from a set of
-// transient/partition comparisons.
-func RecoveryTimes(cmps []*Comparison) []RecoveryReport {
-	out := make([]RecoveryReport, 0, len(cmps))
-	for _, cmp := range cmps {
-		out = append(out, RecoveryReport{
-			System:    cmp.System,
-			Fault:     cmp.Fault.Kind,
-			Recovered: cmp.Recovered,
-			Delay:     cmp.RecoveryTime,
-		})
-	}
-	return out
-}
+func Fig6(cfg Config) ([]*Comparison, error) { return compareAll(cfg, FaultPartition) }

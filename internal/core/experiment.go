@@ -693,11 +693,6 @@ func Build(cfg Config) (*Experiment, error) {
 	// registered; runs whose latency model states no positive lower bound
 	// stay sequential (the conservative kernel needs a lookahead).
 	if cfg.SimWorkers > 0 {
-		if topo != nil {
-			if d := cfg.overlayLookahead(net, topo, lay, len(readers)); d > 0 {
-				net.SetLookahead(d)
-			}
-		}
 		if la := net.Lookahead(); la > 0 {
 			plan := parsim.New(cfg.SimWorkers)
 			vals := make([]int, cfg.Validators)
@@ -875,51 +870,6 @@ func (e *Experiment) Collect() *RunResult {
 	}
 	res.LivenessLost = res.LastCommitAt < cfg.Duration-livenessGrace
 	return res
-}
-
-// overlayLookahead derives the tightest safe parallel horizon for an
-// overlay-confined deployment: the minimum of the latency model's per-pair
-// lower bounds over exactly the directed links that can carry a message —
-// overlay edges between validators, client/flow and reader traffic to and
-// from the validators (flow members send under virtual ids in the modeled
-// clients' range, which this covers), and the control links between the
-// primary and its observers. Returns 0 when the model states no positive
-// per-pair bounds, leaving the model-wide Lookahead in force.
-func (c Config) overlayLookahead(net *simnet.Network, topo *overlay.Topology, lay idLayout, readers int) time.Duration {
-	best := time.Duration(0)
-	usable := true
-	consider := func(a, b simnet.NodeID) {
-		if !usable {
-			return
-		}
-		d, ok := net.PairLowerBound(a, b)
-		if !ok || d <= 0 {
-			usable = false
-			return
-		}
-		if best == 0 || d < best {
-			best = d
-		}
-	}
-	pair := func(a, b simnet.NodeID) { consider(a, b); consider(b, a) }
-	topo.Edges(pair)
-	for i := 0; i < c.Clients && usable; i++ {
-		for v := 0; v < c.Validators; v++ {
-			pair(simnet.NodeID(lay.clientBase+i), simnet.NodeID(v))
-		}
-	}
-	for i := 0; i < readers && usable; i++ {
-		for v := 0; v < c.Validators; v++ {
-			pair(simnet.NodeID(lay.readerBase+i), simnet.NodeID(v))
-		}
-	}
-	for i := 0; i < c.Validators; i++ {
-		pair(simnet.NodeID(lay.primary), simnet.NodeID(lay.observerBase+i))
-	}
-	if !usable {
-		return 0
-	}
-	return best
 }
 
 // Timeline lowers the config's adversarial environment onto the deployment:

@@ -121,17 +121,6 @@ func (t *Topology) key(id simnet.NodeID) uint64 {
 	return 0
 }
 
-// Edges visits every undirected overlay edge (a < b) in ascending order.
-func (t *Topology) Edges(visit func(a, b simnet.NodeID)) {
-	for _, a := range t.ids {
-		for _, b := range t.neighbors[a] {
-			if a < b {
-				visit(a, b)
-			}
-		}
-	}
-}
-
 // splitmix64 is the SplitMix64 finalizer: a bijective 64-bit mix used for
 // kadcast key derivation and delegate rotation. Pure function, no state.
 func splitmix64(x uint64) uint64 {

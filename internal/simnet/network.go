@@ -71,15 +71,6 @@ type DelayLowerBound interface {
 	LowerBound() time.Duration
 }
 
-// PairDelayLowerBound is implemented by latency models whose bound depends on
-// the link: LowerBoundBetween states a static lower bound for one directed
-// (from, to) pair. Callers that know which pairs actually exchange messages
-// (e.g. an overlay-confined deployment) can minimize over just those pairs
-// and hand the tighter horizon to SetLookahead.
-type PairDelayLowerBound interface {
-	LowerBoundBetween(from, to NodeID) time.Duration
-}
-
 // UniformLatency samples uniformly from [Min, Max].
 type UniformLatency struct {
 	Min, Max time.Duration
@@ -98,9 +89,6 @@ func (u UniformLatency) Sample(_, _ NodeID, rng *rand.Rand) time.Duration {
 // LowerBound implements DelayLowerBound.
 func (u UniformLatency) LowerBound() time.Duration { return u.Min }
 
-// LowerBoundBetween implements PairDelayLowerBound; the bound is pair-uniform.
-func (u UniformLatency) LowerBoundBetween(_, _ NodeID) time.Duration { return u.Min }
-
 // FixedLatency returns the same delay for every message; useful in tests.
 type FixedLatency time.Duration
 
@@ -113,9 +101,6 @@ func (f FixedLatency) Sample(_, _ NodeID, _ *rand.Rand) time.Duration {
 
 // LowerBound implements DelayLowerBound.
 func (f FixedLatency) LowerBound() time.Duration { return time.Duration(f) }
-
-// LowerBoundBetween implements PairDelayLowerBound; the bound is pair-uniform.
-func (f FixedLatency) LowerBoundBetween(_, _ NodeID) time.Duration { return time.Duration(f) }
 
 // Stats counts network-level activity; useful for tests and ablations.
 type Stats struct {
@@ -172,11 +157,6 @@ type Network struct {
 	statsh []Stats
 	//stabl:nodet snapshot-fields -- identity-preserved attachment set before Start, not simulated state
 	tracer Tracer
-	// lookahead, when positive, overrides the latency model's global lower
-	// bound (see SetLookahead). It must never exceed the true minimum delay
-	// of any pair that can actually exchange a message.
-	//stabl:nodet snapshot-fields -- configuration set before Start; core.Fork disables parallel mode anyway
-	lookahead time.Duration
 	// flights[qi] pools flights per queue so a message in steady state
 	// schedules no new closure, and so concurrent partitions never share a
 	// free list. Sequential mode uses flights[0] only.
@@ -393,36 +373,14 @@ func (n *Network) CheckConservation() error {
 // or 0 when the model cannot state one. A positive lookahead is what makes
 // the conservative parallel kernel applicable: injected extra delay and
 // jitter only ever add to a sampled delay, and loss only drops messages, so
-// the bound survives every degradation primitive. A SetLookahead override,
-// when present, takes precedence.
+// the bound survives every degradation primitive.
 func (n *Network) Lookahead() time.Duration {
-	if n.lookahead > 0 {
-		return n.lookahead
-	}
 	if lb, ok := n.latency.(DelayLowerBound); ok {
 		if d := lb.LowerBound(); d > 0 {
 			return d
 		}
 	}
 	return 0
-}
-
-// SetLookahead overrides the horizon Lookahead reports. Callers with
-// topology knowledge compute it as the minimum of the latency model's
-// per-pair bounds (PairDelayLowerBound) over exactly the pairs that can
-// exchange messages — a superset assumption is safe, a subset is not. Zero
-// restores the model-wide bound. Must be set before EnableParallel's horizon
-// is first consumed; the lookahead is part of the simulation contract, so it
-// never changes mid-run.
-func (n *Network) SetLookahead(d time.Duration) { n.lookahead = d }
-
-// PairLowerBound returns the latency model's static lower bound for one
-// directed link, when the model can state per-pair bounds.
-func (n *Network) PairLowerBound(from, to NodeID) (time.Duration, bool) {
-	if pb, ok := n.latency.(PairDelayLowerBound); ok {
-		return pb.LowerBoundBetween(from, to), true
-	}
-	return 0, false
 }
 
 // EnableParallel adopts a partition plan (see internal/parsim): queueOf maps

@@ -2,6 +2,7 @@ package stabl
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 )
@@ -10,28 +11,34 @@ import (
 // paper's plots: score rows for the bar charts, downsampled series for the
 // throughput-over-time figures, and a score table for the radar chart.
 
-// RenderFig3 renders one Fig 3 panel as score rows. Benefit scores (striped
-// bars in the paper) are marked, infinite scores print as "inf".
-func RenderFig3(title string, cmps []*Comparison) string {
+// RenderFig3 renders one Fig 3 panel, the paper suite's cells under one
+// fault, as score rows. Benefit scores (striped bars in the paper) are
+// marked, infinite scores print as "inf".
+func RenderFig3(title string, cells []*CampaignCell) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
-	for _, cmp := range cmps {
-		bar := scoreBar(cmp)
-		fmt.Fprintf(&b, "  %-10s %-12s %s\n", cmp.System, cmp.Score, bar)
+	for _, c := range cells {
+		s := cellScore(c)
+		fmt.Fprintf(&b, "  %-10s %-12s %s\n", c.System, s, scoreBar(s))
 	}
 	return b.String()
 }
 
-func scoreBar(cmp *Comparison) string {
-	if cmp.Score.Infinite {
+// cellScore is a campaign cell's sensitivity score.
+func cellScore(c *CampaignCell) Score {
+	return Score{Value: c.Score, Infinite: c.Infinite, Benefit: c.Benefit}
+}
+
+func scoreBar(s Score) string {
+	if s.Infinite {
 		return "############ inf (liveness lost)"
 	}
-	n := int(cmp.Score.Value)
+	n := int(s.Value)
 	if n > 60 {
 		n = 60
 	}
 	ch := "#"
-	if cmp.Score.Benefit {
+	if s.Benefit {
 		ch = "/" // striped: the altered environment helped
 	}
 	return strings.Repeat(ch, n)
@@ -71,23 +78,36 @@ func RenderThroughput(cmp *Comparison, bucket time.Duration) string {
 	return b.String()
 }
 
-// RenderRadar renders Fig 7 as a score table.
-func RenderRadar(r *Radar) string {
+// RenderRadar renders Fig 7, the paper suite's cells, as a score table: a
+// row per system and a column per fault, each in the order the cells first
+// name it. A failed or missing cell prints as "-".
+func RenderRadar(cells []*CampaignCell) string {
+	var systems, faults []string
+	at := make(map[[2]string]*CampaignCell, len(cells))
+	for _, c := range cells {
+		if !slices.Contains(systems, c.System) {
+			systems = append(systems, c.System)
+		}
+		if !slices.Contains(faults, c.Fault) {
+			faults = append(faults, c.Fault)
+		}
+		at[[2]string{c.System, c.Fault}] = c
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-10s", "")
-	for _, kind := range r.Kinds {
-		fmt.Fprintf(&b, " %13s", kind)
+	for _, fault := range faults {
+		fmt.Fprintf(&b, " %13s", fault)
 	}
 	b.WriteString("\n")
-	for _, sys := range r.Order {
+	for _, sys := range systems {
 		fmt.Fprintf(&b, "%-10s", sys)
-		for _, kind := range r.Kinds {
-			cmp := r.Cells[sys][kind]
-			if cmp == nil {
+		for _, fault := range faults {
+			c := at[[2]string{sys, fault}]
+			if c == nil || c.Error != "" {
 				fmt.Fprintf(&b, " %13s", "-")
 				continue
 			}
-			fmt.Fprintf(&b, " %13s", cmp.Score)
+			fmt.Fprintf(&b, " %13s", cellScore(c))
 		}
 		b.WriteString("\n")
 	}
@@ -115,15 +135,17 @@ func RenderECDF(fig *ECDFFigure, points int) string {
 	return b.String()
 }
 
-// RenderRecovery renders the recovery-time observations of §5/§6.
-func RenderRecovery(reports []RecoveryReport) string {
+// RenderRecovery renders the recovery-time observations of §5/§6, one row
+// per paper-suite cell: how long after the recovery event throughput
+// returned to a sustained fraction of baseline.
+func RenderRecovery(cells []*CampaignCell) string {
 	var b strings.Builder
-	for _, r := range reports {
+	for _, c := range cells {
 		state := "never (liveness lost)"
-		if r.Recovered {
-			state = fmt.Sprintf("%.0fs after recovery event", r.Delay.Seconds())
+		if c.Recovered {
+			state = fmt.Sprintf("%.0fs after recovery event", c.RecoverySec)
 		}
-		fmt.Fprintf(&b, "  %-10s %-12s %s\n", r.System, r.Fault, state)
+		fmt.Fprintf(&b, "  %-10s %-12s %s\n", c.System, c.Fault, state)
 	}
 	return b.String()
 }

@@ -53,22 +53,24 @@ func TestSensitivityHelper(t *testing.T) {
 }
 
 // TestPaperShape reproduces the paper's qualitative findings end to end. It
-// runs the full Fig 7 matrix (40 experiment runs at the paper's scale) and
-// checks each claim of the DESIGN.md per-experiment index.
+// runs the fig7 preset (the full fault matrix, 25 experiment runs at the
+// paper's scale) and checks each claim of the DESIGN.md per-experiment
+// index.
 func TestPaperShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-matrix shape test skipped in -short mode")
 	}
-	radar, err := Fig7(Config{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
+	cells := paperSuite(t, Config{Seed: 42})
+	var systems []string
+	for _, sys := range Systems() {
+		systems = append(systems, sys.Name())
 	}
-	cell := func(sys string, kind FaultKind) *Comparison {
-		cmp := radar.Cells[sys][kind]
-		if cmp == nil {
+	cell := func(sys string, kind FaultKind) *CampaignCell {
+		i := slices.IndexFunc(cells, func(c *CampaignCell) bool { return c.System == sys && c.Fault == kind.String() })
+		if i < 0 {
 			t.Fatalf("missing cell %s/%v", sys, kind)
 		}
-		return cmp
+		return cells[i]
 	}
 
 	t.Run("Fig3a_crash", func(t *testing.T) {
@@ -76,17 +78,17 @@ func TestPaperShape(t *testing.T) {
 		// impacted by isolated failures; Redbelly's score is the
 		// lowest by a clear margin.
 		redbelly := cell("Redbelly", FaultCrash)
-		if redbelly.Score.Infinite {
+		if redbelly.Infinite {
 			t.Fatal("Redbelly crash score infinite")
 		}
 		for _, sys := range []string{"Algorand", "Aptos", "Avalanche", "Solana"} {
 			cmp := cell(sys, FaultCrash)
-			if cmp.Score.Infinite {
+			if cmp.Infinite {
 				t.Fatalf("%s lost liveness under f=t crashes", sys)
 			}
-			if cmp.Score.Value < 2*redbelly.Score.Value {
+			if cmp.Score < 2*redbelly.Score {
 				t.Errorf("%s crash score %.2f not clearly above Redbelly's %.2f",
-					sys, cmp.Score.Value, redbelly.Score.Value)
+					sys, cmp.Score, redbelly.Score)
 			}
 		}
 	})
@@ -95,13 +97,13 @@ func TestPaperShape(t *testing.T) {
 		// (iii) Avalanche and Solana cannot recover from transient
 		// failures; Algorand, Aptos and Redbelly can.
 		for _, sys := range []string{"Avalanche", "Solana"} {
-			if !cell(sys, FaultTransient).Score.Infinite {
+			if !cell(sys, FaultTransient).Infinite {
 				t.Errorf("%s recovered from transient failures; paper says it cannot", sys)
 			}
 		}
 		for _, sys := range []string{"Algorand", "Aptos", "Redbelly"} {
 			cmp := cell(sys, FaultTransient)
-			if cmp.Score.Infinite {
+			if cmp.Infinite {
 				t.Errorf("%s lost liveness under transient failures", sys)
 			}
 		}
@@ -109,7 +111,7 @@ func TestPaperShape(t *testing.T) {
 		// cannot clear the backlog.
 		aptos := cell("Aptos", FaultTransient)
 		for _, sys := range []string{"Algorand", "Redbelly"} {
-			if cell(sys, FaultTransient).Score.Value >= aptos.Score.Value {
+			if cell(sys, FaultTransient).Score >= aptos.Score {
 				t.Errorf("%s transient score >= Aptos's; Aptos should be the slowest to recover", sys)
 			}
 		}
@@ -119,12 +121,12 @@ func TestPaperShape(t *testing.T) {
 		// Chains that cannot survive transient failures cannot survive
 		// partitions either.
 		for _, sys := range []string{"Avalanche", "Solana"} {
-			if !cell(sys, FaultPartition).Score.Infinite {
+			if !cell(sys, FaultPartition).Infinite {
 				t.Errorf("%s recovered from the partition", sys)
 			}
 		}
 		for _, sys := range []string{"Algorand", "Aptos", "Redbelly"} {
-			if cell(sys, FaultPartition).Score.Infinite {
+			if cell(sys, FaultPartition).Infinite {
 				t.Errorf("%s lost liveness under the partition", sys)
 			}
 		}
@@ -136,14 +138,14 @@ func TestPaperShape(t *testing.T) {
 				t.Fatalf("%s recovery not detected (transient %v, partition %v)",
 					sys, tr.Recovered, pa.Recovered)
 			}
-			if pa.RecoveryTime <= tr.RecoveryTime+10*time.Second {
-				t.Errorf("%s partition recovery (%v) not clearly slower than transient (%v)",
-					sys, pa.RecoveryTime, tr.RecoveryTime)
+			if pa.RecoverySec <= tr.RecoverySec+10 {
+				t.Errorf("%s partition recovery (%gs) not clearly slower than transient (%gs)",
+					sys, pa.RecoverySec, tr.RecoverySec)
 			}
 		}
 		aptos := cell("Aptos", FaultPartition)
-		if aptos.Recovered && aptos.RecoveryTime > 40*time.Second {
-			t.Errorf("Aptos partition recovery %v; paper: fast (5s probes, 30s cap)", aptos.RecoveryTime)
+		if aptos.Recovered && aptos.RecoverySec > 40 {
+			t.Errorf("Aptos partition recovery %gs; paper: fast (5s probes, 30s cap)", aptos.RecoverySec)
 		}
 	})
 
@@ -153,32 +155,32 @@ func TestPaperShape(t *testing.T) {
 		// speculative re-execution; Avalanche has the largest score.
 		av := cell("Avalanche", FaultSecureClient)
 		rb := cell("Redbelly", FaultSecureClient)
-		if !av.Score.Benefit {
+		if !av.Benefit {
 			t.Error("Avalanche does not benefit from the secure client")
 		}
-		if !rb.Score.Benefit {
+		if !rb.Benefit {
 			t.Error("Redbelly does not benefit from the secure client")
 		}
 		ap := cell("Aptos", FaultSecureClient)
-		if ap.Score.Benefit {
+		if ap.Benefit {
 			t.Error("Aptos benefits from the secure client; paper: degraded by Block-STM re-execution")
 		}
-		if ap.Score.Value <= 0.5 {
-			t.Errorf("Aptos secure-client score %.2f; paper: visible degradation", ap.Score.Value)
+		if ap.Score <= 0.5 {
+			t.Errorf("Aptos secure-client score %.2f; paper: visible degradation", ap.Score)
 		}
 		// Algorand and Solana "remain unchanged": their secure-client
 		// score is far below their own crash sensitivity (the exact
 		// value carries run-to-run ramp noise for Algorand).
 		for _, sys := range []string{"Algorand", "Solana"} {
-			sc := cell(sys, FaultSecureClient).Score.Value
-			crash := cell(sys, FaultCrash).Score.Value
+			sc := cell(sys, FaultSecureClient).Score
+			crash := cell(sys, FaultCrash).Score
 			if sc > crash/2 {
 				t.Errorf("%s secure-client score %.2f not well below its crash score %.2f",
 					sys, sc, crash)
 			}
 		}
 		for _, sys := range []string{"Algorand", "Redbelly", "Solana"} {
-			if cell(sys, FaultSecureClient).Score.Value >= av.Score.Value {
+			if cell(sys, FaultSecureClient).Score >= av.Score {
 				t.Errorf("%s secure-client score exceeds Avalanche's; paper: Avalanche largest", sys)
 			}
 		}
@@ -187,20 +189,20 @@ func TestPaperShape(t *testing.T) {
 	t.Run("Fig7_general_observations", func(t *testing.T) {
 		// §8: blockchains are generally more sensitive to transient
 		// failures than to permanent ones.
-		for _, sys := range radar.Order {
+		for _, sys := range systems {
 			crash := cell(sys, FaultCrash)
 			transient := cell(sys, FaultTransient)
-			if transient.Score.Infinite {
+			if transient.Infinite {
 				continue // infinitely worse, trivially satisfied
 			}
-			if crash.Score.Value > transient.Score.Value {
+			if crash.Score > transient.Score {
 				t.Errorf("%s crash score %.2f exceeds transient score %.2f",
-					sys, crash.Score.Value, transient.Score.Value)
+					sys, crash.Score, transient.Score)
 			}
 		}
 		// Rendering smoke checks on the real matrix.
-		out := RenderRadar(radar)
-		for _, sys := range radar.Order {
+		out := RenderRadar(cells)
+		for _, sys := range systems {
 			if !strings.Contains(out, sys) {
 				t.Fatalf("radar rendering misses %s:\n%s", sys, out)
 			}
@@ -220,8 +222,8 @@ func TestPaperShape(t *testing.T) {
 			FaultPartition: "## Fig 3c ", FaultSecureClient: "## Fig 3d ",
 		} {
 			measured := measuredColumn(t, string(doc), heading)
-			for _, sys := range radar.Order {
-				want := strings.Replace(cell(sys, kind).Score.String(), "inf", "∞", 1)
+			for _, sys := range systems {
+				want := strings.Replace(cellScore(cell(sys, kind)).String(), "inf", "∞", 1)
 				got, ok := measured[sys]
 				if rest, quoted := strings.CutPrefix(got, want); !ok || !quoted || (rest != "" && rest[0] != ' ' && rest[0] != ',') {
 					t.Errorf("EXPERIMENTS.md %q table: %s reads %q, the run measured %s", heading, sys, got, want)
@@ -330,16 +332,13 @@ func TestRecoveryTimesExtraction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("recovery extraction skipped in -short mode")
 	}
-	cmps, err := Fig5(Config{Seed: 42, Duration: 200 * time.Second,
-		Fault: FaultPlan{InjectAt: 60 * time.Second, RecoverAt: 120 * time.Second}})
-	if err != nil {
-		t.Fatal(err)
+	cells := paperSuite(t, Config{Seed: 42, Duration: 200 * time.Second,
+		Fault: FaultPlan{InjectAt: 60 * time.Second, RecoverAt: 120 * time.Second}},
+		FaultTransient, FaultPartition)
+	if len(cells) != 10 {
+		t.Fatalf("cells = %d", len(cells))
 	}
-	reports := RecoveryTimes(cmps)
-	if len(reports) != 5 {
-		t.Fatalf("reports = %d", len(reports))
-	}
-	out := RenderRecovery(reports)
+	out := RenderRecovery(cells)
 	if !strings.Contains(out, "Redbelly") {
 		t.Fatalf("render = %q", out)
 	}

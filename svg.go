@@ -30,16 +30,17 @@ func (fig *ECDFFigure) SVG() string {
 	}.SVG()
 }
 
-// Fig3SVG renders one Fig 3 panel as a bar chart: one bar per system,
-// striped for benefits, full-height red for infinite scores.
-func Fig3SVG(title string, cmps []*Comparison) string {
-	bars := make([]plot.Bar, 0, len(cmps))
-	for _, cmp := range cmps {
+// Fig3SVG renders one Fig 3 panel, the paper suite's cells under one fault,
+// as a bar chart: one bar per system, striped for benefits, full-height red
+// for infinite scores.
+func Fig3SVG(title string, cells []*CampaignCell) string {
+	bars := make([]plot.Bar, 0, len(cells))
+	for _, c := range cells {
 		bars = append(bars, plot.Bar{
-			Label:    cmp.System,
-			Value:    cmp.Score.Value,
-			Infinite: cmp.Score.Infinite,
-			Striped:  cmp.Score.Benefit,
+			Label:    c.System,
+			Value:    c.Score,
+			Infinite: c.Infinite,
+			Striped:  c.Benefit,
 		})
 	}
 	return plot.BarChart{Title: title, YLabel: "sensitivity", Bars: bars}.SVG()
