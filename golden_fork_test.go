@@ -125,43 +125,34 @@ func TestGoldenForkMatchesReplay(t *testing.T) {
 	}
 }
 
-// TestGoldenForkParallelFallback pins the parallel kernel's fork semantics:
-// checkpoints snapshot the sequential layout, so forking a parallel-configured
-// experiment before Start deterministically falls back to the sequential
-// kernel and the forked continuation stays byte-identical to a plain
-// sequential replay. Forking after Start is a hard error, not silent drift.
-func TestGoldenForkParallelFallback(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fork parallel-fallback golden skipped in -short mode")
-	}
+// TestForkRefusesParallel: checkpoints snapshot the sequential kernel's
+// layout, so Fork and RunToCheckpoint refuse an experiment on the parallel
+// kernel with an error, before Start as after it, and the refused
+// RunToCheckpoint leaves the experiment un-started.
+func TestForkRefusesParallel(t *testing.T) {
 	sys, err := SystemByName("Redbelly")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.Run(forkGoldenConfig(sys))
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	cfg := forkGoldenConfig(sys)
 	cfg.SimWorkers = 2
-	_, _, got := runForked(t, cfg)
-	if got.SimWorkers != 0 {
-		t.Errorf("forked run reported SimWorkers=%d, want 0 (fork must sequentialize)", got.SimWorkers)
-	}
-	sameRender(t, "forked parallel-configured run against sequential replay", renderRun("run", want), renderRun("run", got))
-
-	// Once a parallel run has started, its queues hold partition events and
-	// the sequential fallback is closed: Fork must refuse.
-	running, err := core.Build(cfg)
+	e, err := core.Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	running.Start()
-	running.RunUntil(10 * time.Second)
-	if _, err := running.Fork(); err == nil {
-		t.Error("Fork on a started parallel experiment succeeded, want error")
+	refused := func(when string) {
+		t.Helper()
+		if _, err := e.Fork(); err == nil {
+			t.Errorf("Fork %s Start on a parallel experiment succeeded, want error", when)
+		}
+		if fp, err := core.RunToCheckpoint(e); err == nil {
+			t.Errorf("RunToCheckpoint %s Start on a parallel experiment returned %v, want error", when, fp)
+		}
 	}
+	refused("before")
+	e.Start() // panics if the refused RunToCheckpoint started the experiment
+	e.RunUntil(10 * time.Second)
+	refused("after")
 }
 
 // TestForkDivergeIndependence steers a forked continuation onto a sibling

@@ -197,7 +197,7 @@ func (s *System) Tolerance(n int) int { return chain.ToleranceFifth(n) }
 func (s *System) ConnParams() simnet.ConnParams { return s.cfg.Conn }
 
 // NewValidator implements chain.System.
-func (s *System) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *chain.Monitor, genesis *chain.Genesis) simnet.Handler {
+func (s *System) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *chain.Monitor, genesis *chain.Genesis) chain.Validator {
 	v := &validator{
 		cfg:  s.cfg,
 		base: chain.NewBaseNode(id, peers, mon, s.cfg.Base),
@@ -306,8 +306,6 @@ type state struct {
 
 // durable is the part of state that survives a restart.
 type durable struct{ resets uint64 }
-
-var _ simnet.Handler = (*validator)(nil)
 
 // Start implements simnet.Handler.
 func (v *validator) Start(ctx *simnet.Context) {

@@ -124,7 +124,7 @@ func (s *System) WithResources(scale float64) chain.System {
 }
 
 // NewValidator implements chain.System.
-func (s *System) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *chain.Monitor, genesis *chain.Genesis) simnet.Handler {
+func (s *System) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *chain.Monitor, genesis *chain.Genesis) chain.Validator {
 	v := &validator{
 		cfg:  s.cfg,
 		base: chain.NewBaseNode(id, peers, mon, s.cfg.Base),
@@ -210,8 +210,6 @@ type state struct {
 
 // durable is the part of state that survives a restart.
 type durable struct{ viewJumps uint64 }
-
-var _ simnet.Handler = (*validator)(nil)
 
 // Start implements simnet.Handler.
 func (v *validator) Start(ctx *simnet.Context) {

@@ -9,8 +9,6 @@ import (
 	"stabl/internal/snapshot"
 )
 
-var _ snapshot.Forkable = (*validator)(nil)
-
 // checkpoint pairs the BaseNode core's checkpoint with the validator's own
 // and the contents behind its two identity-preserved pointers.
 type checkpoint struct {

@@ -134,9 +134,8 @@ func (f *family) measure(cell Cell, fork bool) (res *CellResult) {
 			f.rec = metrics.NewRecorder(f.opts.MetricsInterval)
 			repCfg.Metrics = f.rec
 		}
-		// No disruptive action, an unforkable system, or a prefix panic
-		// leave nothing to share (a panicking prefix panics identically in
-		// each member's own run).
+		// No disruptive action or a prefix panic leave nothing to share
+		// (a panicking prefix panics identically in each member's own run).
 		f.fp, f.exp, f.prefixWall = checkpointPrefix(repCfg)
 		f.replayAll = f.fp == nil
 		// The representative's timeline is already loaded: it resumes
@@ -197,14 +196,17 @@ func (f *family) resume(cfg core.Config) (*core.Comparison, *metrics.Recorder, e
 // checkpointPrefix builds the family's altered experiment and runs it to the
 // checkpoint, converting a prefix panic into a nil fork point (the fallback
 // path replays members from scratch, reproducing the panic per cell). The
-// returned duration is the wall-clock cost of the shared prefix — what every
-// forked continuation avoids paying again.
+// experiment runs on the sequential kernel, the only one that forks; its
+// results are the parallel kernel's byte for byte. The returned duration is
+// the wall-clock cost of the shared prefix — what every forked continuation
+// avoids paying again.
 func checkpointPrefix(cfg core.Config) (fp *core.ForkPoint, exp *core.Experiment, wall time.Duration) {
 	defer func() {
 		if v := recover(); v != nil {
 			fp, exp = nil, nil
 		}
 	}()
+	cfg.SimWorkers = 0
 	exp, err := core.Build(core.AlteredConfig(cfg))
 	if err != nil {
 		return nil, nil, 0

@@ -82,6 +82,37 @@ func TestAdaptiveMatchesGridByteIdentical(t *testing.T) {
 	}
 }
 
+// TestAdaptiveParallelBaseMatchesSequential: a spec whose base runs on the
+// parallel kernel still forks — each family's checkpointed prefix is built
+// sequential — and its JSON, checkpoint counts included, is byte-identical
+// to the sequential spec's.
+func TestAdaptiveParallelBaseMatchesSequential(t *testing.T) {
+	encode := func(simWorkers int) ([]byte, *CheckpointStats) {
+		t.Helper()
+		spec := mixedSpec()
+		spec.Mode = ModeAdaptive
+		spec.Base.SimWorkers = simWorkers
+		res, err := Run(context.Background(), spec, Options{Workers: 2, Resolve: resolveStubs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := res.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), res.Checkpoint
+	}
+	seq, seqCP := encode(0)
+	par, parCP := encode(2)
+	if !bytes.Equal(par, seq) {
+		t.Fatalf("simWorkers 2 diverged from simWorkers 0:\n%s\nvs\n%s", par, seq)
+	}
+	parCP.WallSaved, seqCP.WallSaved = 0, 0 // timing, not in the JSON
+	if parCP.ForkServed == 0 || *parCP != *seqCP {
+		t.Fatalf("checkpoint stats: simWorkers 2 %+v, simWorkers 0 %+v; want equal, with forks served", parCP, seqCP)
+	}
+}
+
 // TestAdaptiveInvalidSiblingFailsAsInGrid: a family member whose fault count
 // exceeds the client-free validators fails alone, with the error a
 // from-scratch run of it reports — a steered continuation used to run it over

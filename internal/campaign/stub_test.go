@@ -23,7 +23,7 @@ func (s *stubSystem) Name() string                  { return s.name }
 func (s *stubSystem) Tolerance(n int) int           { return chain.ToleranceThird(n) }
 func (s *stubSystem) ConnParams() simnet.ConnParams { return simnet.ConnParams{} }
 
-func (s *stubSystem) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *chain.Monitor, genesis *chain.Genesis) simnet.Handler {
+func (s *stubSystem) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *chain.Monitor, genesis *chain.Genesis) chain.Validator {
 	v := &stubValidator{
 		base:        chain.NewBaseNode(id, peers, mon, chain.BaseConfig{}),
 		panicOnStop: s.panicOnStop,
@@ -95,14 +95,14 @@ func (v *stubValidator) Deliver(from simnet.NodeID, payload any) {
 	}
 }
 
+func (v *stubValidator) Base() *chain.BaseNode { return v.base }
+
 // stubCheck makes the stub Forkable so adaptive-mode tests exercise real
 // checkpoint serving.
 type stubCheck struct {
 	base chain.BaseState
 	stubState
 }
-
-var _ snapshot.Forkable = (*stubValidator)(nil)
 
 func (v *stubValidator) Snapshot() snapshot.State {
 	return &stubCheck{base: v.base.SnapshotBase(), stubState: v.stubState}

@@ -101,20 +101,6 @@ func (m *Monitor) EnableParallel(sched *sim.Scheduler, queueOf []int32, workers 
 	sched.OnBarrier(m.flush)
 }
 
-// DisableParallel reverts to direct application, the sequential fallback the
-// forking API takes. Buffers must be empty (they always are at a barrier).
-func (m *Monitor) DisableParallel() {
-	if m.par == nil {
-		return
-	}
-	for _, b := range m.par.buf {
-		if len(b) != 0 {
-			panic("chain: Monitor.DisableParallel with buffered reports")
-		}
-	}
-	m.par = nil
-}
-
 // queueIdx resolves the reporting node's partition queue — the queue whose
 // execution context is making the call, so each buffer has one writer.
 func (p *monitorPar) queueIdx(id simnet.NodeID) int32 {

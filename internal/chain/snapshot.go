@@ -67,7 +67,7 @@ func (s *monitorState) copyInto(dst *monitorState) {
 // per experiment; the attached metrics recorder snapshots separately.
 func (m *Monitor) Snapshot() snapshot.State {
 	if m.par != nil {
-		panic("chain: Monitor.Snapshot requires sequential mode (see DisableParallel)")
+		panic("chain: Monitor.Snapshot requires sequential mode")
 	}
 	st := new(monitorState)
 	m.monitorState.copyInto(st)

@@ -1,6 +1,9 @@
 package chain
 
-import "stabl/internal/simnet"
+import (
+	"stabl/internal/simnet"
+	"stabl/internal/snapshot"
+)
 
 // GenesisAccount funds an account at chain genesis on every validator (see
 // NewGenesis).
@@ -24,7 +27,16 @@ type System interface {
 	ConnParams() simnet.ConnParams
 	// NewValidator constructs validator id of the given validator set,
 	// its ledger started from genesis (shared by the whole deployment).
-	NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *Monitor, genesis *Genesis) simnet.Handler
+	NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *Monitor, genesis *Genesis) Validator
+}
+
+// Validator is one deployed chain node: a network handler whose whole state
+// checkpoints (snapshot.Forkable), built on the shared validator core it
+// exposes through Base — ledger, mempool, sync and overlay relay.
+type Validator interface {
+	simnet.Handler
+	snapshot.Forkable
+	Base() *BaseNode
 }
 
 // ToleranceFifth is ceil(n/5) - 1 (Algorand, Avalanche).

@@ -180,8 +180,9 @@ type Config struct {
 	// worker count — the parallel goldens enforce this — so the knob only
 	// trades wall-clock time, never results. Zero (the default) keeps the
 	// sequential kernel. Runs whose latency model has no positive lower
-	// bound (no DelayLowerBound) fall back to sequential, as do forked
-	// continuations (checkpoints snapshot the sequential layout).
+	// bound (no DelayLowerBound) run sequentially. A parallel experiment
+	// does not fork (checkpoints snapshot the sequential layout): adaptive
+	// campaigns build their checkpointed prefixes with zero.
 	SimWorkers int
 }
 
@@ -508,18 +509,17 @@ type Experiment struct {
 	net        *simnet.Network
 	monitor    *chain.Monitor
 	rec        *metrics.Recorder
-	validators []simnet.Handler
-	bases      []*chain.BaseNode
+	validators []chain.Validator
 	flows      []*client.FlowClient
-	flowGens   []*workload.Flow
 	readers    []*client.VerifiedReader
-	observers  []*observer.Observer
 	primary    *observer.Primary
 	// compiled is the run's one fault timeline (empty when nothing is
 	// injected); a forked continuation may be steered onto a sibling's.
 	compiled *scenario.Compiled
 	started  bool
-	forkable *snapshot.Set
+	// parts is every stateful component, registered by Build's stages as
+	// they create it: what a checkpoint captures and a rewind restores.
+	parts snapshot.Set
 }
 
 // Run executes a single experiment run and collects its measurements.
@@ -535,7 +535,7 @@ func Run(cfg Config) (*RunResult, error) {
 
 // Build materializes the experiment — scheduler, network, validators,
 // observers, primary, clients, readers — without scheduling the workload or
-// running anything. The construction order is fixed: it determines the
+// running anything. The stages run in a fixed order: it determines the
 // scheduler's RNG/ticker registration order, which forked continuations rely
 // on.
 func Build(cfg Config) (*Experiment, error) {
@@ -544,7 +544,104 @@ func Build(cfg Config) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	lay := cfg.layout()
+	b := newBuilder(cfg, compiled)
+	if err := b.deployValidators(); err != nil {
+		return nil, err
+	}
+	b.deployObservers()
+	if err := b.deployClients(); err != nil {
+		return nil, err
+	}
+	b.deployReaders()
+	b.planKernel()
+	return b.Experiment, nil
+}
+
+// builder carries one deployment through Build's stages: the experiment it
+// fills, the layout every stage reads, and the node ids the stages
+// registered, by the kernel queue each goes to.
+type builder struct {
+	*Experiment
+	lay   idLayout
+	peers []simnet.NodeID
+	// spans is each flow's share of the modeled clients and accounts;
+	// genesis funds accounts [0, accounts).
+	spans    []flowSpan
+	accounts int
+	// spread lists the ids the parallel kernel spreads round-robin over
+	// its partition queues, root the ids it pins to the root queue (both
+	// empty when SimWorkers is zero).
+	spread, root []int
+}
+
+// newBuilder lays the deployment out and creates its scheduler, network and
+// monitor, with the metrics recorder attached to both.
+func newBuilder(cfg Config, compiled *scenario.Compiled) *builder {
+	sched := sim.New(cfg.Seed)
+	e := &Experiment{
+		cfg:      cfg,
+		sched:    sched,
+		net:      simnet.New(sched, simnet.Config{}),
+		monitor:  chain.NewMonitor(),
+		rec:      cfg.Metrics,
+		compiled: compiled,
+	}
+	// The kernel parts and the recorder, two per validator (it and its
+	// observer), the primary, and per client endpoint its flow, its
+	// generator and its reader.
+	e.parts.Grow(4 + 2*cfg.Validators + 1 + 3*cfg.clientNodes())
+	e.parts.Add(e.sched, e.net, e.monitor)
+	if e.rec != nil {
+		e.net.SetTracer(e.rec.Tracer())
+		e.monitor.SetMetrics(e.rec)
+		e.parts.Add(e.rec)
+	}
+	b := &builder{
+		Experiment: e,
+		lay:        cfg.layout(),
+		peers:      validatorIDs(cfg.Validators),
+		spans:      cfg.flowSpans(),
+	}
+	if cfg.SimWorkers > 0 {
+		b.spread = make([]int, 0, cfg.Validators+2*cfg.clientNodes())
+		b.root = make([]int, 0, cfg.Validators+1)
+	}
+	for _, sp := range b.spans {
+		b.accounts += sp.accts
+	}
+	return b
+}
+
+// validatorIDs is the validator set: node ids 0..n-1.
+func validatorIDs(n int) []simnet.NodeID {
+	ids := make([]simnet.NodeID, n)
+	for i := range ids {
+		ids[i] = simnet.NodeID(i)
+	}
+	return ids
+}
+
+// endpoint is a deployed network node whose state checkpoints.
+type endpoint interface {
+	simnet.Handler
+	snapshot.Forkable
+}
+
+// deploy registers h on the network under id and adds it to the checkpoint.
+// For the parallel kernel it also records the queue the id goes to
+// (b.spread or b.root).
+func (b *builder) deploy(id int, h endpoint, queue *[]int) {
+	b.net.AddNode(simnet.NodeID(id), h)
+	b.parts.Add(h)
+	if b.cfg.SimWorkers > 0 {
+		*queue = append(*queue, id)
+	}
+}
+
+// deployValidators builds the validator set, every ledger started from one
+// genesis, then the connection layer and the gossip overlay over it.
+func (b *builder) deployValidators() error {
+	cfg := b.cfg
 	// Committee mode is a System-level switch: validators read it at
 	// construction time, so it must be set before NewValidator runs.
 	// Setting it unconditionally clears any size a previous run left on a
@@ -552,101 +649,72 @@ func Build(cfg Config) (*Experiment, error) {
 	if cs, ok := cfg.System.(committeeSystem); ok {
 		cs.SetCommitteeSize(cfg.CommitteeSize)
 	}
-
-	sched := sim.New(cfg.Seed)
-	net := simnet.New(sched, simnet.Config{})
-	rec := cfg.Metrics
-	monitor := chain.NewMonitor()
-	if rec != nil {
-		net.SetTracer(rec.Tracer())
-		monitor.SetMetrics(rec)
-	}
-
-	// Validators.
-	peers := make([]simnet.NodeID, cfg.Validators)
-	for i := range peers {
-		peers[i] = simnet.NodeID(i)
-	}
-	// Workload layout: which clients and which (possibly folded) account
-	// range each flow carries. Genesis funds exactly those accounts.
-	spans := cfg.flowSpans()
-	totalAccts := 0
-	for _, sp := range spans {
-		totalAccts += sp.accts
-	}
 	// One genesis version for the whole deployment: every ledger starts
 	// from it and shares the versions the same blocks produce.
-	genesis := chain.NewGenesis(genesisAccounts(totalAccts), cfg.Clients)
-	var validators []simnet.Handler
-	var bases []*chain.BaseNode
-	for _, id := range peers {
-		h := cfg.System.NewValidator(id, peers, monitor, genesis)
-		if b, ok := h.(interface{ Base() *chain.BaseNode }); ok {
-			bases = append(bases, b.Base())
-		}
-		validators = append(validators, h)
-		net.AddNode(id, h)
+	genesis := chain.NewGenesis(genesisAccounts(b.accounts), cfg.Clients)
+	b.validators = make([]chain.Validator, 0, len(b.peers))
+	for _, id := range b.peers {
+		v := cfg.System.NewValidator(id, b.peers, b.monitor, genesis)
+		b.validators = append(b.validators, v)
+		b.deploy(int(id), v, &b.spread)
 	}
 	if !cfg.DisableConnLayer {
-		net.ManageConns(peers, cfg.System.ConnParams())
+		b.net.ManageConns(b.peers, cfg.System.ConnParams())
 	}
-
 	// Structured gossip overlay: one immutable topology shared read-only by
 	// every validator's Router. Attached before StartAll so the routers are
 	// in place when the chains' Start hooks run; the routers survive node
 	// restarts (only their volatile caches clear in Reset).
-	var topo *overlay.Topology
-	if cfg.Overlay.Enabled() {
-		if len(bases) != len(validators) {
-			return nil, fmt.Errorf("core: system %s does not expose its BaseNode; overlay routing unavailable", cfg.System.Name())
-		}
-		var err error
-		topo, err = overlay.New(cfg.Overlay, cfg.Seed, peers)
-		if err != nil {
-			return nil, err
-		}
-		for _, b := range bases {
-			b.SetRelay(overlay.NewRouter(topo, b.ID))
-		}
+	if !cfg.Overlay.Enabled() {
+		return nil
 	}
+	topo, err := overlay.New(cfg.Overlay, cfg.Seed, b.peers)
+	if err != nil {
+		return err
+	}
+	for _, v := range b.validators {
+		base := v.Base()
+		base.SetRelay(overlay.NewRouter(topo, base.ID))
+	}
+	return nil
+}
 
-	// Observers and primary (Fig 2).
-	mapping := make(map[simnet.NodeID]simnet.NodeID, cfg.Validators)
-	observers := make([]*observer.Observer, 0, cfg.Validators)
-	for i, id := range peers {
-		obsID := simnet.NodeID(lay.observerBase + i)
-		obs := observer.New(id, net)
-		observers = append(observers, obs)
-		net.AddNode(obsID, obs)
-		mapping[id] = obsID
+// deployObservers puts one observer beside each validator and the primary
+// that drives them through the fault timeline (Fig 2). They reach across the
+// whole deployment, so the parallel kernel runs them at window barriers.
+func (b *builder) deployObservers() {
+	mapping := make(map[simnet.NodeID]simnet.NodeID, len(b.peers))
+	for i, id := range b.peers {
+		obsID := b.lay.observerBase + i
+		b.deploy(obsID, observer.New(id, b.net), &b.root)
+		mapping[id] = simnet.NodeID(obsID)
 	}
-	primary := observer.NewPrimary(compiled.Script, mapping)
-	net.AddNode(simnet.NodeID(lay.primary), primary)
+	b.primary = observer.NewPrimary(b.compiled.Script, mapping)
+	b.deploy(b.lay.primary, b.primary, &b.root)
+}
 
-	// Clients: one endpoint per flow. Flow i keeps node id clientBase+i, and
-	// its members send under the ids they hold as single-member flows
-	// (VirtualBase), so the network draws do not depend on the partition.
-	// Workload RNG streams are registered in deployment order, under the
-	// name each mode's goldens were captured with.
-	pool := make([]simnet.NodeID, cfg.clientFacing())
-	for i := range pool {
-		pool[i] = simnet.NodeID(i)
-	}
+// deployClients puts one endpoint on the network per flow. Flow i keeps node
+// id clientBase+i, and its members send under the ids they hold as
+// single-member flows (VirtualBase), so the network draws do not depend on
+// the partition. Workload RNG streams are registered in deployment order,
+// under the name each mode's goldens were captured with.
+func (b *builder) deployClients() error {
+	cfg := b.cfg
+	pool := validatorIDs(cfg.clientFacing())
 	stream := "workload/flow/%d"
 	if cfg.Flows == 0 {
 		stream = "workload/%d"
 	}
-	flows := make([]*client.FlowClient, len(spans))
-	flowGens := make([]*workload.Flow, len(spans))
-	for i, sp := range spans {
-		fl, err := workload.NewFlow(uint32(sp.start), sp.clients, cfg.AccountsPerClient,
-			chain.Address(sp.acctBase), sp.accts, totalAccts,
-			sched.RNG(fmt.Sprintf(stream, i)))
+	b.flows = make([]*client.FlowClient, len(b.spans))
+	for i, sp := range b.spans {
+		gen, err := workload.NewFlow(uint32(sp.start), sp.clients, cfg.AccountsPerClient,
+			chain.Address(sp.acctBase), sp.accts, b.accounts,
+			b.sched.RNG(fmt.Sprintf(stream, i)))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		flowGens[i] = fl
-		flows[i] = client.NewFlow(client.FlowConfig{
+		b.parts.Add(gen)
+		b.flows[i] = client.NewFlow(client.FlowConfig{
 			Endpoints:   pool,
 			Start:       sp.start,
 			Fanout:      cfg.Fanout,
@@ -654,96 +722,63 @@ func Build(cfg Config) (*Experiment, error) {
 			Stop:        cfg.Duration,
 			Profile:     cfg.Profile,
 			RetryAfter:  cfg.RetryAfter,
-			VirtualBase: simnet.NodeID(lay.clientBase + sp.start),
-		}, fl)
-		net.AddNode(simnet.NodeID(lay.clientBase+i), flows[i])
+			VirtualBase: simnet.NodeID(b.lay.clientBase + sp.start),
+		}, gen)
+		b.deploy(b.lay.clientBase+i, b.flows[i], &b.spread)
 	}
+	return nil
+}
 
-	// Optional credence.js-style verified readers (§9): one per client
-	// endpoint.
-	var readers []*client.VerifiedReader
-	if cfg.ReadRate > 0 {
-		facing := cfg.clientFacing()
-		fanout := cfg.System.Tolerance(cfg.Validators) + 1
-		if fanout > facing {
-			fanout = facing
-		}
-		all := make([]chain.Address, totalAccts)
-		for i := range all {
-			all[i] = chain.Address(i)
-		}
-		for i := 0; i < cfg.clientNodes(); i++ {
-			eps := make([]simnet.NodeID, fanout)
-			for j := range eps {
-				eps[j] = simnet.NodeID((i + j) % facing)
-			}
-			r := client.NewVerifiedReader(client.ReaderConfig{
-				Endpoints: eps,
-				Accounts:  all,
-				Rate:      cfg.ReadRate,
-				Stop:      cfg.Duration,
-			})
-			readers = append(readers, r)
-			net.AddNode(simnet.NodeID(lay.readerBase+i), r)
-		}
+// deployReaders adds the optional credence.js-style verified readers (§9):
+// one per client endpoint.
+func (b *builder) deployReaders() {
+	cfg := b.cfg
+	if cfg.ReadRate <= 0 {
+		return
 	}
-
-	// Parallel kernel: partition the deployment and switch the scheduler,
-	// network and monitor over together. Enabled last so every endpoint is
-	// registered; runs whose latency model states no positive lower bound
-	// stay sequential (the conservative kernel needs a lookahead).
-	if cfg.SimWorkers > 0 {
-		if la := net.Lookahead(); la > 0 {
-			plan := parsim.New(cfg.SimWorkers)
-			vals := make([]int, cfg.Validators)
-			for i := range vals {
-				vals[i] = i
-			}
-			plan.Spread(vals)
-			cls := make([]int, cfg.clientNodes())
-			for i := range cls {
-				cls[i] = lay.clientBase + i
-			}
-			plan.Spread(cls)
-			if len(readers) > 0 {
-				rds := make([]int, len(readers))
-				for i := range rds {
-					rds[i] = lay.readerBase + i
-				}
-				plan.Spread(rds)
-			}
-			// Observers and the primary go on the root queue: they reach
-			// across the whole deployment and must only run at window
-			// barriers. Pinning them explicitly also sizes the lane table
-			// to cover every deployed id (the primary's is the largest).
-			obs := make([]int, 0, cfg.Validators+1)
-			for i := 0; i < cfg.Validators; i++ {
-				obs = append(obs, lay.observerBase+i)
-			}
-			obs = append(obs, lay.primary)
-			plan.Root(obs)
-			table := plan.Table()
-			sched.EnableParallel(table, cfg.SimWorkers, la)
-			net.EnableParallel(table, cfg.SimWorkers)
-			monitor.EnableParallel(sched, table, cfg.SimWorkers)
-		}
+	facing := cfg.clientFacing()
+	fanout := min(cfg.System.Tolerance(cfg.Validators)+1, facing)
+	all := make([]chain.Address, b.accounts)
+	for i := range all {
+		all[i] = chain.Address(i)
 	}
+	for i := 0; i < cfg.clientNodes(); i++ {
+		eps := make([]simnet.NodeID, fanout)
+		for j := range eps {
+			eps[j] = simnet.NodeID((i + j) % facing)
+		}
+		r := client.NewVerifiedReader(client.ReaderConfig{
+			Endpoints: eps,
+			Accounts:  all,
+			Rate:      cfg.ReadRate,
+			Stop:      cfg.Duration,
+		})
+		b.readers = append(b.readers, r)
+		b.deploy(b.lay.readerBase+i, r, &b.spread)
+	}
+}
 
-	return &Experiment{
-		cfg:        cfg,
-		sched:      sched,
-		net:        net,
-		monitor:    monitor,
-		rec:        rec,
-		validators: validators,
-		bases:      bases,
-		flows:      flows,
-		flowGens:   flowGens,
-		readers:    readers,
-		observers:  observers,
-		primary:    primary,
-		compiled:   compiled,
-	}, nil
+// planKernel switches the scheduler, network and monitor over to the
+// parallel kernel together, partitioning the ids the stages recorded. It
+// runs last so every endpoint is registered; runs whose latency model
+// states no positive lower bound stay sequential (the conservative kernel
+// needs a lookahead). Pinning the root ids explicitly also sizes the lane
+// table to cover every deployed id.
+func (b *builder) planKernel() {
+	if b.cfg.SimWorkers <= 0 {
+		return
+	}
+	la := b.net.Lookahead()
+	if la <= 0 {
+		return
+	}
+	plan := parsim.New(b.cfg.SimWorkers)
+	plan.Spread(b.spread)
+	plan.Root(b.root)
+	table := plan.Table()
+	b.sched.EnableParallel(table, b.cfg.SimWorkers, la)
+	b.net.EnableParallel(table, b.cfg.SimWorkers)
+	b.monitor.EnableParallel(b.sched, table, b.cfg.SimWorkers)
 }
 
 // Start annotates the recorder, schedules the periodic gauge sampler and
@@ -768,8 +803,8 @@ func (e *Experiment) Start() {
 			e.sched.At(t, func() {
 				now := e.sched.Now()
 				depth := 0
-				for _, b := range e.bases {
-					depth += b.Pool.Len()
+				for _, v := range e.validators {
+					depth += v.Base().Pool.Len()
 				}
 				pending := 0
 				for _, fl := range e.flows {
@@ -780,8 +815,8 @@ func (e *Experiment) Start() {
 				rec.Gauge(now, "chain_height", float64(e.monitor.MaxHeight()))
 				if e.cfg.Overlay.Enabled() {
 					var ost overlay.Stats
-					for _, b := range e.bases {
-						if r := b.Relay(); r != nil {
+					for _, v := range e.validators {
+						if r := v.Base().Relay(); r != nil {
 							ost.Add(r.Stats())
 						}
 					}
@@ -863,8 +898,8 @@ func (e *Experiment) Collect() *RunResult {
 		res.ReadMismatches += r.Mismatches()
 		res.ReadDivergences += r.Divergences()
 	}
-	for _, b := range e.bases {
-		if r := b.Relay(); r != nil {
+	for _, v := range e.validators {
+		if r := v.Base().Relay(); r != nil {
 			res.Overlay.Add(r.Stats())
 		}
 	}
@@ -903,11 +938,7 @@ func (c Config) Timeline() (*scenario.Compiled, error) {
 		// overlay neighborhood. The topology is a pure function of (overlay
 		// config, seed, ids), so rebuilding it here resolves the same
 		// adjacency Build wires into the routers.
-		peers := make([]simnet.NodeID, c.Validators)
-		for i := range peers {
-			peers[i] = simnet.NodeID(i)
-		}
-		topo, err := overlay.New(c.Overlay, c.Seed, peers)
+		topo, err := overlay.New(c.Overlay, c.Seed, validatorIDs(c.Validators))
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"math"
 	"reflect"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"stabl/internal/chain"
 	"stabl/internal/simnet"
+	"stabl/internal/snapshot"
 )
 
 // stubSystem is a minimal chain for exercising the harness: node 0 seals its
@@ -31,7 +33,7 @@ func (s *stubSystem) Name() string {
 func (s *stubSystem) Tolerance(n int) int           { return chain.ToleranceThird(n) }
 func (s *stubSystem) ConnParams() simnet.ConnParams { return simnet.ConnParams{} }
 
-func (s *stubSystem) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *chain.Monitor, genesis *chain.Genesis) simnet.Handler {
+func (s *stubSystem) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *chain.Monitor, genesis *chain.Genesis) chain.Validator {
 	v := &stubValidator{
 		base:     chain.NewBaseNode(id, peers, mon, chain.BaseConfig{}),
 		fragile:  s.fragile,
@@ -119,6 +121,31 @@ func (v *stubValidator) Deliver(from simnet.NodeID, payload any) {
 		if v.alive != nil {
 			v.alive[msg.From] = true
 		}
+	}
+}
+
+func (v *stubValidator) Base() *chain.BaseNode { return v.base }
+
+// stubCheck is the stub's checkpoint: the shared core, the ticker (an
+// identity-preserved pointer) and the fragile probe's replies, which the
+// ticker's closure holds by the same map, so Restore refills it in place.
+type stubCheck struct {
+	base   chain.BaseState
+	ticker interface{ Stop() }
+	alive  map[simnet.NodeID]bool
+}
+
+func (v *stubValidator) Snapshot() snapshot.State {
+	return &stubCheck{base: v.base.SnapshotBase(), ticker: v.ticker, alive: maps.Clone(v.alive)}
+}
+
+func (v *stubValidator) Restore(state snapshot.State) {
+	st := state.(*stubCheck)
+	v.base.RestoreBase(st.base)
+	v.ticker = st.ticker
+	if v.alive != nil {
+		clear(v.alive)
+		maps.Copy(v.alive, st.alive)
 	}
 }
 

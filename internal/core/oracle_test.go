@@ -42,7 +42,8 @@ func TestNoDoubleCommit(t *testing.T) {
 					exp.Start()
 					exp.RunUntil(exp.Config().Duration)
 					ledgers := make(map[chain.TxID]struct{})
-					for _, b := range exp.bases {
+					for _, v := range exp.validators {
+						b := v.Base()
 						at := make(map[chain.TxID]int)
 						for h := 0; h < b.Ledger.Height(); h++ {
 							blk, err := b.Ledger.Block(h)
@@ -96,7 +97,8 @@ func TestBlocksAtExactLength(t *testing.T) {
 			exp.Start()
 			exp.RunUntil(exp.Config().Duration)
 			txs := 0
-			for _, b := range exp.bases {
+			for _, v := range exp.validators {
+				b := v.Base()
 				for h := 0; h < b.Ledger.Height(); h++ {
 					blk, err := b.Ledger.Block(h)
 					if err != nil {

@@ -92,7 +92,7 @@ func checkRestartEquivalence(t *testing.T, cfg Config, c restartCase) {
 			e.net.Restart(c.k)
 		}
 		e.RunUntil(halt)
-		if c.catchUp && !e.bases[c.k].CatchingUp() {
+		if c.catchUp && !e.validators[c.k].Base().CatchingUp() {
 			t.Fatalf("validator %v is not catching up at %v", c.k, halt)
 		}
 		e.net.Halt(c.k)
@@ -116,7 +116,7 @@ func checkRestartEquivalence(t *testing.T, cfg Config, c restartCase) {
 // the router's caches.
 func garbleRestartState(t *testing.T, e *Experiment, k simnet.NodeID) {
 	garbleVolatile(t, checkpointStruct(t, reflect.ValueOf(e.validators[k]).Elem()))
-	base := e.bases[k]
+	base := e.validators[k].Base()
 	garbleVolatile(t, checkpointStruct(t, reflect.ValueOf(base).Elem()))
 	if r := base.Relay(); r != nil {
 		rv := reflect.ValueOf(r).Elem()

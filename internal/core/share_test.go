@@ -52,12 +52,13 @@ func TestValidatorsShareAccounts(t *testing.T) {
 func checkShared(t *testing.T, e *Experiment, workers int) {
 	t.Helper()
 	top := 0
-	for _, b := range e.bases {
-		top = max(top, b.Ledger.Height())
+	for _, v := range e.validators {
+		top = max(top, v.Base().Ledger.Height())
 	}
 	var first *chain.Ledger
 	atTop := 0
-	for _, b := range e.bases {
+	for _, v := range e.validators {
+		b := v.Base()
 		if b.Ledger.Height() != top {
 			continue
 		}
@@ -68,9 +69,9 @@ func checkShared(t *testing.T, e *Experiment, workers int) {
 			t.Fatalf("workers %d: validator %d holds its own account version at height %d", workers, b.ID, top)
 		}
 	}
-	if top < 2*8 || atTop < len(e.bases)/2 {
+	if top < 2*8 || atTop < len(e.validators)/2 {
 		t.Fatalf("workers %d: %d of %d validators reached height %d; the run must commit past the memo's window for the check to mean anything",
-			workers, atTop, len(e.bases), top)
+			workers, atTop, len(e.validators), top)
 	}
 }
 
@@ -116,12 +117,13 @@ func TestValidatorsShareBlocks(t *testing.T) {
 func checkSharedBlocks(t *testing.T, e *Experiment, workers int) {
 	t.Helper()
 	top, checked := 0, 0
-	for _, b := range e.bases {
-		top = max(top, b.Ledger.Height())
+	for _, v := range e.validators {
+		top = max(top, v.Base().Ledger.Height())
 	}
 	for h := range top {
 		var first *chain.Tx
-		for _, b := range e.bases {
+		for _, v := range e.validators {
+			b := v.Base()
 			blk, err := b.Ledger.Block(h)
 			if err != nil || len(blk.Txs) == 0 {
 				continue

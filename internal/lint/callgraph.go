@@ -370,7 +370,7 @@ func (idx *programIndex) recordFieldWrites(pkg *Package, fn *types.Func, lhs ast
 // createsType reports whether fn instantiates named via a composite literal
 // anywhere in its body. Such a function is a constructor of named even when
 // its declared results hide the concrete type behind an interface
-// (NewValidator returning simnet.Handler): the writes that follow the
+// (NewValidator returning chain.Validator): the writes that follow the
 // literal are initialization, not post-checkpoint mutation.
 func (prog *Program) createsType(fn *types.Func, named *types.Named) bool {
 	idx := prog.Index()

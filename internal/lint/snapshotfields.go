@@ -170,7 +170,7 @@ func methodReceiverNamed(fn *types.Func) *types.Named {
 // isConstructorOf reports whether fn's results include named or *named —
 // the New*/build* functions whose field writes are initialization, not
 // post-checkpoint mutation. Constructors that return the value behind an
-// interface (NewValidator returning simnet.Handler) are caught by
+// interface (NewValidator returning chain.Validator) are caught by
 // Program.createsType instead.
 func isConstructorOf(fn *types.Func, named *types.Named) bool {
 	sig, ok := fn.Type().(*types.Signature)

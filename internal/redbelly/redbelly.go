@@ -113,7 +113,7 @@ func (s *System) Tolerance(n int) int { return chain.ToleranceThird(n) }
 func (s *System) ConnParams() simnet.ConnParams { return s.cfg.Conn }
 
 // NewValidator implements chain.System.
-func (s *System) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *chain.Monitor, genesis *chain.Genesis) simnet.Handler {
+func (s *System) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *chain.Monitor, genesis *chain.Genesis) chain.Validator {
 	v := &validator{
 		cfg:  s.cfg,
 		base: chain.NewBaseNode(id, peers, mon, s.cfg.Base),
@@ -212,8 +212,6 @@ type durable struct {
 	round   int
 	decides uint64
 }
-
-var _ simnet.Handler = (*validator)(nil)
 
 // Start implements simnet.Handler.
 func (v *validator) Start(ctx *simnet.Context) {

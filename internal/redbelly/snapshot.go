@@ -7,8 +7,6 @@ import (
 	"stabl/internal/snapshot"
 )
 
-var _ snapshot.Forkable = (*validator)(nil)
-
 // checkpoint pairs the BaseNode core's checkpoint with the validator's own
 // and the contents of every live round, keyed like nodeState.states.
 type checkpoint struct {

@@ -147,23 +147,6 @@ func (s *Scheduler) EnableParallel(laneQueue []int32, workers int, lookahead tim
 	s.par = p
 }
 
-// DisableParallel reverts an un-started scheduler to the sequential kernel,
-// the deterministic fallback the forking API uses (checkpoints snapshot a
-// single queue). It panics if any partition queue already holds events.
-func (s *Scheduler) DisableParallel() {
-	if s.par == nil {
-		return
-	}
-	for _, q := range s.qs[1:] {
-		if q.len() != 0 {
-			panic("sim: DisableParallel with pending partition events")
-		}
-	}
-	s.qs = s.qs[:1]
-	s.laneQueue = nil
-	s.par = nil
-}
-
 // Parallel reports whether the scheduler is in parallel mode.
 func (s *Scheduler) Parallel() bool { return s.par != nil }
 

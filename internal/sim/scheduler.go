@@ -45,7 +45,7 @@ type Scheduler struct {
 	// connection manager, gauge samplers). qs[1..workers] are partition
 	// queues owned by one worker each during a window.
 	qs []*queue
-	//stabl:nodet snapshot-fields -- parallel-mode only; cleared by DisableParallel before any fork
+	//stabl:nodet snapshot-fields -- parallel-mode only, and a parallel scheduler never forks
 	laneQueue []int32 // lane -> queue index; nil (sequential) routes all lanes to qs[0]
 
 	seed int64

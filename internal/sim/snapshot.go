@@ -86,8 +86,8 @@ func (s *schedState) clone() schedState {
 // and the contents behind the two registries, in registry order. Entries
 // registered after the checkpoint belong to objects the restore abandons, so
 // restoring the registry slices truncates exactly. Checkpoints capture the
-// sequential kernel only (one queue); the forking API falls back to
-// sequential mode before snapshotting.
+// sequential kernel only (one queue); the forking API refuses a parallel
+// experiment.
 type schedCheck struct {
 	schedState
 	queue   queueState
@@ -100,7 +100,7 @@ type schedCheck struct {
 // experiment costs a few slice copies plus two small registry walks.
 func (s *Scheduler) Snapshot() snapshot.State {
 	if s.par != nil {
-		panic("sim: Snapshot requires the sequential kernel (see DisableParallel)")
+		panic("sim: Snapshot requires the sequential kernel")
 	}
 	st := &schedCheck{
 		schedState: s.schedState.clone(),

@@ -164,7 +164,7 @@ type Network struct {
 	// outbox[qi] parks the flights queue qi built for other partitions
 	// inside a lookahead window; a barrier hook re-homes them (keys were
 	// already assigned at send time, so injection order is irrelevant).
-	//stabl:nodet snapshot-fields -- parallel-mode only; drained at every barrier and cleared by DisableParallel before any fork
+	//stabl:nodet snapshot-fields -- parallel-mode only; drained at every barrier, and a parallel network never forks
 	outbox [][]*flight
 	virtMu sync.RWMutex
 	netState
@@ -410,41 +410,6 @@ func (n *Network) EnableParallel(queueOf []int32, workers int) {
 	}
 	n.outbox = make([][]*flight, workers+1)
 	n.sched.OnBarrier(n.flushOutboxes)
-}
-
-// DisableParallel reverts to the single-queue layout, the sequential
-// fallback the forking API takes before snapshotting. Outboxes must be
-// empty (they always are outside a window).
-func (n *Network) DisableParallel() {
-	if len(n.flights) == 1 {
-		return
-	}
-	for _, box := range n.outbox {
-		if len(box) != 0 {
-			panic("simnet: DisableParallel with buffered cross-partition sends")
-		}
-	}
-	for i := 1; i < len(n.statsh); i++ {
-		n.statsh[0].add(n.statsh[i])
-	}
-	n.statsh = n.statsh[:1]
-	// Flights allocated by partition pools stay owned by them; merging free
-	// lists would break the per-pool registries. Pre-start (the only place
-	// the fallback runs) no partition pool has allocated anything.
-	for _, p := range n.flights[1:] {
-		if len(p.all) != 0 {
-			panic("simnet: DisableParallel after partition flights were pooled")
-		}
-	}
-	n.flights = n.flights[:1]
-	n.flights[0].stage = n.flights[0].stage[:1]
-	n.flights[0].owned = len(n.ids)
-	n.outbox = nil
-	for _, ep := range n.nodes {
-		if ep != nil {
-			ep.qi = 0
-		}
-	}
 }
 
 // barrierOnly guards the mutators that touch state every partition reads

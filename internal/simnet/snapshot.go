@@ -38,10 +38,10 @@ type netCheck struct {
 // states. The node table, contexts, handlers and registry are
 // identity-preserved; the scheduler owns the RNG streams (simnet's per-node
 // latency, loss and jitter streams register there). Checkpoints capture the
-// sequential layout only; the forking API falls back before snapshotting.
+// sequential layout only; the forking API refuses a parallel experiment.
 func (n *Network) Snapshot() snapshot.State {
 	if len(n.flights) > 1 {
-		panic("simnet: Snapshot requires the sequential network (see DisableParallel)")
+		panic("simnet: Snapshot requires the sequential network")
 	}
 	fp := &n.flights[0]
 	st := &netCheck{

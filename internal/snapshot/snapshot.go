@@ -1,7 +1,9 @@
 // Package snapshot defines the checkpoint/restore contract that makes STABL
-// runs forkable: every stateful simulation component implements Forkable,
-// and core.Fork composes them into a whole-experiment checkpoint taken at a
-// virtual instant.
+// runs forkable: every stateful simulation component implements Forkable —
+// a chain.Validator by its type — and core.Build's stages register each one
+// in the experiment's Set as they create it, so Experiment.Fork captures the
+// whole experiment at a virtual instant. Checkpoints hold the sequential
+// kernel's layout; a parallel experiment does not fork.
 //
 // # Restore-in-place semantics
 //
@@ -38,6 +40,8 @@
 //     Restore truncates to the checkpoint length.
 package snapshot
 
+import "slices"
+
 // State is one component's opaque checkpoint. Each Forkable returns its own
 // private state type; callers only carry it back to the same component's
 // Restore.
@@ -54,8 +58,8 @@ type Forkable interface {
 }
 
 // Set composes Forkables into one Forkable: Snapshot captures every part in
-// registration order and Restore rewinds them all. core.Fork uses a Set over
-// the scheduler, network, chain nodes, clients and recorders.
+// registration order and Restore rewinds them all. core.Build fills one Set
+// with the scheduler, network, chain nodes, clients, observers and recorders.
 type Set struct {
 	parts []Forkable
 }
@@ -65,6 +69,10 @@ type Set struct {
 func (s *Set) Add(parts ...Forkable) {
 	s.parts = append(s.parts, parts...)
 }
+
+// Grow makes room for n more parts, so a caller that knows how many it will
+// register adds them without regrowing the list.
+func (s *Set) Grow(n int) { s.parts = slices.Grow(s.parts, n) }
 
 // Len reports how many parts are registered.
 func (s *Set) Len() int { return len(s.parts) }

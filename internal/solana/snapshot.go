@@ -7,8 +7,6 @@ import (
 	"stabl/internal/snapshot"
 )
 
-var _ snapshot.Forkable = (*validator)(nil)
-
 // checkpoint pairs the BaseNode core's checkpoint with the validator's own.
 type checkpoint struct {
 	base chain.BaseState
