@@ -28,16 +28,16 @@ specs:
 
 # lint runs the whole-program determinism analysis (internal/lint) over the
 # module: the engine loads every package once, builds a cross-package call
-# graph, and runs nine analyzers — map ranges that draw RNG/send/schedule
-# (resolved through helpers and interface dispatch in other packages),
-# wall-clock reads in simulated packages, global math/rand use, unsorted key
-# broadcasts, snapshot map-order capture, cross-partition writes, Forkable
-# structs with mutable fields their Snapshot/Restore never touch, goroutines
-# and locks in handler-path code outside the parsim seam, and unbounded
-# loops/recursion in handlers. Any unsuppressed diagnostic fails the build;
-# //stabl:nodet <analyzer> -- <justification> suppresses one finding (see
-# DESIGN.md "Determinism invariants"); `stabl lint -json` emits the findings,
-# suppressed ones included and flagged, for tooling.
+# graph, and runs six analyzers for what running a config twice cannot see —
+# wall-clock reads in simulated packages, global math/rand use, unbounded
+# loops/recursion in handlers, Forkable structs with mutable fields their
+# Snapshot/Restore never touch, cross-partition writes, and goroutines and
+# locks in handler-path code outside the parsim seam. Map order reaching
+# simulated state is the census's and FuzzSpecRun's to catch. Any
+# unsuppressed diagnostic fails the build; //stabl:nodet <analyzer> --
+# <justification> suppresses one finding (see DESIGN.md "Determinism
+# invariants"); `stabl lint -json` emits the findings, suppressed ones
+# included and flagged, for tooling.
 lint:
 	$(GO) run ./cmd/stabl lint ./...
 
@@ -78,9 +78,13 @@ ci: verify verify-race bench-smoke fuzz-smoke sim-digests census
 
 # fuzz-smoke runs every native fuzz target in the module (`func Fuzz*` in a
 # test file) for FUZZTIME each: the seed corpus first, then fresh inputs.
-# Each target is a model interpreter that compares a flat table against the
-# map-based implementation it replaced (chain.txTable, overlay.dupemap); a
-# crasher lands in the package's testdata/fuzz and is committed with its fix.
+# All but one hold an implementation to a simpler reference model of it: a
+# flat table to the map it replaced (FuzzTxTable, FuzzDupemap, FuzzTally),
+# the event queue to a sorted slice (FuzzEventQueue), a lowered fault plan or
+# kadcast's views to the code they replaced (FuzzPlanLowering,
+# FuzzKadcastViews). FuzzSpecRun instead runs every spec Validate accepts,
+# twice, and requires the same bytes. A crasher lands in the package's
+# testdata/fuzz and is committed with its fix.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	@set -e; for f in $$(grep -rlE --include='*_test.go' --exclude-dir=.bench_build '^func Fuzz[A-Z]' .); do \
@@ -101,12 +105,15 @@ fuzz-smoke:
 sim-digests:
 	bash scripts/sim_digests.sh
 
-# census is the many-seed safety gate: TestIntegrityCensus (census_test.go,
-# behind the census build tag so `go test ./...` never runs it) compares every
-# golden configuration but committee-flows-Algorand over seeds 1–10 and the
-# paper's four faults on the five chains over seeds 1–5 on internal/pool, and
-# fails on a fork scripts/census.txt does not list or a listed one that no
-# longer forks.
+# census is the many-seed safety and determinism gate: TestIntegrityCensus
+# (census_test.go, behind the census build tag so `go test ./...` never runs
+# it) compares every golden configuration but committee-flows-Algorand over
+# seeds 1–10 and the paper's four faults on the five chains over seeds 1–5
+# on internal/pool, and fails on a fork scripts/census.txt does not list or a
+# listed one that no longer forks. It runs every comparison twice — the
+# second baseline from scratch, the second altered run through a checkpoint
+# just before its first disruption and a rewind — and fails naming the row,
+# the seed and the first line where the two renders differ.
 census:
 	$(GO) test -tags census -run '^TestIntegrityCensus$$' -timeout 30m .
 

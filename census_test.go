@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"stabl/internal/core"
 	"stabl/internal/pool"
 )
 
@@ -19,13 +20,16 @@ import (
 // baseline and the altered run report.
 const censusFile = "scripts/census.txt"
 
-// TestIntegrityCensus checks safety over many seeds, not just the goldens'
-// 42: every golden configuration but committee-flows-Algorand over seeds
-// 1–10, and the paper's four faults on the five chains over seeds 1–5. Each
-// comparison whose runs report integrity entries (a fork) must be listed in
-// scripts/census.txt with those counts, and every listed pair must still
-// fork: a fix deletes its line. It runs under `make census` (the census
-// build tag), a few minutes on two CPUs.
+// TestIntegrityCensus checks safety and determinism over many seeds, not
+// just the goldens' 42: every golden configuration but
+// committee-flows-Algorand over seeds 1–10, and the paper's four faults on
+// the five chains over seeds 1–5. Each comparison whose runs report
+// integrity entries (a fork) must be listed in scripts/census.txt with those
+// counts, and every listed pair must still fork: a fix deletes its line.
+// Each comparison also runs twice, the second time with a fresh baseline
+// and an altered run that resumes from a rewound checkpoint (rerun), and
+// both must render the same text. It runs under `make census` (the census
+// build tag), several minutes on two CPUs.
 func TestIntegrityCensus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the census runs 290 comparisons")
@@ -57,6 +61,7 @@ func TestIntegrityCensus(t *testing.T) {
 	}
 
 	lines := make([]string, len(jobs))
+	diffs := make([]string, len(jobs))
 	errs := pool.ForEach(context.Background(), len(jobs), 0, func(i int) error {
 		cfg, err := jobs[i].cfg()
 		if err != nil {
@@ -70,11 +75,22 @@ func TestIntegrityCensus(t *testing.T) {
 		if b, a := len(cmp.Baseline.IntegrityErrors), len(cmp.Altered.IntegrityErrors); b+a > 0 {
 			lines[i] = fmt.Sprintf("%s %d %d/%d", jobs[i].row, jobs[i].seed, b, a)
 		}
+		again, err := rerunComparison(cfg)
+		if err != nil {
+			return err
+		}
+		diffs[i] = renderDiff(fmt.Sprintf("%s seed %d: second run", jobs[i].row, jobs[i].seed),
+			renderComparison(cmp), renderComparison(again))
 		return nil
 	})
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("%s seed %d: %v", jobs[i].row, jobs[i].seed, err)
+		}
+	}
+	for _, diff := range diffs {
+		if diff != "" {
+			t.Error(diff)
 		}
 	}
 
@@ -89,6 +105,20 @@ func TestIntegrityCensus(t *testing.T) {
 			t.Errorf("%s: listed in %s, but no longer forks with these counts: delete or re-record the line", line, censusFile)
 		}
 	}
+}
+
+// rerunComparison is Compare run a second time: the baseline from scratch,
+// the altered run through rerun.
+func rerunComparison(cfg Config) (*Comparison, error) {
+	baseline, err := core.Run(core.BaselineConfig(cfg))
+	if err != nil {
+		return nil, err
+	}
+	altered, err := rerun(core.AlteredConfig(cfg))
+	if err != nil {
+		return nil, err
+	}
+	return core.ScoreWithBaseline(cfg, baseline, altered)
 }
 
 // readCensus returns the census file's pair lines, comments and blanks

@@ -477,29 +477,38 @@ func TestCLISearchValidation(t *testing.T) {
 	}
 }
 
+// lintAnalyzers is every analyzer `stabl lint` registers.
+var lintAnalyzers = []string{"cross-partition-state", "effort-bound", "globalrand", "goroutine-purity", "snapshot-fields", "wallclock"}
+
 func TestCLILintList(t *testing.T) {
 	var buf strings.Builder
 	if err := run([]string{"lint", "-list"}, &buf); err != nil {
 		t.Fatalf("lint -list: %v", err)
 	}
-	for _, name := range []string{"globalrand", "maprange-rng", "snapshot-maporder", "unsorted-broadcast", "wallclock", "snapshot-fields", "goroutine-purity", "effort-bound"} {
+	for _, name := range lintAnalyzers {
 		if !strings.Contains(buf.String(), name) {
 			t.Fatalf("lint -list output %q is missing analyzer %s", buf.String(), name)
 		}
 	}
+	if n := strings.Count(strings.TrimSpace(buf.String()), "\n") + 1; n != len(lintAnalyzers) {
+		t.Fatalf("lint -list printed %d lines, want one per analyzer (%d):\n%s", n, len(lintAnalyzers), buf.String())
+	}
 }
 
-// TestCLILintUnknownAnalyzer mirrors TestCLIUnknownFault: a typo fails with
-// an error that enumerates the valid names.
+// TestCLILintUnknownAnalyzer mirrors TestCLIUnknownFault: a typo, or an
+// analyzer since deleted, fails with an error that enumerates the valid
+// names.
 func TestCLILintUnknownAnalyzer(t *testing.T) {
-	var buf strings.Builder
-	err := run([]string{"lint", "-analyzers", "bogus"}, &buf)
-	if err == nil {
-		t.Fatal("unknown analyzer accepted")
-	}
-	for _, want := range []string{`unknown analyzer "bogus"`, "globalrand", "maprange-rng", "snapshot-maporder", "unsorted-broadcast", "wallclock", "snapshot-fields", "goroutine-purity", "effort-bound"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not mention %q", err, want)
+	for _, name := range []string{"bogus", "maprange-rng"} {
+		var buf strings.Builder
+		err := run([]string{"lint", "-analyzers", name}, &buf)
+		if err == nil {
+			t.Fatalf("unknown analyzer %q accepted", name)
+		}
+		for _, want := range append([]string{`unknown analyzer "` + name + `"`}, lintAnalyzers...) {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not mention %q", err, want)
+			}
 		}
 	}
 }

@@ -8,15 +8,19 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"stabl/internal/lint"
 )
 
 // TestDocsNameOnlyLiveTargets: every `make <target>`, every
-// BENCH_<name>.json and every Test/Fuzz/Benchmark name the living documents
-// name exists; a test name only as the prefix of some test function, since
-// docs cite `-run` patterns. ROADMAP.md and CHANGES.md are history and
-// exempt. This is the check that would have kept four make targets, six
-// report files and the per-table golden tests from outliving their purpose in
-// the docs.
+// BENCH_<name>.json, every Test/Fuzz/Benchmark name and every analyzer of a
+// `stabl lint -analyzers` line the living documents name exists; a test name
+// only as the prefix of some test function, since docs cite `-run` patterns.
+// DESIGN.md's "Determinism invariants" table has one row per registered
+// analyzer and no other. ROADMAP.md and CHANGES.md are history and exempt.
+// This is the check that would have kept four make targets, six report
+// files, the per-table golden tests and three deleted analyzers from
+// outliving their purpose in the docs.
 func TestDocsNameOnlyLiveTargets(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -44,7 +48,12 @@ func TestDocsNameOnlyLiveTargets(t *testing.T) {
 	command := regexp.MustCompile(`^\s*(?:- run: )?make ([a-z][a-z0-9-]*)`)
 	report := regexp.MustCompile(`BENCH_[A-Za-z0-9_]+\.json`)
 	testName := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*`)
+	analyzers := regexp.MustCompile(`stabl lint .*-analyzers[ =]([a-z,-]+)`)
 	funcs := testFuncs(t)
+	registered := make(map[string]bool)
+	for _, a := range lint.All() {
+		registered[a.Name] = true
+	}
 	for _, path := range []string{
 		"README.md", "DESIGN.md", "EXPERIMENTS.md", "Makefile",
 		".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md",
@@ -74,11 +83,37 @@ func TestDocsNameOnlyLiveTargets(t *testing.T) {
 					t.Errorf("%s:%d: names %s, which does not exist", path, i+1, name)
 				}
 			}
+			for _, m := range analyzers.FindAllStringSubmatch(line, -1) {
+				for _, name := range strings.Split(m[1], ",") {
+					if name != "all" && !registered[name] {
+						t.Errorf("%s:%d: names analyzer %q, which lint.All() does not register", path, i+1, name)
+					}
+				}
+			}
 			for _, name := range testName.FindAllString(line, -1) {
 				if !slices.ContainsFunc(funcs, func(f string) bool { return strings.HasPrefix(f, name) }) {
 					t.Errorf("%s:%d: names %s, which no test function in a _test.go file starts with", path, i+1, name)
 				}
 			}
+		}
+	}
+
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(design), "\n## Determinism invariants")
+	section, _, _ = strings.Cut(section, "\n## ")
+	rows := make(map[string]bool)
+	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z-]+)` \\|").FindAllStringSubmatch(section, -1) {
+		rows[m[1]] = true
+		if !registered[m[1]] {
+			t.Errorf("DESIGN.md: the determinism invariants table has a row for %q, which lint.All() does not register", m[1])
+		}
+	}
+	for _, a := range lint.All() {
+		if !rows[a.Name] {
+			t.Errorf("DESIGN.md: analyzer %q has no row in the determinism invariants table", a.Name)
 		}
 	}
 }
@@ -126,7 +161,7 @@ func TestDocsLineBudget(t *testing.T) {
 // codeSizeBudget is the non-test Go line count `make loc` printed when the
 // budget was last recorded. A change that raises it says so, and why, in
 // CHANGES.md.
-const codeSizeBudget = 25836
+const codeSizeBudget = 24852
 
 // TestCodeSizeBudget: the module's non-test Go — every .go file but the
 // _test.go ones, outside .bench_build, counted in lines as `make loc` counts

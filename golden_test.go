@@ -87,8 +87,16 @@ func digest[T any](vs []T) string {
 // sameRender fails t at the first line where got differs from want.
 func sameRender(t *testing.T, what, want, got string) {
 	t.Helper()
+	if msg := renderDiff(what, want, got); msg != "" {
+		t.Error(msg)
+	}
+}
+
+// renderDiff names the first line where got differs from want, or returns ""
+// when the texts are equal.
+func renderDiff(what, want, got string) string {
 	if want == got {
-		return
+		return ""
 	}
 	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
 	i := 0
@@ -101,7 +109,27 @@ func sameRender(t *testing.T, what, want, got string) {
 		}
 		return "<end of text>"
 	}
-	t.Errorf("%s, line %d: got %q, want %q", what, i+1, line(g), line(w))
+	return fmt.Sprintf("%s, line %d: got %q, want %q", what, i+1, line(g), line(w))
+}
+
+// rerun runs cfg a second time, for the check that a run is a function of
+// its config: from scratch to just before its first disruptive action, then
+// on from a checkpoint taken and at once rewound there, so the suffix runs
+// from restored state. A run that disrupts nothing (RunToCheckpoint returns
+// nil) or runs on the parallel kernel (it refuses) is left un-started and
+// runs from scratch instead.
+func rerun(cfg core.Config) (*RunResult, error) {
+	e, err := core.Build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if fp, err := core.RunToCheckpoint(e); err == nil && fp != nil {
+		fp.Rewind()
+	} else {
+		e.Start()
+	}
+	e.RunUntil(e.Config().Duration)
+	return e.Collect(), nil
 }
 
 // goldenRow is one pinned seed-42 configuration, rendered to

@@ -692,11 +692,11 @@ func (v *validator) closeRound(inst *instance, seq uint64) {
 		}
 		return
 	}
-	// Flip to a competing proposal that reached alpha (Snowflake rule).
-	// Candidate slots are visited in ascending order: map iteration here
-	// would make the flip choice (and therefore the whole run) depend on
-	// Go's per-process map ordering when two competitors reach alpha in
-	// the same poll.
+	// Flip to a competing proposal that reached alpha (Snowflake rule). A
+	// poll counts at most K answers and Alpha > K/2, so at most one slot
+	// reaches alpha and the visiting order cannot change the flip. The
+	// slots are still visited in ascending order, so the choice stays a
+	// function of the poll if a config ever sets Alpha ≤ K/2.
 	slots := make([]int, 0, len(inst.flips))
 	for slot := range inst.flips {
 		slots = append(slots, slot)

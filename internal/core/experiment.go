@@ -296,7 +296,7 @@ func (c Config) validate() (*scenario.Compiled, error) {
 		}
 	}
 	if c.Flows == 0 && c.Clients > c.Validators {
-		return nil, fmt.Errorf("core: %d clients need at most %d validators", c.Clients, c.Validators)
+		return nil, fmt.Errorf("core: Clients %d needs at least %d validators, got Validators %d", c.Clients, c.Clients, c.Validators)
 	}
 	if c.Scenario != nil && c.Fault.Kind != FaultNone {
 		return nil, fmt.Errorf("core: config sets both Fault (%s) and Scenario (%s); they are mutually exclusive",

@@ -201,6 +201,8 @@ func TestValidateRejectsNegativeAndNonFinite(t *testing.T) {
 	}{
 		{"Validators", "-3", func(c *Config) { c.Validators = -3 }},
 		{"Clients", "-1", func(c *Config) { c.Clients = -1 }},
+		// Without flows each client is pinned to a validator of its own.
+		{"Clients", "5", func(c *Config) { c.Validators, c.Clients = 1, 5 }},
 		{"RatePerClient", "-2", func(c *Config) { c.RatePerClient = -2 }},
 		{"RatePerClient", "NaN", func(c *Config) { c.RatePerClient = math.NaN() }},
 		{"RatePerClient", "+Inf", func(c *Config) { c.RatePerClient = math.Inf(1) }},

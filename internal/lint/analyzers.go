@@ -9,11 +9,8 @@ import (
 // All returns every registered analyzer, sorted by name.
 func All() []*Analyzer {
 	all := []*Analyzer{
-		MapRangeRNG,
 		Wallclock,
 		GlobalRand,
-		UnsortedBroadcast,
-		SnapshotMapOrder,
 		CrossPartitionState,
 		SnapshotFields,
 		GoroutinePurity,

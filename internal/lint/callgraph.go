@@ -10,12 +10,10 @@ import (
 // This file builds the whole-program indexes the cross-package analyzers
 // share: a call graph keyed by *types.Object (every function and method
 // declaration in every local package), interface dispatch resolved over the
-// set of concrete implementers in the module, a memoized taint engine over
-// the order-sensitive sinks in sinks.go, reachability sets (handler-path
-// code, Snapshot/Restore-path code) and a field-write index. Everything is
-// derived deterministically: packages and files are walked in sorted order,
-// memoization is order-independent, and descriptions pick the first match
-// in source order, so diagnostics are byte-identical across runs.
+// set of concrete implementers in the module, the handler-path reachability
+// set and a field-write index. Everything is derived deterministically:
+// packages and files are walked in sorted order and memoization is
+// order-independent, so diagnostics are byte-identical across runs.
 
 type programIndex struct {
 	// decls maps every function and method declared in a local package to
@@ -32,19 +30,10 @@ type programIndex struct {
 	// have bodies in the program, in named order.
 	impl map[*types.Func][]*types.Func
 
-	// taint memoizes sink reachability: "" = proven clean, otherwise a
-	// human-readable description of the first sink reached.
-	taint    map[*types.Func]string
-	taintRun map[*types.Func]bool // in-progress guard for recursion cycles
-
 	// handler marks functions reachable from a handler-shaped method (a
 	// method on a type with Start/Deliver/Stop — node endpoints), i.e. code
 	// that runs inside the simulation's message-delivery path.
 	handler map[*types.Func]bool
-
-	// snapPath marks functions reachable from a Snapshot*/Restore* method
-	// or function — the checkpoint serialization path.
-	snapPath map[*types.Func]bool
 
 	// fieldWrites records, per struct field (keyed by the first-hop field
 	// object of the written selector chain), every function that assigns
@@ -65,8 +54,6 @@ func (prog *Program) Index() *programIndex {
 			decls:       make(map[*types.Func]*ast.FuncDecl),
 			owner:       make(map[*types.Func]*Package),
 			impl:        make(map[*types.Func][]*types.Func),
-			taint:       make(map[*types.Func]string),
-			taintRun:    make(map[*types.Func]bool),
 			fieldWrites: make(map[*types.Var][]*types.Func),
 			creates:     make(map[*types.Func]map[*types.Named]bool),
 		}
@@ -99,12 +86,9 @@ func (prog *Program) Index() *programIndex {
 		}
 		prog.index = idx
 		idx.buildFieldWrites(prog, locals)
-		idx.handler = prog.reachableFrom(func(fn *types.Func, fd *ast.FuncDecl) bool {
+		idx.handler = prog.reachableFrom(func(fn *types.Func) bool {
 			sig, ok := fn.Type().(*types.Signature)
 			return ok && sig.Recv() != nil && handlerShaped(sig.Recv().Type())
-		})
-		idx.snapPath = prog.reachableFrom(func(fn *types.Func, fd *ast.FuncDecl) bool {
-			return strings.HasPrefix(fn.Name(), "Snapshot") || strings.HasPrefix(fn.Name(), "Restore")
 		})
 	})
 	return prog.index
@@ -155,98 +139,11 @@ func isInterfaceMethod(fn *types.Func) bool {
 	return ok
 }
 
-// taintDesc reports whether fn transitively reaches an order-sensitive sink
-// (see sinks.go), either directly, through calls and method values across
-// any local package, or through interface dispatch over the module's
-// concrete implementers. "" means proven clean. Functions in a recursion
-// cycle report through the first entry point that completes, matching the
-// per-package engine this generalizes.
-func (prog *Program) taintDesc(fn *types.Func) string {
-	idx := prog.Index()
-	if desc, ok := idx.taint[fn]; ok {
-		return desc
-	}
-	if idx.taintRun[fn] {
-		return ""
-	}
-	fd, ok := idx.decls[fn]
-	if !ok {
-		return ""
-	}
-	idx.taintRun[fn] = true
-	desc := prog.scanForSink(fd.Body, idx.owner[fn], fn)
-	delete(idx.taintRun, fn)
-	idx.taint[fn] = desc
-	return desc
-}
-
-// scanForSink walks body (whose identifiers resolve through owner's type
-// info) in source order and returns a description of the first
-// order-sensitive sink it reaches: a direct sink call, a call to (or
-// reference of) a tainted function in any local package, or a dynamic call
-// through an interface with a tainted implementer. self, when non-nil, is
-// skipped so recursive functions do not report through themselves.
-func (prog *Program) scanForSink(body ast.Node, owner *Package, self *types.Func) string {
-	idx := prog.Index()
-	var found string
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found != "" {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		fn, ok := owner.Info.Uses[id].(*types.Func)
-		if !ok || fn == self {
-			return true
-		}
-		if desc, ok := sinkFunc(fn); ok {
-			found = desc
-			return false
-		}
-		if _, declared := idx.decls[fn]; declared {
-			if desc := prog.taintDesc(fn); desc != "" {
-				found = "calls " + calleeLabel(fn, owner) + ", which " + desc
-				return false
-			}
-			return true
-		}
-		if isInterfaceMethod(fn) {
-			for _, impl := range prog.implementers(fn) {
-				if impl == self {
-					continue
-				}
-				if desc := prog.taintDesc(impl); desc != "" {
-					found = "calls " + calleeLabel(impl, owner) + " (via " +
-						receiverTypeName(fn) + "." + fn.Name() + "), which " + desc
-					return false
-				}
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// calleeLabel names fn the way the source at the call site would: bare for
-// package-local callees, package-qualified (and receiver-qualified for
-// methods) across package boundaries.
-func calleeLabel(fn *types.Func, from *Package) string {
-	if fn.Pkg() == from.Types {
-		return fn.Name()
-	}
-	if recv := receiverTypeName(fn); recv != "" {
-		return fn.Pkg().Name() + "." + recv + "." + fn.Name()
-	}
-	return fn.Pkg().Name() + "." + fn.Name()
-}
-
 // reachableFrom computes the set of declared functions reachable from the
 // declarations matching seed, following calls, method values and interface
 // dispatch across all local packages. Marking is idempotent, so walk order
 // cannot affect the resulting set.
-func (prog *Program) reachableFrom(seed func(*types.Func, *ast.FuncDecl) bool) map[*types.Func]bool {
+func (prog *Program) reachableFrom(seed func(*types.Func) bool) map[*types.Func]bool {
 	idx := prog.index
 	marked := make(map[*types.Func]bool)
 	var mark func(fn *types.Func)
@@ -286,7 +183,7 @@ func (prog *Program) reachableFrom(seed func(*types.Func, *ast.FuncDecl) bool) m
 				if !ok || fd.Body == nil {
 					continue
 				}
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok && seed(fn, fd) {
+				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok && seed(fn) {
 					mark(fn)
 				}
 			}

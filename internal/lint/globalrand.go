@@ -76,3 +76,34 @@ func runGlobalRand(p *Pass) {
 		})
 	}
 }
+
+// globalRandFns is every math/rand (and v2) top-level function that draws
+// from the process-global source. rand.New, NewSource, NewZipf take an
+// explicit source and are fine.
+var globalRandFns = map[string]bool{
+	// math/rand
+	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
+	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
+	"Float32": true, "Float64": true, "ExpFloat64": true, "NormFloat64": true,
+	"Perm": true, "Shuffle": true, "Read": true, "Seed": true,
+	// math/rand/v2 additions
+	"N": true, "IntN": true, "Int32N": true, "Int64N": true,
+	"UintN": true, "Uint32N": true, "Uint64N": true,
+}
+
+// receiverTypeName returns the named type of fn's receiver ("" for
+// package-level functions), with any pointer indirection stripped.
+func receiverTypeName(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return ""
+}

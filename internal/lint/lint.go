@@ -3,22 +3,21 @@
 //
 // Every experiment result in this repo — and the paper's headline
 // sensitivity metric in particular — is only trustworthy because runs are
-// bit-for-bit reproducible from their seed. Four separate nondeterminism
-// bugs have already shipped and been fixed by hand (the client retry and
-// connection keep-alive loops, redbelly's resendRound, avalanche's
-// closeRound), and every one of them was the same shape: a `range` over a
-// Go map whose body drew from a shared RNG stream or sent on the simulated
-// network, letting Go's randomized map order desync otherwise identical
-// runs. Rather than rediscovering that bug class by bisecting golden-test
-// failures, the invariants are encoded here as analyzers and enforced by
-// `stabl lint` (wired into `make verify`).
+// bit-for-bit reproducible from their seed. Most of that property is checked
+// dynamically: the census and FuzzSpecRun run each config twice, the second
+// time through a checkpoint and rewind, and require the same bytes, which
+// catches Go's randomized map order reaching simulated state wherever a run
+// exercises it. The analyzers here cover what a second run cannot see:
+// wall-clock reads and global or constant-seeded randomness (both identical
+// across two runs in one process), loops a handler cannot bound, checkpoint
+// fields no run exercises, and the parallel kernel's partition and goroutine
+// rules. They are enforced by `stabl lint` (wired into `make verify`).
 //
 // The engine analyzes whole programs, not single packages: Load type-checks
 // the target packages plus every module-local dependency through one shared
-// FileSet/importer, and callgraph.go layers a cross-package call graph and
-// taint engine on top (interface dispatch resolved over the module's
-// concrete implementers), so a map range whose body reaches the RNG through
-// a helper in another package is flagged just like a direct draw. An
+// FileSet/importer, and callgraph.go layers a cross-package call graph on
+// top (interface dispatch resolved over the module's concrete implementers),
+// so handler-path reachability and field writes span package boundaries. An
 // Analyzer is a named function over one target package with program-wide
 // indexes in reach; diagnostics are position-sorted so output is
 // byte-identical across runs; and a `//stabl:nodet` comment suppresses a
@@ -59,7 +58,7 @@ type Analyzer struct {
 
 // Pass carries one type-checked package through one analyzer. Prog is the
 // whole program the package was loaded into: analyzers that follow calls
-// across package boundaries (taint, reachability, field writes) go through
+// across package boundaries (reachability, field writes) go through
 // its indexes; package-local analyzers can ignore it.
 type Pass struct {
 	Analyzer *Analyzer

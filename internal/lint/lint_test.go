@@ -14,19 +14,14 @@ import (
 
 // fixtureAnalyzers maps each testdata/src package to the analyzers it
 // seeds. Every analyzer has at least one true-positive and one clean
-// fixture; the suppress package exercises the //stabl:nodet escape hatch,
-// wallclockfree the wallclock applicability gate, and crosstaint the
-// cross-package taint resolution the PR 5 package-local engine lacked.
+// fixture; the suppress package exercises the //stabl:nodet escape hatch
+// and wallclockfree the wallclock applicability gate.
 var fixtureAnalyzers = map[string]string{
-	"maprange":       "maprange-rng",
 	"wallclock":      "wallclock",
 	"wallclockfree":  "wallclock",
 	"globalrand":     "globalrand",
-	"unsorted":       "unsorted-broadcast",
 	"suppress":       "globalrand",
-	"snapshotorder":  "snapshot-maporder",
 	"crosspartition": "cross-partition-state",
-	"crosstaint":     "maprange-rng",
 	"snapshotfields": "snapshot-fields",
 	"goroutine":      "goroutine-purity",
 	"effortbound":    "effort-bound",
@@ -123,25 +118,6 @@ func TestFixtures(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestCrossPackageTaint pins the property the whole-program engine exists
-// for: every finding in the crosstaint fixture is reached through another
-// package, so the diagnostic text must name the cross-package call chain —
-// a package-local engine would have had nothing to resolve the call to.
-// (The structural half of the proof — no sink is lexically visible in the
-// fixture's own package — lives in the internal test next to the sink
-// table.)
-func TestCrossPackageTaint(t *testing.T) {
-	diags := runFixture(t, "crosstaint")
-	if len(diags) == 0 {
-		t.Fatal("crosstaint fixture produced no diagnostics")
-	}
-	for _, d := range diags {
-		if !strings.Contains(d.Message, "helper.") {
-			t.Errorf("diagnostic does not cross the package boundary: %s", d)
-		}
 	}
 }
 
@@ -259,8 +235,8 @@ func TestSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 9 {
-		t.Fatalf("Select(\"\") returned %d analyzers, want 9", len(all))
+	if len(all) != 6 {
+		t.Fatalf("Select(\"\") returned %d analyzers, want 6", len(all))
 	}
 	for i := 1; i < len(all); i++ {
 		if all[i-1].Name >= all[i].Name {

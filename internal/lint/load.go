@@ -34,7 +34,7 @@ type Package struct {
 // all parsed and type-checked through one shared FileSet and importer, so a
 // *types.Func reached from two different packages is one object. That shared
 // identity is what lets the cross-package indexes in callgraph.go (call
-// graph, taint memo, handler-path set) span package boundaries.
+// graph, handler-path set, field writes) span package boundaries.
 type Program struct {
 	Fset *token.FileSet
 	Pkgs []*Package // analysis targets, sorted by import path

@@ -2,6 +2,7 @@ package stabl
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -140,7 +141,8 @@ func shrinkSpec(s Spec) Spec {
 // resolve, validate — and runs every config Validate accepts, shrunk by
 // shrinkSpec, through Build, Start, RunUntil and Collect. A panic fails the
 // target, and so does a Build error: Validate accepted what Build cannot
-// deploy.
+// deploy. Each config then runs a second time through rerun, whose render
+// must equal the first: the same config, the same bytes.
 func FuzzSpecRun(f *testing.F) {
 	paths, err := filepath.Glob("specs/*.json")
 	if err != nil {
@@ -174,6 +176,12 @@ func FuzzSpecRun(f *testing.F) {
 		}
 		e.Start()
 		e.RunUntil(e.Config().Duration)
-		e.Collect()
+		first := e.Collect()
+		second, err := rerun(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRender(t, fmt.Sprintf("second run of seed %d (spec %s)", e.Config().Seed, raw),
+			renderRun("run", first), renderRun("run", second))
 	})
 }
