@@ -142,12 +142,19 @@ func TestMergeMatchesMapDedup(t *testing.T) {
 		*n.Ledger.txs.slot(id()) |= txPipeline
 	}
 	// Touch every id the rounds can draw, so no row grows under a merge and
-	// the arena can be compared cell for cell before and after.
+	// the rows can be compared cell for cell before and after.
 	for c := uint32(0); c < 4; c++ {
 		n.Ledger.txs.slot(MakeTxID(c, 299))
 		n.Ledger.txs.slot(MakeTxID(c, 0))
 	}
-	states := func() []uint32 { return append([]uint32(nil), n.Ledger.txs.cells...) }
+	states := func() []uint32 {
+		var cells []uint32
+		for c := range n.Ledger.txs.rows {
+			_, row := rowCells(&n.Ledger.txs, c)
+			cells = append(cells, row...)
+		}
+		return cells
+	}
 
 	for round := 0; round < 200; round++ {
 		lists := make([][]Tx, 1+rng.Intn(5))

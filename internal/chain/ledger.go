@@ -35,7 +35,7 @@ type ledgerState struct {
 	// txs records every committed transaction's height — the dedup set.
 	// The node's mempool and execution pipeline keep their volatile
 	// per-transaction bits in the same table (see txTable) and reach it
-	// through a pointer to this field.
+	// through a pointer to this field, which a restore copies into.
 	txs txTable
 	// accounts is the current account version, indexed by Address (dense
 	// by contract, see Address).

@@ -36,10 +36,15 @@ func (l *Ledger) restore(st *ledgerState) {
 	l.memo.forget()
 }
 
-// copyInto is a table checkpoint: two slice copies into dst's own storage.
+// copyInto is a table checkpoint: the rows, and each long row into an array
+// of dst's own (its old one at that index when large enough).
 func (t *txTable) copyInto(dst *txTable) {
-	dst.cells = append(dst.cells[:0], t.cells...)
 	dst.rows = append(dst.rows[:0], t.rows...)
+	clear(dst.long[min(len(t.long), len(dst.long)):])
+	dst.long = slices.Grow(dst.long, max(0, len(t.long)-len(dst.long)))[:len(t.long)]
+	for i, cells := range t.long {
+		dst.long[i] = append(dst.long[i][:0], cells...)
+	}
 	dst.clients = t.clients
 }
 

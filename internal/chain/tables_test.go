@@ -203,11 +203,11 @@ func TestAccountIs16Bytes(t *testing.T) {
 	}
 }
 
-// TestTxRowIs16Bytes: the row is the one table read a short row costs, its
-// two cells inline, so it stays a quarter of a cache line.
-func TestTxRowIs16Bytes(t *testing.T) {
-	if size := unsafe.Sizeof(txRow{}); size != 16 {
-		t.Fatalf("txRow is %d bytes, want 16", size)
+// TestTxRowIs8Bytes: the row is the one table read a client of one
+// transaction costs, its cell inline, so eight rows share a cache line.
+func TestTxRowIs8Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(txRow{}); size != 8 {
+		t.Fatalf("txRow is %d bytes, want 8", size)
 	}
 }
 
@@ -430,21 +430,21 @@ func TestSteadyStateAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Append until the table has just doubled, so the measured appends
-	// below cannot grow it.
-	for size := -1; len(l.txs.cells) < 1<<15 || len(l.txs.cells) == size; {
-		size = len(l.txs.cells)
+	// Append until the client's row has just doubled, so the measured
+	// appends below cannot grow it.
+	for size := -1; cellsInUse(&l.txs) < 1<<15 || cellsInUse(&l.txs) == size; {
+		size = cellsInUse(&l.txs)
 		appendBlock()
 	}
-	sized := len(l.txs.cells)
+	sized := cellsInUse(&l.txs)
 	sample := Block{Txs: benchTxs(1, 0, block)}
 	var sink Hash
 	hashing := testing.AllocsPerRun(100, func() { sink = HashBlock(sample) })
 	building := testing.AllocsPerRun(100, func() { sample.Txs = benchTxs(1, 0, block) })
 	_ = sink
 	allocs := testing.AllocsPerRun(100, appendBlock)
-	if len(l.txs.cells) != sized {
-		t.Fatalf("table grew during the measurement (%d -> %d cells)", sized, len(l.txs.cells))
+	if cellsInUse(&l.txs) != sized {
+		t.Fatalf("table grew during the measurement (%d -> %d cells)", sized, cellsInUse(&l.txs))
 	}
 	if own := allocs - hashing - building; own >= 0.1 {
 		t.Errorf("Ledger.Append allocates %v times per block beyond hashing; want none", own)

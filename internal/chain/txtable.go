@@ -6,34 +6,32 @@ package chain
 // is one array read wherever it is asked.
 //
 // The table is indexed by position, not probed: a TxID is (client, sequence),
-// both dense by contract (see TxID), so transaction (c, s) is cell s-base of
-// client c's row. A row of at most txInlineCells cells keeps them in the row
-// itself, so the scale deployments' clients of one or two transactions cost
-// one 16-byte row read and no second miss. Longer rows live in one arena: a
-// row that outgrows its cells doubles into fresh cells at the arena's end (in
-// place when it already ends there) and abandons the old ones, so the arena
-// stays within twice the cells in use and each row grows with its own client.
-// A row's base is the first sequence it saw, rounded down, so a client whose
-// sequences start high costs the span it uses, not the prefix it skipped.
+// both dense by contract (see TxID), so client c's row holds its sequences.
+// A row is 8 bytes: until a client's second sequence, one inline cell named
+// by that sequence, so the scale deployments' clients of one transaction
+// cost one row read and no second miss; past that, a long row that owns its
+// array, where sequence base+i is cell i. A long row doubles into a fresh
+// array, copying only itself and leaving nothing behind. Its base is the
+// first sequence it saw, rounded down, so a client whose sequences start
+// high costs the span it uses, not the prefix it skipped.
 //
 // The table never deletes: a committed entry is kept for the run's lifetime
-// (that is the ledger's dedup set), and a checkpoint is two slice copies.
+// (that is the ledger's dedup set).
 type txTable struct {
-	cells []uint32 // the arena; abandoned cells are never read again
-	rows  []txRow  // indexed by client
+	rows []txRow    // indexed by client
+	long [][]uint32 // the long rows' cells, indexed by txRow.key &^ txLongRow
 	// clients is the deployment's client count (see Genesis): the first
 	// transaction of a client below it allocates every row at once, at
 	// exactly that length. Zero, or a client past it, grows rows by append.
 	clients int
 }
 
-// txRow locates one client's cells: sequence base+i is cell i of the row,
-// i < n. Up to txInlineCells cells are cells[i] itself; past that, cells[0]
-// is the row's arena offset and cell i is the arena's cells[0]+i. A client
-// the table has never seen has n zero.
+// txRow is one client's row. An inline row has key seq+1 and cell the state
+// of sequence seq. A long row has txLongRow set in key, the rest of key
+// indexing txTable.long, and cell its base: sequence base+i is cell i of its
+// array. A client the table has never seen has key zero.
 type txRow struct {
-	base, n uint32
-	cells   [txInlineCells]uint32
+	key, cell uint32
 }
 
 // Packed cell state; zero means the table has never seen the transaction.
@@ -55,14 +53,12 @@ const (
 	// 2^28 - 2.
 	maxTxHeight = 1<<(32-txHeightShift) - 2
 
-	// Sizing, not settings. A new row covers txRowMinCells sequences: the
-	// scale deployments run a thousand clients of one or two transactions
-	// per validator, so the minimum is what they pay per client, inline.
-	// The first arena allocation holds txArenaMinCells cells so a small
-	// table does not creep there reallocation by reallocation.
-	txRowMinCells   = 2
-	txInlineCells   = 2
-	txArenaMinCells = 1024
+	// txLongRow marks a long row's key, so an inline key is at most
+	// txLongRow-1: a client's first sequence at or past 2^31-1 starts long.
+	txLongRow uint32 = 1 << 31
+	// txRowMinCells is a long row's first length and alignment (sizing, not
+	// a setting): an inline cell counts as the aligned pair around it.
+	txRowMinCells = 2
 )
 
 // committedHeight unpacks a cell state's committed height.
@@ -83,23 +79,27 @@ func (t *txTable) state(id TxID) uint32 {
 
 // find returns id's state word, or nil when no row covers it.
 func (t *txTable) find(id TxID) *uint32 {
-	c := id.Client()
+	c, seq := id.Client(), id.Seq()
 	if uint64(c) >= uint64(len(t.rows)) {
 		return nil
 	}
 	r := &t.rows[c]
-	i := id.Seq() - r.base // wraps past n below the base
-	if i >= r.n {
+	if r.key&txLongRow == 0 {
+		if r.key != 0 && r.key-1 == seq {
+			return &r.cell
+		}
 		return nil
 	}
-	if r.n <= txInlineCells {
-		return &r.cells[i]
+	cells := t.long[r.key&^txLongRow]
+	if i := seq - r.cell; uint64(i) < uint64(len(cells)) { // wraps past len below the base
+		return &cells[i]
 	}
-	return &t.cells[r.cells[0]+i]
+	return nil
 }
 
 // slot returns id's state word, growing id's row to cover it on first sight.
-// The pointer is valid until the next slot call (which may move the arena).
+// The pointer is valid until the next slot call (which may move the rows or
+// id's long row).
 func (t *txTable) slot(id TxID) *uint32 {
 	if s := t.find(id); s != nil {
 		return s
@@ -121,23 +121,23 @@ func (t *txTable) clear(id TxID, flags uint32) uint32 {
 // sweep drops flags from every entry; a restart uses it to forget the
 // volatile bits while the committed heights persist.
 func (t *txTable) sweep(flags uint32) {
-	for i := range t.cells {
-		t.cells[i] &^= flags
-	}
 	for i := range t.rows {
-		if r := &t.rows[i]; r.n <= txInlineCells {
-			for j := range r.cells {
-				r.cells[j] &^= flags
-			}
+		if r := &t.rows[i]; r.key&txLongRow == 0 {
+			r.cell &^= flags
+		}
+	}
+	for _, cells := range t.long {
+		for i := range cells {
+			cells[i] &^= flags
 		}
 	}
 }
 
-// grow makes id's row cover it. A new row starts at id's sequence rounded
-// down, inline. An existing one doubles until it spans both what it held and
-// id, and the new cells go on the side it grew toward: above in the common
-// case, below (a re-base) when id precedes the base — so a client that
-// counts downward pays amortised doublings too, not one move per
+// grow makes id's row cover it. A new row is one inline cell. A row that
+// needs a second sequence becomes long and doubles until it spans both what
+// it held and id, and the new cells go on the side it grew toward: above in
+// the common case, below (a re-base) when id precedes the base — so a client
+// that counts downward pays amortised doublings too, not one move per
 // transaction.
 func (t *txTable) grow(id TxID) *uint32 {
 	c, seq := int(id.Client()), uint64(id.Seq())
@@ -148,43 +148,38 @@ func (t *txTable) grow(id TxID) *uint32 {
 			t.rows = append(t.rows, make([]txRow, c+1-len(t.rows))...)
 		}
 	}
-	old := t.rows[c]
-	base, n := seq&^(txRowMinCells-1), uint64(txRowMinCells)
-	if old.n != 0 {
-		lo, end := min(base, uint64(old.base)), max(seq+1, uint64(old.base)+uint64(old.n))
-		for n = uint64(old.n); lo+n < end; n *= 2 {
-		}
-		if base = uint64(old.base); seq < base {
-			base = end - min(end, n)
-		}
+	r := &t.rows[c]
+	if r.key == 0 && seq+1 < uint64(txLongRow) {
+		*r = txRow{key: uint32(seq) + 1}
+		return &r.cell
 	}
-	if n <= txInlineCells { // a new row: no cells to carry over
-		t.rows[c] = txRow{base: uint32(base), n: uint32(n)}
-		return &t.rows[c].cells[seq-base]
+	// held is what the row held from oldBase: a long row's cells, an inline
+	// cell as its aligned pair, or nothing.
+	var pair [txRowMinCells]uint32
+	held, oldBase := []uint32(nil), seq&^(txRowMinCells-1)
+	switch {
+	case r.key&txLongRow != 0:
+		held, oldBase = t.long[r.key&^txLongRow], uint64(r.cell)
+	case r.key != 0:
+		oldBase = uint64(r.key-1) &^ (txRowMinCells - 1)
+		pair[uint64(r.key-1)-oldBase], held = r.cell, pair[:]
 	}
-	if cap(t.cells) == 0 {
-		t.cells = make([]uint32, 0, txArenaMinCells)
+	lo, end := min(seq&^(txRowMinCells-1), oldBase), max(seq+1, oldBase+uint64(len(held)))
+	n, base := max(uint64(len(held)), txRowMinCells), oldBase
+	for ; lo+n < end; n *= 2 {
 	}
-	off := uint64(len(t.cells))
-	inArena := old.n > txInlineCells
-	oldOff := uint64(old.cells[0]) // the arena offset when inArena
-	inPlace := inArena && base == uint64(old.base) && oldOff+uint64(old.n) == off
-	if inPlace {
-		off = oldOff
+	if seq < base {
+		base = end - min(end, n)
 	}
-	if off+n >= 1<<32 {
-		panic("chain: transaction table past 2^32 cells; TxIDs must be dense (see TxID)")
+	if n >= 1<<32 {
+		panic("chain: transaction row past 2^32 cells; TxIDs must be dense (see TxID)")
 	}
-	t.cells = append(t.cells, make([]uint32, off+n-uint64(len(t.cells)))...)
-	if !inPlace && old.n != 0 {
-		var held []uint32
-		if inArena {
-			held = t.cells[oldOff : oldOff+uint64(old.n)]
-		} else {
-			held = old.cells[:old.n]
-		}
-		copy(t.cells[off+uint64(old.base)-base:], held)
+	cells := make([]uint32, n)
+	copy(cells[oldBase-base:], held)
+	if r.key&txLongRow == 0 {
+		r.key = txLongRow | uint32(len(t.long))
+		t.long = append(t.long, nil)
 	}
-	t.rows[c] = txRow{base: uint32(base), n: uint32(n), cells: [txInlineCells]uint32{uint32(off)}}
-	return &t.cells[off+seq-base]
+	t.long[r.key&^txLongRow], r.cell = cells, uint32(base)
+	return &cells[seq-base]
 }

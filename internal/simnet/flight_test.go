@@ -548,9 +548,8 @@ func largeArrays(net *Network, qi int) map[*flightDest]bool {
 
 // TestLargeFlightPoolBound checks what the pool retains between waves of
 // large flights. A wave of sixteen concurrent 2,047-peer broadcasts leaves
-// its sixteen arrays idle. A unicast that borrows one is a busy period of
-// its own, and a second wave of sixteen after it reuses exactly the first
-// wave's arrays. Two waves of four follow: after the first the pool still
+// its sixteen arrays idle. A unicast sent then holds none of them, and a
+// second wave of sixteen after it reuses exactly the first wave's arrays. Two waves of four follow: after the first the pool still
 // keeps sixteen, after the second the four those waves needed. On two
 // partition queues outbox flushes trade arrays and counts between pools,
 // and the wide mixes keep every pool's counts equal to its registry and
@@ -578,9 +577,9 @@ func TestLargeFlightPoolBound(t *testing.T) {
 	}
 	wave("first wave of 16", 16, 16)
 	arrays := largeArrays(net, 0)
-	hs[0].ctx.Send(1, "borrow") // no small flight is free: the unicast takes a large one
-	if busy, _ := pooledLarge(net, 0); busy != 1 {
-		t.Fatalf("a unicast on a pool of large flights holds %d large arrays, want 1", busy)
+	hs[0].ctx.Send(1, "borrow") // no small flight is free, and the unicast takes no large one
+	if busy, _ := pooledLarge(net, 0); busy != 0 {
+		t.Fatalf("a unicast on a pool of large flights holds %d large arrays, want none", busy)
 	}
 	for sched.Step() {
 	}

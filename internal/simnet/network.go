@@ -770,8 +770,8 @@ func (n *Network) newFlight(qi int32, w int, from NodeID, payload any, base uint
 }
 
 // fallback[w] is the order newFlight searches the free lists for a flight
-// of list w.
-var fallback = [3][3]int{{0, 1, 2}, {1, 2, 0}, {2, 1, 0}}
+// of list w; a unicast never holds a large flight's array.
+var fallback = [3][]int{{0, 1}, {1, 2, 0}, {2, 1, 0}}
 
 func (n *Network) freeFlight(f *flight) {
 	f.payload = nil
