@@ -84,13 +84,16 @@ ci: verify verify-race bench-smoke fuzz-smoke sim-digests census
 # kadcast's views to the code they replaced (FuzzPlanLowering,
 # FuzzKadcastViews). FuzzSpecRun instead runs every spec Validate accepts,
 # twice, and requires the same bytes. A crasher lands in the package's
-# testdata/fuzz and is committed with its fix.
+# testdata/fuzz and is committed with its fix. Each new interesting input
+# (and crasher) is minimized for at most 10 executions: under Go's default
+# of 60 s a minimization outlasts the whole window, so a target that finds
+# new coverage would stop fuzzing to minimize it.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	@set -e; for f in $$(grep -rlE --include='*_test.go' --exclude-dir=.bench_build '^func Fuzz[A-Z]' .); do \
 		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
 			echo "fuzz-smoke: $$target in $$(dirname $$f) for $(FUZZTIME)"; \
-			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$(dirname $$f); \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 10x $$(dirname $$f); \
 		done; \
 	done
 

@@ -9,6 +9,8 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"stabl/internal/core"
@@ -28,8 +30,10 @@ const censusFile = "scripts/census.txt"
 // counts, and every listed pair must still fork: a fix deletes its line.
 // Each comparison also runs twice, the second time with a fresh baseline
 // and an altered run that resumes from a rewound checkpoint (rerun), and
-// both must render the same text. It runs under `make census` (the census
-// build tag), several minutes on two CPUs.
+// both must render the same text. The comparisons whose baseline configs
+// are equal (BaselineConfig drops the fault, so the four paper faults of one
+// chain and seed share one) score against one baseline per pass. It runs
+// under `make census` (the census build tag), several minutes on two CPUs.
 func TestIntegrityCensus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the census runs 290 comparisons")
@@ -60,24 +64,54 @@ func TestIntegrityCensus(t *testing.T) {
 		}
 	}
 
+	cfgs := make([]Config, len(jobs))
+	shared := make([]*censusBaselines, len(jobs))
+	byKey := map[string]*censusBaselines{}
+	for i, j := range jobs {
+		cfg, err := j.cfg()
+		if err != nil {
+			t.Fatalf("%s seed %d: %v", j.row, j.seed, err)
+		}
+		cfg.Seed = j.seed
+		if cfg.Profile != nil {
+			t.Fatalf("%s: a Profile is a func, which the baseline key cannot tell apart", j.row)
+		}
+		base := core.BaselineConfig(cfg)
+		name := base.System.Name() // every job takes its system from SystemByName
+		base.System = nil
+		key := fmt.Sprintf("%s %+v", name, base)
+		if byKey[key] == nil {
+			byKey[key] = &censusBaselines{}
+		}
+		cfgs[i], shared[i] = cfg, byKey[key]
+		shared[i].users.Add(1)
+	}
+
 	lines := make([]string, len(jobs))
 	diffs := make([]string, len(jobs))
 	errs := pool.ForEach(context.Background(), len(jobs), 0, func(i int) error {
-		cfg, err := jobs[i].cfg()
-		if err != nil {
-			return err
+		cfg, bs := cfgs[i], shared[i]
+		bs.once.Do(func() { bs.first, bs.second, bs.err = runBaselines(cfg) })
+		if bs.err != nil {
+			return bs.err
 		}
-		cfg.Seed = jobs[i].seed
-		cmp, err := Compare(cfg)
+		cmp, err := bs.first.Compare(cfg)
 		if err != nil {
 			return err
 		}
 		if b, a := len(cmp.Baseline.IntegrityErrors), len(cmp.Altered.IntegrityErrors); b+a > 0 {
 			lines[i] = fmt.Sprintf("%s %d %d/%d", jobs[i].row, jobs[i].seed, b, a)
 		}
-		again, err := rerunComparison(cfg)
+		altered, err := rerun(core.AlteredConfig(cfg))
 		if err != nil {
 			return err
+		}
+		again, err := bs.second.Score(cfg, altered)
+		if err != nil {
+			return err
+		}
+		if bs.users.Add(-1) == 0 { // the last comparison to use them
+			bs.first, bs.second = nil, nil
 		}
 		diffs[i] = renderDiff(fmt.Sprintf("%s seed %d: second run", jobs[i].row, jobs[i].seed),
 			renderComparison(cmp), renderComparison(again))
@@ -107,18 +141,26 @@ func TestIntegrityCensus(t *testing.T) {
 	}
 }
 
-// rerunComparison is Compare run a second time: the baseline from scratch,
-// the altered run through rerun.
-func rerunComparison(cfg Config) (*Comparison, error) {
-	baseline, err := core.Run(core.BaselineConfig(cfg))
-	if err != nil {
-		return nil, err
+// censusBaselines are the two baselines of one baseline config, each run
+// from scratch: the first scores every comparison that shares the config,
+// the second every second run of them. users counts the comparisons still
+// to score, so the last one lets them go.
+type censusBaselines struct {
+	once          sync.Once
+	first, second *core.Baseline
+	err           error
+	users         atomic.Int32
+}
+
+// runBaselines runs cfg's baseline twice.
+func runBaselines(cfg Config) (first, second *core.Baseline, err error) {
+	var runs [2]*RunResult
+	for i := range runs {
+		if runs[i], err = core.Run(core.BaselineConfig(cfg)); err != nil {
+			return nil, nil, fmt.Errorf("baseline run: %w", err)
+		}
 	}
-	altered, err := rerun(core.AlteredConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return core.ScoreWithBaseline(cfg, baseline, altered)
+	return core.NewBaseline(runs[0]), core.NewBaseline(runs[1]), nil
 }
 
 // readCensus returns the census file's pair lines, comments and blanks

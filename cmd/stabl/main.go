@@ -120,7 +120,7 @@ func (c *cli) catalog() *flag.FlagSet {
 	fs.IntVar(&s.Flows, "flows", 0, "aggregate the client population into this many flow generators (0 = one event loop per client)")
 	fs.IntVar(&s.FlowAccounts, "flow-accounts", 0, "modeled accounts per flow generator (0 = library default; only with -flows)")
 	fs.BoolVar(&s.DisableConnLayer, "no-conn", false, "skip the O(clients*validators) managed connection layer (recommended for runs past ~100 validators)")
-	fs.StringVar(&s.Overlay.Topology, "overlay", "", "route validator gossip over a structured overlay: kadcast|regular|ring (empty = legacy full mesh)")
+	fs.StringVar(&s.Overlay.Topology, "overlay", "", "route validator gossip over a structured overlay: kadcast (empty = legacy full mesh)")
 	fs.IntVar(&s.SimWorkers, "sim-workers", 0, "run the simulation on the conservative parallel kernel with this many partition queues (0 = sequential; outputs are byte-identical either way)")
 	secondsVar(&s.Fault.InjectSec, "inject", 133*time.Second, "fault injection time")
 	secondsVar(&s.Fault.RecoverSec, "recover", 266*time.Second, "fault recovery time")

@@ -242,9 +242,10 @@ func TestCLIRunWithMissingConfigFile(t *testing.T) {
 	}
 }
 
-// TestCLIRejectsOutOfRangeSpec: a spec whose numbers have no deployment is
-// reported INVALID by `spec` and refused by `run` with an error
-// naming the field, instead of panicking in a constructor or scoring inf.
+// TestCLIRejectsOutOfRangeSpec: a spec whose numbers or names have no
+// deployment is reported INVALID by `spec` and refused by `run` with an error
+// naming the field (for an unknown overlay, the valid one), instead of
+// panicking in a constructor or scoring inf.
 func TestCLIRejectsOutOfRangeSpec(t *testing.T) {
 	for _, tc := range []struct{ field, body string }{
 		{"RatePerClient", `"ratePerClient": -2`},
@@ -253,6 +254,7 @@ func TestCLIRejectsOutOfRangeSpec(t *testing.T) {
 		{"RecoverAt", `"fault": {"kind": "transient", "injectSec": 15, "recoverSec": 5}`},
 		{"Fault.Count", `"fault": {"kind": "slow", "count": -3}`},
 		{"Fault.SlowBy", `"fault": {"kind": "slow", "slowBySec": -5}`},
+		{"kadcast", `"overlay": {"topology": "regular"}`},
 	} {
 		field := tc.field
 		t.Run(field, func(t *testing.T) {
@@ -273,9 +275,14 @@ func TestCLIRejectsOutOfRangeSpec(t *testing.T) {
 			}
 		})
 	}
-	var buf strings.Builder
-	if err := run([]string{"run", "-rate", "-1"}, &buf); err == nil || !strings.Contains(err.Error(), "RatePerClient") {
-		t.Fatalf("run -rate -1 error = %v, want one naming RatePerClient", err)
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-rate", "-1", "RatePerClient"},
+		{"-overlay", "ring", "kadcast"},
+	} {
+		var buf strings.Builder
+		if err := run([]string{"run", tc.flag, tc.value}, &buf); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("run %s %s error = %v, want one naming %s", tc.flag, tc.value, err, tc.want)
+		}
 	}
 }
 

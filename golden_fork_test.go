@@ -74,7 +74,7 @@ func TestGoldenForkMatchesReplay(t *testing.T) {
 		rows = append(rows, row{name: sys.Name(), sys: sys})
 	}
 	for _, r := range []struct{ system, overlay string }{
-		{"Algorand", "kadcast"}, {"Redbelly", "kadcast"}, {"Solana", "ring"},
+		{"Algorand", "kadcast"}, {"Redbelly", "kadcast"}, {"Solana", "kadcast"},
 	} {
 		sys, err := SystemByName(r.system)
 		if err != nil {

@@ -349,7 +349,7 @@ func TestAggregatePointsKeepsAxisCoordinates(t *testing.T) {
 	cells := []*CellResult{
 		mk("", 0, 1.0),
 		mk("kadcast", 0, 2.0),
-		mk("ring", 0, 3.0),
+		mk("kadcast", 16, 3.0),
 		mk("", 16, 4.0),
 	}
 	points := aggregatePoints(cells)

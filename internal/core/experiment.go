@@ -130,13 +130,12 @@ type Config struct {
 	CommitteeSize int
 	// Overlay, when enabled (non-empty Topology), routes every validator
 	// broadcast over a structured gossip overlay (internal/overlay) instead
-	// of the legacy full mesh: kadcast broadcast trees, ring-with-shortcuts
-	// or random regular graphs, with duplicate suppression and stall
-	// detection. All validator-to-validator traffic — relays, replies, pull
-	// gossip, Snowball samples — stays on overlay edges, so per-tx
-	// dissemination costs O(fanout·log n) origin sends instead of O(n). The
-	// zero value keeps the legacy mesh, byte-identical to builds that never
-	// construct an overlay.
+	// of the legacy full mesh: kadcast broadcast trees, with duplicate
+	// suppression and stall detection. All validator-to-validator traffic —
+	// relays, replies, pull gossip, Snowball samples — stays on overlay
+	// edges, so per-tx dissemination costs O(fanout·log n) origin sends
+	// instead of O(n). The zero value keeps the legacy mesh, byte-identical
+	// to builds that never construct an overlay.
 	Overlay overlay.Config
 	// DisableConnLayer skips the managed TCP-like connection layer, whose
 	// per-pair state and heartbeats cost O(Validators^2) — prohibitive at

@@ -49,8 +49,8 @@ type Spec struct {
 	// partition queues; results are byte-identical to sequential. See
 	// Config.SimWorkers.
 	SimWorkers int `json:"simWorkers,omitempty"`
-	// Overlay routes validator gossip over a structured broadcast overlay
-	// (kadcast, regular, ring) instead of the legacy full mesh. The zero
+	// Overlay routes validator gossip over the kadcast broadcast overlay
+	// instead of the legacy full mesh. The zero
 	// value keeps the mesh. See Config.Overlay.
 	Overlay overlay.Config `json:"overlay,omitempty"`
 	Fault   FaultSpec      `json:"fault,omitempty"`

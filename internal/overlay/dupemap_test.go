@@ -153,7 +153,7 @@ func (m *dupeModel) check() {
 		return
 	}
 	// Load stays under 5/8 and the table within two doublings of what cap
-	// entries need: memory is bounded by DupeCap, not by the run.
+	// entries need: memory is bounded by the cap, not by the run.
 	if n&(n-1) != 0 || d.size() > n/8*5 || n > max(dupeMinSlots, 4*d.cap) {
 		t.Fatalf("table of %d slots holds %d entries at cap %d", n, d.size(), d.cap)
 	}

@@ -1,17 +1,15 @@
-// Package overlay implements deterministic structured gossip overlays for
-// the simulated network: kadcast-style XOR-bucketed broadcast trees,
-// ring-with-shortcuts and random d-regular graphs, all derived purely from
-// (seed, nodeIDs). A per-node Router relays chain broadcasts along the
-// overlay with bounded duplicate suppression (dupemap) and deterministic
-// per-peer stall detection, so per-tx dissemination drops from O(n) sends at
-// the origin to O(fanout·log n) while every run stays byte-identical across
-// worker counts.
+// Package overlay implements a deterministic structured gossip overlay for
+// the simulated network: kadcast-style XOR-bucketed broadcast trees derived
+// purely from (seed, nodeIDs). A per-node Router relays chain broadcasts
+// down the tree with bounded duplicate suppression (dupemap) and
+// deterministic per-peer stall detection, so per-tx dissemination drops
+// from O(n) sends at the origin to O(fanout·log n) while every run stays
+// byte-identical across worker counts.
 //
-// The overlay owns no RNG streams: topologies are built from a dedicated
-// local generator at construction time and routing decisions (delegate
-// rotation) come from pure hashes of (origin, seq, bucket, self), so an
-// experiment with the overlay disabled replays bit-for-bit against a kernel
-// that never linked this package.
+// The overlay owns no RNG streams: keys are pure hashes of (seed, id) and
+// routing decisions (delegate rotation) pure hashes of (origin, seq, bucket,
+// self), so an experiment with the overlay disabled replays bit-for-bit
+// against a kernel that never linked this package.
 package overlay
 
 import (
@@ -19,26 +17,16 @@ import (
 	"strings"
 )
 
-// Topology kinds accepted by Config.Topology.
-const (
-	// KindKadcast is the XOR-bucketed broadcast tree of the Kadcast
-	// protocol: each node keeps the BucketK closest peers per distance
-	// bucket and forwards a broadcast to Fanout delegates per bucket below
-	// the relay's height, giving O(Fanout·log n) sends per hop and — while
-	// the stall model drops no bucket — exact coverage by induction over the
-	// key trie.
-	KindKadcast = "kadcast"
-	// KindRegular is a random d-regular graph: the union of ⌈Fanout/2⌉
-	// seed-derived Hamiltonian cycles, flooded with duplicate suppression.
-	KindRegular = "regular"
-	// KindRing is a ring over the sorted node ids with power-of-two
-	// shortcut chords (1, 2, 4, ... 2^Fanout), flooded with duplicate
-	// suppression.
-	KindRing = "ring"
-)
+// KindKadcast, the one topology Config.Topology accepts, is the XOR-bucketed
+// broadcast tree of the Kadcast protocol: each node keeps the BucketK
+// closest peers per distance bucket and forwards a broadcast to Fanout
+// delegates per bucket below the relay's height, giving O(Fanout·log n)
+// sends per hop and — while the stall model drops no bucket — exact
+// coverage by induction over the key trie.
+const KindKadcast = "kadcast"
 
-// Kinds lists the valid topology names in canonical order.
-func Kinds() []string { return []string{KindKadcast, KindRegular, KindRing} }
+// Kinds lists the valid topology names.
+func Kinds() []string { return []string{KindKadcast} }
 
 // ParseKind validates a topology name, returning the canonical name or an
 // error that enumerates the valid set (the ParseFaultKind convention).
@@ -52,14 +40,16 @@ func ParseKind(name string) (string, error) {
 }
 
 // Defaults for zero Config fields. Fanout and BucketK make a 10k-node kadcast
-// broadcast cost ~Fanout·log2(n) sends at the origin. StallThreshold and
-// DrainRate keep the stall model dormant only while a peer is charged slower
-// than it drains: the seed-42 n=10 and n=16 runs of Algorand, Aptos, Avalanche
-// and Redbelly skip and drop nothing, but Solana's ~640 broadcasts a second
-// skip 0.86 M sends and drop 0.57 M bucket relays at n=10, and a fault-free
-// n=512 Algorand run whose clients submit in bursts of 128 skips 4.6 M sends
-// and drops 1.68 M of 4.97 M relays. Coverage is then no longer exact
-// (DESIGN.md "Coverage is not exact under load").
+// broadcast cost ~Fanout·log2(n) sends at the origin. DefaultDupeCap is not a
+// default but the bound of every node's duplicate-suppression cache: the
+// oldest entry is evicted FIFO beyond it. StallThreshold and DrainRate keep
+// the stall model dormant only while a peer is charged slower than it drains:
+// the seed-42 n=10 and n=16 runs of Algorand, Aptos, Avalanche and Redbelly
+// skip and drop nothing, but Solana's ~640 broadcasts a second skip 0.86 M
+// sends and drop 0.57 M bucket relays at n=10, and a fault-free n=512
+// Algorand run whose clients submit in bursts of 128 skips 4.6 M sends and
+// drops 1.68 M of 4.97 M relays. Coverage is then no longer exact (DESIGN.md
+// "Coverage is not exact under load").
 const (
 	DefaultFanout         = 4
 	DefaultBucketK        = 8
@@ -72,17 +62,13 @@ const (
 // Topology) disables the overlay entirely: chains broadcast over the legacy
 // full mesh and no Router is constructed.
 type Config struct {
-	// Topology is one of Kinds(), or empty for the legacy full mesh.
+	// Topology is "kadcast", or empty for the legacy full mesh.
 	Topology string `json:"topology,omitempty"`
-	// Fanout is the per-bucket delegate count (kadcast), the number of
-	// power-of-two shortcut chords (ring) or the target degree (regular).
+	// Fanout is the per-bucket delegate count.
 	Fanout int `json:"fanout,omitempty"`
 	// BucketK bounds each kadcast bucket view to the K closest peers by
 	// XOR distance. Coverage stays exact for any K >= 1.
 	BucketK int `json:"bucketK,omitempty"`
-	// DupeCap bounds the duplicate-suppression cache per node; the oldest
-	// entry is evicted FIFO beyond it.
-	DupeCap int `json:"dupeCap,omitempty"`
 	// StallThreshold is the modeled outstanding-relay level at which a
 	// peer is considered stalled and deterministically skipped.
 	StallThreshold int `json:"stallThreshold,omitempty"`
@@ -106,9 +92,6 @@ func (c Config) WithDefaults() Config {
 	if c.BucketK == 0 {
 		c.BucketK = DefaultBucketK
 	}
-	if c.DupeCap == 0 {
-		c.DupeCap = DefaultDupeCap
-	}
 	if c.StallThreshold == 0 {
 		c.StallThreshold = DefaultStallThreshold
 	}
@@ -122,15 +105,15 @@ func (c Config) WithDefaults() Config {
 // zero; an enabled one needs a known topology and non-negative tuning.
 func (c Config) Validate() error {
 	if !c.Enabled() {
-		if c.Fanout != 0 || c.BucketK != 0 || c.DupeCap != 0 || c.StallThreshold != 0 || c.DrainRate != 0 {
-			return fmt.Errorf("overlay: tuning fields set without a topology (set topology to one of %s)", strings.Join(Kinds(), "|"))
+		if c.Fanout != 0 || c.BucketK != 0 || c.StallThreshold != 0 || c.DrainRate != 0 {
+			return fmt.Errorf("overlay: tuning fields set without a topology (set topology to %s)", KindKadcast)
 		}
 		return nil
 	}
 	if _, err := ParseKind(c.Topology); err != nil {
 		return err
 	}
-	if c.Fanout < 0 || c.BucketK < 0 || c.DupeCap < 0 || c.StallThreshold < 0 || c.DrainRate < 0 {
+	if c.Fanout < 0 || c.BucketK < 0 || c.StallThreshold < 0 || c.DrainRate < 0 {
 		return fmt.Errorf("overlay: negative tuning field in %+v", c)
 	}
 	return nil

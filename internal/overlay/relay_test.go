@@ -32,7 +32,7 @@ var _ relayer = (*Router)(nil)
 type refEnvelope struct {
 	origin  simnet.NodeID
 	seq     uint64
-	height  int // -1: flood
+	height  int
 	payload any
 }
 
@@ -46,7 +46,7 @@ type refRouter struct {
 }
 
 func newRefRouter(topo *Topology, self simnet.NodeID) *refRouter {
-	return &refRouter{topo: topo, self: self, dupe: newMapDupemap(topo.cfg.DupeCap), stall: map[simnet.NodeID]stallLevel{}}
+	return &refRouter{topo: topo, self: self, dupe: newMapDupemap(DefaultDupeCap), stall: map[simnet.NodeID]stallLevel{}}
 }
 
 func (r *refRouter) Stats() Stats { return r.stats }
@@ -79,45 +79,30 @@ func (r *refRouter) Unwrap(s Sender, from simnet.NodeID, payload any) (any, bool
 func (r *refRouter) relay(s Sender, env refEnvelope, height int, from simnet.NodeID) uint64 {
 	now := s.Now()
 	var sent uint64
-	if r.topo.views != nil {
-		for _, bv := range r.topo.views[r.self] {
-			if bv.Index >= height {
+	for _, bv := range r.topo.views[r.self] {
+		if bv.Index >= height {
+			continue
+		}
+		offset := int(delegateHash(env.origin, env.seq, bv.Index, r.self) % uint64(len(bv.Peers)))
+		picked, candidates := 0, 0
+		for i := 0; i < len(bv.Peers) && picked < r.topo.cfg.Fanout; i++ {
+			peer := bv.Peers[(offset+i)%len(bv.Peers)]
+			if peer == env.origin || peer == from {
 				continue
 			}
-			offset := int(delegateHash(env.origin, env.seq, bv.Index, r.self) % uint64(len(bv.Peers)))
-			picked, candidates := 0, 0
-			for i := 0; i < len(bv.Peers) && picked < r.topo.cfg.Fanout; i++ {
-				peer := bv.Peers[(offset+i)%len(bv.Peers)]
-				if peer == env.origin || peer == from {
-					continue
-				}
-				candidates++
-				if r.stalled(peer, now) {
-					r.stats.StallSkips++
-					continue
-				}
-				r.charge(peer, now)
-				s.Send(peer, refEnvelope{origin: env.origin, seq: env.seq, height: bv.Index, payload: env.payload})
-				picked++
+			candidates++
+			if r.stalled(peer, now) {
+				r.stats.StallSkips++
+				continue
 			}
-			if picked == 0 && candidates > 0 {
-				r.stats.StallDrops++
-			}
-			sent += uint64(picked)
+			r.charge(peer, now)
+			s.Send(peer, refEnvelope{origin: env.origin, seq: env.seq, height: bv.Index, payload: env.payload})
+			picked++
 		}
-		return sent
-	}
-	for _, peer := range r.topo.Neighbors(r.self) {
-		if peer == env.origin || peer == from {
-			continue
+		if picked == 0 && candidates > 0 {
+			r.stats.StallDrops++
 		}
-		if r.stalled(peer, now) {
-			r.stats.StallSkips++
-			continue
-		}
-		r.charge(peer, now)
-		s.Send(peer, refEnvelope{origin: env.origin, seq: env.seq, height: -1, payload: env.payload})
-		sent++
+		sent += uint64(picked)
 	}
 	return sent
 }
@@ -232,10 +217,10 @@ type relayResult struct {
 // the next draw of the sender's latency stream, so equal logs mean equal draw
 // counts. workers > 0 runs on the parallel kernel, the last node pinned to
 // the root queue.
-func runRelay(t *testing.T, kind string, seed int64, n, workers int, mode relayMode) relayResult {
+func runRelay(t *testing.T, seed int64, n, workers int, mode relayMode) relayResult {
 	t.Helper()
 	ids := nodeIDs(n)
-	topo, err := New(Config{Topology: kind, BucketK: 3, StallThreshold: 3, DrainRate: 40}, seed, ids)
+	topo, err := New(Config{Topology: KindKadcast, BucketK: 3, StallThreshold: 3, DrainRate: 40}, seed, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,22 +324,20 @@ func diffRelay(t *testing.T, label string, want, got relayResult) {
 // included), network and overlay counters, event count and latency draws, on
 // the sequential kernel and on two parallel queues.
 func TestRelayEqualsSendLoop(t *testing.T) {
-	for _, kind := range Kinds() {
-		for seed := int64(1); seed <= 3; seed++ {
-			n := 24 + 8*int(seed)
-			want := runRelay(t, kind, seed, n, 0, viaRef)
-			for _, workers := range []int{0, 2} {
-				for _, mode := range []relayMode{viaContext, viaSend} {
-					label := fmt.Sprintf("%s seed %d workers %d mode %d", kind, seed, workers, mode)
-					diffRelay(t, label, want, runRelay(t, kind, seed, n, workers, mode))
-				}
+	for seed := int64(1); seed <= 3; seed++ {
+		n := 24 + 8*int(seed)
+		want := runRelay(t, seed, n, 0, viaRef)
+		for _, workers := range []int{0, 2} {
+			for _, mode := range []relayMode{viaContext, viaSend} {
+				label := fmt.Sprintf("seed %d workers %d mode %d", seed, workers, mode)
+				diffRelay(t, label, want, runRelay(t, seed, n, workers, mode))
 			}
-			// The deployment must reach what it is there to compare.
-			ov, nt := want.overlay, want.net
-			if ov.Relayed == 0 || ov.Duplicates == 0 || ov.StallSkips == 0 || (kind == KindKadcast && ov.StallDrops == 0) ||
-				nt.DroppedPartition == 0 || nt.DroppedNodeDown == 0 || nt.DroppedInFlight == 0 {
-				t.Fatalf("%s seed %d left a path unexercised: %+v %+v", kind, seed, ov, nt)
-			}
+		}
+		// The deployment must reach what it is there to compare.
+		ov, nt := want.overlay, want.net
+		if ov.Relayed == 0 || ov.Duplicates == 0 || ov.StallSkips == 0 || ov.StallDrops == 0 ||
+			nt.DroppedPartition == 0 || nt.DroppedNodeDown == 0 || nt.DroppedInFlight == 0 {
+			t.Fatalf("seed %d left a path unexercised: %+v %+v", seed, ov, nt)
 		}
 	}
 }
@@ -379,7 +362,7 @@ func TestBucketIndexIsSymmetric(t *testing.T) {
 								t.Fatalf("n=%d seed=%d k=%d: %v keeps %v in two buckets", n, seed, k, x, y)
 							}
 							inView[y] = true
-							if got := bucketIndex(topo.key(y), topo.key(x)); got != bv.Index {
+							if got := bucketIndex(topo.keys[y], topo.keys[x]); got != bv.Index {
 								t.Fatalf("n=%d seed=%d k=%d: %v keeps %v in bucket %d, %v computes %d for it",
 									n, seed, k, x, y, bv.Index, y, got)
 							}

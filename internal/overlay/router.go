@@ -53,37 +53,33 @@ type stallLevel struct {
 type Router struct {
 	topo *Topology
 	self simnet.NodeID
-	// The node's slice of the topology, resolved once: its kadcast key and
-	// bucket views (flood topologies: zero and nil) and its neighborhood.
+	// The node's slice of the topology, resolved once: its kadcast key,
+	// bucket views and neighborhood.
 	key       uint64
 	views     []BucketView
 	neighbors []simnet.NodeID
 
 	seq  uint64 // persistent across restarts
 	dupe dupemap
-	// stall holds one level per peer this node relays to, in the order
-	// relay visits them: view by view, peer by peer (kadcast — a peer sits
-	// in exactly one bucket) or neighbor by neighbor (flood).
+	// stall holds one level per view member, in the order relay visits
+	// them: view by view, peer by peer (a peer sits in exactly one bucket).
 	stall []stallLevel
 	stats Stats
 }
 
-// NewRouter creates the relay endpoint for self on the given topology.
+// NewRouter creates the relay endpoint for self, a member of the topology.
 func NewRouter(topo *Topology, self simnet.NodeID) *Router {
 	r := &Router{
 		topo:      topo,
 		self:      self,
-		key:       topo.key(self),
+		key:       topo.keys[self],
 		views:     topo.Views(self),
 		neighbors: topo.Neighbors(self),
-		dupe:      newDupemap(topo.cfg.DupeCap),
+		dupe:      newDupemap(DefaultDupeCap),
 	}
-	peers := len(r.neighbors)
-	if topo.views != nil {
-		peers = 0
-		for _, bv := range r.views {
-			peers += len(bv.Peers)
-		}
+	peers := 0
+	for _, bv := range r.views {
+		peers += len(bv.Peers)
 	}
 	r.stall = make([]stallLevel, peers)
 	return r
@@ -127,11 +123,11 @@ func (r *Router) Unwrap(s Sender, from simnet.NodeID, payload any) (inner any, o
 	return env.Payload, true
 }
 
-// relay forwards broadcast id down the kadcast tree or floods it
-// (ring/regular), skipping stalled peers deterministically. It returns the
-// number of envelopes sent. env is the broadcast's boxed Envelope, sent as it
-// is. from is who handed it to this node — the node itself when it
-// originates — and is excluded along with the origin.
+// relay forwards broadcast id down the kadcast tree, skipping stalled peers
+// deterministically. It returns the number of envelopes sent. env is the
+// broadcast's boxed Envelope, sent as it is. from is who handed it to this
+// node — the node itself when it originates — and is excluded along with the
+// origin.
 //
 // The chosen peers go out as one multicast — on a *simnet.Context one
 // flight, which Context.Broadcast guarantees to be the messages a loop of
@@ -139,55 +135,41 @@ func (r *Router) Unwrap(s Sender, from simnet.NodeID, payload any) (inner any, o
 func (r *Router) relay(s Sender, id dupeKey, env any, from simnet.NodeID) uint64 {
 	now, origin := s.Now(), id.origin()
 	picks := make([]simnet.NodeID, 0, 64) // call-local: stays on the stack
-	if r.topo.views != nil {              // kadcast
-		// An origin covers every bucket; a relay those strictly below the
-		// one it shares with the sender.
-		height := maxHeight
-		if from != r.self {
-			height = bucketIndex(r.key, r.topo.key(from))
+	// An origin covers every bucket; a relay those strictly below the one it
+	// shares with the sender.
+	height := maxHeight
+	if from != r.self {
+		height = bucketIndex(r.key, r.topo.keys[from])
+	}
+	base := 0 // stall index of the view's first peer
+	for _, bv := range r.views {
+		stall := r.stall[base : base+len(bv.Peers)]
+		base += len(bv.Peers)
+		if bv.Index >= height {
+			continue
 		}
-		base := 0 // stall index of the view's first peer
-		for _, bv := range r.views {
-			stall := r.stall[base : base+len(bv.Peers)]
-			base += len(bv.Peers)
-			if bv.Index >= height {
-				continue
-			}
-			// Delegate rotation is a pure hash of the broadcast identity
-			// and the bucket, so repeated broadcasts spread load over the
-			// view without drawing from any RNG stream.
-			offset := int(delegateHash(origin, id.seq(), bv.Index, r.self) % uint64(len(bv.Peers)))
-			picked, candidates := 0, 0
-			for i := 0; i < len(bv.Peers) && picked < r.topo.cfg.Fanout; i++ {
-				at := (offset + i) % len(bv.Peers)
-				peer := bv.Peers[at]
-				if peer == origin || peer == from {
-					continue
-				}
-				candidates++
-				if r.stalled(&stall[at], now) {
-					r.stats.StallSkips++
-					continue
-				}
-				r.charge(&stall[at], now)
-				picks = append(picks, peer)
-				picked++
-			}
-			if picked == 0 && candidates > 0 {
-				r.stats.StallDrops++
-			}
-		}
-	} else { // flood: every neighbor except the origin and the sender
-		for i, peer := range r.neighbors {
+		// Delegate rotation is a pure hash of the broadcast identity and the
+		// bucket, so repeated broadcasts spread load over the view without
+		// drawing from any RNG stream.
+		offset := int(delegateHash(origin, id.seq(), bv.Index, r.self) % uint64(len(bv.Peers)))
+		picked, candidates := 0, 0
+		for i := 0; i < len(bv.Peers) && picked < r.topo.cfg.Fanout; i++ {
+			at := (offset + i) % len(bv.Peers)
+			peer := bv.Peers[at]
 			if peer == origin || peer == from {
 				continue
 			}
-			if r.stalled(&r.stall[i], now) {
+			candidates++
+			if r.stalled(&stall[at], now) {
 				r.stats.StallSkips++
 				continue
 			}
-			r.charge(&r.stall[i], now)
+			r.charge(&stall[at], now)
 			picks = append(picks, peer)
+			picked++
+		}
+		if picked == 0 && candidates > 0 {
+			r.stats.StallDrops++
 		}
 	}
 	if ctx, ok := s.(*simnet.Context); ok {

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"slices"
 	"sort"
 
@@ -30,7 +29,7 @@ type BucketView struct {
 	Peers []simnet.NodeID
 }
 
-// Topology is an immutable overlay graph derived purely from
+// Topology is an immutable kadcast overlay graph derived purely from
 // (seed, nodeIDs). It is shared read-only by every node's Router, so it is
 // safe for concurrent use by the parallel kernel.
 type Topology struct {
@@ -41,10 +40,9 @@ type Topology struct {
 	// node: the peers a node may exchange any validator traffic with
 	// (relays out, replies and sync pulls back in).
 	neighbors [][]simnet.NodeID
-	// views holds each node's kadcast bucket views, highest bucket first
-	// (nil for flood topologies).
+	// views holds each node's bucket views, highest bucket first.
 	views [][]BucketView
-	// keys holds the kadcast key per node (nil for flood topologies).
+	// keys holds the kadcast key per node.
 	keys []uint64
 }
 
@@ -76,22 +74,9 @@ func New(cfg Config, seed int64, ids []simnet.NodeID) (*Topology, error) {
 		}
 	}
 	t := &Topology{cfg: cfg, ids: sorted}
-	switch cfg.Topology {
-	case KindKadcast:
-		t.buildKadcast(seed)
-	case KindRing:
-		t.buildRing()
-	case KindRegular:
-		t.buildRegular(seed)
-	}
+	t.buildKadcast(seed)
 	return t, nil
 }
-
-// Kind returns the topology name.
-func (t *Topology) Kind() string { return t.cfg.Topology }
-
-// Tuning returns the defaulted configuration the topology was built with.
-func (t *Topology) Tuning() Config { return t.cfg }
 
 // Nodes returns the member ids, ascending. Callers must not mutate.
 func (t *Topology) Nodes() []simnet.NodeID { return t.ids }
@@ -100,8 +85,8 @@ func (t *Topology) Nodes() []simnet.NodeID { return t.ids }
 // Callers must not mutate. Unknown ids have no neighbors.
 func (t *Topology) Neighbors(id simnet.NodeID) []simnet.NodeID { return byID(t.neighbors, id) }
 
-// Views returns id's kadcast bucket views, highest bucket first (nil for
-// flood topologies). Callers must not mutate.
+// Views returns id's kadcast bucket views, highest bucket first. Callers
+// must not mutate.
 func (t *Topology) Views(id simnet.NodeID) []BucketView { return byID(t.views, id) }
 
 // byID returns id's entry of an id-indexed table: nil for ids past it.
@@ -110,15 +95,6 @@ func byID[E any](table [][]E, id simnet.NodeID) []E {
 		return table[id]
 	}
 	return nil
-}
-
-// key returns id's kadcast key: zero for ids past the table, which is all of
-// them on flood topologies.
-func (t *Topology) key(id simnet.NodeID) uint64 {
-	if uint(id) < uint(len(t.keys)) {
-		return t.keys[id]
-	}
-	return 0
 }
 
 // splitmix64 is the SplitMix64 finalizer: a bijective 64-bit mix used for
@@ -201,7 +177,13 @@ func (t *Topology) buildKadcast(seed int64) {
 			}
 		}
 	}
-	t.setNeighbors(adj)
+	// Freeze the lists — every edge appended both ways, duplicates allowed —
+	// into sorted, duplicate-free neighbor slices of exact length.
+	for _, x := range t.ids {
+		slices.Sort(adj[x])
+		adj[x] = slices.Clip(slices.Clone(slices.Compact(adj[x])))
+	}
+	t.neighbors = adj
 }
 
 // member is one node in key order.
@@ -233,58 +215,4 @@ func closest(out []simnet.NodeID, run []member, b int, k uint64, want int) []sim
 		run, b = far, b-1
 	}
 	return out
-}
-
-// buildRing connects the sorted ids in a cycle plus power-of-two shortcut
-// chords: offsets 1, 2, 4, ... 2^Fanout. Purely positional — the seed does
-// not participate.
-func (t *Topology) buildRing() {
-	n := len(t.ids)
-	adj := make([][]simnet.NodeID, t.ids[n-1]+1)
-	for i, x := range t.ids {
-		off := 1
-		for s := 0; s <= t.cfg.Fanout && off < n; s++ {
-			y := t.ids[(i+off)%n]
-			adj[x] = append(adj[x], y)
-			adj[y] = append(adj[y], x)
-			off *= 2
-		}
-	}
-	t.setNeighbors(adj)
-}
-
-// buildRegular unions ⌈Fanout/2⌉ seed-derived Hamiltonian cycles, giving an
-// (approximately) Fanout-regular connected graph. The permutations come from
-// a local generator derived from the topology seed at construction time —
-// never from a scheduler stream — so building the overlay perturbs no
-// experiment RNG.
-func (t *Topology) buildRegular(seed int64) {
-	n := len(t.ids)
-	cycles := (t.cfg.Fanout + 1) / 2
-	if cycles < 1 {
-		cycles = 1
-	}
-	adj := make([][]simnet.NodeID, t.ids[n-1]+1)
-	for c := 0; c < cycles; c++ {
-		rng := rand.New(rand.NewSource(int64(splitmix64(uint64(seed) ^ uint64(c+1)*0xD1342543DE82EF95))))
-		perm := rng.Perm(n)
-		for i := 0; i < n; i++ {
-			x := t.ids[perm[i]]
-			y := t.ids[perm[(i+1)%n]]
-			adj[x] = append(adj[x], y)
-			adj[y] = append(adj[y], x)
-		}
-	}
-	t.setNeighbors(adj)
-}
-
-// setNeighbors freezes id-indexed adjacency lists — every edge appended both
-// ways, duplicates allowed — into sorted, duplicate-free neighbor slices of
-// exact length.
-func (t *Topology) setNeighbors(adj [][]simnet.NodeID) {
-	for _, x := range t.ids {
-		slices.Sort(adj[x])
-		adj[x] = slices.Clip(slices.Clone(slices.Compact(adj[x])))
-	}
-	t.neighbors = adj
 }

@@ -196,7 +196,7 @@ type (
 	ScenarioAction = scenario.ActionSpec
 )
 
-// Gossip-overlay types: structured broadcast overlays replacing the legacy
+// Gossip-overlay types: the kadcast broadcast overlay replacing the legacy
 // full mesh. See the internal/overlay package for the topology derivation
 // and routing rules.
 type (
@@ -207,9 +207,6 @@ type (
 	// relays, duplicates, stall skips); see RunResult.Overlay.
 	OverlayStats = overlay.Stats
 )
-
-// OverlayKinds lists the overlay topology names (kadcast, regular, ring).
-func OverlayKinds() []string { return overlay.Kinds() }
 
 // ParseScenario reads and validates a JSON scenario spec (the scenario
 // action grammar: crash, restart, partition, heal, slow, loss, jitter, flap
