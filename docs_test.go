@@ -161,7 +161,7 @@ func TestDocsLineBudget(t *testing.T) {
 // codeSizeBudget is the non-test Go line count `make loc` printed when the
 // budget was last recorded. A change that raises it says so, and why, in
 // CHANGES.md.
-const codeSizeBudget = 24741
+const codeSizeBudget = 24747
 
 // TestCodeSizeBudget: the module's non-test Go — every .go file but the
 // _test.go ones, outside .bench_build, counted in lines as `make loc` counts

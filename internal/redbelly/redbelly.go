@@ -270,7 +270,13 @@ func (v *validator) Deliver(from simnet.NodeID, payload any) {
 	}
 }
 
+// state returns a round's books, made on first use, or nil once the round is
+// committed (below the ledger's height): a committed round is finished, so
+// its stale timers and late messages find nothing to act on or re-create.
 func (v *validator) state(round int) *roundState {
+	if round < v.base.Ledger.Height() {
+		return nil
+	}
 	st, ok := v.states[round]
 	if !ok {
 		st = newRoundState(round, v.base.Ctx().Now(), v.n, v.quorum)
@@ -292,12 +298,13 @@ func (v *validator) startRound(round int) {
 		jitter = time.Duration(v.jitterRNG.Int63n(int64(v.cfg.ProposalJitter)))
 	}
 	v.base.Ctx().After(jitter, func() {
-		if v.state(round).decided {
+		cur := v.state(round)
+		if cur == nil || cur.decided {
 			return
 		}
 		// OnCaughtUp re-enters a started round; a second proposal would pop
 		// a fresh batch that peers, who keep the first one, never see.
-		if _, proposed := v.state(round).proposals[v.base.ID]; proposed {
+		if _, proposed := cur.proposals[v.base.ID]; proposed {
 			return
 		}
 		txs := v.base.Pool.Pop(v.cfg.MaxProposalTxs)
@@ -306,7 +313,7 @@ func (v *validator) startRound(round int) {
 		v.maybeScheduleEstimate(round)
 	})
 	v.base.Ctx().After(v.cfg.ProposalTimeout, func() {
-		if cur := v.state(round); !cur.decided && cur.myVote[0] == nil {
+		if cur := v.state(round); cur != nil && !cur.decided && cur.myVote[0] == nil {
 			v.base.Consensus(metrics.EventTimeout, round, v.base.ID, "proposal quorum timeout")
 		}
 		v.estimate(round)
@@ -347,7 +354,7 @@ func (v *validator) maybeScheduleEstimate(round int) {
 // proposal it holds.
 func (v *validator) estimate(round int) {
 	st := v.state(round)
-	if st.decided || st.myVote[0] != nil {
+	if st == nil || st.decided || st.myVote[0] != nil {
 		return
 	}
 	est := make([]simnet.NodeID, 0, len(st.proposals))
@@ -408,7 +415,7 @@ func (v *validator) evaluate(round, sub int) {
 	v.base.Consensus(metrics.EventLeaderChange, round, v.coordinator(round, sub+1), "sub-round coordinator rotation")
 	v.base.Ctx().After(v.cfg.CoordTimeout, func() {
 		cur := v.state(round)
-		if cur.decided || cur.myVote[sub+1] != nil {
+		if cur == nil || cur.decided || cur.myVote[sub+1] != nil {
 			return
 		}
 		v.base.Consensus(metrics.EventTimeout, round, v.coordinator(round, sub+1), "coordinator silent")
@@ -445,7 +452,7 @@ func (v *validator) maybeSendCoord(round int) {
 
 func (v *validator) onCoord(msg coordMsg) {
 	st := v.state(msg.Round)
-	if st.decided || st.myVote[msg.Sub+1] != nil {
+	if st == nil || st.decided || st.myVote[msg.Sub+1] != nil {
 		return
 	}
 	v.castVote(msg.Round, msg.Sub+1, msg.Est, false)
@@ -548,9 +555,10 @@ func (v *validator) assemble(round int, est []simnet.NodeID, st *roundState) cha
 	}, lists)
 }
 
+// onDecide adopts a decided block; a late one, for a committed round, still
+// advances a node whose round lags its ledger.
 func (v *validator) onDecide(msg decideMsg) {
-	st := v.state(msg.Round)
-	if !st.decided {
+	if st := v.state(msg.Round); st != nil && !st.decided {
 		st.decided = true
 		v.base.SubmitBlock(msg.Block)
 	}
@@ -563,18 +571,16 @@ func (v *validator) advance(decided int) {
 		return
 	}
 	next := decided + 1
-	st := v.states[decided]
 	delete(v.states, decided-2) // bounded memory
-	wait := v.cfg.InterBlock
-	if st != nil {
-		elapsed := v.base.Ctx().Now() - st.startedAt
-		if elapsed+wait < v.cfg.MinRoundInterval {
-			wait = v.cfg.MinRoundInterval - elapsed
-		}
+	// A committed round without books paces as one that started now.
+	elapsed := time.Duration(0)
+	if st := v.states[decided]; st != nil {
+		elapsed = v.base.Ctx().Now() - st.startedAt
 	}
+	wait := max(v.cfg.InterBlock, v.cfg.MinRoundInterval-elapsed)
 	v.round = next
 	v.base.Ctx().After(wait, func() {
-		if v.round == next && !v.state(next).decided {
+		if v.round == next && v.state(next) != nil && !v.state(next).decided {
 			v.startRound(next)
 		}
 	})

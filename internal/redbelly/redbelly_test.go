@@ -7,6 +7,7 @@ import (
 
 	"stabl/internal/chain"
 	"stabl/internal/core"
+	"stabl/internal/metrics"
 	"stabl/internal/simnet"
 )
 
@@ -178,5 +179,40 @@ func TestSortIDs(t *testing.T) {
 	sortIDs(ids)
 	if ids[0] != 1 || ids[1] != 2 || ids[2] != 3 {
 		t.Fatalf("sortIDs = %v", ids)
+	}
+}
+
+// recordingSystem keeps every validator the deployment builds.
+type recordingSystem struct {
+	*System
+	validators []*validator
+}
+
+func (s *recordingSystem) NewValidator(id simnet.NodeID, peers []simnet.NodeID, mon *chain.Monitor, genesis *chain.Genesis) chain.Validator {
+	v := s.System.NewValidator(id, peers, mon, genesis)
+	s.validators = append(s.validators, v.(*validator))
+	return v
+}
+
+// TestFaultFreeRoundsStayFinished runs ten validators fault-free for 400 s:
+// a decided round is dropped for good, so each validator ends holding the
+// last few rounds' books, and no round's timer fires after its decision.
+func TestFaultFreeRoundsStayFinished(t *testing.T) {
+	sys := &recordingSystem{System: Default()}
+	rec := metrics.NewRecorder(0)
+	res, err := core.Run(core.Config{System: sys, Seed: 42, Duration: 400 * time.Second, Metrics: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sys.validators) != 10 || res.MaxHeight < 1000 {
+		t.Fatalf("%d validators reached height %d", len(sys.validators), res.MaxHeight)
+	}
+	for _, v := range sys.validators {
+		if len(v.states) > 3 {
+			t.Errorf("validator %d holds %d rounds", v.base.ID, len(v.states))
+		}
+	}
+	if n := timeouts(rec); n != 0 {
+		t.Errorf("%d timeouts in a fault-free run", n)
 	}
 }

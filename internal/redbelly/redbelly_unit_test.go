@@ -6,6 +6,7 @@ import (
 
 	"stabl/internal/chain"
 	"stabl/internal/core"
+	"stabl/internal/metrics"
 	"stabl/internal/sim"
 	"stabl/internal/simnet"
 )
@@ -195,6 +196,92 @@ func TestRestartPathFollowsRound(t *testing.T) {
 		catchUp := round > 0
 		if _, started := v.states[0]; v.base.CatchingUp() != catchUp || started == catchUp {
 			t.Errorf("round %d: catching up %v, round 0 started %v; want catching up %v", round, v.base.CatchingUp(), started, catchUp)
+		}
+	}
+}
+
+// commitBlock puts an empty block at the ledger's next height, as a catch-up
+// does, and runs the scheduler until it is applied.
+func commitBlock(t *testing.T, sched *sim.Scheduler, v *validator) chain.Block {
+	t.Helper()
+	h := v.base.Ledger.Height()
+	b := v.base.MergeBlock(chain.Block{Height: h, Proposer: v.base.ID, Parent: v.base.TipHash(), DecidedAt: sched.Now()}, nil)
+	v.base.SubmitBlock(b)
+	sched.RunUntil(sched.Now() + time.Millisecond)
+	if v.base.Ledger.Height() != h+1 {
+		t.Fatalf("block %d not applied: height %d", h, v.base.Ledger.Height())
+	}
+	return b
+}
+
+func timeouts(rec *metrics.Recorder) int {
+	n := 0
+	for _, ev := range rec.Events() {
+		if ev.Kind == metrics.EventTimeout {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCommittedRoundStaysFinished commits round 0 after its proposal, its
+// vote and a mixed sub-round 0 armed its ProposalTimeout and CoordTimeout,
+// and drops its books as advance drops a round two behind: neither timer nor
+// a late decide or coordinator hint re-creates the round, records a timeout
+// or sends anything.
+func TestCommittedRoundStaysFinished(t *testing.T) {
+	sched, net, v := singleValidatorHarness(t)
+	rec := metrics.NewRecorder(0)
+	v.base.Monitor.SetMetrics(rec)
+	sched.RunUntil(v.cfg.ProposalJitter)
+	v.estimate(0)
+	v.onVote(voteMsg{Round: 0, Sub: 0, Voter: 1, Est: []simnet.NodeID{1}})
+	if v.state(0).sub != 1 {
+		t.Fatal("mixed sub-round 0 armed no coordinator timeout")
+	}
+	b := commitBlock(t, sched, v)
+	delete(v.states, 0)
+	sent := net.Stats().Sent
+
+	sched.RunUntil(v.cfg.ProposalTimeout + time.Millisecond)
+	v.Deliver(1, decideMsg{Round: 0, Block: b})
+	v.Deliver(1, coordMsg{Round: 0, Sub: 1, Est: []simnet.NodeID{0, 1}})
+	if _, ok := v.states[0]; ok {
+		t.Fatal("committed round 0 re-created")
+	}
+	if got := net.Stats().Sent; got != sent {
+		t.Fatalf("committed round 0 sent %d messages", got-sent)
+	}
+	if n := timeouts(rec); n != 0 {
+		t.Fatalf("committed round 0 recorded %d timeouts", n)
+	}
+}
+
+// TestLateDecideAdvancesLaggingRound gives a validator in round 0 a ledger
+// three blocks ahead: each late decide still moves its round on, the first
+// round it has not committed starts MinRoundInterval after the last decide,
+// and no committed round gets books.
+func TestLateDecideAdvancesLaggingRound(t *testing.T) {
+	sched, _, v := singleValidatorHarness(t)
+	blocks := []chain.Block{commitBlock(t, sched, v), commitBlock(t, sched, v), commitBlock(t, sched, v)}
+	for r, b := range blocks {
+		v.Deliver(1, decideMsg{Round: r, Block: b})
+		if v.round != r+1 {
+			t.Fatalf("late decide %d left the round at %d", r, v.round)
+		}
+	}
+	at := sched.Now()
+	sched.RunUntil(at + v.cfg.MinRoundInterval - time.Millisecond)
+	if _, ok := v.states[3]; ok {
+		t.Fatal("round 3 started before MinRoundInterval")
+	}
+	sched.RunUntil(at + v.cfg.MinRoundInterval)
+	if _, ok := v.states[3]; !ok {
+		t.Fatal("round 3 did not start after the late decides")
+	}
+	for r := 1; r < 3; r++ {
+		if _, ok := v.states[r]; ok {
+			t.Fatalf("committed round %d got books", r)
 		}
 	}
 }
